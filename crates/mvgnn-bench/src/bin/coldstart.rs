@@ -19,14 +19,13 @@
 //! slower the mapping layer has regressed.
 
 use mvgnn_core::{
-    read_checkpoint, write_checkpoint, write_mapped_checkpoint, Checkpoint, CheckpointMeta,
-    EngineConfig, InferenceEngine, MappedCheckpoint, MvGnn, MvGnnConfig,
+    read_checkpoint, write_checkpoint, write_mapped_checkpoint, Cascade, Checkpoint,
+    CheckpointMeta, MappedCheckpoint, MvGnn, MvGnnConfig, Workspace,
 };
 use mvgnn_dataset::{fit_inst2vec, write_shard, CorpusConfig, MappedShardReader, Suite};
 use mvgnn_embed::Inst2VecConfig;
 use mvgnn_ir::transform::OptLevel;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Repetitions per mode (the minimum is reported).
@@ -79,11 +78,7 @@ fn child(mode: &str, ckpt: &Path, shard: &Path) {
         }
     }
     let loaded = Instant::now();
-    let engine = mvgnn_bench::or_die(InferenceEngine::try_new(
-        Arc::new(model),
-        EngineConfig { threads: 1, batch_size: 1 },
-    ));
-    let rows = engine.classify_batch(&[&first.sample]);
+    let rows = Cascade::gnn_batch(&model, &mut Workspace::new(), &[&first.sample]);
     let done = Instant::now();
     // Keep the classification observable so nothing is optimised away.
     let p = rows[0].fused.unwrap_or(0);

@@ -2,10 +2,10 @@
 //! train-vs-test accuracy of each head. Not part of the paper tables.
 
 use mvgnn_bench::{pipeline_config, Scale};
-use mvgnn_core::model::{MvGnn, MvGnnConfig};
+use mvgnn_core::model::{MvGnn, MvGnnConfig, NODE, STRUCT};
 use mvgnn_core::trainer::{evaluate, train};
 use mvgnn_dataset::build_corpus;
-use mvgnn_tensor::tape::Tape;
+use mvgnn_tensor::Workspace;
 
 /// Parse an override from the environment, exiting with a usable message
 /// on garbage instead of panicking.
@@ -48,13 +48,11 @@ fn main() {
         let mut mean_abs = 0.0f32;
         let mut count = 0usize;
         for s in ds.train.iter().take(n) {
-            let batch = mvgnn_embed::GraphBatch::single(&s.sample);
-            let mut tape = Tape::new(&model.params);
-            let fwd = model.forward_on(&mut tape, &batch);
+            let rows = model.forward_rows(&mut Workspace::new(), &[&s.sample]);
             // The concat input to fusion is the last tanh's input; easiest
-            // proxy: check the logits magnitude and loop over node data.
-            for v in [fwd.node_logits, fwd.struct_logits].into_iter().flatten() {
-                for &x in tape.data(v) {
+            // proxy: check the per-view logits magnitude.
+            for v in [NODE, STRUCT] {
+                for &x in rows.view(v, 0).unwrap_or_default() {
                     max_abs = max_abs.max(x.abs());
                     mean_abs += x.abs();
                     count += 1;
@@ -79,7 +77,7 @@ fn main() {
     let mut per: std::collections::BTreeMap<(String, String, usize), (usize, usize)> =
         std::collections::BTreeMap::new();
     for s in &ds.test_full {
-        let pred = model.predict(&s.sample);
+        let pred = model.forward_rows(&mut Workspace::new(), &[&s.sample]).argmax(0);
         let e = per
             .entry((format!("{:?}", s.suite), format!("{:?}", s.pattern), s.label))
             .or_insert((0, 0));
@@ -100,7 +98,7 @@ fn main() {
     let mut wrong_funcs: std::collections::BTreeMap<String, usize> = Default::default();
     for s in &ds.test_full {
         if format!("{:?}", s.pattern) == "Reduction" && s.label == 1 {
-            let pred = model.predict(&s.sample);
+            let pred = model.forward_rows(&mut Workspace::new(), &[&s.sample]).argmax(0);
             if pred != s.label {
                 // Reconstruct the generator function name from the app.
                 *wrong_funcs

@@ -28,7 +28,9 @@ use mvgnn_bench::{pipeline_config, Scale};
 use mvgnn_core::{FaultPlan, MvGnn, MvGnnConfig, PredictionSource};
 use mvgnn_dataset::build_corpus;
 use mvgnn_embed::GraphSample;
-use mvgnn_serve::{run_chaos, ChaosConfig, ChaosInputs, Deadline, ServeConfig, Server};
+use mvgnn_serve::{
+    run_chaos, ChaosConfig, ChaosInputs, Deadline, ServeConfig, Server, Ticket,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -207,7 +209,9 @@ fn smoke() {
     assert_eq!(server.stats().panics_caught, 0, "smoke caught panics");
     // Liveness after the storm: a fresh request is served normally.
     let c = mvgnn_bench::or_die(
-        server.classify(Arc::clone(&pool[0]), Deadline::within(Duration::from_secs(10))),
+        server
+            .submit(Arc::clone(&pool[0]), Deadline::within(Duration::from_secs(10)))
+            .and_then(Ticket::wait),
     );
     assert_eq!(c.source, PredictionSource::Multi, "post-storm answer degraded: {c:?}");
     server.shutdown();
@@ -225,7 +229,9 @@ fn smoke() {
         ServeConfig { max_batch: 4, ..Default::default() },
     ));
     for s in pool.iter().take(8) {
-        let c = mvgnn_bench::or_die(server.classify(Arc::clone(s), Deadline::none()));
+        let c = mvgnn_bench::or_die(
+            server.submit(Arc::clone(s), Deadline::none()).and_then(Ticket::wait),
+        );
         assert_ne!(
             c.source,
             PredictionSource::Multi,

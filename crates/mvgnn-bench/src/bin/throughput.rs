@@ -21,9 +21,7 @@
 //! `BENCH_throughput.json`.
 
 use mvgnn_bench::{pipeline_config, Scale};
-use mvgnn_core::{
-    classify_module_cached, EngineConfig, InferenceEngine, MvGnn, MvGnnConfig,
-};
+use mvgnn_core::{Cascade, EngineConfig, InferenceEngine, MvGnn, MvGnnConfig, Workspace};
 use mvgnn_dataset::{build_corpus, generate_app, Suite, TABLE2};
 use mvgnn_embed::{FeatureCache, GraphSample, Inst2Vec, SampleConfig};
 use std::sync::Arc;
@@ -88,6 +86,11 @@ fn build_model(scale: Scale) -> (Vec<mvgnn_dataset::LabeledSample>, MvGnn) {
     (pool, model)
 }
 
+/// Fused-head classes of one packed batch on a fresh workspace.
+fn predict(model: &MvGnn, samples: &[&GraphSample]) -> Vec<usize> {
+    model.forward_rows(&mut Workspace::new(), samples).predictions()
+}
+
 /// Per-pass featurisation-cache census. Reporting warm-up and steady
 /// state separately matters: folding the all-miss cold pass into the
 /// totals halves the apparent hit rate (a 9-hit/9-miss run reads as
@@ -136,7 +139,7 @@ fn feature_cache_stats(scale: Scale) -> (CachePass, CachePass) {
         kernels
             .iter()
             .flat_map(|&f| {
-                classify_module_cached(
+                Cascade::gnn_only().classify_module_cached(
                     &model, &app.module, f, &i2v, &sample_cfg, None, None, Some(cache),
                 )
             })
@@ -170,12 +173,12 @@ fn smoke() {
     let (pool, model) = build_model(Scale::Quick);
     let samples: Vec<&GraphSample> =
         pool.iter().take(BATCH).map(|s| &s.sample).collect();
-    let sequential = model.predict_batch(&samples);
+    let sequential = predict(&model, &samples);
     let engine = InferenceEngine::new(
         Arc::new(model),
         EngineConfig { threads: 2, batch_size: BATCH },
     );
-    let streamed = engine.predict_stream(&samples);
+    let streamed = engine.forward_stream(&samples).predictions();
     assert_eq!(sequential, streamed, "engine smoke: stream diverged from sequential");
     println!("[throughput] smoke OK: engine matches sequential on {} loops", samples.len());
 }
@@ -200,10 +203,10 @@ fn alloc_smoke() {
         Arc::new(model),
         EngineConfig { threads: 1, batch_size: BATCH },
     );
-    let warmup = engine.predict_stream(&samples);
-    let mut steady = Vec::new();
+    let warmup = engine.forward_stream(&samples);
+    let mut steady = mvgnn_core::RowOutputs::default();
     let per_loop = allocs_per_loop(samples.len(), || {
-        steady = engine.predict_stream(&samples);
+        steady = engine.forward_stream(&samples);
     });
     assert_eq!(warmup, steady, "steady-state stream diverged from warm-up");
     println!(
@@ -241,20 +244,20 @@ fn main() {
     eprintln!("[throughput] {n} loops, batch size {BATCH}");
 
     // Warm-up + parity assertion: every path must agree exactly.
-    let single_preds: Vec<usize> = samples.iter().map(|s| model.predict(s)).collect();
+    let single_preds: Vec<usize> = samples.iter().flat_map(|s| predict(&model, &[s])).collect();
     let batched_preds: Vec<usize> =
-        samples.chunks(BATCH).flat_map(|c| model.predict_batch(c)).collect();
+        samples.chunks(BATCH).flat_map(|c| predict(&model, c)).collect();
     assert_eq!(single_preds, batched_preds, "batched/per-sample predictions diverged");
 
     let reps = if scale == Scale::Quick { 5 } else { 7 };
     let t_single = best_secs(reps, || {
         for s in &samples {
-            std::hint::black_box(model.predict(s));
+            std::hint::black_box(predict(&model, &[s]));
         }
     });
     let t_batched = best_secs(reps, || {
         for chunk in samples.chunks(BATCH) {
-            std::hint::black_box(model.predict_batch(chunk));
+            std::hint::black_box(predict(&model, chunk));
         }
     });
 
@@ -280,16 +283,16 @@ fn main() {
     let alloc_section = {
         let per_sample = allocs_per_loop(n, || {
             for s in &samples {
-                std::hint::black_box(model.predict(s));
+                std::hint::black_box(predict(&model, &[s]));
             }
         });
         let engine = InferenceEngine::new(
             Arc::clone(&model),
             EngineConfig { threads: 1, batch_size: BATCH },
         );
-        std::hint::black_box(engine.predict_stream(&samples)); // warm the pools
+        std::hint::black_box(engine.forward_stream(&samples)); // warm the pools
         let steady = allocs_per_loop(n, || {
-            std::hint::black_box(engine.predict_stream(&samples));
+            std::hint::black_box(engine.forward_stream(&samples));
         });
         let reduction = per_sample / steady.max(1e-9);
         println!(
@@ -310,12 +313,12 @@ fn main() {
             EngineConfig { threads, batch_size: BATCH },
         );
         assert_eq!(
-            engine.predict_stream(&samples),
+            engine.forward_stream(&samples).predictions(),
             batched_preds,
             "engine predictions diverged at {threads} threads"
         );
         let t = best_secs(reps, || {
-            std::hint::black_box(engine.predict_stream(&samples));
+            std::hint::black_box(engine.forward_stream(&samples));
         });
         engine_lps.push((threads, n as f64 / t, engine.dispatch_chunk(n)));
     }

@@ -11,8 +11,9 @@
 //! - **Tier 1 — calibrated GNN.** Undecided loops are featurised
 //!   (optionally with the oracle's
 //!   [`feature_vec`](mvgnn_analyze::OracleReport::feature_vec) broadcast
-//!   as static node features) and classified in packed batches with the
-//!   per-loop degradation ladder of [`crate::infer::classify_module`].
+//!   as static node features) and classified in packed batches through
+//!   [`MvGnn::forward_rows`], with the per-loop degradation ladder of
+//!   [`crate::infer::view_ladder`].
 //!   The fused logits pass through a temperature-scaling [`Calibration`]
 //!   (fit on a held-out slice, stored alongside the weights in the MVCK
 //!   checkpoint) to produce a confidence.
@@ -26,8 +27,8 @@
 //! structural, not a priority), which is the soundness property the
 //! cascade tests pin against the interpreting profiler.
 
-use crate::infer::{conservative, LoopReport, PredictionSource};
-use crate::model::{CheckedPrediction, MvGnn};
+use crate::infer::{conservative, view_ladder, LoopReport, PredictionSource};
+use crate::model::{CheckedPrediction, MvGnn, RowOutputs};
 use mvgnn_analyze::{analyze_loop, plan_from_report, OracleReport, Verdict};
 use mvgnn_embed::{
     build_sample_with_static, sample_fingerprint, sample_fingerprint_with_static, FeatureCache,
@@ -217,9 +218,8 @@ impl Default for CascadeConfig {
 }
 
 impl CascadeConfig {
-    /// Tier 1 alone — the historical [`crate::classify_module`]
-    /// behaviour, bit-for-bit (no oracle, no confidence band, no static
-    /// features).
+    /// Tier 1 alone — the historical pure-GNN classifier, bit-for-bit
+    /// (no oracle, no confidence band, no static features).
     pub fn gnn_only() -> Self {
         Self {
             use_oracle: false,
@@ -275,7 +275,7 @@ impl Cascade {
     }
 
     /// The GNN tier alone ([`CascadeConfig::gnn_only`]); reproduces the
-    /// historical `classify_module` outputs exactly.
+    /// historical pure-GNN outputs exactly.
     pub fn gnn_only() -> Self {
         Self::new(CascadeConfig::gnn_only())
     }
@@ -283,53 +283,37 @@ impl Cascade {
     /// Tier-1 execution primitive: run one packed batch against a
     /// caller-owned workspace with per-row fault isolation — any row
     /// whose batched verdict shows a non-finite head is re-run alone, so
-    /// its degradation is decided by the single-sample path. This is the
-    /// hook every batch executor fronts
-    /// ([`crate::InferenceEngine::classify_batch`], the module path
-    /// below, and through them the `mvgnn-serve` micro-batcher).
+    /// its degradation is decided by the single-sample path. The module
+    /// path below and the `mvgnn-serve` micro-batcher both run on it.
     pub fn gnn_batch(
         model: &MvGnn,
         ws: &mut Workspace,
         chunk: &[&GraphSample],
     ) -> Vec<CheckedPrediction> {
-        model
-            .predict_checked_batch_ws(ws, chunk)
-            .into_iter()
-            .zip(chunk)
-            .map(|(checked, s)| Self::isolate_row(model, checked, s))
-            .collect()
+        Self::gnn_rows(model, ws, chunk).1
     }
 
-    /// [`Self::gnn_batch`] that also surfaces the batched fused-logits
-    /// row per sample (for the tier-1 confidence band). The checked
-    /// verdicts are identical — same forward pass, same isolation.
-    fn gnn_batch_with_logits(
+    /// [`Self::gnn_batch`] that also hands back the batch's
+    /// [`RowOutputs`], whose fused logits feed the tier-2 confidence band.
+    fn gnn_rows(
         model: &MvGnn,
         ws: &mut Workspace,
         chunk: &[&GraphSample],
-    ) -> (Vec<CheckedPrediction>, Vec<Vec<f32>>) {
-        let (rows, logits) = model.predict_checked_logits_batch_ws(ws, chunk);
-        let rows = rows
-            .into_iter()
-            .zip(chunk)
-            .map(|(checked, s)| Self::isolate_row(model, checked, s))
+    ) -> (RowOutputs, Vec<CheckedPrediction>) {
+        let rows = model.forward_rows(ws, chunk);
+        let checked = chunk
+            .iter()
+            .enumerate()
+            .map(|(g, s)| {
+                let c = rows.checked(g);
+                if c.fused.is_none() || c.node.is_none() || c.structural.is_none() {
+                    model.predict_checked(s)
+                } else {
+                    c
+                }
+            })
             .collect();
-        (rows, logits)
-    }
-
-    /// Per-row fault fallback shared by the batch primitives.
-    fn isolate_row(
-        model: &MvGnn,
-        checked: CheckedPrediction,
-        sample: &GraphSample,
-    ) -> CheckedPrediction {
-        let faulty =
-            checked.fused.is_none() || checked.node.is_none() || checked.structural.is_none();
-        if faulty {
-            model.predict_checked(sample)
-        } else {
-            checked
-        }
+        (rows, checked)
     }
 
     /// Classify every loop of `entry` through the cascade (no feature
@@ -355,8 +339,8 @@ impl Cascade {
     /// The returned vector always covers every loop of the function, in
     /// loop order. Tier-0 verdicts carry the oracle report (facts and
     /// all) and never touch the GNN; undecided loops go through the
-    /// historical pre-check + packed-batch path of
-    /// [`crate::classify_module`], with the degradation ladder intact;
+    /// pre-check + packed-batch path of [`Self::gnn_batch`], with the
+    /// degradation ladder of [`crate::infer::view_ladder`];
     /// borderline healthy verdicts are re-decided by the profiler tier
     /// over the dependence graph the profiling pass already produced.
     #[allow(clippy::too_many_arguments)]
@@ -500,85 +484,45 @@ impl Cascade {
         let mut ws = Workspace::new();
         for chunk in pending.chunks(INFER_CHUNK) {
             let samples: Vec<&GraphSample> = chunk.iter().map(|(_, p)| &*p.sample).collect();
-            let (checked_rows, logit_rows) = if needs_confidence {
-                let (c, lg) = Self::gnn_batch_with_logits(model, &mut ws, &samples);
-                (c, Some(lg))
-            } else {
-                (Self::gnn_batch(model, &mut ws, &samples), None)
-            };
-            for (row, ((slot, p), checked)) in chunk.iter().zip(checked_rows).enumerate() {
-                // Preference order degrades with the evidence: a clean
-                // trace and healthy walks trust the fused head; a
-                // truncated trace or empty walk distribution drops the
-                // structural signal and falls back to the node view;
-                // non-finite heads fall through to the next view.
-                let candidates: [(Option<usize>, PredictionSource); 3] =
-                    if trace_fault.is_some() || p.empty_walks {
-                        [
-                            (checked.node, PredictionSource::NodeOnly),
-                            (checked.structural, PredictionSource::StructOnly),
-                            (None, PredictionSource::ConservativeSerial),
-                        ]
-                    } else {
-                        [
-                            (checked.fused, PredictionSource::Multi),
-                            (checked.node, PredictionSource::NodeOnly),
-                            (checked.structural, PredictionSource::StructOnly),
-                        ]
-                    };
-                let mut diagnostic = None;
-                if let Some(fault) = &trace_fault {
-                    diagnostic = Some(format!("trace truncated: {fault}"));
-                } else if p.empty_walks {
-                    diagnostic = Some("empty anonymous-walk distribution".into());
+            let (rows, checked_rows) = Self::gnn_rows(model, &mut ws, &samples);
+            for (g, ((slot, p), checked)) in chunk.iter().zip(checked_rows).enumerate() {
+                // A truncated trace or an empty walk distribution drops
+                // the structural signal, so the ladder starts below the
+                // fused head; non-finite heads fall through to the next.
+                let evidence = match (&trace_fault, p.empty_walks) {
+                    (Some(fault), _) => Some(format!("trace truncated: {fault}")),
+                    (None, true) => Some("empty anonymous-walk distribution".into()),
+                    (None, false) => None,
+                };
+                let (mut prediction, source, mut diagnostic) = view_ladder(checked, evidence);
+                let mut decided_by = DecidedBy::Gnn;
+                // Tier 2 — a healthy fused verdict below the confidence
+                // band is re-decided by the profiler over the dependence
+                // graph the profiling pass already produced.
+                if needs_confidence && source == PredictionSource::Multi {
+                    let conf = self.config.calibration.confidence(rows.fused(g));
+                    if conf < self.config.confidence_threshold {
+                        let class = classify_loop(module, entry, p.l, &partial.deps);
+                        prediction = usize::from(class.is_parallelizable());
+                        decided_by = DecidedBy::Profiler;
+                        diagnostic = Some(format!(
+                            "tier-1 confidence {conf:.3} below {:.3}; dynamic tier verdict \
+                             {class:?}",
+                            self.config.confidence_threshold
+                        ));
+                    }
                 }
-                reports[*slot] =
-                    Some(match candidates.iter().find_map(|(pr, src)| pr.map(|pr| (pr, *src))) {
-                        Some((mut prediction, source)) => {
-                            if source != PredictionSource::Multi && diagnostic.is_none() {
-                                diagnostic =
-                                    Some("non-finite logits in the preferred view".into());
-                            }
-                            let mut decided_by = DecidedBy::Gnn;
-                            // Tier 2 — a healthy fused verdict below the
-                            // confidence band is re-decided by the
-                            // profiler over the dependence graph the
-                            // profiling pass already produced.
-                            if needs_confidence && source == PredictionSource::Multi {
-                                let conf = logit_rows
-                                    .as_ref()
-                                    .map_or(0.0, |lg| self.config.calibration.confidence(&lg[row]));
-                                if conf < self.config.confidence_threshold {
-                                    let class = classify_loop(module, entry, p.l, &partial.deps);
-                                    prediction = usize::from(class.is_parallelizable());
-                                    decided_by = DecidedBy::Profiler;
-                                    diagnostic = Some(format!(
-                                        "tier-1 confidence {conf:.3} below {:.3}; dynamic tier \
-                                         verdict {class:?}",
-                                        self.config.confidence_threshold
-                                    ));
-                                }
-                            }
-                            LoopReport {
-                                func: entry,
-                                l: p.l,
-                                line: p.line,
-                                prediction,
-                                source,
-                                diagnostic,
-                                decided_by,
-                                oracle: None,
-                                plan: None,
-                            }
-                        }
-                        None => {
-                            let why = match diagnostic {
-                                Some(d) => format!("non-finite logits in every view ({d})"),
-                                None => "non-finite logits in every view".into(),
-                            };
-                            conservative(entry, p.l, p.line, why)
-                        }
-                    });
+                reports[*slot] = Some(LoopReport {
+                    func: entry,
+                    l: p.l,
+                    line: p.line,
+                    prediction,
+                    source,
+                    diagnostic,
+                    decided_by,
+                    oracle: None,
+                    plan: None,
+                });
             }
         }
         reports.into_iter().flatten().collect()

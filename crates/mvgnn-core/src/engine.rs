@@ -6,22 +6,17 @@
 //! private tape, so any number of workers can run inference on the same
 //! model without locks or weight clones.
 //!
-//! Determinism contract: the stream is cut into fixed-size batches
-//! *before* dispatch, workers pull whole batches, and results are merged
-//! back in input order. Batch boundaries depend only on
-//! [`EngineConfig::batch_size`], never on the thread count or scheduling,
-//! so logits and predictions are bit-identical at 1, 2, or 8 threads —
-//! and identical to the sequential [`MvGnn::predict_batch`] path over the
-//! same batch size.
-//!
-//! Fault semantics match per-loop graceful degradation in
-//! [`crate::infer`]: a row whose checked prediction shows any non-finite
-//! head is re-run through single-sample inference, so its verdict is
-//! decided in isolation from its batch-mates.
+//! The one execution method, [`InferenceEngine::forward_stream`], is the
+//! stream form of [`MvGnn::forward_rows`]. Determinism contract: the
+//! stream is cut into fixed-size batches *before* dispatch, workers pull
+//! whole batches, and results are merged back in input order. Batch
+//! boundaries depend only on [`EngineConfig::batch_size`], never on the
+//! thread count or scheduling, so every head's logits are bit-identical
+//! at 1, 2, or 8 threads — and identical to calling
+//! [`MvGnn::forward_rows`] sequentially over the same batches.
 
-use crate::cascade::Cascade;
 use crate::error::MvGnnError;
-use crate::model::{CheckedPrediction, MvGnn};
+use crate::model::{MvGnn, RowOutputs};
 use mvgnn_embed::GraphSample;
 use mvgnn_tensor::Workspace;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,50 +144,50 @@ impl InferenceEngine {
         agg
     }
 
-    /// Run `work` over every `batch_size`-sample chunk of `samples` on up
-    /// to `threads` workers and splice the per-chunk outputs back into
-    /// input order. Workers pull [`Self::dispatch_chunk`]-sized slices
-    /// through an atomic counter and cut them into `batch_size` batches
-    /// locally, so thread count affects only *who* computes a batch,
-    /// never which rows it holds. Each worker runs every batch against
-    /// one pooled [`Workspace`]. A panicking worker is resumed on the
-    /// caller thread (its workspace is abandoned, not corrupted).
-    fn fan_out<R, F>(&self, samples: &[&GraphSample], work: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Workspace, &[&GraphSample]) -> Vec<R> + Sync,
-    {
+    /// Run [`MvGnn::forward_rows`] over every `batch_size`-sample batch
+    /// of `samples` on up to `threads` workers and splice the rows back
+    /// into input order. Workers pull [`Self::dispatch_chunk`]-sized
+    /// slices through an atomic counter and cut them into `batch_size`
+    /// batches locally, so thread count affects only *who* computes a
+    /// batch, never which rows it holds. Each worker runs every batch
+    /// against one pooled [`Workspace`]. A panicking worker is resumed on
+    /// the caller thread (its workspace is abandoned, not corrupted).
+    ///
+    /// Rows are row-local, so a damaged sample's non-finite heads never
+    /// reach its batch-mates; [`RowOutputs::checked`] of a row equals
+    /// the single-sample verdict.
+    pub fn forward_stream(&self, samples: &[&GraphSample]) -> RowOutputs {
+        let run = |ws: &mut Workspace, slice: &[&GraphSample]| {
+            let mut rows = RowOutputs::default();
+            for batch in slice.chunks(self.cfg.batch_size) {
+                rows.append(self.model.forward_rows(ws, batch));
+            }
+            rows
+        };
         if samples.is_empty() {
-            return Vec::new();
+            return RowOutputs::default();
         }
         let chunks: Vec<&[&GraphSample]> =
             samples.chunks(self.dispatch_chunk(samples.len())).collect();
         let threads = self.cfg.threads.min(chunks.len());
         if threads == 1 {
             let mut ws = self.checkout();
-            let out = samples
-                .chunks(self.cfg.batch_size)
-                .flat_map(|b| work(&mut ws, b))
-                .collect();
+            let out = run(&mut ws, samples);
             self.checkin(ws);
             return out;
         }
         let next = AtomicUsize::new(0);
-        let mut parts: Vec<(usize, Vec<R>)> = Vec::with_capacity(chunks.len());
+        let mut parts: Vec<(usize, RowOutputs)> = Vec::with_capacity(chunks.len());
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     s.spawn(|| {
                         let mut ws = self.checkout();
-                        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
+                        let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(chunk) = chunks.get(i) else { break };
-                            let rows: Vec<R> = chunk
-                                .chunks(self.cfg.batch_size)
-                                .flat_map(|b| work(&mut ws, b))
-                                .collect();
-                            local.push((i, rows));
+                            local.push((i, run(&mut ws, chunk)));
                         }
                         self.checkin(ws);
                         local
@@ -207,68 +202,10 @@ impl InferenceEngine {
             }
         });
         parts.sort_by_key(|(i, _)| *i);
-        parts.into_iter().flat_map(|(_, rows)| rows).collect()
-    }
-
-    /// Fused-head class per sample; order matches `samples`.
-    pub fn predict_stream(&self, samples: &[&GraphSample]) -> Vec<usize> {
-        self.fan_out(samples, |ws, chunk| self.model.predict_batch_ws(ws, chunk))
-    }
-
-    /// Fused logits per sample (one `classes`-wide row each).
-    pub fn logits_stream(&self, samples: &[&GraphSample]) -> Vec<Vec<f32>> {
-        self.fan_out(samples, |ws, chunk| self.model.logits_batch_ws(ws, chunk))
-    }
-
-    /// Finiteness-checked predictions per sample, with the per-row fault
-    /// isolation of [`crate::infer::classify_module`]: any row whose
-    /// batched verdict shows a non-finite head is re-run alone, so its
-    /// degradation is judged by the single-sample path.
-    pub fn predict_checked_stream(&self, samples: &[&GraphSample]) -> Vec<CheckedPrediction> {
-        self.fan_out(samples, |ws, chunk| Cascade::gnn_batch(&self.model, ws, chunk))
-    }
-
-    /// Run one already-coalesced batch through a pooled workspace with
-    /// the per-row fault isolation of [`Self::predict_checked_stream`].
-    ///
-    /// This is the dispatch hook for external batching layers (the
-    /// `mvgnn-serve` micro-batcher): the caller owns arrival coalescing
-    /// and deadline accounting and hands over a ready batch; the engine
-    /// owns execution and workspace pooling, so steady-state calls
-    /// allocate nothing. The batch is executed as-is on the calling
-    /// thread — no chunking, no fan-out — which keeps the f32 summation
-    /// order a function of the batch contents alone.
-    ///
-    /// A thin front over the cascade's tier-1 execution primitive
-    /// ([`Cascade::gnn_batch`]) — the engine contributes only the
-    /// pooled workspace.
-    pub fn classify_batch(&self, samples: &[&GraphSample]) -> Vec<CheckedPrediction> {
-        if samples.is_empty() {
-            return Vec::new();
+        let mut out = RowOutputs::default();
+        for (_, rows) in parts {
+            out.append(rows);
         }
-        let mut ws = self.checkout();
-        let out = Cascade::gnn_batch(&self.model, &mut ws, samples);
-        self.checkin(ws);
-        out
-    }
-
-    /// [`Self::classify_batch`] against an explicit model instead of the
-    /// engine's own — the hot-swap dispatch hook. A serving layer that
-    /// captured an older [`ModelGeneration`] at admission time runs its
-    /// in-flight batch here, borrowing the engine's pooled workspaces
-    /// (workspace buffers are model-agnostic scratch, so generations can
-    /// share the pool freely).
-    pub fn classify_batch_on(
-        &self,
-        model: &MvGnn,
-        samples: &[&GraphSample],
-    ) -> Vec<CheckedPrediction> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let mut ws = self.checkout();
-        let out = Cascade::gnn_batch(model, &mut ws, samples);
-        self.checkin(ws);
         out
     }
 }
@@ -431,14 +368,14 @@ mod tests {
             ds.test.iter().map(|s| &s.sample).collect();
         let reference: Vec<usize> = samples
             .chunks(3)
-            .flat_map(|c| model.predict_batch(c))
+            .flat_map(|c| model.forward_rows(&mut Workspace::new(), c).predictions())
             .collect();
         for threads in [1, 2, 8] {
             let eng = InferenceEngine::new(
                 Arc::clone(&model),
                 EngineConfig { threads, batch_size: 3 },
             );
-            assert_eq!(eng.predict_stream(&samples), reference, "threads={threads}");
+            assert_eq!(eng.forward_stream(&samples).predictions(), reference, "threads={threads}");
         }
     }
 
@@ -452,13 +389,12 @@ mod tests {
             InferenceEngine::new(Arc::clone(&model), EngineConfig { threads: 1, batch_size: 4 });
         let many =
             InferenceEngine::new(Arc::clone(&model), EngineConfig { threads: 8, batch_size: 4 });
-        let a = one.logits_stream(&samples);
-        let b = many.logits_stream(&samples);
+        let a = one.forward_stream(&samples);
+        let b = many.forward_stream(&samples);
         assert_eq!(a.len(), b.len());
-        for (ra, rb) in a.iter().zip(&b) {
-            let ba: Vec<u32> = ra.iter().map(|x| x.to_bits()).collect();
-            let bb: Vec<u32> = rb.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(ba, bb);
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for g in 0..a.len() {
+            assert_eq!(bits(a.fused(g)), bits(b.fused(g)));
         }
     }
 
@@ -466,9 +402,7 @@ mod tests {
     fn empty_stream_is_a_no_op() {
         let ds = tiny_dataset();
         let eng = InferenceEngine::new(Arc::new(tiny_model(&ds)), EngineConfig::default());
-        assert!(eng.predict_stream(&[]).is_empty());
-        assert!(eng.logits_stream(&[]).is_empty());
-        assert!(eng.predict_checked_stream(&[]).is_empty());
+        assert!(eng.forward_stream(&[]).is_empty());
     }
 
     #[test]
@@ -481,7 +415,7 @@ mod tests {
         assert_eq!(eng.config(), EngineConfig { threads: 1, batch_size: 1 });
         let samples: Vec<&mvgnn_embed::GraphSample> =
             ds.test.iter().take(3).map(|s| &s.sample).collect();
-        assert_eq!(eng.predict_stream(&samples).len(), 3);
+        assert_eq!(eng.forward_stream(&samples).len(), 3);
     }
 
     #[test]
@@ -504,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_batch_matches_the_stream_path() {
+    fn stream_checked_rows_match_the_cascade_primitive() {
         let ds = tiny_dataset();
         let model = Arc::new(tiny_model(&ds));
         let samples: Vec<&mvgnn_embed::GraphSample> =
@@ -513,11 +447,13 @@ mod tests {
             Arc::clone(&model),
             EngineConfig { threads: 1, batch_size: 5 },
         );
-        assert_eq!(eng.classify_batch(&samples), eng.predict_checked_stream(&samples));
-        assert!(eng.classify_batch(&[]).is_empty());
+        let rows = eng.forward_stream(&samples);
+        let checked: Vec<_> = (0..rows.len()).map(|g| rows.checked(g)).collect();
+        let primitive = crate::Cascade::gnn_batch(&model, &mut Workspace::new(), &samples);
+        assert_eq!(checked, primitive);
         // The pooled workspace is parked again after the call.
         let resident_before = eng.workspace_stats().resident;
-        let _ = eng.classify_batch(&samples);
+        let _ = eng.forward_stream(&samples);
         assert!(eng.workspace_stats().resident >= resident_before);
     }
 
@@ -547,10 +483,10 @@ mod tests {
             Arc::clone(&model),
             EngineConfig { threads: 1, batch_size: 4 },
         );
-        let first = eng.predict_stream(&samples);
+        let first = eng.forward_stream(&samples);
         let warm_misses = eng.workspace_stats().misses;
         assert!(warm_misses > 0, "cold run must have populated the pool");
-        let second = eng.predict_stream(&samples);
+        let second = eng.forward_stream(&samples);
         assert_eq!(first, second);
         assert_eq!(
             eng.workspace_stats().misses,
@@ -603,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_batch_on_matches_a_dedicated_engine() {
+    fn a_workspace_warmed_by_one_model_serves_another() {
         let ds = tiny_dataset();
         let model_a = Arc::new(tiny_model(&ds));
         let mut b = tiny_model(&ds);
@@ -615,17 +551,16 @@ mod tests {
         let model_b = Arc::new(b);
         let samples: Vec<&mvgnn_embed::GraphSample> =
             ds.test.iter().take(4).map(|s| &s.sample).collect();
-        let eng_a = InferenceEngine::new(
-            Arc::clone(&model_a),
-            EngineConfig { threads: 1, batch_size: 4 },
+        // Workspace buffers are model-agnostic scratch: a serve worker
+        // keeps one across hot-swapped generations, so B's batch on A's
+        // warm workspace must give B's answers.
+        let mut warm = Workspace::new();
+        let _ = model_a.forward_rows(&mut warm, &samples);
+        assert_eq!(
+            model_b.forward_rows(&mut warm, &samples),
+            model_b.forward_rows(&mut Workspace::new(), &samples)
         );
-        let eng_b = InferenceEngine::new(
-            Arc::clone(&model_b),
-            EngineConfig { threads: 1, batch_size: 4 },
-        );
-        // Dispatching B's batch through A's engine must give B's answers.
-        assert_eq!(eng_a.classify_batch_on(&model_b, &samples), eng_b.classify_batch(&samples));
-        assert!(eng_a.classify_batch_on(&model_b, &[]).is_empty());
+        assert!(model_b.forward_rows(&mut warm, &[]).is_empty());
     }
 
     #[test]
@@ -638,11 +573,11 @@ mod tests {
             ds.test.iter().map(|s| &s.sample).collect();
         let eng =
             InferenceEngine::new(Arc::clone(&model), EngineConfig { threads: 4, batch_size: 4 });
-        let rows = eng.predict_checked_stream(&samples);
+        let rows = eng.forward_stream(&samples);
         assert_eq!(rows.len(), samples.len());
         // Every row's verdict must match the isolated single-sample path.
-        for (row, s) in rows.iter().zip(&samples) {
-            assert_eq!(*row, model.predict_checked(s));
+        for (g, s) in samples.iter().enumerate() {
+            assert_eq!(rows.checked(g), model.predict_checked(s));
         }
     }
 }

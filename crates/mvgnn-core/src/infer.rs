@@ -1,18 +1,17 @@
-//! Graceful inference over a whole module: every loop is classified with
-//! per-loop error isolation.
+//! Per-loop inference reports and the degradation vocabulary of
+//! [`crate::Cascade`].
 //!
 //! Faults that hit one loop — a truncated trace (interpreter step limit),
 //! an empty anonymous-walk distribution, a malformed/empty sub-PEG, or
 //! non-finite logits from a damaged model — downgrade *that loop* to a
 //! single-view or conservative "serial" prediction with a diagnostic
-//! attached; the rest of the batch is unaffected and the function never
-//! panics or aborts.
+//! attached (see [`view_ladder`]); the rest of the batch is unaffected
+//! and classification never panics or aborts.
 
-use crate::cascade::{Cascade, DecidedBy};
-use crate::model::MvGnn;
+use crate::cascade::DecidedBy;
+use crate::model::CheckedPrediction;
 use mvgnn_analyze::OracleReport;
-use mvgnn_embed::{FeatureCache, Inst2Vec, SampleConfig};
-use mvgnn_ir::module::{FuncId, LoopId, Module};
+use mvgnn_ir::module::{FuncId, LoopId};
 use std::sync::Arc;
 
 /// Which signal a loop's final prediction came from.
@@ -77,66 +76,51 @@ pub(crate) fn conservative(
     }
 }
 
-/// Classify every loop of `entry` with the trained model.
+/// The tier-1 view ladder, shared by the cascade and the serve layer:
+/// fused → node → structural → conservative serial, taking the first
+/// head whose logits were finite.
 ///
-/// `max_steps`/`max_call_depth` bound the profiling interpreter (None
-/// keeps the defaults). The returned vector always covers every loop of
-/// the function: faults degrade individual loops, they never abort the
-/// batch.
-///
-/// Healthy loops are classified in packed batches — one tape per chunk
-/// instead of one per loop. Per-loop fault isolation is preserved:
-/// finiteness is judged per row, and any row showing a non-finite head
-/// is re-run through single-sample inference so its degradation path
-/// (view fallback, conservative serial) is decided exactly as before,
-/// in isolation from its chunk-mates.
-///
-/// This is a thin front over the GNN-only [`Cascade`]; build a
-/// [`Cascade`] directly ([`Cascade::full`]) for the tiered
-/// oracle → GNN → profiler path.
-pub fn classify_module(
-    model: &MvGnn,
-    module: &Module,
-    entry: FuncId,
-    inst2vec: &Inst2Vec,
-    sample_cfg: &SampleConfig,
-    max_steps: Option<u64>,
-    max_call_depth: Option<u32>,
-) -> Vec<LoopReport> {
-    classify_module_cached(
-        model, module, entry, inst2vec, sample_cfg, max_steps, max_call_depth, None,
-    )
-}
-
-/// [`classify_module`] with an optional [`FeatureCache`]: per-loop
-/// featurisation (anonymous-walk sampling + node-feature packing) is
-/// keyed on the sub-PEG content and dynamic features, so re-analysing an
-/// unchanged loop replays its cached sample instead of rebuilding it.
-/// Reports are identical with or without the cache — a hit is by
-/// construction a bit-exact replay of a previous `build_sample` call.
-#[allow(clippy::too_many_arguments)]
-pub fn classify_module_cached(
-    model: &MvGnn,
-    module: &Module,
-    entry: FuncId,
-    inst2vec: &Inst2Vec,
-    sample_cfg: &SampleConfig,
-    max_steps: Option<u64>,
-    max_call_depth: Option<u32>,
-    cache: Option<&mut FeatureCache>,
-) -> Vec<LoopReport> {
-    Cascade::gnn_only().classify_module_cached(
-        model, module, entry, inst2vec, sample_cfg, max_steps, max_call_depth, cache,
-    )
+/// `evidence` names a degradation the caller already saw (a truncated
+/// trace, an empty walk distribution); it rules out the fused head and
+/// becomes the diagnostic. Returns the class, the signal it came from,
+/// and why the loop was degraded, when it was.
+pub fn view_ladder(
+    checked: CheckedPrediction,
+    evidence: Option<String>,
+) -> (usize, PredictionSource, Option<String>) {
+    let candidates = [
+        (checked.fused.filter(|_| evidence.is_none()), PredictionSource::Multi),
+        (checked.node, PredictionSource::NodeOnly),
+        (checked.structural, PredictionSource::StructOnly),
+    ];
+    match candidates.iter().find_map(|&(p, src)| p.map(|p| (p, src))) {
+        Some((p, PredictionSource::Multi)) => (p, PredictionSource::Multi, None),
+        Some((p, src)) => (
+            p,
+            src,
+            Some(evidence.unwrap_or_else(|| "non-finite logits in the preferred view".into())),
+        ),
+        None => {
+            let why = match evidence {
+                Some(d) => format!("non-finite logits in every view ({d})"),
+                None => "non-finite logits in every view".into(),
+            };
+            (0, PredictionSource::ConservativeSerial, Some(why))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cascade::Cascade;
     use crate::fault::FaultPlan;
     use crate::model::{MvGnn, MvGnnConfig};
-    use mvgnn_embed::{build_sample, sample_fingerprint, Inst2Vec, Inst2VecConfig};
+    use mvgnn_embed::{
+        build_sample, sample_fingerprint, FeatureCache, Inst2Vec, Inst2VecConfig, SampleConfig,
+    };
     use mvgnn_ir::inst::BinOp;
+    use mvgnn_ir::module::Module;
     use mvgnn_ir::types::Ty;
     use mvgnn_ir::FunctionBuilder;
     use mvgnn_peg::{build_peg, loop_subpeg};
@@ -185,10 +169,21 @@ mod tests {
         (m, f, i2v, model)
     }
 
+    fn gnn_only_reports(
+        model: &MvGnn,
+        m: &Module,
+        f: FuncId,
+        i2v: &Inst2Vec,
+        cfg: &SampleConfig,
+        max_steps: Option<u64>,
+    ) -> Vec<LoopReport> {
+        Cascade::gnn_only().classify_module(model, m, f, i2v, cfg, max_steps, None)
+    }
+
     #[test]
     fn healthy_module_classifies_every_loop_multi_view() {
         let (m, f, i2v, model) = setup();
-        let reports = classify_module(&model, &m, f, &i2v, &SampleConfig::default(), None, None);
+        let reports = gnn_only_reports(&model, &m, f, &i2v, &SampleConfig::default(), None);
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert_eq!(r.source, PredictionSource::Multi, "{r:?}");
@@ -201,11 +196,11 @@ mod tests {
     fn cached_classification_matches_and_hits_on_replay() {
         let (m, f, i2v, model) = setup();
         let cfg = SampleConfig::default();
-        let plain = classify_module(&model, &m, f, &i2v, &cfg, None, None);
+        let plain = gnn_only_reports(&model, &m, f, &i2v, &cfg, None);
         let mut cache = FeatureCache::new(64);
         // First cached run builds every sample; second replays them all.
         for pass in 0..2 {
-            let cached = classify_module_cached(
+            let cached = Cascade::gnn_only().classify_module_cached(
                 &model, &m, f, &i2v, &cfg, None, None, Some(&mut cache),
             );
             assert_eq!(cached.len(), plain.len());
@@ -232,7 +227,7 @@ mod tests {
         let feats = loop_features(&m, f, l0, &partial.deps, &partial.loops[&(f, l0)]);
         let sub = loop_subpeg(&peg, &m, &cus, f, l0);
         let fresh = build_sample(&sub, &i2v, &feats, &cfg, None);
-        let mut cache = mvgnn_embed::FeatureCache::new(4);
+        let mut cache = FeatureCache::new(4);
         let key = sample_fingerprint(&sub, &feats, &cfg, i2v.dim());
         cache.get_or_insert_with(key, || build_sample(&sub, &i2v, &feats, &cfg, None));
         let replayed = cache.get_or_insert_with(key, || unreachable!("must hit"));
@@ -249,7 +244,7 @@ mod tests {
         let (m, f, i2v, model) = setup();
         let budget = FaultPlan::new(4).starved_step_budget();
         let reports =
-            classify_module(&model, &m, f, &i2v, &SampleConfig::default(), Some(budget), None);
+            gnn_only_reports(&model, &m, f, &i2v, &SampleConfig::default(), Some(budget));
         assert_eq!(reports.len(), 2, "batch must not shrink under truncation");
         for r in &reports {
             assert_ne!(r.source, PredictionSource::Multi, "{r:?}");
@@ -265,7 +260,7 @@ mod tests {
     fn poisoned_model_falls_back_to_conservative_serial() {
         let (m, f, i2v, mut model) = setup();
         FaultPlan::new(11).poison_params(&mut model.params, 64);
-        let reports = classify_module(&model, &m, f, &i2v, &SampleConfig::default(), None, None);
+        let reports = gnn_only_reports(&model, &m, f, &i2v, &SampleConfig::default(), None);
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert_ne!(
@@ -274,5 +269,18 @@ mod tests {
                 "poisoned weights must not be trusted: {r:?}"
             );
         }
+    }
+
+    #[test]
+    fn view_ladder_drops_the_fused_head_under_evidence() {
+        let all = CheckedPrediction { fused: Some(1), node: Some(0), structural: Some(1) };
+        assert_eq!(view_ladder(all, None), (1, PredictionSource::Multi, None));
+        let (p, src, why) = view_ladder(all, Some("trace truncated".into()));
+        assert_eq!((p, src), (0, PredictionSource::NodeOnly));
+        assert_eq!(why.as_deref(), Some("trace truncated"));
+        let none = CheckedPrediction { fused: None, node: None, structural: None };
+        let (p, src, why) = view_ladder(none, Some("empty walks".into()));
+        assert_eq!((p, src), (0, PredictionSource::ConservativeSerial));
+        assert_eq!(why.as_deref(), Some("non-finite logits in every view (empty walks)"));
     }
 }

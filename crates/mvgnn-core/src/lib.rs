@@ -39,8 +39,11 @@ pub use engine::{
 };
 pub use error::MvGnnError;
 pub use fault::FaultPlan;
-pub use infer::{classify_module, classify_module_cached, LoopReport, PredictionSource};
-pub use model::{MvGnn, MvGnnConfig, ViewMode};
+pub use infer::{view_ladder, LoopReport, PredictionSource};
+pub use model::{MvGnn, MvGnnConfig, RowOutputs, ViewMode};
+// The buffer pool every inference entry point takes, re-exported so
+// callers need no direct mvgnn-tensor dependency.
+pub use mvgnn_tensor::Workspace;
 pub use views::{NodeFeatureEncoder, StructuralEncoder, ViewEncoder};
 pub use pipeline::{evaluate_tools, evaluate_tools_with_noise, run_pipeline, PipelineConfig, PipelineReport};
 pub use patterns::{

@@ -1,19 +1,21 @@
 //! The MV-GNN model (paper Fig. 3), built from composable
 //! [`ViewEncoder`]s and executed over packed [`GraphBatch`]es.
 //!
-//! Every public prediction surface routes through one batched forward
-//! pass: a mini-batch of graphs becomes one block-diagonal tape program,
-//! and the per-sample entry points ([`MvGnn::forward_on`],
-//! [`MvGnn::predict`], …) are batch-of-one wrappers. Batched and
-//! per-sample execution are bit-identical — every primitive on the path
-//! is row- or segment-local — so batching is purely a throughput knob.
+//! Inference has one forward pass, [`MvGnn::forward_rows`]: a mini-batch
+//! of graphs becomes one block-diagonal tape program, and the fused and
+//! per-view logits of every row come back as [`RowOutputs`], from which
+//! callers read classes, finiteness-checked verdicts or raw logits.
+//! Training records the same program with [`MvGnn::forward_batch`] to
+//! attach its losses. Batched and per-sample execution are bit-identical
+//! — every primitive on the path is row- or segment-local — so batching
+//! is purely a throughput knob.
 
 use crate::views::{NodeFeatureEncoder, StructuralEncoder, ViewEncoder};
 use mvgnn_embed::{GraphBatch, GraphSample};
 use mvgnn_gnn::DgcnnConfig;
 use mvgnn_nn::Linear;
 use mvgnn_tensor::init;
-use mvgnn_tensor::tape::{argmax_rows, Params, Tape, Var};
+use mvgnn_tensor::tape::{argmax_row, Params, Tape, Var};
 use mvgnn_tensor::Workspace;
 use rand::rngs::StdRng;
 
@@ -109,14 +111,22 @@ impl MvGnnConfig {
     }
 }
 
-/// Model outputs for one sample.
-pub struct Forward {
-    /// Fused logits (or the active single view's logits).
-    pub logits: Var,
-    /// Node-view logits (when that view is active).
-    pub node_logits: Option<Var>,
-    /// Structural-view logits (when that view is active).
-    pub struct_logits: Option<Var>,
+/// Position of the node-feature view in the model's view list.
+pub const NODE: usize = 0;
+/// Position of the structural view in the model's view list.
+pub const STRUCT: usize = 1;
+/// Number of views; [`MvGnn::new`] fixes their order.
+pub const VIEWS: usize = 2;
+
+impl ViewMode {
+    /// The one view a single-view mode runs; `None` for the fused model.
+    fn single_view(self) -> Option<usize> {
+        match self {
+            ViewMode::Multi => None,
+            ViewMode::NodeOnly => Some(NODE),
+            ViewMode::StructOnly => Some(STRUCT),
+        }
+    }
 }
 
 /// Model outputs for a packed batch; every logit tensor has one row per
@@ -125,13 +135,93 @@ pub struct ForwardBatch {
     /// Fused logits (or the active single view's logits),
     /// `batch × classes`.
     pub logits: Var,
-    /// Per-view auxiliary logits, aligned with the model's view list
+    /// Per-view auxiliary logits, indexed by [`NODE`] / [`STRUCT`]
     /// (`None` for views the [`ViewMode`] disables).
-    pub view_logits: Vec<Option<Var>>,
+    pub view_logits: [Option<Var>; VIEWS],
+}
+
+/// Every head's logits for one packed batch, read off the tape of
+/// [`MvGnn::forward_rows`]: one row per sample, `classes` wide, stored
+/// flat (one buffer per head, not one per row).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowOutputs {
+    rows: usize,
+    classes: usize,
+    fused: Vec<f32>,
+    /// Per-view logits indexed by [`NODE`] / [`STRUCT`]; empty for a view
+    /// the [`ViewMode`] disables.
+    views: [Vec<f32>; VIEWS],
+}
+
+impl RowOutputs {
+    /// Number of rows (samples).
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True when no sample was run.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Fused logits of row `g` (the active view's in single-view modes).
+    pub fn fused(&self, g: usize) -> &[f32] {
+        &self.fused[g * self.classes..(g + 1) * self.classes]
+    }
+
+    /// Logits of view `v` ([`NODE`] or [`STRUCT`]) for row `g`; `None`
+    /// when the [`ViewMode`] disables that view.
+    pub fn view(&self, v: usize, g: usize) -> Option<&[f32]> {
+        let head = &self.views[v];
+        (!head.is_empty()).then(|| &head[g * self.classes..(g + 1) * self.classes])
+    }
+
+    /// Fused-head class of row `g`. Non-finite logits are ordered by
+    /// `f32::total_cmp` rather than rejected; see [`Self::checked`].
+    pub fn argmax(&self, g: usize) -> usize {
+        argmax_row(self.fused(g))
+    }
+
+    /// Fused-head class of every row, in order.
+    pub fn predictions(&self) -> Vec<usize> {
+        (0..self.rows).map(|g| self.argmax(g)).collect()
+    }
+
+    /// Finiteness-checked classes of row `g`: a head whose logits hold
+    /// NaN/Inf reports `None` instead of an arbitrary argmax, so callers
+    /// can fall back to a healthy view. Absent views mirror the fused
+    /// head.
+    pub fn checked(&self, g: usize) -> CheckedPrediction {
+        let check = |row: &[f32]| row.iter().all(|x| x.is_finite()).then(|| argmax_row(row));
+        let fused = check(self.fused(g));
+        let view = |v| self.view(v, g).map_or(fused, check);
+        CheckedPrediction { fused, node: view(NODE), structural: view(STRUCT) }
+    }
+
+    /// Unchecked `(fused, node, struct)` classes of row `g`; absent views
+    /// repeat the fused class.
+    pub fn heads(&self, g: usize) -> (usize, usize, usize) {
+        let fused = self.argmax(g);
+        let view = |v| self.view(v, g).map_or(fused, argmax_row);
+        (fused, view(NODE), view(STRUCT))
+    }
+
+    /// Append the rows of a later batch of the same model.
+    pub fn append(&mut self, other: RowOutputs) {
+        if self.rows == 0 {
+            *self = other;
+            return;
+        }
+        self.rows += other.rows;
+        self.fused.extend_from_slice(&other.fused);
+        for (mine, theirs) in self.views.iter_mut().zip(&other.views) {
+            mine.extend_from_slice(theirs);
+        }
+    }
 }
 
 /// The multi-view GNN: an ordered list of [`ViewEncoder`]s whose
-/// per-graph representations are fused by `W·tanh(h_1 ⊕ … ⊕ h_v) + b`
+/// per-graph representations are fused by `W·tanh(h_n ⊕ h_s) + b`
 /// (paper Eq. 5) and classified by a shared head, with one auxiliary head
 /// per view for the Fig. 8 analysis.
 pub struct MvGnn {
@@ -147,10 +237,11 @@ pub struct MvGnn {
 
 impl MvGnn {
     /// Register all parameters. Construction order fixes the checkpoint
-    /// layout: node encoder (`node.*`), structural encoder (`struct.*`,
-    /// `aw.table`), `fusion`, `head`, then the per-view auxiliary heads —
-    /// identical to the historical field-per-view layout, so existing
-    /// checkpoints load unchanged.
+    /// layout and the view positions: node encoder (`node.*`, [`NODE`]),
+    /// structural encoder (`struct.*`, `aw.table`, [`STRUCT`]), `fusion`,
+    /// `head`, then the per-view auxiliary heads — identical to the
+    /// historical field-per-view layout, so existing checkpoints load
+    /// unchanged.
     pub fn new(cfg: MvGnnConfig) -> Self {
         let mut params = Params::new();
         let mut rng: StdRng = init::rng(cfg.seed);
@@ -192,19 +283,6 @@ impl MvGnn {
         Self { cfg, params, views, fusion, head, view_heads }
     }
 
-    /// Which views the configured [`ViewMode`] activates, aligned with the
-    /// view list.
-    fn active_views(&self) -> Vec<bool> {
-        self.views
-            .iter()
-            .map(|v| match self.cfg.mode {
-                ViewMode::Multi => true,
-                ViewMode::NodeOnly => v.name() == "node",
-                ViewMode::StructOnly => v.name() == "struct",
-            })
-            .collect()
-    }
-
     /// Record the forward pass for a packed batch. The caller owns the
     /// tape so training can attach losses; `Self::params` must back the
     /// tape, and the batch must outlive it (its adjacency is registered
@@ -213,116 +291,72 @@ impl MvGnn {
     pub fn forward_batch<'p>(&self, tape: &mut Tape<'p>, batch: &'p GraphBatch) -> ForwardBatch {
         assert_eq!(batch.node_dim, self.cfg.node_dim, "sample/node-dim mismatch");
         assert_eq!(batch.aw_vocab, self.cfg.aw_vocab, "sample/AW-vocab mismatch");
-        let active = self.active_views();
-
-        let embeds: Vec<Option<Var>> = self
-            .views
-            .iter()
-            .zip(&active)
-            .map(|(v, &on)| on.then(|| v.encode_batch(tape, batch)))
-            .collect();
-        let view_logits: Vec<Option<Var>> = embeds
-            .iter()
-            .zip(&self.view_heads)
-            .map(|(e, h)| e.map(|e| h.forward(tape, e)))
-            .collect();
-
-        let live: Vec<Var> = embeds.iter().copied().flatten().collect();
-        let logits = if live.len() == self.views.len() {
-            // h = W·tanh(h_1 ⊕ … ⊕ h_v) + b  (paper Eq. 5), then the head.
-            let mut cat = live[0];
-            for &e in &live[1..] {
-                cat = tape.concat_cols(cat, e);
-            }
-            let t = tape.tanh(cat);
-            let fused = self.fusion.forward(tape, t);
-            self.head.forward(tape, fused)
-        } else {
+        if let Some(v) = self.cfg.mode.single_view() {
             // Single-view mode: that view's head IS the model output.
-            view_logits
-                .iter()
-                .copied()
-                .flatten()
-                .next()
-                .expect("at least one view is always active")
-        };
-        ForwardBatch { logits, view_logits }
-    }
-
-    /// Record the forward pass for one sample — a batch-of-one call into
-    /// [`Self::forward_batch`]. The caller builds the batch (typically
-    /// [`GraphBatch::single`]) *before* the tape, because the tape
-    /// borrows the batch's adjacency for its lifetime.
-    pub fn forward_on<'p>(&self, tape: &mut Tape<'p>, batch: &'p GraphBatch) -> Forward {
-        let fwd = self.forward_batch(tape, batch);
-        let by_name = |name: &str| {
-            self.views
-                .iter()
-                .position(|v| v.name() == name)
-                .and_then(|i| fwd.view_logits[i])
-        };
-        Forward {
-            logits: fwd.logits,
-            node_logits: by_name("node"),
-            struct_logits: by_name("struct"),
+            let h = self.views[v].encode_batch(tape, batch);
+            let logits = self.view_heads[v].forward(tape, h);
+            let mut view_logits = [None; VIEWS];
+            view_logits[v] = Some(logits);
+            return ForwardBatch { logits, view_logits };
         }
+        let hn = self.views[NODE].encode_batch(tape, batch);
+        let hs = self.views[STRUCT].encode_batch(tape, batch);
+        let view_logits = [
+            Some(self.view_heads[NODE].forward(tape, hn)),
+            Some(self.view_heads[STRUCT].forward(tape, hs)),
+        ];
+        // h = W·tanh(h_n ⊕ h_s) + b  (paper Eq. 5), then the head.
+        let cat = tape.concat_cols(hn, hs);
+        let t = tape.tanh(cat);
+        let fused = self.fusion.forward(tape, t);
+        ForwardBatch { logits: self.head.forward(tape, fused), view_logits }
     }
 
-    /// Predict the class of one sample (inference only).
-    pub fn predict(&self, s: &GraphSample) -> usize {
-        self.predict_detailed(s).0
-    }
-
-    /// Predict classes for a slice of samples with one packed forward
-    /// pass per call. Identical to mapping [`Self::predict`] (row-local
-    /// execution), just faster. Takes `&self`, so an `Arc<MvGnn>` can
-    /// serve many threads concurrently.
-    pub fn predict_batch(&self, samples: &[&GraphSample]) -> Vec<usize> {
-        self.predict_batch_ws(&mut Workspace::new(), samples)
-    }
-
-    /// [`Self::predict_batch`] against a caller-owned [`Workspace`]: the
-    /// batch packing and the whole tape draw their buffers from `ws` and
-    /// recycle them back on return, so repeated calls with one warm
-    /// workspace allocate nothing. Predictions are bit-identical to the
-    /// plain path.
-    pub fn predict_batch_ws(&self, ws: &mut Workspace, samples: &[&GraphSample]) -> Vec<usize> {
+    /// The inference forward pass: pack `samples` into one batch, run it
+    /// on a tape drawn from `ws`, and copy every head's logits out. The
+    /// packing and the tape recycle their buffers into `ws` on return, so
+    /// repeated calls with one warm workspace allocate only the returned
+    /// rows. Rows are bit-identical at every batch width.
+    pub fn forward_rows(&self, ws: &mut Workspace, samples: &[&GraphSample]) -> RowOutputs {
         if samples.is_empty() {
-            return Vec::new();
+            return RowOutputs::default();
         }
         let batch = GraphBatch::from_samples_in(ws, samples);
         let mut tape = Tape::with_workspace(&self.params, std::mem::take(ws));
         let fwd = self.forward_batch(&mut tape, &batch);
-        let out = argmax_rows(tape.data(fwd.logits), samples.len(), self.cfg.classes);
+        let copy = |v: Option<Var>| v.map_or_else(Vec::new, |v| tape.data(v).to_vec());
+        let out = RowOutputs {
+            rows: samples.len(),
+            classes: self.cfg.classes,
+            fused: copy(Some(fwd.logits)),
+            views: fwd.view_logits.map(copy),
+        };
         *ws = tape.finish();
         batch.recycle(ws);
         out
     }
 
-    /// Fused logits for a slice of samples, one row per sample, computed
-    /// with one packed forward pass (inference only).
-    pub fn logits_batch(&self, samples: &[&GraphSample]) -> Vec<Vec<f32>> {
-        self.logits_batch_ws(&mut Workspace::new(), samples)
+    /// Finiteness-checked prediction of one sample
+    /// ([`RowOutputs::checked`] of a batch of one).
+    pub fn predict_checked(&self, s: &GraphSample) -> CheckedPrediction {
+        self.forward_rows(&mut Workspace::new(), &[s]).checked(0)
     }
 
-    /// [`Self::logits_batch`] against a caller-owned [`Workspace`]; see
-    /// [`Self::predict_batch_ws`] for the pooling contract.
-    pub fn logits_batch_ws(
+    /// Checked predictions and fused logits rows of one packed batch
+    /// against a caller-owned workspace.
+    pub fn predict_checked_logits_batch_ws(
         &self,
         ws: &mut Workspace,
         samples: &[&GraphSample],
-    ) -> Vec<Vec<f32>> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let batch = GraphBatch::from_samples_in(ws, samples);
-        let mut tape = Tape::with_workspace(&self.params, std::mem::take(ws));
-        let fwd = self.forward_batch(&mut tape, &batch);
-        let out: Vec<Vec<f32>> =
-            tape.data(fwd.logits).chunks(self.cfg.classes).map(<[f32]>::to_vec).collect();
-        *ws = tape.finish();
-        batch.recycle(ws);
-        out
+    ) -> (Vec<CheckedPrediction>, Vec<Vec<f32>>) {
+        let rows = self.forward_rows(ws, samples);
+        (0..rows.len()).map(|g| (rows.checked(g), rows.fused(g).to_vec())).unzip()
+    }
+
+    /// Fused logits rows of one packed batch.
+    pub fn logits_batch(&self, samples: &[&GraphSample]) -> Vec<Vec<f32>> {
+        let rows = self.forward_rows(&mut Workspace::new(), samples);
+        (0..rows.len()).map(|g| rows.fused(g).to_vec()).collect()
     }
 
     /// Serialise the trained weights (architecture config not included;
@@ -346,148 +380,6 @@ impl MvGnn {
     ) -> Result<(), crate::error::MvGnnError> {
         cp.install(&mut self.params)
     }
-
-    /// Predict with finiteness checking: any head whose logits contain
-    /// NaN/Inf reports `None` instead of an arbitrary argmax, so callers
-    /// can fall back to a healthy view (or a conservative default)
-    /// instead of trusting garbage.
-    pub fn predict_checked(&self, s: &GraphSample) -> CheckedPrediction {
-        self.predict_checked_batch(&[s]).remove(0)
-    }
-
-    /// [`Self::predict_checked`] over a packed batch, one
-    /// [`CheckedPrediction`] per sample. Finiteness is judged per row, so
-    /// one sample's non-finite logits never contaminate its neighbours'
-    /// verdicts.
-    pub fn predict_checked_batch(&self, samples: &[&GraphSample]) -> Vec<CheckedPrediction> {
-        self.predict_checked_batch_ws(&mut Workspace::new(), samples)
-    }
-
-    /// [`Self::predict_checked_batch`] against a caller-owned
-    /// [`Workspace`]; see [`Self::predict_batch_ws`] for the pooling
-    /// contract.
-    pub fn predict_checked_batch_ws(
-        &self,
-        ws: &mut Workspace,
-        samples: &[&GraphSample],
-    ) -> Vec<CheckedPrediction> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let batch = GraphBatch::from_samples_in(ws, samples);
-        let mut tape = Tape::with_workspace(&self.params, std::mem::take(ws));
-        let fwd = self.forward_batch(&mut tape, &batch);
-        let c = self.cfg.classes;
-        let check_row = |tape: &Tape<'_>, v: Var, g: usize| {
-            let row = &tape.data(v)[g * c..(g + 1) * c];
-            row.iter().all(|x| x.is_finite()).then(|| argmax_rows(row, 1, c)[0])
-        };
-        let by_name = |name: &str| {
-            self.views
-                .iter()
-                .position(|v| v.name() == name)
-                .and_then(|i| fwd.view_logits[i])
-        };
-        let (node_v, struct_v) = (by_name("node"), by_name("struct"));
-        let out: Vec<CheckedPrediction> = (0..samples.len())
-            .map(|g| {
-                let fused = check_row(&tape, fwd.logits, g);
-                CheckedPrediction {
-                    fused,
-                    node: node_v.map_or(fused, |v| check_row(&tape, v, g)),
-                    structural: struct_v.map_or(fused, |v| check_row(&tape, v, g)),
-                }
-            })
-            .collect();
-        *ws = tape.finish();
-        batch.recycle(ws);
-        out
-    }
-
-    /// [`Self::predict_checked_batch_ws`] that also returns the fused
-    /// logits row of every sample (finite or not). Same forward pass,
-    /// same tape — the checked verdicts are bit-identical to the plain
-    /// checked path; the logits feed the cascade's calibrated
-    /// confidence band without a second forward.
-    pub fn predict_checked_logits_batch_ws(
-        &self,
-        ws: &mut Workspace,
-        samples: &[&GraphSample],
-    ) -> (Vec<CheckedPrediction>, Vec<Vec<f32>>) {
-        if samples.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        let batch = GraphBatch::from_samples_in(ws, samples);
-        let mut tape = Tape::with_workspace(&self.params, std::mem::take(ws));
-        let fwd = self.forward_batch(&mut tape, &batch);
-        let c = self.cfg.classes;
-        let check_row = |tape: &Tape<'_>, v: Var, g: usize| {
-            let row = &tape.data(v)[g * c..(g + 1) * c];
-            row.iter().all(|x| x.is_finite()).then(|| argmax_rows(row, 1, c)[0])
-        };
-        let by_name = |name: &str| {
-            self.views
-                .iter()
-                .position(|v| v.name() == name)
-                .and_then(|i| fwd.view_logits[i])
-        };
-        let (node_v, struct_v) = (by_name("node"), by_name("struct"));
-        let fused_rows: Vec<Vec<f32>> =
-            tape.data(fwd.logits).chunks(c).map(<[f32]>::to_vec).collect();
-        let out: Vec<CheckedPrediction> = (0..samples.len())
-            .map(|g| {
-                let fused = check_row(&tape, fwd.logits, g);
-                CheckedPrediction {
-                    fused,
-                    node: node_v.map_or(fused, |v| check_row(&tape, v, g)),
-                    structural: struct_v.map_or(fused, |v| check_row(&tape, v, g)),
-                }
-            })
-            .collect();
-        *ws = tape.finish();
-        batch.recycle(ws);
-        (out, fused_rows)
-    }
-
-    /// Predict with all three heads: `(fused, node, struct)` — absent
-    /// views repeat the fused prediction.
-    pub fn predict_detailed(&self, s: &GraphSample) -> (usize, usize, usize) {
-        self.predict_detailed_batch(&[s]).remove(0)
-    }
-
-    /// [`Self::predict_detailed`] over a packed batch.
-    pub fn predict_detailed_batch(
-        &self,
-        samples: &[&GraphSample],
-    ) -> Vec<(usize, usize, usize)> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let batch = GraphBatch::from_samples(samples);
-        let mut tape = Tape::new(&self.params);
-        let fwd = self.forward_batch(&mut tape, &batch);
-        let c = self.cfg.classes;
-        let rows = samples.len();
-        let fused = argmax_rows(tape.data(fwd.logits), rows, c);
-        let by_name = |name: &str| {
-            self.views
-                .iter()
-                .position(|v| v.name() == name)
-                .and_then(|i| fwd.view_logits[i])
-                .map(|v| argmax_rows(tape.data(v), rows, c))
-        };
-        let node = by_name("node");
-        let st = by_name("struct");
-        (0..rows)
-            .map(|g| {
-                (
-                    fused[g],
-                    node.as_ref().map_or(fused[g], |n| n[g]),
-                    st.as_ref().map_or(fused[g], |s| s[g]),
-                )
-            })
-            .collect()
-    }
 }
 
 // The inference surface is `&self` end to end, so a trained model must
@@ -498,7 +390,7 @@ const _: fn() = || {
     assert_send_sync::<MvGnn>();
 };
 
-/// Per-view predictions from [`MvGnn::predict_checked`]; a view is `None`
+/// Per-view predictions from [`RowOutputs::checked`]; a view is `None`
 /// when its logits were non-finite (absent views mirror the fused head).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckedPrediction {
@@ -546,12 +438,18 @@ mod tests {
         build_sample(&sub, &i2v, &feats, &SampleConfig::default(), Some(1))
     }
 
+    fn heads(model: &MvGnn, s: &GraphSample) -> (usize, usize, usize) {
+        model.forward_rows(&mut Workspace::new(), &[s]).heads(0)
+    }
+
     #[test]
     fn forward_produces_all_heads_in_multi_mode() {
         let s = sample();
         let model = MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab));
-        let (fused, node, st) = model.predict_detailed(&s);
+        let (fused, node, st) = heads(&model, &s);
         assert!(fused <= 1 && node <= 1 && st <= 1);
+        let rows = model.forward_rows(&mut Workspace::new(), &[&s]);
+        assert!(rows.view(NODE, 0).is_some() && rows.view(STRUCT, 0).is_some());
     }
 
     #[test]
@@ -561,8 +459,15 @@ mod tests {
             let mut cfg = MvGnnConfig::small(s.node_dim, s.aw_vocab);
             cfg.mode = mode;
             let model = MvGnn::new(cfg);
-            let p = model.predict(&s);
-            assert!(p <= 1, "{mode:?}");
+            let rows = model.forward_rows(&mut Workspace::new(), &[&s]);
+            assert!(rows.argmax(0) <= 1, "{mode:?}");
+            // The active view's head is the model output; the other view
+            // is absent and mirrors the fused class.
+            let (fused, node, st) = rows.heads(0);
+            assert_eq!((fused, fused), (node, st), "{mode:?}");
+            let active = if mode == ViewMode::NodeOnly { NODE } else { STRUCT };
+            assert_eq!(rows.view(active, 0), Some(rows.fused(0)), "{mode:?}");
+            assert_eq!(rows.view(1 - active, 0), None, "{mode:?}");
         }
     }
 
@@ -572,7 +477,7 @@ mod tests {
         let mut cfg = MvGnnConfig::small(s.node_dim, s.aw_vocab);
         cfg.drop_dynamic = true;
         let model = MvGnn::new(cfg);
-        let _ = model.predict(&s); // shapes must hold
+        let _ = heads(&model, &s); // shapes must hold
     }
 
     #[test]
@@ -580,7 +485,7 @@ mod tests {
         let s = sample();
         let m1 = MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab));
         let m2 = MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab));
-        assert_eq!(m1.predict_detailed(&s), m2.predict_detailed(&s));
+        assert_eq!(heads(&m1, &s), heads(&m2, &s));
     }
 
     #[test]
@@ -596,7 +501,7 @@ mod tests {
             m2.params.data(mvgnn_tensor::ParamId(0))
         );
         m2.load(&saved).unwrap();
-        assert_eq!(m1.predict_detailed(&s), m2.predict_detailed(&s));
+        assert_eq!(heads(&m1, &s), heads(&m2, &s));
     }
 
     #[test]
@@ -612,20 +517,22 @@ mod tests {
     fn arc_model_serves_concurrent_predictions() {
         let s = sample();
         let model = std::sync::Arc::new(MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab)));
-        let want = model.predict_detailed(&s);
+        let want = heads(&model, &s);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let m = std::sync::Arc::clone(&model);
                     let s = &s;
-                    scope.spawn(move || (m.predict_detailed(s), m.predict_batch(&[s])))
+                    scope.spawn(move || {
+                        (heads(&m, s), m.forward_rows(&mut Workspace::new(), &[s, s]).predictions())
+                    })
                 })
                 .collect();
             for h in handles {
                 match h.join() {
                     Ok((detailed, batch)) => {
                         assert_eq!(detailed, want);
-                        assert_eq!(batch, vec![want.0]);
+                        assert_eq!(batch, vec![want.0, want.0]);
                     }
                     Err(p) => std::panic::resume_unwind(p),
                 }
@@ -634,10 +541,40 @@ mod tests {
     }
 
     #[test]
+    fn checked_rejects_non_finite_heads_row_by_row() {
+        let rows = RowOutputs {
+            rows: 2,
+            classes: 2,
+            fused: vec![0.0, 1.0, f32::NAN, 0.0],
+            views: [vec![2.0, 1.0, 0.0, 1.0], Vec::new()],
+        };
+        let healthy = CheckedPrediction { fused: Some(1), node: Some(0), structural: Some(1) };
+        assert_eq!(rows.checked(0), healthy);
+        let damaged = CheckedPrediction { fused: None, node: Some(1), structural: None };
+        assert_eq!(rows.checked(1), damaged);
+        // The unchecked triple orders NaN by `total_cmp` instead.
+        assert_eq!(rows.heads(1), (0, 1, 0));
+        assert_eq!(rows.predictions(), vec![1, 0]);
+    }
+
+    #[test]
+    fn appended_batches_equal_one_packed_batch() {
+        let s = sample();
+        let model = MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab));
+        let mut ws = Workspace::new();
+        let mut all = model.forward_rows(&mut ws, &[]);
+        assert!(all.is_empty());
+        all.append(model.forward_rows(&mut ws, &[&s]));
+        all.append(model.forward_rows(&mut ws, &[&s, &s]));
+        assert_eq!(all.len(), 3);
+        assert_eq!(all, model.forward_rows(&mut ws, &[&s, &s, &s]));
+    }
+
+    #[test]
     #[should_panic(expected = "mismatch")]
     fn wrong_dims_panic() {
         let s = sample();
         let model = MvGnn::new(MvGnnConfig::small(s.node_dim + 1, s.aw_vocab));
-        let _ = model.predict(&s);
+        let _ = heads(&model, &s);
     }
 }

@@ -7,7 +7,8 @@ use crate::model::{MvGnn, MvGnnConfig};
 use crate::trainer::TrainConfig;
 use mvgnn_dataset::{LabeledSample, PatternKind};
 use mvgnn_tensor::optim::{clip_grad_norm, Adam};
-use mvgnn_tensor::tape::{argmax_rows, GradStore, Tape};
+use mvgnn_tensor::tape::{GradStore, Tape};
+use mvgnn_tensor::Workspace;
 
 /// The four pattern classes, with a stable index mapping.
 pub const PATTERN_CLASSES: [PatternKind; 4] =
@@ -51,7 +52,7 @@ pub fn train_patterns(
         for s in data {
             let batch = mvgnn_embed::GraphBatch::single(&s.sample);
             let mut tape = Tape::new(&model.params);
-            let fwd = model.forward_on(&mut tape, &batch);
+            let fwd = model.forward_batch(&mut tape, &batch);
             let target = pattern_class(s.pattern);
             let loss = tape.softmax_ce(fwd.logits, &[target], model.cfg.temperature);
             total += tape.data(loss)[0];
@@ -67,11 +68,7 @@ pub fn train_patterns(
 
 /// Predict the pattern of one sample.
 pub fn predict_pattern(model: &MvGnn, s: &mvgnn_embed::GraphSample) -> PatternKind {
-    let batch = mvgnn_embed::GraphBatch::single(s);
-    let mut tape = Tape::new(&model.params);
-    let fwd = model.forward_on(&mut tape, &batch);
-    let idx = argmax_rows(tape.data(fwd.logits), 1, 4)[0];
-    PATTERN_CLASSES[idx]
+    PATTERN_CLASSES[model.forward_rows(&mut Workspace::new(), &[s]).argmax(0)]
 }
 
 /// A pattern prediction cross-checked against the parallelization
@@ -149,19 +146,21 @@ mod tests {
         }
     }
 
-    /// The head's argmax goes through the shared `argmax_rows` helper,
-    /// which orders by `total_cmp` (never the panicking/NaN-lossy
-    /// `partial_cmp` fold) and resolves exact ties to the *last* max
-    /// class. Pin both so a silent helper change fails here.
+    /// The head's argmax goes through the shared `argmax_row` helper
+    /// (via `RowOutputs::argmax`), which orders by `total_cmp` (never the
+    /// panicking/NaN-lossy `partial_cmp` fold) and resolves exact ties to
+    /// the *last* max class. Pin both so a silent helper change fails
+    /// here.
     #[test]
     fn pattern_argmax_uses_total_cmp_with_last_max_tie_break() {
-        assert_eq!(argmax_rows(&[0.25, 0.25, 0.25, 0.25], 1, 4), vec![3]);
-        assert_eq!(argmax_rows(&[1.0, 2.0, 2.0, 0.0], 1, 4), vec![2]);
+        use mvgnn_tensor::tape::argmax_row;
+        assert_eq!(argmax_row(&[0.25, 0.25, 0.25, 0.25]), 3);
+        assert_eq!(argmax_row(&[1.0, 2.0, 2.0, 0.0]), 2);
         // total_cmp orders -0.0 below 0.0, so 0.0 wins the "tie".
-        assert_eq!(argmax_rows(&[-0.0, 0.0, -1.0, -2.0], 1, 4), vec![1]);
+        assert_eq!(argmax_row(&[-0.0, 0.0, -1.0, -2.0]), 1);
         // NaN is largest under total order — selected, not panicked on
         // (callers' finiteness checks catch the divergence).
-        assert_eq!(argmax_rows(&[0.0, f32::NAN, 3.0, 1.0], 1, 4), vec![1]);
+        assert_eq!(argmax_row(&[0.0, f32::NAN, 3.0, 1.0]), 1);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use mvgnn_dataset::{
 };
 use mvgnn_ir::transform::{optimize, OptLevel};
 use mvgnn_profiler::profile_module;
+use mvgnn_tensor::Workspace;
 
 /// One row of Table III.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,6 +97,11 @@ fn suite_name(s: Suite) -> &'static str {
 /// Accuracy of `pred` over a filtered group. Suite rows evaluate on the
 /// *unbalanced* per-benchmark pool (the paper evaluates on the benchmarks
 /// as they come); the dataset row evaluates on the balanced test set.
+/// Fused-head class of one sample.
+fn predict(model: &MvGnn, s: &LabeledSample) -> usize {
+    model.forward_rows(&mut Workspace::new(), &[&s.sample]).argmax(0)
+}
+
 fn group_accuracy(
     ds: &Dataset,
     group: Option<Suite>,
@@ -194,7 +200,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> Result<(PipelineReport, Dataset), M
     // MV-GNN (the paper's model).
     let (mv, fig7) = train_best(mk_cfg(ViewMode::Multi, false), cfg.restarts)?;
     for (group, name) in GROUPS {
-        if let Some(acc) = group_accuracy(&ds, group, |s| mv.predict(&s.sample)) {
+        if let Some(acc) = group_accuracy(&ds, group, |s| predict(&mv, s)) {
             table3.push(Table3Row {
                 benchmark: name.into(),
                 model: "MV-GNN".into(),
@@ -206,7 +212,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> Result<(PipelineReport, Dataset), M
     // Static GNN (Shen et al.): single node view, static features only.
     let (static_gnn, _) = train_best(mk_cfg(ViewMode::NodeOnly, true), cfg.restarts)?;
     for (group, name) in GROUPS {
-        if let Some(acc) = group_accuracy(&ds, group, |s| static_gnn.predict(&s.sample)) {
+        if let Some(acc) = group_accuracy(&ds, group, |s| predict(&static_gnn, s)) {
             table3.push(Table3Row {
                 benchmark: name.into(),
                 model: "Static GNN".into(),
@@ -275,7 +281,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> Result<(PipelineReport, Dataset), M
         let mut identified = 0usize;
         let mut ground = 0usize;
         for s in &app_samples {
-            if mv.predict(&s.sample) == 1 {
+            if predict(&mv, s) == 1 {
                 identified += 1;
             }
             if s.label == 1 {

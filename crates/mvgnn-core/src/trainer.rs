@@ -317,9 +317,11 @@ pub fn train(
 /// predictions match the per-sample path exactly).
 pub fn evaluate(model: &MvGnn, data: &[LabeledSample]) -> mvgnn_baselines::Metrics {
     let mut m = mvgnn_baselines::Metrics::default();
+    let mut ws = Workspace::new();
     for chunk in data.chunks(32) {
         let samples: Vec<&mvgnn_embed::GraphSample> = chunk.iter().map(|s| &s.sample).collect();
-        for (pred, s) in model.predict_batch(&samples).into_iter().zip(chunk) {
+        let preds = model.forward_rows(&mut ws, &samples).predictions();
+        for (pred, s) in preds.into_iter().zip(chunk) {
             m.record(pred, s.label);
         }
     }
@@ -333,6 +335,11 @@ mod tests {
     use mvgnn_dataset::{build_corpus, CorpusConfig, Suite};
     use mvgnn_embed::Inst2VecConfig;
     use mvgnn_ir::transform::OptLevel;
+
+    fn predictions(model: &MvGnn, data: &[LabeledSample]) -> Vec<usize> {
+        let samples: Vec<&mvgnn_embed::GraphSample> = data.iter().map(|s| &s.sample).collect();
+        model.forward_rows(&mut Workspace::new(), &samples).predictions()
+    }
 
     fn tiny_dataset() -> mvgnn_dataset::Dataset {
         build_corpus(&CorpusConfig {
@@ -386,7 +393,7 @@ mod tests {
                 ..Default::default()
             };
             train(&mut model, &ds.train, &cfg).unwrap();
-            ds.test.iter().map(|s| model.predict(&s.sample)).collect::<Vec<_>>()
+            predictions(&model, &ds.test)
         };
         let a = run(true);
         let b = run(false);
@@ -496,8 +503,8 @@ mod tests {
 
         assert_eq!(rest.len(), 6, "resume must carry prior telemetry forward");
         assert_eq!(&rest[..3], &full[..3]);
-        let preds_full: Vec<usize> = ds.test.iter().map(|s| reference.predict(&s.sample)).collect();
-        let preds_res: Vec<usize> = ds.test.iter().map(|s| resumed.predict(&s.sample)).collect();
+        let preds_full = predictions(&reference, &ds.test);
+        let preds_res = predictions(&resumed, &ds.test);
         assert_eq!(preds_full, preds_res, "resumed run must match the uninterrupted one");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -19,6 +19,7 @@ use mvgnn_embed::GraphBatch;
 use mvgnn_gnn::{Dgcnn, DgcnnConfig};
 use mvgnn_nn::Embedding;
 use mvgnn_tensor::tape::{Params, Tape, Var};
+use mvgnn_tensor::Workspace;
 use rand::rngs::StdRng;
 
 /// One way of encoding a packed batch of loop graphs into fixed-width
@@ -214,12 +215,14 @@ pub fn view_importance(
         std::collections::BTreeMap::new();
     // One forward per chunk instead of one per sample; predictions are
     // identical to the per-sample path (packed rows never interact).
+    let mut ws = Workspace::new();
     let detailed: Vec<(usize, usize, usize)> = data
         .chunks(IMPORTANCE_CHUNK)
         .flat_map(|chunk| {
             let samples: Vec<&mvgnn_embed::GraphSample> =
                 chunk.iter().map(|s| &s.sample).collect();
-            model.predict_detailed_batch(&samples)
+            let rows = model.forward_rows(&mut ws, &samples);
+            (0..rows.len()).map(move |g| rows.heads(g))
         })
         .collect();
     for (s, &(fused, node, st)) in data.iter().zip(&detailed) {

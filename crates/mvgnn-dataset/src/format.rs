@@ -377,21 +377,7 @@ pub fn decode_record(payload: &[u8]) -> Result<LabeledSample, ShardError> {
         t => return Err(ShardError::Malformed(format!("label tag {t}"))),
     };
     let node_feats = c.f32s("node features")?;
-    if node_feats.len() != n * node_dim {
-        return Err(ShardError::Malformed(format!(
-            "node features {} != n*dim {}",
-            node_feats.len(),
-            n * node_dim
-        )));
-    }
     let struct_dists = c.f32s("structural distributions")?;
-    if struct_dists.len() != n * aw_vocab {
-        return Err(ShardError::Malformed(format!(
-            "structural distributions {} != n*vocab {}",
-            struct_dists.len(),
-            n * aw_vocab
-        )));
-    }
     let token_ids: Vec<usize> =
         c.u32s("token ids")?.into_iter().map(|t| t as usize).collect();
 
@@ -402,29 +388,28 @@ pub fn decode_record(payload: &[u8]) -> Result<LabeledSample, ShardError> {
     let values = c.f32s("adjacency values")?;
     let adj = SparseMatrix::from_csr_parts(rows, cols, row_ptr, col_idx, values)
         .ok_or_else(|| ShardError::Malformed("inconsistent CSR adjacency".into()))?;
-    if rows != n {
-        return Err(ShardError::Malformed(format!("adjacency rows {rows} != n {n}")));
-    }
     if c.pos != payload.len() {
         return Err(ShardError::Malformed(format!(
             "{} trailing payload bytes",
             payload.len() - c.pos
         )));
     }
+    let sample = GraphSample {
+        n,
+        adj,
+        node_feats,
+        node_dim,
+        struct_dists,
+        aw_vocab,
+        token_ids,
+        func,
+        l,
+        label: sample_label,
+    };
+    sample.check_shape().map_err(ShardError::Malformed)?;
 
     Ok(LabeledSample {
-        sample: GraphSample {
-            n,
-            adj,
-            node_feats,
-            node_dim,
-            struct_dists,
-            aw_vocab,
-            token_ids,
-            func,
-            l,
-            label: sample_label,
-        },
+        sample,
         label,
         pattern,
         suite,
@@ -868,6 +853,13 @@ mod tests {
                 other => panic!("cut at {cut}: unexpected {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn shape_inconsistent_records_are_malformed() {
+        let mut s = one_sample();
+        s.sample.n += 1;
+        assert!(matches!(decode_record(&encode_record(&s)), Err(ShardError::Malformed(_))));
     }
 
     #[test]

@@ -79,6 +79,39 @@ pub struct GraphSample {
     pub label: Option<usize>,
 }
 
+impl GraphSample {
+    /// Check that every matrix agrees with the node count: `node_feats`
+    /// is `n × node_dim`, `struct_dists` is `n × aw_vocab`, and the
+    /// adjacency is `n × n`. Packing a sample that fails this panics, so
+    /// untrusted samples (decoded shard records, serve requests) are
+    /// checked here first.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let n = self.n;
+        if n.checked_mul(self.node_dim) != Some(self.node_feats.len()) {
+            return Err(format!(
+                "node features {} != n*dim {n}*{}",
+                self.node_feats.len(),
+                self.node_dim
+            ));
+        }
+        if n.checked_mul(self.aw_vocab) != Some(self.struct_dists.len()) {
+            return Err(format!(
+                "structural distributions {} != n*vocab {n}*{}",
+                self.struct_dists.len(),
+                self.aw_vocab
+            ));
+        }
+        if (self.adj.rows(), self.adj.cols()) != (n, n) {
+            return Err(format!(
+                "adjacency {}x{} is not n x n for n {n}",
+                self.adj.rows(),
+                self.adj.cols()
+            ));
+        }
+        Ok(())
+    }
+}
+
 fn kind_onehot(kind: &PegNodeKind, token: &str) -> [f32; KIND_DIM] {
     let mut v = [0.0f32; KIND_DIM];
     let idx = match kind {
@@ -271,6 +304,23 @@ mod tests {
         assert_eq!(s.adj.rows(), s.n);
         assert_eq!(s.node_dim, 8 + KIND_DIM + EDGE_DIM + 7);
         assert_eq!(s.label, Some(1));
+        assert_eq!(s.check_shape(), Ok(()));
+    }
+
+    #[test]
+    fn check_shape_catches_every_disagreement_with_n() {
+        let s = make_sample();
+        let mut lying_n = s.clone();
+        lying_n.n += 1;
+        let mut short_feats = s.clone();
+        short_feats.node_feats.pop();
+        let mut short_dists = s.clone();
+        short_dists.struct_dists.pop();
+        let mut wrong_adj = s.clone();
+        wrong_adj.adj = SparseMatrix::identity(s.n + 1);
+        for bad in [lying_n, short_feats, short_dists, wrong_adj] {
+            assert!(bad.check_shape().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

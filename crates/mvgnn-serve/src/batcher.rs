@@ -20,7 +20,7 @@ use crate::limiter::{Limiter, Permit};
 use crate::response::{
     classification_from_checked, Classification, DeadlineStage, ServeError, ServeResult,
 };
-use mvgnn_core::{InferenceEngine, ModelGeneration};
+use mvgnn_core::{Cascade, ModelGeneration, Workspace};
 use mvgnn_embed::GraphSample;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,8 +137,11 @@ impl Batcher {
 /// Runs until shutdown *and* an empty queue, so admitted requests are
 /// answered even when they arrive just before the drain begins. Each
 /// dispatched batch feeds the limiter's service-time EWMA, keeping the
-/// shed response's `retry_after` hint tied to the observed rate.
-pub(crate) fn worker_loop(batcher: &Batcher, engine: &InferenceEngine, limiter: &Limiter) {
+/// shed response's `retry_after` hint tied to the observed rate. The
+/// worker owns one [`Workspace`] for its whole life, so steady-state
+/// batches allocate nothing.
+pub(crate) fn worker_loop(batcher: &Batcher, limiter: &Limiter) {
+    let mut ws = Workspace::new();
     loop {
         let mut q = batcher.queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         // Phase 1 — wait for a seed request (or a finished shutdown).
@@ -186,7 +189,7 @@ pub(crate) fn worker_loop(batcher: &Batcher, engine: &InferenceEngine, limiter: 
         if batch.is_empty() {
             continue;
         }
-        dispatch(batcher, engine, limiter, batch);
+        dispatch(batcher, &mut ws, limiter, batch);
     }
 }
 
@@ -197,11 +200,12 @@ pub(crate) fn worker_loop(batcher: &Batcher, engine: &InferenceEngine, limiter: 
 /// A drain that straddles a hot-swap can contain requests pinned to
 /// different weight generations; they are split into consecutive
 /// same-generation groups and each group runs on the weights it was
-/// admitted under. In steady state the whole drain is one group, so the
-/// split costs one `Arc::ptr_eq` per request.
+/// admitted under (workspace buffers are model-agnostic scratch, so the
+/// groups share the worker's workspace). In steady state the whole drain
+/// is one group, so the split costs one `Arc::ptr_eq` per request.
 fn dispatch(
     batcher: &Batcher,
-    engine: &InferenceEngine,
+    ws: &mut Workspace,
     limiter: &Limiter,
     mut batch: Vec<Request>,
 ) {
@@ -215,15 +219,17 @@ fn dispatch(
             .position(|r| !Arc::ptr_eq(&r.generation, &batch[0].generation))
             .unwrap_or(batch.len());
         let rest = batch.split_off(split);
-        run_group(engine, batcher, dispatched, batch);
+        run_group(ws, batcher, dispatched, batch);
         batch = rest;
     }
     limiter.observe(fill, dispatched.elapsed());
 }
 
-/// Execute one same-generation group of a drained batch.
+/// Execute one same-generation group of a drained batch through the
+/// cascade's tier-1 primitive. A panic drops the buffers the pass had
+/// drawn from `ws`; the pool itself stays usable for the next batch.
 fn run_group(
-    engine: &InferenceEngine,
+    ws: &mut Workspace,
     batcher: &Batcher,
     dispatched: Instant,
     group: Vec<Request>,
@@ -232,7 +238,7 @@ fn run_group(
     let generation = Arc::clone(&group[0].generation);
     let refs: Vec<&GraphSample> = group.iter().map(|r| &*r.sample).collect();
     let outcome =
-        catch_unwind(AssertUnwindSafe(|| engine.classify_batch_on(&generation.model, &refs)));
+        catch_unwind(AssertUnwindSafe(|| Cascade::gnn_batch(&generation.model, ws, &refs)));
     drop(refs);
     match outcome {
         Ok(rows) => {

@@ -21,7 +21,7 @@
 
 use crate::deadline::Deadline;
 use crate::response::ServeError;
-use crate::server::{Server, Ticket};
+use crate::server::{Server, Ticket, Tier0};
 use mvgnn_analyze::OracleReport;
 use mvgnn_core::{DecidedBy, FaultPlan};
 use mvgnn_embed::GraphSample;
@@ -335,7 +335,8 @@ fn client_loop(
                 let at = i % inputs.samples.len();
                 let sample = Arc::clone(&inputs.samples[at]);
                 let oracle = inputs.oracles.get(at).and_then(|o| o.as_deref());
-                match server.submit_analyzed(sample, oracle, Deadline::within(cfg.deadline)) {
+                let deadline = Deadline::within(cfg.deadline);
+                match server.submit_tier0(sample, oracle.map(Tier0::Oracle), deadline) {
                     Ok(ticket) => {
                         // Collector owns redemption; a send can only fail
                         // if the collector died, which the census counts.

@@ -16,7 +16,7 @@
 //! Faults surface as values, never as panics: malformed sources are
 //! [`ServeError::Compile`], shape mismatches are
 //! [`ServeError::Rejected`], a damaged model degrades per-request
-//! through the same view ladder as [`mvgnn_core::classify_module`], and
+//! through the cascade's view ladder ([`mvgnn_core::view_ladder`]), and
 //! a dispatch panic is caught at the service boundary and returned as
 //! [`ServeError::Internal`] to that batch alone. The [`chaos`] module
 //! turns the seed-keyed [`FaultPlan`](mvgnn_core::FaultPlan) injectors
@@ -39,7 +39,7 @@ pub use response::{
     classification_from_checked, Classification, DeadlineStage, ModuleClassification,
     ServeError, ServeResult,
 };
-pub use server::{Frontend, ServeConfig, ServeStats, Server, Ticket};
+pub use server::{Frontend, ServeConfig, ServeStats, Server, Ticket, Tier0};
 
 // Re-exported so clients can read a response's census without a direct
 // mvgnn-core dependency.

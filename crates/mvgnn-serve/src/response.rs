@@ -13,7 +13,7 @@
 use mvgnn_analyze::{Fact, LoopPlan, OracleReport, Verdict};
 use mvgnn_core::infer::LoopReport;
 use mvgnn_core::model::CheckedPrediction;
-use mvgnn_core::{DecidedBy, PredictionSource, RegistryCensus};
+use mvgnn_core::{view_ladder, DecidedBy, PredictionSource, RegistryCensus};
 use std::time::Duration;
 
 /// Result alias for every service entry point.
@@ -114,7 +114,7 @@ pub struct Classification {
     pub oracle_facts: Option<Vec<Fact>>,
     /// The rendered OpenMP-style pragma of the parallelization plan,
     /// when the request came with a proved [`LoopPlan`]
-    /// ([`Server::submit_planned`](crate::Server::submit_planned)).
+    /// ([`Tier0::Plan`](crate::Tier0::Plan)).
     /// `None` on the GNN path (learned verdicts carry no proof) and on
     /// the report-only oracle path (a bare report has no rendered plan).
     pub pragma: Option<String>,
@@ -173,49 +173,31 @@ impl Classification {
 #[derive(Debug, Clone)]
 pub struct ModuleClassification {
     /// Per-loop reports, with the per-loop degradation of
-    /// [`mvgnn_core::classify_module`].
+    /// [`mvgnn_core::Cascade::classify_module`].
     pub reports: Vec<LoopReport>,
 }
 
-/// Map one checked micro-batch row onto the response vocabulary with the
-/// same preference ladder as [`mvgnn_core::classify_module`]: fused →
-/// node → structural → conservative serial, each step annotated with why
-/// the preferred view was refused.
+/// Map one checked micro-batch row onto the response vocabulary through
+/// the cascade's view ladder ([`view_ladder`]): fused → node →
+/// structural → conservative serial, each step annotated with why the
+/// preferred view was refused.
 pub fn classification_from_checked(
     checked: CheckedPrediction,
     batched_with: usize,
     queued: Duration,
     census: RegistryCensus,
 ) -> Classification {
-    let candidates = [
-        (checked.fused, PredictionSource::Multi),
-        (checked.node, PredictionSource::NodeOnly),
-        (checked.structural, PredictionSource::StructOnly),
-    ];
-    match candidates.iter().find_map(|(p, s)| p.map(|p| (p, *s))) {
-        Some((prediction, source)) => Classification {
-            prediction,
-            source,
-            diagnostic: (source != PredictionSource::Multi)
-                .then(|| "non-finite logits in the preferred view".to_string()),
-            batched_with,
-            queued,
-            decided_by: DecidedBy::Gnn,
-            oracle_facts: None,
-            pragma: None,
-            census,
-        },
-        None => Classification {
-            prediction: 0,
-            source: PredictionSource::ConservativeSerial,
-            diagnostic: Some("non-finite logits in every view".into()),
-            batched_with,
-            queued,
-            decided_by: DecidedBy::Gnn,
-            oracle_facts: None,
-            pragma: None,
-            census,
-        },
+    let (prediction, source, diagnostic) = view_ladder(checked, None);
+    Classification {
+        prediction,
+        source,
+        diagnostic,
+        batched_with,
+        queued,
+        decided_by: DecidedBy::Gnn,
+        oracle_facts: None,
+        pragma: None,
+        census,
     }
 }
 

@@ -1,25 +1,23 @@
 //! The request front door: admission, submission, and lifecycle.
 //!
-//! A [`Server`] owns a [`mvgnn_core::InferenceEngine`] (and with it the
-//! pooled workspaces), a token [`Limiter`], a
-//! bounded submission queue, and one or more micro-batching workers.
-//! Two request paths exist:
+//! A [`Server`] owns a weight [`ModelRegistry`], a token [`Limiter`], a
+//! bounded submission queue, and one or more micro-batching workers,
+//! each with its own pooled workspace. Two request paths exist:
 //!
-//! - **Sample path** ([`Server::classify`] / [`Server::submit`]): a
-//!   pre-featurised loop sample rides the micro-batcher, so bursts of
-//!   concurrent singles are served at packed-batch throughput. When the
-//!   caller also carries a tier-0 oracle report
-//!   ([`Server::submit_analyzed`]) or a full parallelization plan
-//!   ([`Server::submit_planned`]), a definite static verdict is
-//!   answered at submit time — before the shape gate, the limiter, and
-//!   the queue — so oracle-decidable requests never occupy a micro-batch
-//!   slot or an admission token; the planned path additionally surfaces
-//!   the rendered pragma in the [`Classification`].
+//! - **Sample path** ([`Server::submit`], redeemed with
+//!   [`Ticket::wait`]): a pre-featurised loop sample rides the
+//!   micro-batcher, so bursts of concurrent singles are served at
+//!   packed-batch throughput. When the caller also carries [`Tier0`]
+//!   evidence ([`Server::submit_tier0`]) — an oracle report or a full
+//!   parallelization plan — a definite static verdict is answered at
+//!   submit time, before the shape gate, the limiter, and the queue, so
+//!   oracle-decidable requests never occupy a micro-batch slot or an
+//!   admission token; a proved plan also surfaces its rendered pragma
+//!   in the [`Classification`].
 //! - **Source path** ([`Server::classify_source`]): a source program is
 //!   compiled, profiled, and classified per-loop on the caller's thread
-//!   under the same admission token, with the per-loop degradation of
-//!   [`mvgnn_core::classify_module`] and a shared
-//!   [`FeatureCache`] hit-through.
+//!   under the same admission token, through the configured
+//!   [`Cascade`] with a shared [`FeatureCache`] hit-through.
 //!
 //! Overload is never unbounded queueing: a request either gets a token
 //! and a queue slot, or a typed [`ServeError::Overloaded`] with a
@@ -33,8 +31,7 @@ use crate::response::{
 };
 use mvgnn_analyze::{LoopPlan, OracleReport};
 use mvgnn_core::{
-    oracle_decision, Cascade, CascadeConfig, EngineConfig, InferenceEngine, ModelRegistry, MvGnn,
-    MvGnnError, RegistryCensus,
+    oracle_decision, Cascade, CascadeConfig, ModelRegistry, MvGnn, MvGnnError, RegistryCensus,
 };
 use mvgnn_embed::{FeatureCache, GraphSample, Inst2Vec, SampleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -165,7 +162,6 @@ impl ServeStats {
 }
 
 struct Shared {
-    engine: InferenceEngine,
     registry: Arc<ModelRegistry>,
     batcher: Batcher,
     limiter: Arc<Limiter>,
@@ -183,6 +179,38 @@ struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+}
+
+/// Static evidence a caller gathered for one sample-path request before
+/// submitting it ([`Server::submit_tier0`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Tier0<'a> {
+    /// A tier-0 oracle report; a definite verdict
+    /// ([`oracle_decision`] is `Some`) is answered at submit time.
+    Oracle(&'a OracleReport),
+    /// A full parallelization plan
+    /// ([`mvgnn_analyze::plan_from_report`]); a proved plan
+    /// ([`LoopPlan::proved`]) is answered at submit time with its
+    /// rendered pragma attached ([`Classification::pragma`]).
+    Plan(&'a LoopPlan),
+}
+
+impl Tier0<'_> {
+    /// Whether the evidence decides the loop without the GNN.
+    fn definite(self) -> bool {
+        match self {
+            Tier0::Oracle(report) => oracle_decision(report).is_some(),
+            Tier0::Plan(plan) => plan.proved(),
+        }
+    }
+
+    /// The submit-time answer built from definite evidence.
+    fn answer(self, census: RegistryCensus) -> Classification {
+        match self {
+            Tier0::Oracle(report) => Classification::from_oracle(report, census),
+            Tier0::Plan(plan) => Classification::from_plan(plan, census),
+        }
+    }
 }
 
 /// Handle for one in-flight sample-path request; redeem with
@@ -251,14 +279,7 @@ impl Server {
         frontend: Option<FrontendState>,
     ) -> Result<Self, MvGnnError> {
         cfg.validate()?;
-        // The engine is kept for its pooled workspaces; batches run on
-        // whatever generation each request captured at admission.
-        let engine = InferenceEngine::try_new(
-            Arc::clone(&registry.current().model),
-            EngineConfig { threads: 1, batch_size: cfg.max_batch },
-        )?;
         let shared = Arc::new(Shared {
-            engine,
             registry,
             batcher: Batcher::new(cfg.max_batch, cfg.max_delay, cfg.max_queue),
             limiter: Arc::new(Limiter::new(cfg.max_inflight)),
@@ -275,7 +296,7 @@ impl Server {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("mvgnn-serve-{i}"))
-                    .spawn(move || worker_loop(&sh.batcher, &sh.engine, &sh.limiter))
+                    .spawn(move || worker_loop(&sh.batcher, &sh.limiter))
                     .map_err(MvGnnError::Io)
             })
             .collect::<Result<_, _>>()?;
@@ -283,65 +304,30 @@ impl Server {
     }
 
     /// Submit one featurised loop for classification; returns a
-    /// [`Ticket`] immediately (open-loop submission).
+    /// [`Ticket`] immediately (open-loop submission). Closed-loop callers
+    /// write `server.submit(sample, deadline)?.wait()`.
     pub fn submit(
         &self,
         sample: Arc<GraphSample>,
         deadline: Deadline,
     ) -> ServeResult<Ticket> {
-        self.submit_analyzed(sample, None, deadline)
+        self.submit_tier0(sample, None, deadline)
     }
 
-    /// [`Self::submit`] with an optional tier-0 oracle report for the
-    /// loop the sample was featurised from.
+    /// [`Self::submit`] with the caller's static evidence for the loop
+    /// the sample was featurised from.
     ///
-    /// A definite verdict ([`oracle_decision`] is `Some`) is answered at
-    /// submit time: the returned [`Ticket`] is already fulfilled, and the
-    /// request never reaches the shape gate, the admission limiter, or
-    /// the micro-batch queue — oracle-decidable traffic sheds *before*
-    /// the batcher and costs the GNN path nothing. An `Unknown` verdict
-    /// (or `None`) rides the micro-batcher exactly like [`Self::submit`].
-    pub fn submit_analyzed(
+    /// Definite evidence (a definite oracle verdict, a proved plan) is
+    /// answered at submit time: the returned [`Ticket`] is already
+    /// fulfilled, and the request never reaches the shape gate, the
+    /// admission limiter, or the micro-batch queue — oracle-decidable
+    /// traffic sheds *before* the batcher and costs the GNN path
+    /// nothing. Anything else (or `None`) rides the micro-batcher exactly
+    /// like [`Self::submit`].
+    pub fn submit_tier0(
         &self,
         sample: Arc<GraphSample>,
-        oracle: Option<&OracleReport>,
-        deadline: Deadline,
-    ) -> ServeResult<Ticket> {
-        let decided = oracle.filter(|r| oracle_decision(r).is_some());
-        self.submit_tier0(
-            sample,
-            decided.map(|r| |census| Classification::from_oracle(r, census)),
-            deadline,
-        )
-    }
-
-    /// [`Self::submit_analyzed`] for a caller that ran the full
-    /// parallelization planner ([`mvgnn_analyze::plan_from_report`]):
-    /// a *proved* plan ([`LoopPlan::proved`]) is answered at submit
-    /// time with the rendered pragma attached
-    /// ([`Classification::pragma`]); an unproved plan rides the
-    /// micro-batcher like any unanalyzed sample.
-    pub fn submit_planned(
-        &self,
-        sample: Arc<GraphSample>,
-        plan: Option<&LoopPlan>,
-        deadline: Deadline,
-    ) -> ServeResult<Ticket> {
-        let proved = plan.filter(|p| p.proved());
-        self.submit_tier0(
-            sample,
-            proved.map(|p| |census| Classification::from_plan(p, census)),
-            deadline,
-        )
-    }
-
-    /// Shared tier-0 front: admission gates, then either fulfil at
-    /// submit time with the caller's static answer or fall through to
-    /// the micro-batched tier-1 queue.
-    fn submit_tier0(
-        &self,
-        sample: Arc<GraphSample>,
-        answer: Option<impl FnOnce(RegistryCensus) -> Classification>,
+        evidence: Option<Tier0<'_>>,
         deadline: Deadline,
     ) -> ServeResult<Ticket> {
         let sh = &self.shared;
@@ -352,20 +338,12 @@ impl Server {
         if deadline.expired() {
             return Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Admission });
         }
-        if let Some(make) = answer {
+        if let Some(evidence) = evidence.filter(|e| e.definite()) {
             sh.oracle_decided.fetch_add(1, Ordering::Relaxed);
             let slot = Slot::new();
-            let census = sh.registry.current().census.clone();
-            slot.fulfil(Ok(make(census)));
+            slot.fulfil(Ok(evidence.answer(sh.registry.current().census.clone())));
             return Ok(Ticket { slot, submitted_at: Instant::now() });
         }
-        self.enqueue(sample, deadline)
-    }
-
-    /// Tier-1 enqueue: shape gate, token, queue slot. Admission counters
-    /// and the shutdown/deadline gates have already run.
-    fn enqueue(&self, sample: Arc<GraphSample>, deadline: Deadline) -> ServeResult<Ticket> {
-        let sh = &self.shared;
         // Pin the live weight generation at admission: everything after
         // this line — the shape gate and, later, dispatch — sees exactly
         // these weights even if the registry swaps underneath.
@@ -373,12 +351,17 @@ impl Server {
         // Shape gate before spending a token: a sample the model cannot
         // consume is rejected typed, not panicked on mid-batch.
         let mcfg = &generation.model.cfg;
-        if sample.node_dim != mcfg.node_dim || sample.aw_vocab != mcfg.aw_vocab {
-            sh.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Rejected(format!(
+        let shape = if sample.node_dim != mcfg.node_dim || sample.aw_vocab != mcfg.aw_vocab {
+            Err(format!(
                 "sample/model dimension mismatch (node {} vs {}, vocab {} vs {})",
                 sample.node_dim, mcfg.node_dim, sample.aw_vocab, mcfg.aw_vocab
-            )));
+            ))
+        } else {
+            sample.check_shape().map_err(|e| format!("malformed sample: {e}"))
+        };
+        if let Err(why) = shape {
+            sh.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::Rejected(why));
         }
         let permit = sh.limiter.try_acquire()?;
         let mut q = sh
@@ -411,38 +394,6 @@ impl Server {
         sh.batcher.arrived.notify_one();
         drop(q);
         Ok(Ticket { slot, submitted_at: now })
-    }
-
-    /// Classify one featurised loop, blocking until the answer (closed-
-    /// loop convenience over [`Self::submit`] + [`Ticket::wait`]).
-    pub fn classify(
-        &self,
-        sample: Arc<GraphSample>,
-        deadline: Deadline,
-    ) -> ServeResult<Classification> {
-        self.submit(sample, deadline)?.wait()
-    }
-
-    /// Closed-loop convenience over [`Self::submit_analyzed`] +
-    /// [`Ticket::wait`].
-    pub fn classify_analyzed(
-        &self,
-        sample: Arc<GraphSample>,
-        oracle: Option<&OracleReport>,
-        deadline: Deadline,
-    ) -> ServeResult<Classification> {
-        self.submit_analyzed(sample, oracle, deadline)?.wait()
-    }
-
-    /// Closed-loop convenience over [`Self::submit_planned`] +
-    /// [`Ticket::wait`].
-    pub fn classify_planned(
-        &self,
-        sample: Arc<GraphSample>,
-        plan: Option<&LoopPlan>,
-        deadline: Deadline,
-    ) -> ServeResult<Classification> {
-        self.submit_planned(sample, plan, deadline)?.wait()
     }
 
     /// Compile `src` and classify every loop of its `main` function.
@@ -555,11 +506,6 @@ impl Server {
             inflight,
             queue_depth: sh.batcher.depth(),
         }
-    }
-
-    /// The engine's clamped configuration (for introspection).
-    pub fn engine_config(&self) -> EngineConfig {
-        self.shared.engine.config()
     }
 
     /// The weight registry behind this server.

@@ -10,7 +10,7 @@ use mvgnn_embed::{Inst2Vec, Inst2VecConfig, SampleConfig};
 use mvgnn_ir::transform::OptLevel;
 use mvgnn_serve::{
     run_chaos, ChaosConfig, ChaosInputs, Deadline, Frontend, ServeConfig, ServeError,
-    Server,
+    Server, Ticket, Tier0,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,9 +82,10 @@ fn burst_of_singles_is_micro_batched_and_matches_the_engine() {
         Arc::clone(&model),
         mvgnn_core::EngineConfig { threads: 1, batch_size: 8 },
     );
-    for (a, row) in answers.iter().zip(engine.predict_checked_stream(&refs)) {
+    let rows = engine.forward_stream(&refs);
+    for (g, a) in answers.iter().enumerate() {
         assert_eq!(a.source, PredictionSource::Multi, "{a:?}");
-        assert_eq!(Some(a.prediction), row.fused);
+        assert_eq!(Some(a.prediction), rows.checked(g).fused);
     }
     let stats = server.stats();
     assert_eq!(stats.batched_requests, samples.len() as u64);
@@ -111,7 +112,7 @@ fn lone_request_flushes_on_max_delay() {
     .expect("valid config");
     let sample = Arc::new(ds.test[0].sample.clone());
     let t = std::time::Instant::now();
-    let c = server.classify(sample, Deadline::none()).expect("answered");
+    let c = server.submit(sample, Deadline::none()).and_then(Ticket::wait).expect("answered");
     // One lone request must not wait for a full batch — the delay bound
     // flushes it. Allow generous scheduler slack.
     assert!(t.elapsed() < Duration::from_secs(2), "flush took {:?}", t.elapsed());
@@ -157,7 +158,8 @@ fn overload_sheds_typed_and_recovers() {
     assert_eq!(server.stats().shed, sheds);
     // Liveness after the storm: a fresh request is served normally.
     let c = server
-        .classify(Arc::clone(&samples[0]), Deadline::within(Duration::from_secs(10)))
+        .submit(Arc::clone(&samples[0]), Deadline::within(Duration::from_secs(10)))
+        .and_then(Ticket::wait)
         .expect("service recovered");
     assert_eq!(c.source, PredictionSource::Multi);
 }
@@ -179,7 +181,7 @@ fn expired_deadlines_are_dropped_before_dispatch() {
     let sample = Arc::new(ds.test[0].sample.clone());
 
     // Already-expired at admission.
-    match server.classify(Arc::clone(&sample), Deadline::within(Duration::ZERO)) {
+    match server.submit(Arc::clone(&sample), Deadline::within(Duration::ZERO)).map(|_| ()) {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("expected admission expiry, got {other:?}"),
     }
@@ -214,7 +216,10 @@ fn poisoned_model_degrades_every_answer_typed() {
     )
     .expect("valid config");
     for s in samples_of(&ds) {
-        let c = server.classify(s, Deadline::none()).expect("typed answer, not panic");
+        let c = server
+            .submit(s, Deadline::none())
+            .and_then(Ticket::wait)
+            .expect("typed answer, not panic");
         assert_ne!(c.source, PredictionSource::Multi, "poisoned weights trusted: {c:?}");
         assert!(c.diagnostic.is_some());
         if c.source == PredictionSource::ConservativeSerial {
@@ -234,11 +239,49 @@ fn shape_mismatch_is_rejected_not_panicked() {
     .expect("valid config");
     let mut wrong = ds.test[0].sample.clone();
     wrong.node_dim += 3;
-    match server.classify(Arc::new(wrong), Deadline::none()) {
+    match server.submit(Arc::new(wrong), Deadline::none()).and_then(Ticket::wait) {
         Err(ServeError::Rejected(msg)) => assert!(msg.contains("mismatch"), "{msg}"),
         other => panic!("expected rejection, got {other:?}"),
     }
     assert_eq!(server.stats().rejected, 1);
+}
+
+#[test]
+fn malformed_sample_is_rejected_and_its_batch_mates_are_answered() {
+    let ds = tiny_dataset();
+    let server = Server::start(
+        Arc::new(tiny_model(&ds)),
+        ServeConfig {
+            max_batch: 3,
+            // Long flush window: the three submissions would share one
+            // micro-batch if the malformed one were admitted.
+            max_delay: Duration::from_millis(200),
+            ..Default::default()
+        },
+    )
+    .expect("valid config");
+    let samples = samples_of(&ds);
+    // Right dimensions, but `n` disagrees with its feature rows and
+    // adjacency: packing it would panic mid-batch.
+    let mut bad = ds.test[2].sample.clone();
+    bad.n += 1;
+    let good: Vec<_> = samples[..2]
+        .iter()
+        .map(|s| server.submit(Arc::clone(s), Deadline::none()).expect("admitted"))
+        .collect();
+    match server.submit(Arc::new(bad), Deadline::none()) {
+        Err(ServeError::Rejected(msg)) => assert!(msg.contains("malformed"), "{msg}"),
+        Err(other) => panic!("expected rejection, got {other:?}"),
+        Ok(_) => panic!("a malformed sample must not be admitted"),
+    }
+    for t in good {
+        let c = t.wait().expect("well-formed batch-mates are answered");
+        assert_eq!(c.source, PredictionSource::Multi, "{c:?}");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.rejected, 1, "{stats:?}");
+    assert_eq!(stats.panics_caught, 0, "{stats:?}");
+    assert_eq!(stats.batched_requests, 2, "{stats:?}");
 }
 
 #[test]
@@ -263,7 +306,7 @@ fn shutdown_drains_admitted_work_and_refuses_new() {
     for t in tickets {
         t.wait().expect("admitted before shutdown ⇒ still answered");
     }
-    match server.classify(Arc::clone(&samples[0]), Deadline::none()) {
+    match server.submit(Arc::clone(&samples[0]), Deadline::none()).and_then(Ticket::wait) {
         Err(ServeError::ShuttingDown) => {}
         other => panic!("expected ShuttingDown, got {other:?}"),
     }
@@ -418,7 +461,8 @@ fn chaos_storm_is_fully_accounted_and_panic_free() {
     assert!(report.ok + report.degraded + report.module_ok > 0, "{report:?}");
     // Liveness after the storm.
     let c = server
-        .classify(Arc::clone(&inputs.samples[0]), Deadline::within(Duration::from_secs(10)))
+        .submit(Arc::clone(&inputs.samples[0]), Deadline::within(Duration::from_secs(10)))
+        .and_then(Ticket::wait)
         .expect("post-storm liveness");
     assert!(c.prediction <= 1);
     server.shutdown();
@@ -494,11 +538,12 @@ fn oracle_storm_never_occupies_a_micro_batch_slot() {
 
     // A single closed-loop request surfaces the provenance and facts.
     let c = server
-        .classify_analyzed(
+        .submit_tier0(
             Arc::clone(&inputs.samples[0]),
-            Some(&reports[0]),
+            Some(Tier0::Oracle(&reports[0])),
             Deadline::within(Duration::from_secs(5)),
         )
+        .and_then(Ticket::wait)
         .expect("oracle-decided request");
     assert_eq!(c.decided_by, mvgnn_core::DecidedBy::Oracle);
     assert_eq!(c.source, PredictionSource::Oracle);
@@ -511,11 +556,12 @@ fn oracle_storm_never_occupies_a_micro_batch_slot() {
         let plan = mvgnn_analyze::plan_from_report(&module, entry, info.id, &reports[i]);
         assert!(plan.proved(), "{plan:?}");
         let c = server
-            .classify_planned(
+            .submit_tier0(
                 Arc::clone(&inputs.samples[0]),
-                Some(&plan),
+                Some(Tier0::Plan(&plan)),
                 Deadline::within(Duration::from_secs(5)),
             )
+            .and_then(Ticket::wait)
             .expect("plan-decided request");
         assert_eq!(c.decided_by, mvgnn_core::DecidedBy::Oracle);
         assert_eq!(c.pragma.as_deref(), Some(plan.pragma.as_str()), "{c:?}");
@@ -528,7 +574,8 @@ fn oracle_storm_never_occupies_a_micro_batch_slot() {
 
     // The GNN path still works after the storm (nothing was wedged).
     let gnn = server
-        .classify(Arc::clone(&inputs.samples[0]), Deadline::within(Duration::from_secs(10)))
+        .submit(Arc::clone(&inputs.samples[0]), Deadline::within(Duration::from_secs(10)))
+        .and_then(Ticket::wait)
         .expect("post-storm liveness");
     assert!(gnn.prediction <= 1);
     assert_eq!(gnn.decided_by, mvgnn_core::DecidedBy::Gnn);
@@ -592,17 +639,17 @@ fn hot_swap_pins_inflight_requests_and_routes_new_admissions() {
     let refs: Vec<&mvgnn_embed::GraphSample> =
         samples[..n].iter().map(|s| &**s).collect();
     let ecfg = mvgnn_core::EngineConfig { threads: 1, batch_size: 2 * n };
-    let engine_a = mvgnn_core::InferenceEngine::new(Arc::clone(&model_a), ecfg);
-    let engine_b = mvgnn_core::InferenceEngine::new(Arc::clone(&model_b), ecfg);
-    for (a, row) in pre_answers.iter().zip(engine_a.predict_checked_stream(&refs)) {
+    let rows_a = mvgnn_core::InferenceEngine::new(Arc::clone(&model_a), ecfg).forward_stream(&refs);
+    let rows_b = mvgnn_core::InferenceEngine::new(Arc::clone(&model_b), ecfg).forward_stream(&refs);
+    for (g, a) in pre_answers.iter().enumerate() {
         assert_eq!(a.census.generation, 0, "{a:?}");
         assert_eq!(a.census.source, "in-memory");
-        assert_eq!(Some(a.prediction), row.fused);
+        assert_eq!(Some(a.prediction), rows_a.checked(g).fused);
     }
-    for (b, row) in post_answers.iter().zip(engine_b.predict_checked_stream(&refs)) {
+    for (g, b) in post_answers.iter().enumerate() {
         assert_eq!(b.census.generation, 1, "{b:?}");
         assert_eq!(b.census.source, "artifact-v2");
-        assert_eq!(Some(b.prediction), row.fused);
+        assert_eq!(Some(b.prediction), rows_b.checked(g).fused);
     }
 
     // Zero downtime: nothing was shed, expired, rejected, or panicked
@@ -631,7 +678,8 @@ fn swap_to_an_incompatible_architecture_is_refused_and_service_stays_live() {
     assert_eq!(server.census().generation, 0, "failed swap must not publish");
 
     let c = server
-        .classify(Arc::new(ds.test[0].sample.clone()), Deadline::none())
+        .submit(Arc::new(ds.test[0].sample.clone()), Deadline::none())
+        .and_then(Ticket::wait)
         .expect("still serving");
     assert_eq!(c.census.generation, 0);
 }

@@ -1324,14 +1324,13 @@ fn check_offsets(offsets: &[usize], rows: usize) {
 /// row (impossible for any real head) defaults to class 0.
 pub fn argmax_rows(data: &[f32], rows: usize, cols: usize) -> Vec<usize> {
     assert_eq!(data.len(), rows * cols);
-    data.chunks(cols)
-        .map(|r| {
-            r.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map_or(0, |(i, _)| i)
-        })
-        .collect()
+    data.chunks(cols).map(argmax_row).collect()
+}
+
+/// Index of the largest entry of one row under `f32::total_cmp` (the
+/// last of equal maxima; `0` for an empty row).
+pub fn argmax_row(row: &[f32]) -> usize {
+    row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]

@@ -46,6 +46,9 @@ cargo run --release -p mvgnn-bench --bin patterns --quiet -- --smoke
 echo "==> rustdoc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+echo "==> benchmark build (perfbench compiles against the libraries, lockfile untouched)"
+cargo build --offline --locked --release --manifest-path perfbench/Cargo.toml --quiet
+
 echo "==> panic-site ratchet"
 bash scripts/panic_audit.sh
 

@@ -4,16 +4,16 @@
 //! SortPooling/conv/pool) must be *bit-identical* to running each graph
 //! alone, not merely close: every kernel accumulates per output element
 //! in the same order regardless of how rows are packed. These tests pin
-//! that contract at the encoder level (raw `f32` bits) and at the model
-//! level (predictions over a full test split).
+//! that contract at the encoder level and at the model level (every
+//! head's logits over a full test split), both as raw `f32` bits.
 
-use mvgnn::core::model::{MvGnn, MvGnnConfig};
+use mvgnn::core::model::{MvGnn, MvGnnConfig, RowOutputs, NODE, STRUCT};
 use mvgnn::core::trainer::{train, TrainConfig};
 use mvgnn::dataset::{build_corpus, CorpusConfig};
 use mvgnn::embed::Inst2VecConfig;
 use mvgnn::gnn::{gcn_adjacency, Dgcnn, DgcnnConfig};
 use mvgnn::graph::Csr;
-use mvgnn::tensor::{init, Params, SparseMatrix, Tape};
+use mvgnn::tensor::{init, Params, SparseMatrix, Tape, Workspace};
 
 fn small_cfg(in_dim: usize) -> DgcnnConfig {
     DgcnnConfig {
@@ -130,8 +130,9 @@ fn encoder_embed_rows_are_permutation_invariant() {
 }
 
 /// Full-pipeline check on a real corpus: a trained model's batched
-/// predictions match per-sample predictions across the whole test split
-/// for several batch widths (including widths that leave a ragged tail).
+/// `forward_rows` — fused and per-view logits, to the bit — match
+/// per-sample runs across the whole split for several batch widths
+/// (including widths that leave a ragged tail, and one batch of all).
 #[test]
 fn trained_model_predictions_match_across_test_split() {
     let ds = build_corpus(&CorpusConfig {
@@ -157,22 +158,34 @@ fn trained_model_predictions_match_across_test_split() {
 
     let samples: Vec<&mvgnn::embed::GraphSample> =
         ds.train.iter().chain(ds.test.iter()).map(|s| &s.sample).collect();
-    let single: Vec<usize> = samples.iter().map(|s| model.predict(s)).collect();
-    for width in [1usize, 3, 32] {
-        let batched: Vec<usize> =
-            samples.chunks(width).flat_map(|c| model.predict_batch(c)).collect();
-        assert_eq!(single, batched, "predictions diverged at batch width {width}");
+    // Raw bits of every head of row `g`: fused, then each view.
+    let bits = |rows: &RowOutputs, g: usize| -> Vec<u32> {
+        let node = rows.view(NODE, g).expect("multi-view mode runs the node view");
+        let st = rows.view(STRUCT, g).expect("multi-view mode runs the structural view");
+        rows.fused(g).iter().chain(node).chain(st).map(|x| x.to_bits()).collect()
+    };
+    // Batch-of-one reference, each on a fresh workspace.
+    let single: Vec<RowOutputs> =
+        samples.iter().map(|s| model.forward_rows(&mut Workspace::new(), &[s])).collect();
+    let single_bits: Vec<Vec<u32>> = single.iter().map(|r| bits(r, 0)).collect();
+    let single_preds: Vec<usize> = single.iter().map(|r| r.argmax(0)).collect();
+    let single_checked: Vec<_> = single.iter().map(|r| r.checked(0)).collect();
+
+    // Batching must be a pure throughput change: at every width — down
+    // to one packed batch of everything — every head's logits equal the
+    // batch-of-one run bit for bit, on one reused workspace.
+    let mut ws = Workspace::new();
+    for width in [1usize, 3, 5, 32, samples.len()] {
+        let mut batched = RowOutputs::default();
+        for chunk in samples.chunks(width) {
+            batched.append(model.forward_rows(&mut ws, chunk));
+        }
+        assert_eq!(batched.len(), samples.len());
+        let batched_bits: Vec<Vec<u32>> = (0..batched.len()).map(|g| bits(&batched, g)).collect();
+        assert_eq!(single_bits, batched_bits, "logit bits diverged at batch width {width}");
+        assert_eq!(single_preds, batched.predictions(), "width {width}");
+        // The checked (NaN-guarded) verdicts read the same rows.
+        let checked: Vec<_> = (0..batched.len()).map(|g| batched.checked(g)).collect();
+        assert_eq!(single_checked, checked, "width {width}");
     }
-
-    // The checked (NaN-guarded) path goes through the same packed
-    // forward; its per-view verdicts must agree with batch-of-one too.
-    let checked_single: Vec<_> = samples.iter().map(|s| model.predict_checked(s)).collect();
-    let checked_batched: Vec<_> =
-        samples.chunks(5).flat_map(|c| model.predict_checked_batch(c)).collect();
-    assert_eq!(checked_single, checked_batched);
-
-    // Batching must be a pure throughput change: one packed batch of
-    // everything equals per-sample, bit-for-bit at the prediction level.
-    let all_at_once = model.predict_batch(&samples);
-    assert_eq!(single, all_at_once);
 }

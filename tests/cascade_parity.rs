@@ -1,15 +1,16 @@
 //! Cascade vs historical-classifier parity.
 //!
-//! The tiered [`Cascade`] refactor moved the whole classification path —
-//! `classify_module`, the engine's batch primitive, the serve
-//! micro-batcher — behind one abstraction. These tests pin the contract
-//! that made the move safe: the GNN-only cascade reproduces the
-//! historical outputs *bit for bit* (raw `f32` logits bits, not merely
-//! equal predictions), and turning the oracle tier on changes only the
-//! rows the oracle decides — every undecided row is untouched.
+//! The tiered [`Cascade`] moved the whole classification path — module
+//! classification, the serve micro-batcher — behind one abstraction over
+//! one forward pass, [`MvGnn::forward_rows`]. These tests pin the
+//! contract that made the move safe: the tier-1 primitive and the
+//! accessors the benchmark calls read the same rows *bit for bit* (raw
+//! `f32` logits bits, not merely equal predictions), and turning the
+//! oracle tier on changes only the rows the oracle decides — every
+//! undecided row is untouched.
 
 use mvgnn::core::cascade::{Cascade, CascadeConfig, DecidedBy};
-use mvgnn::core::infer::{classify_module, PredictionSource};
+use mvgnn::core::infer::PredictionSource;
 use mvgnn::core::model::{MvGnn, MvGnnConfig};
 use mvgnn::core::FaultPlan;
 use mvgnn::dataset::{build_corpus, CorpusConfig, Suite};
@@ -85,24 +86,6 @@ fn oracle_plus_gnn() -> Cascade {
 }
 
 #[test]
-fn classify_module_is_the_gnn_only_cascade_front() {
-    let (m, f, i2v, model) = setup();
-    let cfg = SampleConfig::default();
-    let front = classify_module(&model, &m, f, &i2v, &cfg, None, None);
-    let direct = Cascade::gnn_only().classify_module(&model, &m, f, &i2v, &cfg, None, None);
-    assert_eq!(front.len(), 3);
-    assert_eq!(front.len(), direct.len());
-    for (a, b) in front.iter().zip(&direct) {
-        assert_eq!(a.prediction, b.prediction);
-        assert_eq!(a.source, b.source);
-        assert_eq!(a.diagnostic, b.diagnostic);
-        assert_eq!(a.decided_by, DecidedBy::Gnn, "{a:?}");
-        assert_eq!(b.decided_by, DecidedBy::Gnn);
-        assert!(a.oracle.is_none() && b.oracle.is_none());
-    }
-}
-
-#[test]
 fn oracle_tier_changes_only_the_rows_it_decides() {
     let (m, f, i2v, model) = setup();
     let cfg = SampleConfig::default();
@@ -173,22 +156,45 @@ fn corpus_samples() -> Vec<GraphSample> {
     ds.test.iter().map(|s| s.sample.clone()).collect()
 }
 
+fn bits(rows: &[Vec<f32>]) -> Vec<u32> {
+    rows.iter().flatten().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn logits_surfacing_batch_is_bit_identical_to_the_checked_batch() {
     let samples = corpus_samples();
     let s0 = &samples[0];
     let model = MvGnn::new(MvGnnConfig::small(s0.node_dim, s0.aw_vocab));
     let refs: Vec<&GraphSample> = samples.iter().collect();
-    let plain = model.predict_checked_batch_ws(&mut Workspace::new(), &refs);
+    let plain = Cascade::gnn_batch(&model, &mut Workspace::new(), &refs);
     let (surfaced, logits) =
         model.predict_checked_logits_batch_ws(&mut Workspace::new(), &refs);
     assert_eq!(plain, surfaced, "surfacing logits must not move any verdict");
     let reference = model.logits_batch(&refs);
     assert_eq!(logits.len(), reference.len());
-    let bits = |rows: &[Vec<f32>]| -> Vec<u32> {
-        rows.iter().flatten().map(|x| x.to_bits()).collect()
-    };
     assert_eq!(bits(&logits), bits(&reference), "fused logits rows must match bit-exact");
+}
+
+/// The three accessors the benchmark calls are thin reads of one
+/// `forward_rows` pass: same verdicts, same fused-logit bits.
+#[test]
+fn benchmark_accessors_are_bit_identical_to_forward_rows() {
+    let samples = corpus_samples();
+    let s0 = &samples[0];
+    let model = MvGnn::new(MvGnnConfig::small(s0.node_dim, s0.aw_vocab));
+    let refs: Vec<&GraphSample> = samples.iter().collect();
+    let rows = model.forward_rows(&mut Workspace::new(), &refs);
+    let checked: Vec<_> = (0..rows.len()).map(|g| rows.checked(g)).collect();
+    let fused: Vec<Vec<f32>> = (0..rows.len()).map(|g| rows.fused(g).to_vec()).collect();
+
+    let single: Vec<_> = refs.iter().map(|s| model.predict_checked(s)).collect();
+    assert_eq!(single, checked, "predict_checked");
+    let (surfaced, logits) =
+        model.predict_checked_logits_batch_ws(&mut Workspace::new(), &refs);
+    assert_eq!(surfaced, checked, "predict_checked_logits_batch_ws verdicts");
+    assert_eq!(bits(&logits), bits(&fused), "predict_checked_logits_batch_ws logits");
+    assert_eq!(bits(&model.logits_batch(&refs)), bits(&fused), "logits_batch");
+    assert!(model.logits_batch(&[]).is_empty());
 }
 
 #[test]

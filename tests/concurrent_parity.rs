@@ -8,10 +8,11 @@
 //! f32 summation order inside it.
 
 use mvgnn::core::engine::{EngineConfig, InferenceEngine};
-use mvgnn::core::model::{MvGnn, MvGnnConfig};
+use mvgnn::core::model::{MvGnn, MvGnnConfig, RowOutputs, NODE, STRUCT};
 use mvgnn::core::trainer::{train, TrainConfig};
 use mvgnn::dataset::{build_corpus, CorpusConfig};
 use mvgnn::embed::Inst2VecConfig;
+use mvgnn::tensor::Workspace;
 use std::sync::Arc;
 
 fn trained_model_and_split() -> (Arc<MvGnn>, mvgnn::dataset::Dataset) {
@@ -38,8 +39,15 @@ fn trained_model_and_split() -> (Arc<MvGnn>, mvgnn::dataset::Dataset) {
     (Arc::new(model), ds)
 }
 
-/// The same eval split through the engine at 1, 2, and 8 threads:
-/// logits bit-identical and predictions equal to the sequential path.
+/// Every head's logits of row `g`, as raw bits.
+fn head_bits(rows: &RowOutputs, g: usize) -> Vec<u32> {
+    let views = [NODE, STRUCT].map(|v| rows.view(v, g).expect("multi-view mode runs every view"));
+    rows.fused(g).iter().chain(views[0]).chain(views[1]).map(|x| x.to_bits()).collect()
+}
+
+/// The same eval split through the engine's one stream method at 1, 2,
+/// and 8 threads: every head's logits bit-identical to sequential
+/// `forward_rows` calls over the same batches.
 #[test]
 fn engine_outputs_are_bit_identical_across_thread_counts() {
     let (model, ds) = trained_model_and_split();
@@ -48,35 +56,27 @@ fn engine_outputs_are_bit_identical_across_thread_counts() {
     assert!(samples.len() >= 8, "split too small to exercise multiple chunks");
 
     const BATCH: usize = 4;
-    let seq_preds: Vec<usize> =
-        samples.chunks(BATCH).flat_map(|c| model.predict_batch(c)).collect();
-    let seq_logits: Vec<Vec<u32>> = samples
-        .chunks(BATCH)
-        .flat_map(|c| model.logits_batch(c))
-        .map(|row| row.iter().map(|x| x.to_bits()).collect())
-        .collect();
+    let mut seq = RowOutputs::default();
+    for chunk in samples.chunks(BATCH) {
+        seq.append(model.forward_rows(&mut Workspace::new(), chunk));
+    }
+    let seq_bits: Vec<Vec<u32>> = (0..seq.len()).map(|g| head_bits(&seq, g)).collect();
 
     for threads in [1usize, 2, 8] {
         let engine = InferenceEngine::new(
             Arc::clone(&model),
             EngineConfig { threads, batch_size: BATCH },
         );
-        assert_eq!(
-            engine.predict_stream(&samples),
-            seq_preds,
-            "predictions diverged at {threads} threads"
-        );
-        let logits: Vec<Vec<u32>> = engine
-            .logits_stream(&samples)
-            .into_iter()
-            .map(|row| row.iter().map(|x| x.to_bits()).collect())
-            .collect();
-        assert_eq!(logits, seq_logits, "logits not bit-identical at {threads} threads");
+        let rows = engine.forward_stream(&samples);
+        let preds = rows.predictions();
+        assert_eq!(preds, seq.predictions(), "predictions diverged at {threads} threads");
+        let bits: Vec<Vec<u32>> = (0..rows.len()).map(|g| head_bits(&rows, g)).collect();
+        assert_eq!(bits, seq_bits, "logits not bit-identical at {threads} threads");
     }
 }
 
-/// The checked (NaN-guarded) stream agrees with the sequential checked
-/// path at every thread count.
+/// The checked (NaN-guarded) verdicts of the stream agree with the
+/// single-sample checked path at every thread count.
 #[test]
 fn engine_checked_stream_matches_sequential() {
     let (model, ds) = trained_model_and_split();
@@ -88,33 +88,31 @@ fn engine_checked_stream_matches_sequential() {
             Arc::clone(&model),
             EngineConfig { threads, batch_size: 3 },
         );
-        assert_eq!(
-            engine.predict_checked_stream(&samples),
-            reference,
-            "checked stream diverged at {threads} threads"
-        );
+        let rows = engine.forward_stream(&samples);
+        let checked: Vec<_> = (0..rows.len()).map(|g| rows.checked(g)).collect();
+        assert_eq!(checked, reference, "checked stream diverged at {threads} threads");
     }
 }
 
-/// `predict_batch` is callable through a shared `Arc<MvGnn>` from many
+/// `forward_rows` is callable through a shared `Arc<MvGnn>` from many
 /// threads at once, each thread getting the sequential answer.
 #[test]
 fn shared_model_serves_raw_predict_batch_from_many_threads() {
     let (model, ds) = trained_model_and_split();
     let samples: Vec<&mvgnn::embed::GraphSample> =
         ds.test.iter().map(|s| &s.sample).collect();
-    let expected = model.predict_batch(&samples);
+    let expected = model.forward_rows(&mut Workspace::new(), &samples);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let model = Arc::clone(&model);
                 let samples = &samples;
-                s.spawn(move || model.predict_batch(samples))
+                s.spawn(move || model.forward_rows(&mut Workspace::new(), samples))
             })
             .collect();
         for h in handles {
             match h.join() {
-                Ok(preds) => assert_eq!(preds, expected),
+                Ok(rows) => assert_eq!(rows, expected),
                 Err(p) => std::panic::resume_unwind(p),
             }
         }

@@ -7,6 +7,7 @@ use mvgnn::core::trainer::{train, TrainConfig};
 use mvgnn::dataset::{build_corpus, CorpusConfig, Suite};
 use mvgnn::embed::Inst2VecConfig;
 use mvgnn::ir::transform::OptLevel;
+use mvgnn::tensor::Workspace;
 
 fn cfg() -> CorpusConfig {
     CorpusConfig {
@@ -46,7 +47,11 @@ fn serial_training_is_deterministic() {
         let mut model = MvGnn::new(MvGnnConfig::small(probe.node_dim, probe.aw_vocab));
         let tc = TrainConfig { epochs: 4, batch_size: 8, parallel: false, ..Default::default() };
         let stats = train(&mut model, &ds.train, &tc).expect("training must succeed");
-        let preds: Vec<usize> = ds.test.iter().map(|s| model.predict(&s.sample)).collect();
+        let preds: Vec<usize> = ds
+            .test
+            .iter()
+            .map(|s| model.forward_rows(&mut Workspace::new(), &[&s.sample]).argmax(0))
+            .collect();
         (stats, preds)
     };
     let (s1, p1) = run();

@@ -4,10 +4,10 @@
 //! as typed errors, degraded per-loop predictions, or clean rollbacks.
 
 use mvgnn::core::checkpoint::{decode_checkpoint, encode_checkpoint, Checkpoint};
-use mvgnn::core::infer::{classify_module, PredictionSource};
+use mvgnn::core::infer::PredictionSource;
 use mvgnn::core::model::{MvGnn, MvGnnConfig};
 use mvgnn::core::trainer::{train, EpochStats, TrainConfig};
-use mvgnn::core::{FaultPlan, MvGnnError};
+use mvgnn::core::{Cascade, FaultPlan, MvGnnError};
 use mvgnn::dataset::{build_corpus, CorpusConfig, ShardError, ShardReader, Suite};
 use mvgnn::embed::{build_sample, Inst2Vec, Inst2VecConfig, SampleConfig};
 use mvgnn::ir::interp::InterpError;
@@ -80,8 +80,15 @@ fn truncated_trace_degrades_per_loop() {
     let (module, entry) = compiled();
     let (i2v, model) = model_for(&module, entry);
     let budget = FaultPlan::new(21).starved_step_budget();
-    let reports =
-        classify_module(&model, &module, entry, &i2v, &SampleConfig::default(), Some(budget), None);
+    let reports = Cascade::gnn_only().classify_module(
+        &model,
+        &module,
+        entry,
+        &i2v,
+        &SampleConfig::default(),
+        Some(budget),
+        None,
+    );
     assert_eq!(reports.len(), 3, "all loops must be reported");
     for r in &reports {
         assert_ne!(r.source, PredictionSource::Multi, "{r:?}");
@@ -89,8 +96,15 @@ fn truncated_trace_degrades_per_loop() {
         assert!(d.contains("trunc"), "{d}");
     }
     // The same budget on the healthy path yields full multi-view output.
-    let healthy =
-        classify_module(&model, &module, entry, &i2v, &SampleConfig::default(), None, None);
+    let healthy = Cascade::gnn_only().classify_module(
+        &model,
+        &module,
+        entry,
+        &i2v,
+        &SampleConfig::default(),
+        None,
+        None,
+    );
     assert!(healthy.iter().all(|r| r.source == PredictionSource::Multi));
 }
 
@@ -148,7 +162,7 @@ fn poisoned_weights_recover_in_training_and_degrade_in_inference() {
     let (module, entry) = compiled();
     let (i2v, mut infer_model) = model_for(&module, entry);
     FaultPlan::new(13).poison_params(&mut infer_model.params, 64);
-    let reports = classify_module(
+    let reports = Cascade::gnn_only().classify_module(
         &infer_model,
         &module,
         entry,
