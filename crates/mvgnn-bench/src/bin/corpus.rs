@@ -113,8 +113,7 @@ fn corpus_cfg(seeds: Vec<u64>, levels: Vec<OptLevel>, i2v_dim: usize, noise: f64
 }
 
 /// Write every shard of `cfg` under `dir`, returning the paths and the
-/// total sample count. Shards are written one after another — each
-/// `write_shard` call is internally data-parallel already. With
+/// total sample count. Shards are written one after another. With
 /// `resume`, shards already on disk that verify (header identity +
 /// every record checksum) are skipped instead of regenerated, so a
 /// crashed generation run restarts from where it died.

@@ -6,7 +6,7 @@
 //! Since the sharded-pipeline refactor the audit runs *per shard*: the
 //! corpus work units are dealt across shards by the same
 //! [`mvgnn_dataset::ShardPlan`] the generator uses, each shard is
-//! audited independently (in parallel), and the per-shard reports are
+//! audited independently (one after another), and the per-shard reports are
 //! merged into one. Merge semantics: counters sum, row lists
 //! concatenate and re-sort into the canonical `(seed, app, level,
 //! loop)` order — so the merged report is byte-identical for every
@@ -47,7 +47,6 @@ use mvgnn_dataset::{
 };
 use mvgnn_ir::transform::{optimize, OptLevel};
 use mvgnn_profiler::{classify_loop, profile_module};
-use rayon::prelude::*;
 
 /// One audited loop (a base loop under one optimisation level).
 struct Audited {
@@ -266,7 +265,6 @@ fn main() {
     });
 
     let shard_audits: Vec<ShardAudit> = (0..num_shards)
-        .into_par_iter()
         .map(|s| {
             let mut a = audit_shard(&plan, s, &levels, &noise_cfg);
             if let Some(sp) = &stress_plan {

@@ -9,8 +9,9 @@
 //!
 //! - [`model`]: the MV-GNN (plus single-view configurations for the
 //!   Static-GNN baseline and the ablations)
-//! - [`trainer`]: mini-batch training with rayon data-parallel gradient
-//!   accumulation, gradient clipping and epoch telemetry (Fig. 7)
+//! - [`trainer`]: single-threaded mini-batch training (one packed
+//!   forward/backward pass per batch), gradient clipping and epoch
+//!   telemetry (Fig. 7)
 //! - [`views`]: per-view importance analysis (Fig. 8)
 //! - [`pipeline`]: end-to-end experiment driver producing every Table III
 //!   / Table IV row

@@ -3,8 +3,8 @@
 //! [`train_streaming`] is the trainer's out-of-core mode: instead of a
 //! `&[LabeledSample]` held in memory, it takes a list of shard files
 //! (written by `mvgnn_dataset::write_shard`) and runs the same
-//! optimizer loop — data-parallel gradient accumulation, divergence
-//! rollback, checkpointing — while only ever holding the prefetch ring
+//! optimizer loop — gradient accumulation, divergence rollback,
+//! checkpointing — while only ever holding the prefetch ring
 //! plus one in-flight batch in memory. RSS is bounded by
 //! `(prefetch + 2) × batch` regardless of corpus size.
 //!
@@ -20,7 +20,8 @@
 //!    pushes them into a bounded `sync_channel(prefetch)` ring; a full
 //!    ring blocks the producer, which is what bounds RSS.
 //! 3. **Consume** — the training thread pops batches and applies the
-//!    shared `step_batch` (pooled `Workspace` packing, clip, Adam).
+//!    shared `step_batch` (pooled packing, reused gradient store, clip,
+//!    Adam).
 //!    A non-finite gradient aborts the epoch, drains the ring, and the
 //!    caller's rollback loop restores the last good snapshot.
 //! 4. A corrupt shard surfaces as a typed [`MvGnnError::Shard`]; the
@@ -29,10 +30,9 @@
 use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 use crate::error::MvGnnError;
 use crate::model::MvGnn;
-use crate::trainer::{grad_pools, mix, step_batch, EpochStats, TrainConfig};
+use crate::trainer::{mix, step_batch, EpochStats, StepBuffers, TrainConfig};
 use mvgnn_dataset::{LabeledSample, MappedShardReader, ShardError, ShardReader};
 use mvgnn_tensor::optim::Adam;
-use mvgnn_tensor::Workspace;
 use std::path::PathBuf;
 use std::sync::mpsc;
 
@@ -85,7 +85,7 @@ fn run_stream_epoch(
     cfg: &TrainConfig,
     stream: &StreamConfig,
     opt: &mut Adam,
-    pools: &mut [Workspace],
+    bufs: &mut StepBuffers,
 ) -> Result<StreamEpoch, MvGnnError> {
     let paths: Vec<PathBuf> = order.iter().map(|&i| shards[i].clone()).collect();
     let batch_size = cfg.batch_size;
@@ -139,7 +139,7 @@ fn run_stream_epoch(
         match message {
             Ok(batch) => {
                 let refs: Vec<&LabeledSample> = batch.iter().collect();
-                match step_batch(model, &refs, cfg, opt, pools) {
+                match step_batch(model, &refs, cfg, opt, bufs) {
                     Some((loss, correct)) => {
                         epoch_loss += loss;
                         epoch_correct += correct;
@@ -227,13 +227,13 @@ pub fn train_streaming(
 
     let mut opt = Adam::new(lr);
     let mut last_good = model.save();
-    let mut pools = grad_pools(cfg);
+    let mut bufs = StepBuffers::new(model);
     let mut order: Vec<usize> = (0..shards.len()).collect();
     let mut epoch = start_epoch;
     while epoch < cfg.epochs {
         // Deterministic shard-granularity shuffle.
         order.sort_by_key(|&i| mix(cfg.seed ^ epoch as u64, i as u64));
-        match run_stream_epoch(model, shards, &order, cfg, stream, &mut opt, &mut pools)?
+        match run_stream_epoch(model, shards, &order, cfg, stream, &mut opt, &mut bufs)?
         {
             StreamEpoch::Done { loss, accuracy } => {
                 stats.push(EpochStats { epoch, loss, accuracy });

@@ -1,12 +1,11 @@
-//! Mini-batch training with rayon data-parallel gradient accumulation,
-//! divergence recovery, and checkpoint/resume.
+//! Mini-batch training with divergence recovery and checkpoint/resume.
 //!
-//! Each batch is split across worker threads; every worker reads the
-//! shared immutable weights through `&Params`, accumulates gradients
-//! into its own private [`GradStore`] sidecar, and the sidecars are
-//! reduced into a master store before the optimizer step — the standard
-//! synchronous data-parallel scheme, safe by construction (no shared
-//! mutable state, and no per-worker weight clones).
+//! Each optimizer step runs one packed forward and backward pass over
+//! the whole batch on the calling thread. The tape reads the weights
+//! through `&Params` and accumulates gradients into one [`GradStore`]
+//! that the run reuses (zeroed in place) for every step, so the trained
+//! bits depend only on the data and the configuration, never on the
+//! machine's core count.
 //!
 //! Robustness: the trainer snapshots the weights after every completed
 //! epoch. If an epoch produces a non-finite loss or gradient norm it
@@ -26,7 +25,6 @@ use mvgnn_embed::GraphBatch;
 use mvgnn_tensor::optim::{clip_grad_norm, Adam};
 use mvgnn_tensor::tape::{argmax_rows, GradStore, Tape};
 use mvgnn_tensor::Workspace;
-use rayon::prelude::*;
 use std::path::PathBuf;
 
 /// Training hyperparameters.
@@ -46,8 +44,6 @@ pub struct TrainConfig {
     pub aux_weight: f32,
     /// Shuffle seed.
     pub seed: u64,
-    /// Use rayon data-parallel gradient accumulation.
-    pub parallel: bool,
     /// Divergence rollbacks allowed before training fails.
     pub max_retries: usize,
     /// When set, write an atomic checkpoint here after every epoch.
@@ -68,7 +64,6 @@ impl Default for TrainConfig {
             clip: 10.0,
             aux_weight: 0.3,
             seed: 42,
-            parallel: true,
             max_retries: 3,
             checkpoint_path: None,
             resume_from: None,
@@ -94,33 +89,46 @@ pub(crate) fn mix(seed: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Gradient accumulation over one shard — a single packed forward and
-/// backward pass over every sample of the shard; returns
-/// (gradient sidecar, summed loss, correct count). The shared weights
-/// are only read; each call owns nothing but its grad buffers.
+/// Buffers one training run reuses across every step: the pool the
+/// batches are packed from and the tapes run on, and the gradient store
+/// each step's backward pass accumulates into.
+pub(crate) struct StepBuffers {
+    ws: Workspace,
+    grads: GradStore,
+}
+
+impl StepBuffers {
+    pub(crate) fn new(model: &MvGnn) -> Self {
+        Self { ws: Workspace::new(), grads: GradStore::zeros_like(&model.params) }
+    }
+}
+
+/// One packed forward and backward pass over every sample of the batch,
+/// adding the gradients into `bufs.grads`; returns the batch's
+/// `(summed loss, correct count)`. The weights are only read.
 ///
 /// `softmax_ce` averages over the batch rows, so the loss is rescaled by
-/// the shard size before `backward` to keep the historical
-/// sum-of-per-sample-losses gradient semantics: shard boundaries change
-/// only f32 summation order, never the math.
-pub(crate) fn shard_grads(
+/// the batch size before `backward` to keep the historical
+/// sum-of-per-sample-losses gradient semantics.
+fn batch_grads(
     model: &MvGnn,
-    shard: &[&LabeledSample],
+    batch: &[&LabeledSample],
     aux_weight: f32,
-    ws: &mut Workspace,
-) -> (GradStore, f64, usize) {
+    bufs: &mut StepBuffers,
+) -> (f64, usize) {
     let temperature = model.cfg.temperature;
     let classes = model.cfg.classes;
-    let samples: Vec<&mvgnn_embed::GraphSample> = shard.iter().map(|s| &s.sample).collect();
-    let labels: Vec<usize> = shard.iter().map(|s| s.label).collect();
-    // Pooled packing: once the workspace is warm this allocates nothing,
-    // and the batch buffers go back to the pool below — per-step RSS is
-    // bounded by the largest batch ever packed, not the batch count.
-    let batch = GraphBatch::from_samples_in(ws, &samples);
+    let samples: Vec<&mvgnn_embed::GraphSample> = batch.iter().map(|s| &s.sample).collect();
+    let labels: Vec<usize> = batch.iter().map(|s| s.label).collect();
+    // Pooled packing and tape: once the workspace is warm a step
+    // allocates no tensor buffers, and everything goes back to the pool
+    // below — per-step RSS is bounded by the largest batch, not the
+    // batch count.
+    let packed = GraphBatch::from_samples_in(&mut bufs.ws, &samples);
 
-    let mut tape = Tape::new(&model.params);
-    let fwd = model.forward_batch(&mut tape, &batch);
-    let preds = argmax_rows(tape.data(fwd.logits), shard.len(), classes);
+    let mut tape = Tape::with_workspace(&model.params, std::mem::take(&mut bufs.ws));
+    let fwd = model.forward_batch(&mut tape, &packed);
+    let preds = argmax_rows(tape.data(fwd.logits), batch.len(), classes);
     let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
 
     let mut loss = tape.softmax_ce(fwd.logits, &labels, temperature);
@@ -134,59 +142,35 @@ pub(crate) fn shard_grads(
         let scaled = tape.scale(al, aux_weight);
         loss = tape.add(loss, scaled);
     }
-    let total = tape.scale(loss, shard.len() as f32);
+    let total = tape.scale(loss, batch.len() as f32);
     let loss_sum = tape.data(total)[0] as f64;
-    tape.backward(total);
-    let grads = tape.into_grads();
-    batch.recycle(ws);
-    (grads, loss_sum, correct)
+    tape.backward_into(total, &mut bufs.grads);
+    bufs.ws = tape.finish();
+    packed.recycle(&mut bufs.ws);
+    (loss_sum, correct)
 }
 
-/// One pooled workspace per data-parallel worker slot; reused across
-/// every batch and epoch of a run.
-pub(crate) fn grad_pools(cfg: &TrainConfig) -> Vec<Workspace> {
-    let slots = if cfg.parallel { rayon::current_num_threads().max(1) } else { 1 };
-    (0..slots).map(|_| Workspace::new()).collect()
-}
-
-/// One optimizer step over one batch: data-parallel gradient
-/// accumulation, clip, step. Returns `None` when a non-finite gradient
-/// norm was observed (the step is NOT applied), otherwise the batch's
-/// `(summed loss, correct count)`.
+/// One optimizer step over one batch: gradient accumulation into the
+/// zeroed reused store, clip, step. Returns `None` when a non-finite
+/// gradient norm was observed (the step is NOT applied), otherwise the
+/// batch's `(summed loss, correct count)`.
 pub(crate) fn step_batch(
     model: &mut MvGnn,
     batch: &[&LabeledSample],
     cfg: &TrainConfig,
     opt: &mut Adam,
-    pools: &mut [Workspace],
+    bufs: &mut StepBuffers,
 ) -> Option<(f64, usize)> {
-    let shard_size = batch.len().div_ceil(pools.len().max(1));
-    let results: Vec<(GradStore, f64, usize)> = if cfg.parallel && batch.len() > 1 {
-        let shared: &MvGnn = model;
-        batch
-            .par_chunks(shard_size)
-            .zip(pools.par_iter_mut())
-            .map(|(shard, ws)| shard_grads(shared, shard, cfg.aux_weight, ws))
-            .collect()
-    } else {
-        vec![shard_grads(model, batch, cfg.aux_weight, &mut pools[0])]
-    };
-    let mut master = GradStore::zeros_like(&model.params);
-    let mut loss = 0.0f64;
-    let mut correct = 0usize;
-    for (local, l, c) in results {
-        master.absorb(&local);
-        loss += l;
-        correct += c;
-    }
+    bufs.grads.zero();
+    let (loss, correct) = batch_grads(model, batch, cfg.aux_weight, bufs);
     // clip_grad_norm returns the PRE-clip norm, so a NaN/Inf gradient
-    // anywhere in the sidecar surfaces here — bail before the optimizer
+    // anywhere in the store surfaces here — bail before the optimizer
     // step can smear it into the weights.
-    let grad_norm = clip_grad_norm(&mut master, cfg.clip);
+    let grad_norm = clip_grad_norm(&mut bufs.grads, cfg.clip);
     if !grad_norm.is_finite() {
         return None;
     }
-    opt.step(&mut model.params, &master);
+    opt.step(&mut model.params, &bufs.grads);
     Some((loss, correct))
 }
 
@@ -204,13 +188,13 @@ fn run_epoch(
     order: &[usize],
     cfg: &TrainConfig,
     opt: &mut Adam,
-    pools: &mut [Workspace],
+    bufs: &mut StepBuffers,
 ) -> EpochRun {
     let mut epoch_loss = 0.0f64;
     let mut epoch_correct = 0usize;
     for batch_idx in order.chunks(cfg.batch_size) {
         let batch: Vec<&LabeledSample> = batch_idx.iter().map(|&i| &data[i]).collect();
-        match step_batch(model, &batch, cfg, opt, pools) {
+        match step_batch(model, &batch, cfg, opt, bufs) {
             Some((loss, correct)) => {
                 epoch_loss += loss;
                 epoch_correct += correct;
@@ -269,7 +253,7 @@ pub fn train(
     let mut last_good = model.save();
     let mut fault_armed = cfg.fault.as_ref().and_then(|f| f.poison_at_epoch).is_some();
     let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut pools = grad_pools(cfg);
+    let mut bufs = StepBuffers::new(model);
     let mut epoch = start_epoch;
     while epoch < cfg.epochs {
         if let Some(plan) = &cfg.fault {
@@ -280,7 +264,7 @@ pub fn train(
         }
         // Deterministic shuffle.
         order.sort_by_key(|&i| mix(cfg.seed ^ epoch as u64, i as u64));
-        match run_epoch(model, data, &order, cfg, &mut opt, &mut pools) {
+        match run_epoch(model, data, &order, cfg, &mut opt, &mut bufs) {
             EpochRun::Done { loss, accuracy } => {
                 stats.push(EpochStats { epoch, loss, accuracy });
                 last_good = model.save();
@@ -377,32 +361,6 @@ mod tests {
             last.loss
         );
         assert!(last.accuracy >= 0.6, "train accuracy {}", last.accuracy);
-    }
-
-    #[test]
-    fn parallel_and_serial_training_agree() {
-        // Data-parallel reduction must be equivalent to serial
-        // accumulation (up to f32 summation order; predictions agree).
-        let ds = tiny_dataset();
-        let run = |parallel: bool| {
-            let mut model = tiny_model(&ds);
-            let cfg = TrainConfig {
-                epochs: 3,
-                batch_size: 8,
-                parallel,
-                ..Default::default()
-            };
-            train(&mut model, &ds.train, &cfg).unwrap();
-            predictions(&model, &ds.test)
-        };
-        let a = run(true);
-        let b = run(false);
-        let agree = a.iter().zip(&b).filter(|(x, y)| x == y).count();
-        assert!(
-            agree as f32 / a.len() as f32 > 0.9,
-            "parallel/serial agreement {agree}/{}",
-            a.len()
-        );
     }
 
     #[test]

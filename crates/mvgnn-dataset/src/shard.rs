@@ -28,7 +28,6 @@ use crate::format::{ShardError, ShardMeta, ShardWriter};
 use crate::suites::{generate_app, AppSpec, Suite, STRESS, TABLE2};
 use mvgnn_embed::Inst2Vec;
 use mvgnn_ir::transform::optimize;
-use rayon::prelude::*;
 use std::path::{Path, PathBuf};
 
 /// Deterministic assignment of corpus work units to shards.
@@ -128,7 +127,7 @@ pub fn load_inst2vec(path: &Path) -> Result<Inst2Vec, ShardError> {
 ///
 /// Output is sorted by the canonical `(base_key, n, label, level)`
 /// order, so a shard file's contents are deterministic regardless of
-/// the parallel schedule, and the union over all shards is exactly the
+/// generation order, and the union over all shards is exactly the
 /// `num_shards == 1` output (assembly re-sorts, so even concatenation
 /// order across shards is irrelevant).
 pub fn generate_shard(
@@ -140,11 +139,11 @@ pub fn generate_shard(
     let plan = ShardPlan::new(cfg, num_shards);
     let units: Vec<(u64, AppSpec)> = plan.units_of(shard_id).copied().collect();
     let mut samples: Vec<LabeledSample> = units
-        .par_iter()
+        .iter()
         .flat_map(|&(seed, spec)| {
             let app = generate_app(spec, seed);
             cfg.opt_levels
-                .par_iter()
+                .iter()
                 .flat_map(|&level| {
                     let module = optimize(&app.module, level);
                     samples_of_variant(&app, &module, seed, level, inst2vec, cfg)

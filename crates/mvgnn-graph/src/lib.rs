@@ -6,8 +6,9 @@
 //! walk sampling, and *anonymous walk* machinery (Ivanov & Burnaev, ICML'18)
 //! used by the structural view of the MV-GNN model.
 //!
-//! All sampling entry points are deterministic given a seed and are
-//! parallelised with rayon where the work is per-node independent.
+//! All sampling entry points are deterministic given a seed: each node
+//! draws from its own seeded stream, so results do not depend on the
+//! order nodes are visited in.
 
 pub mod algo;
 pub mod csr;

@@ -3,7 +3,9 @@
 use mvgnn_ir::module::{FuncId, LoopId};
 use mvgnn_ir::InstRef;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// Kind of a data dependence between two memory accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -52,7 +54,14 @@ pub struct Dependence {
 /// Aggregated dependence graph for one profiled execution.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DepGraph {
-    deps: HashMap<(InstRef, InstRef, DepKind), Dependence>,
+    /// Every distinct edge, in first-recorded order.
+    deps: Vec<Dependence>,
+    /// Position in `deps` of each `(src, dst, kind)` edge.
+    index: HashMap<(InstRef, InstRef, DepKind), u32>,
+    /// Positions in `deps` in ascending `(src, dst, kind)` order, sorted
+    /// by the first iteration after the last [`DepGraph::record`], so a
+    /// finished profile is sorted once however often it is iterated.
+    order: OnceLock<Vec<u32>>,
 }
 
 impl DepGraph {
@@ -69,14 +78,23 @@ impl DepGraph {
         kind: DepKind,
         carried: Option<(FuncId, LoopId)>,
     ) {
-        let entry = self.deps.entry((src, dst, kind)).or_insert_with(|| Dependence {
-            src,
-            dst,
-            kind,
-            count: 0,
-            carried_by: BTreeSet::new(),
-            loop_independent: false,
-        });
+        let pos = match self.index.entry((src, dst, kind)) {
+            Entry::Occupied(e) => *e.get() as usize,
+            Entry::Vacant(e) => {
+                e.insert(self.deps.len() as u32);
+                self.deps.push(Dependence {
+                    src,
+                    dst,
+                    kind,
+                    count: 0,
+                    carried_by: BTreeSet::new(),
+                    loop_independent: false,
+                });
+                self.order.take();
+                self.deps.len() - 1
+            }
+        };
+        let entry = &mut self.deps[pos];
         entry.count += 1;
         match carried {
             Some(l) => {
@@ -96,11 +114,17 @@ impl DepGraph {
         self.deps.is_empty()
     }
 
-    /// Iterate all dependences in a deterministic order.
+    /// Iterate all dependences in ascending `(src, dst, kind)` order.
     pub fn iter(&self) -> impl Iterator<Item = &Dependence> {
-        let mut v: Vec<&Dependence> = self.deps.values().collect();
-        v.sort_by_key(|d| (d.src, d.dst, d.kind));
-        v.into_iter()
+        let order = self.order.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.deps.len() as u32).collect();
+            order.sort_unstable_by_key(|&i| {
+                let d = &self.deps[i as usize];
+                (d.src, d.dst, d.kind)
+            });
+            order
+        });
+        order.iter().map(|&i| &self.deps[i as usize])
     }
 
     /// All dependences carried by the given loop.
@@ -110,7 +134,7 @@ impl DepGraph {
 
     /// Look up one edge.
     pub fn get(&self, src: InstRef, dst: InstRef, kind: DepKind) -> Option<&Dependence> {
-        self.deps.get(&(src, dst, kind))
+        self.index.get(&(src, dst, kind)).map(|&i| &self.deps[i as usize])
     }
 }
 
@@ -155,6 +179,43 @@ mod tests {
         g.record(r(3), r(4), DepKind::Waw, None);
         let order: Vec<u32> = g.iter().map(|d| d.src.idx).collect();
         assert_eq!(order, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn cached_order_matches_a_fresh_sort_across_records() {
+        // The collect-and-sort every `iter` call used to do, as the
+        // reference order.
+        fn reference(g: &DepGraph) -> Vec<(InstRef, InstRef, DepKind)> {
+            let mut v: Vec<_> = g.deps.iter().map(|d| (d.src, d.dst, d.kind)).collect();
+            v.sort();
+            v
+        }
+        let kinds = [DepKind::Raw, DepKind::War, DepKind::Waw];
+        let at = |f: u32, b: u32, i: u32| InstRef { func: FuncId(f), block: BlockId(b), idx: i };
+        let mut g = DepGraph::new();
+        let mut z = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..6 {
+            for _ in 0..40 {
+                z ^= z << 13;
+                z ^= z >> 7;
+                z ^= z << 17;
+                let v = |shift: u32, m: u64| ((z >> shift) % m) as u32;
+                let carried = z.is_multiple_of(3).then_some((FuncId(v(3, 2)), LoopId(v(5, 3))));
+                g.record(
+                    at(v(7, 2), v(9, 3), v(11, 5)),
+                    at(v(13, 2), v(15, 3), v(17, 5)),
+                    kinds[v(19, 3) as usize],
+                    carried,
+                );
+            }
+            let got: Vec<_> = g.iter().map(|d| (d.src, d.dst, d.kind)).collect();
+            assert_eq!(got, reference(&g), "round {round}");
+            // A second pass reuses the cached order.
+            assert_eq!(g.iter().count(), g.len());
+            for d in g.iter() {
+                assert_eq!(g.get(d.src, d.dst, d.kind), Some(d));
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use mvgnn_graph::{algo, Csr};
 use mvgnn_ir::inst::InstRef;
 use mvgnn_ir::module::{FuncId, LoopId, Module};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The Table I feature vector for one loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -70,6 +70,9 @@ pub fn loop_inst_set(module: &Module, func: FuncId, l: LoopId) -> HashSet<InstRe
         .collect()
 }
 
+/// Marks an instruction outside the loop in `loop_features`' dense map.
+const OUTSIDE: u32 = u32::MAX;
+
 /// Compute the Table I features for one loop.
 pub fn loop_features(
     module: &Module,
@@ -79,68 +82,79 @@ pub fn loop_features(
     runtime: &LoopRuntime,
 ) -> DynamicFeatures {
     let f = &module.funcs[func.index()];
-    let inside = loop_inst_set(module, func, l);
-    let n_inst = inside.len() as u32;
-
-    // Dependence census.
-    let mut incoming = 0u32;
-    let mut internal = 0u32;
-    let mut outgoing = 0u32;
-    for d in deps.iter() {
-        let s_in = inside.contains(&d.src);
-        let t_in = inside.contains(&d.dst);
-        match (s_in, t_in) {
-            (true, true) => internal += 1,
-            (false, true) => incoming += 1,
-            (true, false) => outgoing += 1,
-            (false, false) => {}
+    // Dense per-function instruction indices: block b's instructions
+    // start at `block_base[b]`, so ascending dense index is ascending
+    // `InstRef` order. `node[i]` is the loop dependence graph node of
+    // instruction i — nodes are numbered in that same order — or OUTSIDE.
+    let mut block_base = Vec::with_capacity(f.blocks.len() + 1);
+    let mut total = 0usize;
+    for blk in &f.blocks {
+        block_base.push(total);
+        total += blk.len();
+    }
+    block_base.push(total);
+    let mut node = vec![OUTSIDE; total];
+    // Each loop block with the node number of its first instruction.
+    let mut blocks: Vec<(usize, u32)> = Vec::new();
+    let mut n_nodes = 0u32;
+    for b in f.loop_blocks(l).into_iter().map(|b| b.index()).filter(|&b| b < f.blocks.len()) {
+        blocks.push((b, n_nodes));
+        for slot in &mut node[block_base[b]..block_base[b + 1]] {
+            *slot = n_nodes;
+            n_nodes += 1;
         }
     }
+    let node_of = |r: InstRef| -> Option<u32> {
+        if r.func != func {
+            return None;
+        }
+        let (lo, hi) = (*block_base.get(r.block.index())?, *block_base.get(r.block.index() + 1)?);
+        let i = lo + r.idx as usize;
+        (i < hi && node[i] != OUTSIDE).then(|| node[i])
+    };
+    let loop_insts = || blocks.iter().flat_map(|&(b, first)| (first..).zip(&f.blocks[b].insts));
 
     // Loop dependence graph: nodes = static insts inside the loop; edges =
     // register def-use + observed memory deps.
-    let mut index: HashMap<InstRef, u32> = HashMap::new();
-    let mut nodes: Vec<InstRef> = inside.iter().copied().collect();
-    nodes.sort_unstable();
-    for (i, r) in nodes.iter().enumerate() {
-        index.insert(*r, i as u32);
-    }
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    // Register def-use inside the loop (flow-insensitive).
-    let mut defs: HashMap<u32, Vec<u32>> = HashMap::new();
-    let inst_at: HashMap<InstRef, &mvgnn_ir::Inst> = f
-        .insts_with_refs(func)
-        .filter(|(r, _, _)| inside.contains(r))
-        .map(|(r, inst, _)| (r, inst))
-        .collect();
-    for (r, inst) in &inst_at {
-        if let Some(d) = inst.def() {
-            defs.entry(d.0).or_default().push(index[r]);
-        }
-    }
-    for (r, inst) in &inst_at {
-        let ui = index[r];
+    // Register def-use inside the loop (flow-insensitive): every def of a
+    // register reaches every use of it. `defs` holds (register, node).
+    let mut defs: Vec<(u32, u32)> =
+        loop_insts().filter_map(|(i, inst)| Some((inst.def()?.0, i))).collect();
+    defs.sort_unstable();
+    for (ui, inst) in loop_insts() {
         for u in inst.uses() {
-            if let Some(ds) = defs.get(&u.0) {
-                for &di in ds {
-                    if di != ui {
-                        edges.push((di, ui));
-                    }
+            let lo = defs.partition_point(|&(reg, _)| reg < u.0);
+            for &(_, di) in defs[lo..].iter().take_while(|&&(reg, _)| reg == u.0) {
+                if di != ui {
+                    edges.push((di, ui));
                 }
             }
         }
     }
-    // Memory dependence edges observed inside the loop.
+    // One pass over the dependences: the census, the memory edges
+    // observed inside the loop, and whether the loop carries any.
+    let mut incoming = 0u32;
+    let mut internal = 0u32;
+    let mut outgoing = 0u32;
+    let mut carried = false;
     for d in deps.iter() {
-        if let (Some(&s), Some(&t)) = (index.get(&d.src), index.get(&d.dst)) {
-            if s != t {
-                edges.push((s, t));
+        match (node_of(d.src), node_of(d.dst)) {
+            (Some(s), Some(t)) => {
+                internal += 1;
+                if s != t {
+                    edges.push((s, t));
+                }
             }
+            (None, Some(_)) => incoming += 1,
+            (Some(_), None) => outgoing += 1,
+            (None, None) => {}
         }
+        carried = carried || d.carried_by.contains(&(func, l));
     }
     edges.sort_unstable();
     edges.dedup();
-    let csr = Csr::from_edges(nodes.len(), &edges);
+    let csr = Csr::from_edges(n_nodes as usize, &edges);
     let cfl = algo::critical_path_len(&csr);
     let width = algo::max_level_width(&csr).max(1);
 
@@ -148,7 +162,6 @@ pub fn loop_features(
     // (cyclic) serialises across iterations; otherwise iterations overlap
     // and the span is one iteration's critical path.
     let iterations = runtime.iterations.max(1);
-    let carried = !deps.carried_by(func, l).is_empty();
     let work = runtime.dyn_insts.max(1) as f64;
     // Parallel width: a carried loop only exposes its intra-iteration
     // width; an independent loop multiplies that by the iteration count.
@@ -161,7 +174,7 @@ pub fn loop_features(
     let esp = (work / brent).clamp(1.0, 1.0e6);
 
     DynamicFeatures {
-        n_inst,
+        n_inst: n_nodes,
         exec_times: runtime.iterations,
         cfl,
         esp,
@@ -175,6 +188,7 @@ pub fn loop_features(
 mod tests {
     use super::*;
     use crate::profiler::profile_module;
+    use std::collections::HashMap;
     use mvgnn_ir::inst::BinOp;
     use mvgnn_ir::types::Ty;
     use mvgnn_ir::{FunctionBuilder, Module};
@@ -212,6 +226,166 @@ mod tests {
         });
         let f = b.finish();
         (m, f, l)
+    }
+
+    /// The HashSet/HashMap version of [`loop_features`] that sorted the
+    /// whole dependence set per call, kept as its bitwise reference.
+    fn loop_features_reference(
+        module: &Module,
+        func: FuncId,
+        l: LoopId,
+        deps: &DepGraph,
+        runtime: &LoopRuntime,
+    ) -> DynamicFeatures {
+        let f = &module.funcs[func.index()];
+        let inside = loop_inst_set(module, func, l);
+        let (mut incoming, mut internal, mut outgoing) = (0u32, 0u32, 0u32);
+        for d in deps.iter() {
+            match (inside.contains(&d.src), inside.contains(&d.dst)) {
+                (true, true) => internal += 1,
+                (false, true) => incoming += 1,
+                (true, false) => outgoing += 1,
+                (false, false) => {}
+            }
+        }
+        let mut nodes: Vec<InstRef> = inside.iter().copied().collect();
+        nodes.sort_unstable();
+        let index: HashMap<InstRef, u32> =
+            nodes.iter().enumerate().map(|(i, r)| (*r, i as u32)).collect();
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut defs: HashMap<u32, Vec<u32>> = HashMap::new();
+        let inst_at: HashMap<InstRef, &mvgnn_ir::Inst> = f
+            .insts_with_refs(func)
+            .filter(|(r, _, _)| inside.contains(r))
+            .map(|(r, inst, _)| (r, inst))
+            .collect();
+        for (r, inst) in &inst_at {
+            if let Some(d) = inst.def() {
+                defs.entry(d.0).or_default().push(index[r]);
+            }
+        }
+        for (r, inst) in &inst_at {
+            let ui = index[r];
+            for u in inst.uses() {
+                for &di in defs.get(&u.0).into_iter().flatten() {
+                    if di != ui {
+                        edges.push((di, ui));
+                    }
+                }
+            }
+        }
+        for d in deps.iter() {
+            if let (Some(&s), Some(&t)) = (index.get(&d.src), index.get(&d.dst)) {
+                if s != t {
+                    edges.push((s, t));
+                }
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let csr = Csr::from_edges(nodes.len(), &edges);
+        let cfl = algo::critical_path_len(&csr);
+        let width = algo::max_level_width(&csr).max(1);
+        let iterations = runtime.iterations.max(1);
+        let carried = !deps.carried_by(func, l).is_empty();
+        let work = runtime.dyn_insts.max(1) as f64;
+        let (span, eff_width) = if carried {
+            ((iterations as f64) * (cfl.max(1) as f64), width as f64)
+        } else {
+            (cfl.max(1) as f64, (width as f64) * (iterations as f64))
+        };
+        let brent = span.max(work / eff_width);
+        DynamicFeatures {
+            n_inst: inside.len() as u32,
+            exec_times: runtime.iterations,
+            cfl,
+            esp: (work / brent).clamp(1.0, 1.0e6),
+            incoming_dep: incoming,
+            internal_dep: internal,
+            outgoing_dep: outgoing,
+        }
+    }
+
+    /// A module with nested loops, a guarded in-place stencil, a
+    /// reduction, a DOALL sibling, pre- and post-loop accesses and a
+    /// callee that touches the same array — dependences inside, into,
+    /// out of and across functions.
+    fn mixed_module(n: i64) -> Module {
+        let mut m = Module::new("mixed");
+        let a = m.add_array("a", Ty::I64, (n + 2) as usize);
+        let s = m.add_array("s", Ty::I64, 1);
+        let out = m.add_array("out", Ty::I64, n as usize);
+        let bump = {
+            let mut b = FunctionBuilder::new(&mut m, "bump", 1);
+            let i = b.param(0);
+            let x = b.load(a, i);
+            let one = b.const_i64(1);
+            let y = b.bin(BinOp::Add, x, one);
+            b.store(a, i, y);
+            b.ret(None);
+            b.finish()
+        };
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let z = b.const_i64(0);
+        let seven = b.const_i64(7);
+        b.store(a, z, seven);
+        let (lo, hi, st) = (b.const_i64(1), b.const_i64(n), b.const_i64(1));
+        b.for_loop(lo, hi, st, |b, i| {
+            let one = b.const_i64(1);
+            let p = b.bin(BinOp::Sub, i, one);
+            let x = b.load(a, p);
+            let c = b.bin(BinOp::CmpLt, x, i);
+            b.if_then(c, |b| b.store(a, i, x));
+            let (lo2, hi2, st2) = (b.const_i64(0), b.const_i64(3), b.const_i64(1));
+            b.for_loop(lo2, hi2, st2, |b, j| {
+                let acc = b.load(s, z);
+                let t = b.bin(BinOp::Add, acc, j);
+                b.store(s, z, t);
+            });
+            b.call_void(bump, &[i]);
+        });
+        // A DOALL sibling after the carried nest: its own features must
+        // not see the nest's carried dependences.
+        let (lo, hi, st) = (b.const_i64(0), b.const_i64(n), b.const_i64(1));
+        b.for_loop(lo, hi, st, |b, i| {
+            let x = b.load(a, i);
+            let y = b.bin(BinOp::Mul, x, x);
+            b.store(out, i, y);
+        });
+        let v = b.load(a, z);
+        b.ret(Some(v));
+        b.finish();
+        m
+    }
+
+    #[test]
+    fn loop_features_match_the_reference_bitwise() {
+        use mvgnn_ir::transform::{optimize, OptLevel};
+        let mut modules = vec![mixed_module(9), mixed_module(2)];
+        for n in [1, 5, 13] {
+            modules.push(doall(n).0);
+            modules.push(recurrence(n + 1).0);
+        }
+        let mut checked = 0;
+        for base in &modules {
+            for level in OptLevel::ALL {
+                let m = optimize(base, level);
+                let entry = FuncId(m.funcs.len() as u32 - 1);
+                let res = profile_module(&m, entry, &[]).unwrap();
+                for (fi, func) in m.funcs.iter().enumerate() {
+                    for info in &func.loops {
+                        let f = FuncId(fi as u32);
+                        let Some(rt) = res.loops.get(&(f, info.id)) else { continue };
+                        let got = loop_features(&m, f, info.id, &res.deps, rt);
+                        let want = loop_features_reference(&m, f, info.id, &res.deps, rt);
+                        assert_eq!(got, want, "{} {level:?} loop {:?}", m.name, info.id);
+                        assert_eq!(got.esp.to_bits(), want.esp.to_bits());
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 72, "only {checked} loops checked");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! # mvgnn-tensor — minimal CPU deep-learning substrate
 //!
-//! A small, dependency-free (beyond `rand`/`rayon`) tensor library with
+//! A small, dependency-free (beyond `rand`) tensor library with
 //! reverse-mode tape autograd, built for the graph neural networks of the
 //! MV-GNN reproduction. Everything is `f32`, row-major, and 2-D
 //! (`rows × cols`); vectors are `1 × n` rows.
 //!
-//! - [`dense`]: matmul and elementwise kernels (rayon-parallel over rows
-//!   for large operands)
+//! - [`dense`]: register-tiled matmul and elementwise kernels that
+//!   vectorise across outputs, never along a reduction
 //! - [`sparse`]: CSR sparse matrices for GCN propagation operators
 //! - [`tape`]: the autograd tape — build a graph per forward pass against
 //!   a shared `&`[`tape::Params`] value store, call

@@ -1,8 +1,9 @@
 //! Optimizers: SGD with momentum, Adam, and global-norm gradient clipping.
 //!
-//! Optimizers read accumulated gradients from a [`GradStore`] sidecar
-//! (produced by [`crate::tape::Tape::into_grads`], possibly reduced from
-//! several workers) and write updated values into [`Params`].
+//! Optimizers read accumulated gradients from a [`GradStore`] (a tape's
+//! sidecar from [`crate::tape::Tape::into_grads`], or the store a
+//! trainer passes to [`crate::tape::Tape::backward_into`]) and write
+//! updated values into [`Params`].
 
 use crate::tape::{GradStore, Params};
 

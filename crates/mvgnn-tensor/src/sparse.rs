@@ -1,11 +1,6 @@
 //! CSR sparse matrices — the GCN propagation operators `Â`.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Work threshold above which `spmm` fans rows out across rayon workers
-/// (matches `dense::matmul`'s threshold).
-const PAR_THRESHOLD: usize = 1 << 16;
 
 /// An immutable CSR sparse matrix of f32 values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -182,28 +177,20 @@ impl SparseMatrix {
     }
 
     /// `out[rows×n] = self[rows×cols] · dense[cols×n]` (out overwritten).
-    ///
-    /// Output rows are independent, so large products (packed batches
-    /// through a block-diagonal operator) fan out across rayon workers;
-    /// each row accumulates in the same order either way, keeping the
-    /// result bit-identical to the serial path.
+    /// Each output row accumulates its non-zeros in stored order.
     pub fn spmm(&self, dense: &[f32], out: &mut [f32], n: usize) {
         assert_eq!(dense.len(), self.cols * n, "dense operand shape");
         assert_eq!(out.len(), self.rows * n, "output shape");
-        let spmm_row = |r: usize, orow: &mut [f32]| {
+        if n == 0 {
+            return;
+        }
+        for (r, orow) in out.chunks_mut(n).enumerate() {
             orow.fill(0.0);
             for (c, v) in self.row(r) {
                 let drow = &dense[c as usize * n..(c as usize + 1) * n];
                 for (o, &d) in orow.iter_mut().zip(drow) {
                     *o += v * d;
                 }
-            }
-        };
-        if self.nnz() * n >= PAR_THRESHOLD {
-            out.par_chunks_mut(n).enumerate().for_each(|(r, orow)| spmm_row(r, orow));
-        } else {
-            for (r, orow) in out.chunks_mut(n).enumerate() {
-                spmm_row(r, orow);
             }
         }
     }

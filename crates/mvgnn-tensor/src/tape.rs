@@ -6,7 +6,8 @@
 //! passes against the same store concurrently. Gradients live in a
 //! per-tape [`GradStore`] sidecar, allocated lazily by
 //! [`Tape::backward`] and handed to an optimizer from [`crate::optim`]
-//! via [`Tape::into_grads`].
+//! via [`Tape::into_grads`] — or in a caller-owned store passed to
+//! [`Tape::backward_into`].
 //!
 //! All tensors are 2-D row-major `f32` matrices.
 
@@ -14,13 +15,12 @@ use crate::dense;
 use crate::mmap::Mmap;
 use crate::sparse::SparseMatrix;
 use crate::workspace::{self, Workspace};
-use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Flop threshold above which row-independent ops fan out across rayon
-/// workers (matches `dense::matmul`'s threshold); below it the fork-join
-/// overhead outweighs the work.
-const PAR_THRESHOLD: usize = 1 << 16;
+/// Windows per im2col block of the 1-D convolution, forward and
+/// backward: keeps the gathered block under the allocator's mmap
+/// threshold and lets one block's tiles reuse it.
+const CONV_BLOCK: usize = 64;
 
 /// Persistent parameter store: values only, no gradient state.
 ///
@@ -240,8 +240,9 @@ impl Params {
 /// tensor, aligned index-for-index with the [`Params`] it was built
 /// from. Each [`Tape`] owns its own `GradStore` (allocated lazily by
 /// [`Tape::backward`]), so backward passes never contend on shared
-/// state; data-parallel workers reduce their sidecars into a master
-/// store with [`GradStore::absorb`] before the optimizer steps.
+/// state; sidecars of several tapes combine with [`GradStore::absorb`].
+/// A training loop can instead keep one store and have every step's
+/// tape add into it with [`Tape::backward_into`].
 #[derive(Debug, Clone, Default)]
 pub struct GradStore {
     grads: Vec<Vec<f32>>,
@@ -280,8 +281,8 @@ impl GradStore {
         }
     }
 
-    /// Add another sidecar's gradients into this one (data-parallel
-    /// gradient reduction). Panics when layouts differ.
+    /// Add another sidecar's gradients into this one (the reduction of
+    /// several tapes' sidecars). Panics when layouts differ.
     pub fn absorb(&mut self, other: &GradStore) {
         assert_eq!(self.grads.len(), other.grads.len(), "grad store tensor count mismatch");
         for (g, og) in self.grads.iter_mut().zip(&other.grads) {
@@ -877,24 +878,19 @@ impl<'p> Tape<'p> {
             &xd[start * in_ch..(start + ksize) * in_ch]
         };
         // The convolution is a matmul over gathered windows: gather
-        // BLOCK windows at a time into a small contiguous im2col buffer
-        // (kept under the allocator's mmap threshold, and reused across
-        // the block's tiles) and run the register-tiled `dense::matmul`
-        // on it. Each output element accumulates its ksize·in_ch
-        // products in ascending window order with the same kernels
-        // whatever the batch around it looks like, so packed batches
-        // stay bit-identical to per-graph runs; blocks are independent,
-        // so large batches fan out across threads without changing a
-        // single bit.
-        const BLOCK: usize = 64;
-        let run_block = |i0: usize, orows: &mut [f32]| {
+        // CONV_BLOCK windows at a time into a small contiguous im2col
+        // buffer (reused across the block's tiles) and run the
+        // register-tiled `dense::matmul` on it. Each output element
+        // accumulates its ksize·in_ch products in ascending window order
+        // with the same kernels whatever the batch around it looks like,
+        // so packed batches stay bit-identical to per-graph runs.
+        for (bi, orows) in out.chunks_mut(CONV_BLOCK * out_ch).enumerate() {
             let nw = orows.len() / out_ch;
-            // The im2col buffer comes from a per-thread scratch stack
-            // (each rayon worker pools its own), so the steady state
-            // allocates nothing here either.
+            // The im2col buffer comes from the per-thread scratch stack,
+            // so the steady state allocates nothing here either.
             workspace::with_scratch(nw * wr, |xcol| {
                 for (j, row) in xcol.chunks_exact_mut(wr).enumerate() {
-                    row.copy_from_slice(window_of(i0 + j));
+                    row.copy_from_slice(window_of(bi * CONV_BLOCK + j));
                 }
                 dense::matmul(xcol, wd, orows, nw, wr, out_ch);
             });
@@ -904,15 +900,6 @@ impl<'p> Tape<'p> {
                         *o += bv;
                     }
                 }
-            }
-        };
-        if out_len * out_ch * ksize * in_ch >= PAR_THRESHOLD {
-            out.par_chunks_mut(BLOCK * out_ch)
-                .enumerate()
-                .for_each(|(bi, orows)| run_block(bi * BLOCK, orows));
-        } else {
-            for (bi, orows) in out.chunks_mut(BLOCK * out_ch).enumerate() {
-                run_block(bi * BLOCK, orows);
             }
         }
         self.push(Op::Conv1dRows { x, w, bias, ksize, stride, seg_len }, out, (out_len, out_ch))
@@ -996,10 +983,19 @@ impl<'p> Tape<'p> {
     /// Run reverse-mode accumulation from `loss` (must be `1×1`) and push
     /// parameter gradients into the tape's [`GradStore`] sidecar.
     pub fn backward(&mut self, loss: Var) {
+        let mut grads = self.grads.take().unwrap_or_else(|| GradStore::zeros_like(self.params));
+        self.backward_into(loss, &mut grads);
+        self.grads = Some(grads);
+    }
+
+    /// [`Tape::backward`] adding the parameter gradients into a
+    /// caller-owned store instead of the tape's sidecar — a trainer zeroes
+    /// one store in place each step rather than allocating a fresh one.
+    /// `grads` must match the tape's [`Params`] tensor for tensor, as one
+    /// from [`GradStore::zeros_like`] does.
+    pub fn backward_into(&mut self, loss: Var, grads: &mut GradStore) {
         assert_eq!(self.shape(loss), (1, 1), "backward needs a scalar loss");
-        if self.grads.is_none() {
-            self.grads = Some(GradStore::zeros_like(self.params));
-        }
+        assert_eq!(grads.len(), self.params.len(), "grad store tensor count mismatch");
         for i in 0..self.nodes.len() {
             if self.nodes[i].grad.is_empty() {
                 let g = self.ws.acquire_f32(self.nodes[i].data.len());
@@ -1018,10 +1014,8 @@ impl<'p> Tape<'p> {
             match op {
                 Op::Input => {}
                 Op::Param(id) => {
-                    if let Some(gs) = self.grads.as_mut() {
-                        for (p, &g) in gs.grads[id.0].iter_mut().zip(&grad) {
-                            *p += g;
-                        }
+                    for (p, &g) in grads.grads[id.0].iter_mut().zip(&grad) {
+                        *p += g;
                     }
                 }
                 Op::MatMul(a, b) => {
@@ -1031,7 +1025,7 @@ impl<'p> Tape<'p> {
                     let bdat = std::mem::take(&mut self.nodes[b.0].data);
                     {
                         let ga = &mut self.nodes[a.0].grad;
-                        dense::matmul_a_bt_accum(&grad, &bdat, ga, m, n, k);
+                        dense::matmul_a_bt_accum(&grad, &bdat, ga, m, n, k, &mut self.ws);
                     }
                     self.nodes[b.0].data = bdat;
                     let adat = std::mem::take(&mut self.nodes[a.0].data);
@@ -1223,39 +1217,57 @@ impl<'p> Tape<'p> {
                     self.nodes[i].aux_f = mask;
                 }
                 Op::Conv1dRows { x, w, bias, ksize, stride, seg_len } => {
-                    let (len, in_ch) = self.nodes[x.0].shape;
-                    let (_, out_ch) = self.nodes[i].shape;
-                    let segs = len / seg_len;
+                    let in_ch = self.nodes[x.0].shape.1;
+                    let (wr, out_ch) = self.nodes[w.0].shape;
                     let seg_out = (seg_len - ksize) / stride + 1;
+                    let window_start = |orow: usize| {
+                        ((orow / seg_out) * seg_len + (orow % seg_out) * stride) * in_ch
+                    };
                     let xdat = std::mem::take(&mut self.nodes[x.0].data);
                     let wdat = std::mem::take(&mut self.nodes[w.0].data);
-                    for seg in 0..segs {
-                        for t in 0..seg_out {
-                            let start = seg * seg_len + t * stride;
-                            let orow = seg * seg_out + t;
-                            let urow = &grad[orow * out_ch..(orow + 1) * out_ch];
-                            for p in 0..ksize * in_ch {
-                                let xv = xdat[start * in_ch + p];
-                                let wrow = &wdat[p * out_ch..(p + 1) * out_ch];
-                                // dW[p][j] += x * u[j]; dX += w[p][j] * u[j]
-                                let gw =
-                                    &mut self.nodes[w.0].grad[p * out_ch..(p + 1) * out_ch];
-                                let mut gx_acc = 0.0f32;
-                                for ((gwj, &u), &wv) in gw.iter_mut().zip(urow).zip(wrow) {
-                                    *gwj += xv * u;
-                                    gx_acc += wv * u;
-                                }
-                                self.nodes[x.0].grad[start * in_ch + p] += gx_acc;
+                    let mut gx = std::mem::take(&mut self.nodes[x.0].grad);
+                    let mut gw = std::mem::take(&mut self.nodes[w.0].grad);
+                    // dW += im2col(X)ᵀ · dY: every element adds x·u into
+                    // its running value in ascending window order, with
+                    // no zero skip. dX: each window's slot p gets
+                    // Σ_j w[p][j]·u[j], summed from 0.0 in ascending j and
+                    // added to the slot in ascending window order. Both
+                    // match the scalar loop's sequence per element;
+                    // CONV_BLOCK windows go through one im2col buffer,
+                    // which then holds the block's dX rows.
+                    let mut wt = self.ws.acquire_f32(wr * out_ch);
+                    dense::transpose_into(&wdat, wr, out_ch, &mut wt);
+                    let mut col = self.ws.acquire_f32(CONV_BLOCK * wr);
+                    for (bi, urows) in grad.chunks(CONV_BLOCK * out_ch).enumerate() {
+                        let nw = urows.len() / out_ch;
+                        let first = bi * CONV_BLOCK;
+                        let col = &mut col[..nw * wr];
+                        for (j, row) in col.chunks_exact_mut(wr).enumerate() {
+                            let s = window_start(first + j);
+                            row.copy_from_slice(&xdat[s..s + wr]);
+                        }
+                        dense::at_b_accum::<false>(col, urows, &mut gw, nw, wr, out_ch);
+                        dense::matmul_unfused(urows, &wt, col, nw, out_ch, wr);
+                        for (j, drow) in col.chunks_exact(wr).enumerate() {
+                            let s = window_start(first + j);
+                            for (g, &d) in gx[s..s + wr].iter_mut().zip(drow) {
+                                *g += d;
                             }
-                            if let Some(b) = bias {
-                                for (g, &u) in self.nodes[b.0].grad.iter_mut().zip(urow) {
-                                    *g += u;
-                                }
+                        }
+                    }
+                    self.ws.release_f32(wt);
+                    self.ws.release_f32(col);
+                    if let Some(b) = bias {
+                        for urow in grad.chunks_exact(out_ch) {
+                            for (g, &u) in self.nodes[b.0].grad.iter_mut().zip(urow) {
+                                *g += u;
                             }
                         }
                     }
                     self.nodes[x.0].data = xdat;
                     self.nodes[w.0].data = wdat;
+                    self.nodes[x.0].grad = gx;
+                    self.nodes[w.0].grad = gw;
                 }
                 Op::Reshape(a) => {
                     for (g, &u) in self.nodes[a.0].grad.iter_mut().zip(&grad) {
@@ -1587,6 +1599,101 @@ mod tests {
                 &packed_out[seg * 9..(seg + 1) * 9],
                 "segment {seg}"
             );
+        }
+    }
+
+    /// The fused scalar conv1d backward loop the split dW/dX kernels
+    /// replaced, kept as their bitwise reference: per output row, dW
+    /// takes x·u in place and dX a 0.0-started Σ_j w·u per window slot.
+    fn conv1d_backward_reference(
+        x: &[f32],
+        w: &[f32],
+        u: &[f32],
+        (gx, gw, gb): (&mut [f32], &mut [f32], &mut [f32]),
+        in_ch: usize,
+        out_ch: usize,
+        (ksize, stride, seg_len): (usize, usize, usize),
+    ) {
+        let segs = x.len() / in_ch / seg_len;
+        let seg_out = (seg_len - ksize) / stride + 1;
+        for seg in 0..segs {
+            for t in 0..seg_out {
+                let start = seg * seg_len + t * stride;
+                let orow = seg * seg_out + t;
+                let urow = &u[orow * out_ch..(orow + 1) * out_ch];
+                for p in 0..ksize * in_ch {
+                    let xv = x[start * in_ch + p];
+                    let wrow = &w[p * out_ch..(p + 1) * out_ch];
+                    let gwp = &mut gw[p * out_ch..(p + 1) * out_ch];
+                    let mut gx_acc = 0.0f32;
+                    for ((gwj, &uj), &wv) in gwp.iter_mut().zip(urow).zip(wrow) {
+                        *gwj += xv * uj;
+                        gx_acc += wv * uj;
+                    }
+                    gx[start * in_ch + p] += gx_acc;
+                }
+                for (g, &uj) in gb.iter_mut().zip(urow) {
+                    *g += uj;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv1d_backward_matches_scalar_reference_bitwise() {
+        use crate::dense::tests::{assert_same_bits, operand};
+        let mut seed = 11;
+        // (in_ch, out_ch, ksize, stride, seg_len, segs): overlapping and
+        // tiling windows, tile remainders in every dimension, and more
+        // than one CONV_BLOCK of windows.
+        let geometries = [
+            (1, 1, 1, 1, 1, 1),
+            (2, 3, 2, 1, 4, 2),
+            (3, 5, 3, 2, 9, 3),
+            (12, 24, 3, 1, 14, 16),
+            (49, 12, 1, 1, 28, 4),
+            (4, 17, 2, 2, 11, 1),
+            (5, 33, 4, 1, 70, 2),
+            (1, 7, 5, 5, 20, 3),
+        ];
+        for specials in [false, true] {
+            for &(in_ch, out_ch, ksize, stride, seg_len, segs) in &geometries {
+                seed += 1;
+                let len = seg_len * segs;
+                let out_len = segs * ((seg_len - ksize) / stride + 1);
+                let xdat = operand(len * in_ch, seed, specials);
+                let wdat = operand(ksize * in_ch * out_ch, seed + 100, specials);
+                let bdat = operand(out_ch, seed + 200, specials);
+                let udat = operand(out_len * out_ch, seed + 300, specials);
+                let params = Params::new();
+                let mut tape = Tape::new(&params);
+                let x = tape.input(xdat.clone(), len, in_ch);
+                let w = tape.input(wdat.clone(), ksize * in_ch, out_ch);
+                let b = tape.input(bdat, 1, out_ch);
+                let y = tape.conv1d_rows_seg(x, w, Some(b), ksize, stride, seg_len);
+                let u = tape.input(udat, out_len, out_ch);
+                let yu = tape.mul(y, u);
+                let loss = tape.sum_all(yu);
+                tape.backward(loss);
+                let dy = tape.grad(y).to_vec();
+                let mut gx = vec![0.0; xdat.len()];
+                let mut gw = vec![0.0; wdat.len()];
+                let mut gb = vec![0.0; out_ch];
+                conv1d_backward_reference(
+                    &xdat,
+                    &wdat,
+                    &dy,
+                    (&mut gx, &mut gw, &mut gb),
+                    in_ch,
+                    out_ch,
+                    (ksize, stride, seg_len),
+                );
+                let what =
+                    format!("in {in_ch} out {out_ch} k {ksize} s {stride} seg {seg_len}x{segs}");
+                assert_same_bits(tape.grad(x), &gx, &format!("dX {what}"));
+                assert_same_bits(tape.grad(w), &gw, &format!("dW {what}"));
+                assert_same_bits(tape.grad(b), &gb, &format!("dB {what}"));
+            }
         }
     }
 

@@ -165,10 +165,8 @@ impl Workspace {
 
 thread_local! {
     /// Per-thread scratch stack for kernel-interior temporaries (the
-    /// blocked-im2col buffer of `conv1d_rows_seg`). These live inside
-    /// rayon closures where no `&mut Workspace` can reach, so they pool
-    /// per OS thread instead; under the sequential rayon stand-in that
-    /// is simply the calling thread.
+    /// blocked-im2col buffer of the forward 1-D convolution), which take
+    /// no `&mut Workspace`, so they pool per OS thread instead.
     static SCRATCH: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 

@@ -13,6 +13,9 @@ cargo build --release --workspace --quiet
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
+echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, in the optimised build the benchmark runs)"
+cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler
+
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 

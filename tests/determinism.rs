@@ -45,7 +45,7 @@ fn serial_training_is_deterministic() {
     let probe = &ds.train[0].sample;
     let run = || {
         let mut model = MvGnn::new(MvGnnConfig::small(probe.node_dim, probe.aw_vocab));
-        let tc = TrainConfig { epochs: 4, batch_size: 8, parallel: false, ..Default::default() };
+        let tc = TrainConfig { epochs: 4, batch_size: 8, ..Default::default() };
         let stats = train(&mut model, &ds.train, &tc).expect("training must succeed");
         let preds: Vec<usize> = ds
             .test
