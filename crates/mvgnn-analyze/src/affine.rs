@@ -7,9 +7,9 @@
 //! must be behaviour-preserving for them.
 
 use mvgnn_ir::inst::{BinOp, Inst, InstRef};
-use mvgnn_ir::module::{BlockId, FuncId, LoopId, Module};
-use mvgnn_ir::types::{ArrayId, VReg};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use mvgnn_ir::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module};
+use mvgnn_ir::types::{ArrayId, VReg, Value};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Affine expression over induction registers, or unanalysable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,10 +115,108 @@ pub struct LoopSummary {
     /// At least one call instruction inside the loop.
     pub has_call: bool,
     /// Self-updating registers (`r = r ⊕ x`, `r` not an induction) with a
-    /// commutative update op.
-    pub commutative_recs: HashSet<VReg>,
-    /// Self-updating registers with a non-commutative update op.
-    pub noncommutative_recs: HashSet<VReg>,
+    /// commutative update op, in register order.
+    pub commutative_recs: BTreeSet<VReg>,
+    /// Self-updating registers with a non-commutative update op, in
+    /// register order.
+    pub noncommutative_recs: BTreeSet<VReg>,
+}
+
+/// Dense per-register facts of one function, gathered in one pass over
+/// its instructions: definition counts, the values of single-def
+/// constants, and which registers are loop inductions.
+#[derive(Debug)]
+pub(crate) struct RegTables {
+    def_count: Vec<u32>,
+    consts: Vec<Option<Value>>,
+    induction: Vec<bool>,
+}
+
+impl RegTables {
+    pub(crate) fn new(f: &Function) -> Self {
+        let n = f.num_regs as usize;
+        let mut t =
+            Self { def_count: vec![0; n], consts: vec![None; n], induction: vec![false; n] };
+        for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+            if let Some(d) = inst.def() {
+                let i = t.slot(d);
+                t.def_count[i] += 1;
+                if let Inst::Const { value, .. } = inst {
+                    t.consts[i] = Some(*value);
+                }
+            }
+        }
+        for (c, &n) in t.consts.iter_mut().zip(&t.def_count) {
+            if n != 1 {
+                *c = None;
+            }
+        }
+        for iv in f.loops.iter().filter_map(|i| i.induction) {
+            let i = t.slot(iv);
+            t.induction[i] = true;
+        }
+        t
+    }
+
+    /// Table index of `r`, growing the tables for a register past
+    /// `num_regs` (unverified IR) instead of panicking.
+    fn slot(&mut self, r: VReg) -> usize {
+        let i = r.0 as usize;
+        if i >= self.def_count.len() {
+            self.def_count.resize(i + 1, 0);
+            self.consts.resize(i + 1, None);
+            self.induction.resize(i + 1, false);
+        }
+        i
+    }
+
+    /// Table length: every defined register and induction is below it.
+    pub(crate) fn len(&self) -> usize {
+        self.def_count.len()
+    }
+
+    /// Number of instructions defining `r`.
+    pub(crate) fn defs(&self, r: VReg) -> u32 {
+        self.def_count.get(r.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// Value of `r` when a single `Const` defines it.
+    pub(crate) fn const_val(&self, r: VReg) -> Option<Value> {
+        self.consts.get(r.0 as usize).copied().flatten()
+    }
+
+    /// Integer value of `r` when a single `Const` defines it.
+    pub(crate) fn const_i64(&self, r: VReg) -> Option<i64> {
+        self.const_val(r).and_then(Value::as_i64)
+    }
+
+    /// Is `r` the induction register of some loop of the function?
+    pub(crate) fn is_induction(&self, r: VReg) -> bool {
+        self.induction.get(r.0 as usize).copied().unwrap_or(false)
+    }
+}
+
+/// Membership mask over `f.blocks` of a loop's header, body and latch.
+pub(crate) fn loop_mask(f: &Function, info: &LoopInfo) -> Vec<bool> {
+    let mut mask = vec![false; f.blocks.len()];
+    for b in info.body.iter().chain([&info.header, &info.latch]) {
+        if let Some(m) = mask.get_mut(b.index()) {
+            *m = true;
+        }
+    }
+    mask
+}
+
+/// The blocks of `f` selected by `mask`, in block order.
+pub(crate) fn masked_blocks<'f>(
+    f: &'f Function,
+    mask: &'f [bool],
+) -> impl Iterator<Item = (BlockId, &'f mvgnn_ir::module::Block)> + 'f {
+    f.blocks
+        .iter()
+        .enumerate()
+        .filter(|&(bi, _)| mask[bi])
+        .map(|(bi, blk)| (BlockId(bi as u32), blk))
 }
 
 /// Summarise loop `l` of `func`: symbolically evaluate index expressions
@@ -129,7 +227,8 @@ pub struct LoopSummary {
 /// loop (bounds, constants, strides) are known; accesses are recorded only
 /// inside the loop's blocks.
 pub fn summarize_loop(module: &Module, func: FuncId, l: LoopId) -> LoopSummary {
-    summarize_loop_impl(module, func, l, false)
+    let f = &module.funcs[func.index()];
+    summarize(f, &loop_mask(f, &f.loops[l.index()]), &RegTables::new(f), false)
 }
 
 /// [`summarize_loop`] with every multiply-defined non-induction register
@@ -142,83 +241,71 @@ pub fn summarize_loop(module: &Module, func: FuncId, l: LoopId) -> LoopSummary {
 /// oracle uses this variant, where a register with two reaching
 /// definitions can never pretend to be affine.
 pub fn summarize_loop_strict(module: &Module, func: FuncId, l: LoopId) -> LoopSummary {
-    summarize_loop_impl(module, func, l, true)
+    let f = &module.funcs[func.index()];
+    summarize(f, &loop_mask(f, &f.loops[l.index()]), &RegTables::new(f), true)
 }
 
-fn summarize_loop_impl(module: &Module, func: FuncId, l: LoopId, strict: bool) -> LoopSummary {
-    let f = &module.funcs[func.index()];
-    let blocks: Vec<BlockId> = f.loop_blocks(l);
-    let block_set: HashSet<BlockId> = blocks.iter().copied().collect();
-    let inductions: HashSet<VReg> = f.loops.iter().filter_map(|i| i.induction).collect();
-
-    // Multi-def registers (outside induction updates) become Unknown.
-    let mut def_count: HashMap<VReg, u32> = HashMap::new();
-    for (r, inst, _) in f.insts_with_refs(func) {
-        let _ = r;
-        if let Some(d) = inst.def() {
-            *def_count.entry(d).or_insert(0) += 1;
-        }
-    }
-
-    let mut sym: HashMap<VReg, AffineExpr> = HashMap::new();
-    for iv in &inductions {
-        sym.insert(*iv, AffineExpr::var(*iv));
-    }
-    let lookup = |sym: &HashMap<VReg, AffineExpr>, r: VReg| {
-        sym.get(&r).cloned().unwrap_or(AffineExpr::Unknown)
-    };
+/// The summary walk over `f` for the loop whose blocks `in_loop` marks.
+pub(crate) fn summarize(
+    f: &Function,
+    in_loop: &[bool],
+    regs: &RegTables,
+    strict: bool,
+) -> LoopSummary {
+    let is_iv = |r: VReg| regs.is_induction(r);
+    let mut sym: Vec<AffineExpr> = (0..regs.len())
+        .map(|r| {
+            let r = VReg(r as u32);
+            if is_iv(r) {
+                AffineExpr::var(r)
+            } else {
+                AffineExpr::Unknown
+            }
+        })
+        .collect();
+    let lookup =
+        |sym: &[AffineExpr], r: VReg| sym.get(r.0 as usize).cloned().unwrap_or(AffineExpr::Unknown);
     // Under `strict`, a non-induction register with several definitions is
     // opaque everywhere; derived values go Unknown transitively through
     // the normal lookup path.
-    let opaque = |r: VReg| {
-        strict && def_count.get(&r).copied().unwrap_or(0) > 1 && !inductions.contains(&r)
-    };
+    let opaque = |r: VReg| strict && regs.defs(r) > 1 && !is_iv(r);
 
     let mut summary = LoopSummary {
         accesses: Vec::new(),
         has_call: false,
-        commutative_recs: HashSet::new(),
-        noncommutative_recs: HashSet::new(),
+        commutative_recs: BTreeSet::new(),
+        noncommutative_recs: BTreeSet::new(),
     };
 
     for (bi, blk) in f.blocks.iter().enumerate() {
         let bid = BlockId(bi as u32);
-        let inside = block_set.contains(&bid);
+        let inside = in_loop[bi];
         for (ii, inst) in blk.insts.iter().enumerate() {
             match inst {
-                Inst::Const { dst, value }
-                    if !inductions.contains(dst) => {
-                        let s = if opaque(*dst) {
-                            AffineExpr::Unknown
-                        } else {
-                            value
-                                .as_i64()
-                                .map(AffineExpr::constant)
-                                .unwrap_or(AffineExpr::Unknown)
-                        };
-                        sym.insert(*dst, s);
-                    }
-                Inst::Copy { dst, src }
-                    if !inductions.contains(dst) => {
-                        let s = if opaque(*dst) {
-                            AffineExpr::Unknown
-                        } else {
-                            lookup(&sym, *src)
-                        };
-                        sym.insert(*dst, s);
-                    }
+                Inst::Const { dst, value } if !is_iv(*dst) => {
+                    let s = if opaque(*dst) {
+                        AffineExpr::Unknown
+                    } else {
+                        value.as_i64().map(AffineExpr::constant).unwrap_or(AffineExpr::Unknown)
+                    };
+                    sym[dst.0 as usize] = s;
+                }
+                Inst::Copy { dst, src } if !is_iv(*dst) => {
+                    let s = if opaque(*dst) { AffineExpr::Unknown } else { lookup(&sym, *src) };
+                    sym[dst.0 as usize] = s;
+                }
                 Inst::Bin { op, dst, lhs, rhs } => {
-                    if inside && (*dst == *lhs || *dst == *rhs) && !inductions.contains(dst) {
+                    if inside && (*dst == *lhs || *dst == *rhs) && !is_iv(*dst) {
                         if matches!(op, BinOp::Add | BinOp::Mul | BinOp::Min | BinOp::Max) {
                             summary.commutative_recs.insert(*dst);
                         } else {
                             summary.noncommutative_recs.insert(*dst);
                         }
                     }
-                    if !inductions.contains(dst) {
+                    if !is_iv(*dst) {
                         let a = lookup(&sym, *lhs);
                         let b = lookup(&sym, *rhs);
-                        let s = if def_count.get(dst).copied().unwrap_or(0) > 1 {
+                        let s = if regs.defs(*dst) > 1 {
                             AffineExpr::Unknown
                         } else {
                             match op {
@@ -228,13 +315,12 @@ fn summarize_loop_impl(module: &Module, func: FuncId, l: LoopId, strict: bool) -
                                 _ => AffineExpr::Unknown,
                             }
                         };
-                        sym.insert(*dst, s);
+                        sym[dst.0 as usize] = s;
                     }
                 }
-                Inst::Un { dst, .. }
-                    if !inductions.contains(dst) => {
-                        sym.insert(*dst, AffineExpr::Unknown);
-                    }
+                Inst::Un { dst, .. } if !is_iv(*dst) => {
+                    sym[dst.0 as usize] = AffineExpr::Unknown;
+                }
                 Inst::Load { dst, arr, idx } => {
                     if inside {
                         summary.accesses.push(Access {
@@ -245,26 +331,25 @@ fn summarize_loop_impl(module: &Module, func: FuncId, l: LoopId, strict: bool) -
                             idx_in_block: ii,
                         });
                     }
-                    if !inductions.contains(dst) {
-                        sym.insert(*dst, AffineExpr::Unknown);
+                    if !is_iv(*dst) {
+                        sym[dst.0 as usize] = AffineExpr::Unknown;
                     }
                 }
-                Inst::Store { arr, idx, .. }
-                    if inside => {
-                        summary.accesses.push(Access {
-                            arr: *arr,
-                            index: lookup(&sym, *idx),
-                            is_write: true,
-                            block: bid,
-                            idx_in_block: ii,
-                        });
-                    }
+                Inst::Store { arr, idx, .. } if inside => {
+                    summary.accesses.push(Access {
+                        arr: *arr,
+                        index: lookup(&sym, *idx),
+                        is_write: true,
+                        block: bid,
+                        idx_in_block: ii,
+                    });
+                }
                 Inst::Call { dst, .. } => {
                     if inside {
                         summary.has_call = true;
                     }
                     if let Some(d) = dst {
-                        sym.insert(*d, AffineExpr::Unknown);
+                        sym[d.0 as usize] = AffineExpr::Unknown;
                     }
                 }
                 _ => {}
@@ -349,27 +434,18 @@ impl ReductionChain {
 /// a constant-equal index register) in the same block.
 pub fn reduction_chains(module: &Module, func: FuncId, l: LoopId) -> Vec<ReductionChain> {
     let f = &module.funcs[func.index()];
-    let blocks: HashSet<BlockId> = f.loop_blocks(l).into_iter().collect();
-    // Single-def constant registers (front-ends emit one per literal).
-    let mut def_count: HashMap<VReg, u32> = HashMap::new();
-    let mut const_val: HashMap<VReg, mvgnn_ir::types::Value> = HashMap::new();
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            if let Some(d) = inst.def() {
-                *def_count.entry(d).or_insert(0) += 1;
-            }
-            if let Inst::Const { dst, value } = inst {
-                const_val.insert(*dst, *value);
-            }
-        }
-    }
-    const_val.retain(|r, _| def_count.get(r) == Some(&1));
+    chains(f, func, &loop_mask(f, &f.loops[l.index()]), &RegTables::new(f))
+}
+
+/// [`reduction_chains`] over the blocks `in_loop` marks.
+pub(crate) fn chains(
+    f: &Function,
+    func: FuncId,
+    in_loop: &[bool],
+    regs: &RegTables,
+) -> Vec<ReductionChain> {
     let mut out = Vec::new();
-    for (bi, blk) in f.blocks.iter().enumerate() {
-        let bid = BlockId(bi as u32);
-        if !blocks.contains(&bid) {
-            continue;
-        }
+    for (bid, blk) in masked_blocks(f, in_loop) {
         for (si, inst) in blk.insts.iter().enumerate() {
             let Inst::Store { arr, idx, src } = inst else { continue };
             // Find the defining instruction of the stored value: it must be
@@ -386,6 +462,8 @@ pub fn reduction_chains(module: &Module, func: FuncId, l: LoopId) -> Vec<Reducti
                 }
             }
             let Some((bin_idx, lhs, rhs)) = bin_at else { continue };
+            // Same cell: the same index register, or two single-def
+            // constants (front-ends emit one per literal) of equal value.
             let loads: Vec<InstRef> = blk.insts[..si]
                 .iter()
                 .enumerate()
@@ -394,7 +472,7 @@ pub fn reduction_chains(module: &Module, func: FuncId, l: LoopId) -> Vec<Reducti
                         if (dst == &lhs || dst == &rhs) && la == arr
                             && (li == idx
                                 || matches!(
-                                    (const_val.get(li), const_val.get(idx)),
+                                    (regs.const_val(*li), regs.const_val(*idx)),
                                     (Some(x), Some(y)) if x == y)))
                 })
                 .map(|(pi, _)| InstRef { func, block: bid, idx: pi as u32 })
@@ -413,7 +491,11 @@ pub fn reduction_chains(module: &Module, func: FuncId, l: LoopId) -> Vec<Reducti
 
 /// The `(block, index-in-block)` sites of reduction stores in loop `l` —
 /// the shape `autopar_like` keys its tolerated-conflict set on.
-pub fn reduction_store_sites(module: &Module, func: FuncId, l: LoopId) -> HashSet<(BlockId, usize)> {
+pub fn reduction_store_sites(
+    module: &Module,
+    func: FuncId,
+    l: LoopId,
+) -> HashSet<(BlockId, usize)> {
     reduction_chains(module, func, l)
         .iter()
         .map(|c| (c.store.block, c.store.idx as usize))

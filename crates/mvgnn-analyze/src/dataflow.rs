@@ -184,9 +184,9 @@ impl Liveness {
     }
 }
 
-/// Compute register liveness for `f` (backward, may, union-confluence).
-pub fn liveness(f: &Function) -> Liveness {
-    let cfg = Cfg::new(f);
+/// Compute register liveness for `f` over its CFG `cfg` (backward, may,
+/// union-confluence).
+pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
     let n = cfg.len();
     let nr = f.num_regs as usize;
 
@@ -280,7 +280,8 @@ mod tests {
     #[test]
     fn accumulator_is_live_around_the_loop() {
         let (m, f, acc, header, _latch) = accumulator_loop();
-        let live = liveness(&m.funcs[f.index()]);
+        let func = &m.funcs[f.index()];
+        let live = liveness(func, &Cfg::new(func));
         // The accumulator's value crosses iterations: live into the header.
         assert!(live.live_in_at(header, acc));
     }
@@ -302,7 +303,8 @@ mod tests {
         });
         let f = bld.finish();
         let header = m.funcs[f.index()].loops[l.index()].header;
-        let live = liveness(&m.funcs[f.index()]);
+        let func = &m.funcs[f.index()];
+        let live = liveness(func, &Cfg::new(func));
         assert!(!live.live_in_at(header, t_reg.unwrap()));
     }
 

@@ -17,7 +17,9 @@
 //!   reduction-chain instructions whose observed carried dependences are
 //!   benign. The `lint` binary of `mvgnn-bench` audits the generated
 //!   corpus by cross-checking these verdicts against the profiler's
-//!   `DepGraph` and the dataset labels.
+//!   `DepGraph` and the dataset labels. The loop-independent half of
+//!   the analysis (CFG, liveness, dominators, per-register tables) is a
+//!   [`FuncAnalysis`], built once per function and shared by its loops.
 //! - [`planner`]: the parallelization planner layered on the oracle. It
 //!   keeps the oracle's evidence apart instead of collapsing it,
 //!   emitting a typed [`Plan`] — `DoAll` (with `private(...)`
@@ -43,7 +45,9 @@ pub use affine::{
     LoopSummary, ReductionChain,
 };
 pub use dataflow::{liveness, reaching_definitions, BitSet, Liveness, ReachingDefs};
-pub use oracle::{analyze_loop, loop_bounds, DepTest, Fact, LoopBounds, OracleReport, Verdict};
+pub use oracle::{
+    analyze_loop, loop_bounds, DepTest, Fact, FuncAnalysis, LoopBounds, OracleReport, Verdict,
+};
 pub use planner::{
     annotate_loops, plan_from_report, plan_loop, Blocker, LoopPlan, Plan, PlannedPattern,
     ReductionOp, ReductionTarget,

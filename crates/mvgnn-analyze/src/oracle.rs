@@ -18,13 +18,28 @@
 //! [`Fact`]s naming the accesses and the deciding test, plus the
 //! `excused` reduction-chain instructions whose observed carried
 //! dependences are benign by commutativity.
+//!
+//! The report also carries what the planner needs, so planning a loop
+//! never re-walks its function: the scalars that privatize (liveness at
+//! the header and the exit) and, for a provably parallel loop, its
+//! reduction clauses.
+//!
+//! Everything that does not depend on the loop — the CFG, liveness,
+//! dominators and the dense per-register tables — lives in one
+//! [`FuncAnalysis`] per function, built lazily and shared by every loop
+//! analysed through it. [`analyze_loop`] is the one-loop shorthand.
 
-use crate::affine::{conflicts, reduction_chains, summarize_loop_strict, Access, AffineExpr};
-use crate::dataflow::liveness;
+use crate::affine::{
+    chains, conflicts, loop_mask, masked_blocks, summarize, Access, AffineExpr, ReductionChain,
+    RegTables,
+};
+use crate::dataflow::{liveness, Liveness};
+use crate::planner::{ReductionOp, ReductionTarget};
 use mvgnn_ir::inst::{BinOp, Inst, InstRef};
 use mvgnn_ir::module::{FuncId, Function, LoopId, LoopInfo, Module};
 use mvgnn_ir::types::{ArrayId, VReg};
 use mvgnn_ir::{Cfg, Dominators};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 /// The oracle's three-point verdict lattice (`Unknown` is the top).
@@ -181,6 +196,16 @@ pub struct OracleReport {
     /// Statically recovered bounds, when the loop is a recognisable
     /// counted `for` over constants.
     pub bounds: Option<LoopBounds>,
+    /// The [`Fact::PrivatizableScalar`] registers, in fact order, that
+    /// are also dead at the loop exit: their value neither crosses an
+    /// iteration nor escapes the loop, so each is a `private(...)`
+    /// candidate.
+    pub private: Vec<VReg>,
+    /// Reduction clauses of a `ProvablyParallel` loop, sorted by
+    /// variable: one per memory chain on a loop-invariant cell, then one
+    /// per scalar accumulator live into the header. Empty for every
+    /// other verdict.
+    pub reductions: Vec<ReductionTarget>,
 }
 
 impl OracleReport {
@@ -213,37 +238,16 @@ impl OracleReport {
     }
 }
 
-/// Single-def integer-constant registers of `f`.
-fn const_i64_regs(f: &Function) -> HashMap<VReg, i64> {
-    let mut def_count: HashMap<VReg, u32> = HashMap::new();
-    let mut vals: HashMap<VReg, i64> = HashMap::new();
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            if let Some(d) = inst.def() {
-                *def_count.entry(d).or_insert(0) += 1;
-            }
-            if let Inst::Const { dst, value } = inst {
-                if let Some(v) = value.as_i64() {
-                    vals.insert(*dst, v);
-                }
-            }
-        }
-    }
-    vals.retain(|r, _| def_count.get(r) == Some(&1));
-    vals
-}
-
 /// Recognise the counted-loop shape the builder emits — `iv = lo` before
 /// the header, `iv < hi` in the header, `iv += step` in the latch, all
 /// three operands single-def integer constants — and return the bounds.
 pub fn loop_bounds(f: &Function, info: &LoopInfo) -> Option<LoopBounds> {
+    bounds(f, info, &loop_mask(f, info), &RegTables::new(f))
+}
+
+/// [`loop_bounds`] given the loop's block mask and the function's tables.
+fn bounds(f: &Function, info: &LoopInfo, in_loop: &[bool], regs: &RegTables) -> Option<LoopBounds> {
     let iv = info.induction?;
-    let consts = const_i64_regs(f);
-    let loop_set: HashSet<_> = {
-        let mut s = vec![info.header, info.latch];
-        s.extend(info.body.iter().copied());
-        s.into_iter().collect()
-    };
 
     // The builder's counted-loop shape defines `iv` exactly twice: the
     // init copy before the header and the increment in the latch. Any
@@ -257,8 +261,8 @@ pub fn loop_bounds(f: &Function, info: &LoopInfo) -> Option<LoopBounds> {
                 continue;
             }
             match inst {
-                Inst::Copy { src, .. } if !loop_set.contains(&bid) && lo.is_none() => {
-                    lo = Some(*consts.get(src)?);
+                Inst::Copy { src, .. } if !in_loop[bi] && lo.is_none() => {
+                    lo = Some(regs.const_i64(*src)?);
                 }
                 Inst::Bin { op: BinOp::Add, lhs, rhs, .. }
                     if bid == info.latch && step.is_none() =>
@@ -270,7 +274,7 @@ pub fn loop_bounds(f: &Function, info: &LoopInfo) -> Option<LoopBounds> {
                     } else {
                         return None;
                     };
-                    step = Some(*consts.get(&other)?);
+                    step = Some(regs.const_i64(other)?);
                 }
                 _ => return None,
             }
@@ -280,7 +284,7 @@ pub fn loop_bounds(f: &Function, info: &LoopInfo) -> Option<LoopBounds> {
     // iv < hi in the header.
     let header = &f.blocks[info.header.index()];
     let hi = header.insts.iter().find_map(|inst| match inst {
-        Inst::Bin { op: BinOp::CmpLt, lhs, rhs, .. } if *lhs == iv => consts.get(rhs).copied(),
+        Inst::Bin { op: BinOp::CmpLt, lhs, rhs, .. } if *lhs == iv => regs.const_i64(*rhs),
         _ => None,
     })?;
 
@@ -352,165 +356,307 @@ fn test_pair(iv: VReg, a: &Access, b: &Access) -> PairResult {
     }
 }
 
-/// Run the oracle on loop `l` of `func`.
+/// Run the oracle on loop `l` of `func`. Analysing several loops of one
+/// function through one [`FuncAnalysis`] shares its per-function work.
 pub fn analyze_loop(module: &Module, func: FuncId, l: LoopId) -> OracleReport {
-    let f = &module.funcs[func.index()];
-    let info = &f.loops[l.index()];
-    // Strict symbolic walk: a proof must not trust last-write-wins on
-    // conditionally reassigned registers (see `summarize_loop_strict`).
-    let summary = summarize_loop_strict(module, func, l);
-    let chains = reduction_chains(module, func, l);
-    let excused: HashSet<InstRef> = chains.iter().flat_map(|c| c.refs()).collect();
-    let red_arrays: HashSet<ArrayId> = chains
-        .iter()
-        .filter_map(|c| match &f.blocks[c.store.block.index()].insts[c.store.idx as usize] {
-            Inst::Store { arr, .. } => Some(*arr),
-            _ => None,
-        })
-        .collect();
-    let bounds = loop_bounds(f, info);
+    FuncAnalysis::new(module, func).analyze_loop(l)
+}
 
-    let mut sections: HashMap<ArrayId, ArraySection> = HashMap::new();
-    for a in &summary.accesses {
-        let s = sections.entry(a.arr).or_insert(ArraySection { all_affine: true, ..Default::default() });
-        if a.is_write {
-            s.writes += 1;
-        } else {
-            s.reads += 1;
-        }
-        if matches!(a.index, AffineExpr::Unknown) {
-            s.all_affine = false;
+/// The per-function half of the oracle: one CFG shared by liveness and
+/// the dominators (both built on first use), and the dense
+/// per-register tables (definition counts, single-def constants,
+/// induction flags). Build one per function and run
+/// [`FuncAnalysis::analyze_loop`] for each of its loops.
+pub struct FuncAnalysis<'m> {
+    module: &'m Module,
+    func: FuncId,
+    f: &'m Function,
+    regs: RegTables,
+    cfg: OnceCell<Cfg>,
+    live: OnceCell<Liveness>,
+    dom: OnceCell<Dominators>,
+}
+
+impl<'m> FuncAnalysis<'m> {
+    /// The context for function `func` of `module`.
+    pub fn new(module: &'m Module, func: FuncId) -> Self {
+        let f = &module.funcs[func.index()];
+        Self {
+            module,
+            func,
+            f,
+            regs: RegTables::new(f),
+            cfg: OnceCell::new(),
+            live: OnceCell::new(),
+            dom: OnceCell::new(),
         }
     }
 
-    let mut facts: Vec<Fact> = Vec::new();
-    let mut provably_parallel = true;
-    let mut dependent = false;
+    fn cfg(&self) -> &Cfg {
+        self.cfg.get_or_init(|| Cfg::new(self.f))
+    }
 
-    let Some(iv) = info.induction else {
-        facts.push(Fact::NonCountedLoop);
-        return OracleReport {
-            verdict: Verdict::Unknown,
+    fn live(&self) -> &Liveness {
+        self.live.get_or_init(|| liveness(self.f, self.cfg()))
+    }
+
+    fn dom(&self) -> &Dominators {
+        self.dom.get_or_init(|| Dominators::compute(self.cfg()))
+    }
+
+    /// Run the oracle on loop `l` of this function.
+    pub fn analyze_loop(&self, l: LoopId) -> OracleReport {
+        let (func, f) = (self.func, self.f);
+        let info = &f.loops[l.index()];
+        let in_loop = loop_mask(f, info);
+        // Strict symbolic walk: a proof must not trust last-write-wins on
+        // conditionally reassigned registers (see `summarize_loop_strict`).
+        let summary = summarize(f, &in_loop, &self.regs, true);
+        let chains = chains(f, func, &in_loop, &self.regs);
+        let excused: HashSet<InstRef> = chains.iter().flat_map(|c| c.refs()).collect();
+        let red_arrays: HashSet<ArrayId> = chains
+            .iter()
+            .filter_map(|c| match &f.blocks[c.store.block.index()].insts[c.store.idx as usize] {
+                Inst::Store { arr, .. } => Some(*arr),
+                _ => None,
+            })
+            .collect();
+        let bounds = bounds(f, info, &in_loop, &self.regs);
+
+        let mut sections: HashMap<ArrayId, ArraySection> = HashMap::new();
+        for a in &summary.accesses {
+            let s = sections
+                .entry(a.arr)
+                .or_insert(ArraySection { all_affine: true, ..Default::default() });
+            if a.is_write {
+                s.writes += 1;
+            } else {
+                s.reads += 1;
+            }
+            if matches!(a.index, AffineExpr::Unknown) {
+                s.all_affine = false;
+            }
+        }
+
+        let mut facts: Vec<Fact> = Vec::new();
+        let mut provably_parallel = true;
+        let mut dependent = false;
+
+        let Some(iv) = info.induction else {
+            facts.push(Fact::NonCountedLoop);
+            return OracleReport {
+                verdict: Verdict::Unknown,
+                facts,
+                excused,
+                sections,
+                n_accesses: summary.accesses.len(),
+                n_pairs_tested: 0,
+                bounds,
+                private: Vec::new(),
+                reductions: Vec::new(),
+            };
+        };
+
+        if summary.has_call {
+            facts.push(Fact::OpaqueCall);
+            provably_parallel = false;
+        }
+        for a in &summary.accesses {
+            if matches!(a.index, AffineExpr::Unknown) {
+                facts.push(Fact::NonAffineAccess { at: a.inst_ref(func) });
+            }
+        }
+
+        // Scalar recurrences: the dataflow engine distinguishes genuine
+        // cross-iteration accumulators (live into the header) from body
+        // temporaries that privatisation handles. A privatizable scalar
+        // is a `private(...)` candidate when it is also dead at the exit
+        // (otherwise its last value escapes the loop).
+        let mut private: Vec<VReg> = Vec::new();
+        let mut privatize = |facts: &mut Vec<Fact>, r: VReg| {
+            facts.push(Fact::PrivatizableScalar { reg: r });
+            if !self.live().live_in_at(info.exit, r) {
+                private.push(r);
+            }
+        };
+        for &r in &summary.noncommutative_recs {
+            if self.live().live_in_at(info.header, r) {
+                facts.push(Fact::NonCommutativeRecurrence { reg: r });
+                provably_parallel = false;
+                // The update must execute every iteration for the value
+                // chain to be provably unbroken; its def block dominating
+                // the latch guarantees that. Trip ≥ 2 makes the
+                // dependence non-vacuous.
+                let update_dominates = f.insts_with_refs(func).any(|(ir, inst, _)| {
+                    inst.def() == Some(r)
+                        && matches!(inst, Inst::Bin { dst, lhs, rhs, .. } if dst == lhs || dst == rhs)
+                        && f.loop_of_block(ir.block) == Some(l)
+                        && self.dom().dominates(ir.block, info.latch)
+                });
+                if update_dominates && bounds.is_some_and(|b| b.trip >= 2) {
+                    dependent = true;
+                }
+            } else {
+                privatize(&mut facts, r);
+            }
+        }
+        let mut accumulators: Vec<VReg> = Vec::new();
+        for &r in &summary.commutative_recs {
+            if self.live().live_in_at(info.header, r) {
+                facts.push(Fact::CommutativeRecurrence { reg: r });
+                accumulators.push(r);
+            } else {
+                privatize(&mut facts, r);
+            }
+        }
+
+        for c in &chains {
+            facts.push(Fact::ReductionChain { store: c.store });
+        }
+
+        // A definite memory dependence claim additionally needs the
+        // accesses to execute on every iteration of exactly this loop.
+        let executes_every_iteration = |a: &Access| {
+            f.loop_of_block(a.block) == Some(l) && self.dom().dominates(a.block, info.latch)
+        };
+
+        let mut n_pairs = 0usize;
+        for (i, a) in summary.accesses.iter().enumerate() {
+            for b in &summary.accesses[i..] {
+                if a.arr != b.arr || (!a.is_write && !b.is_write) {
+                    continue;
+                }
+                if red_arrays.contains(&a.arr) {
+                    continue; // tolerated: implemented as a reduction
+                }
+                n_pairs += 1;
+                let (ra, rb) = (a.inst_ref(func), b.inst_ref(func));
+                if !conflicts(iv, a, b) {
+                    let test = match test_pair(iv, a, b) {
+                        PairResult::Independent(t) => t,
+                        // `conflicts` said no, so the pair is independent
+                        // even if the exact-test classifier is more
+                        // conservative.
+                        _ => DepTest::Gcd,
+                    };
+                    facts.push(Fact::PairIndependent { a: ra, b: rb, test });
+                    continue;
+                }
+                provably_parallel = false;
+                match test_pair(iv, a, b) {
+                    PairResult::Definite(test, distance) => {
+                        let trip_ok = match (distance, bounds) {
+                            (Some(d), Some(bd)) => d != 0 && d < bd.trip,
+                            (None, Some(bd)) => bd.trip >= 2, // ZIV same cell
+                            _ => false,
+                        };
+                        if trip_ok && executes_every_iteration(a) && executes_every_iteration(b) {
+                            facts.push(Fact::PairDependent { a: ra, b: rb, test, distance });
+                            dependent = true;
+                        } else {
+                            facts.push(Fact::PairMayConflict { a: ra, b: rb });
+                        }
+                    }
+                    _ => facts.push(Fact::PairMayConflict { a: ra, b: rb }),
+                }
+            }
+        }
+
+        let verdict = if dependent {
+            Verdict::ProvablyDependent
+        } else if provably_parallel {
+            Verdict::ProvablyParallel
+        } else {
+            Verdict::Unknown
+        };
+        let reductions = if verdict == Verdict::ProvablyParallel {
+            self.reduction_targets(iv, &in_loop, &chains, &summary.accesses, &accumulators)
+        } else {
+            Vec::new()
+        };
+        OracleReport {
+            verdict,
             facts,
             excused,
             sections,
             n_accesses: summary.accesses.len(),
-            n_pairs_tested: 0,
+            n_pairs_tested: n_pairs,
             bounds,
+            private,
+            reductions,
+        }
+    }
+
+    /// Reduction clauses of a provably parallel loop: memory chains on a
+    /// loop-invariant cell, then scalar accumulators, deduplicated and
+    /// stably sorted by variable.
+    fn reduction_targets(
+        &self,
+        iv: VReg,
+        in_loop: &[bool],
+        chains: &[ReductionChain],
+        accesses: &[Access],
+        accumulators: &[VReg],
+    ) -> Vec<ReductionTarget> {
+        let mut targets: Vec<ReductionTarget> = Vec::new();
+        let scalars = accumulators.iter().filter_map(|&reg| {
+            let op = scalar_op(self.f, in_loop, reg)?;
+            Some(ReductionTarget { var: format!("%{}", reg.0), op })
+        });
+        for t in chains.iter().filter_map(|c| self.chain_target(c, iv, accesses)).chain(scalars) {
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
+        }
+        targets.sort_by(|a, b| a.var.cmp(&b.var));
+        targets
+    }
+
+    /// Reduction clause of one memory chain, when the chain's cell is
+    /// loop-invariant in `iv` (a cell that moves with the induction is an
+    /// iteration-local update, not a cross-iteration reduction — a clause
+    /// for it would misdescribe a DOALL).
+    fn chain_target(
+        &self,
+        c: &ReductionChain,
+        iv: VReg,
+        accesses: &[Access],
+    ) -> Option<ReductionTarget> {
+        let f = self.f;
+        let Inst::Store { arr, .. } = &f.blocks[c.store.block.index()].insts[c.store.idx as usize]
+        else {
+            return None;
         };
-    };
-
-    if summary.has_call {
-        facts.push(Fact::OpaqueCall);
-        provably_parallel = false;
-    }
-    for a in &summary.accesses {
-        if matches!(a.index, AffineExpr::Unknown) {
-            facts.push(Fact::NonAffineAccess { at: a.inst_ref(func) });
+        let cell = accesses
+            .iter()
+            .find(|a| a.block == c.store.block && a.idx_in_block == c.store.idx as usize);
+        let crosses_iterations = match cell.map(|a| &a.index) {
+            Some(AffineExpr::Affine { coeffs, .. }) => coeffs.get(&iv.0).copied().unwrap_or(0) == 0,
+            // Non-affine cell (e.g. `a[idx[i]]`): the chain may hit the
+            // same cell across iterations, so the clause is the safe
+            // description.
+            _ => true,
+        };
+        if !crosses_iterations {
+            return None;
         }
+        let op = match &f.blocks[c.bin.block.index()].insts[c.bin.idx as usize] {
+            Inst::Bin { op, .. } => ReductionOp::of_bin(*op)?,
+            _ => return None,
+        };
+        Some(ReductionTarget { var: self.module.arrays[arr.index()].name.clone(), op })
     }
+}
 
-    // Scalar recurrences: the dataflow engine distinguishes genuine
-    // cross-iteration accumulators (live into the header) from body
-    // temporaries that privatisation handles.
-    let live = liveness(f);
-    let cfg = Cfg::new(f);
-    let dom = Dominators::compute(&cfg);
-    for &r in &summary.noncommutative_recs {
-        if live.live_in_at(info.header, r) {
-            facts.push(Fact::NonCommutativeRecurrence { reg: r });
-            provably_parallel = false;
-            // The update must execute every iteration for the value chain
-            // to be provably unbroken; its def block dominating the latch
-            // guarantees that. Trip ≥ 2 makes the dependence non-vacuous.
-            let update_dominates = f.insts_with_refs(func).any(|(ir, inst, _)| {
-                inst.def() == Some(r)
-                    && matches!(inst, Inst::Bin { dst, lhs, rhs, .. } if dst == lhs || dst == rhs)
-                    && f.loop_of_block(ir.block) == Some(l)
-                    && dom.dominates(ir.block, info.latch)
-            });
-            if update_dominates && bounds.is_some_and(|b| b.trip >= 2) {
-                dependent = true;
-            }
-        } else {
-            facts.push(Fact::PrivatizableScalar { reg: r });
+/// Operator of the first commutative self-update of `reg` inside the
+/// loop whose blocks `in_loop` marks.
+fn scalar_op(f: &Function, in_loop: &[bool], reg: VReg) -> Option<ReductionOp> {
+    masked_blocks(f, in_loop).flat_map(|(_, blk)| &blk.insts).find_map(|inst| match inst {
+        Inst::Bin { op, dst, lhs, rhs } if *dst == reg && (*lhs == reg || *rhs == reg) => {
+            ReductionOp::of_bin(*op)
         }
-    }
-    for &r in &summary.commutative_recs {
-        if live.live_in_at(info.header, r) {
-            facts.push(Fact::CommutativeRecurrence { reg: r });
-        } else {
-            facts.push(Fact::PrivatizableScalar { reg: r });
-        }
-    }
-
-    for c in &chains {
-        facts.push(Fact::ReductionChain { store: c.store });
-    }
-
-    // A definite memory dependence claim additionally needs the accesses
-    // to execute on every iteration of exactly this loop.
-    let executes_every_iteration = |a: &Access| {
-        f.loop_of_block(a.block) == Some(l) && dom.dominates(a.block, info.latch)
-    };
-
-    let mut n_pairs = 0usize;
-    for (i, a) in summary.accesses.iter().enumerate() {
-        for b in &summary.accesses[i..] {
-            if a.arr != b.arr || (!a.is_write && !b.is_write) {
-                continue;
-            }
-            if red_arrays.contains(&a.arr) {
-                continue; // tolerated: implemented as a reduction
-            }
-            n_pairs += 1;
-            let (ra, rb) = (a.inst_ref(func), b.inst_ref(func));
-            if !conflicts(iv, a, b) {
-                let test = match test_pair(iv, a, b) {
-                    PairResult::Independent(t) => t,
-                    // `conflicts` said no, so the pair is independent even
-                    // if the exact-test classifier is more conservative.
-                    _ => DepTest::Gcd,
-                };
-                facts.push(Fact::PairIndependent { a: ra, b: rb, test });
-                continue;
-            }
-            provably_parallel = false;
-            match test_pair(iv, a, b) {
-                PairResult::Definite(test, distance) => {
-                    let trip_ok = match (distance, bounds) {
-                        (Some(d), Some(bd)) => d != 0 && d < bd.trip,
-                        (None, Some(bd)) => bd.trip >= 2, // ZIV same cell
-                        _ => false,
-                    };
-                    if trip_ok && executes_every_iteration(a) && executes_every_iteration(b) {
-                        facts.push(Fact::PairDependent { a: ra, b: rb, test, distance });
-                        dependent = true;
-                    } else {
-                        facts.push(Fact::PairMayConflict { a: ra, b: rb });
-                    }
-                }
-                _ => facts.push(Fact::PairMayConflict { a: ra, b: rb }),
-            }
-        }
-    }
-
-    let verdict = if dependent {
-        Verdict::ProvablyDependent
-    } else if provably_parallel {
-        Verdict::ProvablyParallel
-    } else {
-        Verdict::Unknown
-    };
-    OracleReport {
-        verdict,
-        facts,
-        excused,
-        sections,
-        n_accesses: summary.accesses.len(),
-        n_pairs_tested: n_pairs,
-        bounds,
-    }
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -624,6 +770,86 @@ mod tests {
         let r = analyze(&m, f, l);
         assert_eq!(r.verdict, Verdict::ProvablyDependent, "{:?}", r.facts);
         assert!(r.facts.iter().any(|x| matches!(x, Fact::NonCommutativeRecurrence { .. })));
+    }
+
+    #[test]
+    fn recurrence_facts_follow_register_order() {
+        // Two accumulators live around the loop and two temporaries
+        // reinitialised every iteration: four self-updating registers,
+        // whose facts must come out in register order on every call.
+        let mut m = Module::new("t");
+        let a = m.add_array("a", Ty::F64, 16);
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let (lo, hi, st) = (b.const_i64(0), b.const_i64(16), b.const_i64(1));
+        let sum = b.const_f64(0.0);
+        let prod = b.const_f64(1.0);
+        let l = b.for_loop(lo, hi, st, |b, iv| {
+            let x = b.load(a, iv);
+            b.bin_to(prod, BinOp::Mul, prod, x);
+            b.bin_to(sum, BinOp::Add, sum, x);
+            let t = b.bin(BinOp::Add, x, x);
+            b.bin_to(t, BinOp::Mul, t, x);
+            let u = b.bin(BinOp::Mul, x, x);
+            b.bin_to(u, BinOp::Add, u, x);
+            b.store(a, iv, u);
+        });
+        b.ret(Some(sum));
+        let f = b.finish();
+        let first = analyze(&m, f, l);
+        let regs: Vec<VReg> = first
+            .facts
+            .iter()
+            .filter_map(|x| match x {
+                Fact::CommutativeRecurrence { reg } | Fact::PrivatizableScalar { reg } => {
+                    Some(*reg)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(regs.len(), 4, "{:?}", first.facts);
+        assert!(regs.windows(2).all(|w| w[0] < w[1]), "register order: {regs:?}");
+        assert_eq!(first.private, regs[2..].to_vec());
+        assert_eq!(first.reductions.len(), 2, "{:?}", first.reductions);
+        for _ in 0..16 {
+            let again = analyze(&m, f, l);
+            assert_eq!(again.facts, first.facts);
+            assert_eq!(again.private, first.private);
+            assert_eq!(again.reductions, first.reductions);
+        }
+    }
+
+    #[test]
+    fn one_context_serves_every_loop_of_a_function() {
+        let mut m = Module::new("t");
+        let a = m.add_array("a", Ty::F64, 16);
+        let s = m.add_array("s", Ty::F64, 1);
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let (lo, hi, st) = (b.const_i64(0), b.const_i64(16), b.const_i64(1));
+        let zero = b.const_i64(0);
+        let one = b.const_i64(1);
+        b.for_loop(lo, hi, st, |b, iv| {
+            let x = b.load(a, iv);
+            let cur = b.load(s, zero);
+            let nxt = b.bin(BinOp::Add, cur, x);
+            b.store(s, zero, nxt);
+        });
+        b.for_loop(one, hi, st, |b, iv| {
+            let p = b.bin(BinOp::Sub, iv, one);
+            let x = b.load(a, p);
+            b.store(a, iv, x);
+        });
+        let f = b.finish();
+        let shared = FuncAnalysis::new(&m, f);
+        for info in &m.funcs[f.index()].loops {
+            let (one_off, via) = (analyze(&m, f, info.id), shared.analyze_loop(info.id));
+            assert_eq!(one_off.verdict, via.verdict);
+            assert_eq!(one_off.facts, via.facts);
+            assert_eq!(one_off.excused, via.excused);
+            assert_eq!(one_off.sections, via.sections);
+            assert_eq!(one_off.bounds, via.bounds);
+            assert_eq!(one_off.private, via.private);
+            assert_eq!(one_off.reductions, via.reductions);
+        }
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   ordering is valid; `min_distance` is the tightest such distance.
 //! - [`Plan::Serial`] — the blockers that rule the above out, typed.
 //!
+//! The planner reads only the oracle's report: the facts, and the
+//! privatizable scalars and reduction clauses the oracle derives from
+//! the same per-function analysis ([`crate::oracle::FuncAnalysis`]), so
+//! planning a loop never re-walks its function.
+//!
 //! A plan is a *proof* exactly when the backing verdict is decided
 //! ([`LoopPlan::proved`]): `DoAll`/`Reduction` ride on
 //! `ProvablyParallel`, `Doacross` on `ProvablyDependent`, and a
@@ -25,11 +30,9 @@
 //! interpreting profiler is property-tested in
 //! `tests/planner_soundness.rs`.
 
-use crate::affine::{reduction_chains, summarize_loop_strict, AffineExpr, ReductionChain};
-use crate::dataflow::liveness;
-use crate::oracle::{analyze_loop, Fact, OracleReport, Verdict};
-use mvgnn_ir::inst::{BinOp, Inst};
-use mvgnn_ir::module::{FuncId, Function, LoopId, Module};
+use crate::oracle::{analyze_loop, Fact, FuncAnalysis, OracleReport, Verdict};
+use mvgnn_ir::inst::BinOp;
+use mvgnn_ir::module::{FuncId, LoopId, Module};
 use mvgnn_ir::types::VReg;
 use std::fmt;
 
@@ -57,7 +60,7 @@ impl ReductionOp {
         }
     }
 
-    fn of_bin(op: BinOp) -> Option<ReductionOp> {
+    pub(crate) fn of_bin(op: BinOp) -> Option<ReductionOp> {
         match op {
             BinOp::Add => Some(ReductionOp::Add),
             BinOp::Mul => Some(ReductionOp::Mul),
@@ -209,58 +212,6 @@ impl LoopPlan {
     }
 }
 
-/// Reduction clause of one memory chain, when the chain's cell is
-/// loop-invariant in `iv` (a cell that moves with the induction is an
-/// iteration-local update, not a cross-iteration reduction — planning a
-/// clause for it would misdescribe a DOALL).
-fn chain_target(
-    module: &Module,
-    f: &Function,
-    c: &ReductionChain,
-    iv: VReg,
-    accesses: &[crate::affine::Access],
-) -> Option<ReductionTarget> {
-    let Inst::Store { arr, .. } = &f.blocks[c.store.block.index()].insts[c.store.idx as usize]
-    else {
-        return None;
-    };
-    let cell = accesses
-        .iter()
-        .find(|a| a.block == c.store.block && a.idx_in_block == c.store.idx as usize);
-    let crosses_iterations = match cell.map(|a| &a.index) {
-        Some(AffineExpr::Affine { coeffs, .. }) => coeffs.get(&iv.0).copied().unwrap_or(0) == 0,
-        // Non-affine cell (e.g. `a[idx[i]]`): the chain may hit the same
-        // cell across iterations, so the clause is the safe description.
-        _ => true,
-    };
-    if !crosses_iterations {
-        return None;
-    }
-    let op = match &f.blocks[c.bin.block.index()].insts[c.bin.idx as usize] {
-        Inst::Bin { op, .. } => ReductionOp::of_bin(*op)?,
-        _ => return None,
-    };
-    Some(ReductionTarget { var: module.arrays[arr.index()].name.clone(), op })
-}
-
-/// Operator of a scalar accumulator's self-update inside loop `l`.
-fn scalar_op(f: &Function, func: FuncId, l: LoopId, reg: VReg) -> Option<ReductionOp> {
-    let blocks: std::collections::HashSet<_> = f.loop_blocks(l).into_iter().collect();
-    f.insts_with_refs(func).find_map(|(r, inst, _)| {
-        if !blocks.contains(&r.block) {
-            return None;
-        }
-        match inst {
-            Inst::Bin { op, dst, lhs, rhs }
-                if *dst == reg && (*lhs == reg || *rhs == reg) =>
-            {
-                ReductionOp::of_bin(*op)
-            }
-            _ => None,
-        }
-    })
-}
-
 fn render_private(out: &mut String, private: &[String]) {
     if !private.is_empty() {
         out.push_str(&format!(" private({})", private.join(", ")));
@@ -301,65 +252,25 @@ fn render_pragma(plan: &Plan, verdict: Verdict) -> String {
 }
 
 /// Derive the plan for loop `l` from an already-computed oracle report.
+///
+/// Everything the plan needs is on the report — the verdict, the facts,
+/// the privatizable scalars and the reduction clauses — so planning
+/// never re-walks the function; the loop's location is part of the
+/// signature for callers that plan by position.
 pub fn plan_from_report(
-    module: &Module,
-    func: FuncId,
-    l: LoopId,
+    _module: &Module,
+    _func: FuncId,
+    _l: LoopId,
     report: &OracleReport,
 ) -> LoopPlan {
-    let f = &module.funcs[func.index()];
-    let info = &f.loops[l.index()];
-    let live = liveness(f);
-
-    // Privatization over the liveness results: a scalar the oracle found
-    // privatizable (its value is killed before use each iteration) is a
-    // `private(...)` candidate exactly when it is also dead at the loop
-    // exit — otherwise its last value escapes and privatizing it would
-    // change the program.
-    let mut private: Vec<String> = report
-        .facts
-        .iter()
-        .filter_map(|fact| match fact {
-            Fact::PrivatizableScalar { reg }
-                if !live.live_in_at(info.header, *reg) && !live.live_in_at(info.exit, *reg) =>
-            {
-                Some(format!("%{}", reg.0))
-            }
-            _ => None,
-        })
-        .collect();
+    let mut private: Vec<String> = report.private.iter().map(|r| format!("%{}", r.0)).collect();
     private.sort();
     private.dedup();
 
     let plan = match report.verdict {
+        Verdict::ProvablyParallel if report.reductions.is_empty() => Plan::DoAll { private },
         Verdict::ProvablyParallel => {
-            let mut targets: Vec<ReductionTarget> = Vec::new();
-            if let Some(iv) = info.induction {
-                let summary = summarize_loop_strict(module, func, l);
-                for c in &reduction_chains(module, func, l) {
-                    if let Some(t) = chain_target(module, f, c, iv, &summary.accesses) {
-                        if !targets.contains(&t) {
-                            targets.push(t);
-                        }
-                    }
-                }
-            }
-            for fact in &report.facts {
-                if let Fact::CommutativeRecurrence { reg } = fact {
-                    if let Some(op) = scalar_op(f, func, l, *reg) {
-                        let t = ReductionTarget { var: format!("%{}", reg.0), op };
-                        if !targets.contains(&t) {
-                            targets.push(t);
-                        }
-                    }
-                }
-            }
-            targets.sort_by(|a, b| a.var.cmp(&b.var));
-            if targets.is_empty() {
-                Plan::DoAll { private }
-            } else {
-                Plan::Reduction { targets, private }
-            }
+            Plan::Reduction { targets: report.reductions.clone(), private }
         }
         Verdict::ProvablyDependent | Verdict::Unknown => {
             // A provable pipeline needs *every* pair accounted for: each
@@ -430,8 +341,11 @@ pub fn plan_loop(module: &Module, func: FuncId, l: LoopId) -> LoopPlan {
 pub fn annotate_loops(module: &mut Module) {
     let mut pragmas: Vec<(usize, usize, String)> = Vec::new();
     for (fi, f) in module.funcs.iter().enumerate() {
+        let func = FuncId(fi as u32);
+        let analysis = FuncAnalysis::new(module, func);
         for (li, _) in f.loops.iter().enumerate() {
-            let plan = plan_loop(module, FuncId(fi as u32), LoopId(li as u32));
+            let l = LoopId(li as u32);
+            let plan = plan_from_report(module, func, l, &analysis.analyze_loop(l));
             pragmas.push((fi, li, plan.pragma));
         }
     }

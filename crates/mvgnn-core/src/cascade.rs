@@ -3,11 +3,15 @@
 //!
 //! Every classification surface in the workspace fronts a [`Cascade`]:
 //!
-//! - **Tier 0 — static oracle.** `mvgnn_analyze::analyze_loop` runs
-//!   first; a `ProvablyParallel` / `ProvablyDependent` verdict is final
-//!   and free — no featurisation, no GNN workspace, no batch slot. The
-//!   oracle's [`Fact`](mvgnn_analyze::Fact)s ride along on the report as
-//!   provenance. `Unknown` falls through.
+//! - **Tier 0 — static oracle.** The oracle runs first, on the static
+//!   IR alone: one [`FuncAnalysis`] serves every loop of the entry. A
+//!   `ProvablyParallel` / `ProvablyDependent` verdict is final and
+//!   cheap — no interpreter run, no CU/PEG build, no featurisation, no
+//!   GNN workspace, no batch slot — and the planner's proved plan is
+//!   read off the same report. The oracle's
+//!   [`Fact`](mvgnn_analyze::Fact)s ride along as provenance. `Unknown`
+//!   falls through, and only a call that leaves some loop undecided
+//!   runs the interpreting profiler, once, over the entry.
 //! - **Tier 1 — calibrated GNN.** Undecided loops are featurised
 //!   (optionally with the oracle's
 //!   [`feature_vec`](mvgnn_analyze::OracleReport::feature_vec) broadcast
@@ -19,8 +23,8 @@
 //!   checkpoint) to produce a confidence.
 //! - **Tier 2 — dynamic profiler.** A healthy fused verdict whose
 //!   calibrated confidence falls below the configured band routes to
-//!   `mvgnn_profiler::classify_loop` over the already-profiled
-//!   dependence graph — the slow, evidence-backed last resort.
+//!   `mvgnn_profiler::classify_loop` over the dependence graph of that
+//!   trace — the slow, evidence-backed last resort.
 //!
 //! Each report's [`DecidedBy`] records which tier was final. Tier-0
 //! verdicts can never be contradicted downstream (the short-circuit is
@@ -29,7 +33,7 @@
 
 use crate::infer::{conservative, view_ladder, LoopReport, PredictionSource};
 use crate::model::{CheckedPrediction, MvGnn, RowOutputs};
-use mvgnn_analyze::{analyze_loop, plan_from_report, OracleReport, Verdict};
+use mvgnn_analyze::{analyze_loop, plan_from_report, FuncAnalysis, OracleReport, Verdict};
 use mvgnn_embed::{
     build_sample_with_static, sample_fingerprint, sample_fingerprint_with_static, FeatureCache,
     GraphSample, Inst2Vec, SampleConfig,
@@ -337,12 +341,16 @@ impl Cascade {
     /// Classify every loop of `entry` through the configured tiers.
     ///
     /// The returned vector always covers every loop of the function, in
-    /// loop order. Tier-0 verdicts carry the oracle report (facts and
-    /// all) and never touch the GNN; undecided loops go through the
-    /// pre-check + packed-batch path of [`Self::gnn_batch`], with the
-    /// degradation ladder of [`crate::infer::view_ladder`];
-    /// borderline healthy verdicts are re-decided by the profiler tier
-    /// over the dependence graph the profiling pass already produced.
+    /// loop order. Tier 0 runs before anything executes: its verdicts
+    /// carry the oracle report (facts and all) and the proved plan, and
+    /// never touch the interpreter or the GNN. When it decides every
+    /// loop the entry is never interpreted, so `max_steps` and
+    /// `max_call_depth` go unused. Otherwise the entry is profiled once;
+    /// undecided loops go through the pre-check + packed-batch path of
+    /// [`Self::gnn_batch`], with the degradation ladder of
+    /// [`crate::infer::view_ladder`], and borderline healthy verdicts
+    /// are re-decided by the profiler tier over that trace's dependence
+    /// graph.
     #[allow(clippy::too_many_arguments)]
     pub fn classify_module_cached(
         &self,
@@ -355,20 +363,20 @@ impl Cascade {
         max_call_depth: Option<u32>,
         mut cache: Option<&mut FeatureCache>,
     ) -> Vec<LoopReport> {
-        let partial = profile_module_resilient(module, entry, &[], max_steps, max_call_depth);
-        let trace_fault = partial.error.as_ref().map(|e| e.to_string());
-
-        // Tier 0 — oracle short-circuit. Definite verdicts fill their
-        // report slot immediately; only the survivors pay for the PEG,
-        // featurisation, and the model.
+        // Tier 0 — oracle short-circuit on the static IR alone, before
+        // anything runs. One `FuncAnalysis` serves every loop of the
+        // entry; definite verdicts fill their report slot immediately,
+        // and only the survivors pay for the trace, the PEG,
+        // featurisation and the model.
         let loops = &module.funcs[entry.index()].loops;
         let mut reports: Vec<Option<LoopReport>> = (0..loops.len()).map(|_| None).collect();
         let mut undecided: Vec<(usize, LoopId, u32, Option<Arc<OracleReport>>)> = Vec::new();
+        let analysis = self.config.use_oracle.then(|| FuncAnalysis::new(module, entry));
         for (slot, info) in loops.iter().enumerate() {
             let l = info.id;
             let line = info.line_span.0;
-            if self.config.use_oracle {
-                let report = Arc::new(analyze_loop(module, entry, l));
+            if let Some(analysis) = &analysis {
+                let report = Arc::new(analysis.analyze_loop(l));
                 if let Some(prediction) = oracle_decision(&report) {
                     // The decision is proved, so the planner's typed
                     // pragma rides along as actionable output.
@@ -395,6 +403,10 @@ impl Cascade {
             return reports.into_iter().flatten().collect();
         }
 
+        // A loop is left undecided: trace the entry for the dynamic
+        // evidence tiers 1 and 2 read.
+        let partial = profile_module_resilient(module, entry, &[], max_steps, max_call_depth);
+        let trace_fault = partial.error.as_ref().map(|e| e.to_string());
         let cus = build_cus(module);
         let peg = build_peg(module, &cus, &partial.deps);
         let attach_static =

@@ -133,6 +133,8 @@ pub fn build_cus(module: &Module) -> CuGraph {
 
     for (fi, f) in module.funcs.iter().enumerate() {
         let func = FuncId(fi as u32);
+        // CUs of this function occupy `cus[first..]`.
+        let first = cus.len();
         let insts: Vec<(InstRef, &Inst, u32)> = f.insts_with_refs(func).collect();
         let n = insts.len();
         // Flat index per instruction for union-find.
@@ -213,7 +215,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
         }
 
         // Tokens: singleton -> inst token; compute -> dominant member token.
-        for cu in cus.iter_mut().filter(|c| c.func == func) {
+        for cu in &mut cus[first..] {
             let mut tokens: Vec<String> = cu
                 .members
                 .iter()

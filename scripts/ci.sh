@@ -13,8 +13,8 @@ cargo build --release --workspace --quiet
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
-echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, in the optimised build the benchmark runs)"
-cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler
+echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, oracle and planner soundness, in the optimised build the benchmark runs)"
+cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler -p mvgnn-analyze
 
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
@@ -51,6 +51,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> benchmark build (perfbench compiles against the libraries, lockfile untouched)"
 cargo build --offline --locked --release --manifest-path perfbench/Cargo.toml --quiet
+
+echo "==> benchmark smoke (traced cascade_full: the profile-first re-drive agrees with the library on every loop)"
+cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- --workload cascade_full --seconds 1 --trace 1
 
 echo "==> panic-site ratchet"
 bash scripts/panic_audit.sh
