@@ -223,7 +223,7 @@ fn smoke() {
     let train = TrainConfig { epochs: 1, batch_size: 8, ..Default::default() };
     let before = vm_rss();
     let (res, peak) = peak_rss_during(|| {
-        train_streaming(&mut model, &shards, &train, &StreamConfig { prefetch: 2, ..Default::default() })
+        train_streaming(&mut model, &shards, &train, &StreamConfig { prefetch: 2 })
     });
     let stats = mvgnn_bench::or_die(res);
     let grew = peak.saturating_sub(before);

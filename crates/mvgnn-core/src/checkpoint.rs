@@ -1,34 +1,9 @@
-//! Training checkpoints: a versioned, checksummed container around the
-//! weight snapshot plus the optimizer-facing state needed to resume
-//! (epoch counter, current learning rate, telemetry so far).
+//! Model checkpoints: the one on-disk weight format (MVCK, version 3).
 //!
-//! Layout (little-endian):
-//! `magic "MVCK" | version u32 | epoch u64 | lr f32 | retries u32 |
-//!  calibration flag u8 [temperature f32] |
-//!  stats count u32 | (epoch u64, loss f32, accuracy f32)* |
-//!  payload len u64 | FNV-1a checksum u64 | payload`
-//! where the payload is the `save_params` weight blob. The calibration
-//! field (version 2) stores the cascade's fused-head temperature-scaling
-//! constant alongside the weights it was fit for; version-1 files are
-//! still read (calibration `None`).
-//!
-//! Writes are atomic: the file is written to a sibling `*.tmp` path and
-//! renamed over the target, so a crash mid-write never leaves a
-//! half-written checkpoint behind. Reads validate magic, version, length
-//! and checksum before any byte of the payload is interpreted, and every
-//! failure is a typed [`MvGnnError::Checkpoint`] — corrupt files degrade
-//! to an error, never a panic.
-//!
-//! ## The mapped generation (on-disk version 3, "MVCK-v2")
-//!
-//! Versions 1–2 above are the *eager* layouts: the weight payload is an
-//! opaque `save_params` blob that must be parsed f32-by-f32 into owned
-//! buffers. On-disk version 3 is the zero-copy generation — docs and
-//! ROADMAP call it MVCK-v2, the second-generation artifact story. It
-//! adds a feature-flag word (explicit compatibility: a reader that sees
-//! a flag bit it does not know refuses the file with a typed error
-//! instead of guessing, in the style of `sui-protocol-config`), and
-//! lays tensors out for direct mapping:
+//! A checkpoint holds the weights plus the state needed to resume
+//! training (epoch counter, current learning rate, rollback retries,
+//! telemetry so far) and the cascade's calibration. Tensors are laid
+//! out for direct mapping:
 //!
 //! ```text
 //! magic "MVCK" | version u32 = 3 | feature flags u32 |
@@ -45,60 +20,49 @@
 //!              offset, every offset 64-byte aligned
 //! ```
 //!
-//! `total file len` makes truncation detectable from the fixed-size
-//! prefix in O(1); tensor offsets are validated against the mapped
-//! length before any dereference (so a file shortened behind our back
-//! becomes a typed error, not a SIGBUS); and the 64-byte alignment of
-//! every data offset — on top of the page-aligned mapping base — is
-//! what lets [`mvgnn_tensor::Storage`] view each tensor in place.
-//! [`read_checkpoint`] keeps reading versions 1–2; a version-3 file
-//! must go through [`MappedCheckpoint::open`].
+//! The feature-flag word makes compatibility explicit: a reader that
+//! sees a flag bit it does not know refuses the file with a typed error
+//! instead of guessing, in the style of `sui-protocol-config`.
+//!
+//! Writes are atomic: the file is written to a sibling `*.tmp` path and
+//! renamed over the target, so a crash mid-write never leaves a
+//! half-written checkpoint behind. [`MappedCheckpoint::open`] maps the
+//! file and validates it before any tensor byte is interpreted: `total
+//! file len` makes truncation detectable from the fixed-size prefix in
+//! O(1), the tensor directory must describe exactly the layout the
+//! writer produces (so no offset can point at another tensor's bytes,
+//! and a file shortened behind our back is a typed error, not a
+//! SIGBUS), and the tensor region must match its checksum. Every failure
+//! is a typed [`MvGnnError::Checkpoint`] — corrupt files degrade to an
+//! error, never a panic. The 64-byte alignment of every data offset, on
+//! top of the page-aligned mapping base, is what lets
+//! [`mvgnn_tensor::Storage`] view each tensor in place.
+//!
+//! Files of the retired versions 1 and 2 are refused with an error that
+//! names the version.
 
 use crate::error::MvGnnError;
 use crate::trainer::EpochStats;
 use bytes::{Buf, BufMut, BytesMut};
-use mvgnn_tensor::{Mmap, Params, Storage};
+use mvgnn_tensor::{Mmap, ParamId, Params, Storage};
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MVCK";
-const VERSION: u32 = 2;
-const MIN_VERSION: u32 = 1;
-
-/// On-disk version of the mapped (MVCK-v2) generation.
-const VERSION_MAPPED: u32 = 3;
+/// The on-disk version this build writes and reads.
+const VERSION: u32 = 3;
 /// Tensor data offsets are multiples of 64 bytes (cache line; divides
 /// the 4096-byte page alignment of the mapping base).
-pub const TENSOR_ALIGN: usize = 64;
+const TENSOR_ALIGN: usize = 64;
 /// Feature flag: the tensor section is 64-byte aligned for direct
 /// mapping. Set on every file this writer produces.
-pub const FLAG_ALIGNED_TENSORS: u32 = 1 << 0;
+const FLAG_ALIGNED_TENSORS: u32 = 1 << 0;
 /// Every flag bit this reader understands; any other bit set in a file
 /// means a newer writer, and the file is refused with a typed error.
 const KNOWN_FLAGS: u32 = FLAG_ALIGNED_TENSORS;
-/// Fixed-size prefix of a version-3 file:
-/// magic(4) + version(4) + flags(4) + total len(8) + meta len(4).
-const MAPPED_PREFIX: usize = 24;
-
-/// Everything needed to resume an interrupted training run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    /// Last completed epoch (0-based).
-    pub epoch: usize,
-    /// Learning rate in effect (after any divergence backoff).
-    pub lr: f32,
-    /// Rollback retries consumed so far.
-    pub retries: usize,
-    /// Temperature-scaling calibration of the fused head (see
-    /// `crate::cascade::Calibration`), fit on a held-out slice and
-    /// stored with the weights it belongs to. `None` for uncalibrated
-    /// models and version-1 files.
-    pub calibration: Option<f32>,
-    /// Telemetry of all completed epochs.
-    pub stats: Vec<EpochStats>,
-    /// Weight snapshot (`save_params` format).
-    pub weights: Vec<u8>,
-}
+/// Fixed-size prefix: magic(4) + version(4) + flags(4) + total len(8) +
+/// meta len(4).
+const PREFIX: usize = 24;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -109,198 +73,36 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serialise a checkpoint to its binary form.
-pub fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64 + cp.stats.len() * 16 + cp.weights.len());
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(cp.epoch as u64);
-    buf.put_f32_le(cp.lr);
-    buf.put_u32_le(cp.retries as u32);
-    match cp.calibration {
-        Some(t) => {
-            buf.put_u8(1);
-            buf.put_f32_le(t);
-        }
-        None => buf.put_u8(0),
-    }
-    buf.put_u32_le(cp.stats.len() as u32);
-    for s in &cp.stats {
-        buf.put_u64_le(s.epoch as u64);
-        buf.put_f32_le(s.loss);
-        buf.put_f32_le(s.accuracy);
-    }
-    buf.put_u64_le(cp.weights.len() as u64);
-    buf.put_u64_le(fnv1a(&cp.weights));
-    buf.put_slice(&cp.weights);
-    buf.freeze().to_vec()
-}
-
-fn need(bytes: &[u8], n: usize, what: &str) -> Result<(), MvGnnError> {
-    if bytes.remaining() < n {
-        return Err(MvGnnError::Checkpoint(format!(
-            "truncated before {what} ({} bytes left, need {n})",
-            bytes.remaining()
-        )));
-    }
-    Ok(())
-}
-
-/// Parse and validate a checkpoint's binary form.
-pub fn decode_checkpoint(mut bytes: &[u8]) -> Result<Checkpoint, MvGnnError> {
-    need(bytes, 8, "header")?;
-    let mut magic = [0u8; 4];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(MvGnnError::Checkpoint("bad magic (not a MVCK file)".into()));
-    }
-    let version = bytes.get_u32_le();
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(MvGnnError::Checkpoint(format!("unsupported version {version}")));
-    }
-    need(bytes, 16, "epoch/lr/retries")?;
-    let epoch = bytes.get_u64_le() as usize;
-    let lr = bytes.get_f32_le();
-    if !lr.is_finite() || lr <= 0.0 {
-        return Err(MvGnnError::Checkpoint(format!("non-positive or non-finite lr {lr}")));
-    }
-    let retries = bytes.get_u32_le() as usize;
-    let calibration = if version >= 2 {
-        need(bytes, 1, "calibration flag")?;
-        match bytes.get_u8() {
-            0 => None,
-            1 => {
-                need(bytes, 4, "calibration temperature")?;
-                let t = bytes.get_f32_le();
-                if !t.is_finite() || t <= 0.0 {
-                    return Err(MvGnnError::Checkpoint(format!(
-                        "non-positive or non-finite calibration temperature {t}"
-                    )));
-                }
-                Some(t)
-            }
-            other => {
-                return Err(MvGnnError::Checkpoint(format!(
-                    "bad calibration flag {other} (want 0 or 1)"
-                )))
-            }
-        }
-    } else {
-        None
-    };
-    need(bytes, 4, "stats count")?;
-    let n_stats = bytes.get_u32_le() as usize;
-    need(bytes, n_stats.saturating_mul(16), "epoch stats")?;
-    let mut stats = Vec::with_capacity(n_stats.min(4096));
-    for _ in 0..n_stats {
-        let epoch = bytes.get_u64_le() as usize;
-        let loss = bytes.get_f32_le();
-        let accuracy = bytes.get_f32_le();
-        stats.push(EpochStats { epoch, loss, accuracy });
-    }
-    need(bytes, 16, "payload header")?;
-    let payload_len = bytes.get_u64_le() as usize;
-    let checksum = bytes.get_u64_le();
-    if bytes.remaining() != payload_len {
-        return Err(MvGnnError::Checkpoint(format!(
-            "payload length mismatch: header says {payload_len}, file has {}",
-            bytes.remaining()
-        )));
-    }
-    if fnv1a(bytes) != checksum {
-        return Err(MvGnnError::Checkpoint("payload checksum mismatch".into()));
-    }
-    Ok(Checkpoint { epoch, lr, retries, calibration, stats, weights: bytes.to_vec() })
-}
-
-/// Atomically write a checkpoint: serialise to `<path>.tmp`, then rename
-/// over `path` so readers only ever observe complete files.
-pub fn write_checkpoint(path: &Path, cp: &Checkpoint) -> Result<(), MvGnnError> {
-    let encoded = encode_checkpoint(cp);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &encoded)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Read and validate a checkpoint file.
-///
-/// The fixed-size header (magic + version) is validated from an 8-byte
-/// read *before* the rest of the file is touched, so a bad-magic or
-/// wrong-version file of any size is rejected in O(1), not O(file).
-pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, MvGnnError> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path)?;
-    let file_len = file.metadata()?.len();
-    if file_len < 8 {
-        return Err(MvGnnError::Checkpoint(format!(
-            "truncated before header ({file_len} bytes, need 8)"
-        )));
-    }
-    let mut head = [0u8; 8];
-    file.read_exact(&mut head)?;
-    if &head[..4] != MAGIC {
-        return Err(MvGnnError::Checkpoint("bad magic (not a MVCK file)".into()));
-    }
-    let version = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    if version == VERSION_MAPPED {
-        return Err(MvGnnError::Checkpoint(format!(
-            "version {version} is the mapped MVCK-v2 layout; open it with MappedCheckpoint::open"
-        )));
-    }
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(MvGnnError::Checkpoint(format!("unsupported version {version}")));
-    }
-    let mut bytes = Vec::with_capacity(usize::try_from(file_len).unwrap_or(0));
-    bytes.extend_from_slice(&head);
-    file.read_to_end(&mut bytes)?;
-    decode_checkpoint(&bytes)
-}
-
-/// The resume state of a checkpoint minus the weights — what the mapped
-/// layout stores inline in its meta block (the weights live in the
-/// aligned tensor section instead of a `save_params` blob).
+/// The resume state stored alongside the weights in the meta block.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CheckpointMeta {
     /// Last completed epoch (0-based).
     pub epoch: usize,
-    /// Learning rate in effect.
+    /// Learning rate in effect (after any divergence backoff).
     pub lr: f32,
     /// Rollback retries consumed so far.
     pub retries: usize,
-    /// Fused-head temperature-scaling constant, if calibrated.
+    /// Temperature-scaling calibration of the fused head (see
+    /// `crate::cascade::Calibration`), stored with the weights it was
+    /// fit for; `None` for uncalibrated models.
     pub calibration: Option<f32>,
     /// Telemetry of all completed epochs.
     pub stats: Vec<EpochStats>,
-}
-
-impl From<&Checkpoint> for CheckpointMeta {
-    fn from(cp: &Checkpoint) -> Self {
-        CheckpointMeta {
-            epoch: cp.epoch,
-            lr: cp.lr,
-            retries: cp.retries,
-            calibration: cp.calibration,
-            stats: cp.stats.clone(),
-        }
-    }
 }
 
 fn ck(msg: impl Into<String>) -> MvGnnError {
     MvGnnError::Checkpoint(msg.into())
 }
 
-fn pad_to(buf: &mut BytesMut, align: usize) {
-    while !buf.len().is_multiple_of(align) {
-        buf.put_u8(0);
-    }
+fn align_up(n: usize) -> usize {
+    n.div_ceil(TENSOR_ALIGN) * TENSOR_ALIGN
 }
 
-/// Atomically write a mapped-generation (on-disk version 3) checkpoint:
-/// meta block up front, every tensor's raw f32 data at a 64-byte-aligned
-/// offset, and an FNV-1a checksum over the whole tensor region. The
-/// resulting file is what [`MappedCheckpoint::open`] maps.
-pub fn write_mapped_checkpoint(
+/// Atomically write a checkpoint: meta block up front, every tensor's
+/// raw f32 data at a 64-byte-aligned offset, and an FNV-1a checksum over
+/// the whole tensor region. The resulting file is what
+/// [`MappedCheckpoint::open`] maps.
+pub fn write_checkpoint(
     path: &Path,
     meta: &CheckpointMeta,
     params: &Params,
@@ -329,24 +131,22 @@ pub fn write_mapped_checkpoint(
     mb.put_u32_le(params.len() as u32);
     // Tensor directory: offsets are assigned walking the aligned region
     // that starts after prefix + meta + checksum, rounded up.
-    let dir_fixed: usize = (0..params.len())
-        .map(|i| 4 + params.name(mvgnn_tensor::ParamId(i)).len() + 4 + 4 + 8 + 8)
-        .sum();
+    let dir_fixed: usize =
+        (0..params.len()).map(|i| 4 + params.name(ParamId(i)).len() + 4 + 4 + 8 + 8).sum();
     let meta_len = mb.len() + dir_fixed + 8;
-    let region_start = (MAPPED_PREFIX + meta_len).div_ceil(TENSOR_ALIGN) * TENSOR_ALIGN;
+    let region_start = align_up(PREFIX + meta_len);
     let mut offset = region_start;
     let mut offsets = Vec::with_capacity(params.len());
     for i in 0..params.len() {
-        let id = mvgnn_tensor::ParamId(i);
-        let bytes = params.data(id).len() * 4;
+        let bytes = params.data(ParamId(i)).len() * 4;
         offsets.push((offset, bytes));
-        offset = (offset + bytes).div_ceil(TENSOR_ALIGN) * TENSOR_ALIGN;
+        offset = align_up(offset + bytes);
     }
     // Total length: the file ends where the last tensor's data ends (no
     // trailing pad), or at the region start for an empty store.
     let total_len = offsets.last().map_or(region_start, |&(o, b)| o + b);
     for (i, &(off, bytes)) in offsets.iter().enumerate() {
-        let id = mvgnn_tensor::ParamId(i);
+        let id = ParamId(i);
         let name = params.name(id);
         let (rows, cols) = params.shape(id);
         mb.put_u32_le(name.len() as u32);
@@ -360,11 +160,10 @@ pub fn write_mapped_checkpoint(
     // offsets, checksummed as one run.
     let mut region = BytesMut::with_capacity(total_len - region_start);
     for (i, &(off, _)) in offsets.iter().enumerate() {
-        let id = mvgnn_tensor::ParamId(i);
         while region_start + region.len() < off {
             region.put_u8(0);
         }
-        for &x in params.data(id) {
+        for &x in params.data(ParamId(i)) {
             region.put_f32_le(x);
         }
     }
@@ -373,13 +172,12 @@ pub fn write_mapped_checkpoint(
 
     let mut buf = BytesMut::with_capacity(total_len);
     buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_MAPPED);
+    buf.put_u32_le(VERSION);
     buf.put_u32_le(FLAG_ALIGNED_TENSORS);
     buf.put_u64_le(total_len as u64);
     buf.put_u32_le(meta_len as u32);
     buf.put_slice(&mb);
-    pad_to(&mut buf, TENSOR_ALIGN);
-    debug_assert_eq!(buf.len(), region_start);
+    buf.put_slice(&[0u8; TENSOR_ALIGN][..region_start - buf.len()]);
     buf.put_slice(&region);
     debug_assert_eq!(buf.len(), total_len);
 
@@ -398,10 +196,165 @@ struct TensorEntry {
     bytes: usize,
 }
 
-/// An open, fully-validated mapped checkpoint. Holding one keeps the
-/// mapping alive; [`MappedCheckpoint::install`] hands out zero-copy
-/// [`Storage`] views into it, so a store loaded this way shares the
-/// page cache with every other process that mapped the same file.
+/// Validate a whole checkpoint file held in `bytes` and return its meta
+/// block and tensor directory.
+///
+/// Validation is cheapest-first: the fixed-size prefix (magic, version,
+/// unknown feature flags, declared total length vs. the real length —
+/// all O(1)), then the meta block (bounds-checked parse), then every
+/// tensor's offset against the writer's canonical layout, and only then
+/// the tensor-region checksum (one sequential pass, still copy-free).
+fn decode(bytes: &[u8]) -> Result<(CheckpointMeta, Vec<TensorEntry>), MvGnnError> {
+    if bytes.len() < 8 {
+        return Err(ck(format!("truncated before header ({} bytes)", bytes.len())));
+    }
+    let mut head = bytes;
+    let mut magic = [0u8; 4];
+    head.copy_to_slice(&mut magic);
+    if &magic != MAGIC {
+        return Err(ck("bad magic (not a MVCK file)"));
+    }
+    let version = head.get_u32_le();
+    if version != VERSION {
+        return Err(ck(format!(
+            "unsupported version {version} (this build reads version {VERSION})"
+        )));
+    }
+    if bytes.len() < PREFIX {
+        return Err(ck(format!("truncated before header ({} bytes)", bytes.len())));
+    }
+    let flags = head.get_u32_le();
+    let unknown = flags & !KNOWN_FLAGS;
+    if unknown != 0 {
+        return Err(ck(format!(
+            "unknown feature flags {unknown:#010b}: file written by a newer \
+             version; refusing to guess at its layout"
+        )));
+    }
+    if flags & FLAG_ALIGNED_TENSORS == 0 {
+        return Err(ck("tensor section not flagged aligned; cannot map"));
+    }
+    let total_len = head.get_u64_le();
+    if total_len != bytes.len() as u64 {
+        return Err(ck(format!(
+            "file is {} bytes but header declares {total_len} (truncated or grown)",
+            bytes.len()
+        )));
+    }
+    let meta_len = head.get_u32_le() as usize;
+    let meta_end = PREFIX
+        .checked_add(meta_len)
+        .filter(|&e| e <= bytes.len())
+        .ok_or_else(|| ck(format!("meta block ({meta_len} bytes) exceeds the file")))?;
+
+    let mut mb = &bytes[PREFIX..meta_end];
+    let need = |mb: &&[u8], n: usize, what: &str| -> Result<(), MvGnnError> {
+        if mb.remaining() < n {
+            Err(ck(format!("meta block truncated before {what}")))
+        } else {
+            Ok(())
+        }
+    };
+    need(&mb, 16, "epoch/lr/retries")?;
+    let epoch = mb.get_u64_le() as usize;
+    let lr = mb.get_f32_le();
+    if !lr.is_finite() || lr <= 0.0 {
+        return Err(ck(format!("non-positive or non-finite lr {lr}")));
+    }
+    let retries = mb.get_u32_le() as usize;
+    need(&mb, 1, "calibration flag")?;
+    let calibration = match mb.get_u8() {
+        0 => None,
+        1 => {
+            need(&mb, 4, "calibration temperature")?;
+            let t = mb.get_f32_le();
+            if !t.is_finite() || t <= 0.0 {
+                return Err(ck(format!("non-positive or non-finite calibration temperature {t}")));
+            }
+            Some(t)
+        }
+        other => return Err(ck(format!("bad calibration flag {other} (want 0 or 1)"))),
+    };
+    need(&mb, 4, "stats count")?;
+    let n_stats = mb.get_u32_le() as usize;
+    need(&mb, n_stats.saturating_mul(16), "epoch stats")?;
+    let mut stats = Vec::with_capacity(n_stats.min(4096));
+    for _ in 0..n_stats {
+        let epoch = mb.get_u64_le() as usize;
+        let loss = mb.get_f32_le();
+        let accuracy = mb.get_f32_le();
+        stats.push(EpochStats { epoch, loss, accuracy });
+    }
+    need(&mb, 4, "tensor count")?;
+    let n_tensors = mb.get_u32_le() as usize;
+    let mut tensors = Vec::with_capacity(n_tensors.min(4096));
+    // The canonical layout: the first tensor starts at the aligned end
+    // of the meta block, each later one at the aligned end of the one
+    // before, and the file ends where the last one ends. The meta block
+    // is not checksummed, so any other offset is refused.
+    let region_start = align_up(meta_end);
+    let mut end = region_start;
+    for i in 0..n_tensors {
+        need(&mb, 4, "tensor name length")?;
+        let name_len = mb.get_u32_le() as usize;
+        need(&mb, name_len.saturating_add(24), "tensor directory entry")?;
+        let mut name = vec![0u8; name_len];
+        mb.copy_to_slice(&mut name);
+        let name =
+            String::from_utf8(name).map_err(|_| ck(format!("tensor {i}: non-utf8 name")))?;
+        let rows = mb.get_u32_le() as usize;
+        let cols = mb.get_u32_le() as usize;
+        let offset = mb.get_u64_le();
+        let tbytes = mb.get_u64_le();
+        let want = rows
+            .checked_mul(cols)
+            .and_then(|e| e.checked_mul(4))
+            .ok_or_else(|| ck(format!("tensor `{name}`: shape {rows}×{cols} overflows")))?;
+        if tbytes != want as u64 {
+            return Err(ck(format!(
+                "tensor `{name}`: {rows}×{cols} needs {want} bytes, directory says {tbytes}"
+            )));
+        }
+        let expected = align_up(end);
+        if offset != expected as u64 {
+            return Err(ck(format!(
+                "tensor `{name}`: data offset {offset}, want {expected} (each tensor starts \
+                 at the next {TENSOR_ALIGN}-byte aligned byte after the one before)"
+            )));
+        }
+        end = expected
+            .checked_add(want)
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(|| {
+                ck(format!(
+                    "tensor `{name}`: data [{expected}, {expected}+{want}) exceeds the \
+                     {}-byte file",
+                    bytes.len()
+                ))
+            })?;
+        tensors.push(TensorEntry { name, rows, cols, offset: expected, bytes: want });
+    }
+    need(&mb, 8, "tensor-region checksum")?;
+    let checksum = mb.get_u64_le();
+    if mb.remaining() != 0 {
+        return Err(ck(format!("{} undeclared bytes at the end of the meta block", mb.len())));
+    }
+    if end != bytes.len() {
+        return Err(ck(format!(
+            "tensor data ends at byte {end} but the file is {} bytes",
+            bytes.len()
+        )));
+    }
+    if fnv1a(&bytes[region_start..]) != checksum {
+        return Err(ck("tensor-region checksum mismatch"));
+    }
+    Ok((CheckpointMeta { epoch, lr, retries, calibration, stats }, tensors))
+}
+
+/// An open, fully-validated checkpoint. Holding one keeps the mapping
+/// alive; [`MappedCheckpoint::install`] hands out zero-copy [`Storage`]
+/// views into it, so a store loaded this way shares the page cache with
+/// every other process that mapped the same file.
 #[derive(Debug)]
 pub struct MappedCheckpoint {
     meta: CheckpointMeta,
@@ -410,154 +363,13 @@ pub struct MappedCheckpoint {
 }
 
 impl MappedCheckpoint {
-    /// Map and validate a version-3 checkpoint file.
-    ///
-    /// Validation order is cheapest-first: the fixed-size prefix (magic,
-    /// version, unknown feature flags, declared total length vs. the
-    /// real file size — all O(1)), then the meta block (bounds-checked
-    /// parse), then every tensor's offset/alignment/extent against the
-    /// mapped length, and only then the tensor-region checksum (one
-    /// sequential pass, still copy-free). Every failure is a typed
-    /// [`MvGnnError::Checkpoint`].
+    /// Map and validate a checkpoint file. On targets without `mmap` the
+    /// file is read into an owned, aligned buffer instead; validation
+    /// and installation are the same either way.
     pub fn open(path: &Path) -> Result<MappedCheckpoint, MvGnnError> {
-        let file = std::fs::File::open(path)?;
-        let map = Arc::new(Mmap::map_file(&file)?);
-        let bytes = map.as_slice();
-        if bytes.len() < MAPPED_PREFIX {
-            return Err(ck(format!("truncated before header ({} bytes)", bytes.len())));
-        }
-        let mut head = &bytes[..MAPPED_PREFIX];
-        let mut magic = [0u8; 4];
-        head.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(ck("bad magic (not a MVCK file)"));
-        }
-        let version = head.get_u32_le();
-        if version != VERSION_MAPPED {
-            return Err(ck(format!(
-                "version {version} is not the mapped layout (want {VERSION_MAPPED}); \
-                 eager files go through read_checkpoint"
-            )));
-        }
-        let flags = head.get_u32_le();
-        let unknown = flags & !KNOWN_FLAGS;
-        if unknown != 0 {
-            return Err(ck(format!(
-                "unknown feature flags {unknown:#010b}: file written by a newer \
-                 version; refusing to guess at its layout"
-            )));
-        }
-        if flags & FLAG_ALIGNED_TENSORS == 0 {
-            return Err(ck("tensor section not flagged aligned; cannot map"));
-        }
-        let total_len = head.get_u64_le();
-        if total_len != bytes.len() as u64 {
-            return Err(ck(format!(
-                "file is {} bytes but header declares {total_len} (truncated or grown)",
-                bytes.len()
-            )));
-        }
-        let meta_len = head.get_u32_le() as usize;
-        let meta_end = MAPPED_PREFIX
-            .checked_add(meta_len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| ck(format!("meta block ({meta_len} bytes) exceeds the file")))?;
-
-        let mut mb = &bytes[MAPPED_PREFIX..meta_end];
-        let need_m = |mb: &&[u8], n: usize, what: &str| -> Result<(), MvGnnError> {
-            if mb.remaining() < n {
-                Err(ck(format!("meta block truncated before {what}")))
-            } else {
-                Ok(())
-            }
-        };
-        need_m(&mb, 16, "epoch/lr/retries")?;
-        let epoch = mb.get_u64_le() as usize;
-        let lr = mb.get_f32_le();
-        if !lr.is_finite() || lr <= 0.0 {
-            return Err(ck(format!("non-positive or non-finite lr {lr}")));
-        }
-        let retries = mb.get_u32_le() as usize;
-        need_m(&mb, 1, "calibration flag")?;
-        let calibration = match mb.get_u8() {
-            0 => None,
-            1 => {
-                need_m(&mb, 4, "calibration temperature")?;
-                let t = mb.get_f32_le();
-                if !t.is_finite() || t <= 0.0 {
-                    return Err(ck(format!(
-                        "non-positive or non-finite calibration temperature {t}"
-                    )));
-                }
-                Some(t)
-            }
-            other => return Err(ck(format!("bad calibration flag {other} (want 0 or 1)"))),
-        };
-        need_m(&mb, 4, "stats count")?;
-        let n_stats = mb.get_u32_le() as usize;
-        need_m(&mb, n_stats.saturating_mul(16), "epoch stats")?;
-        let mut stats = Vec::with_capacity(n_stats.min(4096));
-        for _ in 0..n_stats {
-            let epoch = mb.get_u64_le() as usize;
-            let loss = mb.get_f32_le();
-            let accuracy = mb.get_f32_le();
-            stats.push(EpochStats { epoch, loss, accuracy });
-        }
-        need_m(&mb, 4, "tensor count")?;
-        let n_tensors = mb.get_u32_le() as usize;
-        let mut tensors = Vec::with_capacity(n_tensors.min(4096));
-        let mut region_start = bytes.len();
-        for i in 0..n_tensors {
-            need_m(&mb, 4, "tensor name length")?;
-            let name_len = mb.get_u32_le() as usize;
-            need_m(&mb, name_len.saturating_add(24), "tensor directory entry")?;
-            let mut name = vec![0u8; name_len];
-            mb.copy_to_slice(&mut name);
-            let name = String::from_utf8(name)
-                .map_err(|_| ck(format!("tensor {i}: non-utf8 name")))?;
-            let rows = mb.get_u32_le() as usize;
-            let cols = mb.get_u32_le() as usize;
-            let offset = usize::try_from(mb.get_u64_le())
-                .map_err(|_| ck(format!("tensor `{name}`: offset overflows usize")))?;
-            let tbytes = usize::try_from(mb.get_u64_le())
-                .map_err(|_| ck(format!("tensor `{name}`: length overflows usize")))?;
-            if offset % TENSOR_ALIGN != 0 {
-                return Err(ck(format!(
-                    "tensor `{name}`: data offset {offset} is not {TENSOR_ALIGN}-byte aligned"
-                )));
-            }
-            let elems = rows
-                .checked_mul(cols)
-                .ok_or_else(|| ck(format!("tensor `{name}`: shape overflows")))?;
-            if tbytes != elems * 4 {
-                return Err(ck(format!(
-                    "tensor `{name}`: {rows}×{cols} needs {} bytes, directory says {tbytes}",
-                    elems * 4
-                )));
-            }
-            let end = offset
-                .checked_add(tbytes)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| {
-                    ck(format!(
-                        "tensor `{name}`: data [{offset}, {offset}+{tbytes}) exceeds the \
-                         {}-byte mapping",
-                        bytes.len()
-                    ))
-                })?;
-            let _ = end;
-            region_start = region_start.min(offset);
-            tensors.push(TensorEntry { name, rows, cols, offset, bytes: tbytes });
-        }
-        need_m(&mb, 8, "tensor-region checksum")?;
-        let checksum = mb.get_u64_le();
-        if mb.remaining() != 0 {
-            return Err(ck(format!("{} undeclared bytes at the end of the meta block", mb.len())));
-        }
-        if fnv1a(&bytes[region_start..]) != checksum {
-            return Err(ck("tensor-region checksum mismatch"));
-        }
-        Ok(MappedCheckpoint { meta: CheckpointMeta { epoch, lr, retries, calibration, stats }, map, tensors })
+        let map = Arc::new(Mmap::map_file(&std::fs::File::open(path)?)?);
+        let (meta, tensors) = decode(map.as_slice())?;
+        Ok(MappedCheckpoint { meta, map, tensors })
     }
 
     /// Resume state stored alongside the weights.
@@ -578,9 +390,9 @@ impl MappedCheckpoint {
 
     /// Install zero-copy views of every tensor into `params`, which must
     /// have the identical layout (same names, order and shapes — the
-    /// same model architecture), mirroring `load_params`' contract. On
-    /// success every tensor of `params` reads straight out of the
-    /// mapping; nothing is copied until something mutates it.
+    /// same model architecture). On success every tensor of `params`
+    /// reads straight out of the mapping; nothing is copied until
+    /// something mutates it.
     pub fn install(&self, params: &mut Params) -> Result<(), MvGnnError> {
         if self.tensors.len() != params.len() {
             return Err(ck(format!(
@@ -592,7 +404,7 @@ impl MappedCheckpoint {
         // Validate the whole layout before touching the store, so a
         // mismatch can never leave it half-installed.
         for (i, t) in self.tensors.iter().enumerate() {
-            let id = mvgnn_tensor::ParamId(i);
+            let id = ParamId(i);
             if t.name != params.name(id) {
                 return Err(ck(format!(
                     "tensor {i}: file `{}` vs store `{}`",
@@ -611,11 +423,10 @@ impl MappedCheckpoint {
             }
         }
         for (i, t) in self.tensors.iter().enumerate() {
-            let id = mvgnn_tensor::ParamId(i);
             let storage = Storage::mapped(Arc::clone(&self.map), t.offset, t.bytes / 4)
                 .map_err(|e| ck(format!("tensor `{}`: {e}", t.name)))?;
             params
-                .set_storage(id, storage)
+                .set_storage(ParamId(i), storage)
                 .map_err(|e| ck(format!("tensor `{}`: {e}", t.name)))?;
         }
         Ok(())
@@ -625,140 +436,7 @@ impl MappedCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_checkpoint() -> Checkpoint {
-        Checkpoint {
-            epoch: 7,
-            lr: 5e-4,
-            retries: 1,
-            calibration: Some(1.75),
-            stats: vec![
-                EpochStats { epoch: 6, loss: 0.42, accuracy: 0.8 },
-                EpochStats { epoch: 7, loss: 0.40, accuracy: 0.82 },
-            ],
-            weights: (0u16..999).flat_map(|x| x.to_le_bytes()).collect(),
-        }
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let cp = sample_checkpoint();
-        let decoded = decode_checkpoint(&encode_checkpoint(&cp)).unwrap();
-        assert_eq!(decoded, cp);
-    }
-
-    #[test]
-    fn atomic_file_roundtrip() {
-        let dir = std::env::temp_dir().join("mvgnn_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.ckpt");
-        let cp = sample_checkpoint();
-        write_checkpoint(&path, &cp).unwrap();
-        // The temporary staging file must not survive the rename.
-        assert!(!path.with_extension("tmp").exists());
-        assert_eq!(read_checkpoint(&path).unwrap(), cp);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn every_truncation_point_is_rejected_gracefully() {
-        let full = encode_checkpoint(&sample_checkpoint());
-        for cut in 0..full.len() {
-            let err = decode_checkpoint(&full[..cut]).unwrap_err();
-            assert!(
-                matches!(err, MvGnnError::Checkpoint(_)),
-                "cut at {cut}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn bit_flips_in_payload_fail_the_checksum() {
-        let cp = sample_checkpoint();
-        let mut bytes = encode_checkpoint(&cp);
-        let payload_start = bytes.len() - cp.weights.len();
-        for victim in [payload_start, payload_start + 17, bytes.len() - 1] {
-            let mut corrupted = bytes.clone();
-            corrupted[victim] ^= 0x40;
-            let err = decode_checkpoint(&corrupted).unwrap_err();
-            assert!(err.to_string().contains("checksum"), "{err}");
-        }
-        // Corrupting the magic is caught before the checksum.
-        bytes[0] = b'X';
-        assert!(decode_checkpoint(&bytes).unwrap_err().to_string().contains("magic"));
-    }
-
-    #[test]
-    fn uncalibrated_roundtrip_keeps_none() {
-        let cp = Checkpoint { calibration: None, ..sample_checkpoint() };
-        let decoded = decode_checkpoint(&encode_checkpoint(&cp)).unwrap();
-        assert_eq!(decoded.calibration, None);
-        assert_eq!(decoded, cp);
-    }
-
-    #[test]
-    fn version_1_files_still_read_without_calibration() {
-        // Hand-build the historical v1 layout (no calibration field).
-        let cp = sample_checkpoint();
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(1);
-        buf.put_u64_le(cp.epoch as u64);
-        buf.put_f32_le(cp.lr);
-        buf.put_u32_le(cp.retries as u32);
-        buf.put_u32_le(cp.stats.len() as u32);
-        for s in &cp.stats {
-            buf.put_u64_le(s.epoch as u64);
-            buf.put_f32_le(s.loss);
-            buf.put_f32_le(s.accuracy);
-        }
-        buf.put_u64_le(cp.weights.len() as u64);
-        buf.put_u64_le(fnv1a(&cp.weights));
-        buf.put_slice(&cp.weights);
-        let decoded = decode_checkpoint(&buf.freeze()).unwrap();
-        assert_eq!(decoded.calibration, None);
-        assert_eq!(decoded.weights, cp.weights);
-        assert_eq!(decoded.stats, cp.stats);
-    }
-
-    #[test]
-    fn damaged_calibration_is_a_typed_error() {
-        let full = encode_checkpoint(&sample_checkpoint());
-        // The calibration flag byte sits right after magic(4) + version(4)
-        // + epoch(8) + lr(4) + retries(4).
-        let flag_at = 24;
-        let mut bad_flag = full.clone();
-        bad_flag[flag_at] = 7;
-        let err = decode_checkpoint(&bad_flag).unwrap_err();
-        assert!(err.to_string().contains("calibration flag"), "{err}");
-        // A NaN temperature is refused before the payload is touched.
-        let mut bad_temp = full;
-        bad_temp[flag_at + 1..flag_at + 5].copy_from_slice(&f32::NAN.to_le_bytes());
-        let err = decode_checkpoint(&bad_temp).unwrap_err();
-        assert!(err.to_string().contains("calibration temperature"), "{err}");
-    }
-
-    #[test]
-    fn wrong_version_is_rejected() {
-        let mut bytes = encode_checkpoint(&sample_checkpoint());
-        bytes[4] = 99;
-        let err = decode_checkpoint(&bytes).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn bad_magic_file_is_rejected_from_the_prefix() {
-        let dir = std::env::temp_dir().join("mvgnn_ckpt_badmagic");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("not_a_ckpt.bin");
-        std::fs::write(&path, b"ELF!\x01\x00\x00\x00 definitely not weights").unwrap();
-        let err = read_checkpoint(&path).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-        std::fs::write(&path, b"MV").unwrap();
-        let err = read_checkpoint(&path).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    use crate::model::{MvGnn, MvGnnConfig};
 
     fn sample_params() -> Params {
         let mut p = Params::new();
@@ -777,27 +455,57 @@ mod tests {
         p
     }
 
-    fn mapped_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("mvgnn_mapped_ckpt_{tag}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn mapped_roundtrip_is_bit_identical() {
-        let dir = mapped_dir("roundtrip");
-        let path = dir.join("model.mvck");
-        let src = sample_params();
-        let meta = CheckpointMeta {
+    fn sample_meta() -> CheckpointMeta {
+        CheckpointMeta {
             epoch: 3,
             lr: 1e-3,
             retries: 1,
             calibration: Some(1.4),
             stats: vec![EpochStats { epoch: 3, loss: 0.5, accuracy: 0.75 }],
-        };
-        write_mapped_checkpoint(&path, &meta, &src).unwrap();
+        }
+    }
+
+    fn test_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mvgnn_ckpt_{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The file bytes `write_checkpoint` produces for `params`.
+    fn written(tag: &str, meta: &CheckpointMeta, params: &Params) -> Vec<u8> {
+        let dir = test_dir(tag);
+        let path = dir.join("model.mvck");
+        write_checkpoint(&path, meta, params).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    }
+
+    fn bits(p: &Params) -> Vec<Vec<u32>> {
+        (0..p.len()).map(|i| p.data(ParamId(i)).iter().map(|x| x.to_bits()).collect()).collect()
+    }
+
+    #[test]
+    fn writer_output_matches_the_recorded_bytes() {
+        // FNV-1a of the files the previous writer produced for the same
+        // inputs: the format is frozen byte for byte.
+        let small = written("pin_sample", &sample_meta(), &sample_params());
+        assert_eq!((fnv1a(&small), small.len()), (0xbb0a_9133_df48_00fd, 652));
+        let model = MvGnn::new(MvGnnConfig::small(24, 10));
+        let model_bytes = written("pin_model", &sample_meta(), &model.params);
+        assert_eq!((fnv1a(&model_bytes), model_bytes.len()), (0xf897_741f_2c21_f6de, 288_456));
+    }
+
+    #[test]
+    fn mapped_roundtrip_is_bit_identical() {
+        let dir = test_dir("roundtrip");
+        let path = dir.join("model.mvck");
+        let src = sample_params();
+        write_checkpoint(&path, &sample_meta(), &src).unwrap();
+        // The temporary staging file must not survive the rename.
+        assert!(!path.with_extension("tmp").exists());
         let cp = MappedCheckpoint::open(&path).unwrap();
-        assert_eq!(cp.meta(), &meta);
+        assert_eq!(cp.meta(), &sample_meta());
         assert_eq!(cp.tensor_count(), src.len());
 
         let mut dst = sample_params();
@@ -806,60 +514,160 @@ mod tests {
         }
         cp.install(&mut dst).unwrap();
         assert_eq!(dst.mapped_tensor_count(), src.len());
-        for i in 0..src.len() {
-            let id = mvgnn_tensor::ParamId(i);
-            let a: Vec<u32> = src.data(id).iter().map(|x| x.to_bits()).collect();
-            let b: Vec<u32> = dst.data(id).iter().map(|x| x.to_bits()).collect();
-            assert_eq!(a, b, "tensor {i} differs");
-        }
+        assert_eq!(bits(&dst), bits(&src));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
+    fn uncalibrated_roundtrip_keeps_none() {
+        let meta = CheckpointMeta { calibration: None, ..sample_meta() };
+        let (decoded, _) = decode(&written("uncalibrated", &meta, &sample_params())).unwrap();
+        assert_eq!(decoded, meta);
+    }
+
+    #[test]
     fn mapped_offsets_are_aligned() {
-        let dir = mapped_dir("aligned");
-        let path = dir.join("model.mvck");
-        write_mapped_checkpoint(&path, &CheckpointMeta { lr: 1e-3, ..Default::default() }, &sample_params())
-            .unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        // Walk the directory out of the raw file and check every offset.
-        let cp = MappedCheckpoint::open(&path).unwrap();
-        for t in &cp.tensors {
+        let bytes = written("aligned", &sample_meta(), &sample_params());
+        let (_, tensors) = decode(&bytes).unwrap();
+        let offsets: Vec<usize> = tensors.iter().map(|t| t.offset).collect();
+        assert_eq!(offsets, [256, 448, 512, 640]);
+        for t in &tensors {
             assert_eq!(t.offset % TENSOR_ALIGN, 0, "tensor `{}` misaligned", t.name);
             assert!(t.offset + t.bytes <= bytes.len());
         }
+    }
+
+    #[test]
+    fn every_truncation_point_is_rejected_gracefully() {
+        let full = written("truncate", &sample_meta(), &sample_params());
+        for cut in 0..full.len() {
+            let err = decode(&full[..cut]).unwrap_err();
+            assert!(matches!(err, MvGnnError::Checkpoint(_)), "cut at {cut}: {err}");
+        }
+    }
+
+    #[test]
+    fn bit_flips_in_tensor_data_fail_the_checksum() {
+        let mut bytes = written("flips", &sample_meta(), &sample_params());
+        for victim in [256, 256 + 17, bytes.len() - 1] {
+            let mut corrupted = bytes.clone();
+            corrupted[victim] ^= 0x40;
+            let err = decode(&corrupted).unwrap_err();
+            assert!(err.to_string().contains("checksum"), "{err}");
+        }
+        // Corrupting the magic is caught before the checksum.
+        bytes[0] = b'X';
+        assert!(decode(&bytes).unwrap_err().to_string().contains("magic"));
+    }
+
+    #[test]
+    fn damaged_calibration_is_a_typed_error() {
+        let full = written("calibration", &sample_meta(), &sample_params());
+        // The calibration flag byte sits right after the prefix (24) +
+        // epoch(8) + lr(4) + retries(4).
+        let flag_at = PREFIX + 16;
+        let mut bad_flag = full.clone();
+        bad_flag[flag_at] = 7;
+        let err = decode(&bad_flag).unwrap_err();
+        assert!(err.to_string().contains("calibration flag"), "{err}");
+        // A NaN temperature is refused before the tensors are touched.
+        let mut bad_temp = full;
+        bad_temp[flag_at + 1..flag_at + 5].copy_from_slice(&f32::NAN.to_le_bytes());
+        let err = decode(&bad_temp).unwrap_err();
+        assert!(err.to_string().contains("calibration temperature"), "{err}");
+    }
+
+    #[test]
+    fn version_1_and_2_files_are_refused_by_version() {
+        // Hand-built headers of the retired eager layouts: magic,
+        // version, epoch, lr, retries, then (v2) the calibration flag.
+        for version in [1u32, 2] {
+            let mut buf = BytesMut::new();
+            buf.put_slice(MAGIC);
+            buf.put_u32_le(version);
+            buf.put_u64_le(7);
+            buf.put_f32_le(5e-4);
+            buf.put_u32_le(1);
+            if version == 2 {
+                buf.put_u8(0);
+            }
+            buf.put_u32_le(0);
+            buf.put_u64_le(0);
+            buf.put_u64_le(fnv1a(&[]));
+            let err = decode(&buf).unwrap_err();
+            assert!(matches!(err, MvGnnError::Checkpoint(_)), "{err}");
+            assert!(err.to_string().contains(&format!("version {version}")), "{err}");
+        }
+        let mut future = written("version", &sample_meta(), &sample_params());
+        future[4] = 99;
+        assert!(decode(&future).unwrap_err().to_string().contains("version 99"));
+    }
+
+    #[test]
+    fn bad_magic_file_is_rejected_from_the_prefix() {
+        let dir = test_dir("badmagic");
+        let path = dir.join("not_a_ckpt.bin");
+        std::fs::write(&path, b"ELF!\x01\x00\x00\x00 definitely not weights").unwrap();
+        let err = MappedCheckpoint::open(&path).unwrap_err();
+        assert!(err.to_string().contains("magic"), "{err}");
+        std::fs::write(&path, b"MV").unwrap();
+        let err = MappedCheckpoint::open(&path).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn mapped_unknown_feature_flag_is_refused() {
-        let dir = mapped_dir("flags");
-        let path = dir.join("model.mvck");
-        write_mapped_checkpoint(&path, &CheckpointMeta { lr: 1e-3, ..Default::default() }, &sample_params())
-            .unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = written("flags", &sample_meta(), &sample_params());
         bytes[8] |= 1 << 5; // a flag bit this reader does not know
-        std::fs::write(&path, &bytes).unwrap();
-        let err = MappedCheckpoint::open(&path).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("unknown feature flags"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Byte position of the directory's offset field holding `want`
+    /// (the directory precedes the tensor data, so the first match).
+    fn offset_field(bytes: &[u8], want: u64) -> usize {
+        bytes.windows(8).position(|w| w == want.to_le_bytes()).expect("offset present")
+    }
+
+    #[test]
+    fn moved_tensor_offsets_are_refused() {
+        let full = written("moved", &sample_meta(), &sample_params());
+        // Offsets are 256, 448, 512 and 640. Point the second entry at
+        // the third tensor's bytes: aligned, in bounds, and still inside
+        // the checksummed region, so only the canonical layout catches it.
+        let mut moved = full.clone();
+        let at = offset_field(&full, 448);
+        moved[at..at + 8].copy_from_slice(&512u64.to_le_bytes());
+        let err = decode(&moved).unwrap_err();
+        assert!(matches!(err, MvGnnError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("offset 512, want 448"), "{err}");
+        // A misaligned first offset is refused the same way.
+        let mut misaligned = full.clone();
+        let at = offset_field(&full, 256);
+        misaligned[at..at + 8].copy_from_slice(&260u64.to_le_bytes());
+        assert!(decode(&misaligned).unwrap_err().to_string().contains("aligned"));
+        // Trailing bytes past the last tensor are refused even when the
+        // declared total length is patched to match.
+        let mut grown = full;
+        grown.extend_from_slice(&[0; 64]);
+        let len = grown.len() as u64;
+        grown[12..20].copy_from_slice(&len.to_le_bytes());
+        assert!(decode(&grown).unwrap_err().to_string().contains("tensor data ends"));
     }
 
     #[test]
     fn mapped_truncation_and_checksum_flip_are_typed_errors() {
-        let dir = mapped_dir("faults");
+        let dir = test_dir("faults");
         let path = dir.join("model.mvck");
-        write_mapped_checkpoint(&path, &CheckpointMeta { lr: 1e-3, ..Default::default() }, &sample_params())
-            .unwrap();
+        write_checkpoint(&path, &sample_meta(), &sample_params()).unwrap();
         let full = std::fs::read(&path).unwrap();
-
-        // Truncation at a spread of cut points, including mid-tensor.
-        for cut in [0, 3, MAPPED_PREFIX - 1, MAPPED_PREFIX + 9, full.len() / 2, full.len() - 1] {
+        // Truncated files on disk, including mid-tensor cuts.
+        for cut in [0, 3, PREFIX - 1, PREFIX + 9, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..cut]).unwrap();
             let err = MappedCheckpoint::open(&path).unwrap_err();
             assert!(matches!(err, MvGnnError::Checkpoint(_)), "cut {cut}: {err}");
         }
-
         // A checksum flip deep in the tensor region.
         let mut flipped = full.clone();
         let victim = full.len() - 5;
@@ -867,46 +675,6 @@ mod tests {
         std::fs::write(&path, &flipped).unwrap();
         let err = MappedCheckpoint::open(&path).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
-
-        // A misaligned tensor offset planted in the directory: find the
-        // first directory offset by rewriting it +4. The directory's
-        // first tensor offset is the 8 bytes before the last 24-byte
-        // tail of the meta block structure, so patch via open() fields
-        // instead: locate the 64-aligned region start in the raw bytes.
-        let cp_ok = MappedCheckpoint::open({
-            std::fs::write(&path, &full).unwrap();
-            &path
-        })
-        .unwrap();
-        let first_off = cp_ok.tensors[0].offset as u64;
-        drop(cp_ok);
-        let needle = first_off.to_le_bytes();
-        let pos = full
-            .windows(8)
-            .position(|w| w == needle)
-            .expect("directory offset present in file");
-        let mut misaligned = full.clone();
-        misaligned[pos..pos + 8].copy_from_slice(&(first_off + 4).to_le_bytes());
-        std::fs::write(&path, &misaligned).unwrap();
-        let err = MappedCheckpoint::open(&path).unwrap_err();
-        assert!(err.to_string().contains("aligned"), "{err}");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn eager_reader_redirects_mapped_files() {
-        let dir = mapped_dir("redirect");
-        let path = dir.join("model.mvck");
-        write_mapped_checkpoint(&path, &CheckpointMeta { lr: 1e-3, ..Default::default() }, &sample_params())
-            .unwrap();
-        let err = read_checkpoint(&path).unwrap_err();
-        assert!(err.to_string().contains("MappedCheckpoint::open"), "{err}");
-        // And the mapped reader redirects eager files symmetrically.
-        let eager = dir.join("eager.ckpt");
-        write_checkpoint(&eager, &sample_checkpoint()).unwrap();
-        let err = MappedCheckpoint::open(&eager).unwrap_err();
-        assert!(err.to_string().contains("read_checkpoint"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

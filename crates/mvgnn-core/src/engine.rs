@@ -214,10 +214,10 @@ impl InferenceEngine {
 /// serving fleet reports per response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMode {
-    /// Parsed f32-by-f32 into owned buffers (`read_checkpoint` /
-    /// `load_params`, or freshly initialised weights).
+    /// Every tensor in an owned buffer: freshly initialised or trained
+    /// weights, or a checkpoint whose tensors were all copied on write.
     Eager,
-    /// Viewed zero-copy out of a mapped MVCK-v2 artifact
+    /// At least one tensor viewed zero-copy out of a mapped checkpoint
     /// (`MappedCheckpoint::install`).
     Mapped,
 }

@@ -4,7 +4,6 @@
 //! recoverable runtime faults, and unrecoverable divergence.
 
 use mvgnn_ir::interp::InterpError;
-use mvgnn_tensor::PersistError;
 
 /// Unified error for the mvgnn training & inference pipeline.
 #[derive(Debug)]
@@ -17,8 +16,6 @@ pub enum MvGnnError {
     ParseIr(mvgnn_ir::text::ParseError),
     /// IR interpretation / profiling failure (step limit, OOB, …).
     Interp(InterpError),
-    /// Weight (de)serialisation failure.
-    Persist(PersistError),
     /// Filesystem failure while reading or writing a checkpoint.
     Io(std::io::Error),
     /// A checkpoint file failed structural validation (bad magic,
@@ -45,7 +42,6 @@ impl std::fmt::Display for MvGnnError {
             MvGnnError::Compile(e) => write!(f, "compile error: {e}"),
             MvGnnError::ParseIr(e) => write!(f, "IR parse error: {e}"),
             MvGnnError::Interp(e) => write!(f, "interpreter error: {e}"),
-            MvGnnError::Persist(e) => write!(f, "persistence error: {e}"),
             MvGnnError::Io(e) => write!(f, "I/O error: {e}"),
             MvGnnError::Checkpoint(msg) => write!(f, "invalid checkpoint: {msg}"),
             MvGnnError::Shard(e) => write!(f, "corpus shard error: {e}"),
@@ -61,7 +57,6 @@ impl std::error::Error for MvGnnError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MvGnnError::Compile(e) => Some(e),
-            MvGnnError::Persist(e) => Some(e),
             MvGnnError::Io(e) => Some(e),
             MvGnnError::Shard(e) => Some(e),
             _ => None,
@@ -78,12 +73,6 @@ impl From<mvgnn_lang::CompileError> for MvGnnError {
 impl From<InterpError> for MvGnnError {
     fn from(e: InterpError) -> Self {
         MvGnnError::Interp(e)
-    }
-}
-
-impl From<PersistError> for MvGnnError {
-    fn from(e: PersistError) -> Self {
-        MvGnnError::Persist(e)
     }
 }
 
@@ -114,7 +103,6 @@ mod tests {
         let cases: Vec<(MvGnnError, &str)> = vec![
             (MvGnnError::Config("restarts must be >= 1".into()), "configuration"),
             (MvGnnError::Interp(InterpError::StepLimit(10)), "step limit"),
-            (MvGnnError::Persist(PersistError::BadMagic), "persistence"),
             (
                 MvGnnError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, "gone")),
                 "I/O",
@@ -135,7 +123,5 @@ mod tests {
     fn conversions_preserve_the_cause() {
         let e: MvGnnError = InterpError::DepthLimit(4).into();
         assert!(matches!(e, MvGnnError::Interp(InterpError::DepthLimit(4))));
-        let e: MvGnnError = PersistError::BadVersion(9).into();
-        assert!(matches!(e, MvGnnError::Persist(PersistError::BadVersion(9))));
     }
 }

@@ -31,10 +31,7 @@ pub mod trainer;
 pub mod views;
 
 pub use cascade::{oracle_decision, Calibration, Cascade, CascadeConfig, DecidedBy};
-pub use checkpoint::{
-    read_checkpoint, write_checkpoint, write_mapped_checkpoint, Checkpoint, CheckpointMeta,
-    MappedCheckpoint,
-};
+pub use checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
 pub use engine::{
     EngineConfig, InferenceEngine, LoadMode, ModelGeneration, ModelRegistry, RegistryCensus,
 };

@@ -359,21 +359,10 @@ impl MvGnn {
         (0..rows.len()).map(|g| rows.fused(g).to_vec()).collect()
     }
 
-    /// Serialise the trained weights (architecture config not included;
-    /// reload into a model built with the same [`MvGnnConfig`]).
-    pub fn save(&self) -> bytes::Bytes {
-        mvgnn_tensor::save_params(&self.params)
-    }
-
-    /// Load weights previously produced by [`MvGnn::save`] into this
-    /// model; the architecture must match.
-    pub fn load(&mut self, bytes: &[u8]) -> Result<(), mvgnn_tensor::PersistError> {
-        mvgnn_tensor::load_params(&mut self.params, bytes)
-    }
-
-    /// Install zero-copy views of a mapped checkpoint's tensors into
-    /// this model (architecture must match); the weights read straight
-    /// out of the page cache until something mutates them.
+    /// Install zero-copy views of a checkpoint's tensors into this model
+    /// (architecture config is not stored: the model must be built with
+    /// the same [`MvGnnConfig`]); the weights read straight out of the
+    /// page cache until something mutates them.
     pub fn load_mapped(
         &mut self,
         cp: &crate::checkpoint::MappedCheckpoint,
@@ -488,11 +477,23 @@ mod tests {
         assert_eq!(heads(&m1, &s), heads(&m2, &s));
     }
 
+    /// Write `model`'s weights as a checkpoint and open it again.
+    fn checkpoint_of(model: &MvGnn, tag: &str) -> crate::checkpoint::MappedCheckpoint {
+        let dir = std::env::temp_dir().join(format!("mvgnn_model_{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.mvck");
+        let meta = crate::checkpoint::CheckpointMeta { lr: 1e-3, ..Default::default() };
+        crate::checkpoint::write_checkpoint(&path, &meta, &model.params).unwrap();
+        let cp = crate::checkpoint::MappedCheckpoint::open(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        cp
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_predictions() {
         let s = sample();
         let m1 = MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab));
-        let saved = m1.save();
+        let cp = checkpoint_of(&m1, "roundtrip");
         let mut cfg2 = MvGnnConfig::small(s.node_dim, s.aw_vocab);
         cfg2.seed = 0xdead; // different init — must be overwritten by load
         let mut m2 = MvGnn::new(cfg2);
@@ -500,7 +501,7 @@ mod tests {
             m1.params.data(mvgnn_tensor::ParamId(0)),
             m2.params.data(mvgnn_tensor::ParamId(0))
         );
-        m2.load(&saved).unwrap();
+        m2.load_mapped(&cp).unwrap();
         assert_eq!(heads(&m1, &s), heads(&m2, &s));
     }
 
@@ -508,9 +509,11 @@ mod tests {
     fn load_rejects_different_architecture() {
         let s = sample();
         let m1 = MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab));
-        let saved = m1.save();
+        let cp = checkpoint_of(&m1, "architecture");
         let mut other = MvGnn::new(MvGnnConfig::small(s.node_dim + 1, s.aw_vocab));
-        assert!(other.load(&saved).is_err());
+        let err = other.load_mapped(&cp).unwrap_err();
+        assert!(matches!(err, crate::error::MvGnnError::Checkpoint(_)), "{err}");
+        assert_eq!(other.params.mapped_tensor_count(), 0, "a refused install touches nothing");
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! [`train_streaming`] is the trainer's out-of-core mode: instead of a
 //! `&[LabeledSample]` held in memory, it takes a list of shard files
-//! (written by `mvgnn_dataset::write_shard`) and runs the same
-//! optimizer loop — gradient accumulation, divergence rollback,
-//! checkpointing — while only ever holding the prefetch ring
-//! plus one in-flight batch in memory. RSS is bounded by
+//! (written by `mvgnn_dataset::write_shard`) and runs the trainer's
+//! own epoch loop — gradient accumulation, divergence rollback,
+//! checkpointing — with a per-epoch runner that only ever holds the
+//! prefetch ring plus one in-flight batch in memory. RSS is bounded by
 //! `(prefetch + 2) × batch` regardless of corpus size.
 //!
-//! The epoch state machine:
+//! The runner's state machine:
 //!
 //! 1. **Shuffle** — the shard *order* is permuted deterministically,
 //!    keyed `(cfg.seed, epoch)` (shard granularity: record order inside
@@ -20,18 +20,20 @@
 //!    pushes them into a bounded `sync_channel(prefetch)` ring; a full
 //!    ring blocks the producer, which is what bounds RSS.
 //! 3. **Consume** — the training thread pops batches and applies the
-//!    shared `step_batch` (pooled packing, reused gradient store, clip,
-//!    Adam).
+//!    trainer's shared optimizer step (pooled packing, reused gradient
+//!    store, clip, Adam).
 //!    A non-finite gradient aborts the epoch, drains the ring, and the
-//!    caller's rollback loop restores the last good snapshot.
+//!    shared epoch loop restores the last good snapshot.
 //! 4. A corrupt shard surfaces as a typed [`MvGnnError::Shard`]; the
-//!    model keeps its last completed epoch's weights.
+//!    epoch loop restores the last completed epoch's weights before
+//!    returning it, undoing any batch the failed epoch already stepped.
 
-use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 use crate::error::MvGnnError;
 use crate::model::MvGnn;
-use crate::trainer::{mix, step_batch, EpochStats, StepBuffers, TrainConfig};
-use mvgnn_dataset::{LabeledSample, MappedShardReader, ShardError, ShardReader};
+use crate::trainer::{
+    mix, train_epochs, EpochRun, EpochStats, EpochTotals, StepBuffers, TrainConfig,
+};
+use mvgnn_dataset::{LabeledSample, ShardError, ShardReader};
 use mvgnn_tensor::optim::Adam;
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -44,61 +46,32 @@ pub struct StreamConfig {
     /// `(prefetch + 2) × batch` samples (ring + producer's pending batch
     /// + the batch being stepped). Must be ≥ 1.
     pub prefetch: usize,
-    /// Read shards through [`MappedShardReader`] instead of buffered
-    /// I/O: records decode straight out of the page cache with no read
-    /// syscalls and no record buffer. Sample-for-sample (and therefore
-    /// trained-weight-for-weight) identical to the buffered mode —
-    /// pinned by `mmap_and_buffered_streaming_train_identically`.
-    pub mmap: bool,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        Self { prefetch: 4, mmap: false }
+        Self { prefetch: 4 }
     }
-}
-
-/// What one epoch's producer/consumer run observed.
-enum StreamEpoch {
-    Done { loss: f32, accuracy: f32 },
-    Diverged { loss: f32 },
-}
-
-/// Open the chosen reader as a uniform record iterator. The two readers
-/// yield identical samples for an intact shard and identical typed
-/// errors for a corrupt one, so everything downstream is mode-blind.
-fn open_records(
-    path: &std::path::Path,
-    mmap: bool,
-) -> Result<Box<dyn Iterator<Item = Result<LabeledSample, ShardError>>>, ShardError> {
-    Ok(if mmap {
-        Box::new(MappedShardReader::open(path)?)
-    } else {
-        Box::new(ShardReader::open(path)?)
-    })
 }
 
 fn run_stream_epoch(
     model: &mut MvGnn,
-    shards: &[PathBuf],
-    order: &[usize],
+    paths: Vec<PathBuf>,
     cfg: &TrainConfig,
-    stream: &StreamConfig,
+    prefetch: usize,
     opt: &mut Adam,
     bufs: &mut StepBuffers,
-) -> Result<StreamEpoch, MvGnnError> {
-    let paths: Vec<PathBuf> = order.iter().map(|&i| shards[i].clone()).collect();
+) -> Result<EpochRun, MvGnnError> {
     let batch_size = cfg.batch_size;
-    let mmap = stream.mmap;
-    let (tx, rx) = mpsc::sync_channel::<Result<Vec<LabeledSample>, ShardError>>(stream.prefetch);
+    let (tx, rx) = mpsc::sync_channel::<Result<Vec<LabeledSample>, ShardError>>(prefetch);
     // The producer owns the shard readers; one reused record buffer per
-    // open shard (none at all in mmap mode), one pending batch. A send on
-    // a full ring blocks until the optimizer catches up; a send after the
-    // consumer hung up errors, which is the shutdown signal on early exit.
+    // open shard, one pending batch. A send on a full ring blocks until
+    // the optimizer catches up; a send after the consumer hung up
+    // errors, which is the shutdown signal on early exit.
     let producer = std::thread::spawn(move || {
         let mut pending: Vec<LabeledSample> = Vec::with_capacity(batch_size);
         for path in &paths {
-            let reader = match open_records(path, mmap) {
+            let reader = match ShardReader::open(path) {
                 Ok(r) => r,
                 Err(e) => {
                     let _ = tx.send(Err(e));
@@ -131,29 +104,20 @@ fn run_stream_epoch(
         }
     });
 
-    let mut epoch_loss = 0.0f64;
-    let mut epoch_correct = 0usize;
-    let mut seen = 0usize;
-    let mut outcome: Option<Result<StreamEpoch, MvGnnError>> = None;
+    let mut totals = EpochTotals::default();
+    let mut complete = true;
+    let mut failure = None;
     for message in &rx {
         match message {
             Ok(batch) => {
                 let refs: Vec<&LabeledSample> = batch.iter().collect();
-                match step_batch(model, &refs, cfg, opt, bufs) {
-                    Some((loss, correct)) => {
-                        epoch_loss += loss;
-                        epoch_correct += correct;
-                        seen += batch.len();
-                    }
-                    None => {
-                        let loss = (epoch_loss / seen.max(1) as f64) as f32;
-                        outcome = Some(Ok(StreamEpoch::Diverged { loss }));
-                        break;
-                    }
+                if !totals.step(model, &refs, cfg, opt, bufs) {
+                    complete = false;
+                    break;
                 }
             }
             Err(e) => {
-                outcome = Some(Err(MvGnnError::Shard(e)));
+                failure = Some(e);
                 break;
             }
         }
@@ -167,28 +131,24 @@ fn run_stream_epoch(
             "streaming producer thread panicked",
         )));
     }
-    if let Some(early) = outcome {
-        return early;
+    if let Some(e) = failure {
+        return Err(MvGnnError::Shard(e));
     }
-    if seen == 0 {
+    if complete && totals.seen == 0 {
         return Err(MvGnnError::Config("streaming corpus contains no samples".into()));
     }
-    let loss = (epoch_loss / seen as f64) as f32;
-    if !loss.is_finite() {
-        return Ok(StreamEpoch::Diverged { loss });
-    }
-    Ok(StreamEpoch::Done { loss, accuracy: epoch_correct as f32 / seen as f32 })
+    Ok(totals.outcome(complete))
 }
 
 /// Train the model by streaming epochs over on-disk shards; returns
 /// per-epoch telemetry exactly like [`crate::trainer::train`].
 ///
-/// Semantics shared with the in-memory trainer: divergence rolls back to
-/// the last completed epoch, halves the learning rate and retries up to
-/// `cfg.max_retries` times; `cfg.checkpoint_path` / `cfg.resume_from`
-/// work unchanged. Differences: the shuffle is at shard granularity
-/// (see the module docs), and a corrupt shard is a typed
-/// [`MvGnnError::Shard`] rather than a panic.
+/// Semantics shared with the in-memory trainer (it is the same epoch
+/// loop): divergence rolls back to the last completed epoch, halves the
+/// learning rate and retries up to `cfg.max_retries` times;
+/// `cfg.checkpoint_path` / `cfg.resume_from` work unchanged. Differences:
+/// the shuffle is at shard granularity (see the module docs), and a
+/// corrupt shard is a typed [`MvGnnError::Shard`] rather than a panic.
 pub fn train_streaming(
     model: &mut MvGnn,
     shards: &[PathBuf],
@@ -198,73 +158,16 @@ pub fn train_streaming(
     if shards.is_empty() {
         return Err(MvGnnError::Config("no shard files given".into()));
     }
-    if cfg.batch_size == 0 {
-        return Err(MvGnnError::Config("batch_size must be >= 1".into()));
-    }
-    if !cfg.lr.is_finite() || cfg.lr <= 0.0 {
-        return Err(MvGnnError::Config(format!("lr must be finite and positive, got {}", cfg.lr)));
-    }
     if stream.prefetch == 0 {
         return Err(MvGnnError::Config("prefetch must be >= 1".into()));
     }
-    if cfg.epochs == 0 {
-        return Ok(Vec::new());
-    }
-
-    let mut lr = cfg.lr;
-    let mut retries = 0usize;
-    let mut stats: Vec<EpochStats> = Vec::with_capacity(cfg.epochs);
-    let mut start_epoch = 0usize;
-
-    if let Some(path) = &cfg.resume_from {
-        let cp = read_checkpoint(path)?;
-        model.load(&cp.weights)?;
-        lr = cp.lr;
-        retries = cp.retries;
-        stats = cp.stats;
-        start_epoch = cp.epoch + 1;
-    }
-
-    let mut opt = Adam::new(lr);
-    let mut last_good = model.save();
-    let mut bufs = StepBuffers::new(model);
     let mut order: Vec<usize> = (0..shards.len()).collect();
-    let mut epoch = start_epoch;
-    while epoch < cfg.epochs {
+    train_epochs(model, cfg, |model, epoch, opt, bufs| {
         // Deterministic shard-granularity shuffle.
         order.sort_by_key(|&i| mix(cfg.seed ^ epoch as u64, i as u64));
-        match run_stream_epoch(model, shards, &order, cfg, stream, &mut opt, &mut bufs)?
-        {
-            StreamEpoch::Done { loss, accuracy } => {
-                stats.push(EpochStats { epoch, loss, accuracy });
-                last_good = model.save();
-                if let Some(path) = &cfg.checkpoint_path {
-                    write_checkpoint(
-                        path,
-                        &Checkpoint {
-                            epoch,
-                            lr,
-                            retries,
-                            calibration: None,
-                            stats: stats.clone(),
-                            weights: last_good.to_vec(),
-                        },
-                    )?;
-                }
-                epoch += 1;
-            }
-            StreamEpoch::Diverged { loss } => {
-                if retries >= cfg.max_retries {
-                    return Err(MvGnnError::Diverged { epoch, retries, loss });
-                }
-                retries += 1;
-                lr *= 0.5;
-                model.load(&last_good)?;
-                opt = Adam::new(lr);
-            }
-        }
-    }
-    Ok(stats)
+        let paths = order.iter().map(|&i| shards[i].clone()).collect();
+        run_stream_epoch(model, paths, cfg, stream.prefetch, opt, bufs)
+    })
 }
 
 #[cfg(test)]
@@ -305,6 +208,14 @@ mod tests {
         MvGnn::new(MvGnnConfig::small(first.sample.node_dim, first.sample.aw_vocab))
     }
 
+    fn weight_bits(model: &MvGnn) -> Vec<Vec<u32>> {
+        (0..model.params.len())
+            .map(|i| {
+                model.params.data(mvgnn_tensor::ParamId(i)).iter().map(|x| x.to_bits()).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn streaming_is_deterministic_and_prefetch_invariant() {
         let dir = std::env::temp_dir().join("mvgnn_stream_det_test");
@@ -313,53 +224,13 @@ mod tests {
             let mut model = model_for(&shards);
             let cfg = TrainConfig { epochs: 3, batch_size: 8, ..Default::default() };
             let stats =
-                train_streaming(&mut model, &shards, &cfg, &StreamConfig { prefetch, ..Default::default() }).unwrap();
-            (stats, model.save().to_vec())
+                train_streaming(&mut model, &shards, &cfg, &StreamConfig { prefetch }).unwrap();
+            (stats, weight_bits(&model))
         };
         let (stats_a, weights_a) = run(1);
         let (stats_b, weights_b) = run(6);
         assert_eq!(stats_a, stats_b, "telemetry must not depend on ring depth");
-        assert_eq!(weights_a, weights_b, "weights must be byte-identical");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mmap_and_buffered_streaming_train_identically() {
-        let dir = std::env::temp_dir().join("mvgnn_stream_mmap_parity_test");
-        let shards = write_shards(&dir, 3);
-        let run = |mmap: bool| {
-            let mut model = model_for(&shards);
-            let cfg = TrainConfig { epochs: 3, batch_size: 8, ..Default::default() };
-            let stream = StreamConfig { mmap, ..Default::default() };
-            let stats = train_streaming(&mut model, &shards, &cfg, &stream).unwrap();
-            (stats, model.save().to_vec())
-        };
-        let (stats_buf, weights_buf) = run(false);
-        let (stats_map, weights_map) = run(true);
-        assert_eq!(stats_buf, stats_map, "telemetry must not depend on the read path");
-        // `save()` snapshots raw weight bytes, so equality is bit-level.
-        assert_eq!(weights_buf, weights_map, "zero-copy mode must train bit-identically");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mmap_streaming_surfaces_corruption_typed() {
-        let dir = std::env::temp_dir().join("mvgnn_stream_mmap_corrupt_test");
-        let shards = write_shards(&dir, 2);
-        let mut bytes = std::fs::read(&shards[0]).unwrap();
-        let at = bytes.len() - 9;
-        bytes[at] ^= 0xff;
-        std::fs::write(&shards[0], &bytes).unwrap();
-        let mut model = model_for(&shards);
-        let cfg = TrainConfig { epochs: 2, batch_size: 8, ..Default::default() };
-        let err = train_streaming(
-            &mut model,
-            &shards,
-            &cfg,
-            &StreamConfig { mmap: true, ..Default::default() },
-        )
-        .unwrap_err();
-        assert!(matches!(err, MvGnnError::Shard(_)), "{err}");
+        assert!(weights_a == weights_b, "weights must be bit-identical");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -404,6 +275,28 @@ mod tests {
     }
 
     #[test]
+    fn shard_error_mid_epoch_restores_the_last_good_weights() {
+        let dir = std::env::temp_dir().join("mvgnn_stream_mid_epoch_test");
+        let shards = write_shards(&dir, 3);
+        // Corrupt the last record of every shard, so whichever shard the
+        // epoch visits first fails only after its intact records stepped.
+        for shard in &shards {
+            let mut bytes = std::fs::read(shard).unwrap();
+            let at = bytes.len() - 9;
+            bytes[at] ^= 0xff;
+            std::fs::write(shard, &bytes).unwrap();
+        }
+        let mut model = model_for(&shards);
+        let before = weight_bits(&model);
+        let cfg = TrainConfig { epochs: 1, batch_size: 1, ..Default::default() };
+        let err =
+            train_streaming(&mut model, &shards, &cfg, &StreamConfig::default()).unwrap_err();
+        assert!(matches!(err, MvGnnError::Shard(_)), "{err}");
+        assert!(weight_bits(&model) == before, "a failed epoch must not move the weights");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn invalid_streaming_configs_fail_fast() {
         let dir = std::env::temp_dir().join("mvgnn_stream_cfg_test");
         let shards = write_shards(&dir, 1);
@@ -419,7 +312,7 @@ mod tests {
             &mut model,
             &shards,
             &TrainConfig::default(),
-            &StreamConfig { prefetch: 0, ..Default::default() },
+            &StreamConfig { prefetch: 0 },
         );
         assert!(matches!(bad_ring, Err(MvGnnError::Config(_))));
         std::fs::remove_dir_all(&dir).ok();

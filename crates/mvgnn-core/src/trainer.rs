@@ -7,16 +7,19 @@
 //! bits depend only on the data and the configuration, never on the
 //! machine's core count.
 //!
-//! Robustness: the trainer snapshots the weights after every completed
-//! epoch. If an epoch produces a non-finite loss or gradient norm it
-//! rolls back to the last good snapshot, halves the learning rate,
-//! resets the optimizer moments, and retries; after
-//! [`TrainConfig::max_retries`] rollbacks it gives up with
-//! [`MvGnnError::Diverged`]. When [`TrainConfig::checkpoint_path`] is
-//! set, each completed epoch is also persisted atomically so an
-//! interrupted run can continue via [`TrainConfig::resume_from`].
+//! Robustness: the trainer snapshots the weights (a clone of the
+//! parameter store) after every completed epoch. If an epoch produces a
+//! non-finite loss or gradient norm it rolls back to the last good
+//! snapshot, halves the learning rate, resets the optimizer moments,
+//! and retries; after [`TrainConfig::max_retries`] rollbacks it gives up
+//! with [`MvGnnError::Diverged`]. Any error leaves the model at its last
+//! completed epoch. When [`TrainConfig::checkpoint_path`] is set, each
+//! completed epoch is also persisted atomically so an interrupted run
+//! can continue via [`TrainConfig::resume_from`]. The in-memory
+//! [`train`] and the out-of-core [`crate::streaming::train_streaming`]
+//! share this loop and differ only in how one epoch's batches arrive.
 
-use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
+use crate::checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
 use crate::error::MvGnnError;
 use crate::fault::FaultPlan;
 use crate::model::MvGnn;
@@ -150,65 +153,148 @@ fn batch_grads(
     (loss_sum, correct)
 }
 
-/// One optimizer step over one batch: gradient accumulation into the
-/// zeroed reused store, clip, step. Returns `None` when a non-finite
-/// gradient norm was observed (the step is NOT applied), otherwise the
-/// batch's `(summed loss, correct count)`.
-pub(crate) fn step_batch(
-    model: &mut MvGnn,
-    batch: &[&LabeledSample],
-    cfg: &TrainConfig,
-    opt: &mut Adam,
-    bufs: &mut StepBuffers,
-) -> Option<(f64, usize)> {
-    bufs.grads.zero();
-    let (loss, correct) = batch_grads(model, batch, cfg.aux_weight, bufs);
-    // clip_grad_norm returns the PRE-clip norm, so a NaN/Inf gradient
-    // anywhere in the store surfaces here — bail before the optimizer
-    // step can smear it into the weights.
-    let grad_norm = clip_grad_norm(&mut bufs.grads, cfg.clip);
-    if !grad_norm.is_finite() {
-        return None;
-    }
-    opt.step(&mut model.params, &bufs.grads);
-    Some((loss, correct))
-}
-
 /// Outcome of one epoch over the data.
-enum EpochRun {
+pub(crate) enum EpochRun {
     Done { loss: f32, accuracy: f32 },
     /// A non-finite loss or gradient norm was observed; carries the
     /// offending value for diagnostics.
     Diverged { loss: f32 },
 }
 
-fn run_epoch(
+/// Running totals of one epoch's optimizer steps.
+#[derive(Default)]
+pub(crate) struct EpochTotals {
+    loss: f64,
+    correct: usize,
+    pub(crate) seen: usize,
+}
+
+impl EpochTotals {
+    /// One optimizer step over one batch: gradient accumulation into the
+    /// zeroed reused store, clip, step. Returns `false` when a
+    /// non-finite gradient norm was observed (the step is NOT applied).
+    pub(crate) fn step(
+        &mut self,
+        model: &mut MvGnn,
+        batch: &[&LabeledSample],
+        cfg: &TrainConfig,
+        opt: &mut Adam,
+        bufs: &mut StepBuffers,
+    ) -> bool {
+        bufs.grads.zero();
+        let (loss, correct) = batch_grads(model, batch, cfg.aux_weight, bufs);
+        // clip_grad_norm returns the PRE-clip norm, so a NaN/Inf gradient
+        // anywhere in the store surfaces here — bail before the optimizer
+        // step can smear it into the weights.
+        let grad_norm = clip_grad_norm(&mut bufs.grads, cfg.clip);
+        if !grad_norm.is_finite() {
+            return false;
+        }
+        opt.step(&mut model.params, &bufs.grads);
+        self.loss += loss;
+        self.correct += correct;
+        self.seen += batch.len();
+        true
+    }
+
+    /// The epoch's outcome; `complete` is false when a step diverged.
+    pub(crate) fn outcome(&self, complete: bool) -> EpochRun {
+        let loss = (self.loss / self.seen.max(1) as f64) as f32;
+        if !complete || !loss.is_finite() {
+            return EpochRun::Diverged { loss };
+        }
+        EpochRun::Done { loss, accuracy: self.correct as f32 / self.seen as f32 }
+    }
+}
+
+/// The epoch loop every training mode shares. `run_epoch(model, epoch,
+/// optimizer, buffers)` runs one epoch's steps; around it this loop
+/// resumes from [`TrainConfig::resume_from`], applies the
+/// [`TrainConfig::fault`] hook, snapshots the weights after every
+/// completed epoch, writes [`TrainConfig::checkpoint_path`], and rolls
+/// back on divergence. Any error leaves the model at its last completed
+/// epoch's weights.
+pub(crate) fn train_epochs(
     model: &mut MvGnn,
-    data: &[LabeledSample],
-    order: &[usize],
     cfg: &TrainConfig,
-    opt: &mut Adam,
-    bufs: &mut StepBuffers,
-) -> EpochRun {
-    let mut epoch_loss = 0.0f64;
-    let mut epoch_correct = 0usize;
-    for batch_idx in order.chunks(cfg.batch_size) {
-        let batch: Vec<&LabeledSample> = batch_idx.iter().map(|&i| &data[i]).collect();
-        match step_batch(model, &batch, cfg, opt, bufs) {
-            Some((loss, correct)) => {
-                epoch_loss += loss;
-                epoch_correct += correct;
+    mut run_epoch: impl FnMut(
+        &mut MvGnn,
+        usize,
+        &mut Adam,
+        &mut StepBuffers,
+    ) -> Result<EpochRun, MvGnnError>,
+) -> Result<Vec<EpochStats>, MvGnnError> {
+    if cfg.batch_size == 0 {
+        return Err(MvGnnError::Config("batch_size must be >= 1".into()));
+    }
+    if !cfg.lr.is_finite() || cfg.lr <= 0.0 {
+        return Err(MvGnnError::Config(format!("lr must be finite and positive, got {}", cfg.lr)));
+    }
+    if cfg.epochs == 0 {
+        return Ok(Vec::new());
+    }
+
+    let mut lr = cfg.lr;
+    let mut retries = 0usize;
+    let mut stats: Vec<EpochStats> = Vec::with_capacity(cfg.epochs);
+    let mut epoch = 0usize;
+    if let Some(path) = &cfg.resume_from {
+        // The weights stay mapped until the first optimizer step copies
+        // each tensor on write.
+        let cp = MappedCheckpoint::open(path)?;
+        cp.install(&mut model.params)?;
+        let meta = cp.meta();
+        lr = meta.lr;
+        retries = meta.retries;
+        stats = meta.stats.clone();
+        epoch = meta.epoch + 1;
+    }
+
+    let mut opt = Adam::new(lr);
+    let mut last_good = model.params.clone();
+    let mut fault_armed = cfg.fault.as_ref().and_then(|f| f.poison_at_epoch).is_some();
+    let mut bufs = StepBuffers::new(model);
+    while epoch < cfg.epochs {
+        if let Some(plan) = &cfg.fault {
+            if plan.poison_at_epoch == Some(epoch) && (fault_armed || plan.persistent) {
+                plan.poison_params(&mut model.params, 2);
+                fault_armed = false;
             }
-            None => {
-                return EpochRun::Diverged { loss: (epoch_loss / data.len() as f64) as f32 }
+        }
+        match run_epoch(model, epoch, &mut opt, &mut bufs) {
+            Ok(EpochRun::Done { loss, accuracy }) => {
+                stats.push(EpochStats { epoch, loss, accuracy });
+                last_good = model.params.clone();
+                if let Some(path) = &cfg.checkpoint_path {
+                    let meta = CheckpointMeta {
+                        epoch,
+                        lr,
+                        retries,
+                        calibration: None,
+                        stats: stats.clone(),
+                    };
+                    write_checkpoint(path, &meta, &model.params)?;
+                }
+                epoch += 1;
+            }
+            Ok(EpochRun::Diverged { loss }) => {
+                if retries >= cfg.max_retries {
+                    model.params = last_good;
+                    return Err(MvGnnError::Diverged { epoch, retries, loss });
+                }
+                retries += 1;
+                lr *= 0.5;
+                model.params = last_good.clone();
+                opt = Adam::new(lr);
+            }
+            Err(e) => {
+                // The failed epoch may have stepped some batches already.
+                model.params = last_good;
+                return Err(e);
             }
         }
     }
-    let loss = (epoch_loss / data.len() as f64) as f32;
-    if !loss.is_finite() {
-        return EpochRun::Diverged { loss };
-    }
-    EpochRun::Done { loss, accuracy: epoch_correct as f32 / data.len() as f32 }
+    Ok(stats)
 }
 
 /// Train the model; returns per-epoch telemetry.
@@ -225,76 +311,17 @@ pub fn train(
     if data.is_empty() {
         return Err(MvGnnError::Config("training set is empty".into()));
     }
-    if cfg.batch_size == 0 {
-        return Err(MvGnnError::Config("batch_size must be >= 1".into()));
-    }
-    if !cfg.lr.is_finite() || cfg.lr <= 0.0 {
-        return Err(MvGnnError::Config(format!("lr must be finite and positive, got {}", cfg.lr)));
-    }
-    if cfg.epochs == 0 {
-        return Ok(Vec::new());
-    }
-
-    let mut lr = cfg.lr;
-    let mut retries = 0usize;
-    let mut stats: Vec<EpochStats> = Vec::with_capacity(cfg.epochs);
-    let mut start_epoch = 0usize;
-
-    if let Some(path) = &cfg.resume_from {
-        let cp = read_checkpoint(path)?;
-        model.load(&cp.weights)?;
-        lr = cp.lr;
-        retries = cp.retries;
-        stats = cp.stats;
-        start_epoch = cp.epoch + 1;
-    }
-
-    let mut opt = Adam::new(lr);
-    let mut last_good = model.save();
-    let mut fault_armed = cfg.fault.as_ref().and_then(|f| f.poison_at_epoch).is_some();
     let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut bufs = StepBuffers::new(model);
-    let mut epoch = start_epoch;
-    while epoch < cfg.epochs {
-        if let Some(plan) = &cfg.fault {
-            if plan.poison_at_epoch == Some(epoch) && (fault_armed || plan.persistent) {
-                plan.poison_params(&mut model.params, 2);
-                fault_armed = false;
-            }
-        }
+    train_epochs(model, cfg, |model, epoch, opt, bufs| {
         // Deterministic shuffle.
         order.sort_by_key(|&i| mix(cfg.seed ^ epoch as u64, i as u64));
-        match run_epoch(model, data, &order, cfg, &mut opt, &mut bufs) {
-            EpochRun::Done { loss, accuracy } => {
-                stats.push(EpochStats { epoch, loss, accuracy });
-                last_good = model.save();
-                if let Some(path) = &cfg.checkpoint_path {
-                    write_checkpoint(
-                        path,
-                        &Checkpoint {
-                            epoch,
-                            lr,
-                            retries,
-                            calibration: None,
-                            stats: stats.clone(),
-                            weights: last_good.to_vec(),
-                        },
-                    )?;
-                }
-                epoch += 1;
-            }
-            EpochRun::Diverged { loss } => {
-                if retries >= cfg.max_retries {
-                    return Err(MvGnnError::Diverged { epoch, retries, loss });
-                }
-                retries += 1;
-                lr *= 0.5;
-                model.load(&last_good)?;
-                opt = Adam::new(lr);
-            }
-        }
-    }
-    Ok(stats)
+        let mut totals = EpochTotals::default();
+        let complete = order.chunks(cfg.batch_size).all(|idx| {
+            let batch: Vec<&LabeledSample> = idx.iter().map(|&i| &data[i]).collect();
+            totals.step(model, &batch, cfg, opt, bufs)
+        });
+        Ok(totals.outcome(complete))
+    })
 }
 
 /// Evaluate accuracy on a sample slice (packed batched inference;
@@ -371,15 +398,23 @@ mod tests {
         assert_eq!(m.total(), ds.test.len());
     }
 
+    fn weight_bits(model: &MvGnn) -> Vec<Vec<u32>> {
+        (0..model.params.len())
+            .map(|i| {
+                model.params.data(mvgnn_tensor::ParamId(i)).iter().map(|x| x.to_bits()).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn zero_epochs_is_a_no_op() {
         let ds = tiny_dataset();
         let mut model = tiny_model(&ds);
-        let before = model.save();
+        let before = weight_bits(&model);
         let cfg = TrainConfig { epochs: 0, ..Default::default() };
         let stats = train(&mut model, &ds.train, &cfg).unwrap();
         assert!(stats.is_empty());
-        assert_eq!(&*model.save(), &*before, "weights must be untouched");
+        assert!(weight_bits(&model) == before, "weights must be untouched");
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! record:  payload_len u32 | fnv1a(payload) u64 | payload bytes
 //! ```
 //!
-//! All integers are little-endian. The framing is deliberately
-//! mmap-friendly: records can be skipped by length without decoding, so
-//! a reader can window a shard rather than materialise it —
-//! [`ShardReader`] streams one record at a time through a single reused
-//! buffer, keeping RSS bounded by the largest record, not the shard.
+//! All integers are little-endian. Records can be framed and checked by
+//! length and checksum without decoding, so a reader never has to
+//! materialise a shard: [`ShardReader`] streams one record at a time
+//! through a single reused buffer, keeping RSS bounded by the largest
+//! record, not the shard, and [`verify_shard`] runs the same framing
+//! walk without decoding at all.
 //!
 //! [`ShardWriter`] follows the repo's atomic-artifact convention: it
 //! writes to `<path>.tmp` with a zero record count, patches the count in
@@ -29,7 +30,7 @@ use crate::suites::Suite;
 use mvgnn_embed::GraphSample;
 use mvgnn_ir::module::{FuncId, LoopId};
 use mvgnn_ir::transform::OptLevel;
-use mvgnn_tensor::{Advice, Mmap, PersistError, SparseMatrix};
+use mvgnn_tensor::{PersistError, SparseMatrix};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -511,8 +512,8 @@ pub struct ShardReader {
     failed: bool,
 }
 
-/// Decode and validate a 32-byte MVSH header; shared by the buffered
-/// and the mapped readers.
+/// Decode and validate the MVSH header from the first (up to 32) bytes
+/// of a file.
 fn parse_header(header: &[u8]) -> Result<(ShardMeta, u64), ShardError> {
     if header.len() < HEADER_LEN {
         // A short file that still carries the magic is truncated; one
@@ -546,8 +547,8 @@ impl ShardReader {
     pub fn open(path: &Path) -> Result<ShardReader, ShardError> {
         let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
         let mut header = [0u8; HEADER_LEN];
-        read_fully(&mut file, &mut header)?;
-        let (meta, declared) = parse_header(&header)?;
+        let got = read_up_to(&mut file, &mut header)?;
+        let (meta, declared) = parse_header(&header[..got])?;
         Ok(ShardReader { file, meta, declared, read: 0, buf: Vec::new(), failed: false })
     }
 
@@ -561,7 +562,9 @@ impl ShardReader {
         self.declared
     }
 
-    fn next_record(&mut self) -> Result<Option<LabeledSample>, ShardError> {
+    /// Frame the next record and verify its checksum, without decoding
+    /// it. Returns `None` at the clean end the header declares.
+    fn next_payload(&mut self) -> Result<Option<&[u8]>, ShardError> {
         if self.read == self.declared {
             // Clean end: the file must stop exactly here.
             let mut probe = [0u8; 1];
@@ -596,9 +599,8 @@ impl ShardReader {
         if fnv1a(&self.buf) != sum {
             return Err(ShardError::Checksum { record: self.read });
         }
-        let sample = decode_record(&self.buf)?;
         self.read += 1;
-        Ok(Some(sample))
+        Ok(Some(&self.buf))
     }
 }
 
@@ -609,169 +611,27 @@ impl Iterator for ShardReader {
         if self.failed {
             return None;
         }
-        match self.next_record() {
-            Ok(Some(s)) => Some(Ok(s)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Mapped reader
-// ---------------------------------------------------------------------
-
-/// Zero-copy shard reader over an [`Mmap`] of the whole file.
-///
-/// Record payloads are decoded straight out of the mapping — no read
-/// syscalls and no intermediate record buffer after `open`, so the cold
-/// path from process exec to the first decoded sample is one `mmap`
-/// plus the page faults the decode actually touches. Iteration yields
-/// exactly the same samples (and the same typed errors for the same
-/// corruptions) as [`ShardReader`]; `tests/fault_injection.rs` pins
-/// both against the same corpus.
-pub struct MappedShardReader {
-    map: Mmap,
-    meta: ShardMeta,
-    declared: u64,
-    pos: usize,
-    read: u64,
-    failed: bool,
-}
-
-impl MappedShardReader {
-    /// Map a shard and validate its header. Validation is cheapest-first:
-    /// the magic/version/count prefix is checked before any record byte
-    /// is touched.
-    pub fn open(path: &Path) -> Result<MappedShardReader, ShardError> {
-        let file = std::fs::File::open(path)?;
-        let map = Mmap::map_file(&file)?;
-        // Shards are consumed front to back; tell the pager so (best
-        // effort — a refused advice changes nothing).
-        map.advise(Advice::Sequential);
-        let (meta, declared) = parse_header(map.as_slice())?;
-        Ok(MappedShardReader { map, meta, declared, pos: HEADER_LEN, read: 0, failed: false })
-    }
-
-    /// The shard identity from the header.
-    pub fn meta(&self) -> ShardMeta {
-        self.meta
-    }
-
-    /// Records the header declares.
-    pub fn declared_records(&self) -> u64 {
-        self.declared
-    }
-
-    /// Whether the file is really memory-mapped (false only on targets
-    /// where the wrapper fell back to an owned buffer).
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
-    }
-
-    /// Frame the next record inside `data` and verify its checksum.
-    /// Returns the payload window and the position after it.
-    fn frame_at(
-        data: &[u8],
-        pos: usize,
-        record: u64,
-    ) -> Result<(std::ops::Range<usize>, usize), ShardError> {
-        if data.len() - pos < 12 {
-            return Err(ShardError::Truncated);
-        }
-        let len =
-            u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
-        if len > MAX_RECORD_LEN {
-            return Err(ShardError::Malformed(format!("record length {len} exceeds cap")));
-        }
-        let sum = {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(&data[pos + 4..pos + 12]);
-            u64::from_le_bytes(a)
+        let record = match self.next_payload() {
+            Ok(Some(payload)) => decode_record(payload),
+            Ok(None) => return None,
+            Err(e) => Err(e),
         };
-        let start = pos + 12;
-        let end = start.checked_add(len as usize).ok_or(ShardError::Truncated)?;
-        if end > data.len() {
-            return Err(ShardError::Truncated);
-        }
-        if fnv1a(&data[start..end]) != sum {
-            return Err(ShardError::Checksum { record });
-        }
-        Ok((start..end, end))
-    }
-
-    fn next_record(&mut self) -> Result<Option<LabeledSample>, ShardError> {
-        let data = self.map.as_slice();
-        if self.read == self.declared {
-            // Clean end: the mapping must stop exactly here.
-            if self.pos != data.len() {
-                return Err(ShardError::CountMismatch {
-                    expected: self.declared,
-                    got: self.declared + 1,
-                });
-            }
-            return Ok(None);
-        }
-        if self.pos == data.len() {
-            // Clean EOF before the declared count: the count is wrong.
-            return Err(ShardError::CountMismatch { expected: self.declared, got: self.read });
-        }
-        let (payload, next) = Self::frame_at(data, self.pos, self.read)?;
-        let sample = decode_record(&data[payload])?;
-        self.pos = next;
-        self.read += 1;
-        Ok(Some(sample))
+        self.failed = record.is_err();
+        Some(record)
     }
 }
 
-impl Iterator for MappedShardReader {
-    type Item = Result<LabeledSample, ShardError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.next_record() {
-            Ok(Some(s)) => Some(Ok(s)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Cheaply verify a shard on disk: header sanity plus a checksum walk
-/// over every record frame, without decoding any payload. Returns the
-/// shard identity and its record count.
+/// Cheaply verify a shard on disk: header sanity plus the reader's
+/// frame-and-checksum walk over every record, without decoding any
+/// payload. Returns the shard identity and its record count.
 ///
 /// This is the `--resume` gate of the corpus pipeline: a shard that
 /// verifies is skipped by a restarted generation run, anything else
 /// (missing, truncated, corrupt) is regenerated.
 pub fn verify_shard(path: &Path) -> Result<(ShardMeta, u64), ShardError> {
-    let file = std::fs::File::open(path)?;
-    let map = Mmap::map_file(&file)?;
-    map.advise(Advice::Sequential);
-    let data = map.as_slice();
-    let (meta, declared) = parse_header(data)?;
-    let mut pos = HEADER_LEN;
-    let mut found = 0u64;
-    while pos < data.len() {
-        if found == declared {
-            return Err(ShardError::CountMismatch { expected: declared, got: declared + 1 });
-        }
-        let (_, next) = MappedShardReader::frame_at(data, pos, found)?;
-        pos = next;
-        found += 1;
-    }
-    if found != declared {
-        return Err(ShardError::CountMismatch { expected: declared, got: found });
-    }
-    Ok((meta, declared))
+    let mut reader = ShardReader::open(path)?;
+    while reader.next_payload()?.is_some() {}
+    Ok((reader.meta, reader.declared))
 }
 
 /// `read_exact` with truncation mapped to the typed error.

@@ -26,7 +26,7 @@ pub mod suites;
 pub use corpus::{
     assemble_dataset, base_key, build_corpus, noisy_label, CorpusConfig, Dataset, LabeledSample,
 };
-pub use format::{verify_shard, MappedShardReader, ShardError, ShardMeta, ShardReader, ShardWriter};
+pub use format::{verify_shard, ShardError, ShardMeta, ShardReader, ShardWriter};
 pub use shard::{
     fit_inst2vec, generate_shard, load_inst2vec, save_inst2vec, shard_file_name, write_shard,
     write_shard_resumable, ShardPlan,

@@ -1,14 +1,13 @@
-//! Fault injection for the MVSH readers: every corruption mode — bad
+//! Fault injection for the MVSH reader: every corruption mode — bad
 //! magic, bad version, truncation at any frame boundary, a flipped
-//! payload byte, a lying record count — must surface as the same typed
-//! [`ShardError`] from both the buffered [`ShardReader`] and the
-//! zero-copy [`MappedShardReader`], and never as a panic (or, for the
-//! mapped path, a SIGBUS from reading past the file). [`verify_shard`]
-//! must accept exactly the shards the readers accept.
+//! payload byte, a lying record count — must surface as a typed
+//! [`ShardError`] from [`ShardReader`], never as a panic, and
+//! [`verify_shard`] must give the same outcome, since it runs the
+//! reader's frame-and-checksum walk without decoding.
 
 use mvgnn_dataset::{
-    fit_inst2vec, verify_shard, write_shard, CorpusConfig, LabeledSample, MappedShardReader,
-    ShardError, ShardReader, Suite,
+    fit_inst2vec, verify_shard, write_shard, CorpusConfig, LabeledSample, ShardError, ShardReader,
+    Suite,
 };
 use mvgnn_embed::Inst2VecConfig;
 use mvgnn_ir::transform::OptLevel;
@@ -41,162 +40,139 @@ fn intact_shard(tag: &str) -> (PathBuf, PathBuf) {
     (dir, path)
 }
 
-/// Drain a mapped reader to its terminal outcome.
-fn mapped_outcome(path: &Path) -> Result<Vec<LabeledSample>, ShardError> {
-    MappedShardReader::open(path)?.collect()
-}
-
-/// Drain a buffered reader to its terminal outcome.
-fn buffered_outcome(path: &Path) -> Result<Vec<LabeledSample>, ShardError> {
+/// Drain a reader to its terminal outcome.
+fn read_outcome(path: &Path) -> Result<Vec<LabeledSample>, ShardError> {
     ShardReader::open(path)?.collect()
 }
 
-/// Coarse equivalence class of a shard outcome, for cross-reader parity.
-fn class(r: &Result<Vec<LabeledSample>, ShardError>) -> String {
-    match r {
+/// Coarse equivalence class of a shard error.
+fn error_class(e: &ShardError) -> String {
+    match e {
+        ShardError::Io(_) => "io".into(),
+        ShardError::BadMagic => "magic".into(),
+        ShardError::BadVersion(v) => format!("version:{v}"),
+        ShardError::Truncated => "truncated".into(),
+        ShardError::Checksum { record } => format!("checksum:{record}"),
+        ShardError::Malformed(_) => "malformed".into(),
+        ShardError::CountMismatch { expected, got } => format!("count:{expected}:{got}"),
+        ShardError::Embedding(_) => "embedding".into(),
+    }
+}
+
+/// Class of the reader's outcome: `ok:<records>` or the error class.
+fn reader_class(path: &Path) -> String {
+    match read_outcome(path) {
         Ok(v) => format!("ok:{}", v.len()),
-        Err(ShardError::Io(_)) => "io".into(),
-        Err(ShardError::BadMagic) => "magic".into(),
-        Err(ShardError::BadVersion(v)) => format!("version:{v}"),
-        Err(ShardError::Truncated) => "truncated".into(),
-        Err(ShardError::Checksum { record }) => format!("checksum:{record}"),
-        Err(ShardError::Malformed(_)) => "malformed".into(),
-        Err(ShardError::CountMismatch { expected, got }) => format!("count:{expected}:{got}"),
-        Err(ShardError::Embedding(_)) => "embedding".into(),
+        Err(e) => error_class(&e),
     }
 }
 
-#[test]
-fn intact_shard_reads_identically_through_both_readers() {
-    let (dir, path) = intact_shard("parity");
-    let buffered = buffered_outcome(&path).unwrap();
-    let mapped = mapped_outcome(&path).unwrap();
-    assert_eq!(buffered.len(), mapped.len());
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for (b, m) in buffered.iter().zip(&mapped) {
-        assert_eq!(b.base_key, m.base_key);
-        assert_eq!(b.label, m.label);
-        assert_eq!(bits(&b.sample.node_feats), bits(&m.sample.node_feats));
-        assert_eq!(bits(&b.sample.struct_dists), bits(&m.sample.struct_dists));
-        assert_eq!(b.sample.adj, m.sample.adj);
+/// Class of `verify_shard`'s outcome, in the reader's terms.
+fn verify_class(path: &Path) -> String {
+    match verify_shard(path) {
+        Ok((_, n)) => format!("ok:{n}"),
+        Err(e) => error_class(&e),
     }
-    let (meta, n) = verify_shard(&path).unwrap();
-    assert_eq!(n as usize, mapped.len());
-    assert_eq!(meta, MappedShardReader::open(&path).unwrap().meta());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn every_truncation_point_is_typed_in_both_readers() {
-    let (dir, path) = intact_shard("truncate");
-    let bytes = std::fs::read(&path).unwrap();
+/// The outcome class of every corruption case, as recorded before the
+/// reader and `verify_shard` shared one framing step. A short file
+/// without the magic is `magic`, not `truncated`: it is not a shard at
+/// all. The fixture shard holds 47 records.
+const CLASS_TABLE: &[(&str, &str)] = &[
+    ("cut0", "truncated"),
+    ("cut3", "truncated"),
+    ("cut7", "truncated"),
+    ("cut16", "truncated"),
+    ("cut31", "truncated"),
+    ("cut32", "count:47:0"),
+    ("cut35", "truncated"),
+    ("cut40", "truncated"),
+    ("cut44", "truncated"),
+    ("cut60", "truncated"),
+    ("cut_last", "truncated"),
+    ("magic", "magic"),
+    ("version", "version:42"),
+    ("flip", "checksum:0"),
+    ("under", "count:46:47"),
+    ("over", "count:48:47"),
+    ("huge", "malformed"),
+    ("empty", "truncated"),
+    ("junk", "magic"),
+    ("missing", "io"),
+    ("intact", "ok:47"),
+];
+
+/// Build every corruption case of the table from one intact shard.
+/// `None` bytes mean "do not create the file".
+fn corruption_cases(bytes: &[u8]) -> Vec<(&'static str, Option<Vec<u8>>)> {
+    let declared = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+    let patched = |f: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = bytes.to_vec();
+        f(&mut b);
+        Some(b)
+    };
     // Every prefix would be O(n²) over a multi-megabyte shard; cut at
     // the structurally interesting points instead: inside the header,
     // at the header edge, inside the first frame, inside the first
     // payload, and one byte short of the end.
-    let cuts = [0, 3, 7, 16, 31, 32, 35, 40, 44, 60, bytes.len() - 1];
-    for &cut in &cuts {
-        let t = path.with_extension(format!("cut{cut}"));
-        std::fs::write(&t, &bytes[..cut]).unwrap();
-        let m = mapped_outcome(&t);
-        assert!(m.is_err(), "mapped reader accepted a {cut}-byte prefix");
-        let b = buffered_outcome(&t);
-        assert!(b.is_err(), "buffered reader accepted a {cut}-byte prefix");
-        assert_eq!(class(&m), class(&b), "cut at {cut}");
-        assert!(verify_shard(&t).is_err(), "verify accepted a {cut}-byte prefix");
+    let cut = |n: usize| Some(bytes[..n].to_vec());
+    vec![
+        ("cut0", cut(0)),
+        ("cut3", cut(3)),
+        ("cut7", cut(7)),
+        ("cut16", cut(16)),
+        ("cut31", cut(31)),
+        ("cut32", cut(32)),
+        ("cut35", cut(35)),
+        ("cut40", cut(40)),
+        ("cut44", cut(44)),
+        ("cut60", cut(60)),
+        ("cut_last", cut(bytes.len() - 1)),
+        ("magic", patched(&|b| b[0] = b'X')),
+        ("version", patched(&|b| b[4] = 0x2a)),
+        // First record's payload starts at header (32) + frame (12).
+        ("flip", patched(&|b| b[44] ^= 0xff)),
+        // Understated count: the reader must notice trailing records.
+        ("under", patched(&|b| b[24..32].copy_from_slice(&(declared - 1).to_le_bytes()))),
+        // Overstated count: the reader must notice the early end.
+        ("over", patched(&|b| b[24..32].copy_from_slice(&(declared + 1).to_le_bytes()))),
+        // First record's length field is at offset 32; declare 4 GiB-ish
+        // so the reader must refuse before allocating.
+        ("huge", patched(&|b| b[32..36].copy_from_slice(&u32::MAX.to_le_bytes()))),
+        ("empty", Some(Vec::new())),
+        ("junk", Some(b"not a shard at all".to_vec())),
+        ("missing", None),
+        ("intact", Some(bytes.to_vec())),
+    ]
+}
+
+#[test]
+fn reader_and_verify_match_the_recorded_class_table() {
+    let (dir, path) = intact_shard("table");
+    let bytes = std::fs::read(&path).unwrap();
+    let cases = corruption_cases(&bytes);
+    assert_eq!(cases.len(), CLASS_TABLE.len());
+    for ((name, contents), &(want_name, want)) in cases.into_iter().zip(CLASS_TABLE) {
+        assert_eq!(name, want_name);
+        let p = dir.join(format!("{name}.mvsh"));
+        if let Some(b) = contents {
+            std::fs::write(&p, b).unwrap();
+        }
+        assert_eq!(reader_class(&p), want, "reader, case {name}");
+        assert_eq!(verify_class(&p), want, "verify_shard, case {name}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn bad_magic_and_bad_version_are_typed() {
-    let (dir, path) = intact_shard("header");
-    let bytes = std::fs::read(&path).unwrap();
-
-    let mut magic = bytes.clone();
-    magic[0] = b'X';
-    let p = path.with_extension("magic");
-    std::fs::write(&p, &magic).unwrap();
-    assert!(matches!(mapped_outcome(&p), Err(ShardError::BadMagic)));
-    assert!(matches!(verify_shard(&p), Err(ShardError::BadMagic)));
-
-    let mut version = bytes.clone();
-    version[4] = 0x2a;
-    let p = path.with_extension("version");
-    std::fs::write(&p, &version).unwrap();
-    assert!(matches!(mapped_outcome(&p), Err(ShardError::BadVersion(42))));
-    assert!(matches!(verify_shard(&p), Err(ShardError::BadVersion(42))));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn flipped_payload_byte_is_a_checksum_error_in_record_zero() {
-    let (dir, path) = intact_shard("checksum");
-    let mut bytes = std::fs::read(&path).unwrap();
-    // First record's payload starts at header (32) + frame (12).
-    bytes[44] ^= 0xff;
-    let p = path.with_extension("flip");
-    std::fs::write(&p, &bytes).unwrap();
-    assert!(matches!(mapped_outcome(&p), Err(ShardError::Checksum { record: 0 })));
-    assert!(matches!(buffered_outcome(&p), Err(ShardError::Checksum { record: 0 })));
-    assert!(matches!(verify_shard(&p), Err(ShardError::Checksum { record: 0 })));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn lying_record_counts_are_count_mismatches() {
-    let (dir, path) = intact_shard("count");
-    let bytes = std::fs::read(&path).unwrap();
-    let declared = MappedShardReader::open(&path).unwrap().declared_records();
-
-    // Understated count: the reader must notice trailing records.
-    let mut under = bytes.clone();
-    under[24..32].copy_from_slice(&(declared - 1).to_le_bytes());
-    let p = path.with_extension("under");
-    std::fs::write(&p, &under).unwrap();
-    assert!(matches!(mapped_outcome(&p), Err(ShardError::CountMismatch { .. })));
-    assert!(matches!(buffered_outcome(&p), Err(ShardError::CountMismatch { .. })));
-    assert!(matches!(verify_shard(&p), Err(ShardError::CountMismatch { .. })));
-
-    // Overstated count: the reader must notice the early end.
-    let mut over = bytes.clone();
-    over[24..32].copy_from_slice(&(declared + 1).to_le_bytes());
-    let p = path.with_extension("over");
-    std::fs::write(&p, &over).unwrap();
-    assert!(matches!(mapped_outcome(&p), Err(ShardError::CountMismatch { .. })));
-    assert!(matches!(buffered_outcome(&p), Err(ShardError::CountMismatch { .. })));
-    assert!(matches!(verify_shard(&p), Err(ShardError::CountMismatch { .. })));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn oversized_record_length_is_refused_before_allocation() {
-    let (dir, path) = intact_shard("length");
-    let mut bytes = std::fs::read(&path).unwrap();
-    // First record's length field is at offset 32; declare 4 GiB-ish.
-    bytes[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-    let p = path.with_extension("huge");
-    std::fs::write(&p, &bytes).unwrap();
-    assert!(matches!(mapped_outcome(&p), Err(ShardError::Malformed(_))));
-    assert!(matches!(buffered_outcome(&p), Err(ShardError::Malformed(_))));
-    assert!(matches!(verify_shard(&p), Err(ShardError::Malformed(_))));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn empty_and_tiny_files_are_typed_not_sigbus() {
-    let dir = std::env::temp_dir().join("mvgnn_fault_injection_tiny");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let empty = dir.join("empty.mvsh");
-    std::fs::write(&empty, b"").unwrap();
-    assert!(matches!(MappedShardReader::open(&empty), Err(ShardError::Truncated)));
-    let junk = dir.join("junk.mvsh");
-    std::fs::write(&junk, b"not a shard at all").unwrap();
-    assert!(matches!(MappedShardReader::open(&junk), Err(ShardError::BadMagic)));
-    let missing = dir.join("missing.mvsh");
-    assert!(matches!(MappedShardReader::open(&missing), Err(ShardError::Io(_))));
+fn intact_shard_reads_and_verifies() {
+    let (dir, path) = intact_shard("intact");
+    let samples = read_outcome(&path).unwrap();
+    let (meta, n) = verify_shard(&path).unwrap();
+    assert_eq!(n as usize, samples.len());
+    let reader = ShardReader::open(&path).unwrap();
+    assert_eq!(meta, reader.meta());
+    assert_eq!(n, reader.declared_records());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -242,7 +242,7 @@ impl Server {
     }
 
     /// Start a sample-path-only server over a caller-built
-    /// [`ModelRegistry`] — e.g. one seeded from a mapped MVCK-v2
+    /// [`ModelRegistry`] — e.g. one seeded from a mapped MVCK
     /// artifact, whose census then carries the artifact path and load
     /// mode into every response.
     pub fn start_with_registry(

@@ -24,8 +24,8 @@ pub mod sparse;
 pub mod tape;
 pub mod workspace;
 
-pub use mmap::{Advice, Mmap};
+pub use mmap::Mmap;
 pub use sparse::SparseMatrix;
-pub use persist::{load_params, save_params, PersistError};
+pub use persist::PersistError;
 pub use tape::{GradStore, Params, ParamId, SparseId, Storage, Tape, Var, ViewError};
 pub use workspace::{Workspace, WorkspaceStats};

@@ -4,8 +4,7 @@
 //! syscalls needed for zero-copy artifact loading are declared directly
 //! as `extern "C"` bindings against the platform's C runtime (which the
 //! Rust standard library already links). Only what the artifact layer
-//! needs is exposed: map a whole file read-only, advise the kernel
-//! about the access pattern, and unmap on drop.
+//! needs is exposed: map a whole file read-only and unmap on drop.
 //!
 //! On non-Unix targets the same API is backed by an owned, 64-byte
 //! aligned buffer read eagerly from the file, so callers never need a
@@ -30,32 +29,14 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
     }
 
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
-    pub const MADV_RANDOM: i32 = 1;
-    pub const MADV_SEQUENTIAL: i32 = 2;
-    pub const MADV_WILLNEED: i32 = 3;
 
     pub fn map_failed() -> *mut c_void {
         usize::MAX as *mut c_void
     }
-}
-
-/// Access-pattern hint forwarded to `madvise` (a no-op on the owned
-/// fallback backing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Advice {
-    /// Expect sequential reads (aggressive readahead) — the streaming
-    /// shard reader's pattern.
-    Sequential,
-    /// Expect random access (no readahead) — a weight registry serving
-    /// scattered tensor reads.
-    Random,
-    /// Touch soon: prefault pages ahead of the first read.
-    WillNeed,
 }
 
 enum Backing {
@@ -178,25 +159,6 @@ impl Mmap {
     pub fn base_addr(&self) -> usize {
         self.as_slice().as_ptr() as usize
     }
-
-    /// Forward an access-pattern hint to the kernel. Best-effort: hint
-    /// failures are ignored (they only affect readahead, not
-    /// correctness), and the owned backing has nothing to advise.
-    pub fn advise(&self, advice: Advice) {
-        #[cfg(unix)]
-        if let Backing::Mapped { ptr, len } = &self.backing {
-            let code = match advice {
-                Advice::Sequential => sys::MADV_SEQUENTIAL,
-                Advice::Random => sys::MADV_RANDOM,
-                Advice::WillNeed => sys::MADV_WILLNEED,
-            };
-            unsafe {
-                sys::madvise(*ptr, *len, code);
-            }
-        }
-        #[cfg(not(unix))]
-        let _ = advice;
-    }
 }
 
 impl Drop for Mmap {
@@ -304,17 +266,6 @@ mod tests {
         assert!(map.is_empty());
         assert_eq!(map.as_slice(), b"");
         assert!(!map.is_mapped());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn advise_is_best_effort() {
-        let path = tmp_file("advise", &[7u8; 4096]);
-        let map = Mmap::map_file(&File::open(&path).unwrap()).unwrap();
-        map.advise(Advice::Sequential);
-        map.advise(Advice::Random);
-        map.advise(Advice::WillNeed);
-        assert_eq!(map.as_slice()[4095], 7);
         std::fs::remove_file(&path).ok();
     }
 

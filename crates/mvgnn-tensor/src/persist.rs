@@ -1,192 +1,30 @@
-//! Parameter-store persistence: a small, versioned binary format so
-//! trained models can be saved and reloaded without retraining.
-//!
-//! Layout (little-endian):
-//! `magic "MVGN" | version u32 | tensor count u32 |` then per tensor
-//! `name len u32 | name bytes | rows u32 | cols u32 | f32 data`.
-
-use crate::tape::Params;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-const MAGIC: &[u8; 4] = b"MVGN";
-const VERSION: u32 = 1;
+//! The typed error of the workspace's binary artifact decoders (the
+//! MVI2 embedding artifact, and the shard reader that consumes it).
+//! Model weights have their own format and error (`mvgnn_core`'s
+//! MVCK checkpoints).
 
 /// Serialisation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistError {
-    /// The header is not a parameter file.
+    /// The header is not the expected artifact.
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),
     /// The buffer ended early or lengths are inconsistent.
     Truncated,
-    /// Loaded tensors don't match the receiving store's layout.
+    /// The decoded contents are inconsistent with the artifact's layout.
     LayoutMismatch(String),
 }
 
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::BadMagic => write!(f, "not a MVGN parameter file"),
+            PersistError::BadMagic => write!(f, "bad magic"),
             PersistError::BadVersion(v) => write!(f, "unsupported version {v}"),
-            PersistError::Truncated => write!(f, "truncated parameter file"),
+            PersistError::Truncated => write!(f, "truncated artifact"),
             PersistError::LayoutMismatch(m) => write!(f, "layout mismatch: {m}"),
         }
     }
 }
 
 impl std::error::Error for PersistError {}
-
-/// Serialise every parameter tensor (values only; gradients are not
-/// persisted).
-pub fn save_params(params: &Params) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + params.scalar_count() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(params.len() as u32);
-    for i in 0..params.len() {
-        let id = crate::tape::ParamId(i);
-        let name = params.name(id);
-        let (rows, cols) = params.shape(id);
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        buf.put_u32_le(rows as u32);
-        buf.put_u32_le(cols as u32);
-        for &x in params.data(id) {
-            buf.put_f32_le(x);
-        }
-    }
-    buf.freeze()
-}
-
-/// Load values into an existing store with the identical layout (same
-/// tensor names, order and shapes — i.e., the same model architecture).
-pub fn load_params(params: &mut Params, mut bytes: &[u8]) -> Result<(), PersistError> {
-    if bytes.remaining() < 12 {
-        return Err(PersistError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = bytes.get_u32_le();
-    if version != VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let count = bytes.get_u32_le() as usize;
-    if count != params.len() {
-        return Err(PersistError::LayoutMismatch(format!(
-            "file has {count} tensors, store has {}",
-            params.len()
-        )));
-    }
-    for i in 0..count {
-        let id = crate::tape::ParamId(i);
-        if bytes.remaining() < 4 {
-            return Err(PersistError::Truncated);
-        }
-        let name_len = bytes.get_u32_le() as usize;
-        if bytes.remaining() < name_len + 8 {
-            return Err(PersistError::Truncated);
-        }
-        let mut name = vec![0u8; name_len];
-        bytes.copy_to_slice(&mut name);
-        let name = String::from_utf8(name)
-            .map_err(|_| PersistError::LayoutMismatch("non-utf8 tensor name".into()))?;
-        if name != params.name(id) {
-            return Err(PersistError::LayoutMismatch(format!(
-                "tensor {i}: file `{name}` vs store `{}`",
-                params.name(id)
-            )));
-        }
-        let rows = bytes.get_u32_le() as usize;
-        let cols = bytes.get_u32_le() as usize;
-        if (rows, cols) != params.shape(id) {
-            return Err(PersistError::LayoutMismatch(format!(
-                "tensor `{name}`: file {rows}×{cols} vs store {:?}",
-                params.shape(id)
-            )));
-        }
-        let n = rows * cols;
-        if bytes.remaining() < n * 4 {
-            return Err(PersistError::Truncated);
-        }
-        let dst = params.data_mut(id);
-        for x in dst.iter_mut().take(n) {
-            *x = bytes.get_f32_le();
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::init;
-
-    fn store() -> Params {
-        let mut p = Params::new();
-        let mut rng = init::rng(5);
-        p.add("layer.w", 3, 4, init::xavier_uniform(3, 4, &mut rng));
-        p.add("layer.b", 1, 4, vec![0.1, 0.2, 0.3, 0.4]);
-        p
-    }
-
-    #[test]
-    fn roundtrip_restores_values() {
-        let src = store();
-        let bytes = save_params(&src);
-        let mut dst = store();
-        // Perturb the destination first.
-        for (_, d) in dst.iter_mut() {
-            for x in d.iter_mut() {
-                *x = -9.0;
-            }
-        }
-        load_params(&mut dst, &bytes).unwrap();
-        for i in 0..src.len() {
-            let id = crate::tape::ParamId(i);
-            assert_eq!(src.data(id), dst.data(id));
-        }
-    }
-
-    #[test]
-    fn rejects_bad_magic_and_truncation() {
-        let mut dst = store();
-        assert_eq!(load_params(&mut dst, b"NOPE"), Err(PersistError::Truncated));
-        assert_eq!(
-            load_params(&mut dst, b"XXXXxxxxxxxxxxxx"),
-            Err(PersistError::BadMagic)
-        );
-        let bytes = save_params(&store());
-        let cut = &bytes[..bytes.len() - 3];
-        assert_eq!(load_params(&mut dst, cut), Err(PersistError::Truncated));
-    }
-
-    #[test]
-    fn rejects_layout_mismatch() {
-        let bytes = save_params(&store());
-        let mut other = Params::new();
-        other.add("different", 3, 4, vec![0.0; 12]);
-        other.add("layer.b", 1, 4, vec![0.0; 4]);
-        match load_params(&mut other, &bytes) {
-            Err(PersistError::LayoutMismatch(_)) => {}
-            other => panic!("expected mismatch, got {other:?}"),
-        }
-        let mut fewer = Params::new();
-        fewer.add("layer.w", 3, 4, vec![0.0; 12]);
-        assert!(matches!(
-            load_params(&mut fewer, &bytes),
-            Err(PersistError::LayoutMismatch(_))
-        ));
-    }
-
-    #[test]
-    fn version_checked() {
-        let mut bytes = save_params(&store()).to_vec();
-        bytes[4] = 99; // clobber version
-        let mut dst = store();
-        assert_eq!(load_params(&mut dst, &bytes), Err(PersistError::BadVersion(99)));
-    }
-}

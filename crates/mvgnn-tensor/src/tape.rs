@@ -27,9 +27,9 @@ const CONV_BLOCK: usize = 64;
 /// Immutable during execution — forward and backward passes need only
 /// `&Params`, so a trained store can sit behind an `Arc` and serve many
 /// threads at once. Mutation happens between passes: the optimizer
-/// steps values via [`Params::iter_mut`], and persistence loads values
-/// via [`Params::data_mut`]. Gradients accumulate in a separate
-/// [`GradStore`] owned by each [`Tape`].
+/// steps values via [`Params::iter_mut`], and a checkpoint load
+/// installs mapped views via [`Params::set_storage`]. Gradients
+/// accumulate in a separate [`GradStore`] owned by each [`Tape`].
 #[derive(Debug, Clone, Default)]
 pub struct Params {
     names: Vec<String>,
@@ -42,12 +42,11 @@ pub struct Params {
 pub struct ParamId(pub usize);
 
 /// Backing storage for one parameter tensor: either an owned buffer
-/// (the training / eager-load representation) or an aligned `f32` view
+/// (the training representation) or an aligned `f32` view
 /// borrowed straight out of a shared memory-mapped artifact (zero-copy
 /// load). Reads go through [`Storage::as_slice`] either way; the first
 /// mutable access to a mapped tensor materialises it into an owned
-/// buffer (copy-on-write), so the optimizer and persistence surfaces
-/// keep working unchanged.
+/// buffer (copy-on-write), so the optimizer keeps working unchanged.
 #[derive(Debug, Clone)]
 pub enum Storage {
     /// Heap-owned values.
@@ -212,7 +211,7 @@ impl Params {
     }
 
     /// Number of tensors currently viewed out of a mapped artifact
-    /// (zero after any eager load or optimizer step) — the registry
+    /// (zero after any optimizer step) — the registry
     /// census reads this to report the effective load mode.
     pub fn mapped_tensor_count(&self) -> usize {
         self.data.iter().filter(|s| s.is_mapped()).count()
@@ -228,7 +227,7 @@ impl Params {
         &self.names[id.0]
     }
 
-    /// Iterate `(id, data)` mutably — the optimizer/persistence surface.
+    /// Iterate `(id, data)` mutably — the optimizer surface.
     /// Mapped tensors materialise into owned buffers as they are
     /// yielded (copy-on-write), same as [`Params::data_mut`].
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (ParamId, &mut Vec<f32>)> {
@@ -2011,8 +2010,14 @@ mod tests {
 
     fn mapped_fixture(values: &[f32]) -> Arc<Mmap> {
         use std::io::Write;
-        let path = std::env::temp_dir()
-            .join(format!("mvgnn_storage_{}_{}.bin", std::process::id(), values.len()));
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Tests run in parallel: every fixture gets its own file.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "mvgnn_storage_{}_{}.bin",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
         let mut f = std::fs::File::create(&path).unwrap();
         for &x in values {
             f.write_all(&x.to_le_bytes()).unwrap();

@@ -7,7 +7,7 @@
 
 use mvgnn::core::model::{MvGnn, MvGnnConfig};
 use mvgnn::core::trainer::{train, TrainConfig};
-use mvgnn::core::FaultPlan;
+use mvgnn::core::{FaultPlan, MvGnnError};
 use mvgnn::dataset::{build_corpus, CorpusConfig, Suite};
 use mvgnn::embed::Inst2VecConfig;
 use mvgnn::ir::transform::OptLevel;
@@ -48,7 +48,7 @@ fn main() {
 
     // 2. Checkpoint + resume: train 3 epochs with a checkpoint, then
     //    resume a fresh model from it and run the remaining 3.
-    let path = std::env::temp_dir().join("mvgnn_demo.ckpt");
+    let path = std::env::temp_dir().join("mvgnn_demo_train.mvck");
     let mut first = MvGnn::new(cfg.clone());
     let half = TrainConfig {
         epochs: 3,
@@ -77,8 +77,8 @@ fn main() {
     std::fs::write(&path, &bytes).expect("rewrite");
     let mut victim = MvGnn::new(MvGnnConfig::small(probe.node_dim, probe.aw_vocab));
     match train(&mut victim, &ds.train, &rest) {
-        Err(e) => println!("\ncorrupted checkpoint rejected: {e}"),
-        Ok(_) => unreachable!("corruption must not be accepted"),
+        Err(e @ MvGnnError::Checkpoint(_)) => println!("\ncorrupted checkpoint rejected: {e}"),
+        other => panic!("corruption must be rejected as a checkpoint error, got {other:?}"),
     }
     std::fs::remove_file(&path).ok();
 }

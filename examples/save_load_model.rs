@@ -5,6 +5,7 @@
 //! cargo run --release --example save_load_model
 //! ```
 
+use mvgnn::core::checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
 use mvgnn::core::model::{MvGnn, MvGnnConfig};
 use mvgnn::core::trainer::{evaluate, train, TrainConfig};
 use mvgnn::dataset::{build_corpus, CorpusConfig, Suite};
@@ -27,20 +28,37 @@ fn main() {
     let probe = &ds.train[0].sample;
     let cfg = MvGnnConfig::small(probe.node_dim, probe.aw_vocab);
     let mut model = MvGnn::new(cfg.clone());
-    train(&mut model, &ds.train, &TrainConfig { epochs: 10, ..Default::default() })
-        .expect("training must succeed");
+    let train_cfg = TrainConfig { epochs: 10, ..Default::default() };
+    let stats = train(&mut model, &ds.train, &train_cfg).expect("training must succeed");
     let metrics = evaluate(&model, &ds.test);
     println!("trained: {metrics}");
 
-    let path = std::env::temp_dir().join("mvgnn_demo.params");
-    std::fs::write(&path, model.save()).expect("write params");
+    let path = std::env::temp_dir().join("mvgnn_demo_model.mvck");
+    let meta = CheckpointMeta {
+        epoch: train_cfg.epochs - 1,
+        lr: train_cfg.lr,
+        stats,
+        ..Default::default()
+    };
+    write_checkpoint(&path, &meta, &model.params).expect("write checkpoint");
     println!("saved {} bytes to {}", std::fs::metadata(&path).unwrap().len(), path.display());
 
+    // The architecture is not stored: rebuild it from the same config,
+    // then map the weights into it.
     let mut reloaded = MvGnn::new(cfg);
-    let bytes = std::fs::read(&path).expect("read params");
-    reloaded.load(&bytes).expect("layout matches");
+    let cp = MappedCheckpoint::open(&path).expect("valid checkpoint");
+    reloaded.load_mapped(&cp).expect("layout matches");
+    assert_eq!(cp.meta(), &meta, "resume state must round-trip");
+    for i in 0..model.params.len() {
+        let id = mvgnn::tensor::ParamId(i);
+        let bits = |p: &mvgnn::tensor::Params| -> Vec<u32> {
+            p.data(id).iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&model.params), bits(&reloaded.params), "tensor {i} differs");
+    }
     let again = evaluate(&reloaded, &ds.test);
     println!("reloaded: {again}");
     assert_eq!(metrics, again, "reloaded model must predict identically");
+    std::fs::remove_file(&path).ok();
     println!("round-trip OK");
 }

@@ -40,8 +40,14 @@ cargo run --release -p mvgnn-bench --bin corpus --quiet -- --smoke
 echo "==> cascade smoke (tier-0 short-circuit rate > 0, throughput >= pure GNN)"
 cargo run --release -p mvgnn-bench --bin cascade --quiet -- --smoke
 
-echo "==> coldstart smoke (mapped MVCK-v2 loads, bit parity, cold start <= eager)"
+echo "==> coldstart smoke (the checkpoint maps, installs to_bits-identical to the written weights)"
 cargo run --release -p mvgnn-bench --bin coldstart --quiet -- --smoke
+
+echo "==> checkpoint round trip (train, write, map back: bit-identical weights and predictions)"
+cargo run --release --example save_load_model --quiet
+
+echo "==> fault-tolerant training (rollback, checkpoint resume, corrupt checkpoint refused)"
+cargo run --release --example fault_tolerant_training --quiet
 
 echo "==> patterns smoke (planner proves in every family, zero rule-C contradictions)"
 cargo run --release -p mvgnn-bench --bin patterns --quiet -- --smoke
