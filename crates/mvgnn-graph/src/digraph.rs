@@ -223,27 +223,39 @@ impl<N, E> DiGraph<N, E> {
         }
     }
 
-    /// Extract the induced subgraph over `keep` (in the given order).
-    ///
-    /// Returns the subgraph and the mapping `old NodeId -> new NodeId`.
-    pub fn induced_subgraph(&self, keep: &[NodeId]) -> (DiGraph<N, E>, Vec<Option<NodeId>>)
+    /// Extract the subgraph induced by `keep`, which must not repeat a
+    /// node: node `i` of the result is `keep[i]`, and every edge between
+    /// kept nodes is copied in edge-id order. Only the kept nodes'
+    /// out-edges are visited, so the cost does not grow with the rest of
+    /// the graph.
+    pub fn induced_subgraph(&self, keep: &[NodeId]) -> DiGraph<N, E>
     where
         N: Clone,
         E: Clone,
     {
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        let mut sub = DiGraph::with_capacity(keep.len(), keep.len() * 2);
-        for &old in keep {
-            let new = sub.add_node(self.nodes[old.index()].clone());
-            remap[old.index()] = Some(new);
-        }
-        for (i, rec) in self.edges.iter().enumerate() {
-            let _ = i;
-            if let (Some(s), Some(d)) = (remap[rec.src.index()], remap[rec.dst.index()]) {
-                sub.add_edge(s, d, rec.weight.clone());
+        // `(old, new)` ids sorted by old id, for membership tests.
+        let mut new_of: Vec<(NodeId, NodeId)> =
+            keep.iter().enumerate().map(|(i, &old)| (old, NodeId(i as u32))).collect();
+        new_of.sort_unstable();
+        let lookup =
+            |old: NodeId| new_of.binary_search_by_key(&old, |&(o, _)| o).ok().map(|i| new_of[i].1);
+        let mut edges: Vec<(EdgeId, NodeId, NodeId)> = Vec::new();
+        for (src, &old) in keep.iter().enumerate() {
+            for &e in &self.out_adj[old.index()] {
+                if let Some(dst) = lookup(self.edges[e.index()].dst) {
+                    edges.push((e, NodeId(src as u32), dst));
+                }
             }
         }
-        (sub, remap)
+        edges.sort_unstable_by_key(|&(e, _, _)| e);
+        let mut sub = DiGraph::with_capacity(keep.len(), edges.len());
+        for &old in keep {
+            sub.add_node(self.nodes[old.index()].clone());
+        }
+        for (e, src, dst) in edges {
+            sub.add_edge(src, dst, self.edges[e.index()].weight.clone());
+        }
+        sub
     }
 
     /// Undirected neighbour list per node (successors ∪ predecessors,
@@ -341,14 +353,35 @@ mod tests {
     #[test]
     fn induced_subgraph_keeps_internal_edges_only() {
         let g = diamond();
-        let (sub, remap) = g.induced_subgraph(&[NodeId(0), NodeId(1), NodeId(3)]);
+        let sub = g.induced_subgraph(&[NodeId(0), NodeId(1), NodeId(3)]);
         assert_eq!(sub.node_count(), 3);
         // edges a->b and b->d survive; a->c and c->d are dropped.
         assert_eq!(sub.edge_count(), 2);
-        assert_eq!(remap[2], None);
-        assert_eq!(remap[0], Some(NodeId(0)));
+        assert_eq!(sub.node_weights().copied().collect::<Vec<_>>(), vec!["a", "b", "d"]);
         assert!(sub.has_edge(NodeId(0), NodeId(1)));
         assert!(sub.has_edge(NodeId(1), NodeId(2)));
+    }
+
+    #[test]
+    fn induced_subgraph_follows_keep_order_and_edge_ids() {
+        // Nodes come out in `keep` order and edges in the parent's edge-id
+        // order, whichever kept node they leave.
+        let mut g = diamond();
+        g.add_edge(NodeId(3), NodeId(0), 5);
+        g.add_edge(NodeId(1), NodeId(1), 6);
+        let sub = g.induced_subgraph(&[NodeId(3), NodeId(0), NodeId(1)]);
+        assert_eq!(sub.node_weights().copied().collect::<Vec<_>>(), vec!["d", "a", "b"]);
+        let edges: Vec<(u32, u32, u32)> = sub
+            .edge_ids()
+            .map(|e| {
+                let (s, d) = sub.endpoints(e);
+                (s.0, d.0, *sub.edge(e))
+            })
+            .collect();
+        // a->b (1), b->d (3), d->a (5), b->b (6).
+        assert_eq!(edges, vec![(1, 2, 1), (2, 0, 3), (0, 1, 5), (2, 2, 6)]);
+        assert_eq!(sub.out_degree(NodeId(2)), 2);
+        assert_eq!(sub.in_degree(NodeId(0)), 1);
     }
 
     #[test]

@@ -184,7 +184,8 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
 }
 
 /// Extract the induced sub-PEG of loop `l` in `func`: the loop node, every
-/// CU whose members lie in the loop's blocks, and nested loop nodes.
+/// CU whose members lie in the loop's blocks, and nested loop nodes. Only
+/// `func`'s CUs are visited. The loop node is node 0 of the sub-PEG.
 pub fn loop_subpeg(
     peg: &Peg,
     module: &Module,
@@ -193,7 +194,8 @@ pub fn loop_subpeg(
     l: LoopId,
 ) -> SubPeg {
     let f = &module.funcs[func.index()];
-    let blocks: std::collections::HashSet<_> = f.loop_blocks(l).into_iter().collect();
+    // Sorted, so membership is a binary search.
+    let blocks = f.loop_blocks(l);
     let mut keep: Vec<NodeId> = vec![peg.node_of_loop[&(func, l)]];
     // Nested loops: parent chain contains l.
     for info in &f.loops {
@@ -210,14 +212,12 @@ pub fn loop_subpeg(
         }
     }
     // Member CUs: any member instruction inside the loop's blocks.
-    for cu in &cus.cus {
-        if cu.func == func && cu.members.iter().any(|r| blocks.contains(&r.block)) {
+    for cu in &cus.cus[cus.func_range(func)] {
+        if cu.members.iter().any(|r| blocks.binary_search(&r.block).is_ok()) {
             keep.push(peg.node_of_cu[&cu.id]);
         }
     }
-    let (graph, remap) = peg.graph.induced_subgraph(&keep);
-    let loop_node = remap[peg.node_of_loop[&(func, l)].index()].expect("loop node kept");
-    SubPeg { graph, loop_node, func, l }
+    SubPeg { graph: peg.graph.induced_subgraph(&keep), loop_node: NodeId(0), func, l }
 }
 
 #[cfg(test)]

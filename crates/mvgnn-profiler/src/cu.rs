@@ -68,7 +68,7 @@ pub struct CuInfo {
 /// The CU partition of a module plus register def-use edges between CUs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CuGraph {
-    /// All CUs.
+    /// All CUs, function by function in function order.
     pub cus: Vec<CuInfo>,
     /// Map from instruction to its CU (Br instructions are absent).
     pub cu_of: HashMap<InstRef, CuId>,
@@ -91,6 +91,13 @@ impl CuGraph {
     /// The CU of an instruction.
     pub fn cu_of(&self, r: InstRef) -> Option<CuId> {
         self.cu_of.get(&r).copied()
+    }
+
+    /// The positions in `cus` of `func`'s CUs: one contiguous range,
+    /// because [`build_cus`] emits CUs function by function.
+    pub fn func_range(&self, func: FuncId) -> std::ops::Range<usize> {
+        let start = self.cus.partition_point(|cu| cu.func < func);
+        start..start + self.cus[start..].partition_point(|cu| cu.func == func)
     }
 }
 
@@ -300,6 +307,33 @@ mod tests {
         let chains: Vec<usize> =
             compute.iter().map(|c| c.members.len()).filter(|&l| l == 2).collect();
         assert_eq!(chains.len(), 2, "expected two 2-inst chains");
+    }
+
+    #[test]
+    fn func_range_covers_exactly_each_functions_cus() {
+        // Three functions, the middle one without CUs of its own but the
+        // return's control CU.
+        let mut m = Module::new("t");
+        let a = m.add_array("a", Ty::F64, 4);
+        for name in ["f0", "f1", "f2"] {
+            let mut b = FunctionBuilder::new(&mut m, name, 0);
+            if name != "f1" {
+                let z = b.const_i64(0);
+                let v = b.load(a, z);
+                b.store(a, z, v);
+            }
+            b.finish();
+        }
+        let g = build_cus(&m);
+        let mut next = 0;
+        for fi in 0..4u32 {
+            let range = g.func_range(FuncId(fi));
+            assert_eq!(range.start, next, "f{fi} starts where f{} ends", fi.wrapping_sub(1));
+            assert!(g.cus[range.clone()].iter().all(|cu| cu.func == FuncId(fi)));
+            next = range.end;
+        }
+        assert_eq!(next, g.len(), "the ranges cover every CU");
+        assert!(g.func_range(FuncId(3)).is_empty());
     }
 
     #[test]

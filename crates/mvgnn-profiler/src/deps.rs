@@ -5,6 +5,7 @@ use mvgnn_ir::InstRef;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// Kind of a data dependence between two memory accesses.
@@ -51,13 +52,53 @@ pub struct Dependence {
     pub loop_independent: bool,
 }
 
+/// FxHash-style hasher for the edge index: one rotate, xor and multiply
+/// per word. The keys are a few small integers from the profiled
+/// program, so SipHash's resistance to chosen keys buys nothing on a
+/// path the profiler takes for every recorded dependence. No output
+/// depends on hash order: [`DepGraph::iter`] sorts.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeHasher(u64);
+
+impl EdgeHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for EdgeHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits; the multiply leaves
+        // its best-mixed bits at the top.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+}
+
 /// Aggregated dependence graph for one profiled execution.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DepGraph {
     /// Every distinct edge, in first-recorded order.
     deps: Vec<Dependence>,
     /// Position in `deps` of each `(src, dst, kind)` edge.
-    index: HashMap<(InstRef, InstRef, DepKind), u32>,
+    index: HashMap<(InstRef, InstRef, DepKind), u32, BuildHasherDefault<EdgeHasher>>,
     /// Positions in `deps` in ascending `(src, dst, kind)` order, sorted
     /// by the first iteration after the last [`DepGraph::record`], so a
     /// finished profile is sorted once however often it is iterated.

@@ -6,7 +6,10 @@
 //! - **Dynamic data dependences** ([`deps`], [`profiler`]): every memory
 //!   access runs against shadow memory; RAW/WAR/WAW edges are recorded
 //!   together with the loops that *carry* them (source and sink in
-//!   different iterations).
+//!   different iterations). The shadow is one dense cell vector per
+//!   array with reused loop-stack buffers, so the tracer allocates
+//!   nothing in steady state and hashes only to aggregate a recorded
+//!   edge (see [`profiler`] for the layout).
 //! - **Computational units** ([`cu`]): maximal def-use-connected
 //!   instruction groups, the graph nodes of the paper's Program Execution
 //!   Graphs (Fig. 4).
@@ -22,6 +25,8 @@ pub mod cu;
 pub mod deps;
 pub mod features;
 pub mod profiler;
+#[cfg(test)]
+mod reference;
 
 pub use analysis::{classify_loop, reduction_targets, LoopClass};
 pub use cu::{build_cus, CuGraph, CuId, CuInfo, CuKind};

@@ -13,8 +13,9 @@ cargo build --release --workspace --quiet
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
-echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, oracle and planner soundness, in the optimised build the benchmark runs)"
-cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler -p mvgnn-analyze
+echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, every pinned loop sample, in the optimised build the benchmark runs)"
+cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler -p mvgnn-peg -p mvgnn-analyze
+cargo test -q --release --test sample_pins
 
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings

@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=10
+BASELINE=9
 
 count_file() {
     # Strip everything from the first `#[cfg(test)]` line onward, drop
