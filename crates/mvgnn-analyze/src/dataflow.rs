@@ -1,13 +1,21 @@
 //! Worklist dataflow engine: a dense bitset domain plus the two classic
-//! analyses the oracle consumes — reaching definitions and liveness.
+//! analyses — reaching definitions and liveness.
 //!
 //! Both run over [`mvgnn_ir::Cfg`] to a fixpoint with a block worklist
 //! seeded in (reverse) postorder, the textbook iterative scheme. The IR
 //! has no phis — registers are mutable virtual registers — so "definition"
 //! means any instruction whose `Inst::def` is the register.
+//!
+//! The oracle asks two control-flow questions per function, and only
+//! when a loop needs them: is a register live into a block
+//! (`LiveSets`, one flat bitset for the whole function) and does a
+//! block dominate another (`Walk::dominates`, one reachability walk).
+//! Both read successors straight off the block terminators instead of
+//! building a [`Cfg`], and agree with [`liveness`] and
+//! [`mvgnn_ir::Dominators`] on every block.
 
-use mvgnn_ir::inst::InstRef;
-use mvgnn_ir::module::{BlockId, FuncId, Function};
+use mvgnn_ir::inst::{Inst, InstRef};
+use mvgnn_ir::module::{Block, BlockId, FuncId, Function};
 use mvgnn_ir::types::VReg;
 use mvgnn_ir::Cfg;
 
@@ -232,6 +240,139 @@ pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
     Liveness { live_in, live_out }
 }
 
+/// Successors of `blk` in a function of `n` blocks: its terminator's
+/// in-range targets, in branch order (as [`Cfg::new`] lists them).
+fn successors(blk: &Block, n: usize) -> impl Iterator<Item = usize> {
+    let (a, b) = match blk.terminator() {
+        Some(Inst::Br { target }) => (Some(*target), None),
+        Some(Inst::CondBr { then_blk, else_blk, .. }) => (Some(*then_blk), Some(*else_blk)),
+        _ => (None, None),
+    };
+    a.into_iter().chain(b).map(BlockId::index).filter(move |&t| t < n)
+}
+
+/// Reusable buffers for reachability walks over one function's blocks.
+#[derive(Debug, Default)]
+pub(crate) struct Walk {
+    seen: Vec<bool>,
+    stack: Vec<usize>,
+}
+
+impl Walk {
+    /// Mark the blocks reachable from the entry without entering
+    /// `avoid`.
+    fn reach(&mut self, f: &Function, avoid: Option<usize>) -> &[bool] {
+        let n = f.blocks.len();
+        self.seen.clear();
+        self.seen.resize(n, false);
+        self.stack.clear();
+        if n > 0 && avoid != Some(0) {
+            self.seen[0] = true;
+            self.stack.push(0);
+        }
+        while let Some(b) = self.stack.pop() {
+            for s in successors(&f.blocks[b], n) {
+                if !self.seen[s] && avoid != Some(s) {
+                    self.seen[s] = true;
+                    self.stack.push(s);
+                }
+            }
+        }
+        &self.seen
+    }
+
+    /// Does block `a` dominate block `b`: does every path from the entry
+    /// to `b` pass through `a`? A block unreachable from the entry is
+    /// dominated by every block, the convention of
+    /// [`mvgnn_ir::Dominators`].
+    pub(crate) fn dominates(&mut self, f: &Function, a: BlockId, b: BlockId) -> bool {
+        let reached = self.reach(f, Some(a.index()));
+        b.index() < reached.len() && !reached[b.index()]
+    }
+}
+
+/// Register liveness at every block entry of one function, as one flat
+/// bitset of `words` words per block. Blocks unreachable from the entry
+/// have empty sets, as in [`liveness`].
+#[derive(Debug)]
+pub(crate) struct LiveSets {
+    words: usize,
+    live_in: Vec<u64>,
+}
+
+impl LiveSets {
+    /// Solve liveness for `f` (backward, may, union-confluence).
+    pub(crate) fn new(f: &Function, walk: &mut Walk) -> Self {
+        let n = f.blocks.len();
+        let max_reg = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .flat_map(|i| i.uses().chain(i.def()))
+            .map(|r| r.0 + 1)
+            .max()
+            .unwrap_or(0);
+        let words = (f.num_regs.max(max_reg) as usize).div_ceil(64);
+        let bit = |r: VReg| (r.0 as usize / 64, 1u64 << (r.0 % 64));
+        // use[b]: read before any def in b; def[b]: defined in b.
+        let mut use_def = vec![0u64; 2 * n * words];
+        let (use_, def) = use_def.split_at_mut(n * words);
+        for (bi, blk) in f.blocks.iter().enumerate() {
+            let row = bi * words..(bi + 1) * words;
+            let (u, d) = (&mut use_[row.clone()], &mut def[row]);
+            for inst in &blk.insts {
+                for r in inst.uses() {
+                    let (w, m) = bit(r);
+                    if d[w] & m == 0 {
+                        u[w] |= m;
+                    }
+                }
+                if let Some(r) = inst.def() {
+                    let (w, m) = bit(r);
+                    d[w] |= m;
+                }
+            }
+        }
+        let reachable = walk.reach(f, None);
+        let mut live_in = vec![0u64; n * words];
+        let mut out = vec![0u64; words];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            // Reverse block order approximates postorder, the fast
+            // direction for backward flow; the fixpoint does not depend
+            // on it.
+            for b in (0..n).rev().filter(|&b| reachable[b]) {
+                out.fill(0);
+                for s in successors(&f.blocks[b], n) {
+                    for (o, x) in out.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
+                        *o |= x;
+                    }
+                }
+                for (k, o) in out.iter().enumerate() {
+                    let i = b * words + k;
+                    let v = (o & !def[i]) | use_[i];
+                    if v != live_in[i] {
+                        live_in[i] = v;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        Self { words, live_in }
+    }
+
+    /// Is `reg` live at the entry of `b`?
+    pub(crate) fn live_in_at(&self, b: BlockId, reg: VReg) -> bool {
+        let w = reg.0 as usize / 64;
+        w < self.words
+            && self
+                .live_in
+                .get(b.index() * self.words + w)
+                .is_some_and(|x| x & (1u64 << (reg.0 % 64)) != 0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,5 +462,34 @@ mod tests {
             .filter(|&i| rd.defs[i].1 == acc)
             .collect();
         assert_eq!(entry_out.len(), 1);
+    }
+
+    #[test]
+    fn flat_liveness_and_dominance_walk_match_the_cfg_analyses() {
+        use mvgnn_dataset::generate_suite;
+        use mvgnn_ir::transform::{optimize, OptLevel};
+        use mvgnn_ir::Dominators;
+        let mut walk = Walk::default();
+        let mut checked = 0usize;
+        for app in generate_suite(None, 3).iter().take(6) {
+            for level in [OptLevel::O0, OptLevel::O3] {
+                let m = optimize(&app.module, level);
+                for f in &m.funcs {
+                    let cfg = Cfg::new(f);
+                    let (live, dom) = (liveness(f, &cfg), Dominators::compute(&cfg));
+                    let flat = LiveSets::new(f, &mut walk);
+                    for b in (0..f.blocks.len() as u32).map(BlockId) {
+                        for r in (0..f.num_regs).map(VReg) {
+                            assert_eq!(flat.live_in_at(b, r), live.live_in_at(b, r), "{b:?} {r:?}");
+                        }
+                        for a in (0..f.blocks.len() as u32).map(BlockId) {
+                            assert_eq!(walk.dominates(f, a, b), dom.dominates(a, b), "{a:?} {b:?}");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "{checked} blocks");
     }
 }

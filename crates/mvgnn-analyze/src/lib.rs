@@ -6,8 +6,9 @@
 //!   two classic instances the rest of the crate needs — reaching
 //!   definitions and live registers.
 //! - [`affine`]: affine (symbolic) index expressions over induction
-//!   registers, per-loop access summaries, the GCD/Banerjee-class conflict
-//!   test, and memory reduction-chain recognition. This is the machinery
+//!   registers (coefficients stored inline, arithmetic checked),
+//!   per-loop access summaries, the GCD/Banerjee-class conflict test,
+//!   and memory reduction-chain recognition. This is the machinery
 //!   the `mvgnn-baselines` static tools (`pluto_like`, `autopar_like`)
 //!   consume; it used to live inside that crate.
 //! - [`oracle`]: the static loop-carried dependence oracle. For one loop
@@ -18,8 +19,9 @@
 //!   benign. The `lint` binary of `mvgnn-bench` audits the generated
 //!   corpus by cross-checking these verdicts against the profiler's
 //!   `DepGraph` and the dataset labels. The loop-independent half of
-//!   the analysis (CFG, liveness, dominators, per-register tables) is a
-//!   [`FuncAnalysis`], built once per function and shared by its loops.
+//!   the analysis (per-register tables, every access's affine index,
+//!   liveness, a reusable scratch area) is a [`FuncAnalysis`], built
+//!   once per function and shared by its loops.
 //! - [`planner`]: the parallelization planner layered on the oracle. It
 //!   keeps the oracle's evidence apart instead of collapsing it,
 //!   emitting a typed [`Plan`] — `DoAll` (with `private(...)`
@@ -38,11 +40,12 @@ pub mod affine;
 pub mod dataflow;
 pub mod oracle;
 pub mod planner;
+#[cfg(test)]
+mod reference;
 
 pub use affine::{
     conflicts, reduction_chains, reduction_store_sites, summarize_loop, summarize_loop_strict,
-    Access, AffineExpr,
-    LoopSummary, ReductionChain,
+    Access, AffineExpr, Coeffs, LoopSummary, ReductionChain,
 };
 pub use dataflow::{liveness, reaching_definitions, BitSet, Liveness, ReachingDefs};
 pub use oracle::{

@@ -24,22 +24,22 @@
 //! the header and the exit) and, for a provably parallel loop, its
 //! reduction clauses.
 //!
-//! Everything that does not depend on the loop — the CFG, liveness,
-//! dominators and the dense per-register tables — lives in one
-//! [`FuncAnalysis`] per function, built lazily and shared by every loop
-//! analysed through it. [`analyze_loop`] is the one-loop shorthand.
+//! Everything that does not depend on the loop — the dense
+//! per-register tables, liveness (solved the first time a recurrence
+//! asks) and one scratch area of buffers — lives in one
+//! [`FuncAnalysis`] per function, shared by every loop analysed through
+//! it. [`analyze_loop`] is the one-loop shorthand.
 
 use crate::affine::{
-    chains, conflicts, loop_mask, masked_blocks, summarize, Access, AffineExpr, ReductionChain,
-    RegTables,
+    chains, fill_loop_mask, gcd, index_walk, loop_mask, loop_updates, masked_blocks,
+    Access, AffineExpr, ChainHead, Chains, RegTables,
 };
-use crate::dataflow::{liveness, Liveness};
+use crate::dataflow::{LiveSets, Walk};
 use crate::planner::{ReductionOp, ReductionTarget};
 use mvgnn_ir::inst::{BinOp, Inst, InstRef};
 use mvgnn_ir::module::{FuncId, Function, LoopId, LoopInfo, Module};
 use mvgnn_ir::types::{ArrayId, VReg};
-use mvgnn_ir::{Cfg, Dominators};
-use std::cell::OnceCell;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 /// The oracle's three-point verdict lattice (`Unknown` is the top).
@@ -292,13 +292,16 @@ fn bounds(f: &Function, info: &LoopInfo, in_loop: &[bool], regs: &RegTables) -> 
     if step <= 0 {
         return None;
     }
-    let trip = if hi > lo { (hi - lo + step - 1) / step } else { 0 };
+    // A trip count that overflows `i64` leaves the bounds unknown.
+    let trip = if hi > lo { hi.checked_sub(lo)?.checked_add(step - 1)? / step } else { 0 };
     Some(LoopBounds { lo, hi, step, trip })
 }
 
-/// Which exact test applies to an affine pair with matching outer
-/// coefficients, and what it concludes.
-enum PairResult {
+/// Which exact test applies to an access pair, and what it concludes.
+/// A pair is `Independent` exactly when [`crate::affine::conflicts`]
+/// clears it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PairResult {
     Independent(DepTest),
     /// Conflict with closed-form evidence strong enough to *claim* a
     /// dependence (subject to trip-count and execution checks).
@@ -307,23 +310,24 @@ enum PairResult {
     May,
 }
 
-fn test_pair(iv: VReg, a: &Access, b: &Access) -> PairResult {
+/// Classify an access pair; a test whose arithmetic overflows `i64` is
+/// a may-dependence.
+pub(crate) fn test_pair(iv: VReg, a: &AffineExpr, b: &AffineExpr) -> PairResult {
     let (
         AffineExpr::Affine { constant: c1, coeffs: k1 },
         AffineExpr::Affine { constant: c2, coeffs: k2 },
-    ) = (&a.index, &b.index)
+    ) = (a, b)
     else {
         return PairResult::May;
     };
-    let strip = |k: &std::collections::BTreeMap<u32, i64>| -> Vec<(u32, i64)> {
-        k.iter().filter(|&(&r, _)| r != iv.0).map(|(&r, &c)| (r, c)).collect()
-    };
-    if strip(k1) != strip(k2) {
+    if !k1.eq_except(k2, iv.0) {
         return PairResult::May;
     }
-    let x = k1.get(&iv.0).copied().unwrap_or(0);
-    let y = k2.get(&iv.0).copied().unwrap_or(0);
-    let dc = c2 - c1;
+    let x = k1.get(iv.0).unwrap_or(0);
+    let y = k2.get(iv.0).unwrap_or(0);
+    let Some(dc) = c2.checked_sub(*c1) else {
+        return PairResult::May;
+    };
     match (x, y) {
         (0, 0) => {
             if dc == 0 {
@@ -336,23 +340,24 @@ fn test_pair(iv: VReg, a: &Access, b: &Access) -> PairResult {
         (x, y) if x == y => {
             if dc == 0 {
                 // Same cell in the same iteration only: loop-independent.
-                PairResult::Independent(DepTest::StrongSiv)
-            } else if dc % x == 0 {
-                PairResult::Definite(DepTest::StrongSiv, Some((dc / x).abs()))
-            } else {
-                PairResult::Independent(DepTest::StrongSiv)
+                return PairResult::Independent(DepTest::StrongSiv);
+            }
+            match dc.checked_rem(x) {
+                Some(0) => match dc.checked_div(x).and_then(i64::checked_abs) {
+                    Some(d) => PairResult::Definite(DepTest::StrongSiv, Some(d)),
+                    None => PairResult::May,
+                },
+                Some(_) => PairResult::Independent(DepTest::StrongSiv),
+                None => PairResult::May,
             }
         }
-        (x, y) => {
-            let g = crate::affine::gcd(x, y);
-            if g != 0 && dc % g == 0 {
-                // Solvable, but existence of an in-bounds solution is not
-                // established — a may-dependence only.
-                PairResult::May
-            } else {
-                PairResult::Independent(DepTest::Gcd)
-            }
-        }
+        (x, y) => match gcd(x, y) {
+            // Solvable, but existence of an in-bounds solution is not
+            // established — a may-dependence only.
+            Some(g) if g != 0 && dc % g == 0 => PairResult::May,
+            Some(_) => PairResult::Independent(DepTest::Gcd),
+            None => PairResult::May,
+        },
     }
 }
 
@@ -362,94 +367,74 @@ pub fn analyze_loop(module: &Module, func: FuncId, l: LoopId) -> OracleReport {
     FuncAnalysis::new(module, func).analyze_loop(l)
 }
 
-/// The per-function half of the oracle: one CFG shared by liveness and
-/// the dominators (both built on first use), and the dense
-/// per-register tables (definition counts, single-def constants,
-/// induction flags). Build one per function and run
+/// The per-function half of the oracle: the dense per-register tables
+/// (definition counts, single-def constants, induction flags), the
+/// index expression of every memory access (one strict symbolic walk
+/// serves every loop), liveness (solved on first use), and one scratch
+/// area whose buffers every loop reuses, so a loop's analysis allocates
+/// little beyond its report. Build one per function and run
 /// [`FuncAnalysis::analyze_loop`] for each of its loops.
 pub struct FuncAnalysis<'m> {
     module: &'m Module,
     func: FuncId,
     f: &'m Function,
     regs: RegTables,
-    cfg: OnceCell<Cfg>,
-    live: OnceCell<Liveness>,
-    dom: OnceCell<Dominators>,
+    /// Every load and store of the function, in block order.
+    accesses: Vec<Access>,
+    scratch: RefCell<Scratch>,
+}
+
+/// The buffers of one loop's analysis, cleared and refilled per loop.
+#[derive(Default)]
+struct Scratch {
+    /// The loop's blocks.
+    in_loop: Vec<bool>,
+    /// The loop's self-updating registers as `(commutative, register)`.
+    recs: Vec<(bool, VReg)>,
+    chains: Chains,
+    walk: Walk,
+    /// Liveness of the function, solved the first time a scalar
+    /// recurrence needs it.
+    live: Option<LiveSets>,
 }
 
 impl<'m> FuncAnalysis<'m> {
     /// The context for function `func` of `module`.
     pub fn new(module: &'m Module, func: FuncId) -> Self {
         let f = &module.funcs[func.index()];
-        Self {
-            module,
-            func,
-            f,
-            regs: RegTables::new(f),
-            cfg: OnceCell::new(),
-            live: OnceCell::new(),
-            dom: OnceCell::new(),
-        }
-    }
-
-    fn cfg(&self) -> &Cfg {
-        self.cfg.get_or_init(|| Cfg::new(self.f))
-    }
-
-    fn live(&self) -> &Liveness {
-        self.live.get_or_init(|| liveness(self.f, self.cfg()))
-    }
-
-    fn dom(&self) -> &Dominators {
-        self.dom.get_or_init(|| Dominators::compute(self.cfg()))
+        let mut regs = RegTables::new(f);
+        let mut accesses = Vec::with_capacity(regs.mem_insts());
+        // Strict symbolic walk: a proof must not trust last-write-wins on
+        // conditionally reassigned registers (see `summarize_loop_strict`).
+        index_walk(f, &mut regs, true, &mut accesses);
+        Self { module, func, f, regs, accesses, scratch: RefCell::default() }
     }
 
     /// Run the oracle on loop `l` of this function.
     pub fn analyze_loop(&self, l: LoopId) -> OracleReport {
         let (func, f) = (self.func, self.f);
         let info = &f.loops[l.index()];
-        let in_loop = loop_mask(f, info);
-        // Strict symbolic walk: a proof must not trust last-write-wins on
-        // conditionally reassigned registers (see `summarize_loop_strict`).
-        let summary = summarize(f, &in_loop, &self.regs, true);
-        let chains = chains(f, func, &in_loop, &self.regs);
-        let excused: HashSet<InstRef> = chains.iter().flat_map(|c| c.refs()).collect();
-        let red_arrays: HashSet<ArrayId> = chains
-            .iter()
-            .filter_map(|c| match &f.blocks[c.store.block.index()].insts[c.store.idx as usize] {
-                Inst::Store { arr, .. } => Some(*arr),
-                _ => None,
-            })
-            .collect();
-        let bounds = bounds(f, info, &in_loop, &self.regs);
-
-        let mut sections: HashMap<ArrayId, ArraySection> = HashMap::new();
-        for a in &summary.accesses {
-            let s = sections
-                .entry(a.arr)
-                .or_insert(ArraySection { all_affine: true, ..Default::default() });
-            if a.is_write {
-                s.writes += 1;
-            } else {
-                s.reads += 1;
-            }
-            if matches!(a.index, AffineExpr::Unknown) {
-                s.all_affine = false;
-            }
-        }
-
-        let mut facts: Vec<Fact> = Vec::new();
-        let mut provably_parallel = true;
-        let mut dependent = false;
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { in_loop, recs, chains: found, walk, live } = &mut *scratch;
+        fill_loop_mask(f, info, in_loop);
+        let in_loop: &[bool] = in_loop;
+        let accesses = || self.accesses.iter().filter(|a| in_loop[a.block.index()]);
+        let has_call = loop_updates(f, in_loop, &self.regs, recs);
+        chains(f, func, in_loop, &self.regs, found);
+        let found: &Chains = found;
+        let mut excused: HashSet<InstRef> = HashSet::with_capacity(found.n_refs());
+        excused.extend(found.refs());
+        let bounds = bounds(f, info, in_loop, &self.regs);
+        let sections = sections(accesses());
+        let n_accesses = accesses().count();
 
         let Some(iv) = info.induction else {
-            facts.push(Fact::NonCountedLoop);
             return OracleReport {
                 verdict: Verdict::Unknown,
-                facts,
+                facts: vec![Fact::NonCountedLoop],
                 excused,
                 sections,
-                n_accesses: summary.accesses.len(),
+                n_accesses,
                 n_pairs_tested: 0,
                 bounds,
                 private: Vec::new(),
@@ -457,93 +442,98 @@ impl<'m> FuncAnalysis<'m> {
             };
         };
 
-        if summary.has_call {
+        // Same-array pairs with a write are tested, except on arrays a
+        // reduction chain stores to (tolerated: implemented as a
+        // reduction).
+        let tested = |a: &Access, b: &Access| {
+            a.arr == b.arr
+                && (a.is_write || b.is_write)
+                && !found.heads.iter().any(|c| c.arr == a.arr)
+        };
+        let n_pairs: usize = accesses()
+            .enumerate()
+            .map(|(i, a)| accesses().skip(i).filter(|b| tested(a, b)).count())
+            .sum();
+        let non_affine = accesses().filter(|a| matches!(a.index, AffineExpr::Unknown));
+        // One fact per call flag, non-affine access, recurrence, chain
+        // and tested pair.
+        recs.sort_unstable();
+        recs.dedup();
+        let n_facts = usize::from(has_call)
+            + non_affine.clone().count()
+            + recs.len()
+            + found.heads.len()
+            + n_pairs;
+        let mut facts: Vec<Fact> = Vec::with_capacity(n_facts);
+        let mut provably_parallel = true;
+        let mut dependent = false;
+        if has_call {
             facts.push(Fact::OpaqueCall);
             provably_parallel = false;
         }
-        for a in &summary.accesses {
-            if matches!(a.index, AffineExpr::Unknown) {
-                facts.push(Fact::NonAffineAccess { at: a.inst_ref(func) });
-            }
-        }
+        facts.extend(non_affine.map(|a| Fact::NonAffineAccess { at: a.inst_ref(func) }));
 
-        // Scalar recurrences: the dataflow engine distinguishes genuine
+        // Scalar recurrences, non-commutative first, each group in
+        // register order: the dataflow engine distinguishes genuine
         // cross-iteration accumulators (live into the header) from body
         // temporaries that privatisation handles. A privatizable scalar
         // is a `private(...)` candidate when it is also dead at the exit
         // (otherwise its last value escapes the loop).
         let mut private: Vec<VReg> = Vec::new();
-        let mut privatize = |facts: &mut Vec<Fact>, r: VReg| {
-            facts.push(Fact::PrivatizableScalar { reg: r });
-            if !self.live().live_in_at(info.exit, r) {
-                private.push(r);
-            }
-        };
-        for &r in &summary.noncommutative_recs {
-            if self.live().live_in_at(info.header, r) {
-                facts.push(Fact::NonCommutativeRecurrence { reg: r });
-                provably_parallel = false;
-                // The update must execute every iteration for the value
-                // chain to be provably unbroken; its def block dominating
-                // the latch guarantees that. Trip ≥ 2 makes the
-                // dependence non-vacuous.
-                let update_dominates = f.insts_with_refs(func).any(|(ir, inst, _)| {
-                    inst.def() == Some(r)
-                        && matches!(inst, Inst::Bin { dst, lhs, rhs, .. } if dst == lhs || dst == rhs)
-                        && f.loop_of_block(ir.block) == Some(l)
-                        && self.dom().dominates(ir.block, info.latch)
-                });
-                if update_dominates && bounds.is_some_and(|b| b.trip >= 2) {
-                    dependent = true;
-                }
-            } else {
-                privatize(&mut facts, r);
-            }
-        }
         let mut accumulators: Vec<VReg> = Vec::new();
-        for &r in &summary.commutative_recs {
-            if self.live().live_in_at(info.header, r) {
-                facts.push(Fact::CommutativeRecurrence { reg: r });
-                accumulators.push(r);
-            } else {
-                privatize(&mut facts, r);
+        if !recs.is_empty() {
+            let live = live.get_or_insert_with(|| LiveSets::new(f, walk));
+            for &(commutative, r) in recs.iter() {
+                if !live.live_in_at(info.header, r) {
+                    facts.push(Fact::PrivatizableScalar { reg: r });
+                    if !live.live_in_at(info.exit, r) {
+                        private.push(r);
+                    }
+                } else if commutative {
+                    facts.push(Fact::CommutativeRecurrence { reg: r });
+                    accumulators.push(r);
+                } else {
+                    facts.push(Fact::NonCommutativeRecurrence { reg: r });
+                    provably_parallel = false;
+                    // The update must execute every iteration for the
+                    // value chain to be provably unbroken; its def block
+                    // dominating the latch guarantees that. Trip ≥ 2
+                    // makes the dependence non-vacuous.
+                    let update_dominates = f.insts_with_refs(func).any(|(ir, inst, _)| {
+                        inst.def() == Some(r)
+                            && matches!(inst, Inst::Bin { dst, lhs, rhs, .. } if dst == lhs || dst == rhs)
+                            && f.loop_of_block(ir.block) == Some(l)
+                            && walk.dominates(f, ir.block, info.latch)
+                    });
+                    if update_dominates && bounds.is_some_and(|b| b.trip >= 2) {
+                        dependent = true;
+                    }
+                }
             }
         }
 
-        for c in &chains {
+        for c in &found.heads {
             facts.push(Fact::ReductionChain { store: c.store });
         }
 
         // A definite memory dependence claim additionally needs the
         // accesses to execute on every iteration of exactly this loop.
-        let executes_every_iteration = |a: &Access| {
-            f.loop_of_block(a.block) == Some(l) && self.dom().dominates(a.block, info.latch)
+        let mut executes_every_iteration = |a: &Access| {
+            f.loop_of_block(a.block) == Some(l) && walk.dominates(f, a.block, info.latch)
         };
 
-        let mut n_pairs = 0usize;
-        for (i, a) in summary.accesses.iter().enumerate() {
-            for b in &summary.accesses[i..] {
-                if a.arr != b.arr || (!a.is_write && !b.is_write) {
-                    continue;
-                }
-                if red_arrays.contains(&a.arr) {
-                    continue; // tolerated: implemented as a reduction
-                }
-                n_pairs += 1;
+        for (i, a) in accesses().enumerate() {
+            for b in accesses().skip(i).filter(|b| tested(a, b)) {
                 let (ra, rb) = (a.inst_ref(func), b.inst_ref(func));
-                if !conflicts(iv, a, b) {
-                    let test = match test_pair(iv, a, b) {
-                        PairResult::Independent(t) => t,
-                        // `conflicts` said no, so the pair is independent
-                        // even if the exact-test classifier is more
-                        // conservative.
-                        _ => DepTest::Gcd,
-                    };
+                // `Independent` exactly when `conflicts` clears the pair
+                // (property-tested in `affine::reference`).
+                let pair = test_pair(iv, &a.index, &b.index);
+                if let PairResult::Independent(test) = pair {
                     facts.push(Fact::PairIndependent { a: ra, b: rb, test });
                     continue;
                 }
                 provably_parallel = false;
-                match test_pair(iv, a, b) {
+                match pair {
                     PairResult::Definite(test, distance) => {
                         let trip_ok = match (distance, bounds) {
                             (Some(d), Some(bd)) => d != 0 && d < bd.trip,
@@ -561,6 +551,7 @@ impl<'m> FuncAnalysis<'m> {
                 }
             }
         }
+        debug_assert_eq!(facts.len(), n_facts, "fact count and capacity disagree");
 
         let verdict = if dependent {
             Verdict::ProvablyDependent
@@ -570,7 +561,7 @@ impl<'m> FuncAnalysis<'m> {
             Verdict::Unknown
         };
         let reductions = if verdict == Verdict::ProvablyParallel {
-            self.reduction_targets(iv, &in_loop, &chains, &summary.accesses, &accumulators)
+            self.reduction_targets(iv, in_loop, found, &accumulators)
         } else {
             Vec::new()
         };
@@ -579,7 +570,7 @@ impl<'m> FuncAnalysis<'m> {
             facts,
             excused,
             sections,
-            n_accesses: summary.accesses.len(),
+            n_accesses,
             n_pairs_tested: n_pairs,
             bounds,
             private,
@@ -594,8 +585,7 @@ impl<'m> FuncAnalysis<'m> {
         &self,
         iv: VReg,
         in_loop: &[bool],
-        chains: &[ReductionChain],
-        accesses: &[Access],
+        found: &Chains,
         accumulators: &[VReg],
     ) -> Vec<ReductionTarget> {
         let mut targets: Vec<ReductionTarget> = Vec::new();
@@ -603,7 +593,8 @@ impl<'m> FuncAnalysis<'m> {
             let op = scalar_op(self.f, in_loop, reg)?;
             Some(ReductionTarget { var: format!("%{}", reg.0), op })
         });
-        for t in chains.iter().filter_map(|c| self.chain_target(c, iv, accesses)).chain(scalars) {
+        let memory = found.heads.iter().filter_map(|c| self.chain_target(c, iv));
+        for t in memory.chain(scalars) {
             if !targets.contains(&t) {
                 targets.push(t);
             }
@@ -616,22 +607,13 @@ impl<'m> FuncAnalysis<'m> {
     /// loop-invariant in `iv` (a cell that moves with the induction is an
     /// iteration-local update, not a cross-iteration reduction — a clause
     /// for it would misdescribe a DOALL).
-    fn chain_target(
-        &self,
-        c: &ReductionChain,
-        iv: VReg,
-        accesses: &[Access],
-    ) -> Option<ReductionTarget> {
-        let f = self.f;
-        let Inst::Store { arr, .. } = &f.blocks[c.store.block.index()].insts[c.store.idx as usize]
-        else {
-            return None;
-        };
-        let cell = accesses
+    fn chain_target(&self, c: &ChainHead, iv: VReg) -> Option<ReductionTarget> {
+        let cell = self
+            .accesses
             .iter()
             .find(|a| a.block == c.store.block && a.idx_in_block == c.store.idx as usize);
         let crosses_iterations = match cell.map(|a| &a.index) {
-            Some(AffineExpr::Affine { coeffs, .. }) => coeffs.get(&iv.0).copied().unwrap_or(0) == 0,
+            Some(AffineExpr::Affine { coeffs, .. }) => coeffs.get(iv.0).unwrap_or(0) == 0,
             // Non-affine cell (e.g. `a[idx[i]]`): the chain may hit the
             // same cell across iterations, so the clause is the safe
             // description.
@@ -640,12 +622,38 @@ impl<'m> FuncAnalysis<'m> {
         if !crosses_iterations {
             return None;
         }
-        let op = match &f.blocks[c.bin.block.index()].insts[c.bin.idx as usize] {
+        let op = match &self.f.blocks[c.bin.block.index()].insts[c.bin.idx as usize] {
             Inst::Bin { op, .. } => ReductionOp::of_bin(*op)?,
             _ => return None,
         };
-        Some(ReductionTarget { var: self.module.arrays[arr.index()].name.clone(), op })
+        Some(ReductionTarget { var: self.module.arrays[c.arr.index()].name.clone(), op })
     }
+}
+
+/// Per-array section summaries of a loop's accesses, in one allocation.
+fn sections<'a>(
+    accesses: impl Iterator<Item = &'a Access> + Clone,
+) -> HashMap<ArrayId, ArraySection> {
+    let arrays = accesses
+        .clone()
+        .enumerate()
+        .filter(|&(i, a)| accesses.clone().take(i).all(|b| b.arr != a.arr))
+        .count();
+    let mut sections: HashMap<ArrayId, ArraySection> = HashMap::with_capacity(arrays);
+    for a in accesses {
+        let s = sections
+            .entry(a.arr)
+            .or_insert(ArraySection { all_affine: true, ..Default::default() });
+        if a.is_write {
+            s.writes += 1;
+        } else {
+            s.reads += 1;
+        }
+        if matches!(a.index, AffineExpr::Unknown) {
+            s.all_affine = false;
+        }
+    }
+    sections
 }
 
 /// Operator of the first commutative self-update of `reg` inside the
@@ -910,6 +918,68 @@ mod tests {
         let func = &m.funcs[f.index()];
         let bd = loop_bounds(func, &func.loops[l.index()]).unwrap();
         assert_eq!(bd, LoopBounds { lo: 3, hi: 20, step: 4, trip: 5 });
+    }
+
+    /// `for i in lo..hi { <body> }` over one `i64` array.
+    fn overflow_loop(
+        lo: i64,
+        hi: i64,
+        body: impl FnOnce(&mut FunctionBuilder, ArrayId, VReg),
+    ) -> (Module, FuncId, LoopId) {
+        let mut m = Module::new("t");
+        let a = m.add_array("a", Ty::I64, 16);
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let (lo, hi, st) = (b.const_i64(lo), b.const_i64(hi), b.const_i64(1));
+        let l = b.for_loop(lo, hi, st, |b, iv| body(b, a, iv));
+        let f = b.finish();
+        (m, f, l)
+    }
+
+    #[test]
+    fn an_overflowing_trip_count_leaves_the_bounds_unknown() {
+        // for i in -10..i64::MAX: hi - lo overflows.
+        let (m, f, l) = overflow_loop(-10, i64::MAX, |b, a, iv| {
+            let x = b.load(a, iv);
+            b.store(a, iv, x);
+        });
+        let func = &m.funcs[f.index()];
+        assert_eq!(loop_bounds(func, &func.loops[l.index()]), None);
+        let r = analyze(&m, f, l);
+        assert_eq!(r.bounds, None);
+        assert_eq!(r.verdict, Verdict::ProvablyParallel, "{:?}", r.facts);
+    }
+
+    #[test]
+    fn an_overflowing_distance_is_a_may_conflict() {
+        // x = a[-i]; a[-i + i64::MIN] = x: the strong-SIV test divides
+        // i64::MIN by -1.
+        let (m, f, l) = overflow_loop(0, 16, |b, a, iv| {
+            let minus_one = b.const_i64(-1);
+            let min = b.const_i64(i64::MIN);
+            let neg = b.bin(BinOp::Mul, iv, minus_one);
+            let x = b.load(a, neg);
+            let at = b.bin(BinOp::Add, neg, min);
+            b.store(a, at, x);
+        });
+        let r = analyze(&m, f, l);
+        assert_eq!(r.verdict, Verdict::Unknown, "{:?}", r.facts);
+        assert!(r.facts.iter().any(|x| matches!(x, Fact::PairMayConflict { .. })), "{:?}", r.facts);
+    }
+
+    #[test]
+    fn an_overflowing_coefficient_is_non_affine() {
+        // a[i * i64::MAX * 2] = 1: the coefficient overflows; wrapped,
+        // it would read as -2 and prove the loop parallel.
+        let (m, f, l) = overflow_loop(0, 16, |b, a, iv| {
+            let (max, two, one) = (b.const_i64(i64::MAX), b.const_i64(2), b.const_i64(1));
+            let t = b.bin(BinOp::Mul, iv, max);
+            let at = b.bin(BinOp::Mul, t, two);
+            b.store(a, at, one);
+        });
+        let r = analyze(&m, f, l);
+        assert_eq!(r.verdict, Verdict::Unknown, "{:?}", r.facts);
+        assert!(r.facts.iter().any(|x| matches!(x, Fact::NonAffineAccess { .. })), "{:?}", r.facts);
+        assert!(!r.sections[&ArrayId(0)].all_affine);
     }
 
     #[test]

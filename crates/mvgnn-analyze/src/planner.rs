@@ -213,42 +213,50 @@ impl LoopPlan {
 }
 
 fn render_private(out: &mut String, private: &[String]) {
+    for (i, p) in private.iter().enumerate() {
+        out.push_str(if i == 0 { " private(" } else { ", " });
+        out.push_str(p);
+    }
     if !private.is_empty() {
-        out.push_str(&format!(" private({})", private.join(", ")));
+        out.push(')');
     }
 }
 
+/// The OpenMP-style rendering of a plan, written into one buffer.
 fn render_pragma(plan: &Plan, verdict: Verdict) -> String {
+    use std::fmt::Write;
+    let mut s = String::with_capacity(64);
     match plan {
         Plan::DoAll { private } => {
-            let mut s = String::from("#pragma omp parallel for");
+            s.push_str("#pragma omp parallel for");
             render_private(&mut s, private);
-            s
         }
         Plan::Reduction { targets, private } => {
-            let mut s = String::from("#pragma omp parallel for");
+            s.push_str("#pragma omp parallel for");
             for t in targets {
-                s.push_str(&format!(" reduction({}:{})", t.op.as_str(), t.var));
+                let _ = write!(s, " reduction({}:{})", t.op.as_str(), t.var);
             }
             render_private(&mut s, private);
-            s
         }
         Plan::Doacross { min_distance } => {
-            format!("#pragma omp parallel for ordered(1) depend(sink: i-{min_distance})")
+            let _ =
+                write!(s, "#pragma omp parallel for ordered(1) depend(sink: i-{min_distance})");
         }
         Plan::Serial { blockers } => {
-            let reasons = if blockers.is_empty() {
-                String::from("no evidence")
+            s.push_str(if verdict == Verdict::ProvablyDependent {
+                "// serial: "
             } else {
-                blockers.iter().map(|b| b.to_string()).collect::<Vec<_>>().join("; ")
-            };
-            if verdict == Verdict::ProvablyDependent {
-                format!("// serial: {reasons}")
-            } else {
-                format!("// undecided: {reasons}")
+                "// undecided: "
+            });
+            if blockers.is_empty() {
+                s.push_str("no evidence");
+            }
+            for (i, b) in blockers.iter().enumerate() {
+                let _ = write!(s, "{}{b}", if i == 0 { "" } else { "; " });
             }
         }
     }
+    s
 }
 
 /// Derive the plan for loop `l` from an already-computed oracle report.

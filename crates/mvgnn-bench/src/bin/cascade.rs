@@ -26,6 +26,13 @@
 //! runs a single seed at `-O0` with untrained models and enforces the
 //! routing gates only (tier-0 short-circuit rate > 0, cascade
 //! throughput >= pure-GNN throughput), writing nothing.
+//!
+//! `--alloc-smoke` (needs `--features count-allocs`) classifies every
+//! kernel of `generate_suite(None, 3)` at all six levels through
+//! [`Cascade::full`] with an untrained model, once to warm up and once
+//! counted, and fails when a *light* call (one whose loops tier 0
+//! decides, so nothing is traced and no model runs) makes more than
+//! `LIGHT_CALL_ALLOC_BUDGET` heap allocations on average.
 
 use mvgnn_bench::or_die;
 use mvgnn_core::{
@@ -38,6 +45,14 @@ use mvgnn_analyze::OracleReport;
 use mvgnn_core::DecidedBy;
 use std::collections::HashMap;
 use std::time::Instant;
+
+/// Heap-allocation budget per light call of `--alloc-smoke`. Before
+/// tier 0 worked in a reused scratch area a light call made 41.4
+/// allocations. What is left, 14.1 per call, is mostly the returned
+/// reports (the vector; per loop two `Arc`s, two copies of the facts,
+/// the sections and the pragma) plus the per-function tables.
+#[cfg(feature = "count-allocs")]
+const LIGHT_CALL_ALLOC_BUDGET: f64 = 20.0;
 
 /// One frontier arm: a cascade routing configuration bound to a model.
 struct Arm<'a> {
@@ -206,7 +221,95 @@ fn model_for(cfg: &CorpusConfig, smoke: bool) -> (Dataset, MvGnn) {
     (ds, model)
 }
 
+/// CI gate on tier 0's allocations: the average light call of the
+/// suite-seed-3 sweep, after one warm-up pass, stays under
+/// [`LIGHT_CALL_ALLOC_BUDGET`].
+#[cfg(feature = "count-allocs")]
+fn alloc_smoke() {
+    use mvgnn_bench::alloc_count::{allocated_bytes, allocations};
+    use mvgnn_embed::Inst2Vec;
+    use mvgnn_ir::module::{FuncId, Module};
+
+    let apps = generate_suite(None, 3);
+    let calls: Vec<(Module, Vec<FuncId>)> = OptLevel::ALL
+        .into_iter()
+        .flat_map(|level| apps.iter().map(move |app| (app, level)))
+        .map(|(app, level)| {
+            let mut kernels: Vec<FuncId> = app.loops.iter().map(|&(f, _, _)| f).collect();
+            kernels.sort_unstable_by_key(|f| f.index());
+            kernels.dedup();
+            (optimize(&app.module, level), kernels)
+        })
+        .collect();
+    let modules: Vec<&Module> = calls.iter().map(|(m, _)| m).collect();
+    let inst2vec = Inst2Vec::train(
+        &modules,
+        &Inst2VecConfig { dim: 8, epochs: 1, negatives: 2, lr: 0.05, seed: 9 },
+    );
+    let sample_cfg = SampleConfig::default();
+    let node_dim = inst2vec.dim()
+        + mvgnn_embed::sample::KIND_DIM
+        + mvgnn_embed::sample::EDGE_DIM
+        + mvgnn_profiler::DynamicFeatures::DIM;
+    let aw_vocab = mvgnn_graph::AwVocab::new(sample_cfg.walk_len).size();
+    let model = MvGnn::new(MvGnnConfig::small(node_dim, aw_vocab));
+    let cascade = Cascade::full();
+    let classify = |m: &Module, f: FuncId| {
+        cascade.classify_module(&model, m, f, &inst2vec, &sample_cfg, None, None)
+    };
+
+    // Warm-up pass over every call; it also sorts out the light calls.
+    let (mut light, mut loops, mut total) = (Vec::new(), 0usize, 0usize);
+    for (m, kernels) in &calls {
+        for &f in kernels {
+            total += 1;
+            let reports = classify(m, f);
+            if reports.iter().all(|r| r.decided_by == DecidedBy::Oracle) {
+                loops += reports.len();
+                light.push((m, f, reports));
+            }
+        }
+    }
+    let (allocs0, bytes0) = (allocations(), allocated_bytes());
+    for (m, f, warm) in &light {
+        let reports = classify(m, *f);
+        assert_eq!(reports.len(), warm.len(), "light call changed its loop count");
+        drop(std::hint::black_box(reports));
+    }
+    let (allocs, bytes) = (allocations() - allocs0, allocated_bytes() - bytes0);
+    let n = light.len().max(1) as f64;
+    let per_call = allocs as f64 / n;
+    println!(
+        "[cascade] alloc smoke: {} of {total} calls light ({loops} loops): {per_call:.2} \
+         allocs and {:.0} bytes per light call, {:.2} allocs per loop (budget \
+         {LIGHT_CALL_ALLOC_BUDGET} per call)",
+        light.len(),
+        bytes as f64 / n,
+        allocs as f64 / loops.max(1) as f64,
+    );
+    if light.is_empty() || per_call > LIGHT_CALL_ALLOC_BUDGET {
+        eprintln!(
+            "GATE FAILED: {per_call:.2} allocations per light call exceeds \
+             {LIGHT_CALL_ALLOC_BUDGET} (or no call was light)"
+        );
+        std::process::exit(1);
+    }
+    println!("[cascade] alloc smoke OK");
+}
+
 fn main() {
+    if std::env::args().any(|a| a == "--alloc-smoke") {
+        #[cfg(feature = "count-allocs")]
+        {
+            alloc_smoke();
+            return;
+        }
+        #[cfg(not(feature = "count-allocs"))]
+        {
+            eprintln!("--alloc-smoke needs a build with --features count-allocs");
+            std::process::exit(2);
+        }
+    }
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (seeds, levels): (Vec<u64>, Vec<OptLevel>) = if smoke {
         (vec![1], vec![OptLevel::O0])

@@ -94,6 +94,7 @@ pub mod alloc_count {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    static BYTES: AtomicU64 = AtomicU64::new(0);
 
     /// Counting wrapper over the system allocator.
     pub struct CountingAlloc;
@@ -102,6 +103,7 @@ pub mod alloc_count {
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             unsafe { System.alloc(layout) }
         }
 
@@ -111,6 +113,7 @@ pub mod alloc_count {
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -121,6 +124,12 @@ pub mod alloc_count {
     /// Heap allocations (alloc + realloc calls) since process start.
     pub fn allocations() -> u64 {
         ALLOCS.load(Ordering::Relaxed)
+    }
+
+    /// Bytes requested by those allocations (the new size for a
+    /// `realloc`) since process start.
+    pub fn allocated_bytes() -> u64 {
+        BYTES.load(Ordering::Relaxed)
     }
 }
 

@@ -365,11 +365,11 @@ impl Cascade {
     ) -> Vec<LoopReport> {
         // Tier 0 — oracle short-circuit on the static IR alone, before
         // anything runs. One `FuncAnalysis` serves every loop of the
-        // entry; definite verdicts fill their report slot immediately,
+        // entry; definite verdicts go straight into the returned vector,
         // and only the survivors pay for the trace, the PEG,
         // featurisation and the model.
         let loops = &module.funcs[entry.index()].loops;
-        let mut reports: Vec<Option<LoopReport>> = (0..loops.len()).map(|_| None).collect();
+        let mut decided: Vec<LoopReport> = Vec::with_capacity(loops.len());
         let mut undecided: Vec<(usize, LoopId, u32, Option<Arc<OracleReport>>)> = Vec::new();
         let analysis = self.config.use_oracle.then(|| FuncAnalysis::new(module, entry));
         for (slot, info) in loops.iter().enumerate() {
@@ -381,7 +381,7 @@ impl Cascade {
                     // The decision is proved, so the planner's typed
                     // pragma rides along as actionable output.
                     let plan = plan_from_report(module, entry, l, &report);
-                    reports[slot] = Some(LoopReport {
+                    decided.push(LoopReport {
                         func: entry,
                         l,
                         line,
@@ -400,7 +400,16 @@ impl Cascade {
             }
         }
         if undecided.is_empty() {
-            return reports.into_iter().flatten().collect();
+            return decided;
+        }
+        // Decided reports keep their loop order among the undecided slots.
+        let mut reports: Vec<Option<LoopReport>> = (0..loops.len()).map(|_| None).collect();
+        let mut decided = decided.into_iter();
+        let mut pending = undecided.iter().map(|u| u.0).peekable();
+        for (slot, r) in reports.iter_mut().enumerate() {
+            if pending.next_if_eq(&slot).is_none() {
+                *r = decided.next();
+            }
         }
 
         // A loop is left undecided: trace the entry for the dynamic

@@ -278,18 +278,22 @@ impl Inst {
         }
     }
 
-    /// Registers read by this instruction.
-    pub fn uses(&self) -> Vec<VReg> {
-        match self {
-            Inst::Const { .. } | Inst::Br { .. } => vec![],
-            Inst::Copy { src, .. } | Inst::Un { src, .. } => vec![*src],
-            Inst::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Load { idx, .. } => vec![*idx],
-            Inst::Store { idx, src, .. } => vec![*idx, *src],
-            Inst::Call { args, .. } => args.clone(),
-            Inst::CondBr { cond, .. } => vec![*cond],
-            Inst::Ret { val } => val.iter().copied().collect(),
-        }
+    /// Registers read by this instruction, in operand order: the fixed
+    /// operands inline, a call's arguments straight from its slice.
+    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+        const NONE: VReg = VReg(0);
+        let (fixed, n, args): ([VReg; 2], usize, &[VReg]) = match self {
+            Inst::Const { .. } | Inst::Br { .. } | Inst::Ret { val: None } => ([NONE; 2], 0, &[]),
+            Inst::Copy { src: r, .. }
+            | Inst::Un { src: r, .. }
+            | Inst::Load { idx: r, .. }
+            | Inst::CondBr { cond: r, .. }
+            | Inst::Ret { val: Some(r) } => ([*r, NONE], 1, &[]),
+            Inst::Bin { lhs, rhs, .. } => ([*lhs, *rhs], 2, &[]),
+            Inst::Store { idx, src, .. } => ([*idx, *src], 2, &[]),
+            Inst::Call { args, .. } => ([NONE; 2], 0, args),
+        };
+        fixed.into_iter().take(n).chain(args.iter().copied())
     }
 
     /// The array touched by this instruction with the access kind
@@ -396,10 +400,10 @@ mod tests {
     fn defs_and_uses() {
         let i = Inst::Bin { op: BinOp::Add, dst: VReg(2), lhs: VReg(0), rhs: VReg(1) };
         assert_eq!(i.def(), Some(VReg(2)));
-        assert_eq!(i.uses(), vec![VReg(0), VReg(1)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(0), VReg(1)]);
         let s = Inst::Store { arr: ArrayId(0), idx: VReg(3), src: VReg(4) };
         assert_eq!(s.def(), None);
-        assert_eq!(s.uses(), vec![VReg(3), VReg(4)]);
+        assert_eq!(s.uses().collect::<Vec<_>>(), vec![VReg(3), VReg(4)]);
         assert_eq!(s.memory_effect(), Some((ArrayId(0), true)));
         let l = Inst::Load { dst: VReg(1), arr: ArrayId(2), idx: VReg(0) };
         assert_eq!(l.memory_effect(), Some((ArrayId(2), false)));

@@ -13,9 +13,9 @@ cargo build --release --workspace --quiet
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
-echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, every pinned loop sample, in the optimised build the benchmark runs)"
-cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler -p mvgnn-peg -p mvgnn-analyze
-cargo test -q --release --test sample_pins
+echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, affine algebra vs its reference, Table III tool verdicts, every pinned loop sample and tier-0 report, in the optimised build the benchmark runs, where checked arithmetic must agree with debug)"
+cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler -p mvgnn-peg -p mvgnn-analyze -p mvgnn-baselines
+cargo test -q --release --test sample_pins --test tier0_pins --test static_first
 
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
@@ -28,6 +28,9 @@ cargo run --release -p mvgnn-bench --bin throughput --quiet -- --smoke
 
 echo "==> alloc smoke (pooled steady state stays under budget)"
 cargo run --release -p mvgnn-bench --features count-allocs --bin throughput --quiet -- --alloc-smoke
+
+echo "==> tier-0 alloc smoke (a light cascade call stays under its allocation budget)"
+cargo run --release -p mvgnn-bench --features count-allocs --bin cascade --quiet -- --alloc-smoke
 
 echo "==> serve smoke (forced-overload storm: typed sheds, zero panics, liveness)"
 cargo run --release -p mvgnn-bench --bin serve --quiet -- --smoke
