@@ -7,7 +7,7 @@
 //! must be behaviour-preserving for them.
 
 use mvgnn_ir::inst::{BinOp, Inst, InstRef};
-use mvgnn_ir::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module};
+use mvgnn_ir::module::{Block, BlockId, FuncId, Function, LoopId, LoopInfo, Module};
 use mvgnn_ir::types::{ArrayId, VReg, Value};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
@@ -293,7 +293,7 @@ impl RegTables {
     pub(crate) fn new(f: &Function) -> Self {
         let blank = RegInfo { defs: 0, konst: None, induction: false, sym: AffineExpr::Unknown };
         let mut t = Self { regs: vec![blank; f.num_regs as usize], mem_insts: 0 };
-        for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+        for inst in f.insts() {
             t.mem_insts += usize::from(inst.memory_effect().is_some());
             if let Some(d) = inst.def() {
                 let r = t.slot(d);
@@ -361,7 +361,7 @@ impl RegTables {
 /// body and latch.
 pub(crate) fn fill_loop_mask(f: &Function, info: &LoopInfo, mask: &mut Vec<bool>) {
     mask.clear();
-    mask.resize(f.blocks.len(), false);
+    mask.resize(f.num_blocks(), false);
     for b in info.body.iter().chain([&info.header, &info.latch]) {
         if let Some(m) = mask.get_mut(b.index()) {
             *m = true;
@@ -380,9 +380,8 @@ pub(crate) fn loop_mask(f: &Function, info: &LoopInfo) -> Vec<bool> {
 pub(crate) fn masked_blocks<'f>(
     f: &'f Function,
     mask: &'f [bool],
-) -> impl Iterator<Item = (BlockId, &'f mvgnn_ir::module::Block)> + 'f {
-    f.blocks
-        .iter()
+) -> impl Iterator<Item = (BlockId, Block<'f>)> + 'f {
+    f.blocks()
         .enumerate()
         .filter(|&(bi, _)| mask[bi])
         .map(|(bi, blk)| (BlockId(bi as u32), blk))
@@ -457,7 +456,7 @@ pub(crate) fn index_walk(
         }
     };
 
-    for (bi, blk) in f.blocks.iter().enumerate() {
+    for (bi, blk) in f.blocks().enumerate() {
         let bid = BlockId(bi as u32);
         for (ii, inst) in blk.insts.iter().enumerate() {
             match inst {
@@ -515,7 +514,11 @@ pub(crate) fn index_walk(
                         idx_in_block: ii,
                     });
                 }
-                Inst::Call { dst: Some(d), .. } => set(regs, *d, AffineExpr::Unknown),
+                Inst::Call(c) => {
+                    if let Some(d) = c.dst {
+                        set(regs, d, AffineExpr::Unknown);
+                    }
+                }
                 _ => {}
             }
         }
@@ -534,7 +537,7 @@ pub(crate) fn loop_updates(
 ) -> bool {
     recs.clear();
     let mut has_call = false;
-    for inst in masked_blocks(f, in_loop).flat_map(|(_, blk)| &blk.insts) {
+    for inst in masked_blocks(f, in_loop).flat_map(|(_, blk)| blk.insts) {
         match inst {
             Inst::Bin { op, dst, lhs, rhs }
                 if (dst == lhs || dst == rhs) && !regs.is_induction(*dst) =>
@@ -542,7 +545,7 @@ pub(crate) fn loop_updates(
                 let commutative = matches!(op, BinOp::Add | BinOp::Mul | BinOp::Min | BinOp::Max);
                 recs.push((commutative, *dst));
             }
-            Inst::Call { .. } => has_call = true,
+            Inst::Call(_) => has_call = true,
             _ => {}
         }
     }

@@ -201,8 +201,8 @@ pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
     // use[b]: read before any def in b; def[b]: defined in b.
     let mut use_ = vec![BitSet::new(nr); n];
     let mut def = vec![BitSet::new(nr); n];
-    for (bi, blk) in f.blocks.iter().enumerate() {
-        for inst in &blk.insts {
+    for (bi, blk) in f.blocks().enumerate() {
+        for inst in blk.insts {
             for u in inst.uses() {
                 if !def[bi].contains(u.0 as usize) {
                     use_[bi].insert(u.0 as usize);
@@ -242,7 +242,7 @@ pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
 
 /// Successors of `blk` in a function of `n` blocks: its terminator's
 /// in-range targets, in branch order (as [`Cfg::new`] lists them).
-fn successors(blk: &Block, n: usize) -> impl Iterator<Item = usize> {
+fn successors(blk: Block<'_>, n: usize) -> impl Iterator<Item = usize> {
     let (a, b) = match blk.terminator() {
         Some(Inst::Br { target }) => (Some(*target), None),
         Some(Inst::CondBr { then_blk, else_blk, .. }) => (Some(*then_blk), Some(*else_blk)),
@@ -262,7 +262,7 @@ impl Walk {
     /// Mark the blocks reachable from the entry without entering
     /// `avoid`.
     fn reach(&mut self, f: &Function, avoid: Option<usize>) -> &[bool] {
-        let n = f.blocks.len();
+        let n = f.num_blocks();
         self.seen.clear();
         self.seen.resize(n, false);
         self.stack.clear();
@@ -271,7 +271,7 @@ impl Walk {
             self.stack.push(0);
         }
         while let Some(b) = self.stack.pop() {
-            for s in successors(&f.blocks[b], n) {
+            for s in successors(f.block(BlockId(b as u32)), n) {
                 if !self.seen[s] && avoid != Some(s) {
                     self.seen[s] = true;
                     self.stack.push(s);
@@ -303,11 +303,10 @@ pub(crate) struct LiveSets {
 impl LiveSets {
     /// Solve liveness for `f` (backward, may, union-confluence).
     pub(crate) fn new(f: &Function, walk: &mut Walk) -> Self {
-        let n = f.blocks.len();
+        let n = f.num_blocks();
         let max_reg = f
-            .blocks
+            .insts()
             .iter()
-            .flat_map(|b| &b.insts)
             .flat_map(|i| i.uses().chain(i.def()))
             .map(|r| r.0 + 1)
             .max()
@@ -317,10 +316,10 @@ impl LiveSets {
         // use[b]: read before any def in b; def[b]: defined in b.
         let mut use_def = vec![0u64; 2 * n * words];
         let (use_, def) = use_def.split_at_mut(n * words);
-        for (bi, blk) in f.blocks.iter().enumerate() {
+        for (bi, blk) in f.blocks().enumerate() {
             let row = bi * words..(bi + 1) * words;
             let (u, d) = (&mut use_[row.clone()], &mut def[row]);
-            for inst in &blk.insts {
+            for inst in blk.insts {
                 for r in inst.uses() {
                     let (w, m) = bit(r);
                     if d[w] & m == 0 {
@@ -344,7 +343,7 @@ impl LiveSets {
             // on it.
             for b in (0..n).rev().filter(|&b| reachable[b]) {
                 out.fill(0);
-                for s in successors(&f.blocks[b], n) {
+                for s in successors(f.block(BlockId(b as u32)), n) {
                     for (o, x) in out.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
                         *o |= x;
                     }
@@ -478,11 +477,11 @@ mod tests {
                     let cfg = Cfg::new(f);
                     let (live, dom) = (liveness(f, &cfg), Dominators::compute(&cfg));
                     let flat = LiveSets::new(f, &mut walk);
-                    for b in (0..f.blocks.len() as u32).map(BlockId) {
+                    for b in (0..f.num_blocks() as u32).map(BlockId) {
                         for r in (0..f.num_regs).map(VReg) {
                             assert_eq!(flat.live_in_at(b, r), live.live_in_at(b, r), "{b:?} {r:?}");
                         }
-                        for a in (0..f.blocks.len() as u32).map(BlockId) {
+                        for a in (0..f.num_blocks() as u32).map(BlockId) {
                             assert_eq!(walk.dominates(f, a, b), dom.dominates(a, b), "{a:?} {b:?}");
                         }
                         checked += 1;

@@ -40,7 +40,6 @@ use mvgnn_ir::inst::{BinOp, Inst, InstRef};
 use mvgnn_ir::module::{FuncId, Function, LoopId, LoopInfo, Module};
 use mvgnn_ir::types::{ArrayId, VReg};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 
 /// The oracle's three-point verdict lattice (`Unknown` is the top).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,11 +183,12 @@ pub struct OracleReport {
     /// Provenance records explaining it.
     pub facts: Vec<Fact>,
     /// Reduction-chain instructions whose observed carried dependences
-    /// are benign; the corpus auditor excuses dynamic dependences whose
-    /// endpoints both sit in this set.
-    pub excused: HashSet<InstRef>,
-    /// Per-array section summaries (reads/writes/affine-ness).
-    pub sections: HashMap<ArrayId, ArraySection>,
+    /// are benign, sorted and distinct; the corpus auditor excuses
+    /// dynamic dependences whose endpoints both sit in this set.
+    pub excused: Vec<InstRef>,
+    /// Per-array section summaries (reads/writes/affine-ness), sorted by
+    /// array; [`OracleReport::section`] looks one up.
+    pub sections: Vec<(ArrayId, ArraySection)>,
     /// Memory accesses seen inside the loop.
     pub n_accesses: usize,
     /// Same-array pairs with at least one write that were tested.
@@ -212,6 +212,12 @@ impl OracleReport {
     /// Width of [`OracleReport::feature_vec`].
     pub const FEAT_DIM: usize = 10;
 
+    /// The section summary of `arr`, when the loop accesses it.
+    pub fn section(&self, arr: ArrayId) -> Option<&ArraySection> {
+        let i = self.sections.binary_search_by_key(&arr, |&(a, _)| a).ok()?;
+        Some(&self.sections[i].1)
+    }
+
     /// The oracle's facts as a dense feature vector, broadcast onto the
     /// loop's PEG nodes when static features are enabled in
     /// `mvgnn-embed` (off by default; ablation-ready):
@@ -233,7 +239,7 @@ impl OracleReport {
         v[6] = f32::from(self.facts.iter().any(|f| matches!(f, Fact::NonAffineAccess { .. })));
         v[7] = f32::from(self.bounds.is_some());
         v[8] = self.bounds.map_or(0.0, |b| (b.trip as f32).ln_1p());
-        v[9] = (self.sections.values().filter(|s| s.writes > 0).count() as f32).ln_1p();
+        v[9] = (self.sections.iter().filter(|(_, s)| s.writes > 0).count() as f32).ln_1p();
         v
     }
 }
@@ -254,9 +260,9 @@ fn bounds(f: &Function, info: &LoopInfo, in_loop: &[bool], regs: &RegTables) -> 
     // other def means `iv` is not a simple counter.
     let mut lo = None;
     let mut step = None;
-    for (bi, blk) in f.blocks.iter().enumerate() {
+    for (bi, blk) in f.blocks().enumerate() {
         let bid = mvgnn_ir::module::BlockId(bi as u32);
-        for inst in &blk.insts {
+        for inst in blk.insts {
             if inst.def() != Some(iv) {
                 continue;
             }
@@ -282,7 +288,7 @@ fn bounds(f: &Function, info: &LoopInfo, in_loop: &[bool], regs: &RegTables) -> 
     }
 
     // iv < hi in the header.
-    let header = &f.blocks[info.header.index()];
+    let header = f.block(info.header);
     let hi = header.insts.iter().find_map(|inst| match inst {
         Inst::Bin { op: BinOp::CmpLt, lhs, rhs, .. } if *lhs == iv => regs.const_i64(*rhs),
         _ => None,
@@ -422,8 +428,10 @@ impl<'m> FuncAnalysis<'m> {
         let has_call = loop_updates(f, in_loop, &self.regs, recs);
         chains(f, func, in_loop, &self.regs, found);
         let found: &Chains = found;
-        let mut excused: HashSet<InstRef> = HashSet::with_capacity(found.n_refs());
+        let mut excused: Vec<InstRef> = Vec::with_capacity(found.n_refs());
         excused.extend(found.refs());
+        excused.sort_unstable();
+        excused.dedup();
         let bounds = bounds(f, info, in_loop, &self.regs);
         let sections = sections(accesses());
         let n_accesses = accesses().count();
@@ -622,7 +630,7 @@ impl<'m> FuncAnalysis<'m> {
         if !crosses_iterations {
             return None;
         }
-        let op = match &self.f.blocks[c.bin.block.index()].insts[c.bin.idx as usize] {
+        let op = match self.f.inst(c.bin) {
             Inst::Bin { op, .. } => ReductionOp::of_bin(*op)?,
             _ => return None,
         };
@@ -630,20 +638,23 @@ impl<'m> FuncAnalysis<'m> {
     }
 }
 
-/// Per-array section summaries of a loop's accesses, in one allocation.
+/// Per-array section summaries of a loop's accesses, sorted by array, in
+/// one allocation.
 fn sections<'a>(
     accesses: impl Iterator<Item = &'a Access> + Clone,
-) -> HashMap<ArrayId, ArraySection> {
+) -> Vec<(ArrayId, ArraySection)> {
     let arrays = accesses
         .clone()
         .enumerate()
         .filter(|&(i, a)| accesses.clone().take(i).all(|b| b.arr != a.arr))
         .count();
-    let mut sections: HashMap<ArrayId, ArraySection> = HashMap::with_capacity(arrays);
+    let mut sections: Vec<(ArrayId, ArraySection)> = Vec::with_capacity(arrays);
     for a in accesses {
-        let s = sections
-            .entry(a.arr)
-            .or_insert(ArraySection { all_affine: true, ..Default::default() });
+        let i = sections.binary_search_by_key(&a.arr, |&(arr, _)| arr).unwrap_or_else(|i| {
+            sections.insert(i, (a.arr, ArraySection { all_affine: true, ..Default::default() }));
+            i
+        });
+        let s = &mut sections[i].1;
         if a.is_write {
             s.writes += 1;
         } else {
@@ -659,7 +670,7 @@ fn sections<'a>(
 /// Operator of the first commutative self-update of `reg` inside the
 /// loop whose blocks `in_loop` marks.
 fn scalar_op(f: &Function, in_loop: &[bool], reg: VReg) -> Option<ReductionOp> {
-    masked_blocks(f, in_loop).flat_map(|(_, blk)| &blk.insts).find_map(|inst| match inst {
+    masked_blocks(f, in_loop).flat_map(|(_, blk)| blk.insts).find_map(|inst| match inst {
         Inst::Bin { op, dst, lhs, rhs } if *dst == reg && (*lhs == reg || *rhs == reg) => {
             ReductionOp::of_bin(*op)
         }
@@ -979,7 +990,7 @@ mod tests {
         let r = analyze(&m, f, l);
         assert_eq!(r.verdict, Verdict::Unknown, "{:?}", r.facts);
         assert!(r.facts.iter().any(|x| matches!(x, Fact::NonAffineAccess { .. })), "{:?}", r.facts);
-        assert!(!r.sections[&ArrayId(0)].all_affine);
+        assert!(!r.section(ArrayId(0)).unwrap().all_affine);
     }
 
     #[test]
@@ -995,8 +1006,9 @@ mod tests {
         });
         let f = b.finish();
         let r = analyze(&m, f, l);
-        let sa = &r.sections[&a];
-        let sb = &r.sections[&out];
+        let sa = r.section(a).unwrap();
+        let sb = r.section(out).unwrap();
+        assert_eq!(r.section(ArrayId(9)), None);
         assert_eq!((sa.reads, sa.writes, sa.all_affine), (1, 0, true));
         assert_eq!((sb.reads, sb.writes, sb.all_affine), (0, 1, true));
     }

@@ -1258,11 +1258,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut m = Module::new("t");
             build_kernel(&mut m, KernelKind::VectorMap, 0, 8, &mut rng);
-            m.funcs[0]
-                .blocks
-                .iter()
-                .flat_map(|b| b.insts.iter().map(|i| i.token()))
-                .collect::<Vec<_>>()
+            m.funcs[0].insts().iter().map(|i| i.token()).collect::<Vec<_>>()
         };
         let variants: std::collections::HashSet<Vec<String>> =
             (0..12).map(build).collect();

@@ -7,7 +7,7 @@
 //! to loop iterations.
 
 use crate::inst::{BinOp, Inst, UnOp};
-use crate::module::{Block, BlockId, FuncId, Function, LoopId, LoopInfo, Module};
+use crate::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module};
 use crate::types::{ArrayId, VReg, Value};
 
 /// Builder for one function. Create with [`FunctionBuilder::new`], emit
@@ -40,7 +40,9 @@ pub struct FunctionBuilder<'m> {
     name: String,
     arity: u32,
     next_reg: u32,
-    blocks: Vec<Block>,
+    /// Each block's `(instruction, line)` run while it is built;
+    /// [`FunctionBuilder::finish`] stores them flat.
+    blocks: Vec<Vec<(Inst, u32)>>,
     block_loop: Vec<Option<LoopId>>,
     loops: Vec<LoopInfo>,
     current: BlockId,
@@ -99,21 +101,29 @@ impl<'m> FunctionBuilder<'m> {
 
     fn new_block(&mut self) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
-        self.blocks.push(Block::default());
+        self.blocks.push(Vec::new());
         self.block_loop.push(self.loop_stack.last().copied());
         id
     }
 
     fn emit(&mut self, inst: Inst) {
-        let line = self.line;
-        let blk = &mut self.blocks[self.current.index()];
-        debug_assert!(
-            blk.terminator().is_none(),
-            "emitting into a terminated block in fn {}",
-            self.name
-        );
-        blk.insts.push(inst);
-        blk.lines.push(line);
+        self.emit_at(self.current, inst, self.line);
+    }
+
+    fn emit_at(&mut self, block: BlockId, inst: Inst, line: u32) {
+        debug_assert!(!self.terminated(block), "emitting into a terminated block in {}", self.name);
+        self.blocks[block.index()].push((inst, line));
+    }
+
+    /// True when `block` already ends in a terminator.
+    fn terminated(&self, block: BlockId) -> bool {
+        self.blocks[block.index()].last().is_some_and(|(i, _)| i.is_terminator())
+    }
+
+    /// Seal `at`, a `(block, line)` left open for its conditional branch,
+    /// once both targets exist.
+    fn cond_br(&mut self, at: (BlockId, u32), cond: VReg, then_blk: BlockId, else_blk: BlockId) {
+        self.emit_at(at.0, Inst::CondBr { cond, then_blk, else_blk }, at.1);
     }
 
     // ------------------------------------------------------------------
@@ -183,13 +193,13 @@ impl<'m> FunctionBuilder<'m> {
     /// Call returning a value.
     pub fn call(&mut self, func: FuncId, args: &[VReg]) -> VReg {
         let dst = self.fresh();
-        self.emit(Inst::Call { dst: Some(dst), func, args: args.to_vec() });
+        self.emit(Inst::call(Some(dst), func, args));
         dst
     }
 
     /// Call ignoring the return value.
     pub fn call_void(&mut self, func: FuncId, args: &[VReg]) {
-        self.emit(Inst::Call { dst: None, func, args: args.to_vec() });
+        self.emit(Inst::call(None, func, args));
     }
 
     /// Return.
@@ -240,9 +250,9 @@ impl<'m> FunctionBuilder<'m> {
         let cond = self.bin(BinOp::CmpLt, iv, hi);
 
         let body_entry = self.new_block();
-        // Exit block belongs to the parent loop; create it after popping.
-        self.emit(Inst::CondBr { cond, then_blk: body_entry, else_blk: BlockId(u32::MAX) });
-        let header_condbr = (header, self.blocks[header.index()].insts.len() - 1);
+        // The header's condbr exits to a block of the parent loop, created
+        // after the body; it is emitted then, with this line.
+        let header_condbr = (self.current, self.line);
 
         self.current = body_entry;
         let body_first_block = body_entry;
@@ -258,14 +268,7 @@ impl<'m> FunctionBuilder<'m> {
         let end_line = self.next_line();
         self.loop_stack.pop();
         let exit = self.new_block();
-        // Patch the header's condbr else target now that the exit exists.
-        if let Inst::CondBr { else_blk, .. } =
-            &mut self.blocks[header_condbr.0.index()].insts[header_condbr.1]
-        {
-            *else_blk = exit;
-        } else {
-            unreachable!("header terminator must be a condbr");
-        }
+        self.cond_br(header_condbr, cond, body_entry, exit);
 
         // Collect body blocks: every block created between body_entry and
         // latch (exclusive) plus body_entry itself.
@@ -311,8 +314,7 @@ impl<'m> FunctionBuilder<'m> {
         self.current = header;
         let c = cond(self);
         let body_entry = self.new_block();
-        self.emit(Inst::CondBr { cond: c, then_blk: body_entry, else_blk: BlockId(u32::MAX) });
-        let header_condbr = (header, self.blocks[header.index()].insts.len() - 1);
+        let header_condbr = (self.current, self.line);
 
         self.current = body_entry;
         self.next_line();
@@ -326,13 +328,7 @@ impl<'m> FunctionBuilder<'m> {
         let end_line = self.next_line();
         self.loop_stack.pop();
         let exit = self.new_block();
-        if let Inst::CondBr { else_blk, .. } =
-            &mut self.blocks[header_condbr.0.index()].insts[header_condbr.1]
-        {
-            *else_blk = exit;
-        } else {
-            unreachable!("header terminator must be a condbr");
-        }
+        self.cond_br(header_condbr, c, body_entry, exit);
 
         let body_blocks: Vec<BlockId> = (body_entry.0..latch.0).map(BlockId).collect();
         let info = &mut self.loops[loop_id.index()];
@@ -355,31 +351,22 @@ impl<'m> FunctionBuilder<'m> {
     ) {
         self.next_line();
         let then_blk = self.new_block();
-        let patch_at = (self.current, self.blocks[self.current.index()].insts.len());
-        self.emit(Inst::CondBr { cond, then_blk, else_blk: BlockId(u32::MAX) });
+        let branch = (self.current, self.line);
 
         self.current = then_blk;
         then_arm(self);
         let then_end = self.current;
 
         let else_blk = self.new_block();
-        if let Inst::CondBr { else_blk: e, .. } =
-            &mut self.blocks[patch_at.0.index()].insts[patch_at.1]
-        {
-            *e = else_blk;
-        } else {
-            unreachable!("patched instruction must be the condbr");
-        }
+        self.cond_br(branch, cond, then_blk, else_blk);
         self.current = else_blk;
         else_arm(self);
         let else_end = self.current;
 
         let join = self.new_block();
         for end in [then_end, else_end] {
-            let blk = &mut self.blocks[end.index()];
-            if blk.terminator().is_none() {
-                blk.insts.push(Inst::Br { target: join });
-                blk.lines.push(self.line);
+            if !self.terminated(end) {
+                self.emit_at(end, Inst::Br { target: join }, self.line);
             }
         }
         self.current = join;
@@ -393,34 +380,17 @@ impl<'m> FunctionBuilder<'m> {
 
     /// Finish: seal the current block with `ret void` if unterminated and
     /// append the function to the module.
-    pub fn finish(self) -> FuncId {
-        let Self {
-            module,
-            name,
-            arity,
-            next_reg,
-            mut blocks,
-            block_loop,
-            loops,
-            current,
-            loop_stack,
-            line,
-        } = self;
-        assert!(loop_stack.is_empty(), "unclosed loops in fn {name}");
-        let blk = &mut blocks[current.index()];
-        if blk.terminator().is_none() {
-            blk.insts.push(Inst::Ret { val: None });
-            blk.lines.push(line);
+    pub fn finish(mut self) -> FuncId {
+        assert!(self.loop_stack.is_empty(), "unclosed loops in fn {}", self.name);
+        if !self.terminated(self.current) {
+            self.ret(None);
         }
+        let Self { module, name, arity, next_reg, blocks, block_loop, loops, .. } = self;
         let id = FuncId(module.funcs.len() as u32);
-        module.funcs.push(Function {
-            name,
-            arity,
-            num_regs: next_reg,
-            blocks,
-            loops,
-            block_loop,
-        });
+        let mut f = Function::from_blocks(name, arity, next_reg, blocks);
+        f.loops = loops;
+        f.block_loop = block_loop;
+        module.funcs.push(f);
         id
     }
 }
@@ -530,7 +500,7 @@ mod tests {
         let b = FunctionBuilder::new(&mut m, "empty", 0);
         let f = b.finish();
         let fun = &m.funcs[f.index()];
-        assert!(fun.blocks[0].terminator().is_some());
+        assert!(fun.block(BlockId(0)).terminator().is_some());
         verify_module(&m).unwrap();
     }
 

@@ -22,10 +22,10 @@ impl Cfg {
     /// terminator is `ret`) simply have no successors; out-of-range branch
     /// targets are skipped (the verifier reports those separately).
     pub fn new(f: &Function) -> Self {
-        let n = f.blocks.len();
+        let n = f.num_blocks();
         let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for (b, blk) in f.blocks.iter().enumerate() {
+        for (b, blk) in f.blocks().enumerate() {
             let targets: Vec<BlockId> = match blk.terminator() {
                 Some(Inst::Br { target }) => vec![*target],
                 Some(Inst::CondBr { then_blk, else_blk, .. }) => vec![*then_blk, *else_blk],
@@ -192,12 +192,12 @@ mod tests {
         let cfg = Cfg::new(&f);
         let dom = Dominators::compute(&cfg);
         let entry = BlockId(0);
-        for bi in 0..f.blocks.len() as u32 {
+        for bi in 0..f.num_blocks() as u32 {
             assert!(dom.dominates(entry, BlockId(bi)), "entry dominates b{bi}");
             assert!(dom.dominates(BlockId(bi), BlockId(bi)), "b{bi} self-dominates");
         }
         // Neither arm dominates the join.
-        let join = BlockId(f.blocks.len() as u32 - 1);
+        let join = BlockId(f.num_blocks() as u32 - 1);
         assert!(!dom.dominates(BlockId(1), join));
         assert!(!dom.dominates(BlockId(2), join));
     }
@@ -230,21 +230,19 @@ mod tests {
         for b in &rpo {
             assert!(seen.insert(*b), "duplicate {b:?}");
         }
-        assert_eq!(rpo.len(), f.blocks.len(), "all blocks reachable here");
+        assert_eq!(rpo.len(), f.num_blocks(), "all blocks reachable here");
     }
 
     #[test]
     fn unreachable_blocks_are_vacuously_dominated() {
         let mut f = diamond();
         // Append an unreachable block.
-        f.blocks.push(crate::module::Block {
-            insts: vec![Inst::Ret { val: None }],
-            lines: vec![9],
-        });
+        f.push_block();
+        f.push_inst(Inst::Ret { val: None }, 9);
         f.block_loop.push(None);
         let cfg = Cfg::new(&f);
         let dom = Dominators::compute(&cfg);
-        let dead = BlockId(f.blocks.len() as u32 - 1);
+        let dead = BlockId(f.num_blocks() as u32 - 1);
         assert!(dom.dominates(BlockId(0), dead));
         assert!(dom.dominates(BlockId(3), dead));
         assert!(!cfg.reverse_postorder().contains(&dead));

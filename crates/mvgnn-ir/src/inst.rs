@@ -173,6 +173,18 @@ impl UnOp {
     }
 }
 
+/// A direct call's operands, boxed in [`Inst::Call`] so that every
+/// instruction stays 24 bytes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Call {
+    /// Optional destination for the return value.
+    pub dst: Option<VReg>,
+    /// Callee.
+    pub func: FuncId,
+    /// Argument registers (copied into the callee's first registers).
+    pub args: Box<[VReg]>,
+}
+
 /// One IR instruction. Terminators (`Br`, `CondBr`, `Ret`) may only appear
 /// as the last instruction of a block (enforced by the verifier).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -230,14 +242,7 @@ pub enum Inst {
         src: VReg,
     },
     /// `dst? = call f(args...)`
-    Call {
-        /// Optional destination for the return value.
-        dst: Option<VReg>,
-        /// Callee.
-        func: FuncId,
-        /// Argument registers (copied into the callee's first registers).
-        args: Vec<VReg>,
-    },
+    Call(Box<Call>),
     /// Unconditional branch.
     Br {
         /// Target block.
@@ -260,6 +265,11 @@ pub enum Inst {
 }
 
 impl Inst {
+    /// `dst? = call func(args...)`.
+    pub fn call(dst: Option<VReg>, func: FuncId, args: &[VReg]) -> Self {
+        Inst::Call(Box::new(Call { dst, func, args: args.into() }))
+    }
+
     /// True for block terminators.
     pub fn is_terminator(&self) -> bool {
         matches!(self, Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret { .. })
@@ -273,7 +283,7 @@ impl Inst {
             | Inst::Bin { dst, .. }
             | Inst::Un { dst, .. }
             | Inst::Load { dst, .. } => Some(*dst),
-            Inst::Call { dst, .. } => *dst,
+            Inst::Call(c) => c.dst,
             _ => None,
         }
     }
@@ -291,7 +301,7 @@ impl Inst {
             | Inst::Ret { val: Some(r) } => ([*r, NONE], 1, &[]),
             Inst::Bin { lhs, rhs, .. } => ([*lhs, *rhs], 2, &[]),
             Inst::Store { idx, src, .. } => ([*idx, *src], 2, &[]),
-            Inst::Call { args, .. } => ([NONE; 2], 0, args),
+            Inst::Call(c) => ([NONE; 2], 0, &c.args[..]),
         };
         fixed.into_iter().take(n).chain(args.iter().copied())
     }
@@ -317,8 +327,8 @@ impl Inst {
             Inst::Un { op, .. } => format!("un.{}", op.mnemonic()),
             Inst::Load { .. } => "load".to_string(),
             Inst::Store { .. } => "store".to_string(),
-            Inst::Call { dst, .. } => {
-                if dst.is_some() {
+            Inst::Call(c) => {
+                if c.dst.is_some() {
                     "call.val".to_string()
                 } else {
                     "call.void".to_string()

@@ -6,7 +6,7 @@
 //! `mvgnn-profiler` implements `Tracer` to reconstruct the dynamic data
 //! dependence graph; [`NoTracer`] runs at full speed for plain evaluation.
 
-use crate::inst::{BinOp, Inst, InstRef, UnOp};
+use crate::inst::{BinOp, Call, Inst, InstRef, UnOp};
 use crate::module::{BlockId, FuncId, LoopId, Module};
 use crate::types::{ArrayId, Value};
 
@@ -120,13 +120,12 @@ impl<'m> Interpreter<'m> {
         self
     }
 
-    /// Allocate zeroed memory for every array in the module.
+    /// Zeroed memory for every array in the module, allocated on first
+    /// touch: each array starts without storage, reads as zero, and gets
+    /// its zeroed storage on its first store (see
+    /// [`Interpreter::run_with_memory`]).
     pub fn fresh_memory(&self) -> Vec<Vec<Value>> {
-        self.module
-            .arrays
-            .iter()
-            .map(|a| vec![Value::zero(a.ty); a.len])
-            .collect()
+        vec![Vec::new(); self.module.arrays.len()]
     }
 
     /// Run `func` with `args` against fresh zeroed memory.
@@ -141,7 +140,11 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Run `func` with `args` against caller-provided memory (lets callers
-    /// seed input arrays and inspect outputs).
+    /// seed input arrays and inspect outputs). `mem[a]` holds array `a`'s
+    /// cells; accesses are bounds-checked against the declared length, a
+    /// cell past the end of a shorter vector reads as zero, and the first
+    /// store to such an array zero-fills it to the declared length. A
+    /// caller seeding an input assigns its full-length vector.
     pub fn run_with_memory<T: Tracer>(
         &self,
         func: FuncId,
@@ -179,7 +182,7 @@ impl<'m> Interpreter<'m> {
         regs[..args.len()].copy_from_slice(args);
 
         // Map header block -> loop id for iteration-boundary detection.
-        let mut header_of: Vec<Option<LoopId>> = vec![None; f.blocks.len()];
+        let mut header_of: Vec<Option<LoopId>> = vec![None; f.num_blocks()];
         for info in &f.loops {
             header_of[info.header.index()] = Some(info.id);
         }
@@ -187,13 +190,13 @@ impl<'m> Interpreter<'m> {
         let mut active: Vec<LoopId> = Vec::new();
 
         let mut block = BlockId(0);
+        let mut blk = f.block(block);
         let mut idx = 0usize;
         loop {
             stats.steps += 1;
             if stats.steps > self.max_steps {
                 return Err(InterpError::StepLimit(self.max_steps));
             }
-            let blk = &f.blocks[block.index()];
             let inst = &blk.insts[idx];
             let r = InstRef { func, block, idx: idx as u32 };
             tracer.on_inst(r, blk.lines[idx]);
@@ -219,39 +222,45 @@ impl<'m> Interpreter<'m> {
                     let i = regs[ireg.index()]
                         .as_i64()
                         .ok_or(InterpError::TypeError(r, "load index must be i64"))?;
-                    let cells = &mem[arr.index()];
-                    if i < 0 || i as usize >= cells.len() {
+                    let decl = &self.module.arrays[arr.index()];
+                    if i < 0 || i as usize >= decl.len {
                         return Err(InterpError::OutOfBounds {
                             at: r,
                             arr: *arr,
                             idx: i,
-                            len: cells.len(),
+                            len: decl.len,
                         });
                     }
                     stats.loads += 1;
                     tracer.on_load(r, *arr, i);
-                    regs[dst.index()] = cells[i as usize];
+                    regs[dst.index()] =
+                        mem[arr.index()].get(i as usize).copied().unwrap_or(Value::zero(decl.ty));
                     idx += 1;
                 }
                 Inst::Store { arr, idx: ireg, src } => {
                     let i = regs[ireg.index()]
                         .as_i64()
                         .ok_or(InterpError::TypeError(r, "store index must be i64"))?;
-                    let cells = &mut mem[arr.index()];
-                    if i < 0 || i as usize >= cells.len() {
+                    let decl = &self.module.arrays[arr.index()];
+                    if i < 0 || i as usize >= decl.len {
                         return Err(InterpError::OutOfBounds {
                             at: r,
                             arr: *arr,
                             idx: i,
-                            len: cells.len(),
+                            len: decl.len,
                         });
                     }
                     stats.stores += 1;
                     tracer.on_store(r, *arr, i);
+                    let cells = &mut mem[arr.index()];
+                    if cells.len() < decl.len {
+                        cells.resize(decl.len, Value::zero(decl.ty));
+                    }
                     cells[i as usize] = regs[src.index()];
                     idx += 1;
                 }
-                Inst::Call { dst, func: callee, args: arg_regs } => {
+                Inst::Call(call) => {
+                    let Call { dst, func: callee, args: arg_regs } = &**call;
                     stats.calls += 1;
                     tracer.on_call(r, *callee);
                     let argv: Vec<Value> = arg_regs.iter().map(|a| regs[a.index()]).collect();
@@ -264,6 +273,7 @@ impl<'m> Interpreter<'m> {
                 }
                 Inst::Br { target } => {
                     block = *target;
+                    blk = f.block(block);
                     idx = 0;
                 }
                 Inst::CondBr { cond, then_blk, else_blk } => {
@@ -283,6 +293,7 @@ impl<'m> Interpreter<'m> {
                         }
                     }
                     block = if taken { *then_blk } else { *else_blk };
+                    blk = f.block(block);
                     idx = 0;
                 }
                 Inst::Ret { val } => {
@@ -428,9 +439,7 @@ mod tests {
         crate::verify::verify_module(&m).unwrap();
         let interp = Interpreter::new(&m);
         let mut mem = interp.fresh_memory();
-        for (i, slot) in mem[a.index()].iter_mut().take(10).enumerate() {
-            *slot = Value::F64(i as f64);
-        }
+        mem[a.index()] = (0..10).map(|i| Value::F64(i as f64)).collect();
         let mut log = LoopLog::default();
         let (ret, stats) = interp.run_with_memory(f, &[], &mut mem, &mut log).unwrap();
         assert_eq!(ret, Some(Value::F64(45.0)));

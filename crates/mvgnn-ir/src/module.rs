@@ -3,6 +3,7 @@
 use crate::inst::{Inst, InstRef};
 use crate::types::{ArrayId, Ty};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Basic block index, local to a function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -40,17 +41,18 @@ impl LoopId {
     }
 }
 
-/// A basic block: straight-line instructions ending in a terminator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Block {
-    /// Instructions; the last one must be a terminator in a finished
-    /// function (checked by [`crate::verify::verify_function`]).
-    pub insts: Vec<Inst>,
+/// A basic block: a borrowed view of one block's run of its function's
+/// code. The last instruction must be a terminator in a finished
+/// function (checked by [`crate::verify::verify_function`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Block<'f> {
+    /// The block's instructions.
+    pub insts: &'f [Inst],
     /// Synthetic source line of each instruction (parallel to `insts`).
-    pub lines: Vec<u32>,
+    pub lines: &'f [u32],
 }
 
-impl Block {
+impl Block<'_> {
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.insts.len()
@@ -111,6 +113,11 @@ pub struct ArrayDecl {
 
 /// A function: registers are dynamically typed; the first `arity` registers
 /// receive the call arguments.
+///
+/// The code is stored flat: every instruction of every block in one
+/// array, block after block, with a parallel array of source lines and a
+/// table of block-start offsets. [`Function::block`] views one block's
+/// run of it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Function {
     /// Debug name (unique per module).
@@ -119,18 +126,167 @@ pub struct Function {
     pub arity: u32,
     /// Total virtual registers used.
     pub num_regs: u32,
-    /// Basic blocks; `BlockId(0)` is the entry.
-    pub blocks: Vec<Block>,
+    /// Every instruction, block after block.
+    insts: Vec<Inst>,
+    /// Synthetic source line of each instruction (parallel to `insts`).
+    lines: Vec<u32>,
+    /// Block `b` holds `insts[starts[b]..starts[b + 1]]`; one entry more
+    /// than there are blocks, the last being `insts.len()`.
+    starts: Vec<u32>,
     /// Loops created by the builder, indexed by `LoopId`.
     pub loops: Vec<LoopInfo>,
-    /// Which loop each block belongs to (innermost), parallel to `blocks`.
+    /// Which loop each block belongs to (innermost), one entry per block.
     pub block_loop: Vec<Option<LoopId>>,
 }
 
 impl Function {
+    /// A function with no blocks, loops or instructions yet.
+    pub fn new(name: impl Into<String>, arity: u32, num_regs: u32) -> Self {
+        Self {
+            name: name.into(),
+            arity,
+            num_regs,
+            insts: Vec::new(),
+            lines: Vec::new(),
+            starts: vec![0],
+            loops: Vec::new(),
+            block_loop: Vec::new(),
+        }
+    }
+
+    /// A function whose blocks hold the given `(instruction, line)` runs,
+    /// stored at their exact size.
+    pub(crate) fn from_blocks(
+        name: impl Into<String>,
+        arity: u32,
+        num_regs: u32,
+        blocks: Vec<Vec<(Inst, u32)>>,
+    ) -> Self {
+        let n: usize = blocks.iter().map(Vec::len).sum();
+        let mut f = Self::new(name, arity, num_regs);
+        f.insts.reserve_exact(n);
+        f.lines.reserve_exact(n);
+        f.starts.reserve_exact(blocks.len());
+        for blk in blocks {
+            f.push_block();
+            for (inst, line) in blk {
+                f.push_inst(inst, line);
+            }
+        }
+        f
+    }
+
+    /// Append an empty block and return its id.
+    pub fn push_block(&mut self) -> BlockId {
+        let id = BlockId(self.num_blocks() as u32);
+        self.starts.push(self.insts.len() as u32);
+        id
+    }
+
+    /// Append an instruction to the last block, opening the entry block
+    /// first when there is none.
+    pub fn push_inst(&mut self, inst: Inst, line: u32) {
+        if self.starts.len() == 1 {
+            self.push_block();
+        }
+        self.insts.push(inst);
+        self.lines.push(line);
+        if let Some(end) = self.starts.last_mut() {
+            *end += 1;
+        }
+    }
+
+    /// Number of basic blocks; `BlockId(0)` is the entry.
+    pub fn num_blocks(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Offsets of block `b`'s instructions in [`Function::insts`].
+    pub fn block_range(&self, b: BlockId) -> Range<usize> {
+        self.starts[b.index()] as usize..self.starts[b.index() + 1] as usize
+    }
+
+    /// Block `b`.
+    pub fn block(&self, b: BlockId) -> Block<'_> {
+        let r = self.block_range(b);
+        Block { insts: &self.insts[r.clone()], lines: &self.lines[r] }
+    }
+
+    /// Every block, in id order.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = Block<'_>> + '_ {
+        (0..self.num_blocks() as u32).map(move |b| self.block(BlockId(b)))
+    }
+
+    /// Every instruction, block after block.
+    pub fn insts(&self) -> &[Inst] {
+        &self.insts
+    }
+
+    /// The instruction `r` names (its `func` is not checked).
+    pub fn inst(&self, r: InstRef) -> &Inst {
+        &self.block(r.block).insts[r.idx as usize]
+    }
+
+    /// Every instruction, mutably; the block layout stays fixed.
+    pub(crate) fn insts_mut(&mut self) -> &mut [Inst] {
+        &mut self.insts
+    }
+
+    /// Keep only the instructions `keep` accepts, in order, and store
+    /// the code at its new exact size.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Inst) -> bool) {
+        let mut w = 0usize;
+        for b in 0..self.num_blocks() {
+            let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+            self.starts[b] = w as u32;
+            for i in lo..hi {
+                if keep(&self.insts[i]) {
+                    self.insts.swap(w, i);
+                    self.lines[w] = self.lines[i];
+                    w += 1;
+                }
+            }
+        }
+        if let Some(end) = self.starts.last_mut() {
+            *end = w as u32;
+        }
+        self.insts.truncate(w);
+        self.lines.truncate(w);
+        self.insts.shrink_to_fit();
+        self.lines.shrink_to_fit();
+    }
+
+    /// Insert each `(at, inst)` before the instruction now at offset
+    /// `at` (ascending offsets), in the same block and with its line, and
+    /// store the code at its new exact size.
+    pub(crate) fn insert_before(&mut self, new: Vec<(usize, Inst)>) {
+        if new.is_empty() {
+            return;
+        }
+        // A block starting at offset `s` moves down by the insertions
+        // made before `s`; one made at `s` itself joins the block.
+        for s in &mut self.starts {
+            *s += new.partition_point(|&(at, _)| at < *s as usize) as u32;
+        }
+        let n = self.insts.len() + new.len();
+        let (mut insts, mut lines) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut new = new.into_iter().peekable();
+        let old = std::mem::take(&mut self.insts);
+        for (i, (inst, &line)) in old.into_iter().zip(&self.lines).enumerate() {
+            while let Some((_, ins)) = new.next_if(|&(at, _)| at == i) {
+                insts.push(ins);
+                lines.push(line);
+            }
+            insts.push(inst);
+            lines.push(line);
+        }
+        self.insts = insts;
+        self.lines = lines;
+    }
+
     /// Total instruction count.
     pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(Block::len).sum()
+        self.insts.len()
     }
 
     /// Iterate `(InstRef, &Inst, line)` in block order. `func` is the id of
@@ -139,8 +295,8 @@ impl Function {
         &'a self,
         func: FuncId,
     ) -> impl Iterator<Item = (InstRef, &'a Inst, u32)> + 'a {
-        self.blocks.iter().enumerate().flat_map(move |(b, blk)| {
-            blk.insts.iter().zip(&blk.lines).enumerate().map(move |(i, (inst, &line))| {
+        self.blocks().enumerate().flat_map(move |(b, blk)| {
+            blk.insts.iter().zip(blk.lines).enumerate().map(move |(i, (inst, &line))| {
                 (InstRef { func, block: BlockId(b as u32), idx: i as u32 }, inst, line)
             })
         })
@@ -243,44 +399,67 @@ mod tests {
         assert_eq!(m.arrays[a.index()].len, 16);
     }
 
+    /// `f` with blocks `[Copy, Br b1]` and `[Ret]`.
+    fn two_blocks() -> Function {
+        let mut f = Function::new("f", 0, 2);
+        f.push_block();
+        f.push_inst(Inst::Copy { dst: VReg(0), src: VReg(1) }, 1);
+        f.push_inst(Inst::Br { target: BlockId(1) }, 1);
+        f.push_block();
+        f.push_inst(Inst::Ret { val: None }, 2);
+        f.block_loop = vec![None, None];
+        f
+    }
+
     #[test]
     fn block_terminator_detection() {
-        let mut b = Block::default();
-        assert!(b.is_empty());
-        b.insts.push(Inst::Copy { dst: VReg(0), src: VReg(1) });
-        b.lines.push(1);
-        assert!(b.terminator().is_none());
-        b.insts.push(Inst::Ret { val: None });
-        b.lines.push(2);
+        let mut f = Function::new("f", 0, 2);
+        assert_eq!(f.num_blocks(), 0);
+        assert_eq!(f.push_block(), BlockId(0));
+        assert!(f.block(BlockId(0)).is_empty());
+        f.push_inst(Inst::Copy { dst: VReg(0), src: VReg(1) }, 1);
+        assert!(f.block(BlockId(0)).terminator().is_none());
+        f.push_inst(Inst::Ret { val: None }, 2);
+        let b = f.block(BlockId(0));
         assert!(b.terminator().is_some());
         assert_eq!(b.len(), 2);
+        assert_eq!(b.lines, &[1, 2]);
+    }
+
+    #[test]
+    fn a_first_instruction_opens_the_entry_block() {
+        let mut f = Function::new("f", 0, 0);
+        f.push_inst(Inst::Ret { val: None }, 3);
+        assert_eq!(f.num_blocks(), 1);
+        assert_eq!(f.block(BlockId(0)).insts, &[Inst::Ret { val: None }]);
     }
 
     #[test]
     fn function_iteration_yields_refs_in_order() {
-        let f = Function {
-            name: "f".into(),
-            arity: 0,
-            num_regs: 2,
-            blocks: vec![
-                Block {
-                    insts: vec![
-                        Inst::Copy { dst: VReg(0), src: VReg(1) },
-                        Inst::Br { target: BlockId(1) },
-                    ],
-                    lines: vec![1, 1],
-                },
-                Block { insts: vec![Inst::Ret { val: None }], lines: vec![2] },
-            ],
-            loops: vec![],
-            block_loop: vec![None, None],
-        };
+        let f = two_blocks();
         let refs: Vec<_> = f.insts_with_refs(FuncId(0)).collect();
         assert_eq!(refs.len(), 3);
         assert_eq!(refs[0].0.block, BlockId(0));
         assert_eq!(refs[2].0.block, BlockId(1));
         assert_eq!(refs[2].2, 2);
         assert_eq!(f.inst_count(), 3);
+        assert_eq!(f.block_range(BlockId(1)), 2..3);
+        assert_eq!(f.inst(refs[1].0), &Inst::Br { target: BlockId(1) });
+    }
+
+    #[test]
+    fn retain_and_insert_keep_every_block_its_own_run() {
+        let mut f = two_blocks();
+        f.retain(|i| !matches!(i, Inst::Copy { .. }));
+        assert_eq!(f.block(BlockId(0)).insts, &[Inst::Br { target: BlockId(1) }]);
+        assert_eq!(f.block(BlockId(1)).lines, &[2]);
+        // Before the first instruction of each block.
+        let c = |v| Inst::Const { dst: VReg(0), value: crate::types::Value::I64(v) };
+        f.insert_before(vec![(0, c(1)), (1, c(2)), (1, c(3))]);
+        assert_eq!(f.block(BlockId(0)).insts, &[c(1), Inst::Br { target: BlockId(1) }]);
+        assert_eq!(f.block(BlockId(1)).insts, &[c(2), c(3), Inst::Ret { val: None }]);
+        assert_eq!(f.lines, &[1, 1, 2, 2, 2]);
+        assert_eq!((f.insts.capacity(), f.lines.capacity()), (5, 5));
     }
 
     #[test]
@@ -309,14 +488,12 @@ mod tests {
             line_span: (3, 6),
             annotation: None,
         };
-        let f = Function {
-            name: "f".into(),
-            arity: 0,
-            num_regs: 0,
-            blocks: vec![Block::default(); 5],
-            loops: vec![outer, inner],
-            block_loop: vec![None, Some(LoopId(0)), Some(LoopId(1)), Some(LoopId(0)), None],
-        };
+        let mut f = Function::new("f", 0, 0);
+        f.loops = vec![outer, inner];
+        f.block_loop = vec![None, Some(LoopId(0)), Some(LoopId(1)), Some(LoopId(0)), None];
+        for _ in 0..5 {
+            f.push_block();
+        }
         assert_eq!(f.loop_chain(BlockId(2)), vec![LoopId(1), LoopId(0)]);
         assert_eq!(f.loop_chain(BlockId(0)), Vec::<LoopId>::new());
         assert_eq!(f.loop_blocks(LoopId(0)), vec![BlockId(1), BlockId(2), BlockId(3)]);

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::inst::{BinOp, Inst, UnOp};
-use crate::module::{Block, BlockId, FuncId, Function, LoopId, LoopInfo, Module};
+use crate::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module};
 use crate::types::{ArrayId, Ty, VReg, Value};
 use std::fmt::Write as _;
 
@@ -30,9 +30,9 @@ pub fn print_module(m: &Module) -> String {
     }
     for (fi, f) in m.funcs.iter().enumerate() {
         let _ = writeln!(s, "func f{} {:?} arity {} regs {}", fi, f.name, f.arity, f.num_regs);
-        for (bi, blk) in f.blocks.iter().enumerate() {
+        for (bi, blk) in f.blocks().enumerate() {
             let _ = writeln!(s, "  block b{bi}");
-            for (inst, &line) in blk.insts.iter().zip(&blk.lines) {
+            for (inst, &line) in blk.insts.iter().zip(blk.lines) {
                 let _ = writeln!(s, "    {} ; line {}", print_inst(inst), line);
             }
         }
@@ -84,11 +84,11 @@ pub fn print_inst(inst: &Inst) -> String {
         Inst::Un { op, dst, src } => format!("%{} = {} %{}", dst.0, op.mnemonic(), src.0),
         Inst::Load { dst, arr, idx } => format!("%{} = load @{}[%{}]", dst.0, arr.0, idx.0),
         Inst::Store { arr, idx, src } => format!("store @{}[%{}] %{}", arr.0, idx.0, src.0),
-        Inst::Call { dst, func, args } => {
-            let a: Vec<String> = args.iter().map(|r| format!("%{}", r.0)).collect();
-            match dst {
-                Some(d) => format!("%{} = call f{}({})", d.0, func.0, a.join(", ")),
-                None => format!("call f{}({})", func.0, a.join(", ")),
+        Inst::Call(c) => {
+            let a: Vec<String> = c.args.iter().map(|r| format!("%{}", r.0)).collect();
+            match c.dst {
+                Some(d) => format!("%{} = call f{}({})", d.0, c.func.0, a.join(", ")),
+                None => format!("call f{}({})", c.func.0, a.join(", ")),
             }
         }
         Inst::Br { target } => format!("br b{}", target.0),
@@ -213,7 +213,7 @@ fn parse_inst_line(line: &str, lineno: usize) -> Result<(Inst, u32), ParseError>
             }
             "call" => {
                 let (func, args) = parse_call_tail(&mut c)?;
-                Inst::Call { dst: Some(dst), func, args }
+                Inst::call(Some(dst), func, &args)
             }
             mn => {
                 if let Some(b) = BinOp::from_mnemonic(mn) {
@@ -237,7 +237,7 @@ fn parse_inst_line(line: &str, lineno: usize) -> Result<(Inst, u32), ParseError>
             }
             "call" => {
                 let (func, args) = parse_call_tail(&mut c)?;
-                Inst::Call { dst: None, func, args }
+                Inst::call(None, func, &args)
             }
             "br" => Inst::Br { target: BlockId(c.prefixed_u32('b')?) },
             "condbr" => {
@@ -301,7 +301,9 @@ fn parse_call_tail(c: &mut Cursor<'_>) -> Result<(FuncId, Vec<VReg>), ParseError
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     let mut m = Module::new("");
     let mut cur_fn: Option<Function> = None;
-    let mut cur_blk: Option<Block> = None;
+    // Whether instruction lines may follow: a `block` line opened one
+    // and no `loop`, `func` or `endfunc` line closed it since.
+    let mut in_block = false;
 
     for (lineno, raw) in src.lines().enumerate() {
         let lineno = lineno + 1;
@@ -331,28 +333,18 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                 let arity = c.u32()?;
                 c.expect("regs")?;
                 let num_regs = c.u32()?;
-                cur_fn = Some(Function {
-                    name,
-                    arity,
-                    num_regs,
-                    blocks: Vec::new(),
-                    loops: Vec::new(),
-                    block_loop: Vec::new(),
-                });
+                cur_fn = Some(Function::new(name, arity, num_regs));
+                in_block = false;
             }
             "block" => {
                 let f = cur_fn.as_mut().ok_or_else(|| c.err("block outside func"))?;
-                if let Some(b) = cur_blk.take() {
-                    f.blocks.push(b);
-                }
-                cur_blk = Some(Block::default());
+                f.push_block();
+                in_block = true;
             }
             "loop" => {
-                // Flush the open block first so loop lines may follow blocks.
+                // Loop lines close the open block; they may follow blocks.
                 let f = cur_fn.as_mut().ok_or_else(|| c.err("loop outside func"))?;
-                if let Some(b) = cur_blk.take() {
-                    f.blocks.push(b);
-                }
+                in_block = false;
                 let id = LoopId(c.prefixed_u32('l')?);
                 c.expect("header")?;
                 let header = BlockId(c.prefixed_u32('b')?);
@@ -442,11 +434,9 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
             }
             "endfunc" => {
                 let mut f = cur_fn.take().ok_or_else(|| c.err("endfunc outside func"))?;
-                if let Some(b) = cur_blk.take() {
-                    f.blocks.push(b);
-                }
+                in_block = false;
                 // Recompute block->loop from loop bodies/headers/latches.
-                let mut block_loop = vec![None; f.blocks.len()];
+                let mut block_loop = vec![None; f.num_blocks()];
                 // Assign outer loops first so inner assignments override.
                 let mut order: Vec<usize> = (0..f.loops.len()).collect();
                 order.sort_by_key(|&i| f.loops[i].depth);
@@ -465,13 +455,12 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
             }
             _ => {
                 // An instruction line inside the current block.
-                let blk = cur_blk.as_mut().ok_or_else(|| ParseError {
+                let f = cur_fn.as_mut().filter(|_| in_block).ok_or_else(|| ParseError {
                     line: lineno,
                     msg: format!("statement outside block: `{line}`"),
                 })?;
                 let (inst, src_line) = parse_inst_line(line, lineno)?;
-                blk.insts.push(inst);
-                blk.lines.push(src_line);
+                f.push_inst(inst, src_line);
             }
         }
     }
@@ -527,8 +516,8 @@ mod tests {
         assert_eq!(m2.funcs.len(), m.funcs.len());
         for (f1, f2) in m.funcs.iter().zip(&m2.funcs) {
             assert_eq!(f1.name, f2.name);
-            assert_eq!(f1.blocks.len(), f2.blocks.len());
-            for (b1, b2) in f1.blocks.iter().zip(&f2.blocks) {
+            assert_eq!(f1.num_blocks(), f2.num_blocks());
+            for (b1, b2) in f1.blocks().zip(f2.blocks()) {
                 assert_eq!(b1.insts, b2.insts);
                 assert_eq!(b1.lines, b2.lines);
             }
@@ -581,7 +570,7 @@ mod tests {
             "%1 = load @2[%3]"
         );
         assert_eq!(
-            print_inst(&Inst::Call { dst: None, func: FuncId(4), args: vec![VReg(0), VReg(1)] }),
+            print_inst(&Inst::call(None, FuncId(4), &[VReg(0), VReg(1)])),
             "call f4(%0, %1)"
         );
         assert_eq!(print_inst(&Inst::Ret { val: None }), "ret");
@@ -594,6 +583,6 @@ mod tests {
         verify_module(&m).unwrap();
         let printed = print_module(&m);
         let m2 = parse_module(&printed).unwrap();
-        assert_eq!(m.funcs[1].blocks[0].insts, m2.funcs[1].blocks[0].insts);
+        assert_eq!(m.funcs[1].insts(), m2.funcs[1].insts());
     }
 }

@@ -67,12 +67,8 @@ pub fn optimize(m: &Module, level: OptLevel) -> Module {
 /// the function is never tracked — mutable accumulators stay symbolic).
 fn multi_assigned(f: &Function) -> Vec<bool> {
     let mut def_count = vec![0u32; f.num_regs as usize];
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            if let Some(d) = inst.def() {
-                def_count[d.index()] += 1;
-            }
-        }
+    for d in f.insts().iter().filter_map(Inst::def) {
+        def_count[d.index()] += 1;
     }
     // Parameters are defined at entry.
     for p in 0..f.arity {
@@ -86,12 +82,10 @@ pub fn const_fold(f: &mut Function) {
     let multi = multi_assigned(f);
     let mut known: HashMap<VReg, Value> = HashMap::new();
     // Constants are single-assignment registers defined by Const.
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            if let Inst::Const { dst, value } = inst {
-                if !multi[dst.index()] {
-                    known.insert(*dst, *value);
-                }
+    for inst in f.insts() {
+        if let Inst::Const { dst, value } = inst {
+            if !multi[dst.index()] {
+                known.insert(*dst, *value);
             }
         }
     }
@@ -99,32 +93,28 @@ pub fn const_fold(f: &mut Function) {
     // Iterate to a fixed point: folding creates new constants.
     loop {
         let mut changed = false;
-        for blk in &mut f.blocks {
-            for inst in &mut blk.insts {
-                let replacement = match inst {
-                    Inst::Bin { op, dst, lhs, rhs } if !multi[dst.index()] => {
-                        match (known.get(lhs), known.get(rhs)) {
-                            (Some(&a), Some(&b)) => eval_bin(*op, a, b, dummy)
-                                .ok()
-                                .map(|v| (*dst, v)),
-                            _ => None,
+        for inst in f.insts_mut() {
+            let replacement = match inst {
+                Inst::Bin { op, dst, lhs, rhs } if !multi[dst.index()] => {
+                    match (known.get(lhs), known.get(rhs)) {
+                        (Some(&a), Some(&b)) => {
+                            eval_bin(*op, a, b, dummy).ok().map(|v| (*dst, v))
                         }
+                        _ => None,
                     }
-                    Inst::Un { op, dst, src } if !multi[dst.index()] => {
-                        known.get(src).and_then(|&a| {
-                            eval_un(*op, a, dummy).ok().map(|v| (*dst, v))
-                        })
-                    }
-                    Inst::Copy { dst, src } if !multi[dst.index()] => {
-                        known.get(src).map(|&v| (*dst, v))
-                    }
-                    _ => None,
-                };
-                if let Some((dst, v)) = replacement {
-                    *inst = Inst::Const { dst, value: v };
-                    if known.insert(dst, v).is_none() {
-                        changed = true;
-                    }
+                }
+                Inst::Un { op, dst, src } if !multi[dst.index()] => {
+                    known.get(src).and_then(|&a| eval_un(*op, a, dummy).ok().map(|v| (*dst, v)))
+                }
+                Inst::Copy { dst, src } if !multi[dst.index()] => {
+                    known.get(src).map(|&v| (*dst, v))
+                }
+                _ => None,
+            };
+            if let Some((dst, v)) = replacement {
+                *inst = Inst::Const { dst, value: v };
+                if known.insert(dst, v).is_none() {
+                    changed = true;
                 }
             }
         }
@@ -140,38 +130,21 @@ pub fn const_fold(f: &mut Function) {
 pub fn dce(f: &mut Function) {
     loop {
         let mut read = vec![false; f.num_regs as usize];
-        for blk in &f.blocks {
-            for inst in &blk.insts {
-                for u in inst.uses() {
-                    read[u.index()] = true;
-                }
-            }
+        for u in f.insts().iter().flat_map(Inst::uses) {
+            read[u.index()] = true;
         }
-        let mut removed = false;
-        for blk in &mut f.blocks {
-            let keep: Vec<bool> = blk
-                .insts
-                .iter()
-                .map(|inst| match inst {
-                    Inst::Const { dst, .. }
-                    | Inst::Copy { dst, .. }
-                    | Inst::Bin { dst, .. }
-                    | Inst::Un { dst, .. }
-                    | Inst::Load { dst, .. } => read[dst.index()],
-                    _ => true,
-                })
-                .collect();
-            if keep.iter().any(|&k| !k) {
-                removed = true;
-                let mut it = keep.iter();
-                blk.insts.retain(|_| *it.next().expect("keep mask length"));
-                let mut it = keep.iter();
-                blk.lines.retain(|_| *it.next().expect("keep mask length"));
-            }
-        }
-        if !removed {
+        let live = |inst: &Inst| match inst {
+            Inst::Const { dst, .. }
+            | Inst::Copy { dst, .. }
+            | Inst::Bin { dst, .. }
+            | Inst::Un { dst, .. }
+            | Inst::Load { dst, .. } => read[dst.index()],
+            _ => true,
+        };
+        if f.insts().iter().all(live) {
             break;
         }
+        f.retain(live);
     }
 }
 
@@ -180,14 +153,15 @@ pub fn dce(f: &mut Function) {
 /// holding register is redefined. Loads are not CSE'd (stores or calls
 /// could change memory between them).
 pub fn local_cse(f: &mut Function) {
-    for blk in &mut f.blocks {
+    for b in 0..f.num_blocks() as u32 {
         #[derive(PartialEq, Eq, Hash, Clone)]
         enum Expr {
             Bin(BinOp, VReg, VReg),
             Un(UnOp, VReg),
         }
         let mut avail: HashMap<Expr, VReg> = HashMap::new();
-        for inst in &mut blk.insts {
+        let range = f.block_range(BlockId(b));
+        for inst in &mut f.insts_mut()[range] {
             let def = inst.def();
             let new_inst = match inst {
                 Inst::Bin { op, dst, lhs, rhs } => {
@@ -237,12 +211,10 @@ pub fn local_cse(f: &mut Function) {
 pub fn strength_reduce(f: &mut Function) {
     let multi = multi_assigned(f);
     let mut known: HashMap<VReg, i64> = HashMap::new();
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            if let Inst::Const { dst, value: Value::I64(v) } = inst {
-                if !multi[dst.index()] {
-                    known.insert(*dst, *v);
-                }
+    for inst in f.insts() {
+        if let Inst::Const { dst, value: Value::I64(v) } = inst {
+            if !multi[dst.index()] {
+                known.insert(*dst, *v);
             }
         }
     }
@@ -254,47 +226,41 @@ pub fn strength_reduce(f: &mut Function) {
     // equals an existing known constant register. To keep the pass simple
     // and always applicable we instead encode `x * 2^k` as `x << k` with a
     // fresh Const prepended in the same block.
-    for blk in &mut f.blocks {
-        let mut i = 0;
-        while i < blk.insts.len() {
-            let rewrite = match &blk.insts[i] {
-                Inst::Bin { op: BinOp::Mul, dst, lhs, rhs } => {
-                    if let Some(k) = log2_of(rhs) {
-                        Some((*dst, *lhs, k, BinOp::Shl))
-                    } else {
-                        log2_of(lhs).map(|k| (*dst, *rhs, k, BinOp::Shl))
-                    }
+    let mut consts = Vec::new();
+    let mut num_regs = f.num_regs;
+    for (i, inst) in f.insts_mut().iter_mut().enumerate() {
+        let rewrite = match &*inst {
+            Inst::Bin { op: BinOp::Mul, dst, lhs, rhs } => {
+                if let Some(k) = log2_of(rhs) {
+                    Some((*dst, *lhs, k, BinOp::Shl))
+                } else {
+                    log2_of(lhs).map(|k| (*dst, *rhs, k, BinOp::Shl))
                 }
-                Inst::Bin { op: BinOp::Div, dst, lhs, rhs } => {
-                    // x / 2^k == x >> k only for non-negative x; we cannot
-                    // prove sign here, so only k == 0 (divide by one) folds.
-                    log2_of(rhs).filter(|&k| k == 0).map(|_| (*dst, *lhs, 0, BinOp::Shl))
-                }
-                _ => None,
-            };
-            if let Some((dst, src, k, op)) = rewrite {
-                let kreg = VReg(f.num_regs);
-                f.num_regs += 1;
-                let line = blk.lines[i];
-                blk.insts[i] = Inst::Bin { op, dst, lhs: src, rhs: kreg };
-                blk.insts.insert(i, Inst::Const { dst: kreg, value: Value::I64(k) });
-                blk.lines.insert(i, line);
-                i += 2;
-            } else {
-                i += 1;
             }
+            Inst::Bin { op: BinOp::Div, dst, lhs, rhs } => {
+                // x / 2^k == x >> k only for non-negative x; we cannot
+                // prove sign here, so only k == 0 (divide by one) folds.
+                log2_of(rhs).filter(|&k| k == 0).map(|_| (*dst, *lhs, 0, BinOp::Shl))
+            }
+            _ => None,
+        };
+        if let Some((dst, src, k, op)) = rewrite {
+            let kreg = VReg(num_regs);
+            num_regs += 1;
+            *inst = Inst::Bin { op, dst, lhs: src, rhs: kreg };
+            consts.push((i, Inst::Const { dst: kreg, value: Value::I64(k) }));
         }
     }
+    f.num_regs = num_regs;
+    f.insert_before(consts);
 }
 
 /// Order the operands of commutative integer-safe ops by register index.
 pub fn canonicalize_commutative(f: &mut Function) {
-    for blk in &mut f.blocks {
-        for inst in &mut blk.insts {
-            if let Inst::Bin { op, lhs, rhs, .. } = inst {
-                if op.is_commutative() && lhs.0 > rhs.0 {
-                    std::mem::swap(lhs, rhs);
-                }
+    for inst in f.insts_mut() {
+        if let Inst::Bin { op, lhs, rhs, .. } = inst {
+            if op.is_commutative() && lhs.0 > rhs.0 {
+                std::mem::swap(lhs, rhs);
             }
         }
     }
@@ -313,47 +279,45 @@ pub fn rename_registers(f: &mut Function) {
             VReg(arity + (n - 1 - r.0))
         }
     };
-    for blk in &mut f.blocks {
-        for inst in &mut blk.insts {
-            match inst {
-                Inst::Const { dst, .. } => *dst = map(*dst),
-                Inst::Copy { dst, src } => {
-                    *dst = map(*dst);
-                    *src = map(*src);
-                }
-                Inst::Bin { dst, lhs, rhs, .. } => {
-                    *dst = map(*dst);
-                    *lhs = map(*lhs);
-                    *rhs = map(*rhs);
-                }
-                Inst::Un { dst, src, .. } => {
-                    *dst = map(*dst);
-                    *src = map(*src);
-                }
-                Inst::Load { dst, idx, .. } => {
-                    *dst = map(*dst);
-                    *idx = map(*idx);
-                }
-                Inst::Store { idx, src, .. } => {
-                    *idx = map(*idx);
-                    *src = map(*src);
-                }
-                Inst::Call { dst, args, .. } => {
-                    if let Some(d) = dst {
-                        *d = map(*d);
-                    }
-                    for a in args {
-                        *a = map(*a);
-                    }
-                }
-                Inst::CondBr { cond, .. } => *cond = map(*cond),
-                Inst::Ret { val } => {
-                    if let Some(v) = val {
-                        *v = map(*v);
-                    }
-                }
-                Inst::Br { .. } => {}
+    for inst in f.insts_mut() {
+        match inst {
+            Inst::Const { dst, .. } => *dst = map(*dst),
+            Inst::Copy { dst, src } => {
+                *dst = map(*dst);
+                *src = map(*src);
             }
+            Inst::Bin { dst, lhs, rhs, .. } => {
+                *dst = map(*dst);
+                *lhs = map(*lhs);
+                *rhs = map(*rhs);
+            }
+            Inst::Un { dst, src, .. } => {
+                *dst = map(*dst);
+                *src = map(*src);
+            }
+            Inst::Load { dst, idx, .. } => {
+                *dst = map(*dst);
+                *idx = map(*idx);
+            }
+            Inst::Store { idx, src, .. } => {
+                *idx = map(*idx);
+                *src = map(*src);
+            }
+            Inst::Call(c) => {
+                if let Some(d) = &mut c.dst {
+                    *d = map(*d);
+                }
+                for a in c.args.iter_mut() {
+                    *a = map(*a);
+                }
+            }
+            Inst::CondBr { cond, .. } => *cond = map(*cond),
+            Inst::Ret { val } => {
+                if let Some(v) = val {
+                    *v = map(*v);
+                }
+            }
+            Inst::Br { .. } => {}
         }
     }
     for info in &mut f.loops {
@@ -438,9 +402,8 @@ mod tests {
         let opt = optimize(&m, OptLevel::O1);
         let f = &opt.funcs[0];
         // The add of two constants must now be a Const 9.
-        let folded = f.blocks.iter().flat_map(|b| &b.insts).any(
-            |i| matches!(i, Inst::Const { value: Value::I64(9), .. }),
-        );
+        let folded =
+            f.insts().iter().any(|i| matches!(i, Inst::Const { value: Value::I64(9), .. }));
         assert!(folded, "expected folded constant 9");
     }
 
@@ -458,9 +421,7 @@ mod tests {
         let m = busy_module();
         let opt = optimize(&m, OptLevel::O3);
         let f = &opt.funcs[0];
-        let has_copy_of_mul = f.blocks.iter().flat_map(|b| &b.insts).any(
-            |i| matches!(i, Inst::Copy { .. }),
-        );
+        let has_copy_of_mul = f.insts().iter().any(|i| matches!(i, Inst::Copy { .. }));
         assert!(has_copy_of_mul, "expected a CSE copy");
     }
 
@@ -469,9 +430,7 @@ mod tests {
         let m = busy_module();
         let opt = optimize(&m, OptLevel::O4);
         let f = &opt.funcs[0];
-        let has_shl = f.blocks.iter().flat_map(|b| &b.insts).any(
-            |i| matches!(i, Inst::Bin { op: BinOp::Shl, .. }),
-        );
+        let has_shl = f.insts().iter().any(|i| matches!(i, Inst::Bin { op: BinOp::Shl, .. }));
         assert!(has_shl, "expected mul-by-4 to become a shift");
     }
 
@@ -482,11 +441,7 @@ mod tests {
         let streams: Vec<Vec<String>> = OptLevel::ALL
             .iter()
             .map(|&l| {
-                optimize(&m, l).funcs[0]
-                    .blocks
-                    .iter()
-                    .flat_map(|b| b.insts.iter().map(crate::text::print_inst))
-                    .collect()
+                optimize(&m, l).funcs[0].insts().iter().map(crate::text::print_inst).collect()
             })
             .collect();
         let distinct: std::collections::HashSet<_> = streams.iter().collect();

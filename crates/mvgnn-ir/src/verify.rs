@@ -34,13 +34,6 @@ pub enum VerifyError {
         /// Offending function name.
         func: String,
     },
-    /// A block's `lines` vector is not parallel to its `insts`.
-    LinesNotParallel {
-        /// Offending function name.
-        func: String,
-        /// Offending block.
-        block: BlockId,
-    },
     /// A block does not end in a terminator.
     MissingTerminator {
         /// Offending function name.
@@ -180,9 +173,6 @@ impl std::fmt::Display for VerifyError {
             VerifyError::BlockLoopLenMismatch { func } => {
                 write!(f, "fn {func}: block_loop length mismatch")
             }
-            VerifyError::LinesNotParallel { func, block } => {
-                write!(f, "fn {func} block {}: lines not parallel to insts", block.0)
-            }
             VerifyError::MissingTerminator { func, block } => {
                 write!(f, "fn {func} block {}: missing terminator", block.0)
             }
@@ -238,7 +228,7 @@ impl std::error::Error for VerifyError {}
 
 /// Verify one function against its module.
 pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
-    let nblocks = f.blocks.len();
+    let nblocks = f.num_blocks();
     let func = || f.name.clone();
     if nblocks == 0 {
         return Err(VerifyError::NoBlocks { func: func() });
@@ -253,11 +243,8 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
     if f.block_loop.len() != nblocks {
         return Err(VerifyError::BlockLoopLenMismatch { func: func() });
     }
-    for (bi, blk) in f.blocks.iter().enumerate() {
+    for (bi, blk) in f.blocks().enumerate() {
         let block = BlockId(bi as u32);
-        if blk.insts.len() != blk.lines.len() {
-            return Err(VerifyError::LinesNotParallel { func: func(), block });
-        }
         if blk.terminator().is_none() {
             return Err(VerifyError::MissingTerminator { func: func(), block });
         }
@@ -308,7 +295,8 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                     if arr.index() >= m.arrays.len() => {
                         return Err(VerifyError::UndeclaredArray { func: func(), block, arr: *arr });
                     }
-                Inst::Call { func: callee, args, .. } => {
+                Inst::Call(c) => {
+                    let (callee, args) = (&c.func, &c.args);
                     let Some(target) = m.funcs.get(callee.index()) else {
                         return Err(VerifyError::CallToMissingFunc {
                             func: func(),
@@ -404,19 +392,14 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::inst::Inst;
-    use crate::module::{Block, BlockId, Function, LoopInfo};
+    use crate::module::{BlockId, Function, LoopInfo};
     use crate::types::{Ty, VReg};
 
     fn minimal_fn(insts: Vec<Inst>) -> Function {
-        let n = insts.len();
-        Function {
-            name: "f".into(),
-            arity: 0,
-            num_regs: 4,
-            blocks: vec![Block { insts, lines: vec![1; n] }],
-            loops: vec![],
-            block_loop: vec![None],
-        }
+        let block = insts.into_iter().map(|i| (i, 1)).collect();
+        let mut f = Function::from_blocks("f", 0, 4, vec![block]);
+        f.block_loop = vec![None];
+        f
     }
 
     #[test]
@@ -492,20 +475,12 @@ mod tests {
     fn rejects_call_arity_mismatch() {
         let mut m = Module::new("t");
         m.funcs.push(minimal_fn(vec![Inst::Ret { val: None }])); // callee arity 0
-        m.funcs.push(Function {
-            name: "g".into(),
-            arity: 0,
-            num_regs: 4,
-            blocks: vec![Block {
-                insts: vec![
-                    Inst::Call { dst: None, func: crate::module::FuncId(0), args: vec![VReg(0)] },
-                    Inst::Ret { val: None },
-                ],
-                lines: vec![1, 1],
-            }],
-            loops: vec![],
-            block_loop: vec![None],
-        });
+        let mut g = minimal_fn(vec![
+            Inst::call(None, crate::module::FuncId(0), &[VReg(0)]),
+            Inst::Ret { val: None },
+        ]);
+        g.name = "g".into();
+        m.funcs.push(g);
         let e = verify_module(&m).unwrap_err();
         assert!(matches!(e, VerifyError::CallArityMismatch { args: 1, arity: 0, .. }), "{e}");
     }
@@ -553,29 +528,29 @@ mod tests {
         // Block 0 (entry) branches straight to block 2 ("body"), bypassing
         // block 1 which the metadata claims is the loop header.
         let mut m = Module::new("t");
-        let f = Function {
-            name: "f".into(),
-            arity: 0,
-            num_regs: 1,
-            blocks: vec![
-                Block { insts: vec![Inst::Br { target: BlockId(2) }], lines: vec![1] },
-                Block { insts: vec![Inst::Br { target: BlockId(2) }], lines: vec![2] },
-                Block { insts: vec![Inst::Ret { val: None }], lines: vec![3] },
+        let mut f = Function::from_blocks(
+            "f",
+            0,
+            1,
+            vec![
+                vec![(Inst::Br { target: BlockId(2) }, 1)],
+                vec![(Inst::Br { target: BlockId(2) }, 2)],
+                vec![(Inst::Ret { val: None }, 3)],
             ],
-            loops: vec![LoopInfo {
-                id: crate::module::LoopId(0),
-                header: BlockId(1),
-                body: vec![BlockId(2)],
-                latch: BlockId(2),
-                exit: BlockId(2),
-                induction: None,
-                parent: None,
-                depth: 0,
-                line_span: (1, 3),
-                annotation: None,
-            }],
-            block_loop: vec![None, Some(crate::module::LoopId(0)), Some(crate::module::LoopId(0))],
-        };
+        );
+        f.loops = vec![LoopInfo {
+            id: crate::module::LoopId(0),
+            header: BlockId(1),
+            body: vec![BlockId(2)],
+            latch: BlockId(2),
+            exit: BlockId(2),
+            induction: None,
+            parent: None,
+            depth: 0,
+            line_span: (1, 3),
+            annotation: None,
+        }];
+        f.block_loop = vec![None, Some(crate::module::LoopId(0)), Some(crate::module::LoopId(0))];
         m.funcs.push(f);
         let e = verify_module(&m).unwrap_err();
         assert!(

@@ -118,11 +118,7 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
     // CU nodes (member statement tokens resolved from the module).
     for cu in &cus.cus {
         let f = &module.funcs[cu.func.index()];
-        let tokens: Vec<String> = cu
-            .members
-            .iter()
-            .map(|r| f.blocks[r.block.index()].insts[r.idx as usize].token())
-            .collect();
+        let tokens: Vec<String> = cu.members.iter().map(|&r| f.inst(r).token()).collect();
         let n = graph.add_node(PegNode {
             kind: PegNodeKind::Cu(cu.id),
             token: cu.token.clone(),

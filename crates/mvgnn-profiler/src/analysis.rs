@@ -72,14 +72,12 @@ fn scalar_accumulators(
 fn const_regs(f: &mvgnn_ir::module::Function) -> std::collections::HashMap<VReg, mvgnn_ir::types::Value> {
     let mut def_count: std::collections::HashMap<VReg, u32> = Default::default();
     let mut value: std::collections::HashMap<VReg, mvgnn_ir::types::Value> = Default::default();
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            if let Some(d) = inst.def() {
-                *def_count.entry(d).or_insert(0) += 1;
-            }
-            if let Inst::Const { dst, value: v } = inst {
-                value.insert(*dst, *v);
-            }
+    for inst in f.insts() {
+        if let Some(d) = inst.def() {
+            *def_count.entry(d).or_insert(0) += 1;
+        }
+        if let Inst::Const { dst, value: v } = inst {
+            value.insert(*dst, *v);
         }
     }
     value.retain(|r, _| def_count.get(r) == Some(&1));
@@ -93,14 +91,12 @@ fn load_regs(
     let mut def_count: std::collections::HashMap<VReg, u32> = Default::default();
     let mut loads: std::collections::HashMap<VReg, (mvgnn_ir::types::ArrayId, VReg)> =
         Default::default();
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            if let Some(d) = inst.def() {
-                *def_count.entry(d).or_insert(0) += 1;
-            }
-            if let Inst::Load { dst, arr, idx } = inst {
-                loads.insert(*dst, (*arr, *idx));
-            }
+    for inst in f.insts() {
+        if let Some(d) = inst.def() {
+            *def_count.entry(d).or_insert(0) += 1;
+        }
+        if let Inst::Load { dst, arr, idx } = inst {
+            loads.insert(*dst, (*arr, *idx));
         }
     }
     loads.retain(|r, _| def_count.get(r) == Some(&1));
@@ -153,7 +149,7 @@ fn reduction_chain_insts(module: &Module, func: FuncId, l: LoopId) -> HashSet<In
         .collect();
     let ctx = IndexCtx { consts: const_regs(f), loads: load_regs(f), written };
     let mut chain: HashSet<InstRef> = HashSet::new();
-    for (bi, blk) in f.blocks.iter().enumerate() {
+    for (bi, blk) in f.blocks().enumerate() {
         let bid = mvgnn_ir::module::BlockId(bi as u32);
         if !blocks.contains(&bid) {
             continue;
@@ -208,9 +204,9 @@ pub fn reduction_targets(module: &Module, func: FuncId, l: LoopId) -> Vec<(Strin
     // Memory chains: find the store of each chain and name its array.
     let chains = reduction_chain_insts(module, func, l);
     for r in &chains {
-        if let Inst::Store { arr, src, .. } = &f.blocks[r.block.index()].insts[r.idx as usize] {
+        if let Inst::Store { arr, src, .. } = f.inst(*r) {
             // Identify the chain's op from the defining Bin of the stored value.
-            let op = f.blocks[r.block.index()].insts[..r.idx as usize]
+            let op = f.block(r.block).insts[..r.idx as usize]
                 .iter()
                 .rev()
                 .find_map(|p| match p {

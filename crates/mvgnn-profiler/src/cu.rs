@@ -182,7 +182,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
             let (kind, key) = match inst {
                 Inst::Load { .. } => (CuKind::Load, None),
                 Inst::Store { .. } => (CuKind::Store, None),
-                Inst::Call { .. } => (CuKind::Call, None),
+                Inst::Call(_) => (CuKind::Call, None),
                 Inst::CondBr { .. } | Inst::Ret { .. } => (CuKind::Control, None),
                 Inst::Br { .. } => continue,
                 _ => (CuKind::Compute, Some(uf.find(i as u32))),

@@ -14,7 +14,7 @@ use crate::deps::DepGraph;
 use crate::profiler::LoopRuntime;
 use mvgnn_graph::{algo, Csr};
 use mvgnn_ir::inst::InstRef;
-use mvgnn_ir::module::{FuncId, LoopId, Module};
+use mvgnn_ir::module::{BlockId, FuncId, LoopId, Module};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -82,37 +82,30 @@ pub fn loop_features(
     runtime: &LoopRuntime,
 ) -> DynamicFeatures {
     let f = &module.funcs[func.index()];
-    // Dense per-function instruction indices: block b's instructions
-    // start at `block_base[b]`, so ascending dense index is ascending
+    // Dense per-function instruction indices are offsets into the
+    // function's flat code, so ascending dense index is ascending
     // `InstRef` order. `node[i]` is the loop dependence graph node of
     // instruction i — nodes are numbered in that same order — or OUTSIDE.
-    let mut block_base = Vec::with_capacity(f.blocks.len() + 1);
-    let mut total = 0usize;
-    for blk in &f.blocks {
-        block_base.push(total);
-        total += blk.len();
-    }
-    block_base.push(total);
-    let mut node = vec![OUTSIDE; total];
+    let mut node = vec![OUTSIDE; f.inst_count()];
     // Each loop block with the node number of its first instruction.
-    let mut blocks: Vec<(usize, u32)> = Vec::new();
+    let mut blocks: Vec<(BlockId, u32)> = Vec::new();
     let mut n_nodes = 0u32;
-    for b in f.loop_blocks(l).into_iter().map(|b| b.index()).filter(|&b| b < f.blocks.len()) {
+    for b in f.loop_blocks(l).into_iter().filter(|b| b.index() < f.num_blocks()) {
         blocks.push((b, n_nodes));
-        for slot in &mut node[block_base[b]..block_base[b + 1]] {
+        for slot in &mut node[f.block_range(b)] {
             *slot = n_nodes;
             n_nodes += 1;
         }
     }
     let node_of = |r: InstRef| -> Option<u32> {
-        if r.func != func {
+        if r.func != func || r.block.index() >= f.num_blocks() {
             return None;
         }
-        let (lo, hi) = (*block_base.get(r.block.index())?, *block_base.get(r.block.index() + 1)?);
-        let i = lo + r.idx as usize;
-        (i < hi && node[i] != OUTSIDE).then(|| node[i])
+        let range = f.block_range(r.block);
+        let i = range.start + r.idx as usize;
+        (i < range.end && node[i] != OUTSIDE).then(|| node[i])
     };
-    let loop_insts = || blocks.iter().flat_map(|&(b, first)| (first..).zip(&f.blocks[b].insts));
+    let loop_insts = || blocks.iter().flat_map(|&(b, first)| (first..).zip(f.block(b).insts));
 
     // Loop dependence graph: nodes = static insts inside the loop; edges =
     // register def-use + observed memory deps.

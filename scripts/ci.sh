@@ -13,9 +13,9 @@ cargo build --release --workspace --quiet
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
-echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, affine algebra vs its reference, Table III tool verdicts, every pinned loop sample and tier-0 report, in the optimised build the benchmark runs, where checked arithmetic must agree with debug)"
+echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, affine algebra vs its reference, Table III tool verdicts, every pinned loop sample, tier-0 report and printed IR module with its round trip and footprint, in the optimised build the benchmark runs, where checked arithmetic must agree with debug)"
 cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler -p mvgnn-peg -p mvgnn-analyze -p mvgnn-baselines
-cargo test -q --release --test sample_pins --test tier0_pins --test static_first
+cargo test -q --release --test sample_pins --test tier0_pins --test static_first --test ir_layout
 
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings

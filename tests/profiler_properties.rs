@@ -124,7 +124,7 @@ proptest! {
         let res = profile_module(&m, f, &[]).unwrap();
         let is_store = |r: mvgnn::ir::InstRef| {
             matches!(
-                m.funcs[r.func.index()].blocks[r.block.index()].insts[r.idx as usize],
+                m.funcs[r.func.index()].block(r.block).insts[r.idx as usize],
                 mvgnn::ir::Inst::Store { .. }
             )
         };

@@ -36,16 +36,18 @@ impl Fnv {
     }
 }
 
-/// One loop's tier-0 output: the report's fields (unordered sets
-/// sorted) and the plan derived from it.
+/// One loop's tier-0 output: the report's fields (its sets are sorted
+/// vectors, so their order is pinned too) and the plan derived from it.
 fn hash_loop(h: &mut Fnv, report: &OracleReport, plan: &LoopPlan) {
-    let mut excused: Vec<_> = report.excused.iter().copied().collect();
-    excused.sort();
-    let mut sections: Vec<_> = report.sections.iter().collect();
-    sections.sort_by_key(|(arr, _)| **arr);
     h.text(&format!(
-        "{:?}|{:?}|{excused:?}|{sections:?}|{}|{}|{:?}\n",
-        report.verdict, report.facts, report.n_accesses, report.n_pairs_tested, report.bounds
+        "{:?}|{:?}|{:?}|{:?}|{}|{}|{:?}\n",
+        report.verdict,
+        report.facts,
+        report.excused,
+        report.sections,
+        report.n_accesses,
+        report.n_pairs_tested,
+        report.bounds
     ));
     h.text(&format!("{:?}|{:?}|{:?}|{}\n", plan.plan, plan.verdict, plan.facts, plan.pragma));
 }
