@@ -1,10 +1,10 @@
-//! Worklist dataflow engine: a dense bitset domain plus the two classic
-//! analyses — reaching definitions and liveness.
+//! Worklist dataflow engine: a dense bitset domain plus the classic
+//! liveness analysis.
 //!
-//! Both run over [`mvgnn_ir::Cfg`] to a fixpoint with a block worklist
-//! seeded in (reverse) postorder, the textbook iterative scheme. The IR
-//! has no phis — registers are mutable virtual registers — so "definition"
-//! means any instruction whose `Inst::def` is the register.
+//! [`liveness`] runs over [`mvgnn_ir::Cfg`] to a fixpoint with a block
+//! worklist seeded in postorder, the textbook iterative scheme. The IR
+//! has no phis — registers are mutable virtual registers — so a
+//! "definition" is any instruction whose `Inst::def` is the register.
 //!
 //! The oracle asks two control-flow questions per function, and only
 //! when a loop needs them: is a register live into a block
@@ -14,8 +14,8 @@
 //! building a [`Cfg`], and agree with [`liveness`] and
 //! [`mvgnn_ir::Dominators`] on every block.
 
-use mvgnn_ir::inst::{Inst, InstRef};
-use mvgnn_ir::module::{Block, BlockId, FuncId, Function};
+use mvgnn_ir::inst::Inst;
+use mvgnn_ir::module::{Block, BlockId, Function};
 use mvgnn_ir::types::VReg;
 use mvgnn_ir::Cfg;
 
@@ -32,16 +32,6 @@ impl BitSet {
         Self { words: vec![0; len.div_ceil(64)], len }
     }
 
-    /// Universe size.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Set bit `i`; returns true if it was newly set.
     pub fn insert(&mut self, i: usize) -> bool {
         debug_assert!(i < self.len);
@@ -49,12 +39,6 @@ impl BitSet {
         let newly = self.words[w] & b == 0;
         self.words[w] |= b;
         newly
-    }
-
-    /// Clear bit `i`.
-    pub fn remove(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
     /// Is bit `i` set?
@@ -81,94 +65,6 @@ impl BitSet {
             *a &= !b;
         }
     }
-
-    /// Iterate set bits in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| self.contains(i))
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
-/// Reaching definitions: which def sites can reach each block entry/exit.
-#[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    /// All definition sites of the function, in block order; the bitsets
-    /// index into this.
-    pub defs: Vec<(InstRef, VReg)>,
-    /// Def sites reaching each block's entry.
-    pub reach_in: Vec<BitSet>,
-    /// Def sites reaching each block's exit.
-    pub reach_out: Vec<BitSet>,
-}
-
-impl ReachingDefs {
-    /// Definition sites of `reg` that reach the entry of `b`.
-    pub fn reaching(&self, b: BlockId, reg: VReg) -> Vec<InstRef> {
-        self.reach_in[b.index()]
-            .iter()
-            .filter(|&i| self.defs[i].1 == reg)
-            .map(|i| self.defs[i].0)
-            .collect()
-    }
-}
-
-/// Compute reaching definitions for `f` (forward, may, union-confluence).
-pub fn reaching_definitions(f: &Function, func: FuncId) -> ReachingDefs {
-    let cfg = Cfg::new(f);
-    let n = cfg.len();
-    let defs: Vec<(InstRef, VReg)> = f
-        .insts_with_refs(func)
-        .filter_map(|(r, inst, _)| inst.def().map(|d| (r, d)))
-        .collect();
-    let nd = defs.len();
-
-    // gen[b]: last def of each register in b; kill[b]: every def of a
-    // register that b (re)defines.
-    let mut gen = vec![BitSet::new(nd); n];
-    let mut kill = vec![BitSet::new(nd); n];
-    for (di, (r, reg)) in defs.iter().enumerate() {
-        let b = r.block.index();
-        // A later def of the same register in the same block supersedes it.
-        let superseded = defs.iter().any(|(r2, reg2)| {
-            r2.block == r.block && reg2 == reg && r2.idx > r.idx
-        });
-        if !superseded {
-            gen[b].insert(di);
-        }
-        for (dj, (_, reg2)) in defs.iter().enumerate() {
-            if reg2 == reg && dj != di {
-                kill[b].insert(dj);
-            }
-        }
-    }
-
-    let mut reach_in = vec![BitSet::new(nd); n];
-    let mut reach_out = vec![BitSet::new(nd); n];
-    let order = cfg.reverse_postorder();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let bi = b.index();
-            let mut inp = BitSet::new(nd);
-            for p in &cfg.preds[bi] {
-                inp.union_with(&reach_out[p.index()]);
-            }
-            let mut out = inp.clone();
-            out.subtract(&kill[bi]);
-            out.union_with(&gen[bi]);
-            if out != reach_out[bi] || inp != reach_in[bi] {
-                changed = true;
-            }
-            reach_in[bi] = inp;
-            reach_out[bi] = out;
-        }
-    }
-    ReachingDefs { defs, reach_in, reach_out }
 }
 
 /// Live registers at block boundaries.
@@ -184,11 +80,6 @@ impl Liveness {
     /// Is `reg` live at the entry of `b`?
     pub fn live_in_at(&self, b: BlockId, reg: VReg) -> bool {
         self.live_in[b.index()].contains(reg.0 as usize)
-    }
-
-    /// Is `reg` live at the exit of `b`?
-    pub fn live_out_at(&self, b: BlockId, reg: VReg) -> bool {
-        self.live_out[b.index()].contains(reg.0 as usize)
     }
 }
 
@@ -376,10 +267,11 @@ impl LiveSets {
 mod tests {
     use super::*;
     use mvgnn_ir::inst::BinOp;
+    use mvgnn_ir::module::FuncId;
     use mvgnn_ir::types::Ty;
     use mvgnn_ir::{FunctionBuilder, Module};
 
-    fn accumulator_loop() -> (Module, FuncId, VReg, BlockId, BlockId) {
+    fn accumulator_loop() -> (Module, FuncId, VReg, BlockId) {
         // acc = 0; for i in 0..8 { acc = acc + a[i] }; ret acc
         let mut m = Module::new("t");
         let a = m.add_array("a", Ty::F64, 8);
@@ -392,34 +284,30 @@ mod tests {
         });
         b.ret(Some(acc));
         let f = b.finish();
-        let info = m.funcs[f.index()].loops[l.index()].clone();
-        (m, f, acc, info.header, info.latch)
+        let header = m.funcs[f.index()].loops[l.index()].header;
+        (m, f, acc, header)
     }
 
     #[test]
     fn bitset_basics() {
         let mut s = BitSet::new(130);
-        assert!(s.is_empty());
         assert!(s.insert(0));
         assert!(s.insert(129));
         assert!(!s.insert(129), "second insert is a no-op");
         assert!(s.contains(0) && s.contains(129) && !s.contains(64));
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
+        assert!(!s.contains(130), "out of the universe");
         let mut t = BitSet::new(130);
         t.insert(64);
         assert!(s.union_with(&t));
         assert!(!s.union_with(&t), "idempotent");
         s.subtract(&t);
         assert!(!s.contains(64));
-        s.remove(0);
-        assert!(!s.contains(0));
-        assert_eq!(s.len(), 130);
+        assert!(s.contains(0) && s.contains(129));
     }
 
     #[test]
     fn accumulator_is_live_around_the_loop() {
-        let (m, f, acc, header, _latch) = accumulator_loop();
+        let (m, f, acc, header) = accumulator_loop();
         let func = &m.funcs[f.index()];
         let live = liveness(func, &Cfg::new(func));
         // The accumulator's value crosses iterations: live into the header.
@@ -446,21 +334,6 @@ mod tests {
         let func = &m.funcs[f.index()];
         let live = liveness(func, &Cfg::new(func));
         assert!(!live.live_in_at(header, t_reg.unwrap()));
-    }
-
-    #[test]
-    fn reaching_defs_of_the_accumulator() {
-        let (m, f, acc, header, _latch) = accumulator_loop();
-        let rd = reaching_definitions(&m.funcs[f.index()], f);
-        // Both the init const and the in-loop update reach the header.
-        let sites = rd.reaching(header, acc);
-        assert_eq!(sites.len(), 2, "init + update reach the header: {sites:?}");
-        // Exactly one def of acc reaches the entry block's exit.
-        let entry_out: Vec<_> = rd.reach_out[0]
-            .iter()
-            .filter(|&i| rd.defs[i].1 == acc)
-            .collect();
-        assert_eq!(entry_out.len(), 1);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Three layers (see DESIGN.md §11):
 //!
-//! - [`dataflow`]: a generic worklist engine over [`mvgnn_ir::Cfg`] with the
-//!   two classic instances the rest of the crate needs — reaching
-//!   definitions and live registers.
+//! - [`dataflow`]: a worklist liveness analysis over [`mvgnn_ir::Cfg`]
+//!   and the flat live-register sets the oracle reads.
 //! - [`affine`]: affine (symbolic) index expressions over induction
 //!   registers (coefficients stored inline, arithmetic checked),
 //!   per-loop access summaries, the GCD/Banerjee-class conflict test,
@@ -47,11 +46,11 @@ pub use affine::{
     conflicts, reduction_chains, reduction_store_sites, summarize_loop, summarize_loop_strict,
     Access, AffineExpr, Coeffs, LoopSummary, ReductionChain,
 };
-pub use dataflow::{liveness, reaching_definitions, BitSet, Liveness, ReachingDefs};
+pub use dataflow::{liveness, BitSet, Liveness};
 pub use oracle::{
     analyze_loop, loop_bounds, DepTest, Fact, FuncAnalysis, LoopBounds, OracleReport, Verdict,
 };
 pub use planner::{
-    annotate_loops, plan_from_report, plan_loop, Blocker, LoopPlan, Plan, PlannedPattern,
-    ReductionOp, ReductionTarget,
+    plan_from_report, plan_loop, Blocker, LoopPlan, Plan, PlannedPattern, ReductionOp,
+    ReductionTarget,
 };

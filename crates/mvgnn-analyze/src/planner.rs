@@ -30,7 +30,7 @@
 //! interpreting profiler is property-tested in
 //! `tests/planner_soundness.rs`.
 
-use crate::oracle::{analyze_loop, Fact, FuncAnalysis, OracleReport, Verdict};
+use crate::oracle::{analyze_loop, Fact, OracleReport, Verdict};
 use mvgnn_ir::inst::BinOp;
 use mvgnn_ir::module::{FuncId, LoopId, Module};
 use mvgnn_ir::types::VReg;
@@ -60,7 +60,9 @@ impl ReductionOp {
         }
     }
 
-    pub(crate) fn of_bin(op: BinOp) -> Option<ReductionOp> {
+    /// The clause operator of a commutative binary op (`None` for any
+    /// other op).
+    pub fn of_bin(op: BinOp) -> Option<ReductionOp> {
         match op {
             BinOp::Add => Some(ReductionOp::Add),
             BinOp::Mul => Some(ReductionOp::Mul),
@@ -174,8 +176,7 @@ pub struct LoopPlan {
     pub verdict: Verdict,
     /// Per-claim provenance (the oracle's fact list).
     pub facts: Vec<Fact>,
-    /// OpenMP-style rendering, attached to the IR loop by
-    /// [`annotate_loops`].
+    /// OpenMP-style rendering.
     pub pragma: String,
 }
 
@@ -342,24 +343,6 @@ pub fn plan_from_report(
 pub fn plan_loop(module: &Module, func: FuncId, l: LoopId) -> LoopPlan {
     let report = analyze_loop(module, func, l);
     plan_from_report(module, func, l, &report)
-}
-
-/// Plan every loop of every function and attach the rendered pragma to
-/// the IR loop metadata ([`mvgnn_ir::module::LoopInfo::annotation`]).
-pub fn annotate_loops(module: &mut Module) {
-    let mut pragmas: Vec<(usize, usize, String)> = Vec::new();
-    for (fi, f) in module.funcs.iter().enumerate() {
-        let func = FuncId(fi as u32);
-        let analysis = FuncAnalysis::new(module, func);
-        for (li, _) in f.loops.iter().enumerate() {
-            let l = LoopId(li as u32);
-            let plan = plan_from_report(module, func, l, &analysis.analyze_loop(l));
-            pragmas.push((fi, li, plan.pragma));
-        }
-    }
-    for (fi, li, pragma) in pragmas {
-        module.funcs[fi].loops[li].annotation = Some(pragma);
-    }
 }
 
 #[cfg(test)]
@@ -552,29 +535,5 @@ mod tests {
         assert!(!p.proved(), "an Unknown verdict must not claim a proof");
         assert_eq!(p.proved_pattern(), None);
         assert!(p.pragma.starts_with("// undecided:"), "{}", p.pragma);
-    }
-
-    #[test]
-    fn annotate_loops_attaches_pragmas_everywhere() {
-        let mut m = Module::new("t");
-        let a = m.add_array("a", Ty::F64, 16);
-        let out = m.add_array("b", Ty::F64, 16);
-        let mut b = FunctionBuilder::new(&mut m, "main", 0);
-        let (lo, hi, st) = (b.const_i64(0), b.const_i64(16), b.const_i64(1));
-        b.for_loop(lo, hi, st, |b, iv| {
-            let x = b.load(a, iv);
-            b.store(out, iv, x);
-        });
-        b.finish();
-        annotate_loops(&mut m);
-        for f in &m.funcs {
-            for info in &f.loops {
-                assert!(info.annotation.is_some());
-            }
-        }
-        assert_eq!(
-            m.funcs[0].loops[0].annotation.as_deref(),
-            Some("#pragma omp parallel for")
-        );
     }
 }

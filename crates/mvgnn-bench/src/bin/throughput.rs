@@ -17,13 +17,12 @@
 //! steady state: after warm-up, one full engine stream must stay under
 //! `ALLOC_BUDGET_PER_LOOP` heap allocations per loop. The full run
 //! also reports allocs/loop for the per-sample baseline versus the
-//! pooled engine, and the featurisation-cache hit rate, in
-//! `BENCH_throughput.json`.
+//! pooled engine in `BENCH_throughput.json`.
 
 use mvgnn_bench::{pipeline_config, Scale};
-use mvgnn_core::{Cascade, EngineConfig, InferenceEngine, MvGnn, MvGnnConfig, Workspace};
-use mvgnn_dataset::{build_corpus, generate_app, Suite, TABLE2};
-use mvgnn_embed::{FeatureCache, GraphSample, Inst2Vec, SampleConfig};
+use mvgnn_core::{EngineConfig, InferenceEngine, MvGnn, MvGnnConfig, Workspace};
+use mvgnn_dataset::build_corpus;
+use mvgnn_embed::GraphSample;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,82 +88,6 @@ fn build_model(scale: Scale) -> (Vec<mvgnn_dataset::LabeledSample>, MvGnn) {
 /// Fused-head classes of one packed batch on a fresh workspace.
 fn predict(model: &MvGnn, samples: &[&GraphSample]) -> Vec<usize> {
     model.forward_rows(&mut Workspace::new(), samples).predictions()
-}
-
-/// Per-pass featurisation-cache census. Reporting warm-up and steady
-/// state separately matters: folding the all-miss cold pass into the
-/// totals halves the apparent hit rate (a 9-hit/9-miss run reads as
-/// 50%) when the steady-state rate — the number that predicts serving
-/// cost — is 100%.
-struct CachePass {
-    hits: u64,
-    misses: u64,
-}
-
-impl CachePass {
-    fn hit_rate(&self) -> f64 {
-        self.hits as f64 / (self.hits + self.misses).max(1) as f64
-    }
-}
-
-/// Exercise the featurisation cache: classify one generated app twice
-/// with a shared [`FeatureCache`] and return `(warmup, steady)` pass
-/// censuses. Loops live in the per-kernel functions (the app entry is a
-/// driver with none of its own), so each kernel is classified as its own
-/// entry. The cold warm-up pass builds every loop's sample; the warm
-/// steady-state pass must replay them all, and both passes' reports must
-/// agree.
-fn feature_cache_stats(scale: Scale) -> (CachePass, CachePass) {
-    let cfg = pipeline_config(scale);
-    let spec = mvgnn_dataset::TABLE2
-        .iter()
-        .filter(|s| s.suite == Suite::PolyBench)
-        .min_by_key(|s| s.loops)
-        .copied()
-        .unwrap_or(TABLE2[0]);
-    let app = generate_app(spec, 1);
-    let mut kernels: Vec<_> = app.loops.iter().map(|(f, _, _)| *f).collect();
-    kernels.sort_unstable_by_key(|f| f.index());
-    kernels.dedup();
-    let i2v = Inst2Vec::train(&[&app.module], &cfg.corpus.inst2vec);
-    let sample_cfg = SampleConfig::default();
-    let node_dim = i2v.dim()
-        + mvgnn_embed::sample::KIND_DIM
-        + mvgnn_embed::sample::EDGE_DIM
-        + mvgnn_profiler::DynamicFeatures::DIM;
-    let aw_vocab = mvgnn_graph::AwVocab::new(sample_cfg.walk_len).size();
-    let model = MvGnn::new(MvGnnConfig::small(node_dim, aw_vocab));
-    let mut cache = FeatureCache::new(1024);
-    let classify_all = |cache: &mut FeatureCache| -> Vec<mvgnn_core::LoopReport> {
-        kernels
-            .iter()
-            .flat_map(|&f| {
-                Cascade::gnn_only().classify_module_cached(
-                    &model, &app.module, f, &i2v, &sample_cfg, None, None, Some(cache),
-                )
-            })
-            .collect()
-    };
-    let cold = classify_all(&mut cache);
-    let after_cold = cache.stats();
-    let warm = classify_all(&mut cache);
-    let after_warm = cache.stats();
-    assert!(!cold.is_empty(), "generated app produced no classifiable loops");
-    assert_eq!(cold.len(), warm.len(), "cache replay changed the report set");
-    for (a, b) in cold.iter().zip(&warm) {
-        assert_eq!(
-            (a.prediction, a.source),
-            (b.prediction, b.source),
-            "cache replay changed a verdict"
-        );
-    }
-    (
-        CachePass { hits: after_cold.hits, misses: after_cold.misses },
-        CachePass {
-            hits: after_warm.hits - after_cold.hits,
-            misses: after_warm.misses - after_cold.misses,
-        },
-    )
 }
 
 /// One-batch wiring check for CI: the engine must agree with the
@@ -261,18 +184,6 @@ fn main() {
         }
     });
 
-    // Featurisation cache: classify a generated app twice and report the
-    // cold warm-up pass and the replayed steady-state pass separately.
-    let (cache_warmup, cache_steady) = feature_cache_stats(scale);
-    println!(
-        "  feature cache: warm-up {}h/{}m, steady {}h/{}m ({:.0}% steady hit rate)",
-        cache_warmup.hits,
-        cache_warmup.misses,
-        cache_steady.hits,
-        cache_steady.misses,
-        cache_steady.hit_rate() * 100.0
-    );
-
     // Engine sweep: same batch size, varying worker counts. Forward-only
     // inference shares the weights through `Arc<MvGnn>`.
     let model = Arc::new(model);
@@ -347,17 +258,8 @@ fn main() {
         "{{\n  \"loops\": {n},\n  \"batch_size\": {BATCH},\n  \"reps\": {reps},\n  \
          \"single_loops_per_sec\": {single_lps:.2},\n  \
          \"batched_loops_per_sec\": {batched_lps:.2},\n  \"speedup\": {speedup:.3},\n  \
-         \"threads\": {{\n{}\n  }},\n  \"engine_speedup\": {engine_speedup:.3},\n  \
-         \"feature_cache\": {{\n    \
-         \"warmup\": {{ \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.3} }},\n    \
-         \"steady\": {{ \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.3} }}\n  }}{alloc_section}\n}}\n",
+         \"threads\": {{\n{}\n  }},\n  \"engine_speedup\": {engine_speedup:.3}{alloc_section}\n}}\n",
         threads_json.join(",\n"),
-        cache_warmup.hits,
-        cache_warmup.misses,
-        cache_warmup.hit_rate(),
-        cache_steady.hits,
-        cache_steady.misses,
-        cache_steady.hit_rate(),
     );
     mvgnn_bench::or_die(std::fs::write("BENCH_throughput.json", json));
     eprintln!("[throughput] wrote BENCH_throughput.json");

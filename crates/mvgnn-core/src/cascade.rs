@@ -34,10 +34,7 @@
 use crate::infer::{conservative, view_ladder, LoopReport, PredictionSource};
 use crate::model::{CheckedPrediction, MvGnn, RowOutputs};
 use mvgnn_analyze::{analyze_loop, plan_from_report, FuncAnalysis, OracleReport, Verdict};
-use mvgnn_embed::{
-    build_sample_with_static, sample_fingerprint, sample_fingerprint_with_static, FeatureCache,
-    GraphSample, Inst2Vec, SampleConfig,
-};
+use mvgnn_embed::{build_sample_with_static, GraphSample, Inst2Vec, SampleConfig};
 use mvgnn_ir::module::{FuncId, LoopId, Module};
 use mvgnn_peg::{build_peg, loop_subpeg};
 use mvgnn_profiler::{
@@ -249,18 +246,17 @@ pub fn oracle_decision(report: &OracleReport) -> Option<usize> {
 const INFER_CHUNK: usize = 32;
 
 /// A loop that survived tier 0 and the tier-1 pre-checks and awaits
-/// model inference. The sample is an `Arc` so a [`FeatureCache`] hit
-/// shares the cached matrices instead of cloning them.
+/// model inference.
 struct PendingLoop {
     l: LoopId,
     line: u32,
-    sample: Arc<GraphSample>,
+    sample: GraphSample,
     empty_walks: bool,
 }
 
 /// The tiered classifier. Stateless beyond its configuration — the
-/// model, module, and caches are arguments, so one cascade value can
-/// serve any number of models and threads.
+/// model and module are arguments, so one cascade value can serve any
+/// number of models and threads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cascade {
     /// Routing configuration.
@@ -320,24 +316,6 @@ impl Cascade {
         (rows, checked)
     }
 
-    /// Classify every loop of `entry` through the cascade (no feature
-    /// cache); see [`Self::classify_module_cached`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn classify_module(
-        &self,
-        model: &MvGnn,
-        module: &Module,
-        entry: FuncId,
-        inst2vec: &Inst2Vec,
-        sample_cfg: &SampleConfig,
-        max_steps: Option<u64>,
-        max_call_depth: Option<u32>,
-    ) -> Vec<LoopReport> {
-        self.classify_module_cached(
-            model, module, entry, inst2vec, sample_cfg, max_steps, max_call_depth, None,
-        )
-    }
-
     /// Classify every loop of `entry` through the configured tiers.
     ///
     /// The returned vector always covers every loop of the function, in
@@ -352,7 +330,7 @@ impl Cascade {
     /// are re-decided by the profiler tier over that trace's dependence
     /// graph.
     #[allow(clippy::too_many_arguments)]
-    pub fn classify_module_cached(
+    pub fn classify_module(
         &self,
         model: &MvGnn,
         module: &Module,
@@ -361,7 +339,6 @@ impl Cascade {
         sample_cfg: &SampleConfig,
         max_steps: Option<u64>,
         max_call_depth: Option<u32>,
-        mut cache: Option<&mut FeatureCache>,
     ) -> Vec<LoopReport> {
         // Tier 0 — oracle short-circuit on the static IR alone, before
         // anything runs. One `FuncAnalysis` serves every loop of the
@@ -451,38 +428,14 @@ impl Cascade {
                     .unwrap_or_else(|| Arc::new(analyze_loop(module, entry, l)))
                     .feature_vec()
             });
-            let sample = match cache.as_deref_mut() {
-                Some(c) => {
-                    let key = match &static_vec {
-                        Some(sv) => sample_fingerprint_with_static(
-                            &sub,
-                            &feats,
-                            sample_cfg,
-                            inst2vec.dim(),
-                            Some(sv),
-                        ),
-                        None => sample_fingerprint(&sub, &feats, sample_cfg, inst2vec.dim()),
-                    };
-                    c.get_or_insert_with(key, || {
-                        build_sample_with_static(
-                            &sub,
-                            inst2vec,
-                            &feats,
-                            static_vec.as_ref().map(|sv| &sv[..]),
-                            sample_cfg,
-                            None,
-                        )
-                    })
-                }
-                None => Arc::new(build_sample_with_static(
-                    &sub,
-                    inst2vec,
-                    &feats,
-                    static_vec.as_ref().map(|sv| &sv[..]),
-                    sample_cfg,
-                    None,
-                )),
-            };
+            let sample = build_sample_with_static(
+                &sub,
+                inst2vec,
+                &feats,
+                static_vec.as_ref().map(|sv| &sv[..]),
+                sample_cfg,
+                None,
+            );
             if sample.node_dim != model.cfg.node_dim || sample.aw_vocab != model.cfg.aw_vocab {
                 reports[slot] = Some(conservative(
                     entry,
@@ -504,7 +457,7 @@ impl Cascade {
         let needs_confidence = self.config.use_profiler && self.config.confidence_threshold > 0.0;
         let mut ws = Workspace::new();
         for chunk in pending.chunks(INFER_CHUNK) {
-            let samples: Vec<&GraphSample> = chunk.iter().map(|(_, p)| &*p.sample).collect();
+            let samples: Vec<&GraphSample> = chunk.iter().map(|(_, p)| &p.sample).collect();
             let (rows, checked_rows) = Self::gnn_rows(model, &mut ws, &samples);
             for (g, ((slot, p), checked)) in chunk.iter().zip(checked_rows).enumerate() {
                 // A truncated trace or an empty walk distribution drops

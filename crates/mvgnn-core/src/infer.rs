@@ -116,9 +116,7 @@ mod tests {
     use crate::cascade::Cascade;
     use crate::fault::FaultPlan;
     use crate::model::{MvGnn, MvGnnConfig};
-    use mvgnn_embed::{
-        build_sample, sample_fingerprint, FeatureCache, Inst2Vec, Inst2VecConfig, SampleConfig,
-    };
+    use mvgnn_embed::{build_sample, Inst2Vec, Inst2VecConfig, SampleConfig};
     use mvgnn_ir::inst::BinOp;
     use mvgnn_ir::module::Module;
     use mvgnn_ir::types::Ty;
@@ -190,53 +188,6 @@ mod tests {
             assert!(r.diagnostic.is_none(), "{r:?}");
             assert!(r.prediction <= 1);
         }
-    }
-
-    #[test]
-    fn cached_classification_matches_and_hits_on_replay() {
-        let (m, f, i2v, model) = setup();
-        let cfg = SampleConfig::default();
-        let plain = gnn_only_reports(&model, &m, f, &i2v, &cfg, None);
-        let mut cache = FeatureCache::new(64);
-        // First cached run builds every sample; second replays them all.
-        for pass in 0..2 {
-            let cached = Cascade::gnn_only().classify_module_cached(
-                &model, &m, f, &i2v, &cfg, None, None, Some(&mut cache),
-            );
-            assert_eq!(cached.len(), plain.len());
-            for (a, b) in plain.iter().zip(&cached) {
-                assert_eq!(a.prediction, b.prediction, "pass {pass}");
-                assert_eq!(a.source, b.source);
-                assert_eq!(a.diagnostic, b.diagnostic);
-            }
-        }
-        let s = cache.stats();
-        assert_eq!(s.misses, 2, "one build per loop on the cold pass");
-        assert_eq!(s.hits, 2, "the warm pass must replay every loop");
-    }
-
-    #[test]
-    fn cached_samples_produce_bit_identical_logits() {
-        let (m, f, i2v, model) = setup();
-        let cfg = SampleConfig::default();
-        // Build the same loop's sample twice: fresh, and via cache replay.
-        let partial = profile_module_resilient(&m, f, &[], None, None);
-        let cus = build_cus(&m);
-        let peg = build_peg(&m, &cus, &partial.deps);
-        let l0 = m.funcs[f.index()].loops[0].id;
-        let feats = loop_features(&m, f, l0, &partial.deps, &partial.loops[&(f, l0)]);
-        let sub = loop_subpeg(&peg, &m, &cus, f, l0);
-        let fresh = build_sample(&sub, &i2v, &feats, &cfg, None);
-        let mut cache = FeatureCache::new(4);
-        let key = sample_fingerprint(&sub, &feats, &cfg, i2v.dim());
-        cache.get_or_insert_with(key, || build_sample(&sub, &i2v, &feats, &cfg, None));
-        let replayed = cache.get_or_insert_with(key, || unreachable!("must hit"));
-        let a = model.logits_batch(&[&fresh]);
-        let b = model.logits_batch(&[&replayed]);
-        let bits = |rows: &[Vec<f32>]| -> Vec<u32> {
-            rows.iter().flatten().map(|x| x.to_bits()).collect()
-        };
-        assert_eq!(bits(&a), bits(&b), "cached featurisation must not move logits");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! loop is classified parallelisable, emit the pragma a programmer (or a
 //! source rewriter) would insert.
 
-use mvgnn_ir::inst::BinOp;
+use mvgnn_analyze::{ReductionOp, ReductionTarget};
 use mvgnn_ir::module::{FuncId, LoopId, Module};
 use mvgnn_profiler::{reduction_targets, LoopClass};
 
@@ -11,8 +11,8 @@ use mvgnn_profiler::{reduction_targets, LoopClass};
 pub enum Suggestion {
     /// Independent iterations: plain worksharing.
     ParallelFor,
-    /// Reduction: worksharing with reduction clauses `(op, variable)`.
-    ParallelForReduction(Vec<(char, String)>),
+    /// Reduction: worksharing with one reduction clause per target.
+    ParallelForReduction(Vec<ReductionTarget>),
     /// Not parallelisable, with the blocking reason.
     Sequential(String),
 }
@@ -22,21 +22,15 @@ impl Suggestion {
     pub fn pragma(&self) -> String {
         match self {
             Suggestion::ParallelFor => "#pragma omp parallel for".to_string(),
-            Suggestion::ParallelForReduction(vars) => {
-                let clauses: Vec<String> =
-                    vars.iter().map(|(op, v)| format!("reduction({op}:{v})")).collect();
+            Suggestion::ParallelForReduction(targets) => {
+                let clauses: Vec<String> = targets
+                    .iter()
+                    .map(|t| format!("reduction({}:{})", t.op.as_str(), t.var))
+                    .collect();
                 format!("#pragma omp parallel for {}", clauses.join(" "))
             }
             Suggestion::Sequential(_) => String::new(),
         }
-    }
-}
-
-fn op_symbol(op: BinOp) -> char {
-    match op {
-        BinOp::Mul => '*',
-        BinOp::Min | BinOp::Max => 'm', // OpenMP spells these min/max; keep a marker
-        _ => '+',
     }
 }
 
@@ -52,7 +46,13 @@ pub fn suggest(module: &Module, func: FuncId, l: LoopId, class: &LoopClass) -> S
                 Suggestion::ParallelFor
             } else {
                 Suggestion::ParallelForReduction(
-                    targets.into_iter().map(|(name, op)| (op_symbol(op), name)).collect(),
+                    targets
+                        .into_iter()
+                        .map(|(var, op)| ReductionTarget {
+                            var,
+                            op: ReductionOp::of_bin(op).unwrap_or(ReductionOp::Add),
+                        })
+                        .collect(),
                 )
             }
         }
@@ -131,6 +131,30 @@ mod tests {
         let class = mvgnn_profiler::classify_loop(&m, f, l, &res.deps);
         let s = suggest(&m, f, l, &class);
         assert_eq!(s.pragma(), "#pragma omp parallel for reduction(+:sum)");
+    }
+
+    #[test]
+    fn max_reduction_spells_the_openmp_operator() {
+        let mut m = Module::new("t");
+        let a = m.add_array("a", Ty::F64, 8);
+        let s = m.add_array("s", Ty::F64, 1);
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let lo = b.const_i64(0);
+        let hi = b.const_i64(8);
+        let st = b.const_i64(1);
+        let z = b.const_i64(0);
+        let l = b.for_loop(lo, hi, st, |b, i| {
+            let x = b.load(a, i);
+            let cur = b.load(s, z);
+            let nxt = b.bin(BinOp::Max, cur, x);
+            b.store(s, z, nxt);
+        });
+        let f = b.finish();
+        let res = profile_module(&m, f, &[]).unwrap();
+        let class = mvgnn_profiler::classify_loop(&m, f, l, &res.deps);
+        let s = suggest(&m, f, l, &class);
+        assert_eq!(s.pragma(), "#pragma omp parallel for reduction(max:s)");
+        assert_eq!(s.pragma(), mvgnn_analyze::plan_loop(&m, f, l).pragma);
     }
 
     #[test]

@@ -13,12 +13,10 @@
 
 pub mod awe;
 pub mod batch;
-pub mod cache;
 pub mod inst2vec;
 pub mod sample;
 
 pub use awe::structural_distributions;
 pub use batch::GraphBatch;
-pub use cache::{sample_fingerprint, sample_fingerprint_with_static, CacheStats, FeatureCache};
 pub use inst2vec::{Inst2Vec, Inst2VecConfig};
 pub use sample::{build_sample, build_sample_with_static, GraphSample, SampleConfig};

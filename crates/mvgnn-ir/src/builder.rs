@@ -240,7 +240,6 @@ impl<'m> FunctionBuilder<'m> {
             parent,
             depth,
             line_span: (start_line, start_line),
-            annotation: None,
         });
 
         self.loop_stack.push(loop_id);
@@ -305,7 +304,6 @@ impl<'m> FunctionBuilder<'m> {
             parent,
             depth,
             line_span: (start_line, start_line),
-            annotation: None,
         });
 
         self.loop_stack.push(loop_id);

@@ -91,11 +91,6 @@ pub struct LoopInfo {
     pub depth: u32,
     /// Synthetic source line span `[start, end]`.
     pub line_span: (u32, u32),
-    /// Parallelization annotation attached by the planner
-    /// (`mvgnn_analyze::planner::annotate_loops`): the OpenMP-style
-    /// pragma string for this loop, when a pass has rendered one.
-    #[serde(default)]
-    pub annotation: Option<String>,
 }
 
 /// A memory object: a 1-D array of a fixed element type and length.
@@ -474,7 +469,6 @@ mod tests {
             parent: None,
             depth: 0,
             line_span: (1, 9),
-            annotation: None,
         };
         let inner = LoopInfo {
             id: LoopId(1),
@@ -486,7 +480,6 @@ mod tests {
             parent: Some(LoopId(0)),
             depth: 1,
             line_span: (3, 6),
-            annotation: None,
         };
         let mut f = Function::new("f", 0, 0);
         f.loops = vec![outer, inner];

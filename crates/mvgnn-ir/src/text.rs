@@ -429,7 +429,6 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                     parent,
                     depth,
                     line_span: (s0, s1),
-                    annotation: None,
                 });
             }
             "endfunc" => {

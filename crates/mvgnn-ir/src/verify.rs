@@ -516,7 +516,6 @@ mod tests {
             parent: None,
             depth: 0,
             line_span: (1, 2),
-            annotation: None,
         });
         m.funcs.push(f);
         let e = verify_module(&m).unwrap_err();
@@ -548,7 +547,6 @@ mod tests {
             parent: None,
             depth: 0,
             line_span: (1, 3),
-            annotation: None,
         }];
         f.block_loop = vec![None, Some(crate::module::LoopId(0)), Some(crate::module::LoopId(0))];
         m.funcs.push(f);

@@ -15,9 +15,9 @@
 //!   admission token; a proved plan also surfaces its rendered pragma
 //!   in the [`Classification`].
 //! - **Source path** ([`Server::classify_source`]): a source program is
-//!   compiled, profiled, and classified per-loop on the caller's thread
-//!   under the same admission token, through the configured
-//!   [`Cascade`] with a shared [`FeatureCache`] hit-through.
+//!   compiled and classified per-loop by [`Cascade::classify_module`] on
+//!   the caller's thread, under the same admission token. Source
+//!   requests take no lock, so concurrent ones run side by side.
 //!
 //! Overload is never unbounded queueing: a request either gets a token
 //! and a queue slot, or a typed [`ServeError::Overloaded`] with a
@@ -33,7 +33,7 @@ use mvgnn_analyze::{LoopPlan, OracleReport};
 use mvgnn_core::{
     oracle_decision, Cascade, CascadeConfig, ModelRegistry, MvGnn, MvGnnError, RegistryCensus,
 };
-use mvgnn_embed::{FeatureCache, GraphSample, Inst2Vec, SampleConfig};
+use mvgnn_embed::{GraphSample, Inst2Vec, SampleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -99,8 +99,6 @@ pub struct Frontend {
     pub inst2vec: Inst2Vec,
     /// Walk/assembly configuration of the featuriser.
     pub sample_cfg: SampleConfig,
-    /// Capacity of the shared [`FeatureCache`] (entries).
-    pub cache_capacity: usize,
     /// Default interpreter step budget (None = interpreter default).
     pub max_steps: Option<u64>,
     /// Default interpreter call-depth budget.
@@ -115,7 +113,6 @@ pub struct Frontend {
 struct FrontendState {
     inst2vec: Inst2Vec,
     sample_cfg: SampleConfig,
-    cache: Mutex<FeatureCache>,
     max_steps: Option<u64>,
     max_call_depth: Option<u32>,
     cascade: CascadeConfig,
@@ -261,7 +258,6 @@ impl Server {
         let state = FrontendState {
             inst2vec: frontend.inst2vec,
             sample_cfg: frontend.sample_cfg,
-            cache: Mutex::new(FeatureCache::new(frontend.cache_capacity.max(1))),
             max_steps: frontend.max_steps,
             max_call_depth: frontend.max_call_depth,
             cascade: frontend.cascade,
@@ -435,9 +431,7 @@ impl Server {
             let Some(entry) = module.func_by_name("main") else {
                 return Err(ServeError::Rejected("program has no `main` function".into()));
             };
-            let mut cache =
-                fe.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let reports = Cascade::new(fe.cascade).classify_module_cached(
+            let reports = Cascade::new(fe.cascade).classify_module(
                 &generation.model,
                 &module,
                 entry,
@@ -445,7 +439,6 @@ impl Server {
                 &fe.sample_cfg,
                 max_steps.or(fe.max_steps),
                 fe.max_call_depth,
-                Some(&mut cache),
             );
             Ok(ModuleClassification { reports })
         }));
@@ -470,19 +463,6 @@ impl Server {
                 sh.frontend_panics.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::Internal(panic_message(&payload)))
             }
-        }
-    }
-
-    /// Featurisation-cache counters of the source path (zeros without a
-    /// frontend).
-    pub fn feature_cache_stats(&self) -> mvgnn_embed::CacheStats {
-        match &self.shared.frontend {
-            Some(fe) => fe
-                .cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .stats(),
-            None => mvgnn_embed::CacheStats::default(),
         }
     }
 

@@ -346,7 +346,6 @@ fn frontend_for(program: &str) -> (Arc<MvGnn>, Frontend) {
     let frontend = Frontend {
         inst2vec: i2v,
         sample_cfg,
-        cache_capacity: 64,
         max_steps: None,
         max_call_depth: None,
         cascade: CascadeConfig::gnn_only(),
@@ -355,7 +354,7 @@ fn frontend_for(program: &str) -> (Arc<MvGnn>, Frontend) {
 }
 
 #[test]
-fn source_path_classifies_and_hits_the_cache_on_replay() {
+fn source_path_classifies_and_replays_identically() {
     let (model, frontend) = frontend_for(PROGRAM);
     let server = Server::start_with_frontend(model, frontend, ServeConfig::default())
         .expect("valid config");
@@ -367,8 +366,63 @@ fn source_path_classifies_and_hits_the_cache_on_replay() {
     for (a, b) in first.reports.iter().zip(&second.reports) {
         assert_eq!((a.prediction, a.source), (b.prediction, b.source));
     }
-    let cache = server.feature_cache_stats();
-    assert!(cache.hits >= 2, "replay must hit the feature cache: {cache:?}");
+}
+
+/// A program the pure-GNN arm must interpret for millions of steps.
+const SLOW_PROGRAM: &str = r#"
+array a[64]: f64;
+
+fn main() {
+    for i in 0..4000 {
+        for j in 0..4000 {
+            a[j % 64] = a[j % 64] + 1.0;
+        }
+    }
+}
+"#;
+
+#[test]
+fn a_slow_source_request_does_not_hold_up_a_small_one() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    // `gnn_only` sends every loop to the GNN, so the slow program is
+    // interpreted rather than decided by the oracle.
+    let (model, frontend) = frontend_for(PROGRAM);
+    let server = Server::start_with_frontend(model, frontend, ServeConfig::default())
+        .expect("valid config");
+    let slow_done = AtomicBool::new(false);
+    let answered_meanwhile = std::thread::scope(|s| {
+        let slow = s.spawn(|| {
+            let mc = server.classify_source(SLOW_PROGRAM, Deadline::none(), None);
+            slow_done.store(true, Ordering::SeqCst);
+            mc
+        });
+        // Wait until the slow request holds its admission token.
+        while server.stats().inflight == 0 && !slow_done.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // Small requests answered while the slow one is still running.
+        // The first could slip in before a shared lock is taken; the rest
+        // would wait behind it.
+        let mut answered_meanwhile = 0;
+        while !slow_done.load(Ordering::SeqCst) && answered_meanwhile < 3 {
+            let small = server.classify_source(
+                PROGRAM,
+                Deadline::within(Duration::from_secs(10)),
+                None,
+            );
+            assert_eq!(small.expect("the small program classifies").reports.len(), 2);
+            if !slow_done.load(Ordering::SeqCst) {
+                answered_meanwhile += 1;
+            }
+        }
+        let slow = slow.join().expect("slow request thread");
+        assert_eq!(slow.expect("the slow program classifies").reports.len(), 2);
+        answered_meanwhile
+    });
+    assert_eq!(
+        answered_meanwhile, 3,
+        "small source requests must be answered while a slow one runs"
+    );
 }
 
 #[test]
@@ -414,7 +468,6 @@ fn chaos_storm_is_fully_accounted_and_panic_free() {
         let frontend = Frontend {
             inst2vec: i2v,
             sample_cfg: SampleConfig::default(),
-            cache_capacity: 64,
             max_steps: None,
             max_call_depth: None,
             cascade: CascadeConfig::default(),

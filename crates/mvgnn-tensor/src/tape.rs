@@ -342,10 +342,7 @@ enum Op {
     /// `(dst, src)` row pairs flattened as `[dst0, src0, dst1, src1, …]`
     /// so the payload can live in the pooled `u32` free list.
     GatherRowsAt(Var, Vec<u32>),
-    MeanRows(Var),
     SumAll(Var),
-    SegmentSum(Var, Vec<usize>),
-    SegmentSoftmax(Var, Vec<usize>),
     Dropout(Var),
     Conv1dRows { x: Var, w: Var, bias: Option<Var>, ksize: usize, stride: usize, seg_len: usize },
     MaxPoolRows { x: Var, size: usize, seg_len: usize },
@@ -435,9 +432,6 @@ impl<'p> Tape<'p> {
             match node.op {
                 Op::GatherRowsPad(_, idx) => self.ws.release_usize(idx),
                 Op::GatherRowsAt(_, pairs) => self.ws.release_u32(pairs),
-                Op::SegmentSum(_, offsets) | Op::SegmentSoftmax(_, offsets) => {
-                    self.ws.release_usize(offsets)
-                }
                 Op::SoftmaxCe { targets, .. } => self.ws.release_usize(targets),
                 _ => {}
             }
@@ -726,82 +720,6 @@ impl<'p> Tape<'p> {
             slot[1] = src as u32;
         }
         self.push(Op::GatherRowsAt(a, compact), out, (out_rows, n))
-    }
-
-    /// Per-segment column-wise row sum: rows `offsets[g]..offsets[g+1]`
-    /// collapse to output row `g`, giving a `(offsets.len()−1) × d`
-    /// result. `offsets` must be non-decreasing, start at 0 and end at the
-    /// row count; empty segments yield zero rows.
-    pub fn segment_sum(&mut self, a: Var, offsets: &[usize]) -> Var {
-        let (m, n) = self.shape(a);
-        check_offsets(offsets, m);
-        let segs = offsets.len() - 1;
-        let mut out = self.ws.acquire_f32(segs * n);
-        for g in 0..segs {
-            let orow = &mut out[g * n..(g + 1) * n];
-            for r in offsets[g]..offsets[g + 1] {
-                for (o, &x) in orow.iter_mut().zip(&self.data(a)[r * n..(r + 1) * n]) {
-                    *o += x;
-                }
-            }
-        }
-        let mut offs = self.ws.acquire_usize(offsets.len());
-        offs.copy_from_slice(offsets);
-        self.push(Op::SegmentSum(a, offs), out, (segs, n))
-    }
-
-    /// Column-wise softmax within each row segment: for every column `c`
-    /// and segment `g`, `out[r][c] = exp(x[r][c]) / Σ_{r'∈g} exp(x[r'][c])`
-    /// (max-subtracted for stability). The shape is unchanged; empty
-    /// segments contribute nothing.
-    pub fn segment_softmax(&mut self, a: Var, offsets: &[usize]) -> Var {
-        let (m, n) = self.shape(a);
-        check_offsets(offsets, m);
-        let mut out = self.ws.acquire_f32(m * n);
-        out.copy_from_slice(self.data(a));
-        for g in 0..offsets.len() - 1 {
-            let (lo, hi) = (offsets[g], offsets[g + 1]);
-            if lo == hi {
-                continue;
-            }
-            for c in 0..n {
-                let mut mx = f32::NEG_INFINITY;
-                for r in lo..hi {
-                    mx = mx.max(out[r * n + c]);
-                }
-                let mut denom = 0.0f32;
-                for r in lo..hi {
-                    let e = (out[r * n + c] - mx).exp();
-                    out[r * n + c] = e;
-                    denom += e;
-                }
-                for r in lo..hi {
-                    out[r * n + c] /= denom;
-                }
-            }
-        }
-        let mut probs = self.ws.acquire_f32(out.len());
-        probs.copy_from_slice(&out);
-        let mut offs = self.ws.acquire_usize(offsets.len());
-        offs.copy_from_slice(offsets);
-        self.push_aux(Op::SegmentSoftmax(a, offs), out, (m, n), probs)
-    }
-
-    /// Column-wise mean over rows: `n×d → 1×d`.
-    pub fn mean_rows(&mut self, a: Var) -> Var {
-        let (m, n) = self.shape(a);
-        assert!(m > 0, "mean over zero rows");
-        let mut out = self.ws.acquire_f32(n);
-        for r in self.data(a).chunks(n) {
-            for (o, &x) in out.iter_mut().zip(r) {
-                *o += x;
-            }
-        }
-        let inv = 1.0 / m as f32;
-        for o in &mut out {
-            *o *= inv;
-        }
-        self.push(Op::MeanRows(a), out, (1, n))
     }
 
     /// Sum of every element: `→ 1×1`.
@@ -1161,52 +1079,11 @@ impl<'p> Tape<'p> {
                         }
                     }
                 }
-                Op::MeanRows(a) => {
-                    let (m, n) = self.nodes[a.0].shape;
-                    let inv = 1.0 / m as f32;
-                    for chunk in self.nodes[a.0].grad.chunks_mut(n) {
-                        for (g, &u) in chunk.iter_mut().zip(&grad) {
-                            *g += u * inv;
-                        }
-                    }
-                }
                 Op::SumAll(a) => {
                     let u = grad[0];
                     for g in self.nodes[a.0].grad.iter_mut() {
                         *g += u;
                     }
-                }
-                Op::SegmentSum(a, offsets) => {
-                    let n = self.nodes[a.0].shape.1;
-                    for g in 0..offsets.len() - 1 {
-                        let urow = &grad[g * n..(g + 1) * n];
-                        for r in offsets[g]..offsets[g + 1] {
-                            for (gr, &u) in
-                                self.nodes[a.0].grad[r * n..(r + 1) * n].iter_mut().zip(urow)
-                            {
-                                *gr += u;
-                            }
-                        }
-                    }
-                }
-                Op::SegmentSoftmax(a, offsets) => {
-                    // dX = Y ⊙ (U − 1·(Σ_seg U⊙Y)) column-wise per segment.
-                    let n = self.nodes[a.0].shape.1;
-                    let probs = std::mem::take(&mut self.nodes[i].aux_f);
-                    for g in 0..offsets.len() - 1 {
-                        let (lo, hi) = (offsets[g], offsets[g + 1]);
-                        for c in 0..n {
-                            let mut dot = 0.0f32;
-                            for r in lo..hi {
-                                dot += grad[r * n + c] * probs[r * n + c];
-                            }
-                            for r in lo..hi {
-                                self.nodes[a.0].grad[r * n + c] +=
-                                    probs[r * n + c] * (grad[r * n + c] - dot);
-                            }
-                        }
-                    }
-                    self.nodes[i].aux_f = probs;
                 }
                 Op::Dropout(a) => {
                     let mask = std::mem::take(&mut self.nodes[i].aux_f);
@@ -1318,15 +1195,6 @@ impl<'p> Tape<'p> {
             self.nodes[i].grad = grad;
         }
     }
-}
-
-/// Validate a segment-offset vector against a row count: non-decreasing,
-/// starting at 0 and ending at `rows`.
-fn check_offsets(offsets: &[usize], rows: usize) {
-    assert!(offsets.len() >= 2, "offsets need at least [0, rows]");
-    assert_eq!(offsets[0], 0, "offsets must start at 0");
-    assert_eq!(offsets[offsets.len() - 1], rows, "offsets must end at the row count");
-    assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be non-decreasing");
 }
 
 /// Row-wise argmax of a logits matrix. NaN logits (a diverged or damaged
@@ -1442,13 +1310,13 @@ mod tests {
     }
 
     #[test]
-    fn grad_concat_and_mean() {
+    fn grad_concat_cols_and_rows() {
         grad_check(
             |t, x| {
                 let y = t.input(vec![0.4, 0.1, -0.9, 0.2], 2, 2);
                 let cc = t.concat_cols(x, y);
                 let cr = t.concat_rows(cc, cc);
-                let m = t.mean_rows(cr);
+                let m = t.scale(cr, 0.5);
                 let a = t.tanh(m);
                 t.sum_all(a)
             },
@@ -1518,59 +1386,6 @@ mod tests {
             3,
             2,
         );
-    }
-
-    #[test]
-    fn grad_segment_sum() {
-        grad_check(
-            |t, x| {
-                let s = t.segment_sum(x, &[0, 2, 2, 3]);
-                let a = t.tanh(s);
-                t.sum_all(a)
-            },
-            vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-            3,
-            2,
-        );
-    }
-
-    #[test]
-    fn grad_segment_softmax() {
-        grad_check(
-            |t, x| {
-                let s = t.segment_softmax(x, &[0, 2, 4]);
-                let w = t.input(vec![0.3, -0.8, 0.5, 0.9, -0.2, 0.4, 0.1, 0.7], 4, 2);
-                let m = t.mul(s, w);
-                t.sum_all(m)
-            },
-            vec![0.1, 0.9, -0.3, 0.4, 0.8, -0.2, 0.5, 0.6],
-            4,
-            2,
-        );
-    }
-
-    #[test]
-    fn segment_sum_matches_manual() {
-        let params = Params::new();
-        let mut tape = Tape::new(&params);
-        let x = tape.input(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2);
-        let s = tape.segment_sum(x, &[0, 1, 3]);
-        assert_eq!(tape.shape(s), (2, 2));
-        assert_eq!(tape.data(s), &[1.0, 2.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn segment_softmax_rows_sum_to_one_per_segment_column() {
-        let params = Params::new();
-        let mut tape = Tape::new(&params);
-        let x = tape.input(vec![0.5, 2.0, -1.0, 0.3, 4.0, 0.1, 2.5, -0.7], 4, 2);
-        let s = tape.segment_softmax(x, &[0, 3, 4]);
-        let d = tape.data(s);
-        for c in 0..2 {
-            let seg0: f32 = (0..3).map(|r| d[r * 2 + c]).sum();
-            assert!((seg0 - 1.0).abs() < 1e-5, "segment 0 col {c} sums to {seg0}");
-            assert!((d[6 + c] - 1.0).abs() < 1e-5, "singleton segment col {c}");
-        }
     }
 
     #[test]
@@ -1898,10 +1713,11 @@ mod tests {
             let h = tape.matmul(x, wv);
             let t = tape.tanh(h);
             let r = tape.relu(t);
-            let s = tape.segment_softmax(r, &[0, 1, 2]);
-            let g = tape.gather_rows_at(s, &[(0, 1), (1, 0)], 3);
-            let m = tape.mean_rows(g);
-            m_bits(tape, m)
+            // Recycles the usize (pad indices) and u32 (gather pairs)
+            // pools as well as the f32 one.
+            let p = tape.gather_rows_pad(r, &[1, 0], 3);
+            let g = tape.gather_rows_at(p, &[(0, 1), (1, 0)], 3);
+            m_bits(tape, g)
         };
         fn m_bits(tape: &Tape<'_>, v: Var) -> Vec<u32> {
             tape.data(v).iter().map(|x| x.to_bits()).collect()

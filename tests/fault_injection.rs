@@ -312,7 +312,6 @@ fn malformed_sources_through_the_service_are_typed() {
         Frontend {
             inst2vec: i2v,
             sample_cfg: SampleConfig::default(),
-            cache_capacity: 64,
             max_steps: None,
             max_call_depth: None,
             cascade: mvgnn::core::CascadeConfig::default(),
