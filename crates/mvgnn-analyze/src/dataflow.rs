@@ -67,13 +67,11 @@ impl BitSet {
     }
 }
 
-/// Live registers at block boundaries.
+/// Live registers at block entries.
 #[derive(Debug, Clone)]
 pub struct Liveness {
     /// Registers live at each block's entry (bit = register number).
     pub live_in: Vec<BitSet>,
-    /// Registers live at each block's exit.
-    pub live_out: Vec<BitSet>,
 }
 
 impl Liveness {
@@ -106,6 +104,7 @@ pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
     }
 
     let mut live_in = vec![BitSet::new(nr); n];
+    // Exit sets of the previous sweep, kept only for the change test.
     let mut live_out = vec![BitSet::new(nr); n];
     // Postorder = reverse of RPO, the fast direction for backward flow.
     let order: Vec<BlockId> = cfg.reverse_postorder().into_iter().rev().collect();
@@ -128,7 +127,7 @@ pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
             live_out[bi] = out;
         }
     }
-    Liveness { live_in, live_out }
+    Liveness { live_in }
 }
 
 /// Successors of `blk` in a function of `n` blocks: its terminator's

@@ -1,43 +1,34 @@
 //! Inference-throughput benchmark: loops/sec for batched (packed
 //! `GraphBatch`) versus per-sample execution of the same model on the
-//! same loop population, plus a thread sweep of the concurrent
-//! [`InferenceEngine`].
+//! same loop population.
 //!
-//! All paths are bit-identical (asserted here and property-tested in
-//! `tests/batch_parity.rs` / `tests/concurrent_parity.rs`): batching
-//! measures pure tape-amortisation, and the engine sweep measures what
-//! the worker fan-out adds on top for each thread count. Emits
-//! `BENCH_throughput.json` next to the working directory for trend
-//! tracking.
-//!
-//! `--smoke` runs a single engine batch against the sequential path and
-//! exits — a seconds-scale CI wiring check, no JSON written.
+//! Both paths are bit-identical (asserted here and property-tested in
+//! `tests/batch_parity.rs`), so batching measures pure tape
+//! amortisation. Emits `BENCH_throughput.json` next to the working
+//! directory for trend tracking.
 //!
 //! `--alloc-smoke` (needs `--features count-allocs`) asserts the pooled
-//! steady state: after warm-up, one full engine stream must stay under
-//! `ALLOC_BUDGET_PER_LOOP` heap allocations per loop. The full run
-//! also reports allocs/loop for the per-sample baseline versus the
-//! pooled engine in `BENCH_throughput.json`.
+//! steady state of the serve worker's loop — one reused [`Workspace`]
+//! driving [`MvGnn::forward_rows`] over `BATCH`-sample chunks: after a
+//! warm-up pass, one full pass must stay under `ALLOC_BUDGET_PER_LOOP`
+//! heap allocations per loop. The full run also reports allocs/loop for
+//! the per-sample baseline versus that loop in `BENCH_throughput.json`.
 
 use mvgnn_bench::{pipeline_config, Scale};
-use mvgnn_core::{EngineConfig, InferenceEngine, MvGnn, MvGnnConfig, Workspace};
+use mvgnn_core::{MvGnn, MvGnnConfig, Workspace};
 use mvgnn_dataset::build_corpus;
 use mvgnn_embed::GraphSample;
-use std::sync::Arc;
 use std::time::Instant;
 
 const BATCH: usize = 32;
 
 /// Steady-state heap-allocation budget per classified loop for the
-/// pooled engine (after one warm-up stream). The remaining allocations
-/// are per-*chunk* bookkeeping (adjacency pointer list, SortPooling pair
-/// lists, the prediction vector), so the real steady state sits around
-/// 0.2–0.5 per loop; the budget is a backstop, not a target.
+/// worker loop (after one warm-up pass). The remaining allocations are
+/// per-*chunk* bookkeeping (adjacency pointer list, SortPooling pair
+/// lists, the row outputs), so the real steady state sits around
+/// 0.2–0.7 per loop; the budget is a backstop, not a target.
 #[cfg(feature = "count-allocs")]
 const ALLOC_BUDGET_PER_LOOP: f64 = 2.0;
-
-/// Engine worker counts swept by the benchmark.
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Minimum length of one timing window; sub-millisecond windows are
 /// dominated by scheduler noise on a loaded machine.
@@ -90,20 +81,19 @@ fn predict(model: &MvGnn, samples: &[&GraphSample]) -> Vec<usize> {
     model.forward_rows(&mut Workspace::new(), samples).predictions()
 }
 
-/// One-batch wiring check for CI: the engine must agree with the
-/// sequential path on a single packed batch.
-fn smoke() {
-    let (pool, model) = build_model(Scale::Quick);
-    let samples: Vec<&GraphSample> =
-        pool.iter().take(BATCH).map(|s| &s.sample).collect();
-    let sequential = predict(&model, &samples);
-    let engine = InferenceEngine::new(
-        Arc::new(model),
-        EngineConfig { threads: 2, batch_size: BATCH },
-    );
-    let streamed = engine.forward_stream(&samples).predictions();
-    assert_eq!(sequential, streamed, "engine smoke: stream diverged from sequential");
-    println!("[throughput] smoke OK: engine matches sequential on {} loops", samples.len());
+/// The serve worker's loop: every `BATCH`-sample chunk through
+/// [`MvGnn::forward_rows`] on one reused workspace.
+#[cfg(feature = "count-allocs")]
+fn worker_pass(
+    model: &MvGnn,
+    ws: &mut Workspace,
+    samples: &[&GraphSample],
+) -> mvgnn_core::RowOutputs {
+    let mut rows = mvgnn_core::RowOutputs::default();
+    for chunk in samples.chunks(BATCH) {
+        rows.append(model.forward_rows(ws, chunk));
+    }
+    rows
 }
 
 /// Allocation cost of one run of `f`, amortised over `loops`, in
@@ -116,22 +106,19 @@ fn allocs_per_loop(loops: usize, f: impl FnOnce()) -> f64 {
 }
 
 /// CI gate for the zero-allocation steady state: after one warm-up
-/// stream, a full engine pass must stay under [`ALLOC_BUDGET_PER_LOOP`]
+/// pass, a full worker pass must stay under [`ALLOC_BUDGET_PER_LOOP`]
 /// heap allocations per loop.
 #[cfg(feature = "count-allocs")]
 fn alloc_smoke() {
     let (pool, model) = build_model(Scale::Quick);
     let samples: Vec<&GraphSample> = pool.iter().map(|s| &s.sample).collect();
-    let engine = InferenceEngine::new(
-        Arc::new(model),
-        EngineConfig { threads: 1, batch_size: BATCH },
-    );
-    let warmup = engine.forward_stream(&samples);
+    let mut ws = Workspace::new();
+    let warmup = worker_pass(&model, &mut ws, &samples);
     let mut steady = mvgnn_core::RowOutputs::default();
     let per_loop = allocs_per_loop(samples.len(), || {
-        steady = engine.forward_stream(&samples);
+        steady = worker_pass(&model, &mut ws, &samples);
     });
-    assert_eq!(warmup, steady, "steady-state stream diverged from warm-up");
+    assert_eq!(warmup, steady, "steady-state pass diverged from warm-up");
     println!(
         "[throughput] alloc smoke: {per_loop:.3} allocs/loop over {} loops (budget {ALLOC_BUDGET_PER_LOOP})",
         samples.len()
@@ -156,17 +143,13 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
     let scale = Scale::from_args();
     let (pool, model) = build_model(scale);
     let samples: Vec<&GraphSample> = pool.iter().map(|s| &s.sample).collect();
     let n = samples.len();
     eprintln!("[throughput] {n} loops, batch size {BATCH}");
 
-    // Warm-up + parity assertion: every path must agree exactly.
+    // Warm-up + parity assertion: both paths must agree exactly.
     let single_preds: Vec<usize> = samples.iter().flat_map(|s| predict(&model, &[s])).collect();
     let batched_preds: Vec<usize> =
         samples.chunks(BATCH).flat_map(|c| predict(&model, c)).collect();
@@ -184,12 +167,8 @@ fn main() {
         }
     });
 
-    // Engine sweep: same batch size, varying worker counts. Forward-only
-    // inference shares the weights through `Arc<MvGnn>`.
-    let model = Arc::new(model);
-
     // Steady-state allocation census (only with `count-allocs`): the
-    // per-sample baseline versus a warmed pooled engine.
+    // per-sample baseline versus the warmed worker loop.
     #[cfg(feature = "count-allocs")]
     let alloc_section = {
         let per_sample = allocs_per_loop(n, || {
@@ -197,42 +176,22 @@ fn main() {
                 std::hint::black_box(predict(&model, &[s]));
             }
         });
-        let engine = InferenceEngine::new(
-            Arc::clone(&model),
-            EngineConfig { threads: 1, batch_size: BATCH },
-        );
-        std::hint::black_box(engine.forward_stream(&samples)); // warm the pools
+        let mut ws = Workspace::new();
+        std::hint::black_box(worker_pass(&model, &mut ws, &samples)); // warm the pool
         let steady = allocs_per_loop(n, || {
-            std::hint::black_box(engine.forward_stream(&samples));
+            std::hint::black_box(worker_pass(&model, &mut ws, &samples));
         });
         let reduction = per_sample / steady.max(1e-9);
         println!(
-            "  allocations: per-sample {per_sample:.1}/loop, engine steady {steady:.3}/loop ({reduction:.0}x fewer)"
+            "  allocations: per-sample {per_sample:.1}/loop, worker steady {steady:.3}/loop ({reduction:.0}x fewer)"
         );
         format!(
             ",\n  \"allocs_per_loop\": {{\n    \"per_sample\": {per_sample:.3},\n    \
-             \"engine_steady\": {steady:.3},\n    \"reduction\": {reduction:.1}\n  }}"
+             \"worker_steady\": {steady:.3},\n    \"reduction\": {reduction:.1}\n  }}"
         )
     };
     #[cfg(not(feature = "count-allocs"))]
     let alloc_section = String::new();
-
-    let mut engine_lps: Vec<(usize, f64, usize)> = Vec::with_capacity(THREAD_SWEEP.len());
-    for threads in THREAD_SWEEP {
-        let engine = InferenceEngine::new(
-            Arc::clone(&model),
-            EngineConfig { threads, batch_size: BATCH },
-        );
-        assert_eq!(
-            engine.forward_stream(&samples).predictions(),
-            batched_preds,
-            "engine predictions diverged at {threads} threads"
-        );
-        let t = best_secs(reps, || {
-            std::hint::black_box(engine.forward_stream(&samples));
-        });
-        engine_lps.push((threads, n as f64 / t, engine.dispatch_chunk(n)));
-    }
 
     let single_lps = n as f64 / t_single;
     let batched_lps = n as f64 / t_batched;
@@ -241,25 +200,11 @@ fn main() {
     println!("  per-sample : {single_lps:>10.1} loops/sec  ({t_single:.3} s)");
     println!("  batched({BATCH:>2}): {batched_lps:>10.1} loops/sec  ({t_batched:.3} s)");
     println!("  speedup    : {speedup:.2}x");
-    for (threads, lps, chunk) in &engine_lps {
-        println!("  engine x{threads:<2}: {lps:>10.1} loops/sec  (chunk {chunk})");
-    }
-    let engine_best = engine_lps.iter().map(|(_, l, _)| *l).fold(0.0f64, f64::max);
-    let engine_speedup = engine_best / single_lps;
-    println!("  engine best: {engine_speedup:.2}x over per-sample");
 
-    let threads_json: Vec<String> = engine_lps
-        .iter()
-        .map(|(t, lps, chunk)| {
-            format!("    \"{t}\": {{ \"loops_per_sec\": {lps:.2}, \"chunk\": {chunk} }}")
-        })
-        .collect();
     let json = format!(
         "{{\n  \"loops\": {n},\n  \"batch_size\": {BATCH},\n  \"reps\": {reps},\n  \
          \"single_loops_per_sec\": {single_lps:.2},\n  \
-         \"batched_loops_per_sec\": {batched_lps:.2},\n  \"speedup\": {speedup:.3},\n  \
-         \"threads\": {{\n{}\n  }},\n  \"engine_speedup\": {engine_speedup:.3}{alloc_section}\n}}\n",
-        threads_json.join(",\n"),
+         \"batched_loops_per_sec\": {batched_lps:.2},\n  \"speedup\": {speedup:.3}{alloc_section}\n}}\n",
     );
     mvgnn_bench::or_die(std::fs::write("BENCH_throughput.json", json));
     eprintln!("[throughput] wrote BENCH_throughput.json");

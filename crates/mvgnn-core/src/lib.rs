@@ -18,7 +18,6 @@
 
 pub mod cascade;
 pub mod checkpoint;
-pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod infer;
@@ -32,9 +31,6 @@ pub mod views;
 
 pub use cascade::{oracle_decision, Calibration, Cascade, CascadeConfig, DecidedBy};
 pub use checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
-pub use engine::{
-    EngineConfig, InferenceEngine, LoadMode, ModelGeneration, ModelRegistry, RegistryCensus,
-};
 pub use error::MvGnnError;
 pub use fault::FaultPlan;
 pub use infer::{view_ladder, LoopReport, PredictionSource};

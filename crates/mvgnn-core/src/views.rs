@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 /// One way of encoding a packed batch of loop graphs into fixed-width
 /// per-graph representations. Implementations register their parameters
 /// at construction and are pure at call time, so a shared reference can
-/// run on worker threads (the inference engine's and the server's).
+/// run on worker threads (the serve layer's workers).
 pub trait ViewEncoder: Send + Sync {
     /// Stable view name ("node", "struct", …) — also the parameter-name
     /// prefix, so checkpoint compatibility hangs on it.

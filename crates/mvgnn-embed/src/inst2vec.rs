@@ -73,20 +73,6 @@ impl Inst2Vec {
         self.vocab.keys().map(String::as_str)
     }
 
-    /// Cosine similarity between two tokens' embeddings.
-    pub fn cosine(&self, a: &str, b: &str) -> f32 {
-        let ea = self.embed(a);
-        let eb = self.embed(b);
-        let dot: f32 = ea.iter().zip(eb).map(|(x, y)| x * y).sum();
-        let na: f32 = ea.iter().map(|x| x * x).sum::<f32>().sqrt();
-        let nb: f32 = eb.iter().map(|x| x * x).sum::<f32>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            dot / (na * nb)
-        }
-    }
-
     /// Train on a corpus of modules.
     pub fn train(corpus: &[&Module], cfg: &Inst2VecConfig) -> Inst2Vec {
         // Build the vocabulary.
@@ -357,8 +343,14 @@ mod tests {
         // store); they should be closer to each other than to `condbr`.
         let m = corpus_module(&[BinOp::Add, BinOp::Mul, BinOp::Add, BinOp::Mul]);
         let emb = Inst2Vec::train(&[&m], &quick_cfg());
-        let close = emb.cosine("bin.add", "bin.mul");
-        let far = emb.cosine("bin.add", "condbr");
+        let cosine = |a: &str, b: &str| {
+            let (ea, eb) = (emb.embed(a), emb.embed(b));
+            let dot: f32 = ea.iter().zip(eb).map(|(x, y)| x * y).sum();
+            let norm = |e: &[f32]| e.iter().map(|x| x * x).sum::<f32>().sqrt();
+            dot / (norm(ea) * norm(eb))
+        };
+        let close = cosine("bin.add", "bin.mul");
+        let far = cosine("bin.add", "condbr");
         assert!(
             close > far,
             "add/mul cosine {close} should exceed add/condbr cosine {far}"

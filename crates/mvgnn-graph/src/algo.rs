@@ -1,6 +1,6 @@
 //! Classic graph algorithms used across the pipeline: BFS distances,
-//! topological order, longest path on DAGs (critical path length),
-//! Tarjan SCC, and weakly connected components.
+//! topological order, longest path on DAGs (critical path length) and
+//! Tarjan SCC.
 
 use crate::csr::Csr;
 
@@ -76,15 +76,14 @@ pub fn critical_path_len(csr: &Csr) -> u32 {
     cedges.sort_unstable();
     cedges.dedup();
     let cdag = Csr::from_edges(ncomp, &cedges);
-    let order = topological_order(&cdag).expect("SCC condensation is acyclic");
     // Longest weighted path where each component weighs `size - 1` internal
-    // edges plus 1 per crossing edge.
-    let mut best = vec![0u32; ncomp];
-    for &c in &order {
-        best[c as usize] = best[c as usize].max(size[c as usize] - 1);
-    }
+    // edges plus 1 per crossing edge. Tarjan numbers components in reverse
+    // topological order of the condensation: every crossing edge runs from
+    // a higher index to a lower one, so descending index visits each
+    // component after all of its predecessors.
+    let mut best: Vec<u32> = size.iter().map(|&s| s - 1).collect();
     let mut overall = 0u32;
-    for &c in &order {
+    for c in (0..ncomp as u32).rev() {
         let b = best[c as usize];
         overall = overall.max(b);
         for &t in cdag.neighbors(c) {
@@ -115,12 +114,6 @@ impl SccResult {
             groups[c as usize].push(v as u32);
         }
         groups
-    }
-
-    /// True if node `v` lies on a cycle (its SCC has >1 node or a self-loop
-    /// is not visible here — callers needing self-loop cycles check edges).
-    pub fn in_nontrivial_scc(&self, v: u32) -> bool {
-        self.component_of.iter().filter(|&&c| c == self.component_of[v as usize]).count() > 1
     }
 }
 
@@ -171,8 +164,8 @@ pub fn tarjan_scc(csr: &Csr) -> SccResult {
                         lowlink[parent as usize].min(lowlink[v as usize]);
                 }
                 if lowlink[v as usize] == index[v as usize] {
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
+                    // `v` is still on the stack, so the pop stops at it.
+                    while let Some(w) = stack.pop() {
                         on_stack[w as usize] = false;
                         component_of[w as usize] = ncomp;
                         if w == v {
@@ -185,32 +178,6 @@ pub fn tarjan_scc(csr: &Csr) -> SccResult {
         }
     }
     SccResult { component_of, component_count: ncomp as usize }
-}
-
-/// Weakly connected components (direction ignored). Returns `(labels, count)`.
-pub fn weak_components(csr: &Csr) -> (Vec<u32>, usize) {
-    let n = csr.node_count();
-    let rev = csr.transpose();
-    let mut label = vec![u32::MAX; n];
-    let mut count = 0u32;
-    let mut queue = std::collections::VecDeque::new();
-    for s in 0..n as u32 {
-        if label[s as usize] != u32::MAX {
-            continue;
-        }
-        label[s as usize] = count;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &t in csr.neighbors(v).iter().chain(rev.neighbors(v)) {
-                if label[t as usize] == u32::MAX {
-                    label[t as usize] = count;
-                    queue.push_back(t);
-                }
-            }
-        }
-        count += 1;
-    }
-    (label, count as usize)
 }
 
 /// Maximum anti-chain width proxy for a dependence DAG: the largest number
@@ -300,8 +267,9 @@ mod tests {
         assert_eq!(scc.component_of[0], scc.component_of[1]);
         assert_eq!(scc.component_of[1], scc.component_of[2]);
         assert_ne!(scc.component_of[2], scc.component_of[3]);
-        assert!(scc.in_nontrivial_scc(0));
-        assert!(!scc.in_nontrivial_scc(4));
+        let groups = scc.groups();
+        assert_eq!(groups[scc.component_of[0] as usize], vec![0, 1, 2]);
+        assert_eq!(groups[scc.component_of[4] as usize], vec![4]);
     }
 
     #[test]
@@ -313,15 +281,79 @@ mod tests {
         assert_eq!(scc.component_count, n);
     }
 
+    /// The condensation walk `critical_path_len` did before it relied on
+    /// Tarjan's numbering: Kahn's topological order of the component DAG.
+    fn critical_path_len_reference(csr: &Csr) -> u32 {
+        let n = csr.node_count();
+        if n == 0 {
+            return 0;
+        }
+        let scc = tarjan_scc(csr);
+        let ncomp = scc.component_count;
+        let mut size = vec![0u32; ncomp];
+        for v in 0..n {
+            size[scc.component_of[v] as usize] += 1;
+        }
+        let mut cedges: Vec<(u32, u32)> = Vec::new();
+        for v in 0..n as u32 {
+            let cv = scc.component_of[v as usize];
+            for &t in csr.neighbors(v) {
+                let ct = scc.component_of[t as usize];
+                if cv != ct {
+                    cedges.push((cv, ct));
+                }
+            }
+        }
+        cedges.sort_unstable();
+        cedges.dedup();
+        let cdag = Csr::from_edges(ncomp, &cedges);
+        let order = topological_order(&cdag).expect("SCC condensation is acyclic");
+        let mut best = vec![0u32; ncomp];
+        for &c in &order {
+            best[c as usize] = best[c as usize].max(size[c as usize] - 1);
+        }
+        let mut overall = 0u32;
+        for &c in &order {
+            let b = best[c as usize];
+            overall = overall.max(b);
+            for &t in cdag.neighbors(c) {
+                let cand = b + 1 + (size[t as usize] - 1);
+                if cand > best[t as usize] {
+                    best[t as usize] = cand;
+                }
+            }
+        }
+        overall
+    }
+
     #[test]
-    fn weak_components_counts() {
-        let csr = Csr::from_edges(5, &[(0, 1), (2, 3)]);
-        let (labels, count) = weak_components(&csr);
-        assert_eq!(count, 3);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_ne!(labels[0], labels[2]);
-        assert_ne!(labels[0], labels[4]);
+    fn critical_path_matches_the_topological_order_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut cyclic = 0;
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(0..48usize);
+            let m = if n == 0 { 0 } else { rng.random_range(0..3 * n) };
+            // Forward edges only give a DAG; otherwise back edges and
+            // self-loops make cycles of every size.
+            let dag = seed % 3 == 0;
+            let edges: Vec<(u32, u32)> = (0..m)
+                .map(|_| (rng.random_range(0..n as u32), rng.random_range(0..n as u32)))
+                .map(|(a, b)| if dag { (a.min(b), a.max(b)) } else { (a, b) })
+                .filter(|&(a, b)| !dag || a < b)
+                .collect();
+            let csr = Csr::from_edges(n, &edges);
+            if tarjan_scc(&csr).component_count < n {
+                cyclic += 1;
+            }
+            assert_eq!(
+                critical_path_len(&csr),
+                critical_path_len_reference(&csr),
+                "seed {seed}: n {n}, edges {edges:?}"
+            );
+        }
+        assert!(cyclic > 100, "too few cyclic graphs exercised: {cyclic}");
     }
 
     #[test]
@@ -343,8 +375,6 @@ mod more_tests {
     fn bfs_on_empty_and_singleton() {
         let single = Csr::from_edges(1, &[]);
         assert_eq!(bfs_distances(&single, 0), vec![0]);
-        let (labels, count) = weak_components(&single);
-        assert_eq!((labels, count), (vec![0], 1));
     }
 
     #[test]

@@ -135,23 +135,6 @@ impl Csr {
         Csr::from_edges(n, &edges)
     }
 
-    /// Row-normalised edge list `(src, dst, 1/deg(src))` — the propagation
-    /// operator D⁻¹A used by mean-aggregation GNN layers.
-    pub fn row_normalized(&self) -> Vec<(u32, u32, f32)> {
-        let mut out = Vec::with_capacity(self.edge_count());
-        for v in 0..self.node_count() as u32 {
-            let d = self.degree(v);
-            if d == 0 {
-                continue;
-            }
-            let w = 1.0 / d as f32;
-            for &t in self.neighbors(v) {
-                out.push((v, t, w));
-            }
-        }
-        out
-    }
-
     /// Symmetric-normalised self-looped operator
     /// `Â = D̃^{-1/2} (A + I) D̃^{-1/2}` as an edge list, the GCN propagation
     /// matrix of Kipf & Welling. Degrees are computed on `A + I`.
@@ -234,19 +217,6 @@ mod tests {
         let csr = Csr::undirected_from_digraph(&g);
         assert_eq!(csr.neighbors(0), &[1]);
         assert_eq!(csr.neighbors(1), &[0]);
-    }
-
-    #[test]
-    fn row_normalized_rows_sum_to_one() {
-        let c = chain_csr();
-        let entries = c.row_normalized();
-        let mut row_sums = [0.0f32; 4];
-        for (s, _, w) in entries {
-            row_sums[s as usize] += w;
-        }
-        assert!((row_sums[0] - 1.0).abs() < 1e-6);
-        assert!((row_sums[1] - 1.0).abs() < 1e-6);
-        assert_eq!(row_sums[3], 0.0); // sink has no outgoing mass
     }
 
     #[test]

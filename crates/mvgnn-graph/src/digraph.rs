@@ -118,22 +118,10 @@ impl<N, E> DiGraph<N, E> {
         &self.nodes[id.index()]
     }
 
-    /// Mutable node payload accessor.
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
     /// Edge payload accessor.
     #[inline]
     pub fn edge(&self, id: EdgeId) -> &E {
         &self.edges[id.index()].weight
-    }
-
-    /// Mutable edge payload accessor.
-    #[inline]
-    pub fn edge_mut(&mut self, id: EdgeId) -> &mut E {
-        &mut self.edges[id.index()].weight
     }
 
     /// Endpoints `(src, dst)` of an edge.
@@ -163,11 +151,6 @@ impl<N, E> DiGraph<N, E> {
         self.out_adj[n.index()].iter().copied()
     }
 
-    /// Incoming edges of `n`.
-    pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.in_adj[n.index()].iter().copied()
-    }
-
     /// Successor nodes of `n` (with multiplicity, in insertion order).
     pub fn successors(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.out_adj[n.index()].iter().map(move |e| self.edges[e.index()].dst)
@@ -176,23 +159,6 @@ impl<N, E> DiGraph<N, E> {
     /// Predecessor nodes of `n` (with multiplicity, in insertion order).
     pub fn predecessors(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.in_adj[n.index()].iter().map(move |e| self.edges[e.index()].src)
-    }
-
-    /// Out-degree of `n`.
-    #[inline]
-    pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out_adj[n.index()].len()
-    }
-
-    /// In-degree of `n`.
-    #[inline]
-    pub fn in_degree(&self, n: NodeId) -> usize {
-        self.in_adj[n.index()].len()
-    }
-
-    /// True if there is at least one edge `src -> dst`.
-    pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.successors(src).any(|s| s == dst)
     }
 
     /// Map node and edge payloads into a new graph with identical topology.
@@ -309,9 +275,9 @@ mod tests {
         let g = diamond();
         let a = NodeId(0);
         let d = NodeId(3);
-        assert_eq!(g.out_degree(a), 2);
-        assert_eq!(g.in_degree(a), 0);
-        assert_eq!(g.in_degree(d), 2);
+        assert_eq!(g.successors(a).count(), 2);
+        assert_eq!(g.predecessors(a).count(), 0);
+        assert_eq!(g.predecessors(d).count(), 2);
         assert_eq!(g.successors(a).collect::<Vec<_>>(), vec![NodeId(1), NodeId(2)]);
         assert_eq!(g.predecessors(d).collect::<Vec<_>>(), vec![NodeId(1), NodeId(2)]);
     }
@@ -325,9 +291,9 @@ mod tests {
         g.add_edge(a, b, "war");
         g.add_edge(a, a, "self");
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_degree(a), 3);
-        assert_eq!(g.in_degree(b), 2);
-        assert!(g.has_edge(a, a));
+        assert_eq!(g.successors(a).count(), 3);
+        assert_eq!(g.predecessors(b).count(), 2);
+        assert!(g.successors(a).any(|s| s == a));
     }
 
     #[test]
@@ -358,8 +324,8 @@ mod tests {
         // edges a->b and b->d survive; a->c and c->d are dropped.
         assert_eq!(sub.edge_count(), 2);
         assert_eq!(sub.node_weights().copied().collect::<Vec<_>>(), vec!["a", "b", "d"]);
-        assert!(sub.has_edge(NodeId(0), NodeId(1)));
-        assert!(sub.has_edge(NodeId(1), NodeId(2)));
+        assert_eq!(sub.successors(NodeId(0)).collect::<Vec<_>>(), vec![NodeId(1)]);
+        assert_eq!(sub.successors(NodeId(1)).collect::<Vec<_>>(), vec![NodeId(2)]);
     }
 
     #[test]
@@ -380,8 +346,8 @@ mod tests {
             .collect();
         // a->b (1), b->d (3), d->a (5), b->b (6).
         assert_eq!(edges, vec![(1, 2, 1), (2, 0, 3), (0, 1, 5), (2, 2, 6)]);
-        assert_eq!(sub.out_degree(NodeId(2)), 2);
-        assert_eq!(sub.in_degree(NodeId(0)), 1);
+        assert_eq!(sub.successors(NodeId(2)).count(), 2);
+        assert_eq!(sub.predecessors(NodeId(0)).count(), 1);
     }
 
     #[test]

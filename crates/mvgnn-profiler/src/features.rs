@@ -16,7 +16,6 @@ use mvgnn_graph::{algo, Csr};
 use mvgnn_ir::inst::InstRef;
 use mvgnn_ir::module::{BlockId, FuncId, LoopId, Module};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// The Table I feature vector for one loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,17 +56,6 @@ impl DynamicFeatures {
 
     /// Number of features (dimension of [`Self::to_vec`]).
     pub const DIM: usize = 7;
-}
-
-/// The set of static instructions inside loop `l` of function `func`
-/// (header, body and latch blocks).
-pub fn loop_inst_set(module: &Module, func: FuncId, l: LoopId) -> HashSet<InstRef> {
-    let f = &module.funcs[func.index()];
-    let blocks: HashSet<_> = f.loop_blocks(l).into_iter().collect();
-    f.insts_with_refs(func)
-        .filter(|(r, _, _)| blocks.contains(&r.block))
-        .map(|(r, _, _)| r)
-        .collect()
 }
 
 /// Marks an instruction outside the loop in `loop_features`' dense map.
@@ -181,7 +169,7 @@ pub fn loop_features(
 mod tests {
     use super::*;
     use crate::profiler::profile_module;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
     use mvgnn_ir::inst::BinOp;
     use mvgnn_ir::types::Ty;
     use mvgnn_ir::{FunctionBuilder, Module};
@@ -219,6 +207,17 @@ mod tests {
         });
         let f = b.finish();
         (m, f, l)
+    }
+
+    /// The set of static instructions inside loop `l` of function `func`
+    /// (header, body and latch blocks).
+    fn loop_inst_set(module: &Module, func: FuncId, l: LoopId) -> HashSet<InstRef> {
+        let f = &module.funcs[func.index()];
+        let blocks: HashSet<_> = f.loop_blocks(l).into_iter().collect();
+        f.insts_with_refs(func)
+            .filter(|(r, _, _)| blocks.contains(&r.block))
+            .map(|(r, _, _)| r)
+            .collect()
     }
 
     /// The HashSet/HashMap version of [`loop_features`] that sorted the

@@ -20,7 +20,7 @@ use crate::limiter::{Limiter, Permit};
 use crate::response::{
     classification_from_checked, Classification, DeadlineStage, ServeError, ServeResult,
 };
-use mvgnn_core::{Cascade, ModelGeneration, Workspace};
+use mvgnn_core::{Cascade, MvGnn, Workspace};
 use mvgnn_embed::GraphSample;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,10 +68,6 @@ pub(crate) struct Request {
     pub(crate) deadline: Deadline,
     pub(crate) enqueued: Instant,
     pub(crate) slot: Arc<Slot>,
-    /// Weight generation captured at admission: the request is answered
-    /// by exactly these weights even if the registry swaps while it is
-    /// queued.
-    pub(crate) generation: Arc<ModelGeneration>,
     #[allow(dead_code)] // held for its Drop (token release at completion)
     pub(crate) permit: Permit,
 }
@@ -140,7 +136,7 @@ impl Batcher {
 /// shed response's `retry_after` hint tied to the observed rate. The
 /// worker owns one [`Workspace`] for its whole life, so steady-state
 /// batches allocate nothing.
-pub(crate) fn worker_loop(batcher: &Batcher, limiter: &Limiter) {
+pub(crate) fn worker_loop(model: &MvGnn, batcher: &Batcher, limiter: &Limiter) {
     let mut ws = Workspace::new();
     loop {
         let mut q = batcher.queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -189,77 +185,45 @@ pub(crate) fn worker_loop(batcher: &Batcher, limiter: &Limiter) {
         if batch.is_empty() {
             continue;
         }
-        dispatch(batcher, &mut ws, limiter, batch);
+        dispatch(model, batcher, &mut ws, limiter, batch);
     }
 }
 
-/// Run one drained micro-batch and fulfil its slots. Panics from the
-/// execution stack are converted into per-request
-/// [`ServeError::Internal`] responses.
-///
-/// A drain that straddles a hot-swap can contain requests pinned to
-/// different weight generations; they are split into consecutive
-/// same-generation groups and each group runs on the weights it was
-/// admitted under (workspace buffers are model-agnostic scratch, so the
-/// groups share the worker's workspace). In steady state the whole drain
-/// is one group, so the split costs one `Arc::ptr_eq` per request.
+/// Run one drained micro-batch through the cascade's tier-1 primitive
+/// and fulfil its slots. Panics from the execution stack are converted
+/// into per-request [`ServeError::Internal`] responses; a panic drops
+/// the buffers the pass had drawn from `ws`, and the pool itself stays
+/// usable for the next batch.
 fn dispatch(
+    model: &MvGnn,
     batcher: &Batcher,
     ws: &mut Workspace,
     limiter: &Limiter,
-    mut batch: Vec<Request>,
+    batch: Vec<Request>,
 ) {
     let dispatched = Instant::now();
     let fill = batch.len();
     batcher.counters.batches.fetch_add(1, Ordering::Relaxed);
     batcher.counters.batched_requests.fetch_add(fill as u64, Ordering::Relaxed);
-    while !batch.is_empty() {
-        let split = batch
-            .iter()
-            .position(|r| !Arc::ptr_eq(&r.generation, &batch[0].generation))
-            .unwrap_or(batch.len());
-        let rest = batch.split_off(split);
-        run_group(ws, batcher, dispatched, batch);
-        batch = rest;
-    }
-    limiter.observe(fill, dispatched.elapsed());
-}
-
-/// Execute one same-generation group of a drained batch through the
-/// cascade's tier-1 primitive. A panic drops the buffers the pass had
-/// drawn from `ws`; the pool itself stays usable for the next batch.
-fn run_group(
-    ws: &mut Workspace,
-    batcher: &Batcher,
-    dispatched: Instant,
-    group: Vec<Request>,
-) {
-    let fill = group.len();
-    let generation = Arc::clone(&group[0].generation);
-    let refs: Vec<&GraphSample> = group.iter().map(|r| &*r.sample).collect();
-    let outcome =
-        catch_unwind(AssertUnwindSafe(|| Cascade::gnn_batch(&generation.model, ws, &refs)));
+    let refs: Vec<&GraphSample> = batch.iter().map(|r| &*r.sample).collect();
+    let outcome = catch_unwind(AssertUnwindSafe(|| Cascade::gnn_batch(model, ws, &refs)));
     drop(refs);
     match outcome {
         Ok(rows) => {
-            for (row, req) in rows.into_iter().zip(group) {
+            for (row, req) in rows.into_iter().zip(batch) {
                 let queued = dispatched.saturating_duration_since(req.enqueued);
-                req.slot.fulfil(Ok(classification_from_checked(
-                    row,
-                    fill,
-                    queued,
-                    generation.census.clone(),
-                )));
+                req.slot.fulfil(Ok(classification_from_checked(row, fill, queued)));
             }
         }
         Err(payload) => {
             batcher.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
             let msg = panic_message(&payload);
-            for req in group {
+            for req in batch {
                 req.slot.fulfil(Err(ServeError::Internal(msg.clone())));
             }
         }
     }
+    limiter.observe(fill, dispatched.elapsed());
 }
 
 /// Best-effort extraction of a panic payload's message.

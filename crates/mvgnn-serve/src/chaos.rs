@@ -105,7 +105,8 @@ pub struct ChaosReport {
     pub module_degraded_loops: u64,
     /// Requests shed with a typed overload response.
     pub shed: u64,
-    /// Requests that ran out of deadline (admission or in-queue).
+    /// Requests that ran out of deadline: at admission, in the queue, or
+    /// in the source frontend (after compile or after the cascade).
     pub expired: u64,
     /// Malformed sources refused with a typed compile error.
     pub compile_errors: u64,

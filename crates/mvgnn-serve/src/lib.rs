@@ -40,7 +40,3 @@ pub use response::{
     ServeError, ServeResult,
 };
 pub use server::{Frontend, ServeConfig, ServeStats, Server, Ticket, Tier0};
-
-// Re-exported so clients can read a response's census without a direct
-// mvgnn-core dependency.
-pub use mvgnn_core::{LoadMode, ModelRegistry, RegistryCensus};

@@ -13,7 +13,7 @@
 use mvgnn_analyze::{Fact, LoopPlan, OracleReport, Verdict};
 use mvgnn_core::infer::LoopReport;
 use mvgnn_core::model::CheckedPrediction;
-use mvgnn_core::{view_ladder, DecidedBy, PredictionSource, RegistryCensus};
+use mvgnn_core::{view_ladder, DecidedBy, PredictionSource};
 use std::time::Duration;
 
 /// Result alias for every service entry point.
@@ -27,7 +27,8 @@ pub enum DeadlineStage {
     /// Expired while waiting in the submission queue; dropped at drain
     /// time, before it could waste a batch slot.
     Queued,
-    /// Expired between frontend stages (compile / profile / classify).
+    /// Expired in the source frontend: after compile, or by the time
+    /// the cascade returned (a late module answer is never `Ok`).
     Frontend,
 }
 
@@ -118,9 +119,6 @@ pub struct Classification {
     /// `None` on the GNN path (learned verdicts carry no proof) and on
     /// the report-only oracle path (a bare report has no rendered plan).
     pub pragma: Option<String>,
-    /// Which model generation answered: the registry census captured at
-    /// admission time, so a hot-swap mid-flight is visible per response.
-    pub census: RegistryCensus,
 }
 
 impl Classification {
@@ -130,24 +128,19 @@ impl Classification {
     /// first; passing an `Unknown` report here is a logic error and is
     /// answered conservatively serial with a diagnostic rather than a
     /// panic.
-    pub fn from_oracle(report: &OracleReport, census: RegistryCensus) -> Classification {
-        Self::tier0(report.verdict, report.facts.clone(), None, census)
+    pub fn from_oracle(report: &OracleReport) -> Classification {
+        Self::tier0(report.verdict, report.facts.clone(), None)
     }
 
     /// Build the tier-0 answer for a request carrying a parallelization
     /// plan. A [`LoopPlan`] embeds its backing verdict and fact list, so
     /// this is [`Self::from_oracle`] plus the rendered pragma; the same
     /// definiteness contract applies ([`LoopPlan::proved`] must hold).
-    pub fn from_plan(plan: &LoopPlan, census: RegistryCensus) -> Classification {
-        Self::tier0(plan.verdict, plan.facts.clone(), Some(plan.pragma.clone()), census)
+    pub fn from_plan(plan: &LoopPlan) -> Classification {
+        Self::tier0(plan.verdict, plan.facts.clone(), Some(plan.pragma.clone()))
     }
 
-    fn tier0(
-        verdict: Verdict,
-        facts: Vec<Fact>,
-        pragma: Option<String>,
-        census: RegistryCensus,
-    ) -> Classification {
+    fn tier0(verdict: Verdict, facts: Vec<Fact>, pragma: Option<String>) -> Classification {
         let (prediction, diagnostic) = match verdict {
             Verdict::ProvablyParallel => (1, None),
             Verdict::ProvablyDependent => (0, None),
@@ -164,7 +157,6 @@ impl Classification {
             decided_by: DecidedBy::Oracle,
             oracle_facts: Some(facts),
             pragma,
-            census,
         }
     }
 }
@@ -185,7 +177,6 @@ pub fn classification_from_checked(
     checked: CheckedPrediction,
     batched_with: usize,
     queued: Duration,
-    census: RegistryCensus,
 ) -> Classification {
     let (prediction, source, diagnostic) = view_ladder(checked, None);
     Classification {
@@ -197,7 +188,6 @@ pub fn classification_from_checked(
         decided_by: DecidedBy::Gnn,
         oracle_facts: None,
         pragma: None,
-        census,
     }
 }
 
@@ -228,36 +218,27 @@ mod tests {
         }
     }
 
-    fn test_census() -> RegistryCensus {
-        RegistryCensus {
-            generation: 0,
-            source: "test".to_string(),
-            load_mode: mvgnn_core::LoadMode::Eager,
-        }
-    }
-
     #[test]
     fn degradation_ladder_prefers_fused_then_views() {
         let q = Duration::ZERO;
         let all = CheckedPrediction { fused: Some(1), node: Some(0), structural: Some(0) };
-        let c = classification_from_checked(all, 4, q, test_census());
+        let c = classification_from_checked(all, 4, q);
         assert_eq!((c.prediction, c.source), (1, PredictionSource::Multi));
         assert!(c.diagnostic.is_none());
 
         let node_only =
             CheckedPrediction { fused: None, node: Some(1), structural: Some(0) };
-        let c = classification_from_checked(node_only, 4, q, test_census());
+        let c = classification_from_checked(node_only, 4, q);
         assert_eq!((c.prediction, c.source), (1, PredictionSource::NodeOnly));
         assert!(c.diagnostic.is_some());
 
         let nothing = CheckedPrediction { fused: None, node: None, structural: None };
-        let c = classification_from_checked(nothing, 4, q, test_census());
+        let c = classification_from_checked(nothing, 4, q);
         assert_eq!(
             (c.prediction, c.source),
             (0, PredictionSource::ConservativeSerial)
         );
         assert!(c.diagnostic.is_some());
-        assert_eq!(c.census, test_census());
     }
 
     #[test]
@@ -268,7 +249,7 @@ mod tests {
             facts: Vec::new(),
             pragma: "#pragma omp parallel for".to_string(),
         };
-        let c = Classification::from_plan(&plan, test_census());
+        let c = Classification::from_plan(&plan);
         assert_eq!(c.prediction, 1);
         assert_eq!(c.decided_by, DecidedBy::Oracle);
         assert_eq!(c.pragma.as_deref(), Some("#pragma omp parallel for"));
@@ -279,7 +260,6 @@ mod tests {
             CheckedPrediction { fused: Some(1), node: Some(1), structural: Some(1) },
             1,
             Duration::ZERO,
-            test_census(),
         );
         assert!(gnn.pragma.is_none());
     }

@@ -1,8 +1,8 @@
 //! The request front door: admission, submission, and lifecycle.
 //!
-//! A [`Server`] owns a weight [`ModelRegistry`], a token [`Limiter`], a
-//! bounded submission queue, and one or more micro-batching workers,
-//! each with its own pooled workspace. Two request paths exist:
+//! A [`Server`] owns one shared model, a token [`Limiter`], a bounded
+//! submission queue, and one or more micro-batching workers, each with
+//! its own pooled workspace. Two request paths exist:
 //!
 //! - **Sample path** ([`Server::submit`], redeemed with
 //!   [`Ticket::wait`]): a pre-featurised loop sample rides the
@@ -30,9 +30,7 @@ use crate::response::{
     Classification, DeadlineStage, ModuleClassification, ServeError, ServeResult,
 };
 use mvgnn_analyze::{LoopPlan, OracleReport};
-use mvgnn_core::{
-    oracle_decision, Cascade, CascadeConfig, ModelRegistry, MvGnn, MvGnnError, RegistryCensus,
-};
+use mvgnn_core::{oracle_decision, Cascade, CascadeConfig, MvGnn, MvGnnError};
 use mvgnn_embed::{GraphSample, Inst2Vec, SampleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,7 +157,7 @@ impl ServeStats {
 }
 
 struct Shared {
-    registry: Arc<ModelRegistry>,
+    model: Arc<MvGnn>,
     batcher: Batcher,
     limiter: Arc<Limiter>,
     frontend: Option<FrontendState>,
@@ -202,10 +200,10 @@ impl Tier0<'_> {
     }
 
     /// The submit-time answer built from definite evidence.
-    fn answer(self, census: RegistryCensus) -> Classification {
+    fn answer(self) -> Classification {
         match self {
-            Tier0::Oracle(report) => Classification::from_oracle(report, census),
-            Tier0::Plan(plan) => Classification::from_plan(plan, census),
+            Tier0::Oracle(report) => Classification::from_oracle(report),
+            Tier0::Plan(plan) => Classification::from_plan(plan),
         }
     }
 }
@@ -235,18 +233,7 @@ impl Ticket {
 impl Server {
     /// Start a sample-path-only server.
     pub fn start(model: Arc<MvGnn>, cfg: ServeConfig) -> Result<Self, MvGnnError> {
-        Self::start_inner(Arc::new(ModelRegistry::new(model, "in-memory")), cfg, None)
-    }
-
-    /// Start a sample-path-only server over a caller-built
-    /// [`ModelRegistry`] — e.g. one seeded from a mapped MVCK
-    /// artifact, whose census then carries the artifact path and load
-    /// mode into every response.
-    pub fn start_with_registry(
-        registry: Arc<ModelRegistry>,
-        cfg: ServeConfig,
-    ) -> Result<Self, MvGnnError> {
-        Self::start_inner(registry, cfg, None)
+        Self::start_inner(model, cfg, None)
     }
 
     /// Start a server with the source-program frontend enabled.
@@ -262,21 +249,17 @@ impl Server {
             max_call_depth: frontend.max_call_depth,
             cascade: frontend.cascade,
         };
-        Self::start_inner(
-            Arc::new(ModelRegistry::new(model, "in-memory")),
-            cfg,
-            Some(state),
-        )
+        Self::start_inner(model, cfg, Some(state))
     }
 
     fn start_inner(
-        registry: Arc<ModelRegistry>,
+        model: Arc<MvGnn>,
         cfg: ServeConfig,
         frontend: Option<FrontendState>,
     ) -> Result<Self, MvGnnError> {
         cfg.validate()?;
         let shared = Arc::new(Shared {
-            registry,
+            model,
             batcher: Batcher::new(cfg.max_batch, cfg.max_delay, cfg.max_queue),
             limiter: Arc::new(Limiter::new(cfg.max_inflight)),
             frontend,
@@ -292,7 +275,7 @@ impl Server {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("mvgnn-serve-{i}"))
-                    .spawn(move || worker_loop(&sh.batcher, &sh.limiter))
+                    .spawn(move || worker_loop(&sh.model, &sh.batcher, &sh.limiter))
                     .map_err(MvGnnError::Io)
             })
             .collect::<Result<_, _>>()?;
@@ -337,16 +320,12 @@ impl Server {
         if let Some(evidence) = evidence.filter(|e| e.definite()) {
             sh.oracle_decided.fetch_add(1, Ordering::Relaxed);
             let slot = Slot::new();
-            slot.fulfil(Ok(evidence.answer(sh.registry.current().census.clone())));
+            slot.fulfil(Ok(evidence.answer()));
             return Ok(Ticket { slot, submitted_at: Instant::now() });
         }
-        // Pin the live weight generation at admission: everything after
-        // this line — the shape gate and, later, dispatch — sees exactly
-        // these weights even if the registry swaps underneath.
-        let generation = sh.registry.current();
         // Shape gate before spending a token: a sample the model cannot
         // consume is rejected typed, not panicked on mid-batch.
-        let mcfg = &generation.model.cfg;
+        let mcfg = &sh.model.cfg;
         let shape = if sample.node_dim != mcfg.node_dim || sample.aw_vocab != mcfg.aw_vocab {
             Err(format!(
                 "sample/model dimension mismatch (node {} vs {}, vocab {} vs {})",
@@ -384,7 +363,6 @@ impl Server {
             deadline,
             enqueued: now,
             slot: Arc::clone(&slot),
-            generation,
             permit,
         });
         sh.batcher.arrived.notify_one();
@@ -399,7 +377,9 @@ impl Server {
     /// Runs on the caller's thread under an admission token — the heavy
     /// frontend work competes for the same capacity the micro-batcher
     /// sees, so a flood of source requests sheds instead of starving the
-    /// sample path.
+    /// sample path. The deadline is checked at admission, after compile
+    /// and after the cascade returns, so a late answer comes back as
+    /// [`ServeError::DeadlineExceeded`], never `Ok`.
     pub fn classify_source(
         &self,
         src: &str,
@@ -419,9 +399,6 @@ impl Server {
             return Err(ServeError::Rejected("source frontend not configured".into()));
         };
         let _permit = sh.limiter.try_acquire()?;
-        // Same admission-time pinning as the sample path: the whole
-        // module is classified by one generation.
-        let generation = sh.registry.current();
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let module = mvgnn_lang::compile(src).map_err(ServeError::Compile)?;
@@ -432,7 +409,7 @@ impl Server {
                 return Err(ServeError::Rejected("program has no `main` function".into()));
             };
             let reports = Cascade::new(fe.cascade).classify_module(
-                &generation.model,
+                &sh.model,
                 &module,
                 entry,
                 &fe.inst2vec,
@@ -445,6 +422,9 @@ impl Server {
         match outcome {
             Ok(Ok(mc)) => {
                 sh.limiter.observe(mc.reports.len().max(1), t0.elapsed());
+                if deadline.expired() {
+                    return Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Frontend });
+                }
                 Ok(mc)
             }
             Ok(Err(e)) => {
@@ -486,29 +466,6 @@ impl Server {
             inflight,
             queue_depth: sh.batcher.depth(),
         }
-    }
-
-    /// The weight registry behind this server.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.shared.registry
-    }
-
-    /// Census of the generation new admissions will be pinned to.
-    pub fn census(&self) -> RegistryCensus {
-        self.shared.registry.current().census.clone()
-    }
-
-    /// Hot-swap the serving weights between requests: in-flight requests
-    /// finish on the generation they were admitted under, admissions
-    /// after this call are pinned to the new one. Returns the new
-    /// generation id; refuses architecture mismatches with a typed
-    /// [`MvGnnError::Config`] and leaves the live generation untouched.
-    pub fn swap_model(
-        &self,
-        model: Arc<MvGnn>,
-        source: impl Into<String>,
-    ) -> Result<u64, MvGnnError> {
-        self.shared.registry.swap(model, source)
     }
 
     /// Drain and stop: already-admitted requests are answered, new ones

@@ -4,13 +4,13 @@
 //! a panic anywhere on a request path fails the suite.
 
 use mvgnn_core::model::{MvGnn, MvGnnConfig};
-use mvgnn_core::{CascadeConfig, FaultPlan, MvGnnError, PredictionSource};
+use mvgnn_core::{CascadeConfig, FaultPlan, MvGnnError, PredictionSource, Workspace};
 use mvgnn_dataset::{build_corpus, CorpusConfig, Suite};
 use mvgnn_embed::{Inst2Vec, Inst2VecConfig, SampleConfig};
 use mvgnn_ir::transform::OptLevel;
 use mvgnn_serve::{
-    run_chaos, ChaosConfig, ChaosInputs, Deadline, Frontend, ServeConfig, ServeError,
-    Server, Ticket, Tier0,
+    classification_from_checked, run_chaos, ChaosConfig, ChaosInputs, Classification, Deadline,
+    DeadlineStage, Frontend, ServeConfig, ServeError, Server, Ticket, Tier0,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,8 +53,38 @@ fn main() {
 }
 "#;
 
+/// Submit every sample as a single request before redeeming any, and
+/// return the answers in submission order.
+fn burst(server: &Server, samples: &[Arc<mvgnn_embed::GraphSample>]) -> Vec<Classification> {
+    let tickets: Vec<_> = samples
+        .iter()
+        .map(|s| server.submit(Arc::clone(s), Deadline::none()).expect("admitted"))
+        .collect();
+    tickets.into_iter().map(|t| t.wait().expect("answered")).collect()
+}
+
+/// Every answer must be the view-ladder verdict of its sample's
+/// `forward_rows` row, and that row its single-sample verdict: rows are
+/// row-local, so neither the worker nor the batch-mates move an answer,
+/// and a poisoned row degrades alone.
+fn assert_answers_match_forward_rows(
+    model: &MvGnn,
+    samples: &[Arc<mvgnn_embed::GraphSample>],
+    answers: &[Classification],
+) {
+    let refs: Vec<&mvgnn_embed::GraphSample> = samples.iter().map(|s| &**s).collect();
+    let rows = model.forward_rows(&mut Workspace::new(), &refs);
+    assert_eq!(answers.len(), refs.len());
+    for (g, (s, a)) in refs.iter().zip(answers).enumerate() {
+        let checked = rows.checked(g);
+        assert_eq!(checked, model.predict_checked(s), "row {g} is not row-local");
+        let expected = classification_from_checked(checked, a.batched_with, a.queued);
+        assert_eq!(*a, expected, "sample {g}");
+    }
+}
+
 #[test]
-fn burst_of_singles_is_micro_batched_and_matches_the_engine() {
+fn burst_of_singles_is_micro_batched_and_matches_forward_rows() {
     let ds = tiny_dataset();
     let model = Arc::new(tiny_model(&ds));
     let samples = samples_of(&ds);
@@ -70,23 +100,10 @@ fn burst_of_singles_is_micro_batched_and_matches_the_engine() {
 
     // Open-loop burst: submit everything, then collect. The micro-batcher
     // must coalesce (mean fill > 1) and every verdict must match the
-    // engine's checked path bit-for-bit.
-    let tickets: Vec<_> = samples
-        .iter()
-        .map(|s| server.submit(Arc::clone(s), Deadline::none()).expect("admitted"))
-        .collect();
-    let answers: Vec<_> = tickets.into_iter().map(|t| t.wait().expect("answered")).collect();
-
-    let refs: Vec<&mvgnn_embed::GraphSample> = samples.iter().map(|s| &**s).collect();
-    let engine = mvgnn_core::InferenceEngine::new(
-        Arc::clone(&model),
-        mvgnn_core::EngineConfig { threads: 1, batch_size: 8 },
-    );
-    let rows = engine.forward_stream(&refs);
-    for (g, a) in answers.iter().enumerate() {
-        assert_eq!(a.source, PredictionSource::Multi, "{a:?}");
-        assert_eq!(Some(a.prediction), rows.checked(g).fused);
-    }
+    // model's checked path bit-for-bit.
+    let answers = burst(&server, &samples);
+    assert!(answers.iter().all(|a| a.source == PredictionSource::Multi), "{answers:?}");
+    assert_answers_match_forward_rows(&model, &samples, &answers);
     let stats = server.stats();
     assert_eq!(stats.batched_requests, samples.len() as u64);
     assert!(
@@ -96,6 +113,36 @@ fn burst_of_singles_is_micro_batched_and_matches_the_engine() {
     );
     assert_eq!(stats.panics_caught, 0);
     server.shutdown();
+}
+
+#[test]
+fn two_workers_share_the_model_and_answer_every_single() {
+    let ds = tiny_dataset();
+    let samples = samples_of(&ds);
+    let mut poisoned = tiny_model(&ds);
+    FaultPlan::new(11).poison_params(&mut poisoned.params, 64);
+    for (model, healthy) in [(tiny_model(&ds), true), (poisoned, false)] {
+        let model = Arc::new(model);
+        let server = Server::start(
+            Arc::clone(&model),
+            ServeConfig {
+                max_batch: 4,
+                max_delay: Duration::from_millis(2),
+                workers: 2,
+                ..Default::default()
+            },
+        )
+        .expect("valid config");
+        let answers = burst(&server, &samples);
+        let multi = answers.iter().filter(|a| a.source == PredictionSource::Multi).count();
+        assert_eq!(multi, if healthy { samples.len() } else { 0 }, "{answers:?}");
+        assert_answers_match_forward_rows(&model, &samples, &answers);
+        let stats = server.stats();
+        assert_eq!(stats.batched_requests, samples.len() as u64, "{stats:?}");
+        assert_eq!(stats.expired, 0, "{stats:?}");
+        assert_eq!(stats.panics_caught, 0, "{stats:?}");
+        server.shutdown();
+    }
 }
 
 #[test]
@@ -426,6 +473,25 @@ fn a_slow_source_request_does_not_hold_up_a_small_one() {
 }
 
 #[test]
+fn a_source_answer_past_its_deadline_is_not_ok() {
+    // The program compiles well inside the deadline; the cascade then
+    // interprets it for far longer, so the deadline passes while the
+    // module is being classified.
+    let (model, frontend) = frontend_for(PROGRAM);
+    let server = Server::start_with_frontend(model, frontend, ServeConfig::default())
+        .expect("valid config");
+    match server.classify_source(SLOW_PROGRAM, Deadline::within(Duration::from_millis(100)), None)
+    {
+        Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Frontend }) => {}
+        other => panic!("a late module answer must expire typed, got {other:?}"),
+    }
+    assert_eq!(server.stats().inflight, 0, "the admission token is released");
+    // The server keeps answering after the expiry.
+    let mc = server.classify_source(PROGRAM, Deadline::none(), None).expect("classifies");
+    assert_eq!(mc.reports.len(), 2);
+}
+
+#[test]
 fn source_path_without_frontend_is_rejected() {
     let ds = tiny_dataset();
     let server = Server::start(Arc::new(tiny_model(&ds)), ServeConfig::default())
@@ -633,106 +699,4 @@ fn oracle_storm_never_occupies_a_micro_batch_slot() {
     assert!(gnn.prediction <= 1);
     assert_eq!(gnn.decided_by, mvgnn_core::DecidedBy::Gnn);
     server.shutdown();
-}
-
-#[test]
-fn hot_swap_pins_inflight_requests_and_routes_new_admissions() {
-    let ds = tiny_dataset();
-    let model_a = Arc::new(tiny_model(&ds));
-    let model_b = {
-        let s0 = &ds.train[0].sample;
-        let mut cfg = MvGnnConfig::small(s0.node_dim, s0.aw_vocab);
-        cfg.seed = cfg.seed.wrapping_add(101);
-        Arc::new(MvGnn::new(cfg))
-    };
-    let samples = samples_of(&ds);
-    let n = samples.len().min(8);
-
-    // One worker, a batch wide enough for both waves, and a long flush
-    // delay: the pre-swap wave sits in the fill window while we swap, so
-    // one drain straddles the generation boundary and dispatch must
-    // split it.
-    let server = Server::start(
-        Arc::clone(&model_a),
-        ServeConfig {
-            max_batch: 2 * n,
-            max_delay: Duration::from_millis(400),
-            workers: 1,
-            ..Default::default()
-        },
-    )
-    .expect("valid config");
-    assert_eq!(server.census().generation, 0);
-    assert_eq!(server.census().load_mode, mvgnn_serve::LoadMode::Eager);
-
-    let pre: Vec<_> = samples[..n]
-        .iter()
-        .map(|s| server.submit(Arc::clone(s), Deadline::none()).expect("admitted"))
-        .collect();
-
-    let gen = server
-        .swap_model(Arc::clone(&model_b), "artifact-v2")
-        .expect("same architecture swaps");
-    assert_eq!(gen, 1);
-    assert_eq!(server.registry().generation(), 1);
-
-    let post: Vec<_> = samples[..n]
-        .iter()
-        .map(|s| server.submit(Arc::clone(s), Deadline::none()).expect("admitted"))
-        .collect();
-
-    let pre_answers: Vec<_> =
-        pre.into_iter().map(|t| t.wait().expect("answered")).collect();
-    let post_answers: Vec<_> =
-        post.into_iter().map(|t| t.wait().expect("answered")).collect();
-
-    // Bit-match each wave against a dedicated engine on its generation's
-    // weights: in-flight requests finished on the old weights, new
-    // admissions ran on the new ones.
-    let refs: Vec<&mvgnn_embed::GraphSample> =
-        samples[..n].iter().map(|s| &**s).collect();
-    let ecfg = mvgnn_core::EngineConfig { threads: 1, batch_size: 2 * n };
-    let rows_a = mvgnn_core::InferenceEngine::new(Arc::clone(&model_a), ecfg).forward_stream(&refs);
-    let rows_b = mvgnn_core::InferenceEngine::new(Arc::clone(&model_b), ecfg).forward_stream(&refs);
-    for (g, a) in pre_answers.iter().enumerate() {
-        assert_eq!(a.census.generation, 0, "{a:?}");
-        assert_eq!(a.census.source, "in-memory");
-        assert_eq!(Some(a.prediction), rows_a.checked(g).fused);
-    }
-    for (g, b) in post_answers.iter().enumerate() {
-        assert_eq!(b.census.generation, 1, "{b:?}");
-        assert_eq!(b.census.source, "artifact-v2");
-        assert_eq!(Some(b.prediction), rows_b.checked(g).fused);
-    }
-
-    // Zero downtime: nothing was shed, expired, rejected, or panicked
-    // across the swap.
-    let stats = server.stats();
-    assert_eq!(stats.shed, 0, "{stats:?}");
-    assert_eq!(stats.expired, 0, "{stats:?}");
-    assert_eq!(stats.rejected, 0, "{stats:?}");
-    assert_eq!(stats.panics_caught, 0, "{stats:?}");
-    assert_eq!(stats.batched_requests, 2 * n as u64, "{stats:?}");
-    server.shutdown();
-}
-
-#[test]
-fn swap_to_an_incompatible_architecture_is_refused_and_service_stays_live() {
-    let ds = tiny_dataset();
-    let model = Arc::new(tiny_model(&ds));
-    let server = Server::start(Arc::clone(&model), ServeConfig::default())
-        .expect("valid config");
-    let bad = {
-        let s0 = &ds.train[0].sample;
-        Arc::new(MvGnn::new(MvGnnConfig::small(s0.node_dim + 3, s0.aw_vocab)))
-    };
-    let err = server.swap_model(bad, "bad").expect_err("must refuse");
-    assert!(matches!(err, MvGnnError::Config(_)), "{err:?}");
-    assert_eq!(server.census().generation, 0, "failed swap must not publish");
-
-    let c = server
-        .submit(Arc::new(ds.test[0].sample.clone()), Deadline::none())
-        .and_then(Ticket::wait)
-        .expect("still serving");
-    assert_eq!(c.census.generation, 0);
 }

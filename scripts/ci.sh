@@ -20,13 +20,10 @@ cargo test -q --release --test sample_pins --test tier0_pins --test static_first
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> concurrent-engine parity"
+echo "==> shared-model parity (one Arc<MvGnn> run from many threads at once)"
 cargo test -q --test concurrent_parity
 
-echo "==> engine smoke (one batch through the inference engine)"
-cargo run --release -p mvgnn-bench --bin throughput --quiet -- --smoke
-
-echo "==> alloc smoke (pooled steady state stays under budget)"
+echo "==> alloc smoke (the serve worker's loop, one reused workspace over 32-sample chunks, stays under budget)"
 cargo run --release -p mvgnn-bench --features count-allocs --bin throughput --quiet -- --alloc-smoke
 
 echo "==> tier-0 alloc smoke (a light cascade call stays under its allocation budget)"

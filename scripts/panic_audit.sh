@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=4
+BASELINE=2
 
 count_file() {
     # Strip everything from the first `#[cfg(test)]` line onward, drop

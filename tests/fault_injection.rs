@@ -343,27 +343,16 @@ fn malformed_sources_through_the_service_are_typed() {
     assert_eq!(server.stats().panics_caught, 0);
 }
 
-/// Injector 7 — degenerate configurations are typed errors at
-/// construction, for both the engine and the service wrapped around it.
+/// Injector 7 — a degenerate serve configuration is a typed error at
+/// construction.
 #[test]
 fn degenerate_configs_are_typed_errors() {
-    use mvgnn::core::{EngineConfig, InferenceEngine};
     use mvgnn::serve::{ServeConfig, Server};
     use std::sync::Arc;
 
     let ds = tiny_dataset();
     let probe = &ds.train[0].sample;
     let model = Arc::new(MvGnn::new(MvGnnConfig::small(probe.node_dim, probe.aw_vocab)));
-    for cfg in [
-        EngineConfig { threads: 0, batch_size: 8 },
-        EngineConfig { threads: 1, batch_size: 0 },
-    ] {
-        match InferenceEngine::try_new(Arc::clone(&model), cfg) {
-            Err(MvGnnError::Config(_)) => {}
-            Ok(_) => panic!("degenerate engine config accepted: {cfg:?}"),
-            Err(other) => panic!("wrong error class: {other}"),
-        }
-    }
     match Server::start(model, ServeConfig { max_batch: 0, ..Default::default() }) {
         Err(MvGnnError::Config(_)) => {}
         Ok(_) => panic!("degenerate serve config accepted"),
