@@ -22,7 +22,7 @@
 
 use mvgnn_core::model::MvGnn;
 use mvgnn_core::patterns::pattern_model_config;
-use mvgnn_core::{predict_pattern, predict_pattern_checked, train_patterns, TrainConfig};
+use mvgnn_core::{pattern_samples, predict_pattern, predict_pattern_checked, train, TrainConfig};
 use mvgnn_dataset::{
     build_corpus, generate_app, CorpusConfig, KernelFamily, Suite, STRESS,
 };
@@ -88,17 +88,17 @@ fn main() {
     assert!(!ds.train.is_empty(), "stress corpus must not be empty");
     let probe = &ds.train[0].sample;
     let mut model = MvGnn::new(pattern_model_config(probe.node_dim, probe.aw_vocab));
-    let curve = train_patterns(
+    let curve = mvgnn_bench::or_die(train(
         &mut model,
-        &ds.train,
+        &pattern_samples(&ds.train),
         &TrainConfig { epochs, batch_size: 16, ..Default::default() },
-    );
+    ));
     println!(
         "trained 4-class head on {} stress samples ({} epochs, loss {:.3} -> {:.3})",
         ds.train.len(),
         epochs,
-        curve.first().copied().unwrap_or(0.0),
-        curve.last().copied().unwrap_or(0.0),
+        curve.first().map_or(0.0, |e| e.loss),
+        curve.last().map_or(0.0, |e| e.loss),
     );
 
     // Evaluate on a held-out generation seed, where the module context

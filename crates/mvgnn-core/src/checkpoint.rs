@@ -382,12 +382,6 @@ impl MappedCheckpoint {
         self.tensors.len()
     }
 
-    /// True when the artifact is backed by a live kernel mapping (false
-    /// only on non-Unix fallbacks) — surfaced in the registry census.
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
-    }
-
     /// Install zero-copy views of every tensor into `params`, which must
     /// have the identical layout (same names, order and shapes — the
     /// same model architecture). On success every tensor of `params`

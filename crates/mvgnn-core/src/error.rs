@@ -21,9 +21,6 @@ pub enum MvGnnError {
     /// A checkpoint file failed structural validation (bad magic,
     /// length mismatch, checksum mismatch, …).
     Checkpoint(String),
-    /// An on-disk corpus shard (or its embedding artifact) is corrupt
-    /// or unreadable.
-    Shard(mvgnn_dataset::ShardError),
     /// Training diverged and exhausted its rollback retries.
     Diverged {
         /// Epoch at which the final divergence was detected.
@@ -44,7 +41,6 @@ impl std::fmt::Display for MvGnnError {
             MvGnnError::Interp(e) => write!(f, "interpreter error: {e}"),
             MvGnnError::Io(e) => write!(f, "I/O error: {e}"),
             MvGnnError::Checkpoint(msg) => write!(f, "invalid checkpoint: {msg}"),
-            MvGnnError::Shard(e) => write!(f, "corpus shard error: {e}"),
             MvGnnError::Diverged { epoch, retries, loss } => write!(
                 f,
                 "training diverged at epoch {epoch} (loss {loss}) after {retries} rollback retries"
@@ -58,7 +54,6 @@ impl std::error::Error for MvGnnError {
         match self {
             MvGnnError::Compile(e) => Some(e),
             MvGnnError::Io(e) => Some(e),
-            MvGnnError::Shard(e) => Some(e),
             _ => None,
         }
     }
@@ -79,12 +74,6 @@ impl From<InterpError> for MvGnnError {
 impl From<std::io::Error> for MvGnnError {
     fn from(e: std::io::Error) -> Self {
         MvGnnError::Io(e)
-    }
-}
-
-impl From<mvgnn_dataset::ShardError> for MvGnnError {
-    fn from(e: mvgnn_dataset::ShardError) -> Self {
-        MvGnnError::Shard(e)
     }
 }
 

@@ -24,7 +24,6 @@ pub mod infer;
 pub mod model;
 pub mod patterns;
 pub mod pipeline;
-pub mod streaming;
 pub mod suggest;
 pub mod trainer;
 pub mod views;
@@ -41,10 +40,9 @@ pub use mvgnn_tensor::Workspace;
 pub use views::{NodeFeatureEncoder, StructuralEncoder, ViewEncoder};
 pub use pipeline::{evaluate_tools, evaluate_tools_with_noise, run_pipeline, PipelineConfig, PipelineReport};
 pub use patterns::{
-    pattern_confusion, predict_pattern, predict_pattern_checked, train_patterns, CheckedPattern,
+    pattern_confusion, pattern_samples, predict_pattern, predict_pattern_checked, CheckedPattern,
     PATTERN_CLASSES,
 };
 pub use suggest::{annotate_function, suggest, Suggestion};
-pub use streaming::{train_streaming, StreamConfig};
 pub use trainer::{train, EpochStats, TrainConfig};
 pub use views::{view_importance, ViewImportance};

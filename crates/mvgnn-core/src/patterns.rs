@@ -4,10 +4,7 @@
 //! of the binary label.
 
 use crate::model::{MvGnn, MvGnnConfig};
-use crate::trainer::TrainConfig;
 use mvgnn_dataset::{LabeledSample, PatternKind};
-use mvgnn_tensor::optim::{clip_grad_norm, Adam};
-use mvgnn_tensor::tape::{GradStore, Tape};
 use mvgnn_tensor::Workspace;
 
 /// The four pattern classes, with a stable index mapping.
@@ -33,37 +30,23 @@ pub fn pattern_model_config(node_dim: usize, aw_vocab: usize) -> MvGnnConfig {
     cfg
 }
 
-/// Train a 4-class pattern model; returns per-epoch mean loss.
+/// The training set of the 4-class pattern head: a copy of `data` whose
+/// labels are the samples' ground-truth pattern classes
+/// ([`pattern_class`]) instead of the binary parallelisable label.
 ///
-/// Reuses the binary model's architecture with a widened head; labels are
-/// the *ground-truth patterns* (noise-free — pattern identification is a
-/// diagnostic task, not the paper's noisy binary benchmark).
-pub fn train_patterns(
-    model: &mut MvGnn,
-    data: &[LabeledSample],
-    cfg: &TrainConfig,
-) -> Vec<f32> {
-    assert!(!data.is_empty());
-    let mut opt = Adam::new(cfg.lr);
-    let mut curve = Vec::with_capacity(cfg.epochs);
-    for _epoch in 0..cfg.epochs {
-        let mut total = 0.0f32;
-        let mut master = GradStore::zeros_like(&model.params);
-        for s in data {
-            let batch = mvgnn_embed::GraphBatch::single(&s.sample);
-            let mut tape = Tape::new(&model.params);
-            let fwd = model.forward_batch(&mut tape, &batch);
-            let target = pattern_class(s.pattern);
-            let loss = tape.softmax_ce(fwd.logits, &[target], model.cfg.temperature);
-            total += tape.data(loss)[0];
-            tape.backward(loss);
-            master.absorb(&tape.into_grads());
-        }
-        clip_grad_norm(&mut master, cfg.clip);
-        opt.step(&mut model.params, &master);
-        curve.push(total / data.len() as f32);
-    }
-    curve
+/// Train a [`pattern_model_config`] model on it with
+/// [`crate::trainer::train`]. The patterns come straight from the
+/// generator, so the labels are noise-free: pattern identification is a
+/// diagnostic task, not the paper's noisy binary benchmark.
+pub fn pattern_samples(data: &[LabeledSample]) -> Vec<LabeledSample> {
+    data.iter()
+        .map(|s| {
+            let mut s = s.clone();
+            s.label = pattern_class(s.pattern);
+            s.sample.label = Some(s.label);
+            s
+        })
+        .collect()
 }
 
 /// Predict the pattern of one sample.
@@ -135,6 +118,7 @@ pub fn pattern_confusion(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::{train, TrainConfig};
     use mvgnn_dataset::{build_corpus, CorpusConfig, Suite};
     use mvgnn_embed::Inst2VecConfig;
     use mvgnn_ir::transform::OptLevel;
@@ -247,11 +231,13 @@ mod tests {
         });
         let probe = &ds.train[0].sample;
         let mut model = MvGnn::new(pattern_model_config(probe.node_dim, probe.aw_vocab));
-        let curve = train_patterns(
+        let stats = train(
             &mut model,
-            &ds.train,
+            &pattern_samples(&ds.train),
             &TrainConfig { epochs: 25, ..Default::default() },
-        );
+        )
+        .unwrap();
+        let curve: Vec<f32> = stats.iter().map(|s| s.loss).collect();
         assert!(
             curve.last().unwrap() < &(curve[0] * 0.6),
             "pattern loss should drop substantially: {curve:?}"

@@ -15,9 +15,7 @@
 //! with [`MvGnnError::Diverged`]. Any error leaves the model at its last
 //! completed epoch. When [`TrainConfig::checkpoint_path`] is set, each
 //! completed epoch is also persisted atomically so an interrupted run
-//! can continue via [`TrainConfig::resume_from`]. The in-memory
-//! [`train`] and the out-of-core [`crate::streaming::train_streaming`]
-//! share this loop and differ only in how one epoch's batches arrive.
+//! can continue via [`TrainConfig::resume_from`].
 
 use crate::checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
 use crate::error::MvGnnError;
@@ -86,7 +84,7 @@ pub struct EpochStats {
     pub accuracy: f32,
 }
 
-pub(crate) fn mix(seed: u64, v: u64) -> u64 {
+fn mix(seed: u64, v: u64) -> u64 {
     let mut z = seed ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z ^ (z >> 31)
@@ -95,13 +93,13 @@ pub(crate) fn mix(seed: u64, v: u64) -> u64 {
 /// Buffers one training run reuses across every step: the pool the
 /// batches are packed from and the tapes run on, and the gradient store
 /// each step's backward pass accumulates into.
-pub(crate) struct StepBuffers {
+struct StepBuffers {
     ws: Workspace,
     grads: GradStore,
 }
 
 impl StepBuffers {
-    pub(crate) fn new(model: &MvGnn) -> Self {
+    fn new(model: &MvGnn) -> Self {
         Self { ws: Workspace::new(), grads: GradStore::zeros_like(&model.params) }
     }
 }
@@ -154,7 +152,7 @@ fn batch_grads(
 }
 
 /// Outcome of one epoch over the data.
-pub(crate) enum EpochRun {
+enum EpochRun {
     Done { loss: f32, accuracy: f32 },
     /// A non-finite loss or gradient norm was observed; carries the
     /// offending value for diagnostics.
@@ -163,17 +161,17 @@ pub(crate) enum EpochRun {
 
 /// Running totals of one epoch's optimizer steps.
 #[derive(Default)]
-pub(crate) struct EpochTotals {
+struct EpochTotals {
     loss: f64,
     correct: usize,
-    pub(crate) seen: usize,
+    seen: usize,
 }
 
 impl EpochTotals {
     /// One optimizer step over one batch: gradient accumulation into the
     /// zeroed reused store, clip, step. Returns `false` when a
     /// non-finite gradient norm was observed (the step is NOT applied).
-    pub(crate) fn step(
+    fn step(
         &mut self,
         model: &mut MvGnn,
         batch: &[&LabeledSample],
@@ -198,7 +196,7 @@ impl EpochTotals {
     }
 
     /// The epoch's outcome; `complete` is false when a step diverged.
-    pub(crate) fn outcome(&self, complete: bool) -> EpochRun {
+    fn outcome(&self, complete: bool) -> EpochRun {
         let loss = (self.loss / self.seen.max(1) as f64) as f32;
         if !complete || !loss.is_finite() {
             return EpochRun::Diverged { loss };
@@ -207,23 +205,26 @@ impl EpochTotals {
     }
 }
 
-/// The epoch loop every training mode shares. `run_epoch(model, epoch,
-/// optimizer, buffers)` runs one epoch's steps; around it this loop
-/// resumes from [`TrainConfig::resume_from`], applies the
-/// [`TrainConfig::fault`] hook, snapshots the weights after every
-/// completed epoch, writes [`TrainConfig::checkpoint_path`], and rolls
-/// back on divergence. Any error leaves the model at its last completed
-/// epoch's weights.
-pub(crate) fn train_epochs(
+/// Train the model; returns per-epoch telemetry.
+///
+/// Each epoch shuffles the data deterministically (keyed by
+/// [`TrainConfig::seed`] and the epoch) and takes one optimizer step per
+/// [`TrainConfig::batch_size`] samples; rollback, checkpointing and
+/// resume work as the module docs describe.
+///
+/// Fails fast with [`MvGnnError::Config`] on an invalid configuration,
+/// and with [`MvGnnError::Diverged`] if training keeps producing
+/// non-finite losses after exhausting the rollback budget. Any error
+/// leaves the model at its last completed epoch's weights. `epochs == 0`
+/// is a valid no-op and returns an empty telemetry vector.
+pub fn train(
     model: &mut MvGnn,
+    data: &[LabeledSample],
     cfg: &TrainConfig,
-    mut run_epoch: impl FnMut(
-        &mut MvGnn,
-        usize,
-        &mut Adam,
-        &mut StepBuffers,
-    ) -> Result<EpochRun, MvGnnError>,
 ) -> Result<Vec<EpochStats>, MvGnnError> {
+    if data.is_empty() {
+        return Err(MvGnnError::Config("training set is empty".into()));
+    }
     if cfg.batch_size == 0 {
         return Err(MvGnnError::Config("batch_size must be >= 1".into()));
     }
@@ -254,6 +255,7 @@ pub(crate) fn train_epochs(
     let mut last_good = model.params.clone();
     let mut fault_armed = cfg.fault.as_ref().and_then(|f| f.poison_at_epoch).is_some();
     let mut bufs = StepBuffers::new(model);
+    let mut order: Vec<usize> = (0..data.len()).collect();
     while epoch < cfg.epochs {
         if let Some(plan) = &cfg.fault {
             if plan.poison_at_epoch == Some(epoch) && (fault_armed || plan.persistent) {
@@ -261,8 +263,15 @@ pub(crate) fn train_epochs(
                 fault_armed = false;
             }
         }
-        match run_epoch(model, epoch, &mut opt, &mut bufs) {
-            Ok(EpochRun::Done { loss, accuracy }) => {
+        // Deterministic shuffle.
+        order.sort_by_key(|&i| mix(cfg.seed ^ epoch as u64, i as u64));
+        let mut totals = EpochTotals::default();
+        let complete = order.chunks(cfg.batch_size).all(|idx| {
+            let batch: Vec<&LabeledSample> = idx.iter().map(|&i| &data[i]).collect();
+            totals.step(model, &batch, cfg, &mut opt, &mut bufs)
+        });
+        match totals.outcome(complete) {
+            EpochRun::Done { loss, accuracy } => {
                 stats.push(EpochStats { epoch, loss, accuracy });
                 last_good = model.params.clone();
                 if let Some(path) = &cfg.checkpoint_path {
@@ -277,7 +286,7 @@ pub(crate) fn train_epochs(
                 }
                 epoch += 1;
             }
-            Ok(EpochRun::Diverged { loss }) => {
+            EpochRun::Diverged { loss } => {
                 if retries >= cfg.max_retries {
                     model.params = last_good;
                     return Err(MvGnnError::Diverged { epoch, retries, loss });
@@ -287,41 +296,9 @@ pub(crate) fn train_epochs(
                 model.params = last_good.clone();
                 opt = Adam::new(lr);
             }
-            Err(e) => {
-                // The failed epoch may have stepped some batches already.
-                model.params = last_good;
-                return Err(e);
-            }
         }
     }
     Ok(stats)
-}
-
-/// Train the model; returns per-epoch telemetry.
-///
-/// Fails fast with [`MvGnnError::Config`] on an invalid configuration,
-/// and with [`MvGnnError::Diverged`] if training keeps producing
-/// non-finite losses after exhausting the rollback budget. `epochs == 0`
-/// is a valid no-op and returns an empty telemetry vector.
-pub fn train(
-    model: &mut MvGnn,
-    data: &[LabeledSample],
-    cfg: &TrainConfig,
-) -> Result<Vec<EpochStats>, MvGnnError> {
-    if data.is_empty() {
-        return Err(MvGnnError::Config("training set is empty".into()));
-    }
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    train_epochs(model, cfg, |model, epoch, opt, bufs| {
-        // Deterministic shuffle.
-        order.sort_by_key(|&i| mix(cfg.seed ^ epoch as u64, i as u64));
-        let mut totals = EpochTotals::default();
-        let complete = order.chunks(cfg.batch_size).all(|idx| {
-            let batch: Vec<&LabeledSample> = idx.iter().map(|&i| &data[i]).collect();
-            totals.step(model, &batch, cfg, opt, bufs)
-        });
-        Ok(totals.outcome(complete))
-    })
 }
 
 /// Evaluate accuracy on a sample slice (packed batched inference;

@@ -14,11 +14,8 @@
 //!   leakage-free train/test split (75:25, balanced 1:1)
 //! - [`shard`]: deterministic sharded generation — N workers produce
 //!   disjoint slices whose union is bit-identical to the one-process build
-//! - [`mod@format`]: the MVSH on-disk shard format (checksummed
-//!   length-prefixed records, streaming reader with bounded RSS)
 
 pub mod corpus;
-pub mod format;
 pub mod kernels;
 pub mod shard;
 pub mod suites;
@@ -26,10 +23,6 @@ pub mod suites;
 pub use corpus::{
     assemble_dataset, base_key, build_corpus, noisy_label, CorpusConfig, Dataset, LabeledSample,
 };
-pub use format::{verify_shard, ShardError, ShardMeta, ShardReader, ShardWriter};
-pub use shard::{
-    fit_inst2vec, generate_shard, load_inst2vec, save_inst2vec, shard_file_name, write_shard,
-    write_shard_resumable, ShardPlan,
-};
+pub use shard::{fit_inst2vec, generate_shard, ShardPlan};
 pub use kernels::{build_kernel, KernelFamily, KernelKind, PatternKind};
 pub use suites::{generate_app, generate_suite, AppSpec, GeneratedApp, Suite, STRESS, TABLE2};

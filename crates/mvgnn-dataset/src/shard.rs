@@ -17,18 +17,15 @@
 //!
 //! The statement embedding is *not* fit per shard: [`fit_inst2vec`] is
 //! an explicit, separately-run vocabulary pass over every unoptimised
-//! module of the configuration. Shard workers receive the trained
-//! [`Inst2Vec`] read-only (in-process, or through its serialised
-//! artifact — [`Inst2Vec::encode`]/[`Inst2Vec::decode`]) so every shard
-//! embeds against the same vocabulary and the union stays bit-identical
-//! to the monolithic build.
+//! module of the configuration. Every shard embeds against that one
+//! read-only [`Inst2Vec`], so the union stays bit-identical to the
+//! monolithic build. Shards are generated and assembled in the process
+//! that uses them; nothing is written to disk.
 
 use crate::corpus::{samples_of_variant, CorpusConfig, LabeledSample};
-use crate::format::{ShardError, ShardMeta, ShardWriter};
 use crate::suites::{generate_app, AppSpec, Suite, STRESS, TABLE2};
 use mvgnn_embed::Inst2Vec;
 use mvgnn_ir::transform::optimize;
-use std::path::{Path, PathBuf};
 
 /// Deterministic assignment of corpus work units to shards.
 #[derive(Debug, Clone)]
@@ -91,10 +88,8 @@ impl ShardPlan {
 ///
 /// This is its own pipeline stage (separately seeded through
 /// `cfg.inst2vec.seed`) precisely so shard workers never fit anything:
-/// they load the result read-only and all shards embed against one
-/// frozen vocabulary. Persist it with [`save_inst2vec`] /
-/// [`load_inst2vec`] when generation and embedding run in different
-/// processes.
+/// they borrow the result read-only and all shards embed against one
+/// frozen vocabulary.
 pub fn fit_inst2vec(cfg: &CorpusConfig) -> Inst2Vec {
     let apps: Vec<crate::suites::GeneratedApp> = cfg
         .seeds
@@ -105,28 +100,12 @@ pub fn fit_inst2vec(cfg: &CorpusConfig) -> Inst2Vec {
     Inst2Vec::train(&modules, &cfg.inst2vec)
 }
 
-/// Write the vocabulary-pass artifact ([`Inst2Vec::encode`]) atomically
-/// (`*.tmp` + rename, like every other artifact in the repo).
-pub fn save_inst2vec(path: &Path, emb: &Inst2Vec) -> Result<(), ShardError> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, emb.encode())?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Load a vocabulary-pass artifact; corrupt files surface as typed
-/// [`ShardError`]s.
-pub fn load_inst2vec(path: &Path) -> Result<Inst2Vec, ShardError> {
-    let bytes = std::fs::read(path)?;
-    Inst2Vec::decode(&bytes).map_err(ShardError::Embedding)
-}
-
 /// Generate one shard's samples: every opt-level variant of every work
 /// unit the plan deals to `shard_id`, profiled and embedded against the
 /// read-only `inst2vec`.
 ///
 /// Output is sorted by the canonical `(base_key, n, label, level)`
-/// order, so a shard file's contents are deterministic regardless of
+/// order, so a shard's contents are deterministic regardless of
 /// generation order, and the union over all shards is exactly the
 /// `num_shards == 1` output (assembly re-sorts, so even concatenation
 /// order across shards is irrelevant).
@@ -155,81 +134,9 @@ pub fn generate_shard(
     samples
 }
 
-/// Generate shard `shard_id` and stream it into an MVSH file at
-/// `dir/shard_<id>_of_<n>.mvsh`, with the dataset's annotation noise
-/// already applied (noise keys on `base_key`, so it is shard-invariant).
-/// Returns the file path and the record count.
-pub fn write_shard(
-    dir: &Path,
-    cfg: &CorpusConfig,
-    inst2vec: &Inst2Vec,
-    shard_id: usize,
-    num_shards: usize,
-) -> Result<(PathBuf, usize), ShardError> {
-    let mut samples = generate_shard(cfg, inst2vec, shard_id, num_shards);
-    for s in &mut samples {
-        s.label = crate::corpus::noisy_label(s.base_key, cfg.seed, cfg.label_noise, s.label);
-        s.sample.label = Some(s.label);
-    }
-    let path = dir.join(shard_file_name(shard_id, num_shards));
-    let meta = ShardMeta {
-        corpus_seed: cfg.seed,
-        shard_id: shard_id as u32,
-        num_shards: num_shards as u32,
-    };
-    let mut w = ShardWriter::create(&path, meta)?;
-    for s in &samples {
-        w.append(s)?;
-    }
-    let n = w.finish()?;
-    Ok((path, n))
-}
-
-/// Canonical file name of one shard of a plan.
-pub fn shard_file_name(shard_id: usize, num_shards: usize) -> String {
-    format!("shard_{shard_id:05}_of_{num_shards:05}.mvsh")
-}
-
-/// [`write_shard`] with crash-restart resume: if `dir` already holds
-/// this shard and it verifies — intact header, matching plan identity
-/// `(corpus_seed, shard_id, num_shards)`, every record checksum good —
-/// generation is skipped and the existing file is reused. Anything
-/// else (missing, truncated, corrupt, or from a different plan) is
-/// regenerated from scratch; the writer's tmp-then-rename protocol
-/// guarantees a half-written casualty never verifies.
-///
-/// Returns the path, the record count, and whether the shard was
-/// reused. Determinism makes the skip sound: a shard is a pure function
-/// of `(cfg, inst2vec, shard_id, num_shards)`, so a verified file *is*
-/// the regeneration.
-pub fn write_shard_resumable(
-    dir: &Path,
-    cfg: &CorpusConfig,
-    inst2vec: &Inst2Vec,
-    shard_id: usize,
-    num_shards: usize,
-) -> Result<(PathBuf, usize, bool), ShardError> {
-    let path = dir.join(shard_file_name(shard_id, num_shards));
-    if path.exists() {
-        if let Ok((meta, n)) = crate::format::verify_shard(&path) {
-            let expected = ShardMeta {
-                corpus_seed: cfg.seed,
-                shard_id: shard_id as u32,
-                num_shards: num_shards as u32,
-            };
-            if meta == expected {
-                return Ok((path, n as usize, true));
-            }
-        }
-    }
-    let (path, n) = write_shard(dir, cfg, inst2vec, shard_id, num_shards)?;
-    Ok((path, n, false))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::ShardReader;
     use crate::suites::Suite;
     use mvgnn_embed::Inst2VecConfig;
     use mvgnn_ir::transform::OptLevel;
@@ -295,38 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn resumable_write_skips_verified_shards_and_regenerates_casualties() {
-        let dir = std::env::temp_dir().join("mvgnn_shard_resume_test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = tiny_cfg();
-        let emb = fit_inst2vec(&cfg);
-
-        // Fresh run generates; identical rerun reuses the same bytes.
-        let (path, n, reused) = write_shard_resumable(&dir, &cfg, &emb, 0, 2).unwrap();
-        assert!(!reused);
-        let first = std::fs::read(&path).unwrap();
-        let (path2, n2, reused2) = write_shard_resumable(&dir, &cfg, &emb, 0, 2).unwrap();
-        assert!(reused2, "verified shard must be skipped");
-        assert_eq!((path2.clone(), n2), (path.clone(), n));
-        assert_eq!(std::fs::read(&path2).unwrap(), first);
-
-        // A truncated casualty fails verification and is regenerated.
-        std::fs::write(&path, &first[..first.len() - 7]).unwrap();
-        let (_, n3, reused3) = write_shard_resumable(&dir, &cfg, &emb, 0, 2).unwrap();
-        assert!(!reused3, "corrupt shard must be regenerated");
-        assert_eq!(n3, n);
-        assert_eq!(std::fs::read(&path).unwrap(), first, "regeneration is deterministic");
-
-        // A shard from a different plan identity is not silently reused.
-        let other = CorpusConfig { seed: cfg.seed + 1, ..cfg.clone() };
-        let (_, _, reused4) = write_shard_resumable(&dir, &other, &emb, 0, 2).unwrap();
-        assert!(!reused4, "foreign corpus seed must force regeneration");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn shards_are_disjoint() {
         let cfg = tiny_cfg();
         let emb = fit_inst2vec(&cfg);
@@ -338,59 +213,5 @@ mod tests {
         for s in &b {
             assert!(!keys_a.contains(&(s.base_key, s.level)), "overlap at {}", s.base_key);
         }
-    }
-
-    #[test]
-    fn written_shard_reads_back_bit_identical() {
-        let dir = std::env::temp_dir().join("mvgnn_shard_roundtrip_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = tiny_cfg();
-        let emb = fit_inst2vec(&cfg);
-        let (path, n) = write_shard(&dir, &cfg, &emb, 0, 2).unwrap();
-        let direct = generate_shard(&cfg, &emb, 0, 2);
-        assert_eq!(n, direct.len());
-        let reader = ShardReader::open(&path).unwrap();
-        assert_eq!(reader.meta().shard_id, 0);
-        assert_eq!(reader.meta().num_shards, 2);
-        assert_eq!(reader.meta().corpus_seed, cfg.seed);
-        let read: Vec<LabeledSample> = reader.map(|r| r.unwrap()).collect();
-        assert_eq!(read.len(), direct.len());
-        for (a, b) in read.iter().zip(&direct) {
-            assert_eq!(sample_bits(a), sample_bits(b));
-            assert_eq!(a.sample.token_ids, b.sample.token_ids);
-            assert_eq!(a.app, b.app);
-            assert_eq!(a.pattern, b.pattern);
-            assert_eq!(a.suite, b.suite);
-            let (rp_a, ci_a, vs_a) = a.sample.adj.csr_parts();
-            let (rp_b, ci_b, vs_b) = b.sample.adj.csr_parts();
-            assert_eq!(rp_a, rp_b);
-            assert_eq!(ci_a, ci_b);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(vs_a), bits(vs_b));
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn inst2vec_artifact_roundtrips_through_disk() {
-        let dir = std::env::temp_dir().join("mvgnn_shard_i2v_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = tiny_cfg();
-        let emb = fit_inst2vec(&cfg);
-        let path = dir.join("vocab.mvi2");
-        save_inst2vec(&path, &emb).unwrap();
-        assert!(!path.with_extension("tmp").exists());
-        let back = load_inst2vec(&path).unwrap();
-        for tok in emb.tokens() {
-            assert_eq!(back.embed(tok), emb.embed(tok));
-        }
-        // Shards generated against the loaded artifact are bit-identical
-        // to shards generated against the in-process embedding.
-        let a = generate_shard(&cfg, &emb, 1, 2);
-        let b = generate_shard(&cfg, &back, 1, 2);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(sample_bits(x), sample_bits(y));
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,16 +6,12 @@
 //! connected by data flow. Our IR exposes both relations directly.
 
 use mvgnn_ir::module::{FuncId, Module};
-use mvgnn_tensor::PersistError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// Token reserved for out-of-vocabulary statements.
 pub const UNK: &str = "<unk>";
-
-const ARTIFACT_MAGIC: &[u8; 4] = b"MVI2";
-const ARTIFACT_VERSION: u32 = 1;
 
 /// Training configuration.
 #[derive(Debug, Clone)]
@@ -167,126 +163,6 @@ impl Inst2Vec {
         }
         Inst2Vec { vocab, matrix: input, dim }
     }
-
-    /// Serialise the trained embedding to its on-disk artifact form.
-    ///
-    /// Layout (little-endian): `magic "MVI2" | version u32 | dim u32 |
-    /// vocab u32 | (token len u32, token bytes)* in id order |
-    /// matrix checksum u64 | matrix f32 × vocab·dim`. The vocabulary is
-    /// written in id order, so the artifact is byte-identical for
-    /// identical embeddings regardless of hash-map iteration order —
-    /// shard workers fitting nothing and loading this read-only see
-    /// exactly the embedding the vocabulary pass trained.
-    pub fn encode(&self) -> Vec<u8> {
-        let v = self.vocab.len();
-        let mut by_id: Vec<&str> = vec![""; v];
-        for (tok, &id) in &self.vocab {
-            by_id[id] = tok;
-        }
-        let mut buf = Vec::with_capacity(16 + v * 12 + self.matrix.len() * 4);
-        buf.extend_from_slice(ARTIFACT_MAGIC);
-        buf.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        buf.extend_from_slice(&(v as u32).to_le_bytes());
-        for tok in by_id {
-            buf.extend_from_slice(&(tok.len() as u32).to_le_bytes());
-            buf.extend_from_slice(tok.as_bytes());
-        }
-        let matrix_bytes: Vec<u8> =
-            self.matrix.iter().flat_map(|x| x.to_le_bytes()).collect();
-        buf.extend_from_slice(&fnv1a(&matrix_bytes).to_le_bytes());
-        buf.extend_from_slice(&matrix_bytes);
-        buf
-    }
-
-    /// Parse an artifact produced by [`Inst2Vec::encode`]. Every
-    /// structural defect — bad magic, unsupported version, truncation,
-    /// duplicate or missing tokens, checksum mismatch — is a typed
-    /// [`PersistError`], never a panic.
-    pub fn decode(bytes: &[u8]) -> Result<Inst2Vec, PersistError> {
-        let mut cur = Cursor { bytes, off: 0 };
-        if cur.take(4)? != ARTIFACT_MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        let version = cur.u32()?;
-        if version != ARTIFACT_VERSION {
-            return Err(PersistError::BadVersion(version));
-        }
-        let dim = cur.u32()? as usize;
-        let v = cur.u32()? as usize;
-        if dim == 0 || v == 0 {
-            return Err(PersistError::LayoutMismatch(format!(
-                "embedding must be non-empty (dim {dim}, vocab {v})"
-            )));
-        }
-        let mut vocab: HashMap<String, usize> = HashMap::with_capacity(v);
-        for id in 0..v {
-            let len = cur.u32()? as usize;
-            let tok = std::str::from_utf8(cur.take(len)?)
-                .map_err(|_| PersistError::LayoutMismatch(format!("token {id} is not UTF-8")))?;
-            if vocab.insert(tok.to_string(), id).is_some() {
-                return Err(PersistError::LayoutMismatch(format!("duplicate token {tok:?}")));
-            }
-        }
-        if vocab.get(UNK) != Some(&0) {
-            return Err(PersistError::LayoutMismatch(format!(
-                "token id 0 must be {UNK:?}"
-            )));
-        }
-        let checksum = cur.u64()?;
-        let matrix_bytes = cur.take(v * dim * 4)?;
-        if cur.off != bytes.len() {
-            return Err(PersistError::LayoutMismatch(format!(
-                "{} trailing bytes after the matrix",
-                bytes.len() - cur.off
-            )));
-        }
-        if fnv1a(matrix_bytes) != checksum {
-            return Err(PersistError::LayoutMismatch("matrix checksum mismatch".into()));
-        }
-        let matrix: Vec<f32> = matrix_bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Ok(Inst2Vec { vocab, matrix, dim })
-    }
-}
-
-/// Bounds-checked little-endian cursor for [`Inst2Vec::decode`].
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.off.checked_add(n).ok_or(PersistError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(PersistError::Truncated);
-        }
-        let s = &self.bytes[self.off..end];
-        self.off = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -363,56 +239,6 @@ mod tests {
         let e1 = Inst2Vec::train(&[&m], &quick_cfg());
         let e2 = Inst2Vec::train(&[&m], &quick_cfg());
         assert_eq!(e1.embed("load"), e2.embed("load"));
-    }
-
-    #[test]
-    fn artifact_roundtrip_is_bit_identical() {
-        let m = corpus_module(&[BinOp::Add, BinOp::Mul]);
-        let emb = Inst2Vec::train(&[&m], &quick_cfg());
-        let bytes = emb.encode();
-        let back = Inst2Vec::decode(&bytes).unwrap();
-        assert_eq!(back.dim(), emb.dim());
-        assert_eq!(back.vocab_size(), emb.vocab_size());
-        for tok in emb.tokens() {
-            assert_eq!(back.id(tok), emb.id(tok), "{tok}");
-            assert_eq!(back.embed(tok), emb.embed(tok), "{tok}");
-        }
-        // Id-ordered layout: re-encoding the decoded embedding is
-        // byte-identical even though HashMap iteration order differs.
-        assert_eq!(back.encode(), bytes);
-    }
-
-    #[test]
-    fn corrupt_artifacts_are_typed_errors() {
-        let m = corpus_module(&[BinOp::Add]);
-        let emb = Inst2Vec::train(&[&m], &quick_cfg());
-        let bytes = emb.encode();
-        // Every truncation point fails gracefully.
-        for cut in 0..bytes.len() {
-            assert!(Inst2Vec::decode(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(Inst2Vec::decode(&bad), Err(PersistError::BadMagic)));
-        // Unsupported version.
-        let mut bad = bytes.clone();
-        bad[4] = 9;
-        assert!(matches!(Inst2Vec::decode(&bad), Err(PersistError::BadVersion(9))));
-        // A flipped matrix byte fails the checksum.
-        let mut bad = bytes.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x20;
-        match Inst2Vec::decode(&bad) {
-            Err(PersistError::LayoutMismatch(msg)) => {
-                assert!(msg.contains("checksum"), "{msg}")
-            }
-            other => panic!("expected checksum failure, got {other:?}"),
-        }
-        // Trailing garbage is refused.
-        let mut bad = bytes.clone();
-        bad.push(0);
-        assert!(Inst2Vec::decode(&bad).is_err());
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! Traversal-heavy code (walk sampling, GCN message passing) runs over a
 //! `Csr` rather than the pointer-chasing adjacency lists of
-//! [`crate::DiGraph`]. The CSR stores out-neighbours contiguously; an
-//! optional transposed copy serves in-neighbour queries.
+//! [`crate::DiGraph`]. The CSR stores out-neighbours contiguously.
 
 use crate::digraph::DiGraph;
 use serde::{Deserialize, Serialize};
@@ -123,18 +122,6 @@ impl Csr {
         Csr { offsets, targets }
     }
 
-    /// Transposed CSR (in-neighbours become out-neighbours).
-    pub fn transpose(&self) -> Csr {
-        let n = self.node_count();
-        let mut edges = Vec::with_capacity(self.edge_count());
-        for v in 0..n as u32 {
-            for &t in self.neighbors(v) {
-                edges.push((t, v));
-            }
-        }
-        Csr::from_edges(n, &edges)
-    }
-
     /// Symmetric-normalised self-looped operator
     /// `Â = D̃^{-1/2} (A + I) D̃^{-1/2}` as an edge list, the GCN propagation
     /// matrix of Kipf & Welling. Degrees are computed on `A + I`.
@@ -183,15 +170,6 @@ mod tests {
         assert!(!c.contains_edge(2, 0));
         assert_eq!(c.degree(0), 2);
         assert_eq!(c.degree(3), 0);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let c = chain_csr();
-        let t = c.transpose();
-        assert_eq!(t.neighbors(2), &[0, 1]);
-        assert_eq!(t.neighbors(0), &[] as &[u32]);
-        assert_eq!(t.transpose(), c);
     }
 
     #[test]

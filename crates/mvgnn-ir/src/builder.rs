@@ -94,11 +94,6 @@ impl<'m> FunctionBuilder<'m> {
         self.line
     }
 
-    /// Current synthetic line.
-    pub fn current_line(&self) -> u32 {
-        self.line
-    }
-
     fn new_block(&mut self) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(Vec::new());

@@ -91,11 +91,6 @@ impl BinOp {
         })
     }
 
-    /// True for comparison opcodes (result is always i64 0/1).
-    pub fn is_comparison(self) -> bool {
-        matches!(self, BinOp::CmpEq | BinOp::CmpNe | BinOp::CmpLt | BinOp::CmpLe)
-    }
-
     /// True if the op is commutative over both i64 and f64 operands.
     pub fn is_commutative(self) -> bool {
         matches!(

@@ -19,13 +19,11 @@ pub mod dense;
 pub mod init;
 pub mod mmap;
 pub mod optim;
-pub mod persist;
 pub mod sparse;
 pub mod tape;
 pub mod workspace;
 
 pub use mmap::Mmap;
 pub use sparse::SparseMatrix;
-pub use persist::PersistError;
 pub use tape::{GradStore, Params, ParamId, SparseId, Storage, Tape, Var, ViewError};
 pub use workspace::{Workspace, WorkspaceStats};

@@ -113,39 +113,10 @@ impl SparseMatrix {
     }
 
     /// Borrow the raw CSR arrays `(row_ptr, col_idx, values)` — the
-    /// exact internal representation, for serialisers that must round-trip
-    /// the matrix bit-for-bit.
+    /// exact internal representation, for callers that hash or compare
+    /// the matrix bit for bit.
     pub fn csr_parts(&self) -> (&[u32], &[u32], &[f32]) {
         (&self.row_ptr, &self.col_idx, &self.values)
-    }
-
-    /// Rebuild a matrix from raw CSR arrays (the inverse of
-    /// [`SparseMatrix::csr_parts`]). Returns `None` when the arrays are
-    /// structurally inconsistent — wrong `row_ptr` length, non-monotone
-    /// row pointers, a column index out of range, or a length mismatch
-    /// between `col_idx` and `values` — so corrupt on-disk data surfaces
-    /// as an error at the caller, never a later out-of-bounds panic.
-    pub fn from_csr_parts(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<u32>,
-        col_idx: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Option<Self> {
-        if row_ptr.len() != rows + 1
-            || row_ptr.first() != Some(&0)
-            || *row_ptr.last()? as usize != col_idx.len()
-            || col_idx.len() != values.len()
-        {
-            return None;
-        }
-        if row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return None;
-        }
-        if col_idx.iter().any(|&c| c as usize >= cols) {
-            return None;
-        }
-        Some(Self { rows, cols, row_ptr, col_idx, values })
     }
 
     /// Identity matrix of size `n`.
@@ -317,37 +288,5 @@ mod tests {
         assert_eq!(bd.rows(), 2);
         let row1: Vec<_> = bd.row(1).collect();
         assert_eq!(row1, vec![(1, 4.0)]);
-    }
-
-    #[test]
-    fn csr_parts_roundtrip_is_bit_identical() {
-        let m = SparseMatrix::from_triplets(
-            3,
-            4,
-            &[(0, 1, 0.25), (1, 0, -1.5), (1, 3, 7.0), (2, 2, 1e-30)],
-        );
-        let (rp, ci, vs) = m.csr_parts();
-        let back =
-            SparseMatrix::from_csr_parts(3, 4, rp.to_vec(), ci.to_vec(), vs.to_vec()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn inconsistent_csr_parts_are_rejected() {
-        // row_ptr too short.
-        assert!(SparseMatrix::from_csr_parts(3, 3, vec![0, 1], vec![0], vec![1.0]).is_none());
-        // non-monotone row_ptr.
-        assert!(
-            SparseMatrix::from_csr_parts(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 2.0])
-                .is_none()
-        );
-        // column index out of range.
-        assert!(SparseMatrix::from_csr_parts(1, 2, vec![0, 1], vec![5], vec![1.0]).is_none());
-        // col_idx / values length mismatch.
-        assert!(SparseMatrix::from_csr_parts(1, 2, vec![0, 1], vec![0], vec![]).is_none());
-        // nnz disagrees with the final row pointer.
-        assert!(
-            SparseMatrix::from_csr_parts(1, 2, vec![0, 2], vec![0], vec![1.0]).is_none()
-        );
     }
 }

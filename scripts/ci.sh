@@ -13,9 +13,10 @@ cargo build --release --workspace --quiet
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
-echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, affine algebra vs its reference, Table III tool verdicts, every pinned loop sample, tier-0 report and printed IR module with its round trip and footprint, in the optimised build the benchmark runs, where checked arithmetic must agree with debug)"
+echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, affine algebra vs its reference, Table III tool verdicts, every pinned loop sample, tier-0 report and printed IR module with its round trip and footprint, shard-union parity of the corpus, in the optimised build the benchmark runs, where checked arithmetic must agree with debug)"
 cargo test -q --release -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler -p mvgnn-peg -p mvgnn-analyze -p mvgnn-baselines
 cargo test -q --release --test sample_pins --test tier0_pins --test static_first --test ir_layout
+cargo test -q --release -p mvgnn-dataset --test shard_determinism
 
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
@@ -35,14 +36,8 @@ cargo run --release -p mvgnn-bench --bin serve --quiet -- --smoke
 echo "==> corpus label audit (static oracle vs profiler, per-shard merge, smoke slice)"
 cargo run --release -p mvgnn-bench --bin lint --quiet -- --smoke
 
-echo "==> corpus pipeline smoke (shard-union parity + bounded-RSS streaming epoch)"
-cargo run --release -p mvgnn-bench --bin corpus --quiet -- --smoke
-
 echo "==> cascade smoke (tier-0 short-circuit rate > 0, throughput >= pure GNN)"
 cargo run --release -p mvgnn-bench --bin cascade --quiet -- --smoke
-
-echo "==> coldstart smoke (the checkpoint maps, installs to_bits-identical to the written weights)"
-cargo run --release -p mvgnn-bench --bin coldstart --quiet -- --smoke
 
 echo "==> checkpoint round trip (train, write, map back: bit-identical weights and predictions)"
 cargo run --release --example save_load_model --quiet

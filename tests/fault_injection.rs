@@ -8,7 +8,7 @@ use mvgnn::core::infer::PredictionSource;
 use mvgnn::core::model::{MvGnn, MvGnnConfig};
 use mvgnn::core::trainer::{train, EpochStats, TrainConfig};
 use mvgnn::core::{Cascade, FaultPlan, MvGnnError};
-use mvgnn::dataset::{build_corpus, CorpusConfig, ShardError, ShardReader, Suite};
+use mvgnn::dataset::{build_corpus, CorpusConfig, Suite};
 use mvgnn::embed::{build_sample, Inst2Vec, Inst2VecConfig, SampleConfig};
 use mvgnn::ir::interp::InterpError;
 use mvgnn::ir::module::FuncId;
@@ -358,153 +358,4 @@ fn degenerate_configs_are_typed_errors() {
         Ok(_) => panic!("degenerate serve config accepted"),
         Err(other) => panic!("wrong error class: {other}"),
     }
-}
-
-// ---------------------------------------------------------------------
-// MVSH shard corruption injectors
-// ---------------------------------------------------------------------
-
-/// A two-sample MVSH shard on disk, for the corruption injectors below.
-fn written_shard(dir: &std::path::Path) -> std::path::PathBuf {
-    use mvgnn::dataset::{fit_inst2vec, write_shard};
-    std::fs::create_dir_all(dir).unwrap();
-    let cfg = CorpusConfig {
-        seeds: vec![3],
-        opt_levels: vec![mvgnn::ir::transform::OptLevel::O0],
-        suite: Some(Suite::Bots),
-        inst2vec: Inst2VecConfig { dim: 8, epochs: 1, negatives: 2, lr: 0.05, seed: 3 },
-        label_noise: 0.0,
-        ..CorpusConfig::default()
-    };
-    let emb = fit_inst2vec(&cfg);
-    write_shard(dir, &cfg, &emb, 0, 1).expect("shard writes").0
-}
-
-fn read_all(path: &std::path::Path) -> Result<Vec<mvgnn::dataset::LabeledSample>, ShardError> {
-    ShardReader::open(path)?.collect()
-}
-
-/// Injector 8 — every way an MVSH shard can rot on disk surfaces as a
-/// typed [`ShardError`]; no corruption shape panics or yields samples.
-#[test]
-fn corrupt_shards_are_typed_errors_never_panics() {
-    use mvgnn::dataset::format::HEADER_LEN;
-
-    let dir = std::env::temp_dir().join("mvgnn_fault_mvsh_test");
-    let shard = written_shard(&dir);
-    let pristine = std::fs::read(&shard).unwrap();
-    let scratch = dir.join("corrupt.mvsh");
-
-    // Baseline sanity: the untouched shard reads back fully.
-    let clean = read_all(&shard).expect("pristine shard reads");
-    assert!(!clean.is_empty());
-
-    // Wrong magic.
-    let mut bytes = pristine.clone();
-    bytes[0..4].copy_from_slice(b"NOPE");
-    std::fs::write(&scratch, &bytes).unwrap();
-    assert!(matches!(read_all(&scratch), Err(ShardError::BadMagic)));
-
-    // Wrong version header.
-    let mut bytes = pristine.clone();
-    bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-    std::fs::write(&scratch, &bytes).unwrap();
-    assert!(matches!(read_all(&scratch), Err(ShardError::BadVersion(99))));
-
-    // Truncations: inside the header, inside a record frame, and inside
-    // a record payload must all be Truncated (a clean cut exactly at a
-    // record boundary is a count mismatch instead — checked below).
-    for cut in [HEADER_LEN / 2, HEADER_LEN + 5, pristine.len() - 7, pristine.len() / 2] {
-        std::fs::write(&scratch, &pristine[..cut]).unwrap();
-        match read_all(&scratch) {
-            Err(ShardError::Truncated) | Err(ShardError::CountMismatch { .. }) => {}
-            other => panic!("cut at {cut}: expected truncation, got {other:?}"),
-        }
-    }
-    // Exhaustive prefix scan (sampled stride): no prefix length panics
-    // or yields a full read.
-    for cut in (0..pristine.len() - 1).step_by(41) {
-        std::fs::write(&scratch, &pristine[..cut]).unwrap();
-        assert!(read_all(&scratch).is_err(), "prefix {cut} must not read back fully");
-    }
-
-    // Flipped payload byte: checksum failure naming the record.
-    let mut bytes = pristine.clone();
-    let last = bytes.len() - 9;
-    bytes[last] ^= 0x01;
-    std::fs::write(&scratch, &bytes).unwrap();
-    match read_all(&scratch) {
-        Err(ShardError::Checksum { record }) => {
-            assert_eq!(record as usize, clean.len() - 1, "last record is the corrupt one")
-        }
-        other => panic!("expected checksum error, got {other:?}"),
-    }
-
-    // Header record count too large: clean EOF before the declared
-    // count is a CountMismatch carrying both numbers.
-    let mut bytes = pristine.clone();
-    let declared = clean.len() as u64 + 3;
-    bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&declared.to_le_bytes());
-    std::fs::write(&scratch, &bytes).unwrap();
-    match read_all(&scratch) {
-        Err(ShardError::CountMismatch { expected, got }) => {
-            assert_eq!(expected, declared);
-            assert_eq!(got as usize, clean.len());
-        }
-        other => panic!("expected count mismatch, got {other:?}"),
-    }
-
-    // Trailing garbage past the declared count is also a CountMismatch.
-    let mut bytes = pristine.clone();
-    bytes.extend_from_slice(b"junk after the last record");
-    std::fs::write(&scratch, &bytes).unwrap();
-    assert!(matches!(read_all(&scratch), Err(ShardError::CountMismatch { .. })));
-
-    // The reader fuses after a failure: next() after Err is None.
-    let mut bytes = pristine.clone();
-    bytes[HEADER_LEN + 13] ^= 0xff;
-    std::fs::write(&scratch, &bytes).unwrap();
-    let mut reader = ShardReader::open(&scratch).unwrap();
-    let mut saw_err = false;
-    for r in reader.by_ref() {
-        if r.is_err() {
-            saw_err = true;
-        }
-    }
-    assert!(saw_err, "corruption must surface through the iterator");
-    assert!(reader.next().is_none(), "a failed reader stays finished");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Injector 9 — a corrupt shard fed to the streaming trainer is a typed
-/// [`MvGnnError::Shard`]; the model keeps its prior weights.
-#[test]
-fn streaming_over_corrupt_shard_keeps_weights() {
-    use mvgnn::core::streaming::{train_streaming, StreamConfig};
-
-    let dir = std::env::temp_dir().join("mvgnn_fault_stream_mvsh_test");
-    let shard = written_shard(&dir);
-    let first = ShardReader::open(&shard).unwrap().next().unwrap().unwrap();
-    let mut model =
-        MvGnn::new(MvGnnConfig::small(first.sample.node_dim, first.sample.aw_vocab));
-    let bits = |m: &MvGnn| -> Vec<Vec<u32>> {
-        (0..m.params.len())
-            .map(|i| m.params.data(mvgnn::tensor::ParamId(i)).iter().map(|x| x.to_bits()).collect())
-            .collect()
-    };
-    let before = bits(&model);
-
-    let mut bytes = std::fs::read(&shard).unwrap();
-    let at = bytes.len() / 2;
-    bytes[at] ^= 0xff;
-    std::fs::write(&shard, &bytes).unwrap();
-
-    let cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
-    let err = train_streaming(&mut model, &[shard], &cfg, &StreamConfig::default())
-        .expect_err("corrupt shard must fail typed");
-    assert!(matches!(err, MvGnnError::Shard(_)), "{err}");
-    assert!(bits(&model) == before, "failed streaming must not move the weights");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
