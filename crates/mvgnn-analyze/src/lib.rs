@@ -35,6 +35,8 @@
 //! hard soundness obligations, so both sides only fire on conservative,
 //! closed-form evidence; everything else is `Unknown`.
 
+#![forbid(unsafe_code)]
+
 pub mod affine;
 pub mod dataflow;
 pub mod oracle;

@@ -15,6 +15,8 @@
 //!
 //! [`metrics`] provides the shared accuracy/precision/recall machinery.
 
+#![forbid(unsafe_code)]
+
 pub mod adaboost;
 pub mod features;
 pub mod metrics;

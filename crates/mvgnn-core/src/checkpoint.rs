@@ -2,8 +2,7 @@
 //!
 //! A checkpoint holds the weights plus the state needed to resume
 //! training (epoch counter, current learning rate, rollback retries,
-//! telemetry so far) and the cascade's calibration. Tensors are laid
-//! out for direct mapping:
+//! telemetry so far) and the cascade's calibration. The layout:
 //!
 //! ```text
 //! magic "MVCK" | version u32 = 3 | feature flags u32 |
@@ -26,17 +25,20 @@
 //!
 //! Writes are atomic: the file is written to a sibling `*.tmp` path and
 //! renamed over the target, so a crash mid-write never leaves a
-//! half-written checkpoint behind. [`MappedCheckpoint::open`] maps the
-//! file and validates it before any tensor byte is interpreted: `total
-//! file len` makes truncation detectable from the fixed-size prefix in
-//! O(1), the tensor directory must describe exactly the layout the
-//! writer produces (so no offset can point at another tensor's bytes,
-//! and a file shortened behind our back is a typed error, not a
-//! SIGBUS), and the tensor region must match its checksum. Every failure
-//! is a typed [`MvGnnError::Checkpoint`] — corrupt files degrade to an
-//! error, never a panic. The 64-byte alignment of every data offset, on
-//! top of the page-aligned mapping base, is what lets
-//! [`mvgnn_tensor::Storage`] view each tensor in place.
+//! half-written checkpoint behind. [`read_checkpoint`] reads the whole
+//! file into memory and validates it before any tensor byte is
+//! interpreted: `total file len` makes truncation detectable from the
+//! fixed-size prefix in O(1), the tensor directory must describe exactly
+//! the layout the writer produces (so no offset can point at another
+//! tensor's bytes), and the tensor region must match its checksum. Only
+//! then are the names and shapes checked against the store and each
+//! tensor copied in, so a refused load leaves the store untouched, and a
+//! loaded store owns its values: rewriting or truncating the file later
+//! changes nothing. Every failure is a typed [`MvGnnError::Checkpoint`]
+//! (or `Io` when the file cannot be read) — corrupt files degrade to an
+//! error, never a panic. The 64-byte tensor alignment dates from when
+//! weights were mapped; the writer keeps it so that the format stays
+//! frozen byte for byte.
 //!
 //! Files of the retired versions 1 and 2 are refused with an error that
 //! names the version.
@@ -44,18 +46,16 @@
 use crate::error::MvGnnError;
 use crate::trainer::EpochStats;
 use bytes::{Buf, BufMut, BytesMut};
-use mvgnn_tensor::{Mmap, ParamId, Params, Storage};
+use mvgnn_tensor::{ParamId, Params};
 use std::path::Path;
-use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MVCK";
 /// The on-disk version this build writes and reads.
 const VERSION: u32 = 3;
-/// Tensor data offsets are multiples of 64 bytes (cache line; divides
-/// the 4096-byte page alignment of the mapping base).
+/// Tensor data offsets are multiples of 64 bytes (a cache line).
 const TENSOR_ALIGN: usize = 64;
-/// Feature flag: the tensor section is 64-byte aligned for direct
-/// mapping. Set on every file this writer produces.
+/// Feature flag: the tensor section is 64-byte aligned. Set on every
+/// file this writer produces, and required by the reader.
 const FLAG_ALIGNED_TENSORS: u32 = 1 << 0;
 /// Every flag bit this reader understands; any other bit set in a file
 /// means a newer writer, and the file is refused with a typed error.
@@ -100,8 +100,7 @@ fn align_up(n: usize) -> usize {
 
 /// Atomically write a checkpoint: meta block up front, every tensor's
 /// raw f32 data at a 64-byte-aligned offset, and an FNV-1a checksum over
-/// the whole tensor region. The resulting file is what
-/// [`MappedCheckpoint::open`] maps.
+/// the whole tensor region. [`read_checkpoint`] reads the file back.
 pub fn write_checkpoint(
     path: &Path,
     meta: &CheckpointMeta,
@@ -232,7 +231,7 @@ fn decode(bytes: &[u8]) -> Result<(CheckpointMeta, Vec<TensorEntry>), MvGnnError
         )));
     }
     if flags & FLAG_ALIGNED_TENSORS == 0 {
-        return Err(ck("tensor section not flagged aligned; cannot map"));
+        return Err(ck("tensor section not flagged aligned (not a layout this build writes)"));
     }
     let total_len = head.get_u64_le();
     if total_len != bytes.len() as u64 {
@@ -351,80 +350,45 @@ fn decode(bytes: &[u8]) -> Result<(CheckpointMeta, Vec<TensorEntry>), MvGnnError
     Ok((CheckpointMeta { epoch, lr, retries, calibration, stats }, tensors))
 }
 
-/// An open, fully-validated checkpoint. Holding one keeps the mapping
-/// alive; [`MappedCheckpoint::install`] hands out zero-copy [`Storage`]
-/// views into it, so a store loaded this way shares the page cache with
-/// every other process that mapped the same file.
-#[derive(Debug)]
-pub struct MappedCheckpoint {
-    meta: CheckpointMeta,
-    map: Arc<Mmap>,
-    tensors: Vec<TensorEntry>,
-}
-
-impl MappedCheckpoint {
-    /// Map and validate a checkpoint file. On targets without `mmap` the
-    /// file is read into an owned, aligned buffer instead; validation
-    /// and installation are the same either way.
-    pub fn open(path: &Path) -> Result<MappedCheckpoint, MvGnnError> {
-        let map = Arc::new(Mmap::map_file(&std::fs::File::open(path)?)?);
-        let (meta, tensors) = decode(map.as_slice())?;
-        Ok(MappedCheckpoint { meta, map, tensors })
+/// Read a checkpoint into `params` and return its resume state.
+///
+/// `params` must have the file's layout: the same tensor names, order
+/// and shapes, i.e. the same model architecture (the architecture
+/// config is not stored). The file is read whole and validated, every
+/// name and shape is checked against the store, and only then is each
+/// tensor copied in, so a refused load leaves `params` untouched.
+pub fn read_checkpoint(path: &Path, params: &mut Params) -> Result<CheckpointMeta, MvGnnError> {
+    let bytes = std::fs::read(path)?;
+    let (meta, tensors) = decode(&bytes)?;
+    if tensors.len() != params.len() {
+        return Err(ck(format!(
+            "file has {} tensors, store has {}",
+            tensors.len(),
+            params.len()
+        )));
     }
-
-    /// Resume state stored alongside the weights.
-    pub fn meta(&self) -> &CheckpointMeta {
-        &self.meta
-    }
-
-    /// Number of tensors in the artifact.
-    pub fn tensor_count(&self) -> usize {
-        self.tensors.len()
-    }
-
-    /// Install zero-copy views of every tensor into `params`, which must
-    /// have the identical layout (same names, order and shapes — the
-    /// same model architecture). On success every tensor of `params`
-    /// reads straight out of the mapping; nothing is copied until
-    /// something mutates it.
-    pub fn install(&self, params: &mut Params) -> Result<(), MvGnnError> {
-        if self.tensors.len() != params.len() {
+    for (i, t) in tensors.iter().enumerate() {
+        let id = ParamId(i);
+        if t.name != params.name(id) {
+            return Err(ck(format!("tensor {i}: file `{}` vs store `{}`", t.name, params.name(id))));
+        }
+        if (t.rows, t.cols) != params.shape(id) {
             return Err(ck(format!(
-                "file has {} tensors, store has {}",
-                self.tensors.len(),
-                params.len()
+                "tensor `{}`: file {}×{} vs store {:?}",
+                t.name,
+                t.rows,
+                t.cols,
+                params.shape(id)
             )));
         }
-        // Validate the whole layout before touching the store, so a
-        // mismatch can never leave it half-installed.
-        for (i, t) in self.tensors.iter().enumerate() {
-            let id = ParamId(i);
-            if t.name != params.name(id) {
-                return Err(ck(format!(
-                    "tensor {i}: file `{}` vs store `{}`",
-                    t.name,
-                    params.name(id)
-                )));
-            }
-            if (t.rows, t.cols) != params.shape(id) {
-                return Err(ck(format!(
-                    "tensor `{}`: file {}×{} vs store {:?}",
-                    t.name,
-                    t.rows,
-                    t.cols,
-                    params.shape(id)
-                )));
-            }
-        }
-        for (i, t) in self.tensors.iter().enumerate() {
-            let storage = Storage::mapped(Arc::clone(&self.map), t.offset, t.bytes / 4)
-                .map_err(|e| ck(format!("tensor `{}`: {e}", t.name)))?;
-            params
-                .set_storage(ParamId(i), storage)
-                .map_err(|e| ck(format!("tensor `{}`: {e}", t.name)))?;
-        }
-        Ok(())
     }
+    for ((_, dst), t) in params.iter_mut().zip(&tensors) {
+        let (words, _) = bytes[t.offset..t.offset + t.bytes].as_chunks::<4>();
+        for (x, w) in dst.iter_mut().zip(words) {
+            *x = f32::from_le_bytes(*w);
+        }
+    }
+    Ok(meta)
 }
 
 #[cfg(test)]
@@ -491,24 +455,57 @@ mod tests {
     }
 
     #[test]
-    fn mapped_roundtrip_is_bit_identical() {
+    fn read_roundtrip_is_bit_identical() {
         let dir = test_dir("roundtrip");
         let path = dir.join("model.mvck");
         let src = sample_params();
         write_checkpoint(&path, &sample_meta(), &src).unwrap();
         // The temporary staging file must not survive the rename.
         assert!(!path.with_extension("tmp").exists());
-        let cp = MappedCheckpoint::open(&path).unwrap();
-        assert_eq!(cp.meta(), &sample_meta());
-        assert_eq!(cp.tensor_count(), src.len());
-
         let mut dst = sample_params();
         for (_, d) in dst.iter_mut() {
             d.fill(-77.0);
         }
-        cp.install(&mut dst).unwrap();
-        assert_eq!(dst.mapped_tensor_count(), src.len());
+        assert_eq!(read_checkpoint(&path, &mut dst).unwrap(), sample_meta());
         assert_eq!(bits(&dst), bits(&src));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_layout_mismatch_leaves_the_store_untouched() {
+        let dir = test_dir("layout");
+        let path = dir.join("model.mvck");
+        write_checkpoint(&path, &sample_meta(), &sample_params()).unwrap();
+        // Stores that differ from the file in or after its last tensor,
+        // so a reader that checked as it went would already have copied
+        // every earlier one.
+        let with_last = |name: &str, rows: usize, cols: usize| {
+            let src = sample_params();
+            let mut p = Params::new();
+            for i in 0..src.len() - 1 {
+                let id = ParamId(i);
+                let (r, c) = src.shape(id);
+                p.add(src.name(id), r, c, src.data(id).to_vec());
+            }
+            p.add(name, rows, cols, vec![0.0; rows * cols]);
+            p
+        };
+        let mut longer = sample_params();
+        longer.add("extra.b", 1, 2, vec![0.5, -0.5]);
+        for (what, mut store, needle) in [
+            ("count", longer, "file has 4 tensors, store has 5"),
+            ("shape", with_last("head.b", 3, 1), "file 1×3"),
+            ("name", with_last("head.w", 1, 3), "store `head.w`"),
+        ] {
+            for (_, d) in store.iter_mut() {
+                d.fill(-77.0);
+            }
+            let before = bits(&store);
+            let err = read_checkpoint(&path, &mut store).unwrap_err();
+            assert!(matches!(err, MvGnnError::Checkpoint(_)), "{what}: {err}");
+            assert!(err.to_string().contains(needle), "{what}: {err}");
+            assert_eq!(bits(&store), before, "{what}: a refused load touches nothing");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -520,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_offsets_are_aligned() {
+    fn tensor_offsets_are_aligned() {
         let bytes = written("aligned", &sample_meta(), &sample_params());
         let (_, tensors) = decode(&bytes).unwrap();
         let offsets: Vec<usize> = tensors.iter().map(|t| t.offset).collect();
@@ -602,16 +599,16 @@ mod tests {
         let dir = test_dir("badmagic");
         let path = dir.join("not_a_ckpt.bin");
         std::fs::write(&path, b"ELF!\x01\x00\x00\x00 definitely not weights").unwrap();
-        let err = MappedCheckpoint::open(&path).unwrap_err();
+        let err = read_checkpoint(&path, &mut sample_params()).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
         std::fs::write(&path, b"MV").unwrap();
-        let err = MappedCheckpoint::open(&path).unwrap_err();
+        let err = read_checkpoint(&path, &mut sample_params()).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn mapped_unknown_feature_flag_is_refused() {
+    fn unknown_feature_flag_is_refused() {
         let mut bytes = written("flags", &sample_meta(), &sample_params());
         bytes[8] |= 1 << 5; // a flag bit this reader does not know
         let err = decode(&bytes).unwrap_err();
@@ -651,15 +648,20 @@ mod tests {
     }
 
     #[test]
-    fn mapped_truncation_and_checksum_flip_are_typed_errors() {
+    fn truncation_and_checksum_flip_are_typed_errors() {
         let dir = test_dir("faults");
         let path = dir.join("model.mvck");
         write_checkpoint(&path, &sample_meta(), &sample_params()).unwrap();
         let full = std::fs::read(&path).unwrap();
+        let mut dst = sample_params();
+        for (_, d) in dst.iter_mut() {
+            d.fill(-77.0);
+        }
+        let before = bits(&dst);
         // Truncated files on disk, including mid-tensor cuts.
         for cut in [0, 3, PREFIX - 1, PREFIX + 9, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let err = MappedCheckpoint::open(&path).unwrap_err();
+            let err = read_checkpoint(&path, &mut dst).unwrap_err();
             assert!(matches!(err, MvGnnError::Checkpoint(_)), "cut {cut}: {err}");
         }
         // A checksum flip deep in the tensor region.
@@ -667,8 +669,9 @@ mod tests {
         let victim = full.len() - 5;
         flipped[victim] ^= 0x10;
         std::fs::write(&path, &flipped).unwrap();
-        let err = MappedCheckpoint::open(&path).unwrap_err();
+        let err = read_checkpoint(&path, &mut dst).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
+        assert_eq!(bits(&dst), before, "a refused load touches nothing");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

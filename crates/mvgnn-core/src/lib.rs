@@ -16,6 +16,8 @@
 //! - [`pipeline`]: end-to-end experiment driver producing every Table III
 //!   / Table IV row
 
+#![forbid(unsafe_code)]
+
 pub mod cascade;
 pub mod checkpoint;
 pub mod error;
@@ -29,7 +31,7 @@ pub mod trainer;
 pub mod views;
 
 pub use cascade::{oracle_decision, Calibration, Cascade, CascadeConfig, DecidedBy};
-pub use checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
+pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointMeta};
 pub use error::MvGnnError;
 pub use fault::FaultPlan;
 pub use infer::{view_ladder, LoopReport, PredictionSource};

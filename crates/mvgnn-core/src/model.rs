@@ -358,17 +358,6 @@ impl MvGnn {
         let rows = self.forward_rows(&mut Workspace::new(), samples);
         (0..rows.len()).map(|g| rows.fused(g).to_vec()).collect()
     }
-
-    /// Install zero-copy views of a checkpoint's tensors into this model
-    /// (architecture config is not stored: the model must be built with
-    /// the same [`MvGnnConfig`]); the weights read straight out of the
-    /// page cache until something mutates them.
-    pub fn load_mapped(
-        &mut self,
-        cp: &crate::checkpoint::MappedCheckpoint,
-    ) -> Result<(), crate::error::MvGnnError> {
-        cp.install(&mut self.params)
-    }
 }
 
 // The inference surface is `&self` end to end, so a trained model must
@@ -394,6 +383,7 @@ pub struct CheckedPrediction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{read_checkpoint, write_checkpoint, CheckpointMeta};
     use mvgnn_embed::{build_sample, Inst2Vec, Inst2VecConfig, SampleConfig};
     use mvgnn_ir::inst::BinOp;
     use mvgnn_ir::types::Ty;
@@ -477,23 +467,32 @@ mod tests {
         assert_eq!(heads(&m1, &s), heads(&m2, &s));
     }
 
-    /// Write `model`'s weights as a checkpoint and open it again.
-    fn checkpoint_of(model: &MvGnn, tag: &str) -> crate::checkpoint::MappedCheckpoint {
+    /// Write `model`'s weights as a checkpoint in a directory of its own.
+    fn checkpoint_of(model: &MvGnn, tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("mvgnn_model_{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.mvck");
-        let meta = crate::checkpoint::CheckpointMeta { lr: 1e-3, ..Default::default() };
-        crate::checkpoint::write_checkpoint(&path, &meta, &model.params).unwrap();
-        let cp = crate::checkpoint::MappedCheckpoint::open(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        cp
+        let meta = CheckpointMeta { lr: 1e-3, ..Default::default() };
+        write_checkpoint(&path, &meta, &model.params).unwrap();
+        path
+    }
+
+    fn weight_bits(model: &MvGnn) -> Vec<u32> {
+        (0..model.params.len())
+            .flat_map(|i| model.params.data(mvgnn_tensor::ParamId(i)).iter().map(|x| x.to_bits()))
+            .collect()
+    }
+
+    fn fused_bits(model: &MvGnn, s: &GraphSample) -> Vec<u32> {
+        let rows = model.forward_rows(&mut Workspace::new(), &[s]);
+        rows.fused(0).iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn save_load_roundtrip_preserves_predictions() {
         let s = sample();
         let m1 = MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab));
-        let cp = checkpoint_of(&m1, "roundtrip");
+        let path = checkpoint_of(&m1, "roundtrip");
         let mut cfg2 = MvGnnConfig::small(s.node_dim, s.aw_vocab);
         cfg2.seed = 0xdead; // different init — must be overwritten by load
         let mut m2 = MvGnn::new(cfg2);
@@ -501,19 +500,54 @@ mod tests {
             m1.params.data(mvgnn_tensor::ParamId(0)),
             m2.params.data(mvgnn_tensor::ParamId(0))
         );
-        m2.load_mapped(&cp).unwrap();
+        read_checkpoint(&path, &mut m2.params).unwrap();
         assert_eq!(heads(&m1, &s), heads(&m2, &s));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn load_rejects_different_architecture() {
         let s = sample();
         let m1 = MvGnn::new(MvGnnConfig::small(s.node_dim, s.aw_vocab));
-        let cp = checkpoint_of(&m1, "architecture");
+        let path = checkpoint_of(&m1, "architecture");
         let mut other = MvGnn::new(MvGnnConfig::small(s.node_dim + 1, s.aw_vocab));
-        let err = other.load_mapped(&cp).unwrap_err();
+        let before = weight_bits(&other);
+        let err = read_checkpoint(&path, &mut other.params).unwrap_err();
         assert!(matches!(err, crate::error::MvGnnError::Checkpoint(_)), "{err}");
-        assert_eq!(other.params.mapped_tensor_count(), 0, "a refused install touches nothing");
+        assert_eq!(weight_bits(&other), before, "a refused load touches nothing");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn loaded_weights_survive_the_file_being_rewritten_and_truncated() {
+        // A loaded model owns its weights. Rewriting the file in place
+        // (as `cp new.mvck model.mvck` does) with another model's bytes
+        // of equal length, then cutting it in half, changes nothing the
+        // model holds or computes.
+        let s = sample();
+        let cfg = MvGnnConfig::small(s.node_dim, s.aw_vocab);
+        let first = MvGnn::new(cfg.clone());
+        let path = checkpoint_of(&first, "rewritten");
+        let mut loaded = MvGnn::new(cfg.clone());
+        read_checkpoint(&path, &mut loaded.params).unwrap();
+
+        let mut other_cfg = cfg;
+        other_cfg.seed = 0xdead;
+        let other_path = checkpoint_of(&MvGnn::new(other_cfg), "rewritten_other");
+        let other = std::fs::read(&other_path).unwrap();
+        assert_eq!(other.len() as u64, std::fs::metadata(&path).unwrap().len());
+        assert_ne!(other, std::fs::read(&path).unwrap());
+        std::fs::write(&path, &other).unwrap();
+        assert_eq!(weight_bits(&loaded), weight_bits(&first));
+
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(other.len() as u64 / 2).unwrap();
+        drop(file);
+        assert_eq!(weight_bits(&loaded), weight_bits(&first));
+        assert_eq!(fused_bits(&loaded, &s), fused_bits(&first, &s));
+        for p in [&path, &other_path] {
+            std::fs::remove_dir_all(p.parent().unwrap()).ok();
+        }
     }
 
     #[test]

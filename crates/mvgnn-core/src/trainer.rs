@@ -17,7 +17,7 @@
 //! completed epoch is also persisted atomically so an interrupted run
 //! can continue via [`TrainConfig::resume_from`].
 
-use crate::checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
+use crate::checkpoint::{read_checkpoint, write_checkpoint, CheckpointMeta};
 use crate::error::MvGnnError;
 use crate::fault::FaultPlan;
 use crate::model::MvGnn;
@@ -240,14 +240,10 @@ pub fn train(
     let mut stats: Vec<EpochStats> = Vec::with_capacity(cfg.epochs);
     let mut epoch = 0usize;
     if let Some(path) = &cfg.resume_from {
-        // The weights stay mapped until the first optimizer step copies
-        // each tensor on write.
-        let cp = MappedCheckpoint::open(path)?;
-        cp.install(&mut model.params)?;
-        let meta = cp.meta();
+        let meta = read_checkpoint(path, &mut model.params)?;
         lr = meta.lr;
         retries = meta.retries;
-        stats = meta.stats.clone();
+        stats = meta.stats;
         epoch = meta.epoch + 1;
     }
 

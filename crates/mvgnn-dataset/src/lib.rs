@@ -15,6 +15,8 @@
 //! - [`shard`]: deterministic sharded generation — N workers produce
 //!   disjoint slices whose union is bit-identical to the one-process build
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod kernels;
 pub mod shard;

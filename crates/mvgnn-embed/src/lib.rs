@@ -11,6 +11,8 @@
 //!   (inst2vec ⊕ node-kind ⊕ Table I dynamics) and anonymous-walk
 //!   distribution matrix.
 
+#![forbid(unsafe_code)]
+
 pub mod awe;
 pub mod batch;
 pub mod inst2vec;

@@ -6,6 +6,8 @@
 //! - [`dgcnn`]: the Deep Graph CNN used by both MV-GNN views — graph
 //!   conv stack → SortPooling → two 1-D convolutions → dense read-out
 
+#![forbid(unsafe_code)]
+
 pub mod dgcnn;
 pub mod gcn;
 pub mod sortpool;

@@ -10,6 +10,8 @@
 //! draws from its own seeded stream, so results do not depend on the
 //! order nodes are visited in.
 
+#![forbid(unsafe_code)]
+
 pub mod algo;
 pub mod csr;
 pub mod digraph;

@@ -22,6 +22,8 @@
 //! - [`transform`]: the six "optimization level" passes used for dataset
 //!   augmentation
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cfg;
 pub mod inst;

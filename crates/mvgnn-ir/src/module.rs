@@ -356,11 +356,6 @@ impl Module {
         self.funcs.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
     }
 
-    /// Look up an array by name.
-    pub fn array_by_name(&self, name: &str) -> Option<ArrayId> {
-        self.arrays.iter().position(|a| a.name == name).map(|i| ArrayId(i as u32))
-    }
-
     /// Total loop count across functions.
     pub fn loop_count(&self) -> usize {
         self.funcs.iter().map(|f| f.loops.len()).sum()
@@ -389,8 +384,7 @@ mod tests {
     fn module_lookup() {
         let mut m = Module::new("t");
         let a = m.add_array("x", Ty::F64, 16);
-        assert_eq!(m.array_by_name("x"), Some(a));
-        assert_eq!(m.array_by_name("y"), None);
+        assert_eq!(m.arrays[a.index()].name, "x");
         assert_eq!(m.arrays[a.index()].len, 16);
     }
 

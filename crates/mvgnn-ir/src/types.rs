@@ -56,22 +56,6 @@ impl Value {
         }
     }
 
-    /// Float payload or `None`.
-    pub fn as_f64(self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(v),
-            Value::I64(_) => None,
-        }
-    }
-
-    /// Numeric coercion to f64 (i64 widened); used by mixed-type folds.
-    pub fn to_f64_lossy(self) -> f64 {
-        match self {
-            Value::F64(v) => v,
-            Value::I64(v) => v as f64,
-        }
-    }
-
     /// Truthiness: non-zero is true.
     pub fn is_truthy(self) -> bool {
         match self {
@@ -141,10 +125,7 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::I64(7).as_i64(), Some(7));
-        assert_eq!(Value::I64(7).as_f64(), None);
-        assert_eq!(Value::F64(2.5).as_f64(), Some(2.5));
-        assert_eq!(Value::F64(2.5).to_f64_lossy(), 2.5);
-        assert_eq!(Value::I64(4).to_f64_lossy(), 4.0);
+        assert_eq!(Value::F64(2.5).as_i64(), None);
     }
 
     #[test]

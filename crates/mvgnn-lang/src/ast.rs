@@ -105,33 +105,3 @@ pub struct Program {
     /// Items in source order.
     pub items: Vec<Item>,
 }
-
-impl Program {
-    /// Names of all declared functions, in order.
-    pub fn function_names(&self) -> Vec<&str> {
-        self.items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Function { name, .. } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn function_names_in_order() {
-        let p = Program {
-            items: vec![
-                Item::Array { name: "a".into(), len: 4, is_float: true },
-                Item::Function { name: "f".into(), params: vec![], body: vec![] },
-                Item::Function { name: "g".into(), params: vec!["x".into()], body: vec![] },
-            ],
-        };
-        assert_eq!(p.function_names(), vec!["f", "g"]);
-    }
-}

@@ -34,6 +34,8 @@
 //!          | expr ";"
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod lower;

@@ -7,16 +7,15 @@
 //! - [`conv::Conv1d`] — 1-D convolution over row-sequences
 //! - [`embedding::Embedding`] — id → row lookup table
 //! - [`lstm::Lstm`] — single-layer LSTM (the NCC baseline stacks two)
-//! - [`mlp::Mlp`] — dense stack with configurable activation
+
+#![forbid(unsafe_code)]
 
 pub mod conv;
 pub mod embedding;
 pub mod linear;
 pub mod lstm;
-pub mod mlp;
 
 pub use conv::Conv1d;
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use lstm::Lstm;
-pub use mlp::{Activation, Mlp};

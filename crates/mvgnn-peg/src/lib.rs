@@ -5,6 +5,8 @@
 //! dependences (RAW/WAR/WAW) and containment become edges. Each loop's
 //! induced sub-PEG is one classification sample for the MV-GNN model.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod dot;
 

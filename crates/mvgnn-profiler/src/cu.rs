@@ -144,9 +144,6 @@ pub fn build_cus(module: &Module) -> CuGraph {
         let first = cus.len();
         let insts: Vec<(InstRef, &Inst, u32)> = f.insts_with_refs(func).collect();
         let n = insts.len();
-        // Flat index per instruction for union-find.
-        let flat_of: HashMap<InstRef, usize> =
-            insts.iter().enumerate().map(|(i, (r, _, _))| (*r, i)).collect();
 
         let is_compute = |inst: &Inst| {
             matches!(inst, Inst::Const { .. } | Inst::Copy { .. } | Inst::Bin { .. } | Inst::Un { .. })
@@ -223,14 +220,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
 
         // Tokens: singleton -> inst token; compute -> dominant member token.
         for cu in &mut cus[first..] {
-            let mut tokens: Vec<String> = cu
-                .members
-                .iter()
-                .map(|r| {
-                    let i = flat_of[r];
-                    insts[i].1.token()
-                })
-                .collect();
+            let mut tokens: Vec<String> = cu.members.iter().map(|&r| f.inst(r).token()).collect();
             cu.token = if let [_] = tokens.as_slice() {
                 tokens.swap_remove(0)
             } else {

@@ -20,6 +20,8 @@
 //!   not-parallelisable verdicts derived from the trace, used both as the
 //!   DiscoPoP tool baseline and to validate dataset ground truth.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod cu;
 pub mod deps;

@@ -25,6 +25,8 @@
 //! and the `mvgnn-bench serve` gate assert liveness, bounded p99, and
 //! zero panics over.
 
+#![forbid(unsafe_code)]
+
 mod batcher;
 pub mod chaos;
 pub mod deadline;

@@ -15,15 +15,15 @@
 //! - [`optim`]: SGD with momentum and Adam, plus gradient clipping
 //! - [`init`]: seeded Xavier/uniform/zero initializers
 
+#![forbid(unsafe_code)]
+
 pub mod dense;
 pub mod init;
-pub mod mmap;
 pub mod optim;
 pub mod sparse;
 pub mod tape;
 pub mod workspace;
 
-pub use mmap::Mmap;
 pub use sparse::SparseMatrix;
-pub use tape::{GradStore, Params, ParamId, SparseId, Storage, Tape, Var, ViewError};
+pub use tape::{GradStore, Params, ParamId, SparseId, Tape, Var};
 pub use workspace::{Workspace, WorkspaceStats};

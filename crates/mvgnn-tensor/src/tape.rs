@@ -12,10 +12,8 @@
 //! All tensors are 2-D row-major `f32` matrices.
 
 use crate::dense;
-use crate::mmap::Mmap;
 use crate::sparse::SparseMatrix;
 use crate::workspace::{self, Workspace};
-use std::sync::Arc;
 
 /// Windows per im2col block of the 1-D convolution, forward and
 /// backward: keeps the gathered block under the allocator's mmap
@@ -27,133 +25,19 @@ const CONV_BLOCK: usize = 64;
 /// Immutable during execution — forward and backward passes need only
 /// `&Params`, so a trained store can sit behind an `Arc` and serve many
 /// threads at once. Mutation happens between passes: the optimizer
-/// steps values via [`Params::iter_mut`], and a checkpoint load
-/// installs mapped views via [`Params::set_storage`]. Gradients
-/// accumulate in a separate [`GradStore`] owned by each [`Tape`].
+/// steps values via [`Params::iter_mut`], and a checkpoint load copies
+/// the file's tensors in the same way. Gradients accumulate in a
+/// separate [`GradStore`] owned by each [`Tape`].
 #[derive(Debug, Clone, Default)]
 pub struct Params {
     names: Vec<String>,
-    data: Vec<Storage>,
+    data: Vec<Vec<f32>>,
     shapes: Vec<(usize, usize)>,
 }
 
 /// Handle to one parameter tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub usize);
-
-/// Backing storage for one parameter tensor: either an owned buffer
-/// (the training representation) or an aligned `f32` view
-/// borrowed straight out of a shared memory-mapped artifact (zero-copy
-/// load). Reads go through [`Storage::as_slice`] either way; the first
-/// mutable access to a mapped tensor materialises it into an owned
-/// buffer (copy-on-write), so the optimizer keeps working unchanged.
-#[derive(Debug, Clone)]
-pub enum Storage {
-    /// Heap-owned values.
-    Owned(Vec<f32>),
-    /// `len` f32 values viewed at byte `offset` into `map`. Constructed
-    /// only through [`Storage::mapped`], which proves alignment and
-    /// bounds once; reads afterwards are a pointer cast.
-    Mapped { map: Arc<Mmap>, offset: usize, len: usize },
-}
-
-/// Why a requested mapped view cannot be taken.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ViewError {
-    /// The view's base address is not `f32`-aligned.
-    Misaligned { offset: usize },
-    /// `offset + 4·len` runs past the end of the mapping.
-    OutOfBounds { offset: usize, len: usize, map_len: usize },
-    /// The storage's element count doesn't match the tensor's shape.
-    ShapeMismatch { expected: usize, got: usize },
-}
-
-impl std::fmt::Display for ViewError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ViewError::Misaligned { offset } => {
-                write!(f, "mapped tensor at byte offset {offset} is not f32-aligned")
-            }
-            ViewError::OutOfBounds { offset, len, map_len } => write!(
-                f,
-                "mapped tensor [{offset}, {offset}+{len}·4) exceeds the {map_len}-byte mapping"
-            ),
-            ViewError::ShapeMismatch { expected, got } => {
-                write!(f, "storage holds {got} elements, tensor shape needs {expected}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ViewError {}
-
-impl Storage {
-    /// Borrow `len` f32s at byte `offset` of `map`, validating bounds
-    /// and alignment up front so every later read is a safe cast.
-    pub fn mapped(map: Arc<Mmap>, offset: usize, len: usize) -> Result<Storage, ViewError> {
-        let bytes = len
-            .checked_mul(4)
-            .and_then(|b| b.checked_add(offset))
-            .ok_or(ViewError::OutOfBounds { offset, len, map_len: map.len() })?;
-        if bytes > map.len() {
-            return Err(ViewError::OutOfBounds { offset, len, map_len: map.len() });
-        }
-        if !(map.base_addr() + offset).is_multiple_of(std::mem::align_of::<f32>()) {
-            return Err(ViewError::Misaligned { offset });
-        }
-        Ok(Storage::Mapped { map, offset, len })
-    }
-
-    /// The values, whichever backing holds them.
-    pub fn as_slice(&self) -> &[f32] {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Mapped { map, offset, len } => {
-                // SAFETY: `Storage::mapped` proved at construction that
-                // `[offset, offset + 4·len)` lies inside the mapping and
-                // that the base is f32-aligned; the Arc keeps the
-                // mapping alive for the borrow. f32 has no invalid bit
-                // patterns, so any file contents are a valid value.
-                unsafe {
-                    let base = map.as_slice().as_ptr().add(*offset) as *const f32;
-                    std::slice::from_raw_parts(base, *len)
-                }
-            }
-        }
-    }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        match self {
-            Storage::Owned(v) => v.len(),
-            Storage::Mapped { len, .. } => *len,
-        }
-    }
-
-    /// True for a zero-element tensor.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when the values are viewed out of a mapped artifact.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, Storage::Mapped { .. })
-    }
-
-    /// Mutable access, materialising a mapped view into an owned buffer
-    /// on first touch (copy-on-write).
-    fn make_mut(&mut self) -> &mut Vec<f32> {
-        if let Storage::Mapped { .. } = self {
-            *self = Storage::Owned(self.as_slice().to_vec());
-        }
-        let Storage::Owned(v) = self else {
-            // Dead arm: the mapped case was rewritten to Owned above.
-            // A leaked empty Vec satisfies the type without a panic site.
-            return Box::leak(Box::default());
-        };
-        v
-    }
-}
 
 impl Params {
     /// Empty store.
@@ -166,7 +50,7 @@ impl Params {
         assert_eq!(init.len(), rows * cols, "init size mismatch");
         let id = ParamId(self.data.len());
         self.names.push(name.into());
-        self.data.push(Storage::Owned(init));
+        self.data.push(init);
         self.shapes.push((rows, cols));
         id
     }
@@ -183,38 +67,17 @@ impl Params {
 
     /// Total scalar count.
     pub fn scalar_count(&self) -> usize {
-        self.data.iter().map(Storage::len).sum()
+        self.data.iter().map(Vec::len).sum()
     }
 
     /// Parameter values.
     pub fn data(&self, id: ParamId) -> &[f32] {
-        self.data[id.0].as_slice()
+        &self.data[id.0]
     }
 
-    /// Mutable parameter values. A mapped tensor materialises into an
-    /// owned buffer on the way through (copy-on-write), so training on
-    /// top of a zero-copy load works transparently.
+    /// Mutable parameter values.
     pub fn data_mut(&mut self, id: ParamId) -> &mut [f32] {
-        self.data[id.0].make_mut()
-    }
-
-    /// Replace a tensor's backing storage. The replacement must carry
-    /// exactly `rows·cols` elements for the tensor's registered shape;
-    /// this is the installation point for mapped checkpoint views.
-    pub fn set_storage(&mut self, id: ParamId, storage: Storage) -> Result<(), ViewError> {
-        let (rows, cols) = self.shapes[id.0];
-        if storage.len() != rows * cols {
-            return Err(ViewError::ShapeMismatch { expected: rows * cols, got: storage.len() });
-        }
-        self.data[id.0] = storage;
-        Ok(())
-    }
-
-    /// Number of tensors currently viewed out of a mapped artifact
-    /// (zero after any optimizer step) — the registry
-    /// census reads this to report the effective load mode.
-    pub fn mapped_tensor_count(&self) -> usize {
-        self.data.iter().filter(|s| s.is_mapped()).count()
+        &mut self.data[id.0]
     }
 
     /// Shape of a parameter.
@@ -228,10 +91,8 @@ impl Params {
     }
 
     /// Iterate `(id, data)` mutably — the optimizer surface.
-    /// Mapped tensors materialise into owned buffers as they are
-    /// yielded (copy-on-write), same as [`Params::data_mut`].
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (ParamId, &mut Vec<f32>)> {
-        self.data.iter_mut().enumerate().map(|(i, d)| (ParamId(i), d.make_mut()))
+        self.data.iter_mut().enumerate().map(|(i, d)| (ParamId(i), d))
     }
 }
 
@@ -1823,100 +1684,4 @@ mod tests {
         };
         assert!((grads.grad_norm() - 5.0).abs() < 1e-5);
     }
-
-    fn mapped_fixture(values: &[f32]) -> Arc<Mmap> {
-        use std::io::Write;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Tests run in parallel: every fixture gets its own file.
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "mvgnn_storage_{}_{}.bin",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut f = std::fs::File::create(&path).unwrap();
-        for &x in values {
-            f.write_all(&x.to_le_bytes()).unwrap();
-        }
-        f.sync_all().unwrap();
-        let map = Arc::new(Mmap::map_file(&std::fs::File::open(&path).unwrap()).unwrap());
-        std::fs::remove_file(&path).ok();
-        map
-    }
-
-    #[test]
-    fn mapped_storage_reads_through_params_api() {
-        let values = [1.5f32, -2.0, 0.25, 8.0];
-        let map = mapped_fixture(&values);
-        let mut params = Params::new();
-        let w = params.add("w", 2, 2, vec![0.0; 4]);
-        params.set_storage(w, Storage::mapped(Arc::clone(&map), 0, 4).unwrap()).unwrap();
-        assert_eq!(params.data(w), &values);
-        assert_eq!(params.mapped_tensor_count(), 1);
-
-        // A tape forward pass reads the mapped values untouched.
-        let mut tape = Tape::new(&params);
-        let wv = tape.param(w);
-        let s = tape.sum_all(wv);
-        assert_eq!(tape.data(s)[0], values.iter().sum::<f32>());
-    }
-
-    #[test]
-    fn mapped_storage_copies_on_write() {
-        let map = mapped_fixture(&[1.0f32, 2.0]);
-        let mut params = Params::new();
-        let w = params.add("w", 1, 2, vec![0.0; 2]);
-        params.set_storage(w, Storage::mapped(map, 0, 2).unwrap()).unwrap();
-        params.data_mut(w)[0] = 9.0;
-        assert_eq!(params.mapped_tensor_count(), 0, "first write materialises");
-        assert_eq!(params.data(w), &[9.0, 2.0]);
-    }
-
-    #[test]
-    fn iter_mut_materialises_mapped_tensors() {
-        let map = mapped_fixture(&[3.0f32, 4.0]);
-        let mut params = Params::new();
-        let w = params.add("w", 1, 2, vec![0.0; 2]);
-        params.set_storage(w, Storage::mapped(map, 0, 2).unwrap()).unwrap();
-        for (_, d) in params.iter_mut() {
-            for x in d.iter_mut() {
-                *x += 1.0;
-            }
-        }
-        assert_eq!(params.data(w), &[4.0, 5.0]);
-        assert_eq!(params.mapped_tensor_count(), 0);
-    }
-
-    #[test]
-    fn mapped_view_validates_bounds_and_alignment() {
-        let map = mapped_fixture(&[0.0f32; 4]);
-        // Past the end of the 16-byte mapping.
-        assert!(matches!(
-            Storage::mapped(Arc::clone(&map), 8, 4),
-            Err(ViewError::OutOfBounds { .. })
-        ));
-        // Offset 2 breaks f32 alignment (the map base is 64-aligned).
-        assert!(matches!(
-            Storage::mapped(Arc::clone(&map), 2, 1),
-            Err(ViewError::Misaligned { offset: 2 })
-        ));
-        // Overflowing length.
-        assert!(matches!(
-            Storage::mapped(Arc::clone(&map), 0, usize::MAX / 2),
-            Err(ViewError::OutOfBounds { .. })
-        ));
-        assert!(Storage::mapped(map, 4, 3).is_ok());
-    }
-
-    #[test]
-    fn set_storage_rejects_shape_mismatch() {
-        let mut params = Params::new();
-        let w = params.add("w", 2, 3, vec![0.0; 6]);
-        assert_eq!(
-            params.set_storage(w, Storage::Owned(vec![0.0; 4])),
-            Err(ViewError::ShapeMismatch { expected: 6, got: 4 })
-        );
-        assert!(params.set_storage(w, Storage::Owned(vec![1.0; 6])).is_ok());
-    }
 }
-

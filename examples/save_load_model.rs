@@ -5,7 +5,7 @@
 //! cargo run --release --example save_load_model
 //! ```
 
-use mvgnn::core::checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
+use mvgnn::core::checkpoint::{read_checkpoint, write_checkpoint, CheckpointMeta};
 use mvgnn::core::model::{MvGnn, MvGnnConfig};
 use mvgnn::core::trainer::{evaluate, train, TrainConfig};
 use mvgnn::dataset::{build_corpus, CorpusConfig, Suite};
@@ -44,11 +44,10 @@ fn main() {
     println!("saved {} bytes to {}", std::fs::metadata(&path).unwrap().len(), path.display());
 
     // The architecture is not stored: rebuild it from the same config,
-    // then map the weights into it.
+    // then read the weights into it.
     let mut reloaded = MvGnn::new(cfg);
-    let cp = MappedCheckpoint::open(&path).expect("valid checkpoint");
-    reloaded.load_mapped(&cp).expect("layout matches");
-    assert_eq!(cp.meta(), &meta, "resume state must round-trip");
+    let read_meta = read_checkpoint(&path, &mut reloaded.params).expect("valid checkpoint");
+    assert_eq!(read_meta, meta, "resume state must round-trip");
     for i in 0..model.params.len() {
         let id = mvgnn::tensor::ParamId(i);
         let bits = |p: &mvgnn::tensor::Params| -> Vec<u32> {

@@ -39,7 +39,7 @@ cargo run --release -p mvgnn-bench --bin lint --quiet -- --smoke
 echo "==> cascade smoke (tier-0 short-circuit rate > 0, throughput >= pure GNN)"
 cargo run --release -p mvgnn-bench --bin cascade --quiet -- --smoke
 
-echo "==> checkpoint round trip (train, write, map back: bit-identical weights and predictions)"
+echo "==> checkpoint round trip (train, write, read back: bit-identical weights and predictions)"
 cargo run --release --example save_load_model --quiet
 
 echo "==> fault-tolerant training (rollback, checkpoint resume, corrupt checkpoint refused)"

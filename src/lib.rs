@@ -1,6 +1,9 @@
 //! # mvgnn — Multi-View GNN Parallelism Discovery
 //!
 //! Facade crate re-exporting the full workspace. See the README for a tour.
+
+#![forbid(unsafe_code)]
+
 pub use mvgnn_analyze as analyze;
 pub use mvgnn_baselines as baselines;
 pub use mvgnn_core as core;

@@ -3,7 +3,7 @@
 //! [`FaultPlan`]. None of these scenarios may panic — faults must surface
 //! as typed errors, degraded per-loop predictions, or clean rollbacks.
 
-use mvgnn::core::checkpoint::{write_checkpoint, CheckpointMeta, MappedCheckpoint};
+use mvgnn::core::checkpoint::{read_checkpoint, write_checkpoint, CheckpointMeta};
 use mvgnn::core::infer::PredictionSource;
 use mvgnn::core::model::{MvGnn, MvGnnConfig};
 use mvgnn::core::trainer::{train, EpochStats, TrainConfig};
@@ -195,14 +195,13 @@ fn corrupted_checkpoints_are_rejected() {
     let dir = std::env::temp_dir().join("mvgnn_fault_ckpt");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.mvck");
-    // Open and install: the directory's names and shapes are only
-    // checked against a store at install time.
+    // Read into a store: the directory's names and shapes are checked
+    // against it.
     let load = |bytes: &[u8]| {
         std::fs::write(&path, bytes).unwrap();
-        let cp = MappedCheckpoint::open(&path)?;
         let mut dst = params();
-        cp.install(&mut dst)?;
-        Ok::<_, MvGnnError>((cp.meta().clone(), dst))
+        let meta = read_checkpoint(&path, &mut dst)?;
+        Ok::<_, MvGnnError>((meta, dst))
     };
     write_checkpoint(&path, &meta, &params()).unwrap();
     let clean = std::fs::read(&path).unwrap();
