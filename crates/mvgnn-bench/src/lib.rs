@@ -1,6 +1,7 @@
 //! # mvgnn-bench — experiment regeneration harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4):
+//! One binary per table/figure of the paper (see DESIGN.md §4), plus the
+//! corpus auditors:
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -11,11 +12,16 @@
 //! | `fig7`   | Fig. 7 — training loss/accuracy curves |
 //! | `fig8`   | Fig. 8 — view importance per suite |
 //! | `ablations` | design-choice ablations from DESIGN.md §6 |
-//! | `diag` | training diagnostics (per-pattern error census) |
+//! | `lint` | corpus label audit: static oracle vs profiler vs labels |
+//! | `patterns` | planner and pattern head per adversarial kernel family |
 //!
-//! Criterion micro-benches live under `benches/`. Run binaries with
-//! `cargo run -p mvgnn-bench --release --bin <name>`; all accept
-//! `--paper-scale` (full sizes) and `--quick` (CI sizes) where relevant.
+//! Run binaries with `cargo run -p mvgnn-bench --release --bin <name>`;
+//! all accept `--paper-scale` (full sizes) and `--quick` (CI sizes)
+//! where relevant. Speed is measured by the one gated benchmark,
+//! `perfbench/`; the allocation budgets and the cascade's routing gate
+//! are tests of this crate (`tests/`).
+
+#![forbid(unsafe_code)]
 
 use mvgnn_core::{PipelineConfig, TrainConfig};
 use mvgnn_dataset::CorpusConfig;
@@ -79,57 +85,6 @@ pub fn pipeline_config(scale: Scale) -> PipelineConfig {
         ncc: Default::default(),
         run_ncc: true,
         restarts: if scale == Scale::Quick { 1 } else { 3 },
-    }
-}
-
-/// Heap-allocation counting for the zero-allocation steady-state checks
-/// (enable with `--features count-allocs`). The global allocator is
-/// replaced by a wrapper over the system allocator that counts every
-/// `alloc`/`realloc` call, so a benchmark can bracket a region and read
-/// the exact number of allocations it performed. Counting is a single
-/// relaxed atomic increment — cheap enough to leave on for whole runs.
-#[cfg(feature = "count-allocs")]
-pub mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-
-    /// Counting wrapper over the system allocator.
-    pub struct CountingAlloc;
-
-    // SAFETY: defers every operation to `System`; only adds counting.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-
-    /// Heap allocations (alloc + realloc calls) since process start.
-    pub fn allocations() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Bytes requested by those allocations (the new size for a
-    /// `realloc`) since process start.
-    pub fn allocated_bytes() -> u64 {
-        BYTES.load(Ordering::Relaxed)
     }
 }
 

@@ -23,22 +23,24 @@
 //! sees a flag bit it does not know refuses the file with a typed error
 //! instead of guessing, in the style of `sui-protocol-config`.
 //!
-//! Writes are atomic: the file is written to a sibling `*.tmp` path and
-//! renamed over the target, so a crash mid-write never leaves a
-//! half-written checkpoint behind. [`read_checkpoint`] reads the whole
-//! file into memory and validates it before any tensor byte is
-//! interpreted: `total file len` makes truncation detectable from the
-//! fixed-size prefix in O(1), the tensor directory must describe exactly
-//! the layout the writer produces (so no offset can point at another
-//! tensor's bytes), and the tensor region must match its checksum. Only
-//! then are the names and shapes checked against the store and each
-//! tensor copied in, so a refused load leaves the store untouched, and a
-//! loaded store owns its values: rewriting or truncating the file later
-//! changes nothing. Every failure is a typed [`MvGnnError::Checkpoint`]
-//! (or `Io` when the file cannot be read) — corrupt files degrade to an
-//! error, never a panic. The 64-byte tensor alignment dates from when
-//! weights were mapped; the writer keeps it so that the format stays
-//! frozen byte for byte.
+//! Writes are atomic and durable: the file is written to a sibling
+//! `*.tmp` path, synced to disk, and renamed over the target, and on Unix
+//! the directory is synced after the rename. So neither a process crash
+//! nor a power loss mid-write leaves a half-written checkpoint behind:
+//! the target holds the old file or the whole new one.
+//! [`read_checkpoint`] reads the whole file into memory and validates it
+//! before any tensor byte is interpreted: `total file len` makes
+//! truncation detectable from the fixed-size prefix in O(1), the tensor
+//! directory must describe exactly the layout the writer produces (so no
+//! offset can point at another tensor's bytes), and the tensor region
+//! must match its checksum. Only then are the names and shapes checked
+//! against the store and each tensor copied in, so a refused load leaves
+//! the store untouched, and a loaded store owns its values: rewriting or
+//! truncating the file later changes nothing. Every failure is a typed
+//! [`MvGnnError::Checkpoint`] (or `Io` when the file cannot be read) —
+//! corrupt files degrade to an error, never a panic. The 64-byte tensor
+//! alignment dates from when weights were mapped; the writer keeps it so
+//! that the format stays frozen byte for byte.
 //!
 //! Files of the retired versions 1 and 2 are refused with an error that
 //! names the version.
@@ -47,6 +49,7 @@ use crate::error::MvGnnError;
 use crate::trainer::EpochStats;
 use bytes::{Buf, BufMut, BytesMut};
 use mvgnn_tensor::{ParamId, Params};
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"MVCK";
@@ -98,9 +101,10 @@ fn align_up(n: usize) -> usize {
     n.div_ceil(TENSOR_ALIGN) * TENSOR_ALIGN
 }
 
-/// Atomically write a checkpoint: meta block up front, every tensor's
-/// raw f32 data at a 64-byte-aligned offset, and an FNV-1a checksum over
-/// the whole tensor region. [`read_checkpoint`] reads the file back.
+/// Atomically and durably write a checkpoint: meta block up front, every
+/// tensor's raw f32 data at a 64-byte-aligned offset, and an FNV-1a
+/// checksum over the whole tensor region. [`read_checkpoint`] reads the
+/// file back.
 pub fn write_checkpoint(
     path: &Path,
     meta: &CheckpointMeta,
@@ -180,9 +184,19 @@ pub fn write_checkpoint(
     buf.put_slice(&region);
     debug_assert_eq!(buf.len(), total_len);
 
+    // The temp file's bytes reach the disk before the rename publishes
+    // them, and the directory entry after it.
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &*buf)?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(&buf)?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        std::fs::File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 

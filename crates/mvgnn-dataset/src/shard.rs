@@ -73,14 +73,6 @@ impl ShardPlan {
             .filter(move |(k, _)| k % self.num_shards == shard_id)
             .map(|(_, u)| u)
     }
-
-    /// Loops each shard will generate: `(shard_id, loop count)` rows,
-    /// before opt-level augmentation.
-    pub fn shard_loads(&self) -> Vec<(usize, usize)> {
-        (0..self.num_shards)
-            .map(|s| (s, self.units_of(s).map(|(_, spec)| spec.loops).sum()))
-            .collect()
-    }
 }
 
 /// The explicit vocabulary pass: train the statement embedding over
@@ -177,8 +169,8 @@ mod tests {
                 seen += plan.units_of(s).count();
             }
             assert_eq!(seen, plan.unit_count(), "{n} shards must cover all units");
-            let loads = plan.shard_loads();
-            let total: usize = loads.iter().map(|&(_, l)| l).sum();
+            let total: usize =
+                (0..n).flat_map(|s| plan.units_of(s)).map(|(_, spec)| spec.loops).sum();
             assert_eq!(total, 2 * 840);
         }
     }

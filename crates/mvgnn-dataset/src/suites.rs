@@ -179,13 +179,6 @@ pub struct GeneratedApp {
     pub loop_kinds: Vec<KernelKind>,
 }
 
-impl GeneratedApp {
-    /// Number of parallelisable loops under ground truth.
-    pub fn parallelizable_count(&self) -> usize {
-        self.loops.iter().filter(|(_, _, p)| p.is_parallelizable()).count()
-    }
-}
-
 /// Generate one application matching `spec.loops` exactly.
 pub fn generate_app(spec: AppSpec, seed: u64) -> GeneratedApp {
     let mut rng = StdRng::seed_from_u64(seed ^ fxhash(spec.name));
@@ -360,7 +353,8 @@ mod tests {
     #[test]
     fn npb_is_mostly_parallelizable() {
         let app = generate_app(TABLE2[3], 3); // IS, 25 loops
-        let frac = app.parallelizable_count() as f64 / app.loops.len() as f64;
+        let parallel = app.loops.iter().filter(|(_, _, p)| p.is_parallelizable()).count();
+        let frac = parallel as f64 / app.loops.len() as f64;
         assert!(frac > 0.75, "NPB-like app should be DoALL-heavy, got {frac}");
     }
 

@@ -1,27 +1,7 @@
-//! Classic graph algorithms used across the pipeline: BFS distances,
-//! topological order, longest path on DAGs (critical path length) and
-//! Tarjan SCC.
+//! Classic graph algorithms used across the pipeline: topological
+//! order, longest path on DAGs (critical path length) and Tarjan SCC.
 
 use crate::csr::Csr;
-
-/// BFS hop distances from `src`; `u32::MAX` marks unreachable nodes.
-pub fn bfs_distances(csr: &Csr, src: u32) -> Vec<u32> {
-    let n = csr.node_count();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[src as usize] = 0;
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize];
-        for &t in csr.neighbors(v) {
-            if dist[t as usize] == u32::MAX {
-                dist[t as usize] = dv + 1;
-                queue.push_back(t);
-            }
-        }
-    }
-    dist
-}
 
 /// Kahn topological order. Returns `None` if the graph has a cycle.
 pub fn topological_order(csr: &Csr) -> Option<Vec<u32>> {
@@ -216,15 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_basic() {
-        let d = bfs_distances(&dag(), 0);
-        assert_eq!(d, vec![0, 1, 1, 2, 3]);
-        let d2 = bfs_distances(&dag(), 3);
-        assert_eq!(d2[0], u32::MAX);
-        assert_eq!(d2[4], 1);
-    }
-
-    #[test]
     fn topo_order_valid() {
         let csr = dag();
         let order = topological_order(&csr).unwrap();
@@ -370,12 +341,6 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-
-    #[test]
-    fn bfs_on_empty_and_singleton() {
-        let single = Csr::from_edges(1, &[]);
-        assert_eq!(bfs_distances(&single, 0), vec![0]);
-    }
 
     #[test]
     fn self_loop_breaks_topo_order() {

@@ -2,7 +2,7 @@
 //!
 //! Directed graphs with typed node/edge payloads, a compressed sparse row
 //! (CSR) view for tight traversal loops, classic graph algorithms
-//! (shortest paths, longest path on DAGs, SCC, topological order), random
+//! (longest path on DAGs, SCC, topological order, level widths), random
 //! walk sampling, and *anonymous walk* machinery (Ivanov & Burnaev, ICML'18)
 //! used by the structural view of the MV-GNN model.
 //!

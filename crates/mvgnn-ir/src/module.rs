@@ -365,13 +365,6 @@ impl Module {
     pub fn inst_count(&self) -> usize {
         self.funcs.iter().map(Function::inst_count).sum()
     }
-
-    /// Iterate all `(FuncId, LoopId)` pairs.
-    pub fn all_loops(&self) -> impl Iterator<Item = (FuncId, LoopId)> + '_ {
-        self.funcs.iter().enumerate().flat_map(|(f, fun)| {
-            (0..fun.loops.len()).map(move |l| (FuncId(f as u32), LoopId(l as u32)))
-        })
-    }
 }
 
 #[cfg(test)]

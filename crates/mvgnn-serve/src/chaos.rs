@@ -9,15 +9,14 @@
 //! against a weight-poisoned model. Every client decision — gap lengths,
 //! which requests go through the source path, which of those are
 //! malformed — derives from `(seed, client, request index)` alone, so a
-//! failing storm replays bit-for-bit.
+//! failing storm replays the same requests; which of them shed or expire
+//! depends on the server's timing.
 //!
 //! The harness asserts nothing itself; it returns a [`ChaosReport`]
-//! census (typed outcome counts + completion-latency percentiles) for
-//! the caller to judge. The invariants the repo's tests and the
-//! `mvgnn-bench serve --smoke` gate check on top: every submission is
-//! accounted for by a typed outcome (liveness), `panics == 0`, overload
-//! sheds rather than queueing unboundedly, and p99 of answered requests
-//! stays bounded.
+//! census of typed outcome counts for the caller to judge. The
+//! invariants the service tests check on top: every submission is
+//! accounted for by a typed outcome (liveness), `panics == 0`, and
+//! overload sheds rather than queueing unboundedly.
 
 use crate::deadline::Deadline;
 use crate::response::ServeError;
@@ -27,7 +26,7 @@ use mvgnn_core::{DecidedBy, FaultPlan};
 use mvgnn_embed::GraphSample;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What the storm throws at the service.
 pub struct ChaosInputs {
@@ -101,8 +100,6 @@ pub struct ChaosReport {
     pub oracle_decided: u64,
     /// Source-path requests that came back with per-loop reports.
     pub module_ok: u64,
-    /// Degraded per-loop reports inside those answers.
-    pub module_degraded_loops: u64,
     /// Requests shed with a typed overload response.
     pub shed: u64,
     /// Requests that ran out of deadline: at admission, in the queue, or
@@ -118,16 +115,6 @@ pub struct ChaosReport {
     /// storms require this to be 0 (and [`Server::stats`]'s
     /// `panics_caught` agrees).
     pub internal: u64,
-    /// Wall-clock duration of the storm.
-    pub wall: Duration,
-    /// Completion-latency percentiles of answered sample-path requests.
-    pub p50: Duration,
-    /// 99th percentile of the same.
-    pub p99: Duration,
-    /// Worst observed completion latency.
-    pub max_latency: Duration,
-    /// Answered sample-path requests per wall-clock second.
-    pub answered_qps: f64,
 }
 
 impl ChaosReport {
@@ -144,25 +131,7 @@ impl ChaosReport {
             + self.shutdown
             + self.internal
     }
-}
 
-#[derive(Default)]
-struct Tally {
-    ok: u64,
-    degraded: u64,
-    oracle_decided: u64,
-    module_ok: u64,
-    module_degraded_loops: u64,
-    shed: u64,
-    expired: u64,
-    compile_errors: u64,
-    rejected: u64,
-    shutdown: u64,
-    internal: u64,
-    latencies_us: Vec<u64>,
-}
-
-impl Tally {
     fn count_error(&mut self, e: &ServeError) {
         match e {
             ServeError::Overloaded { .. } => self.shed += 1,
@@ -174,19 +143,18 @@ impl Tally {
         }
     }
 
-    fn merge(&mut self, other: Tally) {
+    fn merge(&mut self, other: ChaosReport) {
+        self.submitted += other.submitted;
         self.ok += other.ok;
         self.degraded += other.degraded;
         self.oracle_decided += other.oracle_decided;
         self.module_ok += other.module_ok;
-        self.module_degraded_loops += other.module_degraded_loops;
         self.shed += other.shed;
         self.expired += other.expired;
         self.compile_errors += other.compile_errors;
         self.rejected += other.rejected;
         self.shutdown += other.shutdown;
         self.internal += other.internal;
-        self.latencies_us.extend(other.latencies_us);
     }
 }
 
@@ -205,62 +173,24 @@ fn malform(plan: &FaultPlan, src: &str, i: u64) -> String {
 /// Each client is open-loop on the sample path (submission decoupled
 /// from completion through a per-client collector thread, so arrivals
 /// keep their Poisson shape under backpressure) and closed-loop on the
-/// heavyweight source path. Completion latency is measured by the
-/// collector at answer time, in submission order.
+/// heavyweight source path.
 pub fn run_chaos(server: &Server, inputs: &ChaosInputs, cfg: &ChaosConfig) -> ChaosReport {
-    let started = Instant::now();
-    let mut total = Tally::default();
-    let mut submitted = 0u64;
+    let mut total = ChaosReport::default();
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for client in 0..cfg.clients {
-            handles.push(scope.spawn(move || client_loop(server, inputs, cfg, client)));
-        }
+        let handles: Vec<_> = (0..cfg.clients)
+            .map(|client| scope.spawn(move || client_loop(server, inputs, cfg, client)))
+            .collect();
         for h in handles {
             match h.join() {
-                Ok((fired, tally)) => {
-                    submitted += fired;
-                    total.merge(tally);
-                }
-                Err(payload) => {
-                    // A dead client is a harness fault, not a service
-                    // fault; surface it as an internal outcome so the
-                    // census (and the zero-panic assertion) catches it.
-                    total.internal += 1;
-                    let _ = payload;
-                }
+                Ok(report) => total.merge(report),
+                // A dead client is a harness fault, not a service fault;
+                // surface it as an internal outcome so the census (and
+                // the zero-panic assertion) catches it.
+                Err(_) => total.internal += 1,
             }
         }
     });
-    let wall = started.elapsed();
-    total.latencies_us.sort_unstable();
-    let pct = |p: f64| -> Duration {
-        if total.latencies_us.is_empty() {
-            return Duration::ZERO;
-        }
-        let idx = ((total.latencies_us.len() as f64 - 1.0) * p).round() as usize;
-        Duration::from_micros(total.latencies_us[idx])
-    };
-    let answered = total.latencies_us.len() as u64;
-    ChaosReport {
-        submitted,
-        ok: total.ok,
-        degraded: total.degraded,
-        oracle_decided: total.oracle_decided,
-        module_ok: total.module_ok,
-        module_degraded_loops: total.module_degraded_loops,
-        shed: total.shed,
-        expired: total.expired,
-        compile_errors: total.compile_errors,
-        rejected: total.rejected,
-        shutdown: total.shutdown,
-        internal: total.internal,
-        wall,
-        p50: pct(0.50),
-        p99: pct(0.99),
-        max_latency: pct(1.0),
-        answered_qps: answered as f64 / wall.as_secs_f64().max(1e-9),
-    }
+    total
 }
 
 /// One client: fire `requests_per_client` arrivals with plan-derived
@@ -270,7 +200,7 @@ fn client_loop(
     inputs: &ChaosInputs,
     cfg: &ChaosConfig,
     client: usize,
-) -> (u64, Tally) {
+) -> ChaosReport {
     let plan = FaultPlan::new(cfg.seed.wrapping_add(0x9e37 * (client as u64 + 1)));
     let gaps = plan.bursty_interarrival_micros(
         cfg.rate_per_client,
@@ -278,26 +208,16 @@ fn client_loop(
         cfg.requests_per_client,
     );
     let (tx, rx) = mpsc::channel::<Ticket>();
-    let mut tally = Tally::default();
-    let mut fired = 0u64;
+    let mut tally = ChaosReport::default();
     std::thread::scope(|scope| {
-        // Collector: redeem tickets in submission order, stamping
-        // latency at answer time.
+        // Collector: redeem tickets in submission order.
         let collector = scope.spawn(move || {
-            let mut t = Tally::default();
+            let mut t = ChaosReport::default();
             for ticket in rx {
-                let at = ticket.submitted_at();
                 match ticket.wait() {
-                    Ok(c) => {
-                        t.latencies_us.push(at.elapsed().as_micros() as u64);
-                        if c.decided_by == DecidedBy::Oracle {
-                            t.oracle_decided += 1;
-                        } else if c.source == mvgnn_core::PredictionSource::Multi {
-                            t.ok += 1;
-                        } else {
-                            t.degraded += 1;
-                        }
-                    }
+                    Ok(c) if c.decided_by == DecidedBy::Oracle => t.oracle_decided += 1,
+                    Ok(c) if c.source == mvgnn_core::PredictionSource::Multi => t.ok += 1,
+                    Ok(_) => t.degraded += 1,
                     Err(e) => t.count_error(&e),
                 }
             }
@@ -307,7 +227,7 @@ fn client_loop(
             if *gap > 0 {
                 std::thread::sleep(Duration::from_micros(*gap));
             }
-            fired += 1;
+            tally.submitted += 1;
             let want_source = !inputs.sources.is_empty()
                 && (inputs.samples.is_empty() || plan.selects(i as u64, cfg.source_frac));
             if want_source {
@@ -319,17 +239,7 @@ fn client_loop(
                 };
                 let budget = cfg.starved_budget.then(|| plan.starved_step_budget());
                 match server.classify_source(&src, Deadline::within(cfg.deadline), budget) {
-                    Ok(mc) => {
-                        tally.module_ok += 1;
-                        tally.module_degraded_loops += mc
-                            .reports
-                            .iter()
-                            .filter(|r| {
-                                r.decided_by == DecidedBy::Gnn
-                                    && r.source != mvgnn_core::PredictionSource::Multi
-                            })
-                            .count() as u64;
-                    }
+                    Ok(_) => tally.module_ok += 1,
                     Err(e) => tally.count_error(&e),
                 }
             } else if !inputs.samples.is_empty() {
@@ -348,7 +258,7 @@ fn client_loop(
                     Err(e) => tally.count_error(&e),
                 }
             } else {
-                fired -= 1; // nothing to send — storm over empty inputs
+                tally.submitted -= 1; // nothing to send — storm over empty inputs
             }
         }
         drop(tx);
@@ -357,5 +267,5 @@ fn client_loop(
             Err(_) => tally.internal += 1,
         }
     });
-    (fired, tally)
+    tally
 }

@@ -21,9 +21,9 @@
 //! [`ServeError::Internal`] to that batch alone. The [`chaos`] module
 //! turns the seed-keyed [`FaultPlan`](mvgnn_core::FaultPlan) injectors
 //! into whole-service storms (Poisson/bursty arrivals × malformed
-//! sources × starved budgets × poisoned weights) whose census the tests
-//! and the `mvgnn-bench serve` gate assert liveness, bounded p99, and
-//! zero panics over.
+//! sources × starved budgets × poisoned weights) whose typed-outcome
+//! census the service tests assert liveness, shedding and zero panics
+//! over.
 
 #![forbid(unsafe_code)]
 

@@ -213,7 +213,6 @@ impl Tier0<'_> {
 /// collect them later — arrivals are then decoupled from completions.
 pub struct Ticket {
     slot: Arc<Slot>,
-    submitted_at: Instant,
 }
 
 impl Ticket {
@@ -222,11 +221,6 @@ impl Ticket {
     /// internal fault — so this cannot hang on a live server.
     pub fn wait(self) -> ServeResult<Classification> {
         self.slot.wait()
-    }
-
-    /// When the request was admitted.
-    pub fn submitted_at(&self) -> Instant {
-        self.submitted_at
     }
 }
 
@@ -321,7 +315,7 @@ impl Server {
             sh.oracle_decided.fetch_add(1, Ordering::Relaxed);
             let slot = Slot::new();
             slot.fulfil(Ok(evidence.answer()));
-            return Ok(Ticket { slot, submitted_at: Instant::now() });
+            return Ok(Ticket { slot });
         }
         // Shape gate before spending a token: a sample the model cannot
         // consume is rejected typed, not panicked on mid-batch.
@@ -357,17 +351,16 @@ impl Server {
             });
         }
         let slot = Slot::new();
-        let now = Instant::now();
         q.push_back(Request {
             sample,
             deadline,
-            enqueued: now,
+            enqueued: Instant::now(),
             slot: Arc::clone(&slot),
             permit,
         });
         sh.batcher.arrived.notify_one();
         drop(q);
-        Ok(Ticket { slot, submitted_at: now })
+        Ok(Ticket { slot })
     }
 
     /// Compile `src` and classify every loop of its `main` function.

@@ -1,6 +1,6 @@
 //! End-to-end service tests: coalescing, admission control, deadline
-//! propagation, graceful degradation, shutdown, and a small deterministic
-//! chaos storm. Every scenario must complete with typed outcomes only —
+//! propagation, graceful degradation, shutdown, and small deterministic
+//! chaos storms. Every scenario must complete with typed outcomes only —
 //! a panic anywhere on a request path fails the suite.
 
 use mvgnn_core::model::{MvGnn, MvGnnConfig};
@@ -584,6 +584,52 @@ fn chaos_storm_is_fully_accounted_and_panic_free() {
         .and_then(Ticket::wait)
         .expect("post-storm liveness");
     assert!(c.prediction <= 1);
+    server.shutdown();
+}
+
+#[test]
+fn sample_storm_past_capacity_sheds_typed_and_the_fused_head_answers_after_it() {
+    // A tiny service (8 admission tokens, a 4-deep queue) under bursts
+    // of 8 at 50,000 req/s per client: it must shed, not hang or panic.
+    let ds = tiny_dataset();
+    let server = Server::start(
+        Arc::new(tiny_model(&ds)),
+        ServeConfig {
+            max_batch: 4,
+            max_delay: Duration::from_micros(500),
+            max_queue: 4,
+            max_inflight: 8,
+            workers: 1,
+        },
+    )
+    .expect("valid config");
+    let inputs = ChaosInputs { samples: samples_of(&ds), sources: Vec::new(), oracles: Vec::new() };
+    let cfg = ChaosConfig {
+        seed: 0x5e1e,
+        clients: 4,
+        requests_per_client: 64,
+        rate_per_client: 50_000.0,
+        burst: 8,
+        deadline: Duration::from_secs(5),
+        ..Default::default()
+    };
+    let report = run_chaos(&server, &inputs, &cfg);
+    assert_eq!(report.submitted, 4 * 64);
+    assert_eq!(
+        report.accounted(),
+        report.submitted,
+        "every request needs a typed outcome: {report:?}"
+    );
+    assert_eq!(report.internal, 0, "zero panics required: {report:?}");
+    assert!(report.shed > 0, "forced overload must shed: {report:?}");
+    assert!(report.ok > 0, "some admitted requests must be answered: {report:?}");
+    assert_eq!(server.stats().panics_caught, 0);
+    // Liveness after the storm: a fresh request gets a healthy answer.
+    let c = server
+        .submit(Arc::clone(&inputs.samples[0]), Deadline::within(Duration::from_secs(10)))
+        .and_then(Ticket::wait)
+        .expect("post-storm liveness");
+    assert_eq!(c.source, PredictionSource::Multi, "post-storm answer degraded: {c:?}");
     server.shutdown();
 }
 

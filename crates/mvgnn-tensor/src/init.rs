@@ -1,4 +1,4 @@
-//! Seeded weight initializers and dropout-mask generation.
+//! Seeded weight initializers.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,16 +24,6 @@ pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Inverted-dropout keep mask: entries are `1/keep_prob` with probability
-/// `keep_prob` and `0` otherwise.
-pub fn dropout_mask(n: usize, keep_prob: f32, rng: &mut StdRng) -> Vec<f32> {
-    assert!((0.0..=1.0).contains(&keep_prob) && keep_prob > 0.0, "keep_prob in (0, 1]");
-    let inv = 1.0 / keep_prob;
-    (0..n)
-        .map(|_| if rng.random::<f32>() < keep_prob { inv } else { 0.0 })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,24 +39,6 @@ mod tests {
         assert!(a.iter().all(|&x| x.abs() <= bound));
         // Not all identical.
         assert!(a.iter().any(|&x| (x - a[0]).abs() > 1e-6));
-    }
-
-    #[test]
-    fn dropout_mask_statistics() {
-        let mut r = rng(3);
-        let mask = dropout_mask(10_000, 0.8, &mut r);
-        let kept = mask.iter().filter(|&&m| m > 0.0).count();
-        assert!((7_600..8_400).contains(&kept), "kept {kept}");
-        for &m in &mask {
-            assert!(m == 0.0 || (m - 1.25).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn dropout_keep_one_is_identity() {
-        let mut r = rng(1);
-        let mask = dropout_mask(100, 1.0, &mut r);
-        assert!(mask.iter().all(|&m| (m - 1.0).abs() < 1e-6));
     }
 
     #[test]

@@ -177,9 +177,9 @@ impl GradStore {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
-/// Handle to a sparse operator registered with [`Tape::sparse_const`].
-/// Lets a stack of layers share one stored copy of the matrix instead of
-/// cloning it per [`Tape::spmm`] call.
+/// Handle to a sparse operator registered with [`Tape::sparse_ref`].
+/// Lets a stack of layers share one borrowed matrix across
+/// [`Tape::spmm_at`] calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SparseId(usize);
 
@@ -204,30 +204,10 @@ enum Op {
     /// so the payload can live in the pooled `u32` free list.
     GatherRowsAt(Var, Vec<u32>),
     SumAll(Var),
-    Dropout(Var),
     Conv1dRows { x: Var, w: Var, bias: Option<Var>, ksize: usize, stride: usize, seg_len: usize },
     MaxPoolRows { x: Var, size: usize, seg_len: usize },
     Reshape(Var),
     SoftmaxCe { logits: Var, targets: Vec<usize>, temperature: f32 },
-}
-
-/// A sparse operator slot on the tape: either tape-owned (the legacy
-/// [`Tape::sparse_const`] clone) or borrowed from caller-owned storage
-/// that outlives the tape — e.g. a `GraphBatch`'s block-diagonal
-/// adjacency — via [`Tape::sparse_ref`], which skips the clone
-/// entirely.
-enum SparseSlot<'p> {
-    Owned(SparseMatrix),
-    Borrowed(&'p SparseMatrix),
-}
-
-impl SparseSlot<'_> {
-    fn get(&self) -> &SparseMatrix {
-        match self {
-            SparseSlot::Owned(m) => m,
-            SparseSlot::Borrowed(m) => m,
-        }
-    }
 }
 
 struct Node {
@@ -235,7 +215,7 @@ struct Node {
     data: Vec<f32>,
     grad: Vec<f32>,
     shape: (usize, usize),
-    /// Op-specific float payload (softmax probs, dropout mask).
+    /// Op-specific float payload (softmax probs).
     aux_f: Vec<f32>,
 }
 
@@ -262,7 +242,9 @@ pub struct Tape<'p> {
     params: &'p Params,
     grads: Option<GradStore>,
     nodes: Vec<Node>,
-    sparse: Vec<SparseSlot<'p>>,
+    /// Sparse operators borrowed from caller-owned storage that
+    /// outlives the tape, e.g. a `GraphBatch`'s block-diagonal adjacency.
+    sparse: Vec<&'p SparseMatrix>,
     ws: Workspace,
 }
 
@@ -393,40 +375,24 @@ impl<'p> Tape<'p> {
         self.push(Op::MatMul(a, b), out, (m, n))
     }
 
-    /// Register a constant sparse operator on the tape (one clone). The
-    /// handle can back any number of [`Tape::spmm_at`] calls.
-    pub fn sparse_const(&mut self, a: &SparseMatrix) -> SparseId {
-        self.sparse.push(SparseSlot::Owned(a.clone()));
-        SparseId(self.sparse.len() - 1)
-    }
-
     /// Register a caller-owned sparse operator without cloning it; the
     /// borrow must outlive the tape (same `'p` as the parameter store).
     /// This is how batched encoders share the `GraphBatch`'s cached
     /// block-diagonal adjacency across a whole GCN stack, clone-free.
     pub fn sparse_ref(&mut self, a: &'p SparseMatrix) -> SparseId {
-        self.sparse.push(SparseSlot::Borrowed(a));
+        self.sparse.push(a);
         SparseId(self.sparse.len() - 1)
     }
 
-    /// Sparse `A · x` where `A` is a constant propagation operator.
-    pub fn spmm(&mut self, a: &SparseMatrix, x: Var) -> Var {
-        let a = self.sparse_const(a);
-        self.spmm_at(a, x)
-    }
-
-    /// [`Tape::spmm`] against an operator already registered with
-    /// [`Tape::sparse_const`] / [`Tape::sparse_ref`].
+    /// Sparse `A · x`, where `A` is a constant propagation operator
+    /// registered with [`Tape::sparse_ref`].
     pub fn spmm_at(&mut self, a: SparseId, x: Var) -> Var {
         let (r, n) = self.nodes[x.0].shape;
-        let (rows, cols) = {
-            let sp = self.sparse[a.0].get();
-            (sp.rows(), sp.cols())
-        };
-        assert_eq!(cols, r, "spmm operand rows");
-        let mut out = self.ws.acquire_f32(rows * n);
-        self.sparse[a.0].get().spmm(&self.nodes[x.0].data, &mut out, n);
-        self.push(Op::SpMM(a.0, x), out, (rows, n))
+        let sp = self.sparse[a.0];
+        assert_eq!(sp.cols(), r, "spmm operand rows");
+        let mut out = self.ws.acquire_f32(sp.rows() * n);
+        sp.spmm(&self.nodes[x.0].data, &mut out, n);
+        self.push(Op::SpMM(a.0, x), out, (sp.rows(), n))
     }
 
     /// Elementwise sum (same shape).
@@ -591,18 +557,6 @@ impl<'p> Tape<'p> {
         self.push(Op::SumAll(a), out, (1, 1))
     }
 
-    /// Inverted dropout with the given keep mask (entries are `0` or
-    /// `1/keep_prob`); build the mask with [`crate::init::dropout_mask`].
-    pub fn dropout(&mut self, a: Var, mask: Vec<f32>) -> Var {
-        let shape = self.shape(a);
-        assert_eq!(mask.len(), shape.0 * shape.1, "mask shape mismatch");
-        let mut out = self.ws.acquire_f32(mask.len());
-        for ((o, &x), &m) in out.iter_mut().zip(self.data(a)).zip(&mask) {
-            *o = x * m;
-        }
-        self.push_aux(Op::Dropout(a), out, shape, mask)
-    }
-
     /// 1-D convolution over rows: input `len×in_ch`, weight
     /// `(ksize·in_ch)×out_ch`, optional bias `1×out_ch`; output
     /// `((len−ksize)/stride + 1)×out_ch`.
@@ -692,17 +646,11 @@ impl<'p> Tape<'p> {
         self.push(Op::Reshape(a), data, (rows, cols))
     }
 
-    /// Non-overlapping max pooling over rows (`len×ch → ⌈len/size⌉×ch`).
-    pub fn maxpool_rows(&mut self, a: Var, size: usize) -> Var {
-        let (len, _) = self.shape(a);
-        self.maxpool_rows_seg(a, size, len.max(1))
-    }
-
-    /// Segment-batched max pooling: rows form `len/seg_len` equal segments
-    /// pooled independently, so an odd `seg_len` pads its own tail window
-    /// instead of leaking into the next segment. Output:
-    /// `segs·⌈seg_len/size⌉` rows. With `seg_len == len` this is the plain
-    /// [`Tape::maxpool_rows`].
+    /// Segment-batched non-overlapping max pooling over rows: rows form
+    /// `len/seg_len` equal segments pooled independently, so an odd
+    /// `seg_len` pads its own tail window instead of leaking into the
+    /// next segment. Output: `segs·⌈seg_len/size⌉` rows; with
+    /// `seg_len == len` that is `len×ch → ⌈len/size⌉×ch`.
     pub fn maxpool_rows_seg(&mut self, a: Var, size: usize, seg_len: usize) -> Var {
         let (len, ch) = self.shape(a);
         assert!(size >= 1);
@@ -816,7 +764,7 @@ impl<'p> Tape<'p> {
                 Op::SpMM(s, x) => {
                     let n = self.nodes[x.0].shape.1;
                     let mut xg = std::mem::take(&mut self.nodes[x.0].grad);
-                    self.sparse[s].get().spmm_transpose_accum(&grad, &mut xg, n);
+                    self.sparse[s].spmm_transpose_accum(&grad, &mut xg, n);
                     self.nodes[x.0].grad = xg;
                 }
                 Op::Add(a, b) => {
@@ -945,13 +893,6 @@ impl<'p> Tape<'p> {
                     for g in self.nodes[a.0].grad.iter_mut() {
                         *g += u;
                     }
-                }
-                Op::Dropout(a) => {
-                    let mask = std::mem::take(&mut self.nodes[i].aux_f);
-                    for ((g, &u), &mv) in self.nodes[a.0].grad.iter_mut().zip(&grad).zip(&mask) {
-                        *g += u * mv;
-                    }
-                    self.nodes[i].aux_f = mask;
                 }
                 Op::Conv1dRows { x, w, bias, ksize, stride, seg_len } => {
                     let in_ch = self.nodes[x.0].shape.1;
@@ -1203,10 +1144,16 @@ mod tests {
 
     #[test]
     fn grad_spmm() {
-        let sp = SparseMatrix::from_triplets(3, 3, &[(0, 1, 2.0), (1, 0, -1.0), (2, 2, 0.5)]);
+        // Leaked so the borrow outlives every tape `grad_check` builds.
+        let sp: &'static SparseMatrix = Box::leak(Box::new(SparseMatrix::from_triplets(
+            3,
+            3,
+            &[(0, 1, 2.0), (1, 0, -1.0), (2, 2, 0.5)],
+        )));
         grad_check(
-            move |t, x| {
-                let y = t.spmm(&sp, x);
+            |t, x| {
+                let a = t.sparse_ref(sp);
+                let y = t.spmm_at(a, x);
                 let a = t.tanh(y);
                 t.sum_all(a)
             },
@@ -1223,7 +1170,7 @@ mod tests {
                 let w = t.input(vec![0.5, -0.2, 0.1, 0.3, -0.4, 0.6, 0.2, 0.7], 4, 2);
                 let b = t.input(vec![0.05, -0.05], 1, 2);
                 let c = t.conv1d_rows(x, w, Some(b), 2, 1);
-                let p = t.maxpool_rows(c, 2);
+                let p = t.maxpool_rows_seg(c, 2, 4);
                 let a = t.tanh(p);
                 t.sum_all(a)
             },
@@ -1415,19 +1362,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_dropout_mask_scales() {
-        grad_check(
-            |t, x| {
-                let d = t.dropout(x, vec![2.0, 0.0, 2.0, 2.0]);
-                t.sum_all(d)
-            },
-            vec![0.4, 0.5, 0.6, 0.7],
-            2,
-            2,
-        );
-    }
-
-    #[test]
     fn grad_sidecars_accumulate_across_tapes() {
         let mut params = Params::new();
         let w = params.add("w", 2, 1, vec![1.0, 2.0]);
@@ -1602,24 +1536,6 @@ mod tests {
         );
         let ws = tape.finish();
         assert!(ws.stats().resident > 0, "finish must return the warm pool");
-    }
-
-    #[test]
-    fn sparse_ref_matches_sparse_const() {
-        let sp = SparseMatrix::from_triplets(3, 3, &[(0, 1, 2.0), (1, 0, -1.0), (2, 2, 0.5)]);
-        let params = Params::new();
-        let xdat = vec![0.2, -0.1, 0.4, 0.3, 0.6, -0.5];
-        let mut tape = Tape::new(&params);
-        let x = tape.input(xdat.clone(), 3, 2);
-        let owned = tape.sparse_const(&sp);
-        let yo = tape.spmm_at(owned, x);
-        let borrowed = tape.sparse_ref(&sp);
-        let yb = tape.spmm_at(borrowed, x);
-        assert_eq!(tape.data(yo), tape.data(yb));
-        // Gradients flow through borrowed operators too.
-        let loss = tape.sum_all(yb);
-        tape.backward(loss);
-        assert!(tape.grad(x).iter().any(|&g| g != 0.0));
     }
 
     #[test]

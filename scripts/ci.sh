@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo "==> build (release)"
 cargo build --release --workspace --quiet
 
-echo "==> tests (workspace)"
+echo "==> tests (workspace; includes the allocation budgets of a light cascade call and the serve worker loop, the cascade routing gate and the serve overload storm)"
 cargo test -q --workspace
 
 echo "==> release parity (tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, affine algebra vs its reference, Table III tool verdicts, every pinned loop sample, tier-0 report and printed IR module with its round trip and footprint, shard-union parity of the corpus, in the optimised build the benchmark runs, where checked arithmetic must agree with debug)"
@@ -24,20 +24,8 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> shared-model parity (one Arc<MvGnn> run from many threads at once)"
 cargo test -q --test concurrent_parity
 
-echo "==> alloc smoke (the serve worker's loop, one reused workspace over 32-sample chunks, stays under budget)"
-cargo run --release -p mvgnn-bench --features count-allocs --bin throughput --quiet -- --alloc-smoke
-
-echo "==> tier-0 alloc smoke (a light cascade call stays under its allocation budget)"
-cargo run --release -p mvgnn-bench --features count-allocs --bin cascade --quiet -- --alloc-smoke
-
-echo "==> serve smoke (forced-overload storm: typed sheds, zero panics, liveness)"
-cargo run --release -p mvgnn-bench --bin serve --quiet -- --smoke
-
 echo "==> corpus label audit (static oracle vs profiler, per-shard merge, smoke slice)"
 cargo run --release -p mvgnn-bench --bin lint --quiet -- --smoke
-
-echo "==> cascade smoke (tier-0 short-circuit rate > 0, throughput >= pure GNN)"
-cargo run --release -p mvgnn-bench --bin cascade --quiet -- --smoke
 
 echo "==> checkpoint round trip (train, write, read back: bit-identical weights and predictions)"
 cargo run --release --example save_load_model --quiet

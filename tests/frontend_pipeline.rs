@@ -114,6 +114,7 @@ fn printer_output_recompiles_to_same_behaviour() {
 #[test]
 fn frontend_loops_feed_the_model_sample_path() {
     use mvgnn::embed::{build_sample, Inst2Vec, Inst2VecConfig, SampleConfig};
+    use mvgnn::ir::module::{FuncId, LoopId};
     use mvgnn::peg::{build_peg, loop_subpeg};
     use mvgnn::profiler::{build_cus, loop_features};
 
@@ -127,7 +128,10 @@ fn frontend_loops_feed_the_model_sample_path() {
         &Inst2VecConfig { dim: 12, epochs: 1, negatives: 2, lr: 0.05, seed: 1 },
     );
     let mut samples = 0;
-    for (func, l) in module.all_loops() {
+    let all_loops = module.funcs.iter().enumerate().flat_map(|(f, fun)| {
+        (0..fun.loops.len()).map(move |l| (FuncId(f as u32), LoopId(l as u32)))
+    });
+    for (func, l) in all_loops {
         let sub = loop_subpeg(&peg, &module, &cus, func, l);
         let runtime = result.loops.get(&(func, l)).copied().unwrap_or_default();
         let feats = loop_features(&module, func, l, &result.deps, &runtime);

@@ -61,19 +61,6 @@ proptest! {
             prop_assert!(topo.is_none(), "cyclic graph must not have a topo order");
         }
     }
-
-    /// BFS distances are monotone along edges: d(t) ≤ d(s) + 1.
-    #[test]
-    fn bfs_triangle_inequality((n, edges) in edges_strategy(24)) {
-        let csr = Csr::from_edges(n, &edges);
-        let dist = algo::bfs_distances(&csr, 0);
-        for s in 0..n as u32 {
-            if dist[s as usize] == u32::MAX { continue; }
-            for &t in csr.neighbors(s) {
-                prop_assert!(dist[t as usize] <= dist[s as usize] + 1);
-            }
-        }
-    }
 }
 
 /// A random straight-line + single-loop program for differential tests.
