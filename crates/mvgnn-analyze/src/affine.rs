@@ -298,8 +298,8 @@ impl RegTables {
             if let Some(d) = inst.def() {
                 let r = t.slot(d);
                 r.defs += 1;
-                if let Inst::Const { value, .. } = inst {
-                    r.konst = Some(*value);
+                if let Some(v) = inst.const_value() {
+                    r.konst = Some(v);
                 }
             }
         }
@@ -362,7 +362,7 @@ impl RegTables {
 pub(crate) fn fill_loop_mask(f: &Function, info: &LoopInfo, mask: &mut Vec<bool>) {
     mask.clear();
     mask.resize(f.num_blocks(), false);
-    for b in info.body.iter().chain([&info.header, &info.latch]) {
+    for b in f.loop_body(info).chain([info.header, info.latch]) {
         if let Some(m) = mask.get_mut(b.index()) {
             *m = true;
         }
@@ -460,11 +460,14 @@ pub(crate) fn index_walk(
         let bid = BlockId(bi as u32);
         for (ii, inst) in blk.insts.iter().enumerate() {
             match inst {
-                Inst::Const { dst, value } if !is_iv(regs, *dst) => {
+                Inst::Const { dst, ty, bits } if !is_iv(regs, *dst) => {
                     let s = if opaque(regs, *dst) {
                         AffineExpr::Unknown
                     } else {
-                        value.as_i64().map(AffineExpr::constant).unwrap_or(AffineExpr::Unknown)
+                        Value::from_bits(*ty, *bits)
+                            .as_i64()
+                            .map(AffineExpr::constant)
+                            .unwrap_or(AffineExpr::Unknown)
                     };
                     set(regs, *dst, s);
                 }

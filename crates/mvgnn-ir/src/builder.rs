@@ -9,6 +9,7 @@
 use crate::inst::{BinOp, Inst, UnOp};
 use crate::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module};
 use crate::types::{ArrayId, VReg, Value};
+use std::ops::Range;
 
 /// Builder for one function. Create with [`FunctionBuilder::new`], emit
 /// instructions and structured control flow, then call
@@ -43,8 +44,10 @@ pub struct FunctionBuilder<'m> {
     /// Each block's `(instruction, line)` run while it is built;
     /// [`FunctionBuilder::finish`] stores them flat.
     blocks: Vec<Vec<(Inst, u32)>>,
-    block_loop: Vec<Option<LoopId>>,
     loops: Vec<LoopInfo>,
+    /// Every finished loop's body blocks; each `LoopInfo::body` is a
+    /// range of them.
+    bodies: Vec<BlockId>,
     current: BlockId,
     loop_stack: Vec<LoopId>,
     line: u32,
@@ -60,8 +63,8 @@ impl<'m> FunctionBuilder<'m> {
             arity,
             next_reg: arity,
             blocks: Vec::new(),
-            block_loop: Vec::new(),
             loops: Vec::new(),
+            bodies: Vec::new(),
             current: BlockId(0),
             loop_stack: Vec::new(),
             line: 1,
@@ -97,8 +100,15 @@ impl<'m> FunctionBuilder<'m> {
     fn new_block(&mut self) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(Vec::new());
-        self.block_loop.push(self.loop_stack.last().copied());
         id
+    }
+
+    /// Record the body blocks `first..end` of a loop; returns their range
+    /// in `bodies`.
+    fn push_body(&mut self, first: BlockId, end: BlockId) -> Range<u32> {
+        let at = self.bodies.len() as u32;
+        self.bodies.extend((first.0..end.0).map(BlockId));
+        at..self.bodies.len() as u32
     }
 
     fn emit(&mut self, inst: Inst) {
@@ -128,7 +138,7 @@ impl<'m> FunctionBuilder<'m> {
     /// `dst = const v`
     pub fn constant(&mut self, v: Value) -> VReg {
         let dst = self.fresh();
-        self.emit(Inst::Const { dst, value: v });
+        self.emit(Inst::constant(dst, v));
         dst
     }
 
@@ -228,7 +238,7 @@ impl<'m> FunctionBuilder<'m> {
         self.loops.push(LoopInfo {
             id: loop_id,
             header: BlockId(0),
-            body: Vec::new(),
+            body: 0..0,
             latch: BlockId(0),
             exit: BlockId(0),
             induction: Some(iv),
@@ -266,10 +276,10 @@ impl<'m> FunctionBuilder<'m> {
 
         // Collect body blocks: every block created between body_entry and
         // latch (exclusive) plus body_entry itself.
-        let body_blocks: Vec<BlockId> = (body_first_block.0..latch.0).map(BlockId).collect();
+        let body_run = self.push_body(body_first_block, latch);
         let info = &mut self.loops[loop_id.index()];
         info.header = header;
-        info.body = body_blocks;
+        info.body = body_run;
         info.latch = latch;
         info.exit = exit;
         info.line_span = (start_line, end_line);
@@ -292,7 +302,7 @@ impl<'m> FunctionBuilder<'m> {
         self.loops.push(LoopInfo {
             id: loop_id,
             header: BlockId(0),
-            body: Vec::new(),
+            body: 0..0,
             latch: BlockId(0),
             exit: BlockId(0),
             induction: None,
@@ -323,10 +333,10 @@ impl<'m> FunctionBuilder<'m> {
         let exit = self.new_block();
         self.cond_br(header_condbr, c, body_entry, exit);
 
-        let body_blocks: Vec<BlockId> = (body_entry.0..latch.0).map(BlockId).collect();
+        let body_run = self.push_body(body_entry, latch);
         let info = &mut self.loops[loop_id.index()];
         info.header = header;
-        info.body = body_blocks;
+        info.body = body_run;
         info.latch = latch;
         info.exit = exit;
         info.line_span = (start_line, end_line);
@@ -378,12 +388,9 @@ impl<'m> FunctionBuilder<'m> {
         if !self.terminated(self.current) {
             self.ret(None);
         }
-        let Self { module, name, arity, next_reg, blocks, block_loop, loops, .. } = self;
+        let Self { module, name, arity, next_reg, blocks, loops, bodies, .. } = self;
         let id = FuncId(module.funcs.len() as u32);
-        let mut f = Function::from_blocks(name, arity, next_reg, blocks);
-        f.loops = loops;
-        f.block_loop = block_loop;
-        module.funcs.push(f);
+        module.funcs.push(Function::new(name, arity, next_reg, blocks, loops, &bodies));
         id
     }
 }

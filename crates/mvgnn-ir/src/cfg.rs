@@ -235,11 +235,14 @@ mod tests {
 
     #[test]
     fn unreachable_blocks_are_vacuously_dominated() {
-        let mut f = diamond();
-        // Append an unreachable block.
-        f.push_block();
-        f.push_inst(Inst::Ret { val: None }, 9);
-        f.block_loop.push(None);
+        // The diamond with an unreachable block appended.
+        let d = diamond();
+        let mut blocks: Vec<Vec<(Inst, u32)>> = d
+            .blocks()
+            .map(|b| b.insts.iter().cloned().zip(b.lines.iter().copied()).collect())
+            .collect();
+        blocks.push(vec![(Inst::Ret { val: None }, 9)]);
+        let f = Function::new(d.name, d.arity, d.num_regs, blocks, Vec::new(), &[]);
         let cfg = Cfg::new(&f);
         let dom = Dominators::compute(&cfg);
         let dead = BlockId(f.num_blocks() as u32 - 1);

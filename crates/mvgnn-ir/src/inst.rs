@@ -2,7 +2,7 @@
 //! against arrays, structured terminators and direct calls.
 
 use crate::module::{BlockId, FuncId};
-use crate::types::{ArrayId, VReg, Value};
+use crate::types::{ArrayId, Ty, VReg, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -169,7 +169,7 @@ impl UnOp {
 }
 
 /// A direct call's operands, boxed in [`Inst::Call`] so that every
-/// instruction stays 24 bytes.
+/// instruction stays 16 bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Call {
     /// Optional destination for the return value.
@@ -180,16 +180,25 @@ pub struct Call {
     pub args: Box<[VReg]>,
 }
 
-/// One IR instruction. Terminators (`Br`, `CondBr`, `Ret`) may only appear
-/// as the last instruction of a block (enforced by the verifier).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One IR instruction, 16 bytes. Terminators (`Br`, `CondBr`, `Ret`) may
+/// only appear as the last instruction of a block (enforced by the
+/// verifier).
+///
+/// Equality compares a `Const` through its [`Value`] (as `f64` for a
+/// float: `0.0 == -0.0`, a NaN equals nothing), every other variant field
+/// by field.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Inst {
-    /// `dst = const value`
+    /// `dst = const value`, the value stored as its type and raw bits
+    /// (so that it packs beside the destination). Build one with
+    /// [`Inst::constant`] and read it with [`Inst::const_value`].
     Const {
         /// Destination register.
         dst: VReg,
-        /// Immediate value.
-        value: Value,
+        /// The value's type.
+        ty: Ty,
+        /// The value's payload, [`Value::to_bits`].
+        bits: u64,
     },
     /// `dst = src` register copy.
     Copy {
@@ -259,7 +268,54 @@ pub enum Inst {
     },
 }
 
+// A new variant must not grow every instruction of every function.
+const _: () = assert!(std::mem::size_of::<Inst>() == 16);
+
+impl PartialEq for Inst {
+    fn eq(&self, other: &Self) -> bool {
+        use Inst::*;
+        match (self, other) {
+            (Const { dst: a, .. }, Const { dst: b, .. }) => {
+                a == b && self.const_value() == other.const_value()
+            }
+            (Copy { dst: a, src: b }, Copy { dst: c, src: d }) => (a, b) == (c, d),
+            (Bin { op: a, dst: b, lhs: c, rhs: d }, Bin { op: e, dst: f, lhs: g, rhs: h }) => {
+                (a, b, c, d) == (e, f, g, h)
+            }
+            (Un { op: a, dst: b, src: c }, Un { op: d, dst: e, src: f }) => (a, b, c) == (d, e, f),
+            (Load { dst: a, arr: b, idx: c }, Load { dst: d, arr: e, idx: f }) => {
+                (a, b, c) == (d, e, f)
+            }
+            (Store { arr: a, idx: b, src: c }, Store { arr: d, idx: e, src: f }) => {
+                (a, b, c) == (d, e, f)
+            }
+            (Call(a), Call(b)) => a == b,
+            (Br { target: a }, Br { target: b }) => a == b,
+            (
+                CondBr { cond: a, then_blk: b, else_blk: c },
+                CondBr { cond: d, then_blk: e, else_blk: f },
+            ) => (a, b, c) == (d, e, f),
+            (Ret { val: a }, Ret { val: b }) => a == b,
+            _ => false,
+        }
+    }
+}
+
 impl Inst {
+    /// `dst = const value`.
+    pub fn constant(dst: VReg, value: Value) -> Self {
+        Inst::Const { dst, ty: value.ty(), bits: value.to_bits() }
+    }
+
+    /// The value a `Const` loads, rebuilt bit for bit; `None` for every
+    /// other instruction.
+    pub fn const_value(&self) -> Option<Value> {
+        match self {
+            Inst::Const { ty, bits, .. } => Some(Value::from_bits(*ty, *bits)),
+            _ => None,
+        }
+    }
+
     /// `dst? = call func(args...)`.
     pub fn call(dst: Option<VReg>, func: FuncId, args: &[VReg]) -> Self {
         Inst::Call(Box::new(Call { dst, func, args: args.into() }))
@@ -316,7 +372,7 @@ impl Inst {
     /// array identity class. This mirrors inst2vec statement normalisation.
     pub fn token(&self) -> String {
         match self {
-            Inst::Const { value, .. } => format!("const.{}", value.ty()),
+            Inst::Const { ty, .. } => format!("const.{ty}"),
             Inst::Copy { .. } => "copy".to_string(),
             Inst::Bin { op, .. } => format!("bin.{}", op.mnemonic()),
             Inst::Un { op, .. } => format!("un.{}", op.mnemonic()),
@@ -356,7 +412,6 @@ impl fmt::Display for InstRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Ty;
 
     #[test]
     fn binop_mnemonic_roundtrip() {
@@ -427,7 +482,23 @@ mod tests {
         let b = Inst::Bin { op: BinOp::Mul, dst: VReg(9), lhs: VReg(8), rhs: VReg(7) };
         assert_eq!(a.token(), b.token());
         assert_eq!(a.token(), "bin.mul");
-        assert_eq!(Inst::Const { dst: VReg(0), value: Value::zero(Ty::F64) }.token(), "const.f64");
+        assert_eq!(Inst::constant(VReg(0), Value::zero(Ty::F64)).token(), "const.f64");
+    }
+
+    #[test]
+    fn constants_compare_through_their_value() {
+        let c = |v: f64| Inst::constant(VReg(1), Value::F64(v));
+        assert_eq!(c(0.0), c(-0.0));
+        assert_ne!(c(f64::NAN), c(f64::NAN));
+        assert_ne!(c(1.0), Inst::constant(VReg(2), Value::F64(1.0)));
+        let i = Inst::constant(VReg(1), Value::I64(f64::NAN.to_bits() as i64));
+        assert_eq!(i, i.clone());
+        assert_ne!(i, Inst::Const { dst: VReg(1), ty: Ty::F64, bits: f64::NAN.to_bits() });
+        for v in [Value::I64(-7), Value::F64(-0.0), Value::F64(f64::NAN), Value::F64(1e-310)] {
+            let back = Inst::constant(VReg(0), v).const_value().unwrap();
+            assert_eq!((back.ty(), back.to_bits()), (v.ty(), v.to_bits()));
+        }
+        assert_eq!(Inst::Ret { val: None }.const_value(), None);
     }
 
     #[test]

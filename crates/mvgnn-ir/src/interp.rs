@@ -202,8 +202,8 @@ impl<'m> Interpreter<'m> {
             tracer.on_inst(r, blk.lines[idx]);
 
             match inst {
-                Inst::Const { dst, value } => {
-                    regs[dst.index()] = *value;
+                Inst::Const { dst, ty, bits } => {
+                    regs[dst.index()] = Value::from_bits(*ty, *bits);
                     idx += 1;
                 }
                 Inst::Copy { dst, src } => {

@@ -77,8 +77,10 @@ pub struct LoopInfo {
     /// Block evaluating the loop condition; executing it marks an
     /// iteration boundary for the profiler.
     pub header: BlockId,
-    /// Blocks belonging to the loop body (header and latch excluded).
-    pub body: Vec<BlockId>,
+    /// Where the blocks belonging to the loop body (header and latch
+    /// excluded) sit in its function's body run; read them with
+    /// [`Function::loop_body`].
+    pub(crate) body: Range<u32>,
     /// Block that increments the induction register and jumps back.
     pub latch: BlockId,
     /// Block control reaches after the loop.
@@ -106,13 +108,24 @@ pub struct ArrayDecl {
     pub len: usize,
 }
 
+/// Side-table entry of a block that belongs to no loop.
+const NO_LOOP: u32 = u32::MAX;
+
 /// A function: registers are dynamically typed; the first `arity` registers
 /// receive the call arguments.
 ///
 /// The code is stored flat: every instruction of every block in one
-/// array, block after block, with a parallel array of source lines and a
-/// table of block-start offsets. [`Function::block`] views one block's
-/// run of it.
+/// array, block after block. Everything else about it is one side table
+/// of `u32`s, four runs one after another (`n` instructions, `nb`
+/// blocks):
+///
+/// - lines, `n`: the synthetic source line of each instruction;
+/// - starts, `nb + 1`: block `b` holds `insts[starts[b]..starts[b + 1]]`;
+/// - block loops, `nb`: each block's innermost loop, `u32::MAX` for none;
+/// - bodies, the rest: every loop's body blocks, each [`LoopInfo`]
+///   holding the range of its own.
+///
+/// [`Function::block`] views one block's run of code and lines.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Function {
     /// Debug name (unique per module).
@@ -121,95 +134,87 @@ pub struct Function {
     pub arity: u32,
     /// Total virtual registers used.
     pub num_regs: u32,
+    /// Number of basic blocks.
+    nblocks: u32,
     /// Every instruction, block after block.
     insts: Vec<Inst>,
-    /// Synthetic source line of each instruction (parallel to `insts`).
-    lines: Vec<u32>,
-    /// Block `b` holds `insts[starts[b]..starts[b + 1]]`; one entry more
-    /// than there are blocks, the last being `insts.len()`.
-    starts: Vec<u32>,
+    /// Lines, starts, block loops and bodies (see above).
+    side: Vec<u32>,
     /// Loops created by the builder, indexed by `LoopId`.
     pub loops: Vec<LoopInfo>,
-    /// Which loop each block belongs to (innermost), one entry per block.
-    pub block_loop: Vec<Option<LoopId>>,
 }
 
 impl Function {
-    /// A function with no blocks, loops or instructions yet.
-    pub fn new(name: impl Into<String>, arity: u32, num_regs: u32) -> Self {
-        Self {
-            name: name.into(),
-            arity,
-            num_regs,
-            insts: Vec::new(),
-            lines: Vec::new(),
-            starts: vec![0],
-            loops: Vec::new(),
-            block_loop: Vec::new(),
-        }
-    }
-
     /// A function whose blocks hold the given `(instruction, line)` runs,
-    /// stored at their exact size.
-    pub(crate) fn from_blocks(
+    /// with `loops` whose `body` ranges index `bodies`, stored at its
+    /// exact size. Each block's innermost loop is derived from the loops:
+    /// every loop claims its header, body and latch, outer loops (lower
+    /// depth) first so that inner ones override them.
+    pub(crate) fn new(
         name: impl Into<String>,
         arity: u32,
         num_regs: u32,
         blocks: Vec<Vec<(Inst, u32)>>,
+        loops: Vec<LoopInfo>,
+        bodies: &[BlockId],
     ) -> Self {
         let n: usize = blocks.iter().map(Vec::len).sum();
-        let mut f = Self::new(name, arity, num_regs);
-        f.insts.reserve_exact(n);
-        f.lines.reserve_exact(n);
-        f.starts.reserve_exact(blocks.len());
-        for blk in blocks {
-            f.push_block();
-            for (inst, line) in blk {
-                f.push_inst(inst, line);
+        let nb = blocks.len();
+        let mut side = Vec::with_capacity(n + 2 * nb + 1 + bodies.len());
+        side.extend(blocks.iter().flatten().map(|&(_, line)| line));
+        let mut end = 0;
+        side.push(end);
+        for blk in &blocks {
+            end += blk.len() as u32;
+            side.push(end);
+        }
+        let at = side.len();
+        side.resize(at + nb, NO_LOOP);
+        side.extend(bodies.iter().map(|b| b.0));
+        let mut order: Vec<usize> = (0..loops.len()).collect();
+        order.sort_by_key(|&i| loops[i].depth);
+        for info in order.into_iter().map(|i| &loops[i]) {
+            let body = bodies.get(info.body.start as usize..info.body.end as usize).unwrap_or(&[]);
+            for b in body.iter().chain([&info.header, &info.latch]).filter(|b| b.index() < nb) {
+                side[at + b.index()] = info.id.0;
             }
         }
-        f
-    }
-
-    /// Append an empty block and return its id.
-    pub fn push_block(&mut self) -> BlockId {
-        let id = BlockId(self.num_blocks() as u32);
-        self.starts.push(self.insts.len() as u32);
-        id
-    }
-
-    /// Append an instruction to the last block, opening the entry block
-    /// first when there is none.
-    pub fn push_inst(&mut self, inst: Inst, line: u32) {
-        if self.starts.len() == 1 {
-            self.push_block();
-        }
-        self.insts.push(inst);
-        self.lines.push(line);
-        if let Some(end) = self.starts.last_mut() {
-            *end += 1;
-        }
+        let mut insts = Vec::with_capacity(n);
+        insts.extend(blocks.into_iter().flatten().map(|(inst, _)| inst));
+        Self { name: name.into(), arity, num_regs, nblocks: nb as u32, insts, side, loops }
     }
 
     /// Number of basic blocks; `BlockId(0)` is the entry.
     pub fn num_blocks(&self) -> usize {
-        self.starts.len() - 1
+        self.nblocks as usize
+    }
+
+    /// The side table's starts run.
+    fn starts(&self) -> &[u32] {
+        let n = self.insts.len();
+        &self.side[n..=n + self.num_blocks()]
+    }
+
+    /// Offset of the side table's block-loops run.
+    fn block_loops_at(&self) -> usize {
+        self.insts.len() + self.num_blocks() + 1
     }
 
     /// Offsets of block `b`'s instructions in [`Function::insts`].
     pub fn block_range(&self, b: BlockId) -> Range<usize> {
-        self.starts[b.index()] as usize..self.starts[b.index() + 1] as usize
+        let s = self.starts();
+        s[b.index()] as usize..s[b.index() + 1] as usize
     }
 
     /// Block `b`.
     pub fn block(&self, b: BlockId) -> Block<'_> {
         let r = self.block_range(b);
-        Block { insts: &self.insts[r.clone()], lines: &self.lines[r] }
+        Block { insts: &self.insts[r.clone()], lines: &self.side[r] }
     }
 
     /// Every block, in id order.
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = Block<'_>> + '_ {
-        (0..self.num_blocks() as u32).map(move |b| self.block(BlockId(b)))
+        (0..self.nblocks).map(move |b| self.block(BlockId(b)))
     }
 
     /// Every instruction, block after block.
@@ -230,25 +235,24 @@ impl Function {
     /// Keep only the instructions `keep` accepts, in order, and store
     /// the code at its new exact size.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Inst) -> bool) {
+        let (n, nb) = (self.insts.len(), self.num_blocks());
         let mut w = 0usize;
-        for b in 0..self.num_blocks() {
-            let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
-            self.starts[b] = w as u32;
+        for b in n..n + nb {
+            let (lo, hi) = (self.side[b] as usize, self.side[b + 1] as usize);
+            self.side[b] = w as u32;
             for i in lo..hi {
                 if keep(&self.insts[i]) {
                     self.insts.swap(w, i);
-                    self.lines[w] = self.lines[i];
+                    self.side[w] = self.side[i];
                     w += 1;
                 }
             }
         }
-        if let Some(end) = self.starts.last_mut() {
-            *end = w as u32;
-        }
+        self.side[n + nb] = w as u32;
         self.insts.truncate(w);
-        self.lines.truncate(w);
+        self.side.drain(w..n);
         self.insts.shrink_to_fit();
-        self.lines.shrink_to_fit();
+        self.side.shrink_to_fit();
     }
 
     /// Insert each `(at, inst)` before the instruction now at offset
@@ -258,25 +262,27 @@ impl Function {
         if new.is_empty() {
             return;
         }
+        let (n, nb) = (self.insts.len(), self.num_blocks());
         // A block starting at offset `s` moves down by the insertions
         // made before `s`; one made at `s` itself joins the block.
-        for s in &mut self.starts {
+        for s in &mut self.side[n..=n + nb] {
             *s += new.partition_point(|&(at, _)| at < *s as usize) as u32;
         }
-        let n = self.insts.len() + new.len();
-        let (mut insts, mut lines) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut insts = Vec::with_capacity(n + new.len());
+        let mut side = Vec::with_capacity(self.side.len() + new.len());
         let mut new = new.into_iter().peekable();
         let old = std::mem::take(&mut self.insts);
-        for (i, (inst, &line)) in old.into_iter().zip(&self.lines).enumerate() {
+        for (i, (inst, &line)) in old.into_iter().zip(&self.side).enumerate() {
             while let Some((_, ins)) = new.next_if(|&(at, _)| at == i) {
                 insts.push(ins);
-                lines.push(line);
+                side.push(line);
             }
             insts.push(inst);
-            lines.push(line);
+            side.push(line);
         }
+        side.extend_from_slice(&self.side[n..]);
         self.insts = insts;
-        self.lines = lines;
+        self.side = side;
     }
 
     /// Total instruction count.
@@ -299,7 +305,20 @@ impl Function {
 
     /// The innermost loop containing `block`, if any.
     pub fn loop_of_block(&self, block: BlockId) -> Option<LoopId> {
-        self.block_loop.get(block.index()).copied().flatten()
+        let at = self.block_loops_at();
+        let loops = &self.side[at..at + self.num_blocks()];
+        loops.get(block.index()).filter(|&&l| l != NO_LOOP).map(|&l| LoopId(l))
+    }
+
+    /// The blocks of `info`'s body (header and latch excluded), `info`
+    /// being one of this function's loops.
+    pub fn loop_body(
+        &self,
+        info: &LoopInfo,
+    ) -> impl ExactSizeIterator<Item = BlockId> + Clone + '_ {
+        let bodies = &self.side[self.block_loops_at() + self.num_blocks()..];
+        let run = bodies.get(info.body.start as usize..info.body.end as usize).unwrap_or(&[]);
+        run.iter().map(|&b| BlockId(b))
     }
 
     /// All loops (ids) from the innermost loop of `block` up to the root.
@@ -317,9 +336,9 @@ impl Function {
     pub fn loop_blocks(&self, l: LoopId) -> Vec<BlockId> {
         let info = &self.loops[l.index()];
         let mut blocks = vec![info.header];
-        blocks.extend(info.body.iter().copied());
+        blocks.extend(self.loop_body(info));
         blocks.push(info.latch);
-        // Nested loops' blocks are already in `body` transitively if the
+        // Nested loops' blocks are already in the body transitively if the
         // builder recorded them; keep order deterministic and unique.
         blocks.sort_unstable();
         blocks.dedup();
@@ -371,7 +390,7 @@ impl Module {
 mod tests {
     use super::*;
     use crate::inst::Inst;
-    use crate::types::VReg;
+    use crate::types::{VReg, Value};
 
     #[test]
     fn module_lookup() {
@@ -381,39 +400,33 @@ mod tests {
         assert_eq!(m.arrays[a.index()].len, 16);
     }
 
+    fn function(blocks: Vec<Vec<(Inst, u32)>>) -> Function {
+        Function::new("f", 0, 2, blocks, Vec::new(), &[])
+    }
+
     /// `f` with blocks `[Copy, Br b1]` and `[Ret]`.
     fn two_blocks() -> Function {
-        let mut f = Function::new("f", 0, 2);
-        f.push_block();
-        f.push_inst(Inst::Copy { dst: VReg(0), src: VReg(1) }, 1);
-        f.push_inst(Inst::Br { target: BlockId(1) }, 1);
-        f.push_block();
-        f.push_inst(Inst::Ret { val: None }, 2);
-        f.block_loop = vec![None, None];
-        f
+        function(vec![
+            vec![
+                (Inst::Copy { dst: VReg(0), src: VReg(1) }, 1),
+                (Inst::Br { target: BlockId(1) }, 1),
+            ],
+            vec![(Inst::Ret { val: None }, 2)],
+        ])
     }
 
     #[test]
     fn block_terminator_detection() {
-        let mut f = Function::new("f", 0, 2);
-        assert_eq!(f.num_blocks(), 0);
-        assert_eq!(f.push_block(), BlockId(0));
+        assert_eq!(function(Vec::new()).num_blocks(), 0);
+        let f = function(vec![Vec::new()]);
         assert!(f.block(BlockId(0)).is_empty());
-        f.push_inst(Inst::Copy { dst: VReg(0), src: VReg(1) }, 1);
+        let f = function(vec![vec![(Inst::Copy { dst: VReg(0), src: VReg(1) }, 1)]]);
         assert!(f.block(BlockId(0)).terminator().is_none());
-        f.push_inst(Inst::Ret { val: None }, 2);
+        let f = two_blocks();
         let b = f.block(BlockId(0));
         assert!(b.terminator().is_some());
         assert_eq!(b.len(), 2);
-        assert_eq!(b.lines, &[1, 2]);
-    }
-
-    #[test]
-    fn a_first_instruction_opens_the_entry_block() {
-        let mut f = Function::new("f", 0, 0);
-        f.push_inst(Inst::Ret { val: None }, 3);
-        assert_eq!(f.num_blocks(), 1);
-        assert_eq!(f.block(BlockId(0)).insts, &[Inst::Ret { val: None }]);
+        assert_eq!(b.lines, &[1, 1]);
     }
 
     #[test]
@@ -436,12 +449,13 @@ mod tests {
         assert_eq!(f.block(BlockId(0)).insts, &[Inst::Br { target: BlockId(1) }]);
         assert_eq!(f.block(BlockId(1)).lines, &[2]);
         // Before the first instruction of each block.
-        let c = |v| Inst::Const { dst: VReg(0), value: crate::types::Value::I64(v) };
+        let c = |v| Inst::constant(VReg(0), Value::I64(v));
         f.insert_before(vec![(0, c(1)), (1, c(2)), (1, c(3))]);
         assert_eq!(f.block(BlockId(0)).insts, &[c(1), Inst::Br { target: BlockId(1) }]);
         assert_eq!(f.block(BlockId(1)).insts, &[c(2), c(3), Inst::Ret { val: None }]);
-        assert_eq!(f.lines, &[1, 1, 2, 2, 2]);
-        assert_eq!((f.insts.capacity(), f.lines.capacity()), (5, 5));
+        // Lines, then starts, then the two blocks' loops.
+        assert_eq!(f.side, &[1, 1, 2, 2, 2, 0, 2, 5, NO_LOOP, NO_LOOP]);
+        assert_eq!((f.insts.capacity(), f.side.capacity()), (5, 10));
     }
 
     #[test]
@@ -449,7 +463,7 @@ mod tests {
         let outer = LoopInfo {
             id: LoopId(0),
             header: BlockId(1),
-            body: vec![BlockId(2)],
+            body: 0..1,
             latch: BlockId(3),
             exit: BlockId(4),
             induction: None,
@@ -460,7 +474,7 @@ mod tests {
         let inner = LoopInfo {
             id: LoopId(1),
             header: BlockId(2),
-            body: vec![],
+            body: 1..1,
             latch: BlockId(2),
             exit: BlockId(3),
             induction: None,
@@ -468,14 +482,14 @@ mod tests {
             depth: 1,
             line_span: (3, 6),
         };
-        let mut f = Function::new("f", 0, 0);
-        f.loops = vec![outer, inner];
-        f.block_loop = vec![None, Some(LoopId(0)), Some(LoopId(1)), Some(LoopId(0)), None];
-        for _ in 0..5 {
-            f.push_block();
-        }
+        let blocks = vec![vec![(Inst::Ret { val: None }, 1)]; 5];
+        let f = Function::new("f", 0, 0, blocks, vec![outer, inner], &[BlockId(2)]);
+        let got: Vec<_> = (0..5).map(|b| f.loop_of_block(BlockId(b))).collect();
+        assert_eq!(got, [None, Some(LoopId(0)), Some(LoopId(1)), Some(LoopId(0)), None]);
         assert_eq!(f.loop_chain(BlockId(2)), vec![LoopId(1), LoopId(0)]);
         assert_eq!(f.loop_chain(BlockId(0)), Vec::<LoopId>::new());
         assert_eq!(f.loop_blocks(LoopId(0)), vec![BlockId(1), BlockId(2), BlockId(3)]);
+        assert_eq!(f.loop_body(&f.loops[1]).len(), 0);
+        assert_eq!(f.side.len(), 5 + 6 + 5 + 1, "lines, starts, block loops, one body block");
     }
 }

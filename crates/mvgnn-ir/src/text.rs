@@ -37,7 +37,7 @@ pub fn print_module(m: &Module) -> String {
             }
         }
         for info in &f.loops {
-            let body: Vec<String> = info.body.iter().map(|b| format!("b{}", b.0)).collect();
+            let body: Vec<String> = f.loop_body(info).map(|b| format!("b{}", b.0)).collect();
             let iv = match info.induction {
                 Some(r) => format!("%{}", r.0),
                 None => "none".into(),
@@ -76,7 +76,9 @@ fn print_value(v: Value) -> String {
 /// Render one instruction (without line comment).
 pub fn print_inst(inst: &Inst) -> String {
     match inst {
-        Inst::Const { dst, value } => format!("%{} = const {}", dst.0, print_value(*value)),
+        Inst::Const { dst, ty, bits } => {
+            format!("%{} = const {}", dst.0, print_value(Value::from_bits(*ty, *bits)))
+        }
         Inst::Copy { dst, src } => format!("%{} = copy %{}", dst.0, src.0),
         Inst::Bin { op, dst, lhs, rhs } => {
             format!("%{} = {} %{} %{}", dst.0, op.mnemonic(), lhs.0, rhs.0)
@@ -202,7 +204,7 @@ fn parse_inst_line(line: &str, lineno: usize) -> Result<(Inst, u32), ParseError>
                     "f64" => Value::F64(lit.parse().map_err(|_| c.err("bad f64"))?),
                     other => return Err(c.err(format!("unknown type `{other}`"))),
                 };
-                Inst::Const { dst, value }
+                Inst::constant(dst, value)
             }
             "copy" => Inst::Copy { dst, src: VReg(c.prefixed_u32('%')?) },
             "load" => {
@@ -297,10 +299,21 @@ fn parse_call_tail(c: &mut Cursor<'_>) -> Result<(FuncId, Vec<VReg>), ParseError
     Ok((func, args))
 }
 
+/// A function while its lines are parsed.
+struct Parts {
+    name: String,
+    arity: u32,
+    num_regs: u32,
+    blocks: Vec<Vec<(Inst, u32)>>,
+    loops: Vec<LoopInfo>,
+    /// Every loop's body blocks; each `LoopInfo::body` is a range of them.
+    bodies: Vec<BlockId>,
+}
+
 /// Parse a module from its textual form.
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     let mut m = Module::new("");
-    let mut cur_fn: Option<Function> = None;
+    let mut cur_fn: Option<Parts> = None;
     // Whether instruction lines may follow: a `block` line opened one
     // and no `loop`, `func` or `endfunc` line closed it since.
     let mut in_block = false;
@@ -333,12 +346,19 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                 let arity = c.u32()?;
                 c.expect("regs")?;
                 let num_regs = c.u32()?;
-                cur_fn = Some(Function::new(name, arity, num_regs));
+                cur_fn = Some(Parts {
+                    name,
+                    arity,
+                    num_regs,
+                    blocks: Vec::new(),
+                    loops: Vec::new(),
+                    bodies: Vec::new(),
+                });
                 in_block = false;
             }
             "block" => {
                 let f = cur_fn.as_mut().ok_or_else(|| c.err("block outside func"))?;
-                f.push_block();
+                f.blocks.push(Vec::new());
                 in_block = true;
             }
             "loop" => {
@@ -353,7 +373,8 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                 c.expect("exit")?;
                 let exit = BlockId(c.prefixed_u32('b')?);
                 c.expect("body")?;
-                let mut body = Vec::new();
+                let body = &mut f.bodies;
+                let at = body.len() as u32;
                 let first = c.next()?;
                 if first != "[" && first != "[]" {
                     let mut tok = first.trim_start_matches('[').to_string();
@@ -422,7 +443,7 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                 f.loops.push(LoopInfo {
                     id,
                     header,
-                    body,
+                    body: at..f.bodies.len() as u32,
                     latch,
                     exit,
                     induction,
@@ -432,34 +453,22 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                 });
             }
             "endfunc" => {
-                let mut f = cur_fn.take().ok_or_else(|| c.err("endfunc outside func"))?;
+                let f = cur_fn.take().ok_or_else(|| c.err("endfunc outside func"))?;
                 in_block = false;
-                // Recompute block->loop from loop bodies/headers/latches.
-                let mut block_loop = vec![None; f.num_blocks()];
-                // Assign outer loops first so inner assignments override.
-                let mut order: Vec<usize> = (0..f.loops.len()).collect();
-                order.sort_by_key(|&i| f.loops[i].depth);
-                for i in order {
-                    let info = &f.loops[i];
-                    for b in
-                        info.body.iter().chain([&info.header, &info.latch])
-                    {
-                        if b.index() < block_loop.len() {
-                            block_loop[b.index()] = Some(info.id);
-                        }
-                    }
-                }
-                f.block_loop = block_loop;
-                m.funcs.push(f);
+                let Parts { name, arity, num_regs, blocks, loops, bodies } = f;
+                m.funcs.push(Function::new(name, arity, num_regs, blocks, loops, &bodies));
             }
             _ => {
                 // An instruction line inside the current block.
-                let f = cur_fn.as_mut().filter(|_| in_block).ok_or_else(|| ParseError {
-                    line: lineno,
-                    msg: format!("statement outside block: `{line}`"),
-                })?;
-                let (inst, src_line) = parse_inst_line(line, lineno)?;
-                f.push_inst(inst, src_line);
+                let blk = cur_fn
+                    .as_mut()
+                    .filter(|_| in_block)
+                    .and_then(|f| f.blocks.last_mut())
+                    .ok_or_else(|| ParseError {
+                        line: lineno,
+                        msg: format!("statement outside block: `{line}`"),
+                    })?;
+                blk.push(parse_inst_line(line, lineno)?);
             }
         }
     }
@@ -523,14 +532,16 @@ mod tests {
             assert_eq!(f1.loops.len(), f2.loops.len());
             for (l1, l2) in f1.loops.iter().zip(&f2.loops) {
                 assert_eq!(l1.header, l2.header);
-                assert_eq!(l1.body, l2.body);
+                assert!(f1.loop_body(l1).eq(f2.loop_body(l2)));
                 assert_eq!(l1.latch, l2.latch);
                 assert_eq!(l1.exit, l2.exit);
                 assert_eq!(l1.induction, l2.induction);
                 assert_eq!(l1.parent, l2.parent);
                 assert_eq!(l1.line_span, l2.line_span);
             }
-            assert_eq!(f1.block_loop, f2.block_loop);
+            for b in 0..f1.num_blocks() as u32 {
+                assert_eq!(f1.loop_of_block(BlockId(b)), f2.loop_of_block(BlockId(b)));
+            }
         }
     }
 

@@ -83,9 +83,9 @@ pub fn const_fold(f: &mut Function) {
     let mut known: HashMap<VReg, Value> = HashMap::new();
     // Constants are single-assignment registers defined by Const.
     for inst in f.insts() {
-        if let Inst::Const { dst, value } = inst {
-            if !multi[dst.index()] {
-                known.insert(*dst, *value);
+        if let (Some(d), Some(v)) = (inst.def(), inst.const_value()) {
+            if !multi[d.index()] {
+                known.insert(d, v);
             }
         }
     }
@@ -112,7 +112,7 @@ pub fn const_fold(f: &mut Function) {
                 _ => None,
             };
             if let Some((dst, v)) = replacement {
-                *inst = Inst::Const { dst, value: v };
+                *inst = Inst::constant(dst, v);
                 if known.insert(dst, v).is_none() {
                     changed = true;
                 }
@@ -212,9 +212,9 @@ pub fn strength_reduce(f: &mut Function) {
     let multi = multi_assigned(f);
     let mut known: HashMap<VReg, i64> = HashMap::new();
     for inst in f.insts() {
-        if let Inst::Const { dst, value: Value::I64(v) } = inst {
-            if !multi[dst.index()] {
-                known.insert(*dst, *v);
+        if let (Some(d), Some(Value::I64(v))) = (inst.def(), inst.const_value()) {
+            if !multi[d.index()] {
+                known.insert(d, v);
             }
         }
     }
@@ -248,7 +248,7 @@ pub fn strength_reduce(f: &mut Function) {
             let kreg = VReg(num_regs);
             num_regs += 1;
             *inst = Inst::Bin { op, dst, lhs: src, rhs: kreg };
-            consts.push((i, Inst::Const { dst: kreg, value: Value::I64(k) }));
+            consts.push((i, Inst::constant(kreg, Value::I64(k))));
         }
     }
     f.num_regs = num_regs;
@@ -403,7 +403,7 @@ mod tests {
         let f = &opt.funcs[0];
         // The add of two constants must now be a Const 9.
         let folded =
-            f.insts().iter().any(|i| matches!(i, Inst::Const { value: Value::I64(9), .. }));
+            f.insts().iter().any(|i| i.const_value() == Some(Value::I64(9)));
         assert!(folded, "expected folded constant 9");
     }
 

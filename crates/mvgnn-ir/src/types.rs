@@ -48,6 +48,24 @@ impl Value {
         }
     }
 
+    /// The payload's raw 64-bit pattern: two's complement for an integer,
+    /// IEEE-754 for a float (sign of zero and NaN payload included).
+    pub fn to_bits(self) -> u64 {
+        match self {
+            Value::I64(v) => v as u64,
+            Value::F64(v) => v.to_bits(),
+        }
+    }
+
+    /// The value of type `ty` whose payload has the pattern `bits`; the
+    /// inverse of [`Value::to_bits`], bit for bit.
+    pub fn from_bits(ty: Ty, bits: u64) -> Value {
+        match ty {
+            Ty::I64 => Value::I64(bits as i64),
+            Ty::F64 => Value::F64(f64::from_bits(bits)),
+        }
+    }
+
     /// Integer payload or `None`.
     pub fn as_i64(self) -> Option<i64> {
         match self {
@@ -120,6 +138,28 @@ mod tests {
         assert_eq!(Value::F64(1.5).ty(), Ty::F64);
         assert_eq!(Value::zero(Ty::I64), Value::I64(0));
         assert_eq!(Value::zero(Ty::F64), Value::F64(0.0));
+    }
+
+    #[test]
+    fn bits_round_trip_every_payload() {
+        for v in [
+            Value::I64(0),
+            Value::I64(-1),
+            Value::I64(i64::MIN),
+            Value::I64(i64::MAX),
+            Value::F64(0.0),
+            Value::F64(-0.0),
+            Value::F64(f64::NAN),
+            Value::F64(-f64::NAN),
+            Value::F64(f64::INFINITY),
+            Value::F64(f64::MIN_POSITIVE / 2.0),
+            Value::F64(-2.5),
+        ] {
+            let back = Value::from_bits(v.ty(), v.to_bits());
+            assert_eq!(back.ty(), v.ty());
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}");
+        }
+        assert_eq!(Value::from_bits(Ty::I64, u64::MAX), Value::I64(-1));
     }
 
     #[test]

@@ -29,11 +29,6 @@ pub enum VerifyError {
         /// Declared register count.
         num_regs: u32,
     },
-    /// `block_loop` is not parallel to `blocks`.
-    BlockLoopLenMismatch {
-        /// Offending function name.
-        func: String,
-    },
     /// A block does not end in a terminator.
     MissingTerminator {
         /// Offending function name.
@@ -170,9 +165,6 @@ impl std::fmt::Display for VerifyError {
             VerifyError::ArityExceedsRegs { func, arity, num_regs } => {
                 write!(f, "fn {func}: arity {arity} exceeds register count {num_regs}")
             }
-            VerifyError::BlockLoopLenMismatch { func } => {
-                write!(f, "fn {func}: block_loop length mismatch")
-            }
             VerifyError::MissingTerminator { func, block } => {
                 write!(f, "fn {func} block {}: missing terminator", block.0)
             }
@@ -239,9 +231,6 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             arity: f.arity,
             num_regs: f.num_regs,
         });
-    }
-    if f.block_loop.len() != nblocks {
-        return Err(VerifyError::BlockLoopLenMismatch { func: func() });
     }
     for (bi, blk) in f.blocks().enumerate() {
         let block = BlockId(bi as u32);
@@ -326,7 +315,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                 return Err(VerifyError::LoopBlockOutOfRange { func: func(), l: info.id });
             }
         }
-        for b in &info.body {
+        for b in f.loop_body(info) {
             if b.index() >= nblocks {
                 return Err(VerifyError::LoopBlockOutOfRange { func: func(), l: info.id });
             }
@@ -350,7 +339,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
     if !f.loops.is_empty() {
         let dom = Dominators::compute(&Cfg::new(f));
         for info in &f.loops {
-            for b in info.body.iter().copied().chain([info.latch]) {
+            for b in f.loop_body(info).chain([info.latch]) {
                 if !dom.dominates(info.header, b) {
                     return Err(VerifyError::HeaderDoesNotDominate {
                         func: func(),
@@ -397,9 +386,7 @@ mod tests {
 
     fn minimal_fn(insts: Vec<Inst>) -> Function {
         let block = insts.into_iter().map(|i| (i, 1)).collect();
-        let mut f = Function::from_blocks("f", 0, 4, vec![block]);
-        f.block_loop = vec![None];
-        f
+        Function::new("f", 0, 4, vec![block], Vec::new(), &[])
     }
 
     #[test]
@@ -509,7 +496,7 @@ mod tests {
         f.loops.push(LoopInfo {
             id: crate::module::LoopId(0),
             header: BlockId(0),
-            body: vec![],
+            body: 0..0,
             latch: BlockId(0),
             exit: BlockId(0),
             induction: Some(VReg(99)),
@@ -527,29 +514,23 @@ mod tests {
         // Block 0 (entry) branches straight to block 2 ("body"), bypassing
         // block 1 which the metadata claims is the loop header.
         let mut m = Module::new("t");
-        let mut f = Function::from_blocks(
-            "f",
-            0,
-            1,
-            vec![
-                vec![(Inst::Br { target: BlockId(2) }, 1)],
-                vec![(Inst::Br { target: BlockId(2) }, 2)],
-                vec![(Inst::Ret { val: None }, 3)],
-            ],
-        );
-        f.loops = vec![LoopInfo {
+        let l = LoopInfo {
             id: crate::module::LoopId(0),
             header: BlockId(1),
-            body: vec![BlockId(2)],
+            body: 0..1,
             latch: BlockId(2),
             exit: BlockId(2),
             induction: None,
             parent: None,
             depth: 0,
             line_span: (1, 3),
-        }];
-        f.block_loop = vec![None, Some(crate::module::LoopId(0)), Some(crate::module::LoopId(0))];
-        m.funcs.push(f);
+        };
+        let blocks = vec![
+            vec![(Inst::Br { target: BlockId(2) }, 1)],
+            vec![(Inst::Br { target: BlockId(2) }, 2)],
+            vec![(Inst::Ret { val: None }, 3)],
+        ];
+        m.funcs.push(Function::new("f", 0, 1, blocks, vec![l], &[BlockId(2)]));
         let e = verify_module(&m).unwrap_err();
         assert!(
             matches!(e, VerifyError::HeaderDoesNotDominate { block: BlockId(2), .. }),

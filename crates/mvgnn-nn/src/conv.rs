@@ -55,17 +55,10 @@ impl Conv1d {
         (self.in_ch, self.ksize, self.stride)
     }
 
-    /// Record the convolution on the tape.
-    pub fn forward(&self, tape: &mut Tape<'_>, x: Var) -> Var {
-        assert_eq!(tape.shape(x).1, self.in_ch, "conv1d input channels");
-        let w = tape.param(self.w);
-        let b = tape.param(self.b);
-        tape.conv1d_rows(x, w, Some(b), self.ksize, self.stride)
-    }
-
-    /// Segment-aware convolution: `x` packs equally-sized row segments
-    /// (one per graph of a batch) and windows never straddle a segment
-    /// boundary. With a single segment this is exactly [`Self::forward`].
+    /// Record the convolution on the tape: `x` packs equally-sized row
+    /// segments (one per graph of a batch) and windows never straddle a
+    /// segment boundary. With a single segment (`seg_len` = rows) it is
+    /// one plain convolution.
     pub fn forward_seg(&self, tape: &mut Tape<'_>, x: Var, seg_len: usize) -> Var {
         assert_eq!(tape.shape(x).1, self.in_ch, "conv1d input channels");
         let w = tape.param(self.w);
@@ -87,7 +80,7 @@ mod tests {
         assert_eq!(conv.out_ch(), 8);
         let mut tape = Tape::new(&params);
         let x = tape.input(vec![0.1; 20 * 4], 20, 4);
-        let y = conv.forward(&mut tape, x);
+        let y = conv.forward_seg(&mut tape, x, 20);
         assert_eq!(tape.shape(y), (16, 8));
     }
 
@@ -99,7 +92,7 @@ mod tests {
         let conv = Conv1d::new(&mut params, "c", 1, 2, 3, 3, &mut rng);
         let mut tape = Tape::new(&params);
         let x = tape.input(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 6, 1);
-        let y = conv.forward(&mut tape, x);
+        let y = conv.forward_seg(&mut tape, x, 6);
         assert_eq!(tape.shape(y), (2, 2));
     }
 
@@ -110,7 +103,7 @@ mod tests {
         let conv = Conv1d::new(&mut params, "c", 2, 3, 2, 1, &mut rng);
         let mut tape = Tape::new(&params);
         let x = tape.input(vec![0.5; 10], 5, 2);
-        let y = conv.forward(&mut tape, x);
+        let y = conv.forward_seg(&mut tape, x, 5);
         let loss = tape.sum_all(y);
         tape.backward(loss);
         let grads = tape.into_grads();

@@ -76,8 +76,8 @@ fn const_regs(f: &mvgnn_ir::module::Function) -> std::collections::HashMap<VReg,
         if let Some(d) = inst.def() {
             *def_count.entry(d).or_insert(0) += 1;
         }
-        if let Inst::Const { dst, value: v } = inst {
-            value.insert(*dst, *v);
+        if let (Some(d), Some(v)) = (inst.def(), inst.const_value()) {
+            value.insert(d, v);
         }
     }
     value.retain(|r, _| def_count.get(r) == Some(&1));

@@ -127,6 +127,10 @@ pub struct ServeStats {
     pub shed: u64,
     /// Requests dropped in-queue at drain time for an expired deadline.
     pub expired: u64,
+    /// Requests answered [`ServeError::DeadlineExceeded`] outside the
+    /// queue: at admission, or in the source frontend (after compiling or
+    /// after the cascade).
+    pub expired_unqueued: u64,
     /// Requests refused as structurally unusable.
     pub rejected: u64,
     /// Source-path requests refused with a typed compile error.
@@ -167,6 +171,16 @@ struct Shared {
     compile_errors: AtomicU64,
     frontend_panics: AtomicU64,
     oracle_decided: AtomicU64,
+    expired_unqueued: AtomicU64,
+}
+
+impl Shared {
+    /// Count a deadline found expired at `stage`, outside the queue, and
+    /// return its answer.
+    fn expired(&self, stage: DeadlineStage) -> ServeError {
+        self.expired_unqueued.fetch_add(1, Ordering::Relaxed);
+        ServeError::DeadlineExceeded { stage }
+    }
 }
 
 /// A long-running, overload-safe classification service over a shared
@@ -263,6 +277,7 @@ impl Server {
             compile_errors: AtomicU64::new(0),
             frontend_panics: AtomicU64::new(0),
             oracle_decided: AtomicU64::new(0),
+            expired_unqueued: AtomicU64::new(0),
         });
         let workers: Vec<_> = (0..cfg.workers)
             .map(|i| {
@@ -309,7 +324,7 @@ impl Server {
             return Err(ServeError::ShuttingDown);
         }
         if deadline.expired() {
-            return Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Admission });
+            return Err(sh.expired(DeadlineStage::Admission));
         }
         if let Some(evidence) = evidence.filter(|e| e.definite()) {
             sh.oracle_decided.fetch_add(1, Ordering::Relaxed);
@@ -385,7 +400,7 @@ impl Server {
             return Err(ServeError::ShuttingDown);
         }
         if deadline.expired() {
-            return Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Admission });
+            return Err(sh.expired(DeadlineStage::Admission));
         }
         let Some(fe) = sh.frontend.as_ref() else {
             sh.rejected.fetch_add(1, Ordering::Relaxed);
@@ -396,7 +411,7 @@ impl Server {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let module = mvgnn_lang::compile(src).map_err(ServeError::Compile)?;
             if deadline.expired() {
-                return Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Frontend });
+                return Err(sh.expired(DeadlineStage::Frontend));
             }
             let Some(entry) = module.func_by_name("main") else {
                 return Err(ServeError::Rejected("program has no `main` function".into()));
@@ -416,7 +431,7 @@ impl Server {
             Ok(Ok(mc)) => {
                 sh.limiter.observe(mc.reports.len().max(1), t0.elapsed());
                 if deadline.expired() {
-                    return Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Frontend });
+                    return Err(sh.expired(DeadlineStage::Frontend));
                 }
                 Ok(mc)
             }
@@ -449,6 +464,7 @@ impl Server {
             admitted,
             shed: shed + sh.queue_shed.load(Ordering::Relaxed),
             expired: c.expired.load(Ordering::Relaxed),
+            expired_unqueued: sh.expired_unqueued.load(Ordering::Relaxed),
             rejected: sh.rejected.load(Ordering::Relaxed),
             compile_errors: sh.compile_errors.load(Ordering::Relaxed),
             panics_caught: c.panics_caught.load(Ordering::Relaxed)

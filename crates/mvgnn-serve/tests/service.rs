@@ -485,10 +485,32 @@ fn a_source_answer_past_its_deadline_is_not_ok() {
         Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Frontend }) => {}
         other => panic!("a late module answer must expire typed, got {other:?}"),
     }
-    assert_eq!(server.stats().inflight, 0, "the admission token is released");
+    let stats = server.stats();
+    assert_eq!(stats.inflight, 0, "the admission token is released");
+    assert_eq!((stats.expired_unqueued, stats.expired), (1, 0), "{stats:?}");
     // The server keeps answering after the expiry.
     let mc = server.classify_source(PROGRAM, Deadline::none(), None).expect("classifies");
     assert_eq!(mc.reports.len(), 2);
+}
+
+#[test]
+fn a_request_expired_at_admission_is_counted_outside_the_queue() {
+    let (model, frontend) = frontend_for(PROGRAM);
+    let server = Server::start_with_frontend(model, frontend, ServeConfig::default())
+        .expect("valid config");
+    let sample = samples_of(&tiny_dataset()).swap_remove(0);
+    let past = Deadline::within(Duration::ZERO);
+    match server.submit(sample, past) {
+        Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Admission }) => {}
+        Err(e) => panic!("an expired sample must be refused at admission, got {e:?}"),
+        Ok(_) => panic!("an expired sample must be refused at admission, got a ticket"),
+    }
+    match server.classify_source(PROGRAM, past, None) {
+        Err(ServeError::DeadlineExceeded { stage: DeadlineStage::Admission }) => {}
+        other => panic!("an expired source must be refused at admission, got {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!((stats.expired_unqueued, stats.expired, stats.admitted), (2, 0, 0), "{stats:?}");
 }
 
 #[test]

@@ -557,26 +557,13 @@ impl<'p> Tape<'p> {
         self.push(Op::SumAll(a), out, (1, 1))
     }
 
-    /// 1-D convolution over rows: input `len×in_ch`, weight
-    /// `(ksize·in_ch)×out_ch`, optional bias `1×out_ch`; output
-    /// `((len−ksize)/stride + 1)×out_ch`.
-    pub fn conv1d_rows(
-        &mut self,
-        x: Var,
-        w: Var,
-        bias: Option<Var>,
-        ksize: usize,
-        stride: usize,
-    ) -> Var {
-        let (len, _) = self.shape(x);
-        self.conv1d_rows_seg(x, w, bias, ksize, stride, len)
-    }
-
-    /// Segment-batched 1-D convolution: the input's rows form
-    /// `len/seg_len` equal segments (packed graphs) and the convolution
-    /// runs independently inside each, so windows never straddle a
-    /// segment boundary. Output: `segs·((seg_len−ksize)/stride + 1)`
-    /// rows. With `seg_len == len` this is the plain [`Tape::conv1d_rows`].
+    /// Segment-batched 1-D convolution over rows: input `len×in_ch`,
+    /// weight `(ksize·in_ch)×out_ch`, optional bias `1×out_ch`. The
+    /// input's rows form `len/seg_len` equal segments (packed graphs) and
+    /// the convolution runs independently inside each, so windows never
+    /// straddle a segment boundary. Output:
+    /// `segs·((seg_len−ksize)/stride + 1)` rows. With `seg_len == len` it
+    /// is one plain convolution.
     pub fn conv1d_rows_seg(
         &mut self,
         x: Var,
@@ -1169,7 +1156,7 @@ mod tests {
             |t, x| {
                 let w = t.input(vec![0.5, -0.2, 0.1, 0.3, -0.4, 0.6, 0.2, 0.7], 4, 2);
                 let b = t.input(vec![0.05, -0.05], 1, 2);
-                let c = t.conv1d_rows(x, w, Some(b), 2, 1);
+                let c = t.conv1d_rows_seg(x, w, Some(b), 2, 1, 5);
                 let p = t.maxpool_rows_seg(c, 2, 4);
                 let a = t.tanh(p);
                 t.sum_all(a)
@@ -1215,7 +1202,7 @@ mod tests {
             let xs = tape.input(xdat[seg * 8..(seg + 1) * 8].to_vec(), 4, 2);
             let ws = tape.input(wdat.clone(), 4, 3);
             let bs = tape.input(bdat.clone(), 1, 3);
-            let single = tape.conv1d_rows(xs, ws, Some(bs), 2, 1);
+            let single = tape.conv1d_rows_seg(xs, ws, Some(bs), 2, 1, 4);
             assert_eq!(
                 tape.data(single),
                 &packed_out[seg * 9..(seg + 1) * 9],
