@@ -517,11 +517,7 @@ pub(crate) fn index_walk(
                         idx_in_block: ii,
                     });
                 }
-                Inst::Call(c) => {
-                    if let Some(d) = c.dst {
-                        set(regs, d, AffineExpr::Unknown);
-                    }
-                }
+                Inst::Call { has_dst: true, dst, .. } => set(regs, *dst, AffineExpr::Unknown),
                 _ => {}
             }
         }
@@ -548,7 +544,7 @@ pub(crate) fn loop_updates(
                 let commutative = matches!(op, BinOp::Add | BinOp::Mul | BinOp::Min | BinOp::Max);
                 recs.push((commutative, *dst));
             }
-            Inst::Call(_) => has_call = true,
+            Inst::Call { .. } => has_call = true,
             _ => {}
         }
     }

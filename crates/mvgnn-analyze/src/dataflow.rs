@@ -92,7 +92,7 @@ pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
     let mut def = vec![BitSet::new(nr); n];
     for (bi, blk) in f.blocks().enumerate() {
         for inst in blk.insts {
-            for u in inst.uses() {
+            for u in f.uses(inst) {
                 if !def[bi].contains(u.0 as usize) {
                     use_[bi].insert(u.0 as usize);
                 }
@@ -197,7 +197,7 @@ impl LiveSets {
         let max_reg = f
             .insts()
             .iter()
-            .flat_map(|i| i.uses().chain(i.def()))
+            .flat_map(|i| f.uses(i).chain(i.def()))
             .map(|r| r.0 + 1)
             .max()
             .unwrap_or(0);
@@ -210,7 +210,7 @@ impl LiveSets {
             let row = bi * words..(bi + 1) * words;
             let (u, d) = (&mut use_[row.clone()], &mut def[row]);
             for inst in blk.insts {
-                for r in inst.uses() {
+                for r in f.uses(inst) {
                     let (w, m) = bit(r);
                     if d[w] & m == 0 {
                         u[w] |= m;

@@ -634,7 +634,8 @@ impl<'m> FuncAnalysis<'m> {
             Inst::Bin { op, .. } => ReductionOp::of_bin(*op)?,
             _ => return None,
         };
-        Some(ReductionTarget { var: self.module.arrays[c.arr.index()].name.clone(), op })
+        let var = self.module.name_of(self.module.arrays[c.arr.index()].name).to_string();
+        Some(ReductionTarget { var, op })
     }
 }
 

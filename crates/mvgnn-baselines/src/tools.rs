@@ -105,7 +105,7 @@ pub fn autopar_like(module: &Module, func: FuncId, l: LoopId) -> ToolVerdict {
 /// can reason about such callees by inlining.
 fn is_simple_pure(module: &Module, callee: mvgnn_ir::module::FuncId) -> bool {
     module.funcs[callee.index()].insts_with_refs(callee).all(|(_, inst, _)| {
-        !matches!(inst, Inst::Load { .. } | Inst::Store { .. } | Inst::Call(_))
+        !matches!(inst, Inst::Load { .. } | Inst::Store { .. } | Inst::Call { .. })
     })
 }
 
@@ -124,7 +124,7 @@ fn is_store_free(module: &Module, callee: mvgnn_ir::module::FuncId) -> bool {
         }
         let ok = module.funcs[f.index()].insts_with_refs(f).all(|(_, inst, _)| match inst {
             Inst::Store { .. } => false,
-            Inst::Call(c) => rec(module, c.func, visiting),
+            Inst::Call { func, .. } => rec(module, *func, visiting),
             _ => true,
         });
         visiting.remove(&f.0);
@@ -144,7 +144,7 @@ fn has_call_failing(
     let blocks: HashSet<BlockId> = f.loop_blocks(l).into_iter().collect();
     f.insts_with_refs(func).any(|(r, inst, _)| {
         blocks.contains(&r.block)
-            && matches!(inst, Inst::Call(c) if !ok(module, c.func))
+            && matches!(inst, Inst::Call { func, .. } if !ok(module, *func))
     })
 }
 

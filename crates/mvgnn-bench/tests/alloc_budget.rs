@@ -1,4 +1,4 @@
-//! Heap-allocation budgets of the two steady-state hot paths, counted
+//! Heap-allocation budgets of the three steady-state hot paths, counted
 //! by this binary's allocator after one warm-up pass:
 //!
 //! - **Light cascade call** (every loop decided by tier 0, so nothing is
@@ -6,6 +6,11 @@
 //!   at all six optimisation levels through [`Cascade::full`] with an
 //!   untrained model, at most [`LIGHT_CALL_BUDGET`] allocations per
 //!   light call on average.
+//! - **Heavy cascade call** (tier 0 off, so every call traces the entry,
+//!   builds the module's CUs and PEG, featurises every loop and runs the
+//!   model): every [`HEAVY_STRIDE`]-th kernel call of the same sweep
+//!   through [`Cascade::gnn_only`], at most [`HEAVY_CALL_BUDGET`]
+//!   allocations per call on average.
 //! - **Serve worker loop**: one reused [`Workspace`] driving
 //!   [`MvGnn::forward_rows`] over [`BATCH`]-sample chunks of the
 //!   quick-scale corpus, at most [`WORKER_LOOP_BUDGET`] allocations per
@@ -81,10 +86,21 @@ const WORKER_LOOP_BUDGET: f64 = 2.0;
 /// Micro-batch width of the serve worker.
 const BATCH: usize = 32;
 
-#[test]
-fn a_light_cascade_call_stays_within_its_allocation_budget() {
+/// Allocations per heavy call: 10,717.4 with static statement tokens,
+/// 20,004.9 when the CU and PEG builds formatted a `String` per
+/// statement. Most of the rest are the CU partition's members and maps,
+/// the module's PEG with one token list per node, and each loop's
+/// sub-PEG and sample.
+const HEAVY_CALL_BUDGET: f64 = 11_000.0;
+
+/// The heavy test classifies every `HEAVY_STRIDE`-th call of the sweep.
+const HEAVY_STRIDE: usize = 40;
+
+/// Every kernel function of `generate_suite(None, 3)` at all six levels,
+/// with its optimised module.
+fn suite_calls() -> Vec<(Module, Vec<FuncId>)> {
     let apps = generate_suite(None, 3);
-    let calls: Vec<(Module, Vec<FuncId>)> = OptLevel::ALL
+    OptLevel::ALL
         .into_iter()
         .flat_map(|level| apps.iter().map(move |app| (app, level)))
         .map(|(app, level)| {
@@ -93,10 +109,14 @@ fn a_light_cascade_call_stays_within_its_allocation_budget() {
             kernels.dedup();
             (optimize(&app.module, level), kernels)
         })
-        .collect();
-    let modules: Vec<&Module> = calls.iter().map(|(m, _)| m).collect();
+        .collect()
+}
+
+/// A quickly trained inst2vec over `modules`, the default sampling
+/// settings and an untrained model that fits both.
+fn untrained_model(modules: &[&Module]) -> (Inst2Vec, SampleConfig, MvGnn) {
     let inst2vec = Inst2Vec::train(
-        &modules,
+        modules,
         &Inst2VecConfig { dim: 8, epochs: 1, negatives: 2, lr: 0.05, seed: 9 },
     );
     let sample_cfg = SampleConfig::default();
@@ -106,6 +126,14 @@ fn a_light_cascade_call_stays_within_its_allocation_budget() {
         + mvgnn_profiler::DynamicFeatures::DIM;
     let aw_vocab = mvgnn_graph::AwVocab::new(sample_cfg.walk_len).size();
     let model = MvGnn::new(MvGnnConfig::small(node_dim, aw_vocab));
+    (inst2vec, sample_cfg, model)
+}
+
+#[test]
+fn a_light_cascade_call_stays_within_its_allocation_budget() {
+    let calls = suite_calls();
+    let modules: Vec<&Module> = calls.iter().map(|(m, _)| m).collect();
+    let (inst2vec, sample_cfg, model) = untrained_model(&modules);
     let cascade = Cascade::full();
     let classify = |m: &Module, f: FuncId| {
         cascade.classify_module(&model, m, f, &inst2vec, &sample_cfg, None, None)
@@ -139,6 +167,49 @@ fn a_light_cascade_call_stays_within_its_allocation_budget() {
     assert!(
         per_call <= LIGHT_CALL_BUDGET,
         "{per_call:.2} allocations per light call exceed the budget of {LIGHT_CALL_BUDGET}"
+    );
+}
+
+#[test]
+fn a_heavy_cascade_call_stays_within_its_allocation_budget() {
+    let calls = suite_calls();
+    let heavy: Vec<(&Module, FuncId)> = calls
+        .iter()
+        .flat_map(|(m, kernels)| kernels.iter().map(move |&f| (m, f)))
+        .step_by(HEAVY_STRIDE)
+        .collect();
+    let mut modules: Vec<&Module> = heavy.iter().map(|&(m, _)| m).collect();
+    modules.dedup_by_key(|m| *m as *const Module);
+    let (inst2vec, sample_cfg, model) = untrained_model(&modules);
+    let cascade = Cascade::gnn_only();
+    let classify = |m: &Module, f: FuncId| {
+        cascade.classify_module(&model, m, f, &inst2vec, &sample_cfg, None, None)
+    };
+
+    // Warm-up pass; it records each call's verdicts.
+    let verdicts: Vec<Vec<(usize, DecidedBy)>> = heavy
+        .iter()
+        .map(|&(m, f)| classify(m, f).iter().map(|r| (r.prediction, r.decided_by)).collect())
+        .collect();
+    assert!(verdicts.iter().flatten().all(|&(_, by)| by == DecidedBy::Gnn));
+    let allocs = allocations_in(|| {
+        for (&(m, f), want) in heavy.iter().zip(&verdicts) {
+            let reports = classify(m, f);
+            let got = reports.iter().map(|r| (r.prediction, r.decided_by));
+            assert!(got.eq(want.iter().copied()), "a heavy call changed its verdicts");
+            drop(std::hint::black_box(reports));
+        }
+    });
+    let loops: usize = verdicts.iter().map(Vec::len).sum();
+    let per_call = allocs as f64 / heavy.len() as f64;
+    println!(
+        "{} heavy calls over {loops} loops: {per_call:.1} allocations per heavy call \
+         (budget {HEAVY_CALL_BUDGET})",
+        heavy.len()
+    );
+    assert!(
+        per_call <= HEAVY_CALL_BUDGET,
+        "{per_call:.1} allocations per heavy call exceed the budget of {HEAVY_CALL_BUDGET}"
     );
 }
 

@@ -1260,8 +1260,7 @@ mod tests {
             build_kernel(&mut m, KernelKind::VectorMap, 0, 8, &mut rng);
             m.funcs[0].insts().iter().map(|i| i.token()).collect::<Vec<_>>()
         };
-        let variants: std::collections::HashSet<Vec<String>> =
-            (0..12).map(build).collect();
+        let variants: std::collections::HashSet<Vec<&str>> = (0..12).map(build).collect();
         assert!(variants.len() >= 2, "op jitter should vary the stream");
     }
 }

@@ -79,9 +79,14 @@ impl Inst2Vec {
             for (fi, f) in m.funcs.iter().enumerate() {
                 let func = FuncId(fi as u32);
                 let insts: Vec<_> = f.insts_with_refs(func).collect();
-                let intern = |tok: String, vocab: &mut HashMap<String, usize>| -> u32 {
+                // Tokens are static; only a new entry allocates.
+                let intern = |tok: &str, vocab: &mut HashMap<String, usize>| -> u32 {
+                    if let Some(&id) = vocab.get(tok) {
+                        return id as u32;
+                    }
                     let next = vocab.len();
-                    *vocab.entry(tok).or_insert(next) as u32
+                    vocab.insert(tok.to_string(), next);
+                    next as u32
                 };
                 let ids: Vec<u32> =
                     insts.iter().map(|(_, i, _)| intern(i.token(), &mut vocab)).collect();
@@ -102,7 +107,7 @@ impl Inst2Vec {
                     }
                 }
                 for (k, (_, inst, _)) in insts.iter().enumerate() {
-                    for u in inst.uses() {
+                    for u in f.uses(inst) {
                         if let Some(ds) = defs.get(&u.0) {
                             for &d in ds {
                                 if d != k {

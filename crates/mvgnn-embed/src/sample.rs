@@ -212,7 +212,7 @@ pub fn build_sample_with_static(
             *e *= inv;
         }
         node_feats.extend_from_slice(&emb);
-        node_feats.extend_from_slice(&kind_onehot(&node.kind, &node.token));
+        node_feats.extend_from_slice(&kind_onehot(&node.kind, node.token));
         node_feats.extend_from_slice(&edge_feats[id.index()]);
         node_feats.extend_from_slice(&dyn_vec);
         node_feats.extend_from_slice(static_vec);

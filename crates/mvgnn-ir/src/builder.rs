@@ -7,7 +7,7 @@
 //! to loop iterations.
 
 use crate::inst::{BinOp, Inst, UnOp};
-use crate::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module};
+use crate::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module, NameId};
 use crate::types::{ArrayId, VReg, Value};
 use std::ops::Range;
 
@@ -38,7 +38,7 @@ use std::ops::Range;
 /// ```
 pub struct FunctionBuilder<'m> {
     module: &'m mut Module,
-    name: String,
+    name: NameId,
     arity: u32,
     next_reg: u32,
     /// Each block's `(instruction, line)` run while it is built;
@@ -48,6 +48,9 @@ pub struct FunctionBuilder<'m> {
     /// Every finished loop's body blocks; each `LoopInfo::body` is a
     /// range of them.
     bodies: Vec<BlockId>,
+    /// Every call's argument count and arguments; each `Inst::Call`
+    /// holds the offset of its own.
+    operands: Vec<u32>,
     current: BlockId,
     loop_stack: Vec<LoopId>,
     line: u32,
@@ -55,16 +58,19 @@ pub struct FunctionBuilder<'m> {
 
 impl<'m> FunctionBuilder<'m> {
     /// Start building a function with `arity` parameters. Parameters occupy
-    /// registers `%0 .. %arity-1`.
-    pub fn new(module: &'m mut Module, name: impl Into<String>, arity: u32) -> Self {
+    /// registers `%0 .. %arity-1`. The name joins the module's name table
+    /// at once.
+    pub fn new(module: &'m mut Module, name: impl AsRef<str>, arity: u32) -> Self {
+        let name = module.intern(name.as_ref());
         let mut b = Self {
             module,
-            name: name.into(),
+            name,
             arity,
             next_reg: arity,
             blocks: Vec::new(),
             loops: Vec::new(),
             bodies: Vec::new(),
+            operands: Vec::new(),
             current: BlockId(0),
             loop_stack: Vec::new(),
             line: 1,
@@ -116,7 +122,11 @@ impl<'m> FunctionBuilder<'m> {
     }
 
     fn emit_at(&mut self, block: BlockId, inst: Inst, line: u32) {
-        debug_assert!(!self.terminated(block), "emitting into a terminated block in {}", self.name);
+        debug_assert!(
+            !self.terminated(block),
+            "emitting into a terminated block in {}",
+            self.module.name_of(self.name)
+        );
         self.blocks[block.index()].push((inst, line));
     }
 
@@ -198,13 +208,18 @@ impl<'m> FunctionBuilder<'m> {
     /// Call returning a value.
     pub fn call(&mut self, func: FuncId, args: &[VReg]) -> VReg {
         let dst = self.fresh();
-        self.emit(Inst::call(Some(dst), func, args));
+        self.emit_call(Some(dst), func, args);
         dst
     }
 
     /// Call ignoring the return value.
     pub fn call_void(&mut self, func: FuncId, args: &[VReg]) {
-        self.emit(Inst::call(None, func, args));
+        self.emit_call(None, func, args);
+    }
+
+    fn emit_call(&mut self, dst: Option<VReg>, func: FuncId, args: &[VReg]) {
+        let call = Inst::call(dst, func, args, &mut self.operands);
+        self.emit(call);
     }
 
     /// Return.
@@ -384,13 +399,18 @@ impl<'m> FunctionBuilder<'m> {
     /// Finish: seal the current block with `ret void` if unterminated and
     /// append the function to the module.
     pub fn finish(mut self) -> FuncId {
-        assert!(self.loop_stack.is_empty(), "unclosed loops in fn {}", self.name);
+        assert!(
+            self.loop_stack.is_empty(),
+            "unclosed loops in fn {}",
+            self.module.name_of(self.name)
+        );
         if !self.terminated(self.current) {
             self.ret(None);
         }
-        let Self { module, name, arity, next_reg, blocks, loops, bodies, .. } = self;
+        let Self { module, name, arity, next_reg, blocks, loops, bodies, operands, .. } = self;
         let id = FuncId(module.funcs.len() as u32);
-        module.funcs.push(Function::new(name, arity, next_reg, blocks, loops, &bodies));
+        let f = Function::new(name, arity, next_reg, blocks, loops, &bodies, &operands);
+        module.funcs.push(f);
         id
     }
 }
@@ -501,6 +521,28 @@ mod tests {
         let f = b.finish();
         let fun = &m.funcs[f.index()];
         assert!(fun.block(BlockId(0)).terminator().is_some());
+        verify_module(&m).unwrap();
+    }
+
+    #[test]
+    fn calls_keep_their_arguments() {
+        let mut m = Module::new("t");
+        let callee = FunctionBuilder::new(&mut m, "callee", 2).finish();
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let (x, y) = (b.const_i64(1), b.const_i64(2));
+        b.call_void(callee, &[y, x]);
+        let r = b.call(callee, &[x, x]);
+        b.ret(Some(r));
+        let main = b.finish();
+        let f = &m.funcs[main.index()];
+        let calls: Vec<(Option<VReg>, Vec<VReg>)> = f
+            .insts()
+            .iter()
+            .filter(|i| matches!(i, Inst::Call { .. }))
+            .map(|i| (i.def(), f.call_args(i).collect()))
+            .collect();
+        assert_eq!(calls, [(None, vec![y, x]), (Some(r), vec![x, x])]);
+        assert_eq!(m.name_of(f.name), "main");
         verify_module(&m).unwrap();
     }
 

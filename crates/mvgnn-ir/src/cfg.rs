@@ -239,10 +239,10 @@ mod tests {
         let d = diamond();
         let mut blocks: Vec<Vec<(Inst, u32)>> = d
             .blocks()
-            .map(|b| b.insts.iter().cloned().zip(b.lines.iter().copied()).collect())
+            .map(|b| b.insts.iter().copied().zip(b.lines()).collect())
             .collect();
         blocks.push(vec![(Inst::Ret { val: None }, 9)]);
-        let f = Function::new(d.name, d.arity, d.num_regs, blocks, Vec::new(), &[]);
+        let f = Function::new(d.name, d.arity, d.num_regs, blocks, Vec::new(), &[], &[]);
         let cfg = Cfg::new(&f);
         let dom = Dominators::compute(&cfg);
         let dead = BlockId(f.num_blocks() as u32 - 1);

@@ -6,6 +6,15 @@ use crate::types::{ArrayId, Ty, VReg, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// `[mnemonic, token, compute token]` of an opcode of class `$class`:
+/// `"add"`, `"bin.add"`, `"compute:bin.add"`. Every spelling is static,
+/// so tokenising a statement allocates nothing.
+macro_rules! spellings {
+    ($class:literal, $m:literal) => {
+        [$m, concat!($class, ".", $m), concat!("compute:", $class, ".", $m)]
+    };
+}
+
 /// Binary opcodes. Integer and float variants share opcodes; the operand
 /// types select the behaviour at run time (the verifier does not type-check
 /// registers — the IR is dynamically typed like a trace IR).
@@ -48,23 +57,28 @@ pub enum BinOp {
 impl BinOp {
     /// Mnemonic used by the textual form.
     pub fn mnemonic(self) -> &'static str {
+        self.spellings()[0]
+    }
+
+    /// The mnemonic, the statement token and the compute-unit token.
+    fn spellings(self) -> [&'static str; 3] {
         match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Div => "div",
-            BinOp::Rem => "rem",
-            BinOp::Min => "min",
-            BinOp::Max => "max",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::Shr => "shr",
-            BinOp::CmpEq => "cmpeq",
-            BinOp::CmpNe => "cmpne",
-            BinOp::CmpLt => "cmplt",
-            BinOp::CmpLe => "cmple",
+            BinOp::Add => spellings!("bin", "add"),
+            BinOp::Sub => spellings!("bin", "sub"),
+            BinOp::Mul => spellings!("bin", "mul"),
+            BinOp::Div => spellings!("bin", "div"),
+            BinOp::Rem => spellings!("bin", "rem"),
+            BinOp::Min => spellings!("bin", "min"),
+            BinOp::Max => spellings!("bin", "max"),
+            BinOp::And => spellings!("bin", "and"),
+            BinOp::Or => spellings!("bin", "or"),
+            BinOp::Xor => spellings!("bin", "xor"),
+            BinOp::Shl => spellings!("bin", "shl"),
+            BinOp::Shr => spellings!("bin", "shr"),
+            BinOp::CmpEq => spellings!("bin", "cmpeq"),
+            BinOp::CmpNe => spellings!("bin", "cmpne"),
+            BinOp::CmpLt => spellings!("bin", "cmplt"),
+            BinOp::CmpLe => spellings!("bin", "cmple"),
         }
     }
 
@@ -136,17 +150,22 @@ pub enum UnOp {
 impl UnOp {
     /// Mnemonic used by the textual form.
     pub fn mnemonic(self) -> &'static str {
+        self.spellings()[0]
+    }
+
+    /// The mnemonic, the statement token and the compute-unit token.
+    fn spellings(self) -> [&'static str; 3] {
         match self {
-            UnOp::Neg => "neg",
-            UnOp::Not => "not",
-            UnOp::Sqrt => "sqrt",
-            UnOp::Exp => "exp",
-            UnOp::Log => "log",
-            UnOp::Sin => "sin",
-            UnOp::Cos => "cos",
-            UnOp::Abs => "abs",
-            UnOp::IntToFloat => "i2f",
-            UnOp::FloatToInt => "f2i",
+            UnOp::Neg => spellings!("un", "neg"),
+            UnOp::Not => spellings!("un", "not"),
+            UnOp::Sqrt => spellings!("un", "sqrt"),
+            UnOp::Exp => spellings!("un", "exp"),
+            UnOp::Log => spellings!("un", "log"),
+            UnOp::Sin => spellings!("un", "sin"),
+            UnOp::Cos => spellings!("un", "cos"),
+            UnOp::Abs => spellings!("un", "abs"),
+            UnOp::IntToFloat => spellings!("un", "i2f"),
+            UnOp::FloatToInt => spellings!("un", "f2i"),
         }
     }
 
@@ -168,26 +187,14 @@ impl UnOp {
     }
 }
 
-/// A direct call's operands, boxed in [`Inst::Call`] so that every
-/// instruction stays 16 bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Call {
-    /// Optional destination for the return value.
-    pub dst: Option<VReg>,
-    /// Callee.
-    pub func: FuncId,
-    /// Argument registers (copied into the callee's first registers).
-    pub args: Box<[VReg]>,
-}
-
-/// One IR instruction, 16 bytes. Terminators (`Br`, `CondBr`, `Ret`) may
-/// only appear as the last instruction of a block (enforced by the
-/// verifier).
+/// One IR instruction, 16 bytes and `Copy`. Terminators (`Br`, `CondBr`,
+/// `Ret`) may only appear as the last instruction of a block (enforced
+/// by the verifier).
 ///
 /// Equality compares a `Const` through its [`Value`] (as `f64` for a
 /// float: `0.0 == -0.0`, a NaN equals nothing), every other variant field
 /// by field.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub enum Inst {
     /// `dst = const value`, the value stored as its type and raw bits
     /// (so that it packs beside the destination). Build one with
@@ -245,8 +252,22 @@ pub enum Inst {
         /// Value register.
         src: VReg,
     },
-    /// `dst? = call f(args...)`
-    Call(Box<Call>),
+    /// `dst? = call func(args...)`. The argument registers sit at `args`
+    /// in the call operands of the function holding the call, behind
+    /// their count, read with
+    /// [`Function::call_args`](crate::Function::call_args); the
+    /// destination is read with [`Inst::def`].
+    Call {
+        /// Callee.
+        func: FuncId,
+        /// Whether the call keeps its return value in `dst`.
+        has_dst: bool,
+        /// Destination register; `VReg(0)` when `has_dst` is unset.
+        dst: VReg,
+        /// Offset of the argument count in the function's call operands;
+        /// the arguments follow it.
+        args: u32,
+    },
     /// Unconditional branch.
     Br {
         /// Target block.
@@ -289,7 +310,10 @@ impl PartialEq for Inst {
             (Store { arr: a, idx: b, src: c }, Store { arr: d, idx: e, src: f }) => {
                 (a, b, c) == (d, e, f)
             }
-            (Call(a), Call(b)) => a == b,
+            (
+                Call { func: a, has_dst: b, dst: c, args: d },
+                Call { func: e, has_dst: f, dst: g, args: h },
+            ) => (a, b, c, d) == (e, f, g, h),
             (Br { target: a }, Br { target: b }) => a == b,
             (
                 CondBr { cond: a, then_blk: b, else_blk: c },
@@ -316,9 +340,20 @@ impl Inst {
         }
     }
 
-    /// `dst? = call func(args...)`.
-    pub fn call(dst: Option<VReg>, func: FuncId, args: &[VReg]) -> Self {
-        Inst::Call(Box::new(Call { dst, func, args: args.into() }))
+    /// `dst? = call func(args...)` with the count of `args` and then
+    /// `args` appended to `operands`, the call operands of the function
+    /// being built.
+    pub(crate) fn call(
+        dst: Option<VReg>,
+        func: FuncId,
+        args: &[VReg],
+        operands: &mut Vec<u32>,
+    ) -> Self {
+        let at = operands.len() as u32;
+        operands.push(args.len() as u32);
+        operands.extend(args.iter().map(|r| r.0));
+        let (has_dst, dst) = (dst.is_some(), dst.unwrap_or(VReg(0)));
+        Inst::Call { func, has_dst, dst, args: at }
     }
 
     /// True for block terminators.
@@ -333,28 +368,30 @@ impl Inst {
             | Inst::Copy { dst, .. }
             | Inst::Bin { dst, .. }
             | Inst::Un { dst, .. }
-            | Inst::Load { dst, .. } => Some(*dst),
-            Inst::Call(c) => c.dst,
+            | Inst::Load { dst, .. }
+            | Inst::Call { has_dst: true, dst, .. } => Some(*dst),
             _ => None,
         }
     }
 
-    /// Registers read by this instruction, in operand order: the fixed
-    /// operands inline, a call's arguments straight from its slice.
-    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+    /// The registers this instruction reads in place, in operand order,
+    /// and how many of the two slots hold one; a call's arguments are in
+    /// its function ([`Function::uses`](crate::Function::uses) yields
+    /// both).
+    pub(crate) fn inline_uses(&self) -> ([VReg; 2], usize) {
         const NONE: VReg = VReg(0);
-        let (fixed, n, args): ([VReg; 2], usize, &[VReg]) = match self {
-            Inst::Const { .. } | Inst::Br { .. } | Inst::Ret { val: None } => ([NONE; 2], 0, &[]),
+        match self {
+            Inst::Const { .. } | Inst::Br { .. } | Inst::Call { .. } | Inst::Ret { val: None } => {
+                ([NONE; 2], 0)
+            }
             Inst::Copy { src: r, .. }
             | Inst::Un { src: r, .. }
             | Inst::Load { idx: r, .. }
             | Inst::CondBr { cond: r, .. }
-            | Inst::Ret { val: Some(r) } => ([*r, NONE], 1, &[]),
-            Inst::Bin { lhs, rhs, .. } => ([*lhs, *rhs], 2, &[]),
-            Inst::Store { idx, src, .. } => ([*idx, *src], 2, &[]),
-            Inst::Call(c) => ([NONE; 2], 0, &c.args[..]),
-        };
-        fixed.into_iter().take(n).chain(args.iter().copied())
+            | Inst::Ret { val: Some(r) } => ([*r, NONE], 1),
+            Inst::Bin { lhs, rhs, .. } => ([*lhs, *rhs], 2),
+            Inst::Store { idx, src, .. } => ([*idx, *src], 2),
+        }
     }
 
     /// The array touched by this instruction with the access kind
@@ -370,24 +407,39 @@ impl Inst {
     /// A normalised token for embedding vocabularies: the instruction with
     /// register identities abstracted away, keeping opcode, type shape and
     /// array identity class. This mirrors inst2vec statement normalisation.
-    pub fn token(&self) -> String {
+    /// One of 36 static spellings (`const.f64`, `bin.cmple`, `un.i2f`,
+    /// `call.void`, …), so it allocates nothing.
+    pub fn token(&self) -> &'static str {
+        self.tokens()[0]
+    }
+
+    /// The token of a computational unit of several statements whose
+    /// dominant statement this is: `compute:` and [`Inst::token`].
+    pub fn compute_token(&self) -> &'static str {
+        self.tokens()[1]
+    }
+
+    /// `[token, compute token]`.
+    fn tokens(&self) -> [&'static str; 2] {
+        macro_rules! tokens {
+            ($t:literal) => {
+                [$t, concat!("compute:", $t)]
+            };
+        }
+        let op = |[_, token, compute]: [&'static str; 3]| [token, compute];
         match self {
-            Inst::Const { ty, .. } => format!("const.{ty}"),
-            Inst::Copy { .. } => "copy".to_string(),
-            Inst::Bin { op, .. } => format!("bin.{}", op.mnemonic()),
-            Inst::Un { op, .. } => format!("un.{}", op.mnemonic()),
-            Inst::Load { .. } => "load".to_string(),
-            Inst::Store { .. } => "store".to_string(),
-            Inst::Call(c) => {
-                if c.dst.is_some() {
-                    "call.val".to_string()
-                } else {
-                    "call.void".to_string()
-                }
-            }
-            Inst::Br { .. } => "br".to_string(),
-            Inst::CondBr { .. } => "condbr".to_string(),
-            Inst::Ret { .. } => "ret".to_string(),
+            Inst::Const { ty: Ty::I64, .. } => tokens!("const.i64"),
+            Inst::Const { ty: Ty::F64, .. } => tokens!("const.f64"),
+            Inst::Copy { .. } => tokens!("copy"),
+            Inst::Bin { op: o, .. } => op(o.spellings()),
+            Inst::Un { op: o, .. } => op(o.spellings()),
+            Inst::Load { .. } => tokens!("load"),
+            Inst::Store { .. } => tokens!("store"),
+            Inst::Call { has_dst: true, .. } => tokens!("call.val"),
+            Inst::Call { has_dst: false, .. } => tokens!("call.void"),
+            Inst::Br { .. } => tokens!("br"),
+            Inst::CondBr { .. } => tokens!("condbr"),
+            Inst::Ret { .. } => tokens!("ret"),
         }
     }
 }
@@ -413,26 +465,41 @@ impl fmt::Display for InstRef {
 mod tests {
     use super::*;
 
+    const BINOPS: [BinOp; 16] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::CmpEq,
+        BinOp::CmpNe,
+        BinOp::CmpLt,
+        BinOp::CmpLe,
+    ];
+
+    const UNOPS: [UnOp; 10] = [
+        UnOp::Neg,
+        UnOp::Not,
+        UnOp::Sqrt,
+        UnOp::Exp,
+        UnOp::Log,
+        UnOp::Sin,
+        UnOp::Cos,
+        UnOp::Abs,
+        UnOp::IntToFloat,
+        UnOp::FloatToInt,
+    ];
+
     #[test]
     fn binop_mnemonic_roundtrip() {
-        for op in [
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::Div,
-            BinOp::Rem,
-            BinOp::Min,
-            BinOp::Max,
-            BinOp::And,
-            BinOp::Or,
-            BinOp::Xor,
-            BinOp::Shl,
-            BinOp::Shr,
-            BinOp::CmpEq,
-            BinOp::CmpNe,
-            BinOp::CmpLt,
-            BinOp::CmpLe,
-        ] {
+        for op in BINOPS {
             assert_eq!(BinOp::from_mnemonic(op.mnemonic()), Some(op));
         }
         assert_eq!(BinOp::from_mnemonic("frobnicate"), None);
@@ -440,18 +507,7 @@ mod tests {
 
     #[test]
     fn unop_mnemonic_roundtrip() {
-        for op in [
-            UnOp::Neg,
-            UnOp::Not,
-            UnOp::Sqrt,
-            UnOp::Exp,
-            UnOp::Log,
-            UnOp::Sin,
-            UnOp::Cos,
-            UnOp::Abs,
-            UnOp::IntToFloat,
-            UnOp::FloatToInt,
-        ] {
+        for op in UNOPS {
             assert_eq!(UnOp::from_mnemonic(op.mnemonic()), Some(op));
         }
     }
@@ -460,13 +516,19 @@ mod tests {
     fn defs_and_uses() {
         let i = Inst::Bin { op: BinOp::Add, dst: VReg(2), lhs: VReg(0), rhs: VReg(1) };
         assert_eq!(i.def(), Some(VReg(2)));
-        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(0), VReg(1)]);
+        assert_eq!(i.inline_uses(), ([VReg(0), VReg(1)], 2));
         let s = Inst::Store { arr: ArrayId(0), idx: VReg(3), src: VReg(4) };
         assert_eq!(s.def(), None);
-        assert_eq!(s.uses().collect::<Vec<_>>(), vec![VReg(3), VReg(4)]);
+        assert_eq!(s.inline_uses(), ([VReg(3), VReg(4)], 2));
         assert_eq!(s.memory_effect(), Some((ArrayId(0), true)));
         let l = Inst::Load { dst: VReg(1), arr: ArrayId(2), idx: VReg(0) };
         assert_eq!(l.memory_effect(), Some((ArrayId(2), false)));
+        let mut operands = vec![7];
+        let c = Inst::call(Some(VReg(5)), FuncId(1), &[VReg(3), VReg(4)], &mut operands);
+        assert_eq!(c, Inst::Call { func: FuncId(1), has_dst: true, dst: VReg(5), args: 1 });
+        assert_eq!((c.def(), c.inline_uses().1), (Some(VReg(5)), 0));
+        let v = Inst::call(None, FuncId(1), &[], &mut operands);
+        assert_eq!((v.def(), &operands[..]), (None, &[7, 2, 3, 4, 0][..]));
     }
 
     #[test]
@@ -485,6 +547,46 @@ mod tests {
         assert_eq!(Inst::constant(VReg(0), Value::zero(Ty::F64)).token(), "const.f64");
     }
 
+    /// The statement tokens as they were spelled with `format!`, for every
+    /// opcode and type: the inst2vec vocabulary and every sample read them.
+    #[test]
+    fn every_token_keeps_its_formatted_spelling() {
+        let (r, arr, f) = (VReg(1), ArrayId(0), FuncId(0));
+        let mut spelled: Vec<(Inst, String)> = Vec::new();
+        for ty in [Ty::I64, Ty::F64] {
+            spelled.push((Inst::constant(r, Value::zero(ty)), format!("const.{ty}")));
+        }
+        for op in BINOPS {
+            let inst = Inst::Bin { op, dst: r, lhs: r, rhs: r };
+            spelled.push((inst, format!("bin.{}", op.mnemonic())));
+        }
+        for op in UNOPS {
+            spelled.push((Inst::Un { op, dst: r, src: r }, format!("un.{}", op.mnemonic())));
+        }
+        let call = |has_dst| Inst::Call { func: f, has_dst, dst: r, args: 0 };
+        spelled.extend([
+            (Inst::Copy { dst: r, src: r }, "copy".to_string()),
+            (Inst::Load { dst: r, arr, idx: r }, "load".to_string()),
+            (Inst::Store { arr, idx: r, src: r }, "store".to_string()),
+            (call(true), "call.val".to_string()),
+            (call(false), "call.void".to_string()),
+            (Inst::Br { target: BlockId(0) }, "br".to_string()),
+            (Inst::CondBr { cond: r, then_blk: BlockId(0), else_blk: BlockId(1) }, "condbr".into()),
+            (Inst::Ret { val: None }, "ret".to_string()),
+            (Inst::Ret { val: Some(r) }, "ret".to_string()),
+        ]);
+        for (inst, old) in &spelled {
+            assert_eq!(inst.token(), old, "{inst:?}");
+            assert_eq!(inst.compute_token(), format!("compute:{old}"), "{inst:?}");
+        }
+        let mut distinct: Vec<&str> = spelled.iter().map(|(i, _)| i.token()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 36);
+        let spot = ["const.f64", "bin.cmple", "un.i2f", "un.f2i", "call.void", "condbr"];
+        assert!(spot.iter().all(|t| distinct.contains(t)));
+    }
+
     #[test]
     fn constants_compare_through_their_value() {
         let c = |v: f64| Inst::constant(VReg(1), Value::F64(v));
@@ -492,7 +594,8 @@ mod tests {
         assert_ne!(c(f64::NAN), c(f64::NAN));
         assert_ne!(c(1.0), Inst::constant(VReg(2), Value::F64(1.0)));
         let i = Inst::constant(VReg(1), Value::I64(f64::NAN.to_bits() as i64));
-        assert_eq!(i, i.clone());
+        let copy = i;
+        assert_eq!(i, copy);
         assert_ne!(i, Inst::Const { dst: VReg(1), ty: Ty::F64, bits: f64::NAN.to_bits() });
         for v in [Value::I64(-7), Value::F64(-0.0), Value::F64(f64::NAN), Value::F64(1e-310)] {
             let back = Inst::constant(VReg(0), v).const_value().unwrap();

@@ -6,7 +6,7 @@
 //! `mvgnn-profiler` implements `Tracer` to reconstruct the dynamic data
 //! dependence graph; [`NoTracer`] runs at full speed for plain evaluation.
 
-use crate::inst::{BinOp, Call, Inst, InstRef, UnOp};
+use crate::inst::{BinOp, Inst, InstRef, UnOp};
 use crate::module::{BlockId, FuncId, LoopId, Module};
 use crate::types::{ArrayId, Value};
 
@@ -176,7 +176,12 @@ impl<'m> Interpreter<'m> {
         }
         stats.max_depth = stats.max_depth.max(depth);
         let f = self.module.funcs.get(func.index()).ok_or(InterpError::BadFunction(func))?;
-        assert_eq!(args.len(), f.arity as usize, "fn {}: argument count mismatch", f.name);
+        assert_eq!(
+            args.len(),
+            f.arity as usize,
+            "fn {}: argument count mismatch",
+            self.module.name_of(f.name)
+        );
 
         let mut regs = vec![Value::I64(0); f.num_regs as usize];
         regs[..args.len()].copy_from_slice(args);
@@ -199,7 +204,7 @@ impl<'m> Interpreter<'m> {
             }
             let inst = &blk.insts[idx];
             let r = InstRef { func, block, idx: idx as u32 };
-            tracer.on_inst(r, blk.lines[idx]);
+            tracer.on_inst(r, blk.line(idx));
 
             match inst {
                 Inst::Const { dst, ty, bits } => {
@@ -259,14 +264,13 @@ impl<'m> Interpreter<'m> {
                     cells[i as usize] = regs[src.index()];
                     idx += 1;
                 }
-                Inst::Call(call) => {
-                    let Call { dst, func: callee, args: arg_regs } = &**call;
+                Inst::Call { func: callee, .. } => {
                     stats.calls += 1;
                     tracer.on_call(r, *callee);
-                    let argv: Vec<Value> = arg_regs.iter().map(|a| regs[a.index()]).collect();
+                    let argv: Vec<Value> = f.call_args(inst).map(|a| regs[a.index()]).collect();
                     let ret =
                         self.exec_function(*callee, &argv, mem, tracer, stats, depth + 1)?;
-                    if let Some(d) = dst {
+                    if let Some(d) = inst.def() {
                         regs[d.index()] = ret.unwrap_or(Value::I64(0));
                     }
                     idx += 1;

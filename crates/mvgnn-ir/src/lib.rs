@@ -36,7 +36,7 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use cfg::{Cfg, Dominators};
-pub use inst::{BinOp, Call, Inst, InstRef, UnOp};
+pub use inst::{BinOp, Inst, InstRef, UnOp};
 pub use interp::{ExecStats, InterpError, Interpreter, NoTracer, Tracer};
-pub use module::{ArrayDecl, Block, BlockId, FuncId, Function, LoopId, LoopInfo, Module};
+pub use module::{ArrayDecl, Block, BlockId, FuncId, Function, LoopId, LoopInfo, Module, NameId};
 pub use types::{ArrayId, Ty, VReg, Value};

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::inst::{BinOp, Inst, UnOp};
-use crate::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module};
+use crate::module::{BlockId, FuncId, Function, LoopId, LoopInfo, Module, NameId};
 use crate::types::{ArrayId, Ty, VReg, Value};
 use std::fmt::Write as _;
 
@@ -26,14 +26,15 @@ pub fn print_module(m: &Module) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "module {:?}", m.name);
     for (i, a) in m.arrays.iter().enumerate() {
-        let _ = writeln!(s, "array @{} {:?} {} {}", i, a.name, a.ty, a.len);
+        let _ = writeln!(s, "array @{} {:?} {} {}", i, m.name_of(a.name), a.ty, a.len);
     }
     for (fi, f) in m.funcs.iter().enumerate() {
-        let _ = writeln!(s, "func f{} {:?} arity {} regs {}", fi, f.name, f.arity, f.num_regs);
+        let name = m.name_of(f.name);
+        let _ = writeln!(s, "func f{} {:?} arity {} regs {}", fi, name, f.arity, f.num_regs);
         for (bi, blk) in f.blocks().enumerate() {
             let _ = writeln!(s, "  block b{bi}");
-            for (inst, &line) in blk.insts.iter().zip(blk.lines) {
-                let _ = writeln!(s, "    {} ; line {}", print_inst(inst), line);
+            for (inst, line) in blk.insts.iter().zip(blk.lines()) {
+                let _ = writeln!(s, "    {} ; line {}", print_inst(f, inst), line);
             }
         }
         for info in &f.loops {
@@ -73,8 +74,8 @@ fn print_value(v: Value) -> String {
     }
 }
 
-/// Render one instruction (without line comment).
-pub fn print_inst(inst: &Inst) -> String {
+/// Render one instruction of `f` (without line comment).
+pub fn print_inst(f: &Function, inst: &Inst) -> String {
     match inst {
         Inst::Const { dst, ty, bits } => {
             format!("%{} = const {}", dst.0, print_value(Value::from_bits(*ty, *bits)))
@@ -86,11 +87,11 @@ pub fn print_inst(inst: &Inst) -> String {
         Inst::Un { op, dst, src } => format!("%{} = {} %{}", dst.0, op.mnemonic(), src.0),
         Inst::Load { dst, arr, idx } => format!("%{} = load @{}[%{}]", dst.0, arr.0, idx.0),
         Inst::Store { arr, idx, src } => format!("store @{}[%{}] %{}", arr.0, idx.0, src.0),
-        Inst::Call(c) => {
-            let a: Vec<String> = c.args.iter().map(|r| format!("%{}", r.0)).collect();
-            match c.dst {
-                Some(d) => format!("%{} = call f{}({})", d.0, c.func.0, a.join(", ")),
-                None => format!("call f{}({})", c.func.0, a.join(", ")),
+        Inst::Call { func, .. } => {
+            let a: Vec<String> = f.call_args(inst).map(|r| format!("%{}", r.0)).collect();
+            match inst.def() {
+                Some(d) => format!("%{} = call f{}({})", d.0, func.0, a.join(", ")),
+                None => format!("call f{}({})", func.0, a.join(", ")),
             }
         }
         Inst::Br { target } => format!("br b{}", target.0),
@@ -170,17 +171,22 @@ impl<'a> Cursor<'a> {
         t.parse().map_err(|_| self.err(format!("expected integer, found `{t}`")))
     }
 
-    fn quoted(&mut self) -> Result<String, ParseError> {
+    fn quoted(&mut self) -> Result<&'a str, ParseError> {
         let t = self.next()?;
         if t.len() >= 2 && t.starts_with('"') && t.ends_with('"') {
-            Ok(t[1..t.len() - 1].to_string())
+            Ok(&t[1..t.len() - 1])
         } else {
             Err(self.err(format!("expected quoted string, found `{t}`")))
         }
     }
 }
 
-fn parse_inst_line(line: &str, lineno: usize) -> Result<(Inst, u32), ParseError> {
+/// One instruction line; a call's arguments join `operands`.
+fn parse_inst_line(
+    line: &str,
+    lineno: usize,
+    operands: &mut Vec<u32>,
+) -> Result<(Inst, u32), ParseError> {
     let (code, comment) = match line.split_once(';') {
         Some((c, rest)) => (c.trim(), rest.trim()),
         None => (line.trim(), ""),
@@ -213,10 +219,7 @@ fn parse_inst_line(line: &str, lineno: usize) -> Result<(Inst, u32), ParseError>
                 let (arr, idx) = parse_mem_operand(t).ok_or_else(|| c.err("bad load operand"))?;
                 Inst::Load { dst, arr, idx }
             }
-            "call" => {
-                let (func, args) = parse_call_tail(&mut c)?;
-                Inst::call(Some(dst), func, &args)
-            }
+            "call" => parse_call_tail(&mut c, Some(dst), operands)?,
             mn => {
                 if let Some(b) = BinOp::from_mnemonic(mn) {
                     let lhs = VReg(c.prefixed_u32('%')?);
@@ -237,10 +240,7 @@ fn parse_inst_line(line: &str, lineno: usize) -> Result<(Inst, u32), ParseError>
                 let src = VReg(c.prefixed_u32('%')?);
                 Inst::Store { arr, idx, src }
             }
-            "call" => {
-                let (func, args) = parse_call_tail(&mut c)?;
-                Inst::call(None, func, &args)
-            }
+            "call" => parse_call_tail(&mut c, None, operands)?,
             "br" => Inst::Br { target: BlockId(c.prefixed_u32('b')?) },
             "condbr" => {
                 let cond = VReg(c.prefixed_u32('%')?);
@@ -270,7 +270,11 @@ fn parse_mem_operand(t: &str) -> Option<(ArrayId, VReg)> {
 }
 
 /// `f3(%0, %1)` — the cursor has tokens like `f3(%0,` `%1)` or `f3()`.
-fn parse_call_tail(c: &mut Cursor<'_>) -> Result<(FuncId, Vec<VReg>), ParseError> {
+fn parse_call_tail(
+    c: &mut Cursor<'_>,
+    dst: Option<VReg>,
+    operands: &mut Vec<u32>,
+) -> Result<Inst, ParseError> {
     let t = c.next()?;
     let t = t.strip_prefix('f').ok_or_else(|| c.err("expected `f<id>(...)`"))?;
     let (fid, rest) = t.split_once('(').ok_or_else(|| c.err("expected `(` in call"))?;
@@ -296,18 +300,21 @@ fn parse_call_tail(c: &mut Cursor<'_>) -> Result<(FuncId, Vec<VReg>), ParseError
         }
         buf = c.next()?.to_string();
     }
-    Ok((func, args))
+    Ok(Inst::call(dst, func, &args, operands))
 }
 
 /// A function while its lines are parsed.
 struct Parts {
-    name: String,
+    name: NameId,
     arity: u32,
     num_regs: u32,
     blocks: Vec<Vec<(Inst, u32)>>,
     loops: Vec<LoopInfo>,
     /// Every loop's body blocks; each `LoopInfo::body` is a range of them.
     bodies: Vec<BlockId>,
+    /// Every call's argument count and arguments; each `Inst::Call`
+    /// holds the offset of its own.
+    operands: Vec<u32>,
 }
 
 /// Parse a module from its textual form.
@@ -327,7 +334,7 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
         let mut c = Cursor::new(line, lineno);
         let head = c.next()?;
         match head {
-            "module" => m.name = c.quoted()?,
+            "module" => m.name = c.quoted()?.to_string(),
             "array" => {
                 let _id = c.prefixed_u32('@')?;
                 let name = c.quoted()?;
@@ -347,12 +354,13 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                 c.expect("regs")?;
                 let num_regs = c.u32()?;
                 cur_fn = Some(Parts {
-                    name,
+                    name: m.intern(name),
                     arity,
                     num_regs,
                     blocks: Vec::new(),
                     loops: Vec::new(),
                     bodies: Vec::new(),
+                    operands: Vec::new(),
                 });
                 in_block = false;
             }
@@ -455,20 +463,19 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
             "endfunc" => {
                 let f = cur_fn.take().ok_or_else(|| c.err("endfunc outside func"))?;
                 in_block = false;
-                let Parts { name, arity, num_regs, blocks, loops, bodies } = f;
-                m.funcs.push(Function::new(name, arity, num_regs, blocks, loops, &bodies));
+                let Parts { name, arity, num_regs, blocks, loops, bodies, operands } = f;
+                let f = Function::new(name, arity, num_regs, blocks, loops, &bodies, &operands);
+                m.funcs.push(f);
             }
             _ => {
                 // An instruction line inside the current block.
-                let blk = cur_fn
-                    .as_mut()
-                    .filter(|_| in_block)
-                    .and_then(|f| f.blocks.last_mut())
-                    .ok_or_else(|| ParseError {
-                        line: lineno,
-                        msg: format!("statement outside block: `{line}`"),
-                    })?;
-                blk.push(parse_inst_line(line, lineno)?);
+                let outside = || ParseError {
+                    line: lineno,
+                    msg: format!("statement outside block: `{line}`"),
+                };
+                let f = cur_fn.as_mut().filter(|_| in_block).ok_or_else(outside)?;
+                let inst = parse_inst_line(line, lineno, &mut f.operands)?;
+                f.blocks.last_mut().ok_or_else(outside)?.push(inst);
             }
         }
     }
@@ -523,11 +530,11 @@ mod tests {
         assert_eq!(m2.arrays.len(), m.arrays.len());
         assert_eq!(m2.funcs.len(), m.funcs.len());
         for (f1, f2) in m.funcs.iter().zip(&m2.funcs) {
-            assert_eq!(f1.name, f2.name);
+            assert_eq!(m.name_of(f1.name), m2.name_of(f2.name));
             assert_eq!(f1.num_blocks(), f2.num_blocks());
             for (b1, b2) in f1.blocks().zip(f2.blocks()) {
                 assert_eq!(b1.insts, b2.insts);
-                assert_eq!(b1.lines, b2.lines);
+                assert!(b1.lines().eq(b2.lines()));
             }
             assert_eq!(f1.loops.len(), f2.loops.len());
             for (l1, l2) in f1.loops.iter().zip(&f2.loops) {
@@ -573,17 +580,32 @@ mod tests {
         assert!(e.msg.contains("unknown opcode"), "{e}");
     }
 
+    /// Every form, among them a void call of two arguments passed out of
+    /// register order, which prints them in call order and parses back to
+    /// the same function.
     #[test]
     fn print_inst_forms() {
-        assert_eq!(
-            print_inst(&Inst::Load { dst: VReg(1), arr: ArrayId(2), idx: VReg(3) }),
-            "%1 = load @2[%3]"
-        );
-        assert_eq!(
-            print_inst(&Inst::call(None, FuncId(4), &[VReg(0), VReg(1)])),
-            "call f4(%0, %1)"
-        );
-        assert_eq!(print_inst(&Inst::Ret { val: None }), "ret");
+        let mut m = Module::new("forms");
+        let pair = FunctionBuilder::new(&mut m, "pair", 2).finish();
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let (x, y) = (b.const_i64(1), b.const_i64(2));
+        b.call_void(pair, &[y, x]);
+        b.finish();
+        let main = &m.funcs[1];
+        let printed: Vec<String> = main.insts().iter().map(|i| print_inst(main, i)).collect();
+        assert_eq!(printed, ["%0 = const i64 1", "%1 = const i64 2", "call f0(%1, %0)", "ret"]);
+        let load = Inst::Load { dst: VReg(1), arr: ArrayId(2), idx: VReg(3) };
+        assert_eq!(print_inst(main, &load), "%1 = load @2[%3]");
+        let back = parse_module(&print_module(&m)).unwrap();
+        verify_module(&back).unwrap();
+        let main2 = &back.funcs[1];
+        assert_eq!(main2.insts(), main.insts());
+        assert_eq!(print_inst(main2, &main2.insts()[2]), "call f0(%1, %0)");
+        assert_eq!(print_module(&back), print_module(&m));
+        let sample = sample_module();
+        let main = &sample.funcs[1];
+        let call = main.insts().iter().find(|i| matches!(i, Inst::Call { .. })).unwrap();
+        assert_eq!(print_inst(main, call), "%7 = call f0(%4)");
     }
 
     #[test]

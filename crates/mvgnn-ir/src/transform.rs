@@ -130,7 +130,7 @@ pub fn const_fold(f: &mut Function) {
 pub fn dce(f: &mut Function) {
     loop {
         let mut read = vec![false; f.num_regs as usize];
-        for u in f.insts().iter().flat_map(Inst::uses) {
+        for u in f.insts().iter().flat_map(|i| f.uses(i)) {
             read[u.index()] = true;
         }
         let live = |inst: &Inst| match inst {
@@ -303,12 +303,9 @@ pub fn rename_registers(f: &mut Function) {
                 *idx = map(*idx);
                 *src = map(*src);
             }
-            Inst::Call(c) => {
-                if let Some(d) = &mut c.dst {
-                    *d = map(*d);
-                }
-                for a in c.args.iter_mut() {
-                    *a = map(*a);
+            Inst::Call { has_dst, dst, .. } => {
+                if *has_dst {
+                    *dst = map(*dst);
                 }
             }
             Inst::CondBr { cond, .. } => *cond = map(*cond),
@@ -320,6 +317,7 @@ pub fn rename_registers(f: &mut Function) {
             Inst::Br { .. } => {}
         }
     }
+    f.map_call_args(map);
     for info in &mut f.loops {
         if let Some(iv) = &mut info.induction {
             *iv = map(*iv);
@@ -441,7 +439,8 @@ mod tests {
         let streams: Vec<Vec<String>> = OptLevel::ALL
             .iter()
             .map(|&l| {
-                optimize(&m, l).funcs[0].insts().iter().map(crate::text::print_inst).collect()
+                let f = &optimize(&m, l).funcs[0];
+                f.insts().iter().map(|i| crate::text::print_inst(f, i)).collect()
             })
             .collect();
         let distinct: std::collections::HashSet<_> = streams.iter().collect();

@@ -221,7 +221,7 @@ impl std::error::Error for VerifyError {}
 /// Verify one function against its module.
 pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
     let nblocks = f.num_blocks();
-    let func = || f.name.clone();
+    let func = || m.name_of(f.name).to_string();
     if nblocks == 0 {
         return Err(VerifyError::NoBlocks { func: func() });
     }
@@ -252,7 +252,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                     });
                 }
             }
-            for u in inst.uses() {
+            for u in f.uses(inst) {
                 if u.0 >= f.num_regs {
                     return Err(VerifyError::RegOutOfRange {
                         func: func(),
@@ -284,8 +284,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                     if arr.index() >= m.arrays.len() => {
                         return Err(VerifyError::UndeclaredArray { func: func(), block, arr: *arr });
                     }
-                Inst::Call(c) => {
-                    let (callee, args) = (&c.func, &c.args);
+                Inst::Call { func: callee, .. } => {
                     let Some(target) = m.funcs.get(callee.index()) else {
                         return Err(VerifyError::CallToMissingFunc {
                             func: func(),
@@ -293,12 +292,13 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                             callee: callee.0,
                         });
                     };
-                    if args.len() != target.arity as usize {
+                    let args = f.call_args(inst).len();
+                    if args != target.arity as usize {
                         return Err(VerifyError::CallArityMismatch {
                             func: func(),
                             block,
-                            callee: target.name.clone(),
-                            args: args.len(),
+                            callee: m.name_of(target.name).to_string(),
+                            args,
                             arity: target.arity,
                         });
                     }
@@ -358,17 +358,19 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     let mut names = std::collections::HashSet::new();
     for f in &m.funcs {
-        if !names.insert(&f.name) {
-            return Err(VerifyError::DuplicateFunctionName { name: f.name.clone() });
+        let name = m.name_of(f.name);
+        if !names.insert(name) {
+            return Err(VerifyError::DuplicateFunctionName { name: name.to_string() });
         }
     }
     let mut anames = std::collections::HashSet::new();
     for a in &m.arrays {
+        let name = m.name_of(a.name);
         if a.len == 0 {
-            return Err(VerifyError::ZeroLengthArray { name: a.name.clone() });
+            return Err(VerifyError::ZeroLengthArray { name: name.to_string() });
         }
-        if !anames.insert(&a.name) {
-            return Err(VerifyError::DuplicateArrayName { name: a.name.clone() });
+        if !anames.insert(name) {
+            return Err(VerifyError::DuplicateArrayName { name: name.to_string() });
         }
     }
     for f in &m.funcs {
@@ -384,22 +386,32 @@ mod tests {
     use crate::module::{BlockId, Function, LoopInfo};
     use crate::types::{Ty, VReg};
 
-    fn minimal_fn(insts: Vec<Inst>) -> Function {
+    /// A one-block function named `name` in `m`, not yet added to it.
+    fn named_fn(m: &mut Module, name: &str, insts: Vec<Inst>, operands: &[u32]) -> Function {
         let block = insts.into_iter().map(|i| (i, 1)).collect();
-        Function::new("f", 0, 4, vec![block], Vec::new(), &[])
+        Function::new(m.intern(name), 0, 4, vec![block], Vec::new(), &[], operands)
+    }
+
+    fn minimal_fn(m: &mut Module, insts: Vec<Inst>) -> Function {
+        named_fn(m, "f", insts, &[])
+    }
+
+    /// `m` with one function of `insts` added.
+    fn with_fn(mut m: Module, insts: Vec<Inst>) -> Module {
+        let f = minimal_fn(&mut m, insts);
+        m.funcs.push(f);
+        m
     }
 
     #[test]
     fn accepts_minimal_function() {
-        let mut m = Module::new("t");
-        m.funcs.push(minimal_fn(vec![Inst::Ret { val: None }]));
+        let m = with_fn(Module::new("t"), vec![Inst::Ret { val: None }]);
         assert!(verify_module(&m).is_ok());
     }
 
     #[test]
     fn rejects_missing_terminator() {
-        let mut m = Module::new("t");
-        m.funcs.push(minimal_fn(vec![Inst::Copy { dst: VReg(0), src: VReg(1) }]));
+        let m = with_fn(Module::new("t"), vec![Inst::Copy { dst: VReg(0), src: VReg(1) }]);
         let e = verify_module(&m).unwrap_err();
         assert!(matches!(e, VerifyError::MissingTerminator { .. }), "{e}");
         assert!(e.to_string().contains("missing terminator"), "{e}");
@@ -407,22 +419,17 @@ mod tests {
 
     #[test]
     fn rejects_mid_block_terminator() {
-        let mut m = Module::new("t");
-        m.funcs.push(minimal_fn(vec![
-            Inst::Ret { val: None },
-            Inst::Ret { val: None },
-        ]));
+        let m = with_fn(Module::new("t"), vec![Inst::Ret { val: None }, Inst::Ret { val: None }]);
         let e = verify_module(&m).unwrap_err();
         assert!(matches!(e, VerifyError::TerminatorMidBlock { idx: 0, .. }), "{e}");
     }
 
     #[test]
     fn rejects_register_out_of_range() {
-        let mut m = Module::new("t");
-        m.funcs.push(minimal_fn(vec![
-            Inst::Copy { dst: VReg(9), src: VReg(0) },
-            Inst::Ret { val: None },
-        ]));
+        let m = with_fn(
+            Module::new("t"),
+            vec![Inst::Copy { dst: VReg(9), src: VReg(0) }, Inst::Ret { val: None }],
+        );
         let e = verify_module(&m).unwrap_err();
         assert!(
             matches!(e, VerifyError::RegOutOfRange { reg: VReg(9), is_def: true, .. }),
@@ -433,8 +440,7 @@ mod tests {
 
     #[test]
     fn rejects_branch_out_of_range() {
-        let mut m = Module::new("t");
-        m.funcs.push(minimal_fn(vec![Inst::Br { target: BlockId(5) }]));
+        let m = with_fn(Module::new("t"), vec![Inst::Br { target: BlockId(5) }]);
         let e = verify_module(&m).unwrap_err();
         assert!(
             matches!(e, VerifyError::BranchTargetOutOfRange { conditional: false, .. }),
@@ -445,11 +451,13 @@ mod tests {
 
     #[test]
     fn rejects_undeclared_array() {
-        let mut m = Module::new("t");
-        m.funcs.push(minimal_fn(vec![
-            Inst::Load { dst: VReg(0), arr: crate::types::ArrayId(0), idx: VReg(1) },
-            Inst::Ret { val: None },
-        ]));
+        let m = with_fn(
+            Module::new("t"),
+            vec![
+                Inst::Load { dst: VReg(0), arr: crate::types::ArrayId(0), idx: VReg(1) },
+                Inst::Ret { val: None },
+            ],
+        );
         let e = verify_module(&m).unwrap_err();
         assert!(
             matches!(e, VerifyError::UndeclaredArray { arr: crate::types::ArrayId(0), .. }),
@@ -460,40 +468,55 @@ mod tests {
 
     #[test]
     fn rejects_call_arity_mismatch() {
-        let mut m = Module::new("t");
-        m.funcs.push(minimal_fn(vec![Inst::Ret { val: None }])); // callee arity 0
-        let mut g = minimal_fn(vec![
-            Inst::call(None, crate::module::FuncId(0), &[VReg(0)]),
-            Inst::Ret { val: None },
-        ]);
-        g.name = "g".into();
+        let mut m = with_fn(Module::new("t"), vec![Inst::Ret { val: None }]); // callee arity 0
+        let mut operands = Vec::new();
+        let call = Inst::call(None, crate::module::FuncId(0), &[VReg(0)], &mut operands);
+        let g = named_fn(&mut m, "g", vec![call, Inst::Ret { val: None }], &operands);
         m.funcs.push(g);
         let e = verify_module(&m).unwrap_err();
         assert!(matches!(e, VerifyError::CallArityMismatch { args: 1, arity: 0, .. }), "{e}");
+        assert!(e.to_string().contains("call to f with 1 args, arity 0"), "{e}");
+    }
+
+    #[test]
+    fn rejects_out_of_range_call_arguments() {
+        let mut m = Module::new("t");
+        let mut callee = named_fn(&mut m, "one", vec![Inst::Ret { val: None }], &[]);
+        callee.arity = 1;
+        m.funcs.push(callee);
+        let mut operands = Vec::new();
+        let call = Inst::call(None, crate::module::FuncId(0), &[VReg(7)], &mut operands);
+        let g = named_fn(&mut m, "g", vec![call, Inst::Ret { val: None }], &operands);
+        m.funcs.push(g);
+        let e = verify_module(&m).unwrap_err();
+        assert!(
+            matches!(e, VerifyError::RegOutOfRange { reg: VReg(7), is_def: false, idx: 0, .. }),
+            "{e}"
+        );
     }
 
     #[test]
     fn rejects_duplicate_names_and_zero_arrays() {
-        let mut m = Module::new("t");
-        m.funcs.push(minimal_fn(vec![Inst::Ret { val: None }]));
-        let mut f2 = minimal_fn(vec![Inst::Ret { val: None }]);
-        f2.name = "f".into();
-        m.funcs.push(f2);
-        assert!(matches!(
-            verify_module(&m).unwrap_err(),
-            VerifyError::DuplicateFunctionName { .. }
-        ));
+        let m = with_fn(Module::new("t"), vec![Inst::Ret { val: None }]);
+        let m = with_fn(m, vec![Inst::Ret { val: None }]);
+        let e = verify_module(&m).unwrap_err();
+        assert_eq!(e, VerifyError::DuplicateFunctionName { name: "f".into() });
 
         let mut m2 = Module::new("t");
         m2.add_array("a", Ty::F64, 0);
         assert!(matches!(verify_module(&m2).unwrap_err(), VerifyError::ZeroLengthArray { .. }));
+        let mut m3 = Module::new("t");
+        m3.add_array("a", Ty::F64, 1);
+        m3.add_array("a", Ty::I64, 2);
+        let e = verify_module(&m3).unwrap_err();
+        assert_eq!(e, VerifyError::DuplicateArrayName { name: "a".into() });
     }
 
     #[test]
     fn rejects_out_of_range_induction() {
         let mut m = Module::new("t");
-        let mut f = minimal_fn(vec![Inst::Ret { val: None }]);
-        f.loops.push(LoopInfo {
+        let mut f = minimal_fn(&mut m, vec![Inst::Ret { val: None }]);
+        f.loops = Box::new([LoopInfo {
             id: crate::module::LoopId(0),
             header: BlockId(0),
             body: 0..0,
@@ -503,7 +526,7 @@ mod tests {
             parent: None,
             depth: 0,
             line_span: (1, 2),
-        });
+        }]);
         m.funcs.push(f);
         let e = verify_module(&m).unwrap_err();
         assert!(matches!(e, VerifyError::InductionOutOfRange { reg: VReg(99), .. }), "{e}");
@@ -530,7 +553,8 @@ mod tests {
             vec![(Inst::Br { target: BlockId(2) }, 2)],
             vec![(Inst::Ret { val: None }, 3)],
         ];
-        m.funcs.push(Function::new("f", 0, 1, blocks, vec![l], &[BlockId(2)]));
+        let f = Function::new(m.intern("f"), 0, 1, blocks, vec![l], &[BlockId(2)], &[]);
+        m.funcs.push(f);
         let e = verify_module(&m).unwrap_err();
         assert!(
             matches!(e, VerifyError::HeaderDoesNotDominate { block: BlockId(2), .. }),

@@ -47,7 +47,7 @@ pub fn lower(program: &Program) -> Result<Module, LowerError> {
                     return err(format!("duplicate array `{name}`"));
                 }
                 let ty = if *is_float { Ty::F64 } else { Ty::I64 };
-                let id = module.add_array(name.clone(), ty, *len);
+                let id = module.add_array(name, ty, *len);
                 ctx.arrays.insert(name.clone(), id);
             }
             Item::Function { name, params, .. } => {
@@ -63,7 +63,7 @@ pub fn lower(program: &Program) -> Result<Module, LowerError> {
     // Pass 2: lower bodies in declaration order (FuncIds line up).
     for item in &program.items {
         let Item::Function { name, params, body } = item else { continue };
-        let mut b = FunctionBuilder::new(&mut module, name.clone(), params.len() as u32);
+        let mut b = FunctionBuilder::new(&mut module, name, params.len() as u32);
         let mut vars: HashMap<String, VReg> = HashMap::new();
         for (i, p) in params.iter().enumerate() {
             vars.insert(p.clone(), b.param(i as u32));

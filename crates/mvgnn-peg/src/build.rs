@@ -18,17 +18,19 @@ pub enum PegNodeKind {
 }
 
 /// Payload of a PEG node: the DiscoPoP `⟨ID, START, END⟩` triple plus the
-/// normalised statement token used for embeddings.
+/// normalised statement token used for embeddings. Tokens are static
+/// (see [`mvgnn_ir::Inst::token`]), so a node allocates only its token
+/// list.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PegNode {
     /// Node role.
     pub kind: PegNodeKind,
     /// Normalised display token (`load`, `bin.add`, `loop`, `func`, …).
-    pub token: String,
+    pub token: &'static str,
     /// Every member statement's token (singletons repeat `token`); the
     /// embedding layer averages these so compound compute CUs keep all of
     /// their opcodes visible.
-    pub tokens: Vec<String>,
+    pub tokens: Vec<&'static str>,
     /// Synthetic source line span `(START, END)`.
     pub line_span: (u32, u32),
 }
@@ -94,8 +96,8 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
             .fold((u32::MAX, 0u32), |acc, (_, _, line)| (acc.0.min(line), acc.1.max(line)));
         let n = graph.add_node(PegNode {
             kind: PegNodeKind::Func(func),
-            token: "func".to_string(),
-            tokens: vec!["func".to_string()],
+            token: "func",
+            tokens: vec!["func"],
             line_span: if span.0 == u32::MAX { (0, 0) } else { span },
         });
         node_of_func.insert(func, n);
@@ -107,8 +109,8 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
         for info in &f.loops {
             let n = graph.add_node(PegNode {
                 kind: PegNodeKind::Loop(func, info.id),
-                token: "loop".to_string(),
-                tokens: vec!["loop".to_string()],
+                token: "loop",
+                tokens: vec!["loop"],
                 line_span: info.line_span,
             });
             node_of_loop.insert((func, info.id), n);
@@ -118,10 +120,10 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
     // CU nodes (member statement tokens resolved from the module).
     for cu in &cus.cus {
         let f = &module.funcs[cu.func.index()];
-        let tokens: Vec<String> = cu.members.iter().map(|&r| f.inst(r).token()).collect();
+        let tokens = cu.members.iter().map(|&r| f.inst(r).token()).collect();
         let n = graph.add_node(PegNode {
             kind: PegNodeKind::Cu(cu.id),
-            token: cu.token.clone(),
+            token: cu.token,
             tokens,
             line_span: cu.line_span,
         });

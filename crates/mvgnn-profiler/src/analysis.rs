@@ -214,9 +214,9 @@ pub fn reduction_targets(module: &Module, func: FuncId, l: LoopId) -> Vec<(Strin
                     _ => None,
                 })
                 .unwrap_or(BinOp::Add);
-            let name = module.arrays[arr.index()].name.clone();
-            if !out.iter().any(|(n, _)| n == &name) {
-                out.push((name, op));
+            let name = module.name_of(module.arrays[arr.index()].name);
+            if !out.iter().any(|(n, _)| n == name) {
+                out.push((name.to_string(), op));
             }
         }
     }

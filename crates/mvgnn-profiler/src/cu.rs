@@ -16,7 +16,7 @@
 //! exactly the patterns the structural view is designed to separate.
 
 use mvgnn_ir::inst::{Inst, InstRef};
-use mvgnn_ir::module::{FuncId, Module};
+use mvgnn_ir::module::{FuncId, Function, Module};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -61,8 +61,10 @@ pub struct CuInfo {
     /// Source line span `[min, max]` over members.
     pub line_span: (u32, u32),
     /// Normalised token (mirrors inst2vec statement normalisation): the
-    /// member token for singletons, the dominant op token for compute CUs.
-    pub token: String,
+    /// member token for singletons, `compute:` and the dominant member
+    /// token for compute CUs of several members. Static, like
+    /// [`Inst::token`].
+    pub token: &'static str,
 }
 
 /// The CU partition of a module plus register def-use edges between CUs.
@@ -137,6 +139,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
     let mut cus: Vec<CuInfo> = Vec::new();
     let mut cu_of: HashMap<InstRef, CuId> = HashMap::new();
     let mut defuse_edges: Vec<(CuId, CuId)> = Vec::new();
+    let mut scratch: Vec<&Inst> = Vec::new();
 
     for (fi, f) in module.funcs.iter().enumerate() {
         let func = FuncId(fi as u32);
@@ -163,7 +166,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
             if !is_compute(inst) {
                 continue;
             }
-            for u in inst.uses() {
+            for u in f.uses(inst) {
                 if let Some(defs) = compute_defs.get(&u.0) {
                     for &d in defs {
                         uf.union(d as u32, i as u32);
@@ -179,7 +182,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
             let (kind, key) = match inst {
                 Inst::Load { .. } => (CuKind::Load, None),
                 Inst::Store { .. } => (CuKind::Store, None),
-                Inst::Call(_) => (CuKind::Call, None),
+                Inst::Call { .. } => (CuKind::Call, None),
                 Inst::CondBr { .. } | Inst::Ret { .. } => (CuKind::Control, None),
                 Inst::Br { .. } => continue,
                 _ => (CuKind::Compute, Some(uf.find(i as u32))),
@@ -193,7 +196,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
                         kind,
                         members: Vec::new(),
                         line_span: (u32::MAX, 0),
-                        token: String::new(),
+                        token: "",
                     });
                     id
                 }),
@@ -205,7 +208,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
                         kind,
                         members: Vec::new(),
                         line_span: (u32::MAX, 0),
-                        token: String::new(),
+                        token: "",
                     });
                     id
                 }
@@ -220,18 +223,9 @@ pub fn build_cus(module: &Module) -> CuGraph {
 
         // Tokens: singleton -> inst token; compute -> dominant member token.
         for cu in &mut cus[first..] {
-            let mut tokens: Vec<String> = cu.members.iter().map(|&r| f.inst(r).token()).collect();
-            cu.token = if let [_] = tokens.as_slice() {
-                tokens.swap_remove(0)
-            } else {
-                // Dominant (most frequent, ties by lexicographic order).
-                let mut counts: HashMap<&str, usize> = HashMap::new();
-                for t in &tokens {
-                    *counts.entry(t.as_str()).or_default() += 1;
-                }
-                let mut best: Vec<(&str, usize)> = counts.into_iter().collect();
-                best.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-                format!("compute:{}", best[0].0)
+            cu.token = match cu.members.as_slice() {
+                [r] => f.inst(*r).token(),
+                members => compute_token(f, members, &mut scratch),
             };
         }
 
@@ -244,7 +238,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
         }
         for (i, (_, inst, _)) in insts.iter().enumerate() {
             let Some(user_cu) = func_cu_of_flat[i] else { continue };
-            for u in inst.uses() {
+            for u in f.uses(inst) {
                 if let Some(defs) = all_defs.get(&u.0) {
                     for &d in defs {
                         if let Some(def_cu) = func_cu_of_flat[d] {
@@ -260,6 +254,26 @@ pub fn build_cus(module: &Module) -> CuGraph {
     defuse_edges.sort_unstable();
     defuse_edges.dedup();
     CuGraph { cus, cu_of, defuse_edges }
+}
+
+/// A compute CU's token: `compute:` and its dominant member token, the
+/// most frequent one with ties broken by the lexicographically smallest,
+/// taken from that member's opcode. `scratch` is reused across CUs.
+fn compute_token<'f>(
+    f: &'f Function,
+    members: &[InstRef],
+    scratch: &mut Vec<&'f Inst>,
+) -> &'static str {
+    scratch.clear();
+    scratch.extend(members.iter().map(|&r| f.inst(r)));
+    scratch.sort_unstable_by_key(|inst| inst.token());
+    let mut best = (0, "");
+    for run in scratch.chunk_by(|a, b| a.token() == b.token()) {
+        if run.len() > best.0 {
+            best = (run.len(), run[0].compute_token());
+        }
+    }
+    best.1
 }
 
 #[cfg(test)]
@@ -422,10 +436,55 @@ mod tests {
         b.store(a, z, x);
         b.finish();
         let g = build_cus(&m);
-        let toks: Vec<&str> = g.cus.iter().map(|c| c.token.as_str()).collect();
+        let toks: Vec<&str> = g.cus.iter().map(|c| c.token).collect();
         assert!(toks.contains(&"load"));
         assert!(toks.contains(&"store"));
         assert!(toks.contains(&"const.i64"));
         assert!(toks.contains(&"ret"));
+    }
+
+    /// The token a compute CU of several members took when tokens were
+    /// `String`s: count the member tokens, take the most frequent, ties
+    /// to the lexicographically smallest, and prefix `compute:`.
+    fn formatted_compute_token(f: &Function, members: &[InstRef]) -> String {
+        let mut counts: HashMap<String, usize> = HashMap::new();
+        for &r in members {
+            *counts.entry(f.inst(r).token().to_string()).or_default() += 1;
+        }
+        let mut best: Vec<(String, usize)> = counts.into_iter().collect();
+        best.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        format!("compute:{}", best[0].0)
+    }
+
+    #[test]
+    fn compute_tokens_name_the_dominant_member() {
+        let mut m = Module::new("t");
+        let a = m.add_array("a", Ty::F64, 4);
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let z = b.const_i64(0);
+        // Two muls and an add: the muls dominate.
+        let x = b.load(a, z);
+        let p = b.bin(BinOp::Mul, x, x);
+        let q = b.bin(BinOp::Mul, p, p);
+        let r = b.bin(BinOp::Add, q, x);
+        b.store(a, z, r);
+        // One mul and one add: the tie goes to `bin.add`.
+        let y = b.load(a, z);
+        let s = b.bin(BinOp::Mul, y, y);
+        let t = b.bin(BinOp::Add, s, s);
+        b.store(a, z, t);
+        // A float constant and a subtraction: `bin.sub` sorts first.
+        let w = b.load(a, z);
+        let c = b.const_f64(2.0);
+        let u = b.bin(BinOp::Sub, w, c);
+        b.store(a, z, u);
+        b.finish();
+        let g = build_cus(&m);
+        let compute: Vec<&str> =
+            g.cus.iter().filter(|c| c.kind == CuKind::Compute).map(|c| c.token).collect();
+        assert_eq!(compute, ["const.i64", "compute:bin.mul", "compute:bin.add", "compute:bin.sub"]);
+        for cu in g.cus.iter().filter(|c| c.members.len() > 1) {
+            assert_eq!(cu.token, formatted_compute_token(&m.funcs[0], &cu.members));
+        }
     }
 }

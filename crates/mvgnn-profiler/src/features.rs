@@ -104,7 +104,7 @@ pub fn loop_features(
         loop_insts().filter_map(|(i, inst)| Some((inst.def()?.0, i))).collect();
     defs.sort_unstable();
     for (ui, inst) in loop_insts() {
-        for u in inst.uses() {
+        for u in f.uses(inst) {
             let lo = defs.partition_point(|&(reg, _)| reg < u.0);
             for &(_, di) in defs[lo..].iter().take_while(|&&(reg, _)| reg == u.0) {
                 if di != ui {
@@ -258,7 +258,7 @@ mod tests {
         }
         for (r, inst) in &inst_at {
             let ui = index[r];
-            for u in inst.uses() {
+            for u in f.uses(inst) {
                 for &di in defs.get(&u.0).into_iter().flatten() {
                     if di != ui {
                         edges.push((di, ui));

@@ -10,12 +10,12 @@ cd "$(dirname "$0")/.."
 echo "==> build (release)"
 cargo build --release --workspace --quiet
 
-echo "==> tests (workspace; includes the allocation budgets of a light cascade call and the serve worker loop, the cascade routing gate and the serve overload storm)"
+echo "==> tests (workspace; includes the allocation budgets of a light cascade call, a heavy cascade call and the serve worker loop, the cascade routing gate and the serve overload storm)"
 cargo test -q --workspace
 
-echo "==> release parity (IR text round trip, constant encoding, folding and verifier, tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, affine algebra vs its reference, Table III tool verdicts, every pinned loop sample, tier-0 report and printed IR module with its round trip and footprint, shard-union parity of the corpus, in the optimised build the benchmark runs, where checked arithmetic must agree with debug)"
+echo "==> release parity (IR text round trip, constant encoding, folding and verifier, tiled kernels, walks and loop features vs their scalar references, dependence tracer vs its reference, sub-PEG extraction, oracle and planner soundness, affine algebra vs its reference, Table III tool verdicts, every pinned loop sample, tier-0 report and printed IR module with its round trip and footprint, the corpus-feature and trained-weight pins (statement tokens feed the inst2vec vocabulary and every sample), shard-union parity of the corpus, in the optimised build the benchmark runs, where checked arithmetic must agree with debug)"
 cargo test -q --release -p mvgnn-ir -p mvgnn-tensor -p mvgnn-graph -p mvgnn-profiler -p mvgnn-peg -p mvgnn-analyze -p mvgnn-baselines
-cargo test -q --release --test sample_pins --test tier0_pins --test static_first --test ir_layout
+cargo test -q --release --test sample_pins --test tier0_pins --test static_first --test ir_layout --test golden_pins
 cargo test -q --release -p mvgnn-dataset --test shard_determinism
 
 echo "==> clippy (-D warnings)"

@@ -9,7 +9,8 @@
 //!   must reproduce its modules character for character.
 //! - **Round trip**: print → parse → print is the identity over the same
 //!   modules and over `samples/kernels.mv` lowered by the frontend.
-//! - **Footprint**: an instruction takes 16 bytes, and the modules of
+//! - **Footprint**: an instruction takes 16 bytes, an array declaration
+//!   16 and a function at most 72, and the modules of
 //!   `generate_suite(None, 3)` at six levels stay within a heap budget
 //!   per instruction, counted by this binary's allocator.
 
@@ -17,7 +18,7 @@ use mvgnn::dataset::{generate_suite, Suite};
 use mvgnn::ir::text::{parse_module, print_module};
 use mvgnn::ir::transform::{optimize, OptLevel};
 use mvgnn::ir::verify::verify_module;
-use mvgnn::ir::{Inst, Module};
+use mvgnn::ir::{ArrayDecl, Function, Inst, Module};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -131,16 +132,21 @@ fn print_parse_print_is_the_identity() {
 /// Heap bytes per instruction of the suite-seed-3 modules at six levels:
 /// 75.2 with one pair of vectors per block and 40-byte instructions,
 /// 50.9 with flat code and 24-byte instructions, 37.5 with 16-byte
-/// instructions and one side table per function.
-const BYTES_PER_INST_BUDGET: f64 = 38.0;
+/// instructions and one side table per function, 32.4 with one name
+/// table per module and call arguments in the side table, 29.1 with the
+/// side table in `u16`s.
+const BYTES_PER_INST_BUDGET: f64 = 29.5;
 
 /// Live allocations of the same modules: 80,946 per block, 43,812 flat,
-/// 30,336 with the side table.
-const ALLOCATIONS_BUDGET: isize = 31_000;
+/// 30,336 with the side table, 12,840 with the name table and unboxed
+/// calls (three per function: code, side table, loops).
+const ALLOCATIONS_BUDGET: isize = 13_000;
 
 #[test]
 fn instructions_and_modules_stay_within_their_footprint() {
     assert_eq!(std::mem::size_of::<Inst>(), 16);
+    assert_eq!(std::mem::size_of::<ArrayDecl>(), 16);
+    assert!(std::mem::size_of::<Function>() <= 72);
     let mut kept = Vec::new();
     let (mut bytes, mut allocs, mut insts) = (0, 0, 0);
     for level in OptLevel::ALL {
