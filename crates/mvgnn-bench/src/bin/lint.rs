@@ -3,15 +3,11 @@
 //! dependence graph and the dataset's labels over the full generated
 //! corpus.
 //!
-//! Since the sharded-pipeline refactor the audit runs *per shard*: the
-//! corpus work units are dealt across shards by the same
-//! [`mvgnn_dataset::ShardPlan`] the generator uses, each shard is
-//! audited independently (one after another), and the per-shard reports are
-//! merged into one. Merge semantics: counters sum, row lists
-//! concatenate and re-sort into the canonical `(seed, app, level,
-//! loop)` order — so the merged report is byte-identical for every
-//! shard count, and a violation found by any shard is fatal for the
-//! whole audit.
+//! The audit is one pass over every work unit (generation seed × app)
+//! of the corpus. Rows and violations are sorted into the canonical
+//! `(seed, app, level, loop)` and `(rule, detail)` orders before they
+//! are reported, so the report does not depend on the order units run
+//! in.
 //!
 //! Three soundness rules are *fatal* (non-zero exit):
 //!
@@ -36,13 +32,12 @@
 //! label, and the oracle's `Unknown` coverage. The full run audits the
 //! paper corpus *and* the opt-in adversarial `Stress` suite (so rule C
 //! covers every kernel family) and writes `LINT_report.json` with
-//! per-family counters; `--smoke` audits a single seed at `-O0` split
-//! across two shards and writes nothing (the CI wiring check, covering
-//! the shard merge). `--shards N` overrides the shard count.
+//! per-family counters; `--smoke` audits a single seed of the paper
+//! corpus at `-O0` and writes nothing (the CI wiring check).
 
 use mvgnn_analyze::{analyze_loop, plan_from_report, PlannedPattern, Verdict};
 use mvgnn_dataset::{
-    base_key, generate_app, noisy_label, CorpusConfig, KernelFamily, PatternKind, ShardPlan,
+    base_key, generate_suite, noisy_label, CorpusConfig, GeneratedApp, KernelFamily, PatternKind,
     Suite,
 };
 use mvgnn_ir::transform::{optimize, OptLevel};
@@ -81,9 +76,9 @@ struct Violation {
     detail: String,
 }
 
-/// What one shard's audit observed; merged across shards below.
-struct ShardAudit {
-    shard_id: usize,
+/// What the audit observed.
+#[derive(Default)]
+struct Audit {
     audited: Vec<Audited>,
     violations: Vec<Violation>,
     profile_failures: usize,
@@ -93,29 +88,25 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Audit the work units one shard of the plan owns.
-fn audit_shard(
-    plan: &ShardPlan,
-    shard_id: usize,
-    levels: &[OptLevel],
-    noise_cfg: &CorpusConfig,
-) -> ShardAudit {
-    let mut audited: Vec<Audited> = Vec::new();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut profile_failures = 0usize;
-
-    for &(seed, spec) in plan.units_of(shard_id) {
-        let app = generate_app(spec, seed);
+impl Audit {
+    /// Audit every loop of one work unit (an app generated at `seed`)
+    /// under each optimisation level.
+    fn unit(
+        &mut self,
+        app: &GeneratedApp,
+        seed: u64,
+        levels: &[OptLevel],
+        noise_cfg: &CorpusConfig,
+    ) {
+        let Audit { audited, violations, profile_failures } = self;
         for &level in levels {
             let module = optimize(&app.module, level);
             let res = match profile_module(&module, app.entry, &[]) {
                 Ok(r) => r,
                 Err(e) => {
-                    profile_failures += 1;
-                    eprintln!(
-                        "[lint] shard {shard_id}: profile failed: {} seed {seed} {level:?}: {e}",
-                        app.spec.name
-                    );
+                    *profile_failures += 1;
+                    let name = app.spec.name;
+                    eprintln!("[lint] profile failed: {name} seed {seed} {level:?}: {e}");
                     continue;
                 }
             };
@@ -213,79 +204,34 @@ fn audit_shard(
             }
         }
     }
-    ShardAudit { shard_id, audited, violations, profile_failures }
 }
 
-/// Merge per-shard audits into one report: counters sum, rows re-sort
-/// into the canonical order so the result is shard-count invariant.
-fn merge(mut shards: Vec<ShardAudit>) -> (Vec<Audited>, Vec<Violation>, usize) {
-    shards.sort_by_key(|s| s.shard_id);
-    let mut audited: Vec<Audited> = Vec::new();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut profile_failures = 0usize;
-    for s in shards {
-        audited.extend(s.audited);
-        violations.extend(s.violations);
-        profile_failures += s.profile_failures;
+fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    // The default matches the Default-scale corpus of `pipeline_config`
+    // (seeds 1..=2, all six optimisation variants); smoke is one seed at
+    // -O0, seconds-scale. The full audit also covers the opt-in
+    // adversarial stress suite, so rule C is exercised on every kernel
+    // family, not just the paper corpus' regular-dominated mix.
+    let (seeds, levels, suites): (Vec<u64>, Vec<OptLevel>, &[Option<Suite>]) = if smoke {
+        (vec![1], vec![OptLevel::O0], &[None])
+    } else {
+        (vec![1, 2], OptLevel::ALL.to_vec(), &[None, Some(Suite::Stress)])
+    };
+    let noise_cfg = CorpusConfig::default();
+    let mut audit = Audit::default();
+    for &seed in &seeds {
+        for &suite in suites {
+            for app in generate_suite(suite, seed) {
+                audit.unit(&app, seed, &levels, &noise_cfg);
+            }
+        }
     }
+    let Audit { mut audited, mut violations, profile_failures } = audit;
     audited.sort_by(|a, b| {
         (a.seed, a.app, a.level, &a.loop_id).cmp(&(b.seed, b.app, b.level, &b.loop_id))
     });
     violations.sort_by(|a, b| (a.rule, &a.detail).cmp(&(b.rule, &b.detail)));
-    (audited, violations, profile_failures)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let num_shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(if smoke { 2 } else { 4 })
-        .max(1);
-    // The default matches the Default-scale corpus of `pipeline_config`
-    // (seeds 1..=2, all six optimisation variants); smoke is one seed at
-    // -O0 split over two shards, seconds-scale.
-    let (seeds, levels): (Vec<u64>, Vec<OptLevel>) = if smoke {
-        (vec![1], vec![OptLevel::O0])
-    } else {
-        (vec![1, 2], OptLevel::ALL.to_vec())
-    };
-    let noise_cfg = CorpusConfig::default();
-    let plan_cfg = CorpusConfig { seeds: seeds.clone(), suite: None, ..CorpusConfig::default() };
-    let plan = ShardPlan::new(&plan_cfg, num_shards);
-    // The full audit also covers the opt-in adversarial stress suite, so
-    // rule C is exercised on every kernel family, not just the paper
-    // corpus' regular-dominated mix.
-    let stress_plan = (!smoke).then(|| {
-        let cfg = CorpusConfig { seeds, suite: Some(Suite::Stress), ..CorpusConfig::default() };
-        ShardPlan::new(&cfg, num_shards)
-    });
-
-    let shard_audits: Vec<ShardAudit> = (0..num_shards)
-        .map(|s| {
-            let mut a = audit_shard(&plan, s, &levels, &noise_cfg);
-            if let Some(sp) = &stress_plan {
-                let b = audit_shard(sp, s, &levels, &noise_cfg);
-                a.audited.extend(b.audited);
-                a.violations.extend(b.violations);
-                a.profile_failures += b.profile_failures;
-            }
-            a
-        })
-        .collect();
-    for s in &shard_audits {
-        println!(
-            "shard {}/{num_shards}: {} loops audited, {} violations, {} profile failures",
-            s.shard_id,
-            s.audited.len(),
-            s.violations.len(),
-            s.profile_failures
-        );
-    }
-    let (audited, violations, profile_failures) = merge(shard_audits);
 
     let total = audited.len();
     let count = |v: Verdict| audited.iter().filter(|a| a.verdict == v).count();
@@ -312,7 +258,7 @@ fn main() {
     let plan_pattern = audited.iter().filter(|a| a.plan_pattern_disagree).count();
     let rule_c_fatals = violations.iter().filter(|v| v.rule == "C").count();
 
-    println!("audited loops:          {total} (merged from {num_shards} shards)");
+    println!("audited loops:          {total}");
     println!("  provably parallel:    {n_par}");
     println!("  provably dependent:   {n_dep}");
     println!(
@@ -375,7 +321,7 @@ fn main() {
             })
             .collect();
         let json = format!(
-            "{{\n  \"audited\": {total},\n  \"shards\": {num_shards},\n  \
+            "{{\n  \"audited\": {total},\n  \
              \"verdicts\": {{\"parallel\": {n_par}, \
              \"dependent\": {n_dep}, \"unknown\": {n_unk}}},\n  \
              \"unknown_rate\": {:.4},\n  \"profile_failures\": {profile_failures},\n  \

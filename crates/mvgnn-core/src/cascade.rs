@@ -32,7 +32,7 @@
 //! cascade tests pin against the interpreting profiler.
 
 use crate::infer::{conservative, view_ladder, LoopReport, PredictionSource};
-use crate::model::{CheckedPrediction, MvGnn, RowOutputs};
+use crate::model::{CheckedPrediction, MvGnn};
 use mvgnn_analyze::{analyze_loop, plan_from_report, FuncAnalysis, OracleReport, Verdict};
 use mvgnn_embed::{build_sample_with_static, GraphSample, Inst2Vec, SampleConfig};
 use mvgnn_ir::module::{FuncId, LoopId, Module};
@@ -280,40 +280,20 @@ impl Cascade {
         Self::new(CascadeConfig::gnn_only())
     }
 
-    /// Tier-1 execution primitive: run one packed batch against a
-    /// caller-owned workspace with per-row fault isolation — any row
-    /// whose batched verdict shows a non-finite head is re-run alone, so
-    /// its degradation is decided by the single-sample path. The module
-    /// path below and the `mvgnn-serve` micro-batcher both run on it.
+    /// Tier-1 execution primitive: the finiteness-checked verdict of
+    /// every row of one packed batch, run against a caller-owned
+    /// workspace. Rows are row-local at every batch width
+    /// ([`MvGnn::forward_rows`]), so a row with a non-finite head
+    /// degrades alone, exactly as the single-sample path would. The
+    /// module path below and the `mvgnn-serve` micro-batcher both run
+    /// on it.
     pub fn gnn_batch(
         model: &MvGnn,
         ws: &mut Workspace,
         chunk: &[&GraphSample],
     ) -> Vec<CheckedPrediction> {
-        Self::gnn_rows(model, ws, chunk).1
-    }
-
-    /// [`Self::gnn_batch`] that also hands back the batch's
-    /// [`RowOutputs`], whose fused logits feed the tier-2 confidence band.
-    fn gnn_rows(
-        model: &MvGnn,
-        ws: &mut Workspace,
-        chunk: &[&GraphSample],
-    ) -> (RowOutputs, Vec<CheckedPrediction>) {
         let rows = model.forward_rows(ws, chunk);
-        let checked = chunk
-            .iter()
-            .enumerate()
-            .map(|(g, s)| {
-                let c = rows.checked(g);
-                if c.fused.is_none() || c.node.is_none() || c.structural.is_none() {
-                    model.predict_checked(s)
-                } else {
-                    c
-                }
-            })
-            .collect();
-        (rows, checked)
+        (0..rows.len()).map(|g| rows.checked(g)).collect()
     }
 
     /// Classify every loop of `entry` through the configured tiers.
@@ -324,8 +304,8 @@ impl Cascade {
     /// never touch the interpreter or the GNN. When it decides every
     /// loop the entry is never interpreted, so `max_steps` and
     /// `max_call_depth` go unused. Otherwise the entry is profiled once;
-    /// undecided loops go through the pre-check + packed-batch path of
-    /// [`Self::gnn_batch`], with the degradation ladder of
+    /// undecided loops go through a pre-check and packed batches of
+    /// [`MvGnn::forward_rows`], with the degradation ladder of
     /// [`crate::infer::view_ladder`], and borderline healthy verdicts
     /// are re-decided by the profiler tier over that trace's dependence
     /// graph.
@@ -458,8 +438,9 @@ impl Cascade {
         let mut ws = Workspace::new();
         for chunk in pending.chunks(INFER_CHUNK) {
             let samples: Vec<&GraphSample> = chunk.iter().map(|(_, p)| &p.sample).collect();
-            let (rows, checked_rows) = Self::gnn_rows(model, &mut ws, &samples);
-            for (g, ((slot, p), checked)) in chunk.iter().zip(checked_rows).enumerate() {
+            let rows = model.forward_rows(&mut ws, &samples);
+            for (g, (slot, p)) in chunk.iter().enumerate() {
+                let checked = rows.checked(g);
                 // A truncated trace or an empty walk distribution drops
                 // the structural signal, so the ladder starts below the
                 // fused head; non-finite heads fall through to the next.
@@ -578,6 +559,71 @@ mod tests {
             let cooked = if scaled[0] > scaled[1] { 0 } else { 1 };
             assert_eq!(plain, cooked);
         }
+    }
+
+    #[test]
+    fn packed_rows_with_non_finite_inputs_or_heads_match_their_lone_runs() {
+        use crate::model::MvGnnConfig;
+        use mvgnn_dataset::{build_corpus, CorpusConfig, Suite};
+        let ds = build_corpus(&CorpusConfig {
+            seeds: vec![4],
+            opt_levels: vec![mvgnn_ir::transform::OptLevel::O0],
+            per_class: Some(4),
+            test_fraction: 0.5,
+            suite: Some(Suite::PolyBench),
+            inst2vec: mvgnn_embed::Inst2VecConfig {
+                dim: 8,
+                epochs: 1,
+                negatives: 2,
+                lr: 0.05,
+                seed: 4,
+            },
+            sample: Default::default(),
+            seed: 6,
+            label_noise: 0.0,
+            static_features: false,
+        });
+        let healthy: Vec<&GraphSample> = ds.train.iter().take(4).map(|s| &s.sample).collect();
+        // One NaN feature, NaN in every node feature, one infinite feature.
+        let poison = |s: &GraphSample, how: usize| {
+            let mut p = s.clone();
+            match how {
+                0 => p.node_feats[0] = f32::NAN,
+                1 => p.node_feats.fill(f32::NAN),
+                _ => p.node_feats[s.node_dim] = f32::INFINITY,
+            }
+            p
+        };
+        let poisoned: Vec<GraphSample> =
+            healthy.iter().take(3).enumerate().map(|(i, s)| poison(s, i)).collect();
+        // Healthy and poisoned rows alternate in one packed batch.
+        let mut chunk: Vec<&GraphSample> = Vec::new();
+        for (i, s) in healthy.iter().enumerate() {
+            chunk.push(s);
+            chunk.extend(poisoned.get(i));
+        }
+
+        let mut model = MvGnn::new(MvGnnConfig::small(healthy[0].node_dim, healthy[0].aw_vocab));
+        let checked = Cascade::gnn_batch(&model, &mut Workspace::new(), &chunk);
+        assert_eq!(checked.len(), chunk.len());
+        for (g, (s, c)) in chunk.iter().zip(&checked).enumerate() {
+            assert_eq!(*c, model.predict_checked(s), "row {g} differs from its lone run");
+            // The graph convolutions' tanh and the read-out's ReLU
+            // (`max(0.0)`) flush non-finite inputs, so no head of a finite
+            // model goes non-finite, whatever a sample holds: the healthy
+            // rows and the poisoned ones all stay on the fused head.
+            assert_eq!(view_ladder(*c, None).1, PredictionSource::Multi, "row {g}: {c:?}");
+        }
+
+        // Non-finite weights do reach the heads: every row still equals
+        // its lone run, degraded or not.
+        crate::FaultPlan::new(11).poison_params(&mut model.params, 64);
+        let checked = Cascade::gnn_batch(&model, &mut Workspace::new(), &chunk);
+        for (g, (s, c)) in chunk.iter().zip(&checked).enumerate() {
+            assert_eq!(*c, model.predict_checked(s), "poisoned model, row {g}");
+        }
+        let multi = checked.iter().filter(|c| view_ladder(**c, None).1 == PredictionSource::Multi);
+        assert!(multi.count() < chunk.len(), "the poisoned model must degrade rows: {checked:?}");
     }
 
     #[test]

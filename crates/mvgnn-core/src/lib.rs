@@ -12,7 +12,8 @@
 //! - [`trainer`]: single-threaded mini-batch training (one packed
 //!   forward/backward pass per batch), gradient clipping and epoch
 //!   telemetry (Fig. 7)
-//! - [`views`]: per-view importance analysis (Fig. 8)
+//! - [`views`]: the two view encoders and per-view importance analysis
+//!   (Fig. 8)
 //! - [`pipeline`]: end-to-end experiment driver producing every Table III
 //!   / Table IV row
 
@@ -39,8 +40,7 @@ pub use model::{MvGnn, MvGnnConfig, RowOutputs, ViewMode};
 // The buffer pool every inference entry point takes, re-exported so
 // callers need no direct mvgnn-tensor dependency.
 pub use mvgnn_tensor::Workspace;
-pub use views::{NodeFeatureEncoder, StructuralEncoder, ViewEncoder};
-pub use pipeline::{evaluate_tools, evaluate_tools_with_noise, run_pipeline, PipelineConfig, PipelineReport};
+pub use pipeline::{evaluate_tools_with_noise, run_pipeline, PipelineConfig, PipelineReport};
 pub use patterns::{
     pattern_confusion, pattern_samples, predict_pattern, predict_pattern_checked, CheckedPattern,
     PATTERN_CLASSES,

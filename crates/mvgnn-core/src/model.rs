@@ -1,5 +1,6 @@
-//! The MV-GNN model (paper Fig. 3), built from composable
-//! [`ViewEncoder`]s and executed over packed [`GraphBatch`]es.
+//! The MV-GNN model (paper Fig. 3): a node-feature and a structural
+//! view encoder, fused by Eq. 5 and executed over packed
+//! [`GraphBatch`]es.
 //!
 //! Inference has one forward pass, [`MvGnn::forward_rows`]: a mini-batch
 //! of graphs becomes one block-diagonal tape program, and the fused and
@@ -10,7 +11,7 @@
 //! — every primitive on the path is row- or segment-local — so batching
 //! is purely a throughput knob.
 
-use crate::views::{NodeFeatureEncoder, StructuralEncoder, ViewEncoder};
+use crate::views::{NodeFeatureEncoder, StructuralEncoder};
 use mvgnn_embed::{GraphBatch, GraphSample};
 use mvgnn_gnn::DgcnnConfig;
 use mvgnn_nn::Linear;
@@ -111,23 +112,12 @@ impl MvGnnConfig {
     }
 }
 
-/// Position of the node-feature view in the model's view list.
+/// Index of the node-feature view in per-view outputs.
 pub const NODE: usize = 0;
-/// Position of the structural view in the model's view list.
+/// Index of the structural view in per-view outputs.
 pub const STRUCT: usize = 1;
-/// Number of views; [`MvGnn::new`] fixes their order.
+/// Number of views.
 pub const VIEWS: usize = 2;
-
-impl ViewMode {
-    /// The one view a single-view mode runs; `None` for the fused model.
-    fn single_view(self) -> Option<usize> {
-        match self {
-            ViewMode::Multi => None,
-            ViewMode::NodeOnly => Some(NODE),
-            ViewMode::StructOnly => Some(STRUCT),
-        }
-    }
-}
 
 /// Model outputs for a packed batch; every logit tensor has one row per
 /// graph of the batch.
@@ -220,7 +210,7 @@ impl RowOutputs {
     }
 }
 
-/// The multi-view GNN: an ordered list of [`ViewEncoder`]s whose
+/// The multi-view GNN: a node-feature and a structural encoder whose
 /// per-graph representations are fused by `W·tanh(h_n ⊕ h_s) + b`
 /// (paper Eq. 5) and classified by a shared head, with one auxiliary head
 /// per view for the Fig. 8 analysis.
@@ -229,58 +219,42 @@ pub struct MvGnn {
     pub cfg: MvGnnConfig,
     /// Persistent parameters.
     pub params: Params,
-    views: Vec<Box<dyn ViewEncoder>>,
+    node: NodeFeatureEncoder,
+    structural: StructuralEncoder,
     fusion: Linear,
     head: Linear,
-    view_heads: Vec<Linear>,
+    node_head: Linear,
+    struct_head: Linear,
 }
 
 impl MvGnn {
-    /// Register all parameters. Construction order fixes the checkpoint
-    /// layout and the view positions: node encoder (`node.*`, [`NODE`]),
-    /// structural encoder (`struct.*`, `aw.table`, [`STRUCT`]), `fusion`,
-    /// `head`, then the per-view auxiliary heads — identical to the
-    /// historical field-per-view layout, so existing checkpoints load
-    /// unchanged.
+    /// Register all parameters. Construction order fixes the init stream
+    /// and the checkpoint layout: node encoder (`node.*`), structural
+    /// encoder (`struct.*`, `aw.table`), `fusion`, `head`, then the
+    /// per-view auxiliary heads (`node_head`, `struct_head`).
     pub fn new(cfg: MvGnnConfig) -> Self {
         let mut params = Params::new();
         let mut rng: StdRng = init::rng(cfg.seed);
         assert_eq!(cfg.struct_dgcnn.in_dim, cfg.aw_dim, "struct view consumes AW embeddings");
         assert_eq!(cfg.node_dgcnn.in_dim, cfg.node_dim, "node view consumes node features");
-        let views: Vec<Box<dyn ViewEncoder>> = vec![
-            Box::new(NodeFeatureEncoder::new(
-                &mut params,
-                "node",
-                cfg.node_dgcnn.clone(),
-                cfg.drop_dynamic,
-                &mut rng,
-            )),
-            Box::new(StructuralEncoder::new(
-                &mut params,
-                "struct",
-                cfg.struct_dgcnn.clone(),
-                cfg.aw_vocab,
-                cfg.aw_dim,
-                &mut rng,
-            )),
-        ];
-        let fused_in: usize = views.iter().map(|v| v.embed_dim()).sum();
-        let fusion = Linear::new(&mut params, "fusion", fused_in, cfg.fusion_dim, true, &mut rng);
-        let head = Linear::new(&mut params, "head", cfg.fusion_dim, cfg.classes, true, &mut rng);
-        let view_heads: Vec<Linear> = views
-            .iter()
-            .map(|v| {
-                Linear::new(
-                    &mut params,
-                    &format!("{}_head", v.name()),
-                    v.embed_dim(),
-                    cfg.classes,
-                    true,
-                    &mut rng,
-                )
-            })
-            .collect();
-        Self { cfg, params, views, fusion, head, view_heads }
+        let node_cfg = cfg.node_dgcnn.clone();
+        let node = NodeFeatureEncoder::new(&mut params, node_cfg, cfg.drop_dynamic, &mut rng);
+        let structural = StructuralEncoder::new(
+            &mut params,
+            cfg.struct_dgcnn.clone(),
+            cfg.aw_vocab,
+            cfg.aw_dim,
+            &mut rng,
+        );
+        let (node_dim, struct_dim) = (node.embed_dim(), structural.embed_dim());
+        let mut linear = |name: &str, fan_in: usize, fan_out: usize| {
+            Linear::new(&mut params, name, fan_in, fan_out, true, &mut rng)
+        };
+        let fusion = linear("fusion", node_dim + struct_dim, cfg.fusion_dim);
+        let head = linear("head", cfg.fusion_dim, cfg.classes);
+        let node_head = linear("node_head", node_dim, cfg.classes);
+        let struct_head = linear("struct_head", struct_dim, cfg.classes);
+        Self { cfg, params, node, structural, fusion, head, node_head, struct_head }
     }
 
     /// Record the forward pass for a packed batch. The caller owns the
@@ -291,25 +265,32 @@ impl MvGnn {
     pub fn forward_batch<'p>(&self, tape: &mut Tape<'p>, batch: &'p GraphBatch) -> ForwardBatch {
         assert_eq!(batch.node_dim, self.cfg.node_dim, "sample/node-dim mismatch");
         assert_eq!(batch.aw_vocab, self.cfg.aw_vocab, "sample/AW-vocab mismatch");
-        if let Some(v) = self.cfg.mode.single_view() {
+        match self.cfg.mode {
             // Single-view mode: that view's head IS the model output.
-            let h = self.views[v].encode_batch(tape, batch);
-            let logits = self.view_heads[v].forward(tape, h);
-            let mut view_logits = [None; VIEWS];
-            view_logits[v] = Some(logits);
-            return ForwardBatch { logits, view_logits };
+            ViewMode::NodeOnly => {
+                let h = self.node.encode_batch(tape, batch);
+                let logits = self.node_head.forward(tape, h);
+                ForwardBatch { logits, view_logits: [Some(logits), None] }
+            }
+            ViewMode::StructOnly => {
+                let h = self.structural.encode_batch(tape, batch);
+                let logits = self.struct_head.forward(tape, h);
+                ForwardBatch { logits, view_logits: [None, Some(logits)] }
+            }
+            ViewMode::Multi => {
+                let hn = self.node.encode_batch(tape, batch);
+                let hs = self.structural.encode_batch(tape, batch);
+                let view_logits = [
+                    Some(self.node_head.forward(tape, hn)),
+                    Some(self.struct_head.forward(tape, hs)),
+                ];
+                // h = W·tanh(h_n ⊕ h_s) + b  (paper Eq. 5), then the head.
+                let cat = tape.concat_cols(hn, hs);
+                let t = tape.tanh(cat);
+                let fused = self.fusion.forward(tape, t);
+                ForwardBatch { logits: self.head.forward(tape, fused), view_logits }
+            }
         }
-        let hn = self.views[NODE].encode_batch(tape, batch);
-        let hs = self.views[STRUCT].encode_batch(tape, batch);
-        let view_logits = [
-            Some(self.view_heads[NODE].forward(tape, hn)),
-            Some(self.view_heads[STRUCT].forward(tape, hs)),
-        ];
-        // h = W·tanh(h_n ⊕ h_s) + b  (paper Eq. 5), then the head.
-        let cat = tape.concat_cols(hn, hs);
-        let t = tape.tanh(cat);
-        let fused = self.fusion.forward(tape, t);
-        ForwardBatch { logits: self.head.forward(tape, fused), view_logits }
     }
 
     /// The inference forward pass: pack `samples` into one batch, run it

@@ -45,7 +45,7 @@ pub struct Table4Row {
 /// Everything the experiment driver produces.
 #[derive(Debug)]
 pub struct PipelineReport {
-    /// Table III rows (learned models; extend with [`evaluate_tools`]).
+    /// Table III rows (learned models; extend with [`evaluate_tools_with_noise`]).
     pub table3: Vec<Table3Row>,
     /// Fig. 7 training curves for the MV-GNN.
     pub fig7: Vec<EpochStats>,
@@ -325,14 +325,10 @@ pub struct ToolEval {
 }
 
 /// Evaluate Pluto/AutoPar/DiscoPoP-like tools over freshly generated
-/// suites (tools are not trained, so no split is needed). `opt_levels`
-/// adds the transformed-dataset group the paper reports.
-pub fn evaluate_tools(seeds: &[u64], opt_levels: &[OptLevel]) -> Vec<ToolEval> {
-    evaluate_tools_with_noise(seeds, opt_levels, 0.0, 0)
-}
-
-/// Like [`evaluate_tools`] but scoring against the same noisy labels the
-/// learned models see (pass the corpus `label_noise` and `seed`).
+/// suites (tools are not trained, so no split is needed), scored against
+/// the same noisy labels the learned models see (pass the corpus
+/// `label_noise` and `seed`; `0.0` scores against the clean labels).
+/// `opt_levels` adds the transformed-dataset group the paper reports.
 pub fn evaluate_tools_with_noise(
     seeds: &[u64],
     opt_levels: &[OptLevel],
@@ -448,7 +444,7 @@ mod tests {
 
     #[test]
     fn tool_evaluation_covers_all_groups() {
-        let evals = evaluate_tools(&[2], &[OptLevel::O0]);
+        let evals = evaluate_tools_with_noise(&[2], &[OptLevel::O0], 0.0, 0);
         let groups: std::collections::HashSet<&str> =
             evals.iter().map(|e| e.benchmark.as_str()).collect();
         for g in ["NPB", "PolyBench", "BOTS", "Generated Dataset"] {

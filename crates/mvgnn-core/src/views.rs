@@ -1,12 +1,11 @@
-//! The view abstraction and view-importance analysis (paper Fig. 8).
+//! The two view encoders and view-importance analysis (paper Fig. 8).
 //!
 //! A *view* is one way of looking at a loop sub-PEG: the paper uses a
 //! node-feature view (inst2vec ⊕ node kind ⊕ Table I dynamics) and a
 //! structural view (anonymous-walk distributions through a learned
-//! embedding table). [`ViewEncoder`] is the common surface — each encoder
-//! turns a packed [`GraphBatch`] into a `batch × embed_dim` representation
-//! on the tape — and the fusion layer of [`MvGnn`] composes whatever list
-//! of views it is given. Adding a third view is implementing this trait.
+//! embedding table). Each encoder turns a packed [`GraphBatch`] into a
+//! `batch × embed_dim` representation on the tape, and [`MvGnn`] fuses
+//! the two.
 //!
 //! The second half of the module is the Fig. 8 analysis: for each
 //! benchmark the paper counts parallel loops identified by the multi-view
@@ -22,45 +21,28 @@ use mvgnn_tensor::tape::{Params, Tape, Var};
 use mvgnn_tensor::Workspace;
 use rand::rngs::StdRng;
 
-/// One way of encoding a packed batch of loop graphs into fixed-width
-/// per-graph representations. Implementations register their parameters
-/// at construction and are pure at call time, so a shared reference can
-/// run on worker threads (the serve layer's workers).
-pub trait ViewEncoder: Send + Sync {
-    /// Stable view name ("node", "struct", …) — also the parameter-name
-    /// prefix, so checkpoint compatibility hangs on it.
-    fn name(&self) -> &str;
-
-    /// Width of one output row.
-    fn embed_dim(&self) -> usize;
-
-    /// Encode every graph of the batch: output is
-    /// `batch.batch × embed_dim()` with row `g` depending only on graph
-    /// `g`'s rows (bit-identical to a batch-of-one call). The batch must
-    /// outlive the tape: its adjacency is registered by reference
-    /// (clone-free) and its packed matrices are copied into pooled tape
-    /// buffers.
-    fn encode_batch<'p>(&self, tape: &mut Tape<'p>, batch: &'p GraphBatch) -> Var;
-}
-
 /// The node-feature view: a DGCNN over the sample's node-feature matrix,
 /// optionally blinding the dynamic (profiler-derived) columns for the
 /// static-only ablation.
-pub struct NodeFeatureEncoder {
+pub(crate) struct NodeFeatureEncoder {
     dgcnn: Dgcnn,
     drop_dynamic: bool,
 }
 
 impl NodeFeatureEncoder {
-    /// Register parameters under `name.*`.
-    pub fn new(
+    /// Register parameters under `node.*`.
+    pub(crate) fn new(
         params: &mut Params,
-        name: &str,
         cfg: DgcnnConfig,
         drop_dynamic: bool,
         rng: &mut StdRng,
     ) -> Self {
-        Self { dgcnn: Dgcnn::new(params, name, cfg, rng), drop_dynamic }
+        Self { dgcnn: Dgcnn::new(params, "node", cfg, rng), drop_dynamic }
+    }
+
+    /// Width of one output row.
+    pub(crate) fn embed_dim(&self) -> usize {
+        self.dgcnn.config().embed_dim()
     }
 
     /// Node-feature matrix of a packed batch, honouring `drop_dynamic`:
@@ -88,18 +70,12 @@ impl NodeFeatureEncoder {
         }
         tape.input(feats, batch.total_n, batch.node_dim)
     }
-}
 
-impl ViewEncoder for NodeFeatureEncoder {
-    fn name(&self) -> &str {
-        "node"
-    }
-
-    fn embed_dim(&self) -> usize {
-        self.dgcnn.config().embed_dim()
-    }
-
-    fn encode_batch<'p>(&self, tape: &mut Tape<'p>, batch: &'p GraphBatch) -> Var {
+    /// Encode every graph of the batch: output is
+    /// `batch.batch × embed_dim()` with row `g` depending only on graph
+    /// `g`'s rows (bit-identical to a batch-of-one call). The batch must
+    /// outlive the tape: its adjacency is registered by reference.
+    pub(crate) fn encode_batch<'p>(&self, tape: &mut Tape<'p>, batch: &'p GraphBatch) -> Var {
         let x = self.feature_input(tape, batch);
         self.dgcnn.embed_batch(tape, &batch.adj, x, &batch.offsets)
     }
@@ -107,38 +83,33 @@ impl ViewEncoder for NodeFeatureEncoder {
 
 /// The structural view: anonymous-walk distributions soft-looked-up
 /// through a learned embedding table, then a DGCNN (paper Eq. 3/4).
-pub struct StructuralEncoder {
+pub(crate) struct StructuralEncoder {
     dgcnn: Dgcnn,
     aw_embed: Embedding,
 }
 
 impl StructuralEncoder {
-    /// Register parameters: the DGCNN under `name.*`, then the walk table
-    /// under `aw.table` (this order is the checkpoint layout).
-    pub fn new(
+    /// Register parameters: the DGCNN under `struct.*`, then the walk
+    /// table under `aw.table` (this order is the checkpoint layout).
+    pub(crate) fn new(
         params: &mut Params,
-        name: &str,
         cfg: DgcnnConfig,
         aw_vocab: usize,
         aw_dim: usize,
         rng: &mut StdRng,
     ) -> Self {
-        let dgcnn = Dgcnn::new(params, name, cfg, rng);
+        let dgcnn = Dgcnn::new(params, "struct", cfg, rng);
         let aw_embed = Embedding::new(params, "aw", aw_vocab, aw_dim, rng);
         Self { dgcnn, aw_embed }
     }
-}
 
-impl ViewEncoder for StructuralEncoder {
-    fn name(&self) -> &str {
-        "struct"
-    }
-
-    fn embed_dim(&self) -> usize {
+    /// Width of one output row.
+    pub(crate) fn embed_dim(&self) -> usize {
         self.dgcnn.config().embed_dim()
     }
 
-    fn encode_batch<'p>(&self, tape: &mut Tape<'p>, batch: &'p GraphBatch) -> Var {
+    /// [`NodeFeatureEncoder::encode_batch`] for the structural view.
+    pub(crate) fn encode_batch<'p>(&self, tape: &mut Tape<'p>, batch: &'p GraphBatch) -> Var {
         let dists = tape.input_slice(&batch.struct_dists, batch.total_n, batch.aw_vocab);
         let emb = self.aw_embed.forward_soft(tape, dists);
         self.dgcnn.embed_batch(tape, &batch.adj, emb, &batch.offsets)

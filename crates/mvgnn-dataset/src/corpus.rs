@@ -1,14 +1,13 @@
 //! Labeled corpus assembly: generate suites, apply the six optimisation
 //! variants, profile, extract per-loop samples, balance and split.
 //!
-//! Since the sharded-pipeline refactor the generation itself lives in
-//! [`crate::shard`]: [`build_corpus`] is now the single-process
-//! composition of the three pipeline stages — vocabulary pass
-//! ([`crate::shard::fit_inst2vec`]), shard generation
+//! The generation itself lives in [`crate::shard`]: [`build_corpus`]
+//! composes the three pipeline stages — vocabulary pass
+//! ([`crate::shard::fit_inst2vec`]), generation of every work unit
 //! ([`crate::shard::generate_shard`] over one shard), and the in-memory
 //! assembly ([`assemble_dataset`]) that sorts, splits, balances and
-//! noise-injects. Assembly consumes the *union* of shards through a
-//! total order, so any `(num_shards, shard_id)` partition of the same
+//! noise-injects. Assembly consumes samples through a total order, so
+//! the union of any `(num_shards, shard_id)` split of the same
 //! configuration assembles to a bit-identical [`Dataset`].
 
 use crate::kernels::{KernelFamily, PatternKind};
@@ -214,9 +213,8 @@ pub(crate) fn samples_of_variant(
 /// Build the full corpus: generate, augment, profile, embed, balance,
 /// split. Deterministic for a fixed configuration.
 ///
-/// This is the single-process composition of the sharded pipeline: the
-/// vocabulary pass, one shard covering every work unit, and the
-/// in-memory assembly. Generating over any other shard count and
+/// This is the vocabulary pass, one shard covering every work unit, and
+/// the in-memory assembly. Generating over any other shard count and
 /// assembling the union produces a bit-identical dataset (pinned by the
 /// shard-determinism tests).
 pub fn build_corpus(cfg: &CorpusConfig) -> Dataset {

@@ -12,8 +12,10 @@
 //!   loop counts (BT 184 … nqueens 4, total 840)
 //! - [`corpus`]: profiled, labeled, augmented dataset assembly with a
 //!   leakage-free train/test split (75:25, balanced 1:1)
-//! - [`shard`]: deterministic sharded generation — N workers produce
-//!   disjoint slices whose union is bit-identical to the one-process build
+//! - [`shard`]: corpus generation over seeded work units, against one
+//!   statement embedding fit beforehand ([`fit_inst2vec`]); a shard
+//!   argument deals the units out, and any split's union is
+//!   bit-identical to the one-shard build
 
 #![forbid(unsafe_code)]
 
@@ -25,6 +27,6 @@ pub mod suites;
 pub use corpus::{
     assemble_dataset, base_key, build_corpus, noisy_label, CorpusConfig, Dataset, LabeledSample,
 };
-pub use shard::{fit_inst2vec, generate_shard, ShardPlan};
+pub use shard::{fit_inst2vec, generate_shard};
 pub use kernels::{build_kernel, KernelFamily, KernelKind, PatternKind};
 pub use suites::{generate_app, generate_suite, AppSpec, GeneratedApp, Suite, STRESS, TABLE2};

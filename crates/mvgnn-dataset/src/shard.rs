@@ -1,87 +1,34 @@
-//! Deterministic sharded corpus generation.
+//! Corpus generation over work units.
 //!
 //! The corpus is a set of *work units* — one `(generation seed, app
 //! spec)` pair per unit, enumerated in a fixed order (seed-major, then
-//! Table II order). A [`ShardPlan`] deals unit `k` to shard
-//! `k % num_shards`, so:
-//!
-//! - every kernel draw is keyed by the unit identity (the per-app RNG
-//!   seeds on `generation_seed ^ fxhash(app name)`), never by which
-//!   shard runs it — N workers produce **disjoint, reproducible**
-//!   slices;
-//! - the union of all shards is exactly the single-process sample set
-//!   for any `num_shards`, and [`crate::corpus::assemble_dataset`]
-//!   consumes that union through a total order, so the assembled
-//!   [`crate::corpus::Dataset`] is bit-identical across shard counts
-//!   (pinned by the `shard_determinism` proptests).
+//! Table II order). Every kernel draw is keyed by the unit identity (the
+//! per-app RNG seeds on `generation_seed ^ fxhash(app name)`), never by
+//! the order units run in, so [`generate_shard`] may deal unit `k` to
+//! shard `k % num_shards` and the union of all shards is exactly the
+//! one-shard sample set. [`crate::corpus::assemble_dataset`] consumes
+//! samples through a total order, so the assembled
+//! [`crate::corpus::Dataset`] is bit-identical across shard counts
+//! (pinned by the `shard_determinism` proptests). The library itself
+//! always generates one shard.
 //!
 //! The statement embedding is *not* fit per shard: [`fit_inst2vec`] is
 //! an explicit, separately-run vocabulary pass over every unoptimised
-//! module of the configuration. Every shard embeds against that one
-//! read-only [`Inst2Vec`], so the union stays bit-identical to the
-//! monolithic build. Shards are generated and assembled in the process
-//! that uses them; nothing is written to disk.
+//! module of the configuration, and every shard embeds against that one
+//! read-only [`Inst2Vec`].
 
 use crate::corpus::{samples_of_variant, CorpusConfig, LabeledSample};
-use crate::suites::{generate_app, AppSpec, Suite, STRESS, TABLE2};
+use crate::suites::{generate_app, suite_specs};
 use mvgnn_embed::Inst2Vec;
 use mvgnn_ir::transform::optimize;
-
-/// Deterministic assignment of corpus work units to shards.
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    /// Number of shards the units are dealt across.
-    pub num_shards: usize,
-    units: Vec<(u64, AppSpec)>,
-}
-
-impl ShardPlan {
-    /// Plan the configuration's work units across `num_shards` workers.
-    /// `num_shards == 0` is meaningless and rejected.
-    pub fn new(cfg: &CorpusConfig, num_shards: usize) -> ShardPlan {
-        assert!(num_shards >= 1, "a shard plan needs at least one shard");
-        // `None` means the paper's corpus: every TABLE2 app, never the
-        // opt-in stress apps (mirrors `generate_suite`).
-        let units: Vec<(u64, AppSpec)> = cfg
-            .seeds
-            .iter()
-            .flat_map(|&s| {
-                TABLE2
-                    .iter()
-                    .chain(STRESS.iter())
-                    .filter(|spec| match cfg.suite {
-                        None => spec.suite != Suite::Stress,
-                        Some(want) => spec.suite == want,
-                    })
-                    .map(move |&spec| (s, spec))
-            })
-            .collect();
-        ShardPlan { num_shards, units }
-    }
-
-    /// Total number of work units across all shards.
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
-    }
-
-    /// The work units owned by one shard (unit `k` belongs to shard
-    /// `k % num_shards`). Shards past `num_shards` own nothing.
-    pub fn units_of(&self, shard_id: usize) -> impl Iterator<Item = &(u64, AppSpec)> + '_ {
-        self.units
-            .iter()
-            .enumerate()
-            .filter(move |(k, _)| k % self.num_shards == shard_id)
-            .map(|(_, u)| u)
-    }
-}
 
 /// The explicit vocabulary pass: train the statement embedding over
 /// every unoptimised module of the configuration.
 ///
 /// This is its own pipeline stage (separately seeded through
-/// `cfg.inst2vec.seed`) precisely so shard workers never fit anything:
-/// they borrow the result read-only and all shards embed against one
-/// frozen vocabulary.
+/// `cfg.inst2vec.seed`), so generation never fits anything: it borrows
+/// the result read-only and every sample embeds against one frozen
+/// vocabulary.
 pub fn fit_inst2vec(cfg: &CorpusConfig) -> Inst2Vec {
     let apps: Vec<crate::suites::GeneratedApp> = cfg
         .seeds
@@ -93,8 +40,9 @@ pub fn fit_inst2vec(cfg: &CorpusConfig) -> Inst2Vec {
 }
 
 /// Generate one shard's samples: every opt-level variant of every work
-/// unit the plan deals to `shard_id`, profiled and embedded against the
-/// read-only `inst2vec`.
+/// unit `k` with `k % num_shards == shard_id`, profiled and embedded
+/// against the read-only `inst2vec`. `generate_shard(cfg, emb, 0, 1)` is
+/// the whole corpus; `num_shards == 0` is meaningless and rejected.
 ///
 /// Output is sorted by the canonical `(base_key, n, label, level)`
 /// order, so a shard's contents are deterministic regardless of
@@ -107,11 +55,14 @@ pub fn generate_shard(
     shard_id: usize,
     num_shards: usize,
 ) -> Vec<LabeledSample> {
-    let plan = ShardPlan::new(cfg, num_shards);
-    let units: Vec<(u64, AppSpec)> = plan.units_of(shard_id).copied().collect();
-    let mut samples: Vec<LabeledSample> = units
+    assert!(num_shards >= 1, "a corpus needs at least one shard");
+    let mut samples: Vec<LabeledSample> = cfg
+        .seeds
         .iter()
-        .flat_map(|&(seed, spec)| {
+        .flat_map(|&seed| suite_specs(cfg.suite).map(move |spec| (seed, spec)))
+        .enumerate()
+        .filter(|(k, _)| k % num_shards == shard_id)
+        .flat_map(|(_, (seed, spec))| {
             let app = generate_app(spec, seed);
             cfg.opt_levels
                 .iter()
@@ -156,23 +107,6 @@ mod tests {
             s.sample.node_feats.iter().map(|x| x.to_bits()).collect(),
             s.sample.struct_dists.iter().map(|x| x.to_bits()).collect(),
         )
-    }
-
-    #[test]
-    fn plan_deals_every_unit_exactly_once() {
-        let cfg = CorpusConfig { suite: None, ..tiny_cfg() };
-        for n in [1usize, 2, 3, 5, 9] {
-            let plan = ShardPlan::new(&cfg, n);
-            assert_eq!(plan.unit_count(), 2 * 14, "2 seeds x 14 apps");
-            let mut seen = 0usize;
-            for s in 0..n {
-                seen += plan.units_of(s).count();
-            }
-            assert_eq!(seen, plan.unit_count(), "{n} shards must cover all units");
-            let total: usize =
-                (0..n).flat_map(|s| plan.units_of(s)).map(|(_, spec)| spec.loops).sum();
-            assert_eq!(total, 2 * 840);
-        }
     }
 
     #[test]

@@ -252,15 +252,16 @@ pub fn generate_app(spec: AppSpec, seed: u64) -> GeneratedApp {
 /// corpus": all of [`TABLE2`], *excluding* the opt-in [`STRESS`] apps,
 /// so historic corpora are unchanged by the stress suite's existence.
 pub fn generate_suite(suite: Option<Suite>, seed: u64) -> Vec<GeneratedApp> {
-    TABLE2
-        .iter()
-        .chain(STRESS.iter())
-        .filter(|s| match suite {
-            None => s.suite != Suite::Stress,
-            Some(want) => s.suite == want,
-        })
-        .map(|&s| generate_app(s, seed))
-        .collect()
+    suite_specs(suite).map(|s| generate_app(s, seed)).collect()
+}
+
+/// The specs [`generate_suite`] generates, in its order (Table II order,
+/// then the stress apps).
+pub(crate) fn suite_specs(suite: Option<Suite>) -> impl Iterator<Item = AppSpec> {
+    TABLE2.iter().chain(STRESS.iter()).copied().filter(move |s| match suite {
+        None => s.suite != Suite::Stress,
+        Some(want) => s.suite == want,
+    })
 }
 
 /// Tiny deterministic string hash (per-app seed derivation).

@@ -6,7 +6,7 @@
 
 use mvgnn_dataset::{
     assemble_dataset, fit_inst2vec, generate_shard, noisy_label, CorpusConfig, KernelFamily,
-    LabeledSample, ShardPlan, Suite,
+    LabeledSample, Suite,
 };
 use mvgnn_embed::Inst2VecConfig;
 use mvgnn_ir::transform::OptLevel;
@@ -100,31 +100,6 @@ proptest! {
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 prop_assert_eq!(fingerprint(x), fingerprint(y));
-            }
-        }
-    }
-
-    /// Every work unit lands in exactly one shard for every shard count.
-    #[test]
-    fn plans_partition_the_units(num_shards in 1usize..=16, gen_seed in 1u64..100) {
-        let cfg = tiny_cfg(1, gen_seed, 0.0);
-        let plan = ShardPlan::new(&cfg, num_shards);
-        let total: usize = (0..num_shards).map(|s| plan.units_of(s).count()).sum();
-        prop_assert_eq!(total, plan.unit_count());
-        // Unit k sits in shard k % num_shards and nowhere else.
-        for s in 0..num_shards {
-            for (seed, spec) in plan.units_of(s) {
-                for other in 0..num_shards {
-                    if other == s {
-                        continue;
-                    }
-                    prop_assert!(
-                        !plan
-                            .units_of(other)
-                            .any(|(o_seed, o_spec)| o_seed == seed && o_spec.name == spec.name),
-                        "unit duplicated across shards {s} and {other}"
-                    );
-                }
             }
         }
     }

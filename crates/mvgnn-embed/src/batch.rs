@@ -35,40 +35,12 @@ pub struct GraphBatch {
 }
 
 impl GraphBatch {
-    /// Pack samples into one batch. All samples must agree on `node_dim`
-    /// and `aw_vocab` (they come from one dataset / one model
-    /// configuration); panics otherwise, and on an empty slice.
-    pub fn from_samples(samples: &[&GraphSample]) -> Self {
-        assert!(!samples.is_empty(), "cannot batch zero samples");
-        let node_dim = samples[0].node_dim;
-        let aw_vocab = samples[0].aw_vocab;
-        let total_n: usize = samples.iter().map(|s| s.n).sum();
-        let mut node_feats = Vec::with_capacity(total_n * node_dim);
-        let mut struct_dists = Vec::with_capacity(total_n * aw_vocab);
-        let mut offsets = Vec::with_capacity(samples.len() + 1);
-        offsets.push(0usize);
-        for s in samples {
-            assert_eq!(s.node_dim, node_dim, "node_dim mismatch within batch");
-            assert_eq!(s.aw_vocab, aw_vocab, "aw_vocab mismatch within batch");
-            node_feats.extend_from_slice(&s.node_feats);
-            struct_dists.extend_from_slice(&s.struct_dists);
-            offsets.push(offsets[offsets.len() - 1] + s.n);
-        }
-        let adjs: Vec<&SparseMatrix> = samples.iter().map(|s| &s.adj).collect();
-        let adj = SparseMatrix::block_diag(&adjs);
-        Self { batch: samples.len(), total_n, adj, node_feats, node_dim, struct_dists, aw_vocab, offsets }
-    }
-
-    /// A batch of one (the single-sample compatibility path).
-    pub fn single(sample: &GraphSample) -> Self {
-        Self::from_samples(&[sample])
-    }
-
-    /// [`Self::from_samples`] with every backing buffer drawn from a
+    /// Pack samples into one batch, every backing buffer drawn from a
     /// [`Workspace`] pool: once warm, packing a batch allocates nothing
-    /// (bar the transient per-call adjacency pointer list). Contents are
-    /// identical to [`Self::from_samples`]; return the batch with
-    /// [`Self::recycle`] when done.
+    /// (bar the transient per-call adjacency pointer list). All samples
+    /// must agree on `node_dim` and `aw_vocab` (they come from one
+    /// dataset / one model configuration); panics otherwise, and on an
+    /// empty slice. Return the batch with [`Self::recycle`] when done.
     pub fn from_samples_in(ws: &mut Workspace, samples: &[&GraphSample]) -> Self {
         assert!(!samples.is_empty(), "cannot batch zero samples");
         let node_dim = samples[0].node_dim;
@@ -130,7 +102,7 @@ mod tests {
     fn packing_concatenates_rows_and_offsets() {
         let a = toy_sample(3, 4, 5, 0.5);
         let b = toy_sample(2, 4, 5, -1.0);
-        let batch = GraphBatch::from_samples(&[&a, &b]);
+        let batch = GraphBatch::from_samples_in(&mut Workspace::new(), &[&a, &b]);
         assert_eq!(batch.batch, 2);
         assert_eq!(batch.total_n, 5);
         assert_eq!(batch.offsets, vec![0, 3, 5]);
@@ -142,9 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn single_is_a_batch_of_one() {
+    fn one_sample_is_a_batch_of_one() {
         let a = toy_sample(4, 2, 3, 0.25);
-        let batch = GraphBatch::single(&a);
+        let batch = GraphBatch::from_samples_in(&mut Workspace::new(), &[&a]);
         assert_eq!(batch.batch, 1);
         assert_eq!(batch.offsets, vec![0, 4]);
         assert_eq!(batch.node_feats, a.node_feats);
@@ -155,7 +127,7 @@ mod tests {
     fn pooled_packing_matches_and_stops_allocating() {
         let a = toy_sample(3, 4, 5, 0.5);
         let b = toy_sample(2, 4, 5, -1.0);
-        let plain = GraphBatch::from_samples(&[&a, &b]);
+        let plain = GraphBatch::from_samples_in(&mut Workspace::new(), &[&a, &b]);
         let mut ws = Workspace::new();
         // Cold pass populates the pool; every later pass must hit it.
         GraphBatch::from_samples_in(&mut ws, &[&a, &b]).recycle(&mut ws);
@@ -176,12 +148,12 @@ mod tests {
     fn dim_mismatch_panics() {
         let a = toy_sample(2, 4, 5, 0.0);
         let b = toy_sample(2, 3, 5, 0.0);
-        let _ = GraphBatch::from_samples(&[&a, &b]);
+        let _ = GraphBatch::from_samples_in(&mut Workspace::new(), &[&a, &b]);
     }
 
     #[test]
     #[should_panic(expected = "zero samples")]
     fn empty_batch_panics() {
-        let _ = GraphBatch::from_samples(&[]);
+        let _ = GraphBatch::from_samples_in(&mut Workspace::new(), &[]);
     }
 }

@@ -16,11 +16,6 @@ pub struct SampleConfig {
     pub walks: WalkConfig,
     /// Anonymous-walk vocabulary length (must equal `walks.walk_len`).
     pub walk_len: usize,
-    /// Include containment edges in the GCN adjacency. The loop node is a
-    /// hub touching every member, so these edges shortcut all pairwise
-    /// distances and can over-smooth small graphs; they always remain
-    /// visible through the node edge-census features and the walks.
-    pub hierarchy_in_adjacency: bool,
     /// Width of the optional static-oracle feature block appended to each
     /// node row (see `mvgnn_analyze::OracleReport::feature_vec`). `0`
     /// disables the block entirely — the default, so the paper's feature
@@ -33,7 +28,6 @@ impl Default for SampleConfig {
         Self {
             walks: WalkConfig::default(),
             walk_len: WalkConfig::default().walk_len,
-            hierarchy_in_adjacency: false,
             static_dim: 0,
         }
     }
@@ -83,8 +77,8 @@ impl GraphSample {
     /// Check that every matrix agrees with the node count: `node_feats`
     /// is `n × node_dim`, `struct_dists` is `n × aw_vocab`, and the
     /// adjacency is `n × n`. Packing a sample that fails this panics, so
-    /// untrusted samples (decoded shard records, serve requests) are
-    /// checked here first.
+    /// untrusted samples (the serve layer's requests) are checked here
+    /// first.
     pub fn check_shape(&self) -> Result<(), String> {
         let n = self.n;
         if n.checked_mul(self.node_dim) != Some(self.node_feats.len()) {
@@ -230,13 +224,14 @@ pub fn build_sample_with_static(
         .flat_map(|&id| sub.graph.node(id).tokens.iter().map(|t| inst2vec.id(t)))
         .collect();
 
+    // The GCN adjacency leaves out containment edges: the loop node is a
+    // hub touching every member, so they would shortcut all pairwise
+    // distances and over-smooth small graphs. They stay visible through
+    // the node edge-census features and the walks.
     let edges: Vec<(u32, u32)> = sub
         .graph
         .edge_ids()
-        .filter(|&e| {
-            cfg.hierarchy_in_adjacency
-                || sub.graph.edge(e).kind != mvgnn_peg::PegEdgeKind::Hierarchy
-        })
+        .filter(|&e| sub.graph.edge(e).kind != mvgnn_peg::PegEdgeKind::Hierarchy)
         .map(|e| {
             let (s, d) = sub.graph.endpoints(e);
             (s.0, d.0)

@@ -1,10 +1,13 @@
 //! The Deep Graph CNN (Fig. 6): graph conv stack → SortPooling →
 //! 1-D convolutions → dense read-out.
 //!
-//! Both MV-GNN views instantiate this architecture; the multi-view model
-//! consumes [`Dgcnn::embed`] (the input of the final dense layer, as the
-//! paper specifies) while the single-view baselines use
-//! [`Dgcnn::logits`].
+//! Both MV-GNN views instantiate this architecture. The model consumes
+//! [`Dgcnn::embed_batch`] (the input of the final dense layer, as the
+//! paper specifies): the multi-view model fuses the two views' rows, and
+//! the single-view configurations classify them with the model's own
+//! per-view heads. No model path reads the dense read-out
+//! ([`Dgcnn::logits`], [`Dgcnn::head`]); its weights are still registered,
+//! so the parameter order and the checkpoint layout keep them.
 
 use crate::gcn::GcnLayer;
 use crate::sortpool::sort_order_segments_into;
@@ -232,6 +235,7 @@ mod tests {
     use mvgnn_tensor::init;
     use mvgnn_tensor::optim::Adam;
     use mvgnn_tensor::tape::argmax_rows;
+    use mvgnn_tensor::Workspace;
 
     fn small_cfg(in_dim: usize) -> DgcnnConfig {
         DgcnnConfig {
@@ -365,7 +369,7 @@ mod tests {
 
         // One batch.
         let adjs: Vec<&mvgnn_tensor::SparseMatrix> = graphs.iter().map(|(a, _, _)| a).collect();
-        let bd = mvgnn_tensor::SparseMatrix::block_diag(&adjs);
+        let bd = mvgnn_tensor::SparseMatrix::block_diag_in(&mut Workspace::new(), &adjs);
         let mut feats = Vec::new();
         let mut offsets = vec![0usize];
         for (_, f, n) in &graphs {
@@ -405,7 +409,8 @@ mod tests {
             let fa: Vec<f32> = (0..na * 2).map(|i| (i as f32 * 0.07).sin()).collect();
             let fb: Vec<f32> = (0..nb * 2).map(|i| (i as f32 * 0.11).cos()).collect();
             let master = if batched {
-                let bd = mvgnn_tensor::SparseMatrix::block_diag(&[&aa, &ab]);
+                let bd =
+                    mvgnn_tensor::SparseMatrix::block_diag_in(&mut Workspace::new(), &[&aa, &ab]);
                 let packed: Vec<f32> = fa.iter().chain(&fb).copied().collect();
                 let mut tape = Tape::new(&params);
                 let x = tape.input(packed, na + nb, 2);

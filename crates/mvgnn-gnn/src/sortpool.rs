@@ -16,26 +16,16 @@ pub fn sort_order(keys: &[f32], k: usize) -> Vec<usize> {
     idx
 }
 
-/// Batched SortPooling orders over a packed key vector. `offsets`
-/// (length `batch + 1`) delimits each graph's rows; within a segment the
-/// ranking is exactly [`sort_order`] on that segment's keys (ties break by
-/// *local* node index, so a graph's order is independent of where it sits
-/// in the batch). Returns `(dst, src)` row pairs addressing a `batch · k`
-/// row output: graph `g`'s rank-`r` node lands on row `g·k + r`; rows of
-/// graphs with fewer than `k` nodes are simply absent (zero padding).
-pub fn sort_order_segments(keys: &[f32], offsets: &[usize], k: usize) -> Vec<(usize, usize)> {
-    let batch = offsets.len().saturating_sub(1);
-    let mut pairs = Vec::with_capacity(batch * k);
-    let mut scratch = Vec::new();
-    sort_order_segments_into(keys, offsets, k, &mut scratch, &mut pairs);
-    pairs
-}
-
-/// [`sort_order_segments`] writing into caller-provided buffers — the
-/// allocation-free flavour for pooled hot paths. `scratch` holds the
-/// per-segment index permutation (cleared and reused per segment);
-/// `pairs` is cleared and filled with the same `(dst, src)` pairs, in
-/// the same order, as [`sort_order_segments`] returns.
+/// Batched SortPooling orders over a packed key vector, written into
+/// caller-provided buffers so pooled hot paths allocate nothing.
+/// `offsets` (length `batch + 1`) delimits each graph's rows; within a
+/// segment the ranking is exactly [`sort_order`] on that segment's keys
+/// (ties break by *local* node index, so a graph's order is independent
+/// of where it sits in the batch). `pairs` is cleared and filled with
+/// `(dst, src)` row pairs addressing a `batch · k` row output: graph
+/// `g`'s rank-`r` node lands on row `g·k + r`; rows of graphs with fewer
+/// than `k` nodes are simply absent (zero padding). `scratch` holds the
+/// per-segment index permutation (cleared and reused per segment).
 pub fn sort_order_segments_into(
     keys: &[f32],
     offsets: &[usize],
@@ -65,6 +55,13 @@ pub fn sort_order_segments_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`sort_order_segments_into`] over fresh buffers.
+    fn sort_order_segments(keys: &[f32], offsets: &[usize], k: usize) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        sort_order_segments_into(keys, offsets, k, &mut Vec::new(), &mut pairs);
+        pairs
+    }
 
     #[test]
     fn sorts_descending() {
@@ -99,11 +96,11 @@ mod tests {
     }
 
     #[test]
-    fn into_variant_matches_and_reuses_buffers() {
+    fn reused_buffers_match_fresh_ones() {
         let keys = [0.1, 0.9, 0.5, 0.7, 0.2];
         let offsets = [0usize, 3, 5];
-        let mut scratch = Vec::new();
-        let mut pairs = Vec::new();
+        let mut scratch = vec![7, 7, 7, 7, 7, 7];
+        let mut pairs = vec![(9, 9)];
         sort_order_segments_into(&keys, &offsets, 2, &mut scratch, &mut pairs);
         assert_eq!(pairs, sort_order_segments(&keys, &offsets, 2));
         // Reused buffers are cleared per call; stale contents never leak.

@@ -44,16 +44,6 @@ impl Csr {
         Self { offsets, targets }
     }
 
-    /// Snapshot the *directed* out-adjacency of `g`.
-    pub fn from_digraph<N, E>(g: &DiGraph<N, E>) -> Self {
-        let edges: Vec<(u32, u32)> =
-            g.edge_ids().map(|e| {
-                let (s, d) = g.endpoints(e);
-                (s.0, d.0)
-            }).collect();
-        Self::from_edges(g.node_count(), &edges)
-    }
-
     /// Snapshot the *undirected* adjacency of `g` (dedup, no self-loops):
     /// the view used for anonymous-walk sampling.
     pub fn undirected_from_digraph<N, E>(g: &DiGraph<N, E>) -> Self {
@@ -95,31 +85,6 @@ impl Csr {
     /// Membership test via binary search.
     pub fn contains_edge(&self, s: u32, t: u32) -> bool {
         self.neighbors(s).binary_search(&t).is_ok()
-    }
-
-    /// Disjoint union of graphs: nodes of part `i` are renumbered by the
-    /// sum of the preceding parts' node counts, giving the block-diagonal
-    /// adjacency that packs a mini-batch of graphs into one traversal
-    /// structure.
-    pub fn block_diag(parts: &[&Csr]) -> Csr {
-        let n: usize = parts.iter().map(|p| p.node_count()).sum();
-        let e: usize = parts.iter().map(|p| p.edge_count()).sum();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(e);
-        offsets.push(0u32);
-        let mut node_off = 0u32;
-        let mut edge_off = 0u32;
-        for p in parts {
-            for &o in &p.offsets[1..] {
-                offsets.push(o + edge_off);
-            }
-            for &t in &p.targets {
-                targets.push(t + node_off);
-            }
-            node_off += p.node_count() as u32;
-            edge_off += p.edge_count() as u32;
-        }
-        Csr { offsets, targets }
     }
 
     /// Symmetric-normalised self-looped operator
@@ -173,20 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn from_digraph_matches_manual() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, c, ());
-        g.add_edge(a, b, ());
-        g.add_edge(b, c, ());
-        let csr = Csr::from_digraph(&g);
-        assert_eq!(csr.neighbors(0), &[1, 2]);
-        assert_eq!(csr.neighbors(1), &[2]);
-    }
-
-    #[test]
     fn undirected_view_symmetric() {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let a = g.add_node(());
@@ -195,28 +146,6 @@ mod tests {
         let csr = Csr::undirected_from_digraph(&g);
         assert_eq!(csr.neighbors(0), &[1]);
         assert_eq!(csr.neighbors(1), &[0]);
-    }
-
-    #[test]
-    fn block_diag_offsets_neighbours() {
-        let a = Csr::from_edges(2, &[(0, 1)]);
-        let b = Csr::from_edges(3, &[(0, 2), (2, 1)]);
-        let bd = Csr::block_diag(&[&a, &b]);
-        assert_eq!(bd.node_count(), 5);
-        assert_eq!(bd.edge_count(), 3);
-        assert_eq!(bd.neighbors(0), &[1]);
-        assert_eq!(bd.neighbors(2), &[4]); // b's 0 -> 2 shifted by 2
-        assert_eq!(bd.neighbors(4), &[3]);
-        assert!(!bd.contains_edge(1, 2), "no cross-part edges");
-    }
-
-    #[test]
-    fn block_diag_with_empty_part() {
-        let a = Csr::from_edges(0, &[]);
-        let b = Csr::from_edges(2, &[(1, 0)]);
-        let bd = Csr::block_diag(&[&a, &b]);
-        assert_eq!(bd.node_count(), 2);
-        assert_eq!(bd.neighbors(1), &[0]);
     }
 
     #[test]

@@ -141,16 +141,6 @@ impl<N, E> DiGraph<N, E> {
         (0..self.edges.len() as u32).map(EdgeId)
     }
 
-    /// Iterator over node payloads in id order.
-    pub fn node_weights(&self) -> impl ExactSizeIterator<Item = &N> {
-        self.nodes.iter()
-    }
-
-    /// Outgoing edges of `n`.
-    pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.out_adj[n.index()].iter().copied()
-    }
-
     /// Successor nodes of `n` (with multiplicity, in insertion order).
     pub fn successors(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.out_adj[n.index()].iter().map(move |e| self.edges[e.index()].dst)
@@ -323,7 +313,7 @@ mod tests {
         assert_eq!(sub.node_count(), 3);
         // edges a->b and b->d survive; a->c and c->d are dropped.
         assert_eq!(sub.edge_count(), 2);
-        assert_eq!(sub.node_weights().copied().collect::<Vec<_>>(), vec!["a", "b", "d"]);
+        assert_eq!(sub.node_ids().map(|n| *sub.node(n)).collect::<Vec<_>>(), vec!["a", "b", "d"]);
         assert_eq!(sub.successors(NodeId(0)).collect::<Vec<_>>(), vec![NodeId(1)]);
         assert_eq!(sub.successors(NodeId(1)).collect::<Vec<_>>(), vec![NodeId(2)]);
     }
@@ -336,7 +326,7 @@ mod tests {
         g.add_edge(NodeId(3), NodeId(0), 5);
         g.add_edge(NodeId(1), NodeId(1), 6);
         let sub = g.induced_subgraph(&[NodeId(3), NodeId(0), NodeId(1)]);
-        assert_eq!(sub.node_weights().copied().collect::<Vec<_>>(), vec!["d", "a", "b"]);
+        assert_eq!(sub.node_ids().map(|n| *sub.node(n)).collect::<Vec<_>>(), vec!["d", "a", "b"]);
         let edges: Vec<(u32, u32, u32)> = sub
             .edge_ids()
             .map(|e| {

@@ -15,7 +15,6 @@
 pub mod algo;
 pub mod csr;
 pub mod digraph;
-pub mod graphlets;
 pub mod walks;
 
 pub use csr::Csr;

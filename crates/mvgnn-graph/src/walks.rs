@@ -185,6 +185,12 @@ fn mix(seed: u64, v: u64) -> u64 {
 /// Continue the walk whose first node is `walk[0]` until it fills the
 /// buffer: each step moves to a uniformly drawn neighbour, or stays put
 /// on a node with none.
+///
+/// A walk that stays put repeats a label in its anonymous form, which no
+/// vocabulary walk does, so [`WalkSampler::node_distributions`] counts it
+/// as the all-zero walk's id 0. On an undirected skeleton only an
+/// isolated start node does this, since every other node can step back
+/// the way it came.
 fn fill_walk(csr: &Csr, walk: &mut [u32], rng: &mut StdRng) {
     for i in 1..walk.len() {
         let cur = walk[i - 1];
@@ -208,19 +214,6 @@ impl WalkSampler {
     /// Sampler configuration.
     pub fn config(&self) -> WalkConfig {
         self.cfg
-    }
-
-    /// Sample one walk of `walk_len` nodes starting at `start`.
-    ///
-    /// A walk that reaches a node with no neighbours stays there: its
-    /// anonymous form then repeats a label, which no vocabulary walk does,
-    /// so [`Self::node_distributions`] counts it as the all-zero walk's
-    /// id 0. On an undirected skeleton only an isolated start node does
-    /// this, since every other node can step back the way it came.
-    pub fn sample_walk(&self, csr: &Csr, start: u32, rng: &mut StdRng) -> Vec<u32> {
-        let mut walk = vec![start; self.cfg.walk_len];
-        fill_walk(csr, &mut walk, rng);
-        walk
     }
 
     /// Per-node empirical anonymous-walk distribution (paper Eq. 3).
@@ -329,11 +322,11 @@ mod tests {
     fn sampled_walks_follow_edges() {
         // Path graph 0-1-2-3 (undirected arcs both ways).
         let csr = Csr::from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]);
-        let sampler = WalkSampler::new(WalkConfig { walk_len: 6, walks_per_node: 1, seed: 42 });
         let mut rng = StdRng::seed_from_u64(7);
         for start in 0..4u32 {
-            let walk = sampler.sample_walk(&csr, start, &mut rng);
-            assert_eq!(walk.len(), 6);
+            let mut walk = [start; 6];
+            fill_walk(&csr, &mut walk, &mut rng);
+            assert_eq!(walk[0], start);
             for pair in walk.windows(2) {
                 assert!(csr.contains_edge(pair[0], pair[1]), "non-edge step in {walk:?}");
             }
@@ -343,10 +336,10 @@ mod tests {
     #[test]
     fn isolated_node_stays_put() {
         let csr = Csr::from_edges(2, &[]);
-        let sampler = WalkSampler::new(WalkConfig { walk_len: 4, walks_per_node: 1, seed: 1 });
         let mut rng = StdRng::seed_from_u64(1);
-        let walk = sampler.sample_walk(&csr, 0, &mut rng);
-        assert_eq!(walk, vec![0, 0, 0, 0]);
+        let mut walk = [0u32; 4];
+        fill_walk(&csr, &mut walk, &mut rng);
+        assert_eq!(walk, [0, 0, 0, 0]);
     }
 
     #[test]

@@ -470,7 +470,7 @@ mod tests {
         assert_eq!(fun.loops[outer.index()].parent, None);
         // Inner header nests inside outer body coverage.
         let inner_header = fun.loops[inner.index()].header;
-        assert_eq!(fun.loop_chain(inner_header), vec![inner, outer]);
+        assert_eq!(fun.loop_of_block(inner_header), Some(inner));
     }
 
     #[test]

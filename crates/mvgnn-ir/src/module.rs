@@ -522,17 +522,6 @@ impl Function {
         inline.into_iter().take(n).chain(self.call_args(inst))
     }
 
-    /// All loops (ids) from the innermost loop of `block` up to the root.
-    pub fn loop_chain(&self, block: BlockId) -> Vec<LoopId> {
-        let mut chain = Vec::new();
-        let mut cur = self.loop_of_block(block);
-        while let Some(l) = cur {
-            chain.push(l);
-            cur = self.loops[l.index()].parent;
-        }
-        chain
-    }
-
     /// Blocks belonging to loop `l` including header, body and latch.
     pub fn loop_blocks(&self, l: LoopId) -> Vec<BlockId> {
         let info = &self.loops[l.index()];
@@ -748,7 +737,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_chain_walks_parents() {
+    fn blocks_map_to_their_innermost_loop() {
         let outer = LoopInfo {
             id: LoopId(0),
             header: BlockId(1),
@@ -775,8 +764,6 @@ mod tests {
         let f = Function::new(NameId(0), 0, 0, blocks, vec![outer, inner], &[BlockId(2)], &[]);
         let got: Vec<_> = (0..5).map(|b| f.loop_of_block(BlockId(b))).collect();
         assert_eq!(got, [None, Some(LoopId(0)), Some(LoopId(1)), Some(LoopId(0)), None]);
-        assert_eq!(f.loop_chain(BlockId(2)), vec![LoopId(1), LoopId(0)]);
-        assert_eq!(f.loop_chain(BlockId(0)), Vec::<LoopId>::new());
         assert_eq!(f.loop_blocks(LoopId(0)), vec![BlockId(1), BlockId(2), BlockId(3)]);
         assert_eq!(f.loop_body(&f.loops[1]).len(), 0);
         let entries = f.side_entries().len();

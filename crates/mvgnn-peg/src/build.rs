@@ -256,7 +256,8 @@ mod tests {
     fn peg_contains_all_node_kinds() {
         let (m, f, _) = reduction_module();
         let (peg, _) = build_all(&m, f);
-        let kinds: Vec<&PegNodeKind> = peg.graph.node_weights().map(|n| &n.kind).collect();
+        let kinds: Vec<&PegNodeKind> =
+            peg.graph.node_ids().map(|n| &peg.graph.node(n).kind).collect();
         assert!(kinds.iter().any(|k| matches!(k, PegNodeKind::Func(_))));
         assert!(kinds.iter().any(|k| matches!(k, PegNodeKind::Loop(_, _))));
         assert!(kinds.iter().any(|k| matches!(k, PegNodeKind::Cu(_))));
@@ -287,7 +288,8 @@ mod tests {
         // Every hierarchy edge from the loop node points at a member.
         let out: Vec<_> = sub
             .graph
-            .out_edges(sub.loop_node)
+            .edge_ids()
+            .filter(|&e| sub.graph.endpoints(e).0 == sub.loop_node)
             .filter(|&e| sub.graph.edge(e).kind == PegEdgeKind::Hierarchy)
             .collect();
         assert!(!out.is_empty(), "loop node should contain members");
@@ -318,7 +320,8 @@ mod tests {
         let sub_outer = loop_subpeg(&peg, &m, &cus, f, outer);
         let inner_nodes = sub_outer
             .graph
-            .node_weights()
+            .node_ids()
+            .map(|n| sub_outer.graph.node(n))
             .filter(|n| matches!(n.kind, PegNodeKind::Loop(_, li) if li == inner.unwrap()))
             .count();
         assert_eq!(inner_nodes, 1, "outer sub-PEG must contain the inner loop node");
@@ -326,7 +329,8 @@ mod tests {
         let sub_inner = loop_subpeg(&peg, &m, &cus, f, inner.unwrap());
         let outer_nodes = sub_inner
             .graph
-            .node_weights()
+            .node_ids()
+            .map(|n| sub_inner.graph.node(n))
             .filter(|n| matches!(n.kind, PegNodeKind::Loop(_, lo) if lo == outer))
             .count();
         assert_eq!(outer_nodes, 0);

@@ -294,21 +294,8 @@ pub fn profile_module(
     entry: FuncId,
     args: &[Value],
 ) -> Result<ProfileResult, InterpError> {
-    let interp = Interpreter::new(module);
-    let mut mem = interp.fresh_memory();
-    profile_module_with_memory(module, entry, args, &mut mem)
-}
-
-/// Profile `entry(args)` against caller-seeded memory.
-pub fn profile_module_with_memory(
-    module: &Module,
-    entry: FuncId,
-    args: &[Value],
-    mem: &mut Vec<Vec<Value>>,
-) -> Result<ProfileResult, InterpError> {
-    let interp = Interpreter::new(module);
     let mut prof = DependenceProfiler::new(module);
-    let (ret, stats) = interp.run_with_memory(entry, args, mem, &mut prof)?;
+    let (ret, stats) = Interpreter::new(module).run(entry, args, &mut prof)?;
     let (deps, loops) = prof.into_parts();
     Ok(ProfileResult { deps, loops, stats, ret })
 }
@@ -326,13 +313,6 @@ pub struct PartialProfile {
     pub ret: Option<Value>,
     /// The fault that truncated the trace, if the run did not finish.
     pub error: Option<InterpError>,
-}
-
-impl PartialProfile {
-    /// True when the trace ran to completion.
-    pub fn is_complete(&self) -> bool {
-        self.error.is_none()
-    }
 }
 
 /// Profile with explicit interpreter budgets, keeping whatever dependence
@@ -560,14 +540,14 @@ mod tests {
         // A starved step budget cuts the loop off mid-flight…
         let partial = profile_module_resilient(&m, f, &[], Some(30), None);
         assert!(matches!(partial.error, Some(InterpError::StepLimit(_))), "{:?}", partial.error);
-        assert!(!partial.is_complete());
+        assert!(partial.error.is_some());
         // …but the executed prefix is still there.
         let rt = partial.loops.get(&(f, l)).copied().unwrap_or_default();
         assert!(rt.entries >= 1, "loop entry must survive truncation");
         assert!(rt.iterations >= 1 && rt.iterations < 64, "{rt:?}");
         // An adequate budget reports a complete run.
         let full = profile_module_resilient(&m, f, &[], None, None);
-        assert!(full.is_complete());
+        assert!(full.error.is_none());
         assert_eq!(full.loops[&(f, l)].iterations, 64);
     }
 
@@ -619,7 +599,7 @@ mod tests {
         let want = crate::reference::profile_reference(m, entry, steps, depth);
         let what = format!("{} f{} steps {steps:?} depth {depth:?}", m.name, entry.0);
         assert_matches_reference(&got, &want, &what);
-        got.is_complete()
+        got.error.is_none()
     }
 
     #[test]

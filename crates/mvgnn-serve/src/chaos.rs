@@ -20,9 +20,8 @@
 
 use crate::deadline::Deadline;
 use crate::response::ServeError;
-use crate::server::{Server, Ticket, Tier0};
-use mvgnn_analyze::OracleReport;
-use mvgnn_core::{DecidedBy, FaultPlan};
+use crate::server::{Server, Ticket};
+use mvgnn_core::{FaultPlan, PredictionSource};
 use mvgnn_embed::GraphSample;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -35,11 +34,6 @@ pub struct ChaosInputs {
     /// Source programs for the frontend path (possibly mutated per
     /// request).
     pub sources: Vec<String>,
-    /// Tier-0 oracle reports aligned index-for-index with `samples`
-    /// (`None` entries and a short/empty vector mean "no report": the
-    /// request rides the micro-batcher). Reports with a definite verdict
-    /// are answered at submit time and tallied as `oracle_decided`.
-    pub oracles: Vec<Option<Arc<OracleReport>>>,
 }
 
 /// Storm shape and fault mix.
@@ -95,9 +89,6 @@ pub struct ChaosReport {
     /// Sample-path answers served by a degraded view (typed, not
     /// panicked).
     pub degraded: u64,
-    /// Sample-path answers decided by the tier-0 oracle at submit time
-    /// (never occupied a batch slot).
-    pub oracle_decided: u64,
     /// Source-path requests that came back with per-loop reports.
     pub module_ok: u64,
     /// Requests shed with a typed overload response.
@@ -122,7 +113,6 @@ impl ChaosReport {
     pub fn accounted(&self) -> u64 {
         self.ok
             + self.degraded
-            + self.oracle_decided
             + self.module_ok
             + self.shed
             + self.expired
@@ -147,7 +137,6 @@ impl ChaosReport {
         self.submitted += other.submitted;
         self.ok += other.ok;
         self.degraded += other.degraded;
-        self.oracle_decided += other.oracle_decided;
         self.module_ok += other.module_ok;
         self.shed += other.shed;
         self.expired += other.expired;
@@ -215,8 +204,7 @@ fn client_loop(
             let mut t = ChaosReport::default();
             for ticket in rx {
                 match ticket.wait() {
-                    Ok(c) if c.decided_by == DecidedBy::Oracle => t.oracle_decided += 1,
-                    Ok(c) if c.source == mvgnn_core::PredictionSource::Multi => t.ok += 1,
+                    Ok(c) if c.source == PredictionSource::Multi => t.ok += 1,
                     Ok(_) => t.degraded += 1,
                     Err(e) => t.count_error(&e),
                 }
@@ -243,11 +231,8 @@ fn client_loop(
                     Err(e) => tally.count_error(&e),
                 }
             } else if !inputs.samples.is_empty() {
-                let at = i % inputs.samples.len();
-                let sample = Arc::clone(&inputs.samples[at]);
-                let oracle = inputs.oracles.get(at).and_then(|o| o.as_deref());
-                let deadline = Deadline::within(cfg.deadline);
-                match server.submit_tier0(sample, oracle.map(Tier0::Oracle), deadline) {
+                let sample = Arc::clone(&inputs.samples[i % inputs.samples.len()]);
+                match server.submit(sample, Deadline::within(cfg.deadline)) {
                     Ok(ticket) => {
                         // Collector owns redemption; a send can only fail
                         // if the collector died, which the census counts.

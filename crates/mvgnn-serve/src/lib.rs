@@ -13,6 +13,11 @@
 //! requests found expired when a batch is drained are dropped before
 //! they can waste a batch slot.
 //!
+//! Two request paths share the limiter: featurised samples
+//! ([`Server::submit`]) get the cascade's GNN tier through the
+//! micro-batcher, and source programs ([`Server::classify_source`]) run
+//! the whole cascade, tier-0 oracle included, on the caller's thread.
+//!
 //! Faults surface as values, never as panics: malformed sources are
 //! [`ServeError::Compile`], shape mismatches are
 //! [`ServeError::Rejected`], a damaged model degrades per-request
@@ -41,4 +46,4 @@ pub use response::{
     classification_from_checked, Classification, DeadlineStage, ModuleClassification,
     ServeError, ServeResult,
 };
-pub use server::{Frontend, ServeConfig, ServeStats, Server, Ticket, Tier0};
+pub use server::{Frontend, ServeConfig, ServeStats, Server, Ticket};

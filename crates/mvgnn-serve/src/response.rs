@@ -10,10 +10,9 @@
 //! dispatch panic is caught at the service boundary and surfaced as
 //! [`ServeError::Internal`].
 
-use mvgnn_analyze::{Fact, LoopPlan, OracleReport, Verdict};
 use mvgnn_core::infer::LoopReport;
 use mvgnn_core::model::CheckedPrediction;
-use mvgnn_core::{view_ladder, DecidedBy, PredictionSource};
+use mvgnn_core::{view_ladder, PredictionSource};
 use std::time::Duration;
 
 /// Result alias for every service entry point.
@@ -106,59 +105,6 @@ pub struct Classification {
     pub batched_with: usize,
     /// Time spent in the submission queue before dispatch.
     pub queued: Duration,
-    /// Which cascade tier was final: the tier-0 oracle answers at submit
-    /// time without touching the micro-batcher, everything else is the
-    /// GNN tier.
-    pub decided_by: DecidedBy,
-    /// The oracle's dependence facts when tier 0 decided this request
-    /// (`None` when the GNN answered).
-    pub oracle_facts: Option<Vec<Fact>>,
-    /// The rendered OpenMP-style pragma of the parallelization plan,
-    /// when the request came with a proved [`LoopPlan`]
-    /// ([`Tier0::Plan`](crate::Tier0::Plan)).
-    /// `None` on the GNN path (learned verdicts carry no proof) and on
-    /// the report-only oracle path (a bare report has no rendered plan).
-    pub pragma: Option<String>,
-}
-
-impl Classification {
-    /// Build the tier-0 answer for an oracle-decided request.
-    ///
-    /// The verdict must be definite — call [`mvgnn_core::oracle_decision`]
-    /// first; passing an `Unknown` report here is a logic error and is
-    /// answered conservatively serial with a diagnostic rather than a
-    /// panic.
-    pub fn from_oracle(report: &OracleReport) -> Classification {
-        Self::tier0(report.verdict, report.facts.clone(), None)
-    }
-
-    /// Build the tier-0 answer for a request carrying a parallelization
-    /// plan. A [`LoopPlan`] embeds its backing verdict and fact list, so
-    /// this is [`Self::from_oracle`] plus the rendered pragma; the same
-    /// definiteness contract applies ([`LoopPlan::proved`] must hold).
-    pub fn from_plan(plan: &LoopPlan) -> Classification {
-        Self::tier0(plan.verdict, plan.facts.clone(), Some(plan.pragma.clone()))
-    }
-
-    fn tier0(verdict: Verdict, facts: Vec<Fact>, pragma: Option<String>) -> Classification {
-        let (prediction, diagnostic) = match verdict {
-            Verdict::ProvablyParallel => (1, None),
-            Verdict::ProvablyDependent => (0, None),
-            Verdict::Unknown => {
-                (0, Some("oracle verdict was Unknown; answering conservatively".to_string()))
-            }
-        };
-        Classification {
-            prediction,
-            source: PredictionSource::Oracle,
-            diagnostic,
-            batched_with: 0,
-            queued: Duration::ZERO,
-            decided_by: DecidedBy::Oracle,
-            oracle_facts: Some(facts),
-            pragma,
-        }
-    }
 }
 
 /// A classified source-program (module) request.
@@ -179,16 +125,7 @@ pub fn classification_from_checked(
     queued: Duration,
 ) -> Classification {
     let (prediction, source, diagnostic) = view_ladder(checked, None);
-    Classification {
-        prediction,
-        source,
-        diagnostic,
-        batched_with,
-        queued,
-        decided_by: DecidedBy::Gnn,
-        oracle_facts: None,
-        pragma: None,
-    }
+    Classification { prediction, source, diagnostic, batched_with, queued }
 }
 
 #[cfg(test)]
@@ -239,28 +176,5 @@ mod tests {
             (0, PredictionSource::ConservativeSerial)
         );
         assert!(c.diagnostic.is_some());
-    }
-
-    #[test]
-    fn planned_tier0_answers_carry_the_pragma() {
-        let plan = LoopPlan {
-            plan: mvgnn_analyze::Plan::DoAll { private: Vec::new() },
-            verdict: Verdict::ProvablyParallel,
-            facts: Vec::new(),
-            pragma: "#pragma omp parallel for".to_string(),
-        };
-        let c = Classification::from_plan(&plan);
-        assert_eq!(c.prediction, 1);
-        assert_eq!(c.decided_by, DecidedBy::Oracle);
-        assert_eq!(c.pragma.as_deref(), Some("#pragma omp parallel for"));
-        assert!(c.oracle_facts.is_some());
-
-        // The GNN path never invents a pragma.
-        let gnn = classification_from_checked(
-            CheckedPrediction { fused: Some(1), node: Some(1), structural: Some(1) },
-            1,
-            Duration::ZERO,
-        );
-        assert!(gnn.pragma.is_none());
     }
 }

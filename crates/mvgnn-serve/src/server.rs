@@ -7,17 +7,14 @@
 //! - **Sample path** ([`Server::submit`], redeemed with
 //!   [`Ticket::wait`]): a pre-featurised loop sample rides the
 //!   micro-batcher, so bursts of concurrent singles are served at
-//!   packed-batch throughput. When the caller also carries [`Tier0`]
-//!   evidence ([`Server::submit_tier0`]) — an oracle report or a full
-//!   parallelization plan — a definite static verdict is answered at
-//!   submit time, before the shape gate, the limiter, and the queue, so
-//!   oracle-decidable requests never occupy a micro-batch slot or an
-//!   admission token; a proved plan also surfaces its rendered pragma
-//!   in the [`Classification`].
+//!   packed-batch throughput. A sample carries no static evidence: a
+//!   caller holding a definite oracle report already has its answer
+//!   ([`mvgnn_core::oracle_decision`], [`mvgnn_analyze::plan_from_report`]).
 //! - **Source path** ([`Server::classify_source`]): a source program is
 //!   compiled and classified per-loop by [`Cascade::classify_module`] on
 //!   the caller's thread, under the same admission token. Source
-//!   requests take no lock, so concurrent ones run side by side.
+//!   requests take no lock, so concurrent ones run side by side. Tier 0
+//!   runs there, inside the cascade.
 //!
 //! Overload is never unbounded queueing: a request either gets a token
 //! and a queue slot, or a typed [`ServeError::Overloaded`] with a
@@ -29,8 +26,7 @@ use crate::limiter::{Limiter, LimiterStats};
 use crate::response::{
     Classification, DeadlineStage, ModuleClassification, ServeError, ServeResult,
 };
-use mvgnn_analyze::{LoopPlan, OracleReport};
-use mvgnn_core::{oracle_decision, Cascade, CascadeConfig, MvGnn, MvGnnError};
+use mvgnn_core::{Cascade, CascadeConfig, DecidedBy, MvGnn, MvGnnError};
 use mvgnn_embed::{GraphSample, Inst2Vec, SampleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,8 +137,8 @@ pub struct ServeStats {
     pub batches: u64,
     /// Requests served through micro-batches.
     pub batched_requests: u64,
-    /// Sample-path requests answered by the tier-0 oracle at submit
-    /// time, without an admission token or a batch slot.
+    /// Source-path loops the cascade's tier-0 oracle decided
+    /// ([`DecidedBy::Oracle`]); the sample path never adds to it.
     pub oracle_decided: u64,
     /// Tokens currently held.
     pub inflight: usize,
@@ -188,38 +184,6 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-/// Static evidence a caller gathered for one sample-path request before
-/// submitting it ([`Server::submit_tier0`]).
-#[derive(Debug, Clone, Copy)]
-pub enum Tier0<'a> {
-    /// A tier-0 oracle report; a definite verdict
-    /// ([`oracle_decision`] is `Some`) is answered at submit time.
-    Oracle(&'a OracleReport),
-    /// A full parallelization plan
-    /// ([`mvgnn_analyze::plan_from_report`]); a proved plan
-    /// ([`LoopPlan::proved`]) is answered at submit time with its
-    /// rendered pragma attached ([`Classification::pragma`]).
-    Plan(&'a LoopPlan),
-}
-
-impl Tier0<'_> {
-    /// Whether the evidence decides the loop without the GNN.
-    fn definite(self) -> bool {
-        match self {
-            Tier0::Oracle(report) => oracle_decision(report).is_some(),
-            Tier0::Plan(plan) => plan.proved(),
-        }
-    }
-
-    /// The submit-time answer built from definite evidence.
-    fn answer(self) -> Classification {
-        match self {
-            Tier0::Oracle(report) => Classification::from_oracle(report),
-            Tier0::Plan(plan) => Classification::from_plan(plan),
-        }
-    }
 }
 
 /// Handle for one in-flight sample-path request; redeem with
@@ -299,25 +263,6 @@ impl Server {
         sample: Arc<GraphSample>,
         deadline: Deadline,
     ) -> ServeResult<Ticket> {
-        self.submit_tier0(sample, None, deadline)
-    }
-
-    /// [`Self::submit`] with the caller's static evidence for the loop
-    /// the sample was featurised from.
-    ///
-    /// Definite evidence (a definite oracle verdict, a proved plan) is
-    /// answered at submit time: the returned [`Ticket`] is already
-    /// fulfilled, and the request never reaches the shape gate, the
-    /// admission limiter, or the micro-batch queue — oracle-decidable
-    /// traffic sheds *before* the batcher and costs the GNN path
-    /// nothing. Anything else (or `None`) rides the micro-batcher exactly
-    /// like [`Self::submit`].
-    pub fn submit_tier0(
-        &self,
-        sample: Arc<GraphSample>,
-        evidence: Option<Tier0<'_>>,
-        deadline: Deadline,
-    ) -> ServeResult<Ticket> {
         let sh = &self.shared;
         sh.submitted.fetch_add(1, Ordering::Relaxed);
         if sh.batcher.shutting_down() {
@@ -325,12 +270,6 @@ impl Server {
         }
         if deadline.expired() {
             return Err(sh.expired(DeadlineStage::Admission));
-        }
-        if let Some(evidence) = evidence.filter(|e| e.definite()) {
-            sh.oracle_decided.fetch_add(1, Ordering::Relaxed);
-            let slot = Slot::new();
-            slot.fulfil(Ok(evidence.answer()));
-            return Ok(Ticket { slot });
         }
         // Shape gate before spending a token: a sample the model cannot
         // consume is rejected typed, not panicked on mid-batch.
@@ -425,6 +364,8 @@ impl Server {
                 max_steps.or(fe.max_steps),
                 fe.max_call_depth,
             );
+            let decided = reports.iter().filter(|r| r.decided_by == DecidedBy::Oracle).count();
+            sh.oracle_decided.fetch_add(decided as u64, Ordering::Relaxed);
             Ok(ModuleClassification { reports })
         }));
         match outcome {

@@ -4,13 +4,13 @@
 //! a panic anywhere on a request path fails the suite.
 
 use mvgnn_core::model::{MvGnn, MvGnnConfig};
-use mvgnn_core::{CascadeConfig, FaultPlan, MvGnnError, PredictionSource, Workspace};
+use mvgnn_core::{CascadeConfig, DecidedBy, FaultPlan, MvGnnError, PredictionSource, Workspace};
 use mvgnn_dataset::{build_corpus, CorpusConfig, Suite};
 use mvgnn_embed::{Inst2Vec, Inst2VecConfig, SampleConfig};
 use mvgnn_ir::transform::OptLevel;
 use mvgnn_serve::{
     classification_from_checked, run_chaos, ChaosConfig, ChaosInputs, Classification, Deadline,
-    DeadlineStage, Frontend, ServeConfig, ServeError, Server, Ticket, Tier0,
+    DeadlineStage, Frontend, ServeConfig, ServeError, Server, Ticket,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -106,6 +106,7 @@ fn burst_of_singles_is_micro_batched_and_matches_forward_rows() {
     assert_answers_match_forward_rows(&model, &samples, &answers);
     let stats = server.stats();
     assert_eq!(stats.batched_requests, samples.len() as u64);
+    assert_eq!(stats.oracle_decided, 0, "the sample path never runs tier 0");
     assert!(
         stats.mean_fill() > 1.5,
         "burst must coalesce, got mean fill {:.2}",
@@ -413,6 +414,33 @@ fn source_path_classifies_and_replays_identically() {
     for (a, b) in first.reports.iter().zip(&second.reports) {
         assert_eq!((a.prediction, a.source), (b.prediction, b.source));
     }
+    // `gnn_only` switches tier 0 off, so no loop counts as oracle-decided.
+    assert_eq!(server.stats().oracle_decided, 0);
+}
+
+#[test]
+fn source_path_counts_the_loops_tier_0_decides() {
+    let (model, mut frontend) = frontend_for(PROGRAM);
+    frontend.cascade = CascadeConfig::default();
+    let server = Server::start_with_frontend(model, frontend, ServeConfig::default())
+        .expect("valid config");
+    let mut oracle_reports = 0;
+    for _ in 0..2 {
+        let mc = server.classify_source(PROGRAM, Deadline::none(), None).expect("classifies");
+        for r in &mc.reports {
+            if r.decided_by == DecidedBy::Oracle {
+                oracle_reports += 1;
+                assert_eq!(r.source, PredictionSource::Oracle, "{r:?}");
+                assert!(r.oracle.is_some() && r.plan.is_some(), "{r:?}");
+            }
+        }
+    }
+    // Tier 0 proves both loops (a DOALL and a recurrence) on every call.
+    assert_eq!(oracle_reports, 4);
+    let stats = server.stats();
+    assert_eq!(stats.oracle_decided, oracle_reports);
+    assert_eq!(stats.batched_requests, 0, "the source path never takes a batch slot");
+    server.shutdown();
 }
 
 /// A program the pure-GNN arm must interpret for millions of steps.
@@ -577,7 +605,6 @@ fn chaos_storm_is_fully_accounted_and_panic_free() {
     let inputs = ChaosInputs {
         samples: samples_of(&ds),
         sources: vec![PROGRAM.to_string()],
-        oracles: Vec::new(),
     };
     let cfg = ChaosConfig {
         seed: 0xfeed,
@@ -625,7 +652,7 @@ fn sample_storm_past_capacity_sheds_typed_and_the_fused_head_answers_after_it() 
         },
     )
     .expect("valid config");
-    let inputs = ChaosInputs { samples: samples_of(&ds), sources: Vec::new(), oracles: Vec::new() };
+    let inputs = ChaosInputs { samples: samples_of(&ds), sources: Vec::new() };
     let cfg = ChaosConfig {
         seed: 0x5e1e,
         clients: 4,
@@ -652,119 +679,5 @@ fn sample_storm_past_capacity_sheds_typed_and_the_fused_head_answers_after_it() 
         .and_then(Ticket::wait)
         .expect("post-storm liveness");
     assert_eq!(c.source, PredictionSource::Multi, "post-storm answer degraded: {c:?}");
-    server.shutdown();
-}
-
-#[test]
-fn oracle_storm_never_occupies_a_micro_batch_slot() {
-    // Every request in this storm carries a decisive oracle report, so
-    // tier 0 must answer all of them at submit time: no admission
-    // token, no queue slot, no micro-batch dispatch.
-    let ds = tiny_dataset();
-    let model = Arc::new(tiny_model(&ds));
-    let server = Server::start(
-        model,
-        ServeConfig {
-            max_batch: 8,
-            max_delay: Duration::from_micros(500),
-            max_queue: 4, // tiny on purpose: queued requests would shed
-            max_inflight: 8,
-            workers: 1,
-        },
-    )
-    .expect("valid config");
-
-    let module = mvgnn_lang::compile(PROGRAM).expect("compiles");
-    let entry = module.func_by_name("main").expect("has main");
-    let reports: Vec<Arc<mvgnn_analyze::OracleReport>> = module.funcs[entry.index()]
-        .loops
-        .iter()
-        .map(|info| Arc::new(mvgnn_analyze::analyze_loop(&module, entry, info.id)))
-        .collect();
-    assert_eq!(reports.len(), 2, "DOALL + recurrence");
-    for r in &reports {
-        assert!(
-            mvgnn_core::oracle_decision(r).is_some(),
-            "storm requires decisive verdicts: {r:?}"
-        );
-    }
-
-    let samples = samples_of(&ds);
-    let oracles = (0..samples.len())
-        .map(|i| Some(Arc::clone(&reports[i % reports.len()])))
-        .collect();
-    let inputs = ChaosInputs { samples, sources: Vec::new(), oracles };
-    let cfg = ChaosConfig {
-        seed: 0xacce,
-        clients: 4,
-        requests_per_client: 64,
-        rate_per_client: 100_000.0, // would melt the tiny queue if batched
-        burst: 16,
-        deadline: Duration::from_secs(5),
-        source_frac: 0.0,
-        malformed_frac: 0.0,
-        starved_budget: false,
-    };
-    let report = run_chaos(&server, &inputs, &cfg);
-    assert_eq!(report.submitted, 4 * 64);
-    assert_eq!(report.accounted(), report.submitted, "{report:?}");
-    assert_eq!(
-        report.oracle_decided, report.submitted,
-        "every answer must come from tier 0: {report:?}"
-    );
-    assert_eq!(report.internal, 0, "{report:?}");
-
-    // The micro-batcher census: the whole storm cost it nothing.
-    let stats = server.stats();
-    assert_eq!(stats.oracle_decided, report.submitted);
-    assert_eq!(stats.batched_requests, 0, "oracle-decided work took a batch slot: {stats:?}");
-    assert_eq!(stats.batches, 0, "{stats:?}");
-    assert_eq!(stats.admitted, 0, "tier 0 must not consume admission tokens: {stats:?}");
-    assert_eq!(stats.shed + stats.expired + stats.rejected, 0, "{stats:?}");
-    assert_eq!(stats.panics_caught, 0);
-
-    // A single closed-loop request surfaces the provenance and facts.
-    let c = server
-        .submit_tier0(
-            Arc::clone(&inputs.samples[0]),
-            Some(Tier0::Oracle(&reports[0])),
-            Deadline::within(Duration::from_secs(5)),
-        )
-        .and_then(Ticket::wait)
-        .expect("oracle-decided request");
-    assert_eq!(c.decided_by, mvgnn_core::DecidedBy::Oracle);
-    assert_eq!(c.source, PredictionSource::Oracle);
-    assert!(c.oracle_facts.is_some(), "tier-0 answers carry the facts: {c:?}");
-    assert_eq!(c.batched_with, 0);
-    assert!(c.pragma.is_none(), "a bare report has no rendered plan: {c:?}");
-
-    // The planned path answers at submit time too, with the pragma.
-    for (i, info) in module.funcs[entry.index()].loops.iter().enumerate() {
-        let plan = mvgnn_analyze::plan_from_report(&module, entry, info.id, &reports[i]);
-        assert!(plan.proved(), "{plan:?}");
-        let c = server
-            .submit_tier0(
-                Arc::clone(&inputs.samples[0]),
-                Some(Tier0::Plan(&plan)),
-                Deadline::within(Duration::from_secs(5)),
-            )
-            .and_then(Ticket::wait)
-            .expect("plan-decided request");
-        assert_eq!(c.decided_by, mvgnn_core::DecidedBy::Oracle);
-        assert_eq!(c.pragma.as_deref(), Some(plan.pragma.as_str()), "{c:?}");
-        assert_eq!(
-            Some(c.prediction),
-            plan.proved_binary(),
-            "the answer must restate the proof: {c:?}"
-        );
-    }
-
-    // The GNN path still works after the storm (nothing was wedged).
-    let gnn = server
-        .submit(Arc::clone(&inputs.samples[0]), Deadline::within(Duration::from_secs(10)))
-        .and_then(Ticket::wait)
-        .expect("post-storm liveness");
-    assert!(gnn.prediction <= 1);
-    assert_eq!(gnn.decided_by, mvgnn_core::DecidedBy::Gnn);
     server.shutdown();
 }

@@ -281,7 +281,7 @@ pub fn matmul_a_bt_accum(
 /// Branchless single-precision `tanh` via the identity `1 − 2/(e²ˣ + 1)`
 /// with an inlined polynomial `exp` (Cephes minimax coefficients). Every
 /// step is straight-line float/int arithmetic, so the elementwise loop in
-/// [`tanh_vec`] autovectorises — libm's `tanhf`/`expf` are opaque calls
+/// [`tanh_into`] autovectorises — libm's `tanhf`/`expf` are opaque calls
 /// and do not. Stays within ~2e-7 of libm `tanh`, saturates exactly to
 /// ±1 for |x| ≥ 10, and propagates NaN.
 #[inline(always)]
@@ -333,15 +333,9 @@ fn tanh_branchless(x: f32) -> f32 {
     1.0 - 2.0 / (e + 1.0)
 }
 
-/// Elementwise `tanh` of a slice into a fresh vec (vectorised; see
-/// `tanh_branchless` for the numerics).
-pub fn tanh_vec(x: &[f32]) -> Vec<f32> {
-    x.iter().map(|&v| tanh_branchless(v)).collect()
-}
-
-/// Elementwise `tanh` into a caller-provided buffer (same numerics as
-/// [`tanh_vec`], bit for bit) — the allocation-free flavour used by the
-/// pooled tape. `out.len()` must equal `x.len()`.
+/// Elementwise `tanh` into a caller-provided buffer (vectorised; see
+/// `tanh_branchless` for the numerics) — the pooled tape's `tanh`.
+/// `out.len()` must equal `x.len()`.
 pub fn tanh_into(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "tanh_into length mismatch");
     for (o, &v) in out.iter_mut().zip(x) {
@@ -510,25 +504,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn tanh_vec_tracks_libm() {
+    fn tanh_into_tracks_libm() {
         let xs: Vec<f32> = (-4000..=4000).map(|i| i as f32 * 0.005).collect();
-        for (&x, &t) in xs.iter().zip(&tanh_vec(&xs)) {
+        let mut out = vec![0.0; xs.len()];
+        tanh_into(&xs, &mut out);
+        for (&x, &t) in xs.iter().zip(&out) {
             let want = (x as f64).tanh() as f32;
             assert!((t - want).abs() <= 3e-7, "tanh({x}) = {t}, want {want}");
         }
     }
 
     #[test]
-    fn tanh_vec_saturates_and_propagates_specials() {
-        let out = tanh_vec(&[
-            15.0,
-            -15.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            0.0,
-            -0.0,
-        ]);
+    fn tanh_into_saturates_and_propagates_specials() {
+        let mut out = [0.0; 7];
+        tanh_into(&[15.0, -15.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0], &mut out);
         assert_eq!(out[0], 1.0);
         assert_eq!(out[1], -1.0);
         assert_eq!(out[2], 1.0);

@@ -1,5 +1,6 @@
 //! CSR sparse matrices — the GCN propagation operators `Â`.
 
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
 /// An immutable CSR sparse matrix of f32 values.
@@ -48,39 +49,19 @@ impl SparseMatrix {
     /// Direct sum of matrices: a block-diagonal matrix with the given
     /// blocks on the diagonal, in order. Applying it to a row-packed dense
     /// batch is exactly the per-block products — the batched GCN
-    /// propagation operator over packed graphs.
-    pub fn block_diag(blocks: &[&SparseMatrix]) -> Self {
+    /// propagation operator over packed graphs. The CSR buffers come from
+    /// a workspace pool; hand the matrix back with
+    /// [`SparseMatrix::recycle`] when the batch is done.
+    pub fn block_diag_in(ws: &mut Workspace, blocks: &[&SparseMatrix]) -> Self {
         let nnz: usize = blocks.iter().map(|b| b.nnz()).sum();
         let rows: usize = blocks.iter().map(|b| b.rows).sum();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        Self::fill_block_diag(blocks, &mut row_ptr, &mut col_idx, &mut values)
-    }
-
-    /// [`SparseMatrix::block_diag`] with the CSR buffers drawn from a
-    /// workspace pool instead of the allocator; hand the matrix back
-    /// with [`SparseMatrix::recycle`] when the batch is done.
-    pub fn block_diag_in(ws: &mut crate::workspace::Workspace, blocks: &[&SparseMatrix]) -> Self {
-        let nnz: usize = blocks.iter().map(|b| b.nnz()).sum();
-        let rows: usize = blocks.iter().map(|b| b.rows).sum();
+        let cols: usize = blocks.iter().map(|b| b.cols).sum();
         let mut row_ptr = ws.acquire_u32(rows + 1);
         let mut col_idx = ws.acquire_u32(nnz);
         let mut values = ws.acquire_f32(nnz);
         row_ptr.clear();
         col_idx.clear();
         values.clear();
-        Self::fill_block_diag(blocks, &mut row_ptr, &mut col_idx, &mut values)
-    }
-
-    fn fill_block_diag(
-        blocks: &[&SparseMatrix],
-        row_ptr: &mut Vec<u32>,
-        col_idx: &mut Vec<u32>,
-        values: &mut Vec<f32>,
-    ) -> Self {
-        let rows: usize = blocks.iter().map(|b| b.rows).sum();
-        let cols: usize = blocks.iter().map(|b| b.cols).sum();
         row_ptr.push(0u32);
         let mut col_off = 0u32;
         let mut nnz_off = 0u32;
@@ -95,18 +76,17 @@ impl SparseMatrix {
             col_off += b.cols as u32;
             nnz_off += b.nnz() as u32;
         }
-        Self {
-            rows,
-            cols,
-            row_ptr: std::mem::take(row_ptr),
-            col_idx: std::mem::take(col_idx),
-            values: std::mem::take(values),
-        }
+        Self { rows, cols, row_ptr, col_idx, values }
+    }
+
+    /// [`SparseMatrix::block_diag_in`] over a fresh workspace.
+    pub fn block_diag(blocks: &[&SparseMatrix]) -> Self {
+        Self::block_diag_in(&mut Workspace::new(), blocks)
     }
 
     /// Release the CSR buffers back into a workspace pool (the partner
     /// of [`SparseMatrix::block_diag_in`]).
-    pub fn recycle(self, ws: &mut crate::workspace::Workspace) {
+    pub fn recycle(self, ws: &mut Workspace) {
         ws.release_u32(self.row_ptr);
         ws.release_u32(self.col_idx);
         ws.release_f32(self.values);
@@ -263,7 +243,7 @@ mod tests {
     fn block_diag_spmm_equals_per_block_spmm() {
         let a = SparseMatrix::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, -1.0)]);
         let b = SparseMatrix::from_triplets(3, 3, &[(0, 2, 0.5), (2, 1, 3.0)]);
-        let bd = SparseMatrix::block_diag(&[&a, &b]);
+        let bd = SparseMatrix::block_diag_in(&mut Workspace::new(), &[&a, &b]);
         assert_eq!(bd.rows(), 5);
         assert_eq!(bd.cols(), 5);
         assert_eq!(bd.nnz(), 4);
@@ -284,7 +264,7 @@ mod tests {
     fn block_diag_of_empty_block_keeps_alignment() {
         let a = SparseMatrix::from_triplets(2, 2, &[(1, 1, 4.0)]);
         let empty = SparseMatrix::from_triplets(0, 0, &[]);
-        let bd = SparseMatrix::block_diag(&[&empty, &a, &empty]);
+        let bd = SparseMatrix::block_diag_in(&mut Workspace::new(), &[&empty, &a, &empty]);
         assert_eq!(bd.rows(), 2);
         let row1: Vec<_> = bd.row(1).collect();
         assert_eq!(row1, vec![(1, 4.0)]);

@@ -455,7 +455,7 @@ impl<'p> Tape<'p> {
         self.push(Op::Scale(a, c), out, shape)
     }
 
-    /// Hyperbolic tangent (vectorised; see [`dense::tanh_vec`] for the
+    /// Hyperbolic tangent (vectorised; see [`dense::tanh_into`] for the
     /// numerics — within ~2e-7 of libm, exact ±1 saturation, NaN
     /// propagation). The backward pass uses the stored output, so
     /// gradients are consistent with what was computed.

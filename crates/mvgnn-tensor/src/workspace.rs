@@ -17,10 +17,10 @@
 //! bit-identical with or without pooling, which `tests/batch_parity.rs`
 //! and `tests/concurrent_parity.rs` pin.
 //!
-//! Workspaces are plain owned values: one per worker thread (the
-//! inference engine parks one per worker and reuses it across chunks),
-//! never shared, so there is no synchronisation and no allocator
-//! cross-talk between threads.
+//! Workspaces are plain owned values: one per worker thread (each serve
+//! worker holds one and reuses it across micro-batches), never shared,
+//! so there is no synchronisation and no allocator cross-talk between
+//! threads.
 
 use std::cell::RefCell;
 

@@ -1,13 +1,12 @@
 //! Fig. 1 narrative: stencil vs reduction parallelisation patterns are
 //! separable from graph structure alone. We build both, extract their
-//! sub-PEGs, and show that motif censuses and anonymous-walk
-//! distributions disagree exactly where the paper says they should.
+//! sub-PEGs, and show that their anonymous-walk distributions disagree
+//! exactly where the paper says they should.
 //!
 //! ```sh
 //! cargo run --example stencil_discovery
 //! ```
 
-use mvgnn::graph::graphlets::{motif_features, MOTIF_ORDER};
 use mvgnn::graph::{AwVocab, Csr, WalkConfig, WalkSampler};
 use mvgnn::ir::inst::BinOp;
 use mvgnn::ir::types::Ty;
@@ -60,14 +59,8 @@ fn main() {
         let class = classify_loop(&module, entry, l, &res.deps);
         let sub = loop_subpeg(&peg, &module, &cus, entry, l);
         let csr = Csr::undirected_from_digraph(&sub.graph);
-        let motifs = motif_features(&Csr::from_digraph(&sub.graph));
         let dist = sampler.graph_distribution(&csr, &vocab);
         println!("{name}: {class:?} — {} PEG nodes", sub.graph.node_count());
-        print!("    motifs ");
-        for (m, v) in MOTIF_ORDER.iter().zip(motifs) {
-            print!("{m:?} {v:.2}  ");
-        }
-        println!();
         println!(
             "    anonymous-walk distribution (l=4): {:?}",
             dist.iter().map(|v| (v * 100.0).round() / 100.0).collect::<Vec<_>>()

@@ -24,7 +24,7 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> shared-model parity (one Arc<MvGnn> run from many threads at once)"
 cargo test -q --test concurrent_parity
 
-echo "==> corpus label audit (static oracle vs profiler, per-shard merge, smoke slice)"
+echo "==> corpus label audit (static oracle vs profiler, smoke slice)"
 cargo run --release -p mvgnn-bench --bin lint --quiet -- --smoke
 
 echo "==> checkpoint round trip (train, write, read back: bit-identical weights and predictions)"
